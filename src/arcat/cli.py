@@ -5,7 +5,8 @@ A job file has sections [field], [quiver], [ideal], [coefficient], and
 complex shape; the ideal section lists relations as arrow sequences in
 application order; the coefficient section is a second quiver (with inline
 relations) or a point.  Exit codes: 0 verified, 1 parse or usage error,
-2 precondition failure, 3 verification failure.
+2 precondition failure, 3 verification failure, including an internal
+consistency check (AssertionError or ZeroDivisionError) that failed.
 """
 
 import argparse
@@ -419,7 +420,10 @@ def _cmd_approximate(job: JobSpec, out: List[str], cap: int):
     tspec = job.params.get("target")
     if not tspec or tspec[0] != "stalk" or len(tspec) != 3:
         raise ParseError("approximate needs 'target = stalk <degree> <object>'")
-    degree = int(tspec[1])
+    try:
+        degree = int(tspec[1])
+    except ValueError:
+        raise ParseError(f"bad stalk degree {tspec[1]!r}")
     mod = yoneda_projective(coeff, _find_object(coeff, tspec[2]))
     z = stalk(spec, degree, mod)
     gen_choice = job.params.get("generators", ["none"])[0]
@@ -480,6 +484,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--output", help="write output to a file")
     try:
         args = parser.parse_args(argv)
+        if args.cap < 1:
+            parser.error(f"--cap must be at least 1, got {args.cap}")
         with open(args.job, "r", encoding="utf-8") as fh:
             text = fh.read()
         job = load_spec(text, args.field)
@@ -511,6 +517,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)
+        return 3
+    except (AssertionError, ZeroDivisionError) as e:
+        print(f"internal check failed: {e}", file=sys.stderr)
         return 3
     text_out = "\n".join(out) + "\n"
     if args.output:

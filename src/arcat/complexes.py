@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory
-from .linalg import Mat, hstack, solve, vstack
+from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
 from .modcat import (CModule, ModuleMap, cokernel_module, direct_sum,
                      factor_through_cokernel, flatten_map, identity_map,
                      kernel_module, projective_cover, zero_map, zero_module)
@@ -517,24 +517,34 @@ def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
     return cur
 
 
+def _homotopy_terms(src: NComplex, tgt: NComplex, i: int, mids) -> List:
+    """The summands d_tgt^(k) s d_src^(window-1-k) at degree i of the map
+    induced by a homotopy s defined at the degrees in mids, as triples
+    (mid, before, after); summands running off a linear shape are dropped."""
+    spec = src.spec
+    length = spec.window_len
+    out = []
+    for k in range(length):
+        mid = spec.wrap(i + length - 1 - k)
+        low = spec.wrap(i - k)
+        if mid is None or low is None or mid not in mids:
+            continue
+        before = _composite_or_none(src, i, length - 1 - k)
+        after = _composite_or_none(tgt, low, k)
+        if before is None or after is None:
+            continue
+        out.append((mid, before, after))
+    return out
+
+
 def assemble_null_homotopic(src: NComplex, tgt: NComplex,
                             s: Dict[int, ModuleMap]) -> NChainMap:
     """The chain map determined by a homotopy: the sum over each degree of
     d_tgt^(k) s d_src^(window-1-k); always null-homotopic by construction."""
-    spec = src.spec
-    length = spec.window_len
     comps = {}
-    for i in spec.degrees():
+    for i in src.spec.degrees():
         cur = zero_map(src.components[i], tgt.components[i])
-        for k in range(length):
-            mid = spec.wrap(i + length - 1 - k)
-            low = spec.wrap(i - k)
-            if mid is None or low is None or mid not in s:
-                continue
-            before = _composite_or_none(src, i, length - 1 - k)
-            after = _composite_or_none(tgt, low, k)
-            if before is None or after is None:
-                continue
+        for mid, before, after in _homotopy_terms(src, tgt, i, s):
             cur = cur.add(before.then(s[mid]).then(after))
         comps[i] = cur
     return NChainMap(src, tgt, comps, validate=True)
@@ -544,85 +554,37 @@ def find_null_homotopy(l: NChainMap) -> Optional[Dict[int, ModuleMap]]:
     """Degreewise maps s with l = sum of d^(k) s d^(window-1-k), or None.
 
     s at degree i points window-1 degrees down; summands whose degrees fall
-    off a linear shape are dropped.
+    off a linear shape are dropped.  The unknowns are the components
+    X_(i,c) of s, and each degree i and coefficient object c gives the
+    equation l_i(c) = sum of after(c) X_(mid,c) before(c).
     """
     spec = l.src.spec
-    length = spec.window_len
     coeff = l.src.coeff
     fld = coeff.field
-    offs = {}
-    total = 0
+    lows = {}
     for i in spec.degrees():
-        tgt_deg = spec.wrap(i - (length - 1))
-        if tgt_deg is None:
-            continue
-        for c in coeff.objects:
-            offs[(i, c)] = total
-            total += l.tgt.components[tgt_deg].dims[c] * l.src.components[i].dims[c]
-    eq_rows: List[List] = []
-    rhs_vals: List = []
-    zero = fld.zero()
+        low = spec.wrap(i - (spec.window_len - 1))
+        if low is not None:
+            lows[i] = low
+    shapes = {(i, c): (l.tgt.components[low].dims[c], l.src.components[i].dims[c])
+              for i, low in lows.items() for c in coeff.objects}
+    equations, rhs = [], []
     for i in spec.degrees():
-        for c in coeff.objects:
-            tgt_rows = l.tgt.components[i].dims[c]
-            src_cols = l.src.components[i].dims[c]
-            if tgt_rows * src_cols == 0:
-                continue
-            terms = []
-            for k in range(length):
-                mid = spec.wrap(i + length - 1 - k)
-                low = spec.wrap(i - k)
-                if mid is None or low is None or (mid, c) not in offs:
-                    continue
-                after = _composite_or_none(l.tgt, low, k)
-                before = _composite_or_none(l.src, i, length - 1 - k)
-                if after is None or before is None:
-                    continue
-                terms.append((mid, after.comps[c], before.comps[c]))
-            lmat = l.comps[i].comps[c]
-            for r in range(tgt_rows):
-                for q in range(src_cols):
-                    row = [zero] * total
-                    for mid, amat, bmat in terms:
-                        scols = l.src.components[mid].dims[c]
-                        base = offs[(mid, c)]
-                        for u in range(amat.cols):
-                            au = amat.at(r, u)
-                            if au == zero:
-                                continue
-                            for vv in range(scols):
-                                bv = bmat.at(vv, q)
-                                if bv == zero:
-                                    continue
-                                idx = base + u * scols + vv
-                                row[idx] = fld.add(row[idx], fld.mul(au, bv))
-                    eq_rows.append(row)
-                    rhs_vals.append(lmat.at(r, q))
-    if total == 0:
-        if any(v != zero for v in rhs_vals):
-            return None
-        sol_vals = []
-    else:
-        a = Mat(fld, len(eq_rows), total, [x for row in eq_rows for x in row])
-        b = Mat.column(fld, rhs_vals) if rhs_vals else Mat.zeros(fld, 0, 1)
-        sol = solve(a, b)
-        if sol is None:
-            return None
-        sol_vals = list(sol.col(0))
-    result = {}
-    for i in spec.degrees():
-        tgt_deg = spec.wrap(i - (length - 1))
-        if tgt_deg is None:
-            continue
-        comps = {}
-        for c in coeff.objects:
-            rows = l.tgt.components[tgt_deg].dims[c]
-            cols = l.src.components[i].dims[c]
-            base = offs[(i, c)]
-            comps[c] = Mat(fld, rows, cols, sol_vals[base:base + rows * cols])
-        result[i] = ModuleMap(l.src.components[i], l.tgt.components[tgt_deg],
-                              comps, validate=True)
-    return result
+        tgt_i, src_i = l.tgt.components[i], l.src.components[i]
+        live = [c for c in coeff.objects if tgt_i.dims[c] * src_i.dims[c]]
+        terms = _homotopy_terms(l.src, l.tgt, i, lows) if live else []
+        for c in live:
+            equations.append((tgt_i.dims[c], src_i.dims[c],
+                              [(1, after.comps[c], (mid, c), before.comps[c])
+                               for mid, before, after in terms]))
+            rhs.extend(l.comps[i].comps[c].data)
+    sol = solve(equation_matrix(fld, shapes, equations), Mat.column(fld, rhs))
+    if sol is None:
+        return None
+    blocks = split_blocks(fld, shapes, sol.col(0))
+    return {i: ModuleMap(l.src.components[i], l.tgt.components[low],
+                         {c: blocks[(i, c)] for c in coeff.objects}, validate=True)
+            for i, low in lows.items()}
 
 
 def factor_null_homotopy(l: NChainMap, coil: CoilEpi) -> NChainMap:

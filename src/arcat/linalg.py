@@ -7,7 +7,34 @@ off the echelon form in free-column order.  No floating point anywhere.
 """
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson-Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large to certify as prime")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Field:
@@ -19,7 +46,7 @@ class Field:
 
     def __init__(self, p: Optional[int] = None):
         if p is not None:
-            if p < 2 or any(p % d == 0 for d in range(2, min(p, 1000)) if d * d <= p):
+            if not _is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
@@ -42,8 +69,13 @@ class Field:
         return 1 if self.p is not None else Fraction(1)
 
     def of(self, n) -> object:
-        """Coerce an int (or Fraction, over Q) into the field."""
+        """Coerce an int or a Fraction into the field; over F_p, a/b maps to
+        a * b^-1, and ZeroDivisionError when p divides b."""
         if self.p is not None:
+            if isinstance(n, int):
+                return n % self.p
+            if isinstance(n, Fraction):
+                return n.numerator * self.inv(n.denominator) % self.p
             return int(n) % self.p
         return Fraction(n)
 
@@ -377,3 +409,71 @@ def kron(a: Mat, b: Mat) -> Mat:
                 for l in range(b.cols):
                     out[base + l] = mul(aij, b.at(k, l))
     return Mat(f, rows, cols, out)
+
+
+def equation_matrix(field: Field, shapes: Dict[Hashable, Tuple[int, int]],
+                    equations: Sequence[Tuple[int, int, Sequence]]) -> Mat:
+    """Coefficient matrix of a system of matrix equations in unknowns X_u.
+
+    `shapes` maps each unknown to its (rows, cols); the unknowns are laid out
+    row major, one after another in the order of `shapes`.  An equation
+    (p, q, terms) is p x q and gives one row per entry, row major; a term
+    (sign, a, u, b) with sign +1 or -1 stands for sign * a X_u b, where a or
+    b may be None for the identity.  Entries follow the row-major vec
+    identity vec(a X b) = (a kron b^T) vec(X) without forming the product.
+    """
+    offs = {}
+    total = 0
+    for u, (r, c) in shapes.items():
+        offs[u] = total
+        total += r * c
+    add, mul, neg = field.add, field.mul, field.neg
+    out = []
+    rows = 0
+    for p, q, terms in equations:
+        if p * q == 0:
+            continue
+        rows += p * q
+        block = [field.zero()] * (p * q * total)
+        for sign, a, u, b in terms:
+            ur, uc = shapes[u]
+            a_shape = (p, p) if a is None else (a.rows, a.cols)
+            b_shape = (q, q) if b is None else (b.rows, b.cols)
+            if a_shape != (p, ur) or b_shape != (uc, q):
+                raise ValueError(f"term in unknown {u!r} does not fit a {p}x{q} equation")
+            if a is None and b is None:
+                a = Mat.identity(field, p)
+            # the sign goes on the first factor that is not the identity
+            left = _entries(a, p, sign < 0, neg)
+            right = _entries(b, q, sign < 0 and a is None, neg)
+            base = offs[u]
+            for r, i, av in left:
+                for j, s, bv in right:
+                    v = bv if av is None else av if bv is None else mul(av, bv)
+                    idx = (r * q + s) * total + base + i * uc + j
+                    block[idx] = add(block[idx], v)
+        out.extend(block)
+    return Mat(field, rows, total, out)
+
+
+def _entries(m: Optional[Mat], n: int, negate: bool, neg) -> List[Tuple]:
+    """(row, col, value) of the nonzero entries of m, or of -m when negate;
+    None is the n x n identity, with value None for one."""
+    if m is None:
+        return [(k, k, None) for k in range(n)]
+    return [(k // m.cols, k % m.cols, neg(v) if negate else v)
+            for k, v in enumerate(m.data) if v]
+
+
+def split_blocks(field: Field, shapes: Dict[Hashable, Tuple[int, int]],
+                 values: Sequence) -> Dict[Hashable, Mat]:
+    """Cut a row-major vector into matrices of the given shapes, in order;
+    the inverse of the layout of `equation_matrix`."""
+    out = {}
+    pos = 0
+    for u, (r, c) in shapes.items():
+        out[u] = Mat(field, r, c, values[pos:pos + r * c])
+        pos += r * c
+    if pos != len(values):
+        raise ValueError(f"expected {pos} entries, got {len(values)}")
+    return out

@@ -22,7 +22,8 @@ from .algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
                       radical_basis)
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .fincat import FinCategory, category_of, opposite_category
-from .linalg import Mat, block_diag, hstack, solve, vstack
+from .linalg import (Mat, block_diag, equation_matrix, hstack, solve, split_blocks,
+                     vstack)
 from .quiver import BoundQuiver, opposite
 
 
@@ -308,71 +309,47 @@ def representation_category(bq: BoundQuiver, fld) -> FinCategory:
 # hom spaces and flattening
 
 
-def _flat_layout(m: CModule, n: CModule):
-    offs = {}
-    total = 0
-    for x in m.cat.objects:
-        offs[x] = total
-        total += n.dims[x] * m.dims[x]
-    return offs, total
+def _hom_shapes(m: CModule, n: CModule) -> Dict:
+    """The component shapes of a map m -> n, the layout of `flatten_map`."""
+    return {x: (n.dims[x], m.dims[x]) for x in m.cat.objects}
 
 
 def flatten_map(phi: ModuleMap) -> Mat:
-    vals = []
-    for x in phi.src.cat.objects:
-        comp = phi.comps[x]
-        for r in range(comp.rows):
-            vals.extend(comp.row(r))
-    fld = phi.src.cat.field
-    return Mat.column(fld, vals) if vals else Mat.zeros(fld, 0, 1)
+    """The components stacked row major, in the layout of `_hom_shapes`."""
+    return Mat.column(phi.src.cat.field,
+                      [v for x in phi.src.cat.objects for v in phi.comps[x].data])
 
 
 def map_from_flat(m: CModule, n: CModule, vec: Mat) -> ModuleMap:
-    vals = list(vec.col(0))
-    comps = {}
-    pos = 0
-    fld = m.cat.field
-    for x in m.cat.objects:
-        r, c = n.dims[x], m.dims[x]
-        comps[x] = Mat(fld, r, c, vals[pos:pos + r * c])
-        pos += r * c
+    comps = split_blocks(m.cat.field, _hom_shapes(m, n), vec.col(0))
     return ModuleMap(m, n, comps, validate=False)
+
+
+def naturality_equations(m: CModule, n: CModule, unknown=lambda x: x) -> List:
+    """The equations X_x m(f) = n(f) X_y, one per hom basis element f: x -> y,
+    that make components X_x: m_x -> n_x natural, for `equation_matrix`;
+    the component at x is the unknown named unknown(x)."""
+    cat = m.cat
+    out = []
+    for x in cat.objects:
+        for y in cat.objects:
+            if n.dims[x] * m.dims[y] == 0:
+                continue
+            for i in range(cat.dim(x, y)):
+                out.append((n.dims[x], m.dims[y],
+                            [(1, None, unknown(x), m.action[(x, y, i)]),
+                             (-1, n.action[(x, y, i)], unknown(y), None)]))
+    return out
 
 
 def hom_space(m: CModule, n: CModule) -> List[ModuleMap]:
     """A canonical basis of the space of natural maps m -> n."""
-    cat = m.cat
-    fld = cat.field
-    offs, total = _flat_layout(m, n)
-    if total == 0:
+    fld = m.cat.field
+    shapes = _hom_shapes(m, n)
+    if not any(r * c for r, c in shapes.values()):
         return []
-    zero = fld.zero()
-    rows = []
-    for x in cat.objects:
-        for y in cat.objects:
-            for i in range(cat.dim(x, y)):
-                a = m.action[(x, y, i)]
-                b = n.action[(x, y, i)]
-                for r in range(n.dims[x]):
-                    for s in range(m.dims[y]):
-                        row = [zero] * total
-                        for c in range(m.dims[x]):
-                            v = a.at(c, s)
-                            if v != zero:
-                                idx = offs[x] + r * m.dims[x] + c
-                                row[idx] = fld.add(row[idx], v)
-                        for c in range(n.dims[y]):
-                            v = b.at(r, c)
-                            if v != zero:
-                                idx = offs[y] + c * m.dims[y] + s
-                                row[idx] = fld.sub(row[idx], v)
-                        rows.append(row)
-    if rows:
-        sys = Mat(fld, len(rows), total, [v for row in rows for v in row])
-        ker = sys.kernel_basis()
-    else:
-        ker = Mat.identity(fld, total)
-    return [map_from_flat(m, n, Mat.column(fld, list(ker.col(j))))
+    ker = equation_matrix(fld, shapes, naturality_equations(m, n)).kernel_basis()
+    return [ModuleMap(m, n, split_blocks(fld, shapes, ker.col(j)), validate=False)
             for j in range(ker.cols)]
 
 
@@ -818,14 +795,13 @@ class Ext1:
         fld = z.cat.field
         restricted = [flatten_map(kernel.include.then(psi)) for psi in lifted]
         flat = [flatten_map(b) for b in self.cocycle_basis]
-        n = _flat_layout(kernel.module, x)[1]
-        rmat = hstack(restricted) if restricted else Mat.zeros(fld, n, 0)
-        hmat = hstack(flat) if flat else Mat.zeros(fld, n, 0)
-        combined = hstack([rmat, hmat])
+        # the empty first block keeps the row count when both lists are empty
+        n = sum(r * c for r, c in _hom_shapes(kernel.module, x).values())
+        combined = hstack([Mat.zeros(fld, n, 0)] + restricted + flat)
         span, pivots = combined.column_space_basis()
         self._span = span
-        self._class_slots = [t for t, p in enumerate(pivots) if p >= rmat.cols]
-        self.representatives = [self.cocycle_basis[pivots[t] - rmat.cols]
+        self._class_slots = [t for t, p in enumerate(pivots) if p >= len(restricted)]
+        self.representatives = [self.cocycle_basis[pivots[t] - len(restricted)]
                                 for t in self._class_slots]
         self.dim = len(self.representatives)
 

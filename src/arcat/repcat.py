@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory, category_of, opposite_category, tensor_product
-from .linalg import Mat
+from .linalg import equation_matrix, split_blocks
 from .modcat import (CModule, ModuleMap, direct_sum, hom_space, identity_map,
-                     projective_cover, zero_map, zero_module)
+                     naturality_equations, projective_cover, zero_map, zero_module)
 from .quiver import BoundQuiver, Path, left_path_space, path_key
 
 
@@ -247,84 +247,41 @@ def phi_map(f: QRepMap, base: Optional[FinCategory] = None) -> ModuleMap:
 
 
 def qrep_hom(r: QRep, s: QRep) -> List[QRepMap]:
-    """A basis of representation morphisms by one combined linear kernel."""
+    """A basis of representation morphisms by one combined linear kernel.
+
+    The unknowns are the components X_(v,c), natural in c at every vertex v,
+    and every arrow a: v -> w gives X_(w,c) r_a(c) = s_a(c) X_(v,c).  This
+    is solved on its own rather than through `phi` and `hom_space`, so that
+    `check_adjunction` compares two independent computations.
+    """
     if r.bq != s.bq or r.coeff != s.coeff:
         raise PreconditionError("representations over different data")
     coeff = r.coeff
     fld = coeff.field
-    offs = {}
-    total = 0
-    for v in r.bq.quiver.vertices:
-        for c in coeff.objects:
-            offs[(v, c)] = total
-            total += s.vertex_modules[v].dims[c] * r.vertex_modules[v].dims[c]
-    if total == 0:
+    vertices = r.bq.quiver.vertices
+    shapes = {(v, c): (s.vertex_modules[v].dims[c], r.vertex_modules[v].dims[c])
+              for v in vertices for c in coeff.objects}
+    if not any(p * q for p, q in shapes.values()):
         return []
-    zero = fld.zero()
-    rows = []
-
-    def pos(v, c, rr, cc):
-        return offs[(v, c)] + rr * r.vertex_modules[v].dims[c] + cc
-
-    for v in r.bq.quiver.vertices:
-        rm, sm = r.vertex_modules[v], s.vertex_modules[v]
-        for c in coeff.objects:
-            for d in coeff.objects:
-                for i in range(coeff.dim(c, d)):
-                    a = rm.action[(c, d, i)]
-                    b = sm.action[(c, d, i)]
-                    for rr in range(sm.dims[c]):
-                        for ss in range(rm.dims[d]):
-                            row = [zero] * total
-                            for cc in range(rm.dims[c]):
-                                val = a.at(cc, ss)
-                                if val != zero:
-                                    idx = pos(v, c, rr, cc)
-                                    row[idx] = fld.add(row[idx], val)
-                            for cc in range(sm.dims[d]):
-                                val = b.at(rr, cc)
-                                if val != zero:
-                                    idx = pos(v, d, cc, ss)
-                                    row[idx] = fld.sub(row[idx], val)
-                            rows.append(row)
+    equations = []
+    for v in vertices:
+        equations += naturality_equations(r.vertex_modules[v], s.vertex_modules[v],
+                                          lambda c, v=v: (v, c))
     for arr in r.bq.quiver.arrows:
         v, w = arr.source, arr.target
-        fa = r.arrow_maps[arr.name]
-        ga = s.arrow_maps[arr.name]
         for c in coeff.objects:
-            a = fa.comps[c]
-            b = ga.comps[c]
-            for rr in range(s.vertex_modules[w].dims[c]):
-                for ss in range(r.vertex_modules[v].dims[c]):
-                    row = [zero] * total
-                    for cc in range(r.vertex_modules[w].dims[c]):
-                        val = a.at(cc, ss)
-                        if val != zero:
-                            idx = pos(w, c, rr, cc)
-                            row[idx] = fld.add(row[idx], val)
-                    for cc in range(s.vertex_modules[v].dims[c]):
-                        val = b.at(rr, cc)
-                        if val != zero:
-                            idx = pos(v, c, cc, ss)
-                            row[idx] = fld.sub(row[idx], val)
-                    rows.append(row)
-    if rows:
-        sys = Mat(fld, len(rows), total, [x for row in rows for x in row])
-        ker = sys.kernel_basis()
-    else:
-        ker = Mat.identity(fld, total)
+            p, q = s.vertex_modules[w].dims[c], r.vertex_modules[v].dims[c]
+            if p * q == 0:
+                continue
+            equations.append((p, q, [(1, None, (w, c), r.arrow_maps[arr.name].comps[c]),
+                                     (-1, s.arrow_maps[arr.name].comps[c], (v, c), None)]))
+    ker = equation_matrix(fld, shapes, equations).kernel_basis()
     out = []
     for j in range(ker.cols):
-        vals = list(ker.col(j))
-        comps = {}
-        for v in r.bq.quiver.vertices:
-            mcomps = {}
-            for c in coeff.objects:
-                rr, cc = s.vertex_modules[v].dims[c], r.vertex_modules[v].dims[c]
-                start = offs[(v, c)]
-                mcomps[c] = Mat(fld, rr, cc, vals[start:start + rr * cc])
-            comps[v] = ModuleMap(r.vertex_modules[v], s.vertex_modules[v],
-                                 mcomps, validate=False)
+        blocks = split_blocks(fld, shapes, ker.col(j))
+        comps = {v: ModuleMap(r.vertex_modules[v], s.vertex_modules[v],
+                              {c: blocks[(v, c)] for c in coeff.objects}, validate=False)
+                 for v in vertices}
         out.append(QRepMap(r, s, comps, validate=False))
     return out
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end via its main() entry."""
 
+import os
 import subprocess
 import sys
 
@@ -224,8 +225,9 @@ def test_field_override_and_rationals(tmp_path, capsys):
     text = A2_QUIVER + "\n[command]\nname = info\n"
     code, out, _ = run(tmp_path, text, "--field", "Q", capsys=capsys)
     assert code == 0 and "field: Q" in out
-    code, _, err = run(tmp_path, text, "--field", "6", capsys=capsys)
-    assert code == 1 and "not prime" in err
+    for composite in ("6", "1022117"):
+        code, _, err = run(tmp_path, text, "--field", composite, capsys=capsys)
+        assert code == 1 and "not prime" in err
 
 
 def test_complex_excludes_explicit_relations(tmp_path, capsys):
@@ -239,7 +241,35 @@ def test_complex_excludes_explicit_relations(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     job = tmp_path / "job.txt"
     job.write_text(A2_QUIVER + "\n[command]\nname = info\n", encoding="utf-8")
+    # the child imports the same arcat as this process, however it was found
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "arcat.cli", str(job)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "verified" in proc.stdout
+
+
+def test_bad_stalk_degree_is_a_parse_error(tmp_path, capsys):
+    text = ("[quiver]\ncomplex = cyclic 2\n"
+            "[command]\nname = approximate\ntarget = stalk x pt\n")
+    code, _, err = run(tmp_path, text, capsys=capsys)
+    assert code == 1 and "parse error" in err and "'x'" in err
+
+
+def test_cap_below_one_is_a_usage_error(tmp_path, capsys):
+    text = A2_QUIVER + "\n[command]\nname = info\n"
+    for cap in ("0", "-1"):
+        code, _, err = run(tmp_path, text, "--cap", cap, capsys=capsys)
+        assert code == 1 and "parse error" in err and "--cap" in err
+
+
+def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    text = A2_QUIVER + "\n[command]\nname = info\n"
+    for exc in (AssertionError("summands disagree"), ZeroDivisionError("inverse of zero")):
+        def broken(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_info", broken)
+        code, _, err = run(tmp_path, text, capsys=capsys)
+        assert code == 3 and f"internal check failed: {exc}" in err

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from arcat.linalg import Field, Mat, block_diag, block_matrix, hstack, kron, solve, vstack
+from arcat.linalg import (Field, Mat, block_diag, block_matrix, equation_matrix, hstack,
+                          kron, solve, split_blocks, vstack)
 
 F5 = Field.prime(5)
 F2 = Field.prime(2)
@@ -16,8 +18,28 @@ def rand_mat(field, rows, cols, rng):
 
 
 def test_field_rejects_composite_modulus():
+    # beyond 6: a semiprime with both factors above 1000, a Carmichael
+    # number, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (6, 1009 * 1013, 561, 3215031751):
+        with pytest.raises(ValueError):
+            Field.prime(n)
+
+
+def test_field_accepts_large_prime_and_refuses_uncertifiable_moduli():
+    f = Field.prime(1000003)
+    assert f.mul(f.inv(1009), 1009) == 1
     with pytest.raises(ValueError):
-        Field.prime(6)
+        Field.prime(2 ** 89 - 1)
+
+
+def test_field_of_fraction_over_fp():
+    assert F101.of(Fraction(1, 2)) == 51
+    assert F101.of(Fraction(-3, 4)) == F101.mul(F101.neg(3), F101.inv(4))
+    assert F101.of(Fraction(202, 3)) == 0
+    assert Mat.from_rows(F101, [[Fraction(1, 2), 3]]).data == (51, 3)
+    assert Mat.column(F5, [Fraction(2, 3)]).data == (4,)
+    with pytest.raises(ZeroDivisionError):
+        F101.of(Fraction(1, 101))
 
 
 def test_field_arithmetic_f5():
@@ -151,3 +173,76 @@ def test_randomized_inverse():
             found += 1
             assert a @ inv == Mat.identity(F101, 3)
     assert found > 30
+
+
+def _term_oracle(field, shapes, u, sign, a, b, p, q):
+    """The block of sign * a X_u b over all unknowns, by kron and the vec
+    identity vec_r(a X b) = (a kron b^T) vec_r(X)."""
+    blocks = []
+    for w, (r, c) in shapes.items():
+        if w != u:
+            blocks.append(Mat.zeros(field, p * q, r * c))
+            continue
+        left = Mat.identity(field, p) if a is None else a
+        right = Mat.identity(field, q) if b is None else b
+        blocks.append(kron(left, right.transpose()).scale(sign))
+    return hstack(blocks) if blocks else Mat.zeros(field, p * q, 0)
+
+
+def test_equation_matrix_matches_kron_oracle():
+    rng = random.Random(23)
+    for field in (F101, QQ):
+        for _ in range(60):
+            shapes = {("x", k): (rng.randrange(0, 4), rng.randrange(0, 4))
+                      for k in range(rng.randrange(0, 4))}
+            total = sum(r * c for r, c in shapes.values())
+            equations, expected = [], []
+            for _ in range(rng.randrange(0, 4)):
+                p, q = rng.randrange(0, 4), rng.randrange(0, 4)
+                terms = []
+                block = Mat.zeros(field, p * q, total)
+                for _ in range(rng.randrange(0, 4) if shapes else 0):
+                    u = rng.choice(list(shapes))
+                    r, c = shapes[u]
+                    sign = rng.choice((1, -1))
+                    a = None if r == p and rng.random() < 0.4 else rand_mat(field, p, r, rng)
+                    b = None if c == q and rng.random() < 0.4 else rand_mat(field, c, q, rng)
+                    terms.append((sign, a, u, b))
+                    block = block + _term_oracle(field, shapes, u, sign, a, b, p, q)
+                equations.append((p, q, terms))
+                expected.append(block)
+            got = equation_matrix(field, shapes, equations)
+            want = vstack(expected) if expected else Mat.zeros(field, 0, total)
+            assert got == want
+            # and the matrix acts as the system on a random solution vector
+            xs = {u: rand_mat(field, r, c, rng) for u, (r, c) in shapes.items()}
+            vec = Mat.column(field, [v for x in xs.values() for v in x.data])
+            lhs = []
+            for p, q, terms in equations:
+                acc = Mat.zeros(field, p, q)
+                for sign, a, u, b in terms:
+                    t = xs[u] if a is None else a @ xs[u]
+                    t = t if b is None else t @ b
+                    acc = acc + t.scale(sign)
+                lhs.extend(acc.data)
+            assert (got @ vec).data == tuple(lhs)
+
+
+def test_equation_matrix_identity_term_and_shape_check():
+    shapes = {"x": (2, 2)}
+    got = equation_matrix(F5, shapes, [(2, 2, [(-1, None, "x", None)])])
+    assert got == Mat.identity(F5, 4).scale(-1)
+    with pytest.raises(ValueError):
+        equation_matrix(F5, shapes, [(2, 3, [(1, None, "x", None)])])
+    with pytest.raises(ValueError):
+        equation_matrix(F5, shapes, [(3, 2, [(1, Mat.zeros(F5, 3, 1), "x", None)])])
+
+
+def test_split_blocks_inverts_the_layout():
+    rng = random.Random(29)
+    shapes = {"a": (2, 3), "b": (0, 4), "c": (1, 1), "d": (3, 0)}
+    mats = {u: rand_mat(F101, r, c, rng) for u, (r, c) in shapes.items()}
+    flat = tuple(v for m in mats.values() for v in m.data)
+    assert split_blocks(F101, shapes, flat) == mats
+    with pytest.raises(ValueError):
+        split_blocks(F101, shapes, flat[:-1])

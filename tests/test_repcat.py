@@ -9,7 +9,7 @@ from _support import (F101, a2_quiver, a3_rad2, cyclic_rad2, point_pool,
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
 from arcat.linalg import Mat
-from arcat.modcat import (CModule, ModuleMap, hom_space, is_isomorphic,
+from arcat.modcat import (CModule, ModuleMap, ar_quiver, hom_space, is_isomorphic,
                           yoneda_projective, zero_map)
 from arcat.repcat import (QRep, QRepMap, adjunction_unit, check_adjunction,
                           f_star_v, g_star_v, lemma2_cover, phi, psi,
@@ -88,7 +88,7 @@ def test_psi_rejects_non_tensor_module():
 
 def test_qrep_hom_matches_module_hom_dims():
     bq = a3_rad2()
-    cat, _ = one_dim(F101)
+    cat, k1 = one_dim(F101)
     t = tensor_base(bq, cat)
     reps = {x: psi(yoneda_projective(t, x)) for x in t.objects}
     for x in t.objects:
@@ -98,6 +98,18 @@ def test_qrep_hom_matches_module_hom_dims():
             independent = len(hom_space(yoneda_projective(t, x),
                                         yoneda_projective(t, y)))
             assert got == independent
+    # non-representables, with point and A2 coefficients
+    rng = random.Random(17)
+    a2 = category_of(a2_quiver(), F101)
+    for coeff, pool in ((cat, [k1]), (a2, ar_quiver(a2).modules)):
+        t = tensor_base(bq, coeff)
+        reps = [rand_qrep(bq, coeff, pool, rng) for _ in range(3)]
+        for r in reps:
+            for s in reps:
+                got = qrep_hom(r, s)
+                assert len(got) == len(hom_space(phi(r, t), phi(s, t)))
+                for f in got:
+                    QRepMap(r, s, f.comps, validate=True)  # raises unless a morphism
 
 
 def test_induction_shapes_respect_relations():
