@@ -159,36 +159,25 @@ class QuotientAlgebra:
     def __init__(self, alg: TableAlgebra, ideal: Mat):
         f = alg.field
         n = alg.dim
-        probe = hstack([ideal, Mat.identity(f, n)]) if ideal.cols else Mat.identity(f, n)
-        _, pivots = probe.rref()
-        comp = [j - ideal.cols for j in pivots if j >= ideal.cols]
+        k = ideal.cols
+        _, pivots = hstack([ideal, Mat.identity(f, n)]).rref()
+        comp = [j - k for j in pivots if j >= k]
         self.alg = alg
         self.ideal = ideal
         self.comp_indices = comp
-        self.dim = len(comp)
-        lift_cols = []
-        for j in comp:
-            v = [f.zero()] * n
-            v[j] = f.one()
-            lift_cols.append(v)
-        self.lift_matrix = Mat(f, n, self.dim,
-                               [lift_cols[j][i] for i in range(n) for j in range(self.dim)])
-        full = hstack([ideal, self.lift_matrix]) if ideal.cols else self.lift_matrix
-        self._full = full
-        table = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                prod = alg.mul(tuple(self.lift_matrix.col(i)), tuple(self.lift_matrix.col(j)))
-                row.append(self.project(prod))
-            table.append(row)
-        self.quotient = TableAlgebra(f, table, self.project(alg.unit))
-
-    def project(self, x: Tuple) -> Tuple:
-        coords = solve(self._full, Mat.column(self.alg.field, list(x)))
+        self.dim = d = len(comp)
+        z, o = f.zero(), f.one()
+        self.lift_matrix = Mat(f, n, d, [o if i == j else z for i in range(n) for j in comp])
+        # one coset decomposition x = ideal part + lift part for every product
+        # of lifted basis elements and for the unit; the lift part is the image
+        lifts = [self.lift_matrix.col(i) for i in range(d)]
+        rhs = [Mat.column(f, list(alg.mul(a, b))) for a in lifts for b in lifts]
+        coords = solve(hstack([ideal, self.lift_matrix]),
+                       hstack(rhs + [Mat.column(f, list(alg.unit))]))
         if coords is None:
             raise AssertionError("coset decomposition failed")
-        return tuple(coords.at(self.ideal.cols + i, 0) for i in range(self.dim))
+        table = [[coords.col(i * d + j)[k:] for j in range(d)] for i in range(d)]
+        self.quotient = TableAlgebra(f, table, coords.col(d * d)[k:])
 
     def lift(self, xbar: Tuple) -> Tuple:
         v = self.lift_matrix @ Mat.column(self.alg.field, list(xbar))
@@ -330,16 +319,10 @@ def end_table(field: Field, basis: Mat, unit_vec: Mat,
     identity, compose(i, j) the flattened product b_i * b_j.
     """
     n = basis.cols
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coords = solve(basis, compose(i, j))
-            if coords is None:
-                raise AssertionError("End space is not closed under composition")
-            row.append(tuple(coords.col(0)))
-        table.append(row)
-    unit = solve(basis, unit_vec)
-    if unit is None:
-        raise AssertionError("identity is outside the End space")
-    return TableAlgebra(field, table, tuple(unit.col(0)))
+    products = [compose(i, j) for i in range(n) for j in range(n)]
+    coords = solve(basis, hstack(products + [unit_vec]))
+    if coords is None:
+        raise AssertionError("End space is not closed under composition "
+                             "or misses the identity")
+    table = [[coords.col(i * n + j) for j in range(n)] for i in range(n)]
+    return TableAlgebra(field, table, coords.col(n * n))

@@ -509,7 +509,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
     except (PreconditionError, NotAdmissibleError, CapExceededError) as e:

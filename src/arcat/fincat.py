@@ -49,6 +49,7 @@ class FinCategory:
         self.units = units
         self.radical = radical
         self.meta = meta or {}
+        self._opposite: Optional["FinCategory"] = None
         self._index: Dict[Tuple[ObjectId, ObjectId], Dict[Label, int]] = {
             key: {lab: i for i, lab in enumerate(labels)} for key, labels in hom.items()}
         if validate:
@@ -248,7 +249,13 @@ def tensor_product(b: FinCategory, a: FinCategory) -> FinCategory:
 
 
 def opposite_category(c: FinCategory) -> FinCategory:
-    """Same objects and labels, arrows formally reversed; an exact involution."""
+    """Same objects and labels, arrows formally reversed; an exact involution.
+
+    Built and validated once per category and cached on both sides, so that
+    opposite_category(opposite_category(c)) is c.
+    """
+    if c._opposite is not None:
+        return c._opposite
     hom = {(x, y): c.hom[(y, x)] for x in c.objects for y in c.objects}
     comp = {}
     for x in c.objects:
@@ -260,9 +267,10 @@ def opposite_category(c: FinCategory) -> FinCategory:
                 comp[(x, y, z)] = {(i, j): dict(entry)
                                    for (j, i), entry in base.items()}
     radical = {(x, y): c.radical[(y, x)] for x in c.objects for y in c.objects}
-    meta = ({"kind": "opposite", "base": c} if c.meta.get("kind") != "opposite"
-            else dict(c.meta["base"].meta))
-    return FinCategory(c.field, c.objects, hom, comp, dict(c.units), radical, meta=meta)
+    op = FinCategory(c.field, c.objects, hom, comp, dict(c.units), radical,
+                     meta={"kind": "opposite", "base": c})
+    c._opposite, op._opposite = op, c
+    return op
 
 
 def point_category(field: Field, name: str = "pt") -> FinCategory:

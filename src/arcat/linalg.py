@@ -326,7 +326,9 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
     """Solve a @ x = b exactly, multi column rhs; None if inconsistent.
 
     Among all solutions returns the canonical one with every free variable
-    equal to zero.
+    equal to zero.  A k-column b costs one elimination, and column j of the
+    result is exactly solve(a, column j of b); the result is None as soon as
+    any one column is inconsistent.
     """
     if a.field != b.field or a.rows != b.rows:
         raise ValueError("incompatible solve operands")

@@ -644,14 +644,12 @@ def transpose(m: CModule) -> CModule:
 def tau(m: CModule) -> CModule:
     """The translate D Tr; rejects projective summands, whose translate
     would vanish."""
-    t = duality_D(transpose(m))
-    return CModule(m.cat, t.dims, t.action, validate=False)
+    return duality_D(transpose(m))
 
 
 def tau_inverse(m: CModule) -> CModule:
     """The inverse translate Tr D; zero exactly on injectives."""
-    t = _transpose_raw(duality_D(m))
-    return CModule(m.cat, t.dims, t.action, validate=False)
+    return _transpose_raw(duality_D(m))
 
 
 def is_injective_module(m: CModule) -> bool:
@@ -721,14 +719,11 @@ def is_isomorphic(m: CModule, n: CModule) -> Optional[Tuple[ModuleMap, ModuleMap
     alg, basis = end_algebra(m)
     basis_mat = hstack([flatten_map(b) for b in basis])
     rad = radical_basis(alg)
-    for f in fwd:
-        for g in bwd:
-            u = f.then(g)
-            coords = solve(basis_mat, flatten_map(u))
-            if coords is None:
-                raise AssertionError("endomorphism outside its own End space")
-            if solve(rad, coords) is None:
-                raise CapExceededError("isomorphism test inconclusive")
+    coords = solve(basis_mat, hstack([flatten_map(f.then(g)) for f in fwd for g in bwd]))
+    if coords is None:
+        raise AssertionError("endomorphism outside its own End space")
+    if solve(rad, coords) is None:
+        raise CapExceededError("isomorphism test inconclusive")
     return None
 
 
@@ -805,21 +800,14 @@ class Ext1:
                                 for t in self._class_slots]
         self.dim = len(self.representatives)
 
-    def class_of(self, xi: ModuleMap) -> Tuple:
-        if self.dim == 0:
-            return ()
-        coords = solve(self._span, flatten_map(xi))
+    def classes(self, xis: Sequence[ModuleMap]) -> Mat:
+        """Class coordinates in the basis of representatives, one column per
+        cocycle K -> x."""
+        coords = solve(self._span, hstack([flatten_map(xi) for xi in xis]))
         if coords is None:
             raise PreconditionError("cocycle is not in the expected hom space")
-        return tuple(coords.at(t, 0) for t in self._class_slots)
-
-    def cocycle(self, class_coords) -> ModuleMap:
-        fld = self.z.cat.field
-        out = zero_map(self.pres.kernel.module, self.x)
-        for c, rep in zip(class_coords, self.representatives):
-            if c != fld.zero():
-                out = out.add(rep.scale(c))
-        return out
+        return Mat(self._span.field, self.dim, len(xis),
+                   [coords.at(t, j) for t in self._class_slots for j in range(len(xis))])
 
 
 @dataclass
@@ -925,21 +913,15 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     rads = radical_end_maps(z)
     fld = z.cat.field
     if rads:
-        blocks = []
-        for r in rads:
-            theta_k = _end_action_on_kernel(ext.pres, r)
-            cols = []
-            for rep in ext.representatives:
-                cls = ext.class_of(theta_k.then(rep))
-                cols.append(Mat.column(fld, list(cls)))
-            blocks.append(hstack(cols))
-        socle = vstack(blocks).kernel_basis()
+        thetas = [_end_action_on_kernel(ext.pres, r) for r in rads]
+        socle = vstack([ext.classes([t.then(rep) for rep in ext.representatives])
+                        for t in thetas]).kernel_basis()
         if socle.cols == 0:
             raise AssertionError("empty socle in Ext against the translate")
         coords = tuple(socle.col(0))
     else:
         coords = tuple(fld.one() if t == 0 else fld.zero() for t in range(ext.dim))
-    xi = ext.cocycle(coords)
+    xi = map_from_coords(ext.representatives, coords)
     se = extension_from_cocycle(ext, xi)
     if splitting_section(se) is not None:
         raise AssertionError("candidate almost split sequence splits")

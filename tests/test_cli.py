@@ -38,6 +38,100 @@ A2_DOT = """digraph ar {
 }
 """
 
+A4_RAD2 = """
+[field]
+p = 101
+
+[quiver]
+vertices = 1 2 3 4
+arrow a1: 1 -> 2
+arrow a2: 2 -> 3
+arrow a3: 3 -> 4
+
+[ideal]
+relation = a1 a2
+relation = a2 a3
+
+[command]
+name = ar-quiver
+"""
+
+CYCLE3_RAD2 = """
+[quiver]
+vertices = 0 1 2
+arrow a0: 0 -> 1
+arrow a1: 1 -> 2
+arrow a2: 2 -> 0
+
+[ideal]
+relation = a0 a1
+relation = a1 a2
+relation = a2 a0
+
+[command]
+name = ar-quiver
+"""
+
+A4_RAD2_DOT = """digraph ar {
+  rankdir=LR;
+  n0 [label="(1,1,0,0) P I"];
+  n1 [label="(0,1,1,0) P I"];
+  n2 [label="(0,0,1,1) P I"];
+  n3 [label="(0,0,0,1) P"];
+  n4 [label="(0,1,0,0)"];
+  n5 [label="(0,0,1,0)"];
+  n6 [label="(1,0,0,0) I"];
+  n0 -> n6;
+  n1 -> n4;
+  n2 -> n5;
+  n3 -> n2;
+  n4 -> n0;
+  n5 -> n1;
+  n4 -> n5 [style=dashed];
+  n5 -> n3 [style=dashed];
+  n6 -> n4 [style=dashed];
+}
+"""
+
+CYCLE3_RAD2_TEXT = """indecomposables: 6
+  [0] dims (1,1,0) (projective, injective)
+  [1] dims (0,1,1) (projective, injective)
+  [2] dims (1,0,1) (projective, injective)
+  [3] dims (0,1,0)
+  [4] dims (0,0,1)
+  [5] dims (1,0,0)
+  edge 0 -> 5 x1
+  edge 1 -> 3 x1
+  edge 2 -> 4 x1
+  edge 3 -> 0 x1
+  edge 4 -> 1 x1
+  edge 5 -> 2 x1
+  tau [3] = [4]
+  tau [4] = [5]
+  tau [5] = [3]
+verified: knitting closed under tau-inverse
+"""
+
+A4_RAD2_Q_TEXT = """indecomposables: 7
+  [0] dims (1,1,0,0) (projective, injective)
+  [1] dims (0,1,1,0) (projective, injective)
+  [2] dims (0,0,1,1) (projective, injective)
+  [3] dims (0,0,0,1) (projective)
+  [4] dims (0,1,0,0)
+  [5] dims (0,0,1,0)
+  [6] dims (1,0,0,0) (injective)
+  edge 0 -> 6 x1
+  edge 1 -> 4 x1
+  edge 2 -> 5 x1
+  edge 3 -> 2 x1
+  edge 4 -> 0 x1
+  edge 5 -> 1 x1
+  tau [4] = [5]
+  tau [5] = [3]
+  tau [6] = [4]
+verified: knitting closed under tau-inverse
+"""
+
 
 def run(tmp_path, text, *flags, capsys=None):
     job = tmp_path / "job.txt"
@@ -64,6 +158,15 @@ def test_ar_quiver_dot_frozen_and_deterministic(tmp_path, capsys):
     assert out == A2_DOT
     code, out2, _ = run(tmp_path, text, "--out", "dot", capsys=capsys)
     assert code == 0 and out2 == out
+
+
+def test_ar_quiver_golden_outputs(tmp_path, capsys):
+    for text, flags, expected in ((A4_RAD2, ("--out", "dot"), A4_RAD2_DOT),
+                                  (CYCLE3_RAD2, (), CYCLE3_RAD2_TEXT),
+                                  (A4_RAD2, ("--field", "Q"), A4_RAD2_Q_TEXT)):
+        code, out, _ = run(tmp_path, text, *flags, capsys=capsys)
+        assert code == 0
+        assert out == expected
 
 
 def test_output_file(tmp_path, capsys):
@@ -219,6 +322,20 @@ def test_usage_error_and_missing_file_exit_1(tmp_path, capsys):
     assert cli.main([str(tmp_path / "absent.job")]) == 1
     _, err = capsys.readouterr()
     assert "parse error" in err
+    # a directory, or a file that is not UTF-8, as the job or as the family
+    binary = tmp_path / "binary.job"
+    binary.write_bytes(b"[quiver]\nvertices = \xff\xfe\n")
+    for path in (tmp_path, binary):
+        assert cli.main([str(path)]) == 1
+        _, err = capsys.readouterr()
+        assert "parse error" in err
+    job = tmp_path / "job.txt"
+    job.write_text(A2_QUIVER + "\n[command]\nname = verify\ntarget = dims 1 0\n",
+                   encoding="utf-8")
+    for path in (tmp_path, binary):
+        assert cli.main([str(job), "--verify-family", f"supplied:{path}"]) == 1
+        _, err = capsys.readouterr()
+        assert "parse error" in err
 
 
 def test_field_override_and_rationals(tmp_path, capsys):

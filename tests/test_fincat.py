@@ -105,9 +105,15 @@ def test_tensor_field_mismatch():
 def test_opposite_is_involution():
     for bq in (a3_rad2(), cyclic_rad2(4)):
         c = category_of(bq, F101)
-        assert opposite_category(opposite_category(c)) == c
         t = tensor_product(c, category_of(a2_quiver(), F101))
-        assert opposite_category(opposite_category(t)) == t
+        for cat in (c, t):
+            op = opposite_category(cat)
+            assert opposite_category(op) == cat
+            assert opposite_category(op) is cat
+            # an uncached copy of the opposite is reversed back by construction
+            copy = FinCategory(op.field, op.objects, op.hom, op.comp, op.units, op.radical)
+            assert opposite_category(copy) == cat
+            assert opposite_category(copy) is not cat
 
 
 def test_opposite_reverses_composition():

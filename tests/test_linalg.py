@@ -151,6 +151,23 @@ def test_randomized_invariants():
             b = a @ x0
             x = solve(a, b)
             assert x is not None and a @ x == b
+            # a k-column solve is the k one-column solves side by side
+            k_cols = rng.randrange(1, 4)
+            b = hstack([a @ rand_mat(field, cols, k_cols, rng),
+                        rand_mat(field, rows, k_cols, rng)])
+            singles = [solve(a, Mat.column(field, b.col(j))) for j in range(b.cols)]
+            if None in singles:
+                assert solve(a, b) is None
+            else:
+                assert solve(a, b) == hstack(singles)
+            consistent = a @ rand_mat(field, cols, k_cols, rng)
+            assert solve(a, consistent) == hstack(
+                [solve(a, Mat.column(field, consistent.col(j))) for j in range(k_cols)])
+            # one inconsistent column sinks the whole call
+            if len(pivots) < rows:
+                outside = next(e for e in Mat.identity(field, rows).to_lists()
+                               if solve(a, Mat.column(field, e)) is None)
+                assert solve(a, hstack([consistent, Mat.column(field, outside)])) is None
 
 
 def test_randomized_kron_multiplicative():

@@ -110,6 +110,22 @@ def test_ext_dimensions():
     assert Ext1(s2, s1).dim == 0
 
 
+def test_ext_classes_are_coordinates_modulo_coboundaries():
+    rc = rep_a2()
+    s1, s2 = simple_module(rc, "1"), simple_module(rc, "2")
+    x = direct_sum([yoneda_projective(rc, "1"), s2])[0]
+    ext = Ext1(direct_sum([s1, s1])[0], x)
+    assert ext.dim == 2
+    reps = ext.representatives
+    assert ext.classes(reps) == Mat.identity(F101, 2)
+    kernel = ext.pres.kernel
+    coboundaries = [kernel.include.then(psi) for psi in hom_space(ext.pres.p0.module, x)]
+    nonzero = [c for c in coboundaries if not c.is_zero()]
+    assert nonzero and ext.classes(coboundaries).is_zero()
+    xi = reps[0].scale(3).add(reps[1].scale(5)).add(nonzero[0])
+    assert ext.classes([xi, reps[1]]) == Mat.from_rows(F101, [[3, 0], [5, 1]])
+
+
 def test_extension_materializes_nonsplit():
     rc = rep_a2()
     s1, s2 = simple_module(rc, "1"), simple_module(rc, "2")
