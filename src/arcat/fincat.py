@@ -50,10 +50,15 @@ class FinCategory:
         self.radical = radical
         self.meta = meta or {}
         self._opposite: Optional["FinCategory"] = None
+        # representables Hom(-, x) by object, memoised by modcat.yoneda_projective
+        self._representables: Dict[ObjectId, object] = {}
         self._index: Dict[Tuple[ObjectId, ObjectId], Dict[Label, int]] = {
             key: {lab: i for i, lab in enumerate(labels)} for key, labels in hom.items()}
         if validate:
             self._validate()
+
+    def __getstate__(self):
+        return {**self.__dict__, "_representables": {}}
 
     def dim(self, x: ObjectId, y: ObjectId) -> int:
         return len(self.hom[(x, y)])

@@ -13,6 +13,15 @@ from them, Ext^1 with explicit extension classes, almost split sequences
 with independent verification, Krull-Schmidt decomposition with idempotent
 certificates, the Auslander-Reiten quiver by knitting, and global dimension
 by iterated syzygies.
+
+Modules and maps are immutable after construction: nothing assigns to the
+dims or action of a CModule once it is built.  Three derived objects are
+therefore built once and memoised by object identity: the minimal
+presentation of a module and its dual are cached on the module (the dual on
+both sides, so duality_D is an exact involution), and the representable
+Hom(-, x) is cached on its category.  Projective covers and End algebras are
+deliberately not memoised: long-lived modules would keep them alive, for
+little gain.  Memos are dropped when a module or category is pickled.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -28,14 +37,24 @@ from .quiver import BoundQuiver, opposite
 
 
 class CModule:
-    """A contravariant functor from a FinCategory to finite vector spaces."""
+    """A contravariant functor from a FinCategory to finite vector spaces.
+
+    Immutable after construction: callers must never assign to dims or
+    action, because the memoised presentation and dual are keyed on the
+    object itself.
+    """
 
     def __init__(self, cat: FinCategory, dims: Dict, action: Dict, validate: bool = True):
         self.cat = cat
         self.dims = dict(dims)
         self.action = dict(action)
+        self._presentation: Optional["Presentation"] = None
+        self._dual: Optional["CModule"] = None
         if validate:
             self._validate()
+
+    def __getstate__(self):
+        return {**self.__dict__, "_presentation": None, "_dual": None}
 
     def act(self, x, y, coords) -> Mat:
         """The matrix of the action of a hom coordinate vector at (x, y)."""
@@ -243,9 +262,12 @@ def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
 
 
 def yoneda_projective(cat: FinCategory, x) -> CModule:
-    """The representable module Hom(-, x)."""
+    """The representable module Hom(-, x), built and validated once per
+    category and object, and memoised on the category."""
     if x not in cat.objects:
         raise PreconditionError(f"{x!r} is not an object of the category")
+    if x in cat._representables:
+        return cat._representables[x]
     dims = {y: cat.dim(y, x) for y in cat.objects}
     action = {}
     for y in cat.objects:
@@ -258,7 +280,9 @@ def yoneda_projective(cat: FinCategory, x) -> CModule:
                     action[(y, z, i)] = hstack([Mat.column(cat.field, c) for c in cols])
                 else:
                     action[(y, z, i)] = Mat.zeros(cat.field, dims[y], 0)
-    return CModule(cat, dims, action, validate=True)
+    rep = CModule(cat, dims, action, validate=True)
+    cat._representables[x] = rep
+    return rep
 
 
 def yoneda_map(cat: FinCategory, x, y, h_coords) -> ModuleMap:
@@ -378,18 +402,25 @@ class Cokernel:
 
 
 def _submodule_on_bases(m: CModule, bases: Dict) -> Kernel:
-    """The submodule spanned objectwise by the given invariant column bases."""
+    """The submodule spanned objectwise by the given invariant column bases.
+
+    The actions out of each object x come from one solve against bases[x],
+    one block of columns per hom basis element (x, y, i).
+    """
     cat = m.cat
     dims = {x: bases[x].cols for x in cat.objects}
     action = {}
     for x in cat.objects:
-        for y in cat.objects:
-            for i in range(cat.dim(x, y)):
-                rhs = m.action[(x, y, i)] @ bases[y]
-                sol = solve(bases[x], rhs)
-                if sol is None:
-                    raise PreconditionError(f"spans are not invariant at {(x, y, i)}")
-                action[(x, y, i)] = sol
+        keys = [(x, y, i) for y in cat.objects for i in range(cat.dim(x, y))]
+        sol = solve(bases[x], hstack([m.action[k] @ bases[k[1]] for k in keys]))
+        if sol is None:
+            raise PreconditionError(f"spans are not invariant at {x!r}")
+        pos = 0
+        for k in keys:
+            width = dims[k[1]]
+            action[k] = Mat(cat.field, sol.rows, width,
+                            [v for r in range(sol.rows) for v in sol.row(r)[pos:pos + width]])
+            pos += width
     sub = CModule(cat, dims, action, validate=True)
     return Kernel(sub, ModuleMap(sub, m, bases, validate=True))
 
@@ -579,6 +610,14 @@ class Presentation:
 
 
 def minimal_presentation(m: CModule) -> Presentation:
+    """P1 -> P0 -> m -> 0 from two projective covers; built once per module
+    and memoised on it."""
+    if m._presentation is None:
+        m._presentation = _minimal_presentation(m)
+    return m._presentation
+
+
+def _minimal_presentation(m: CModule) -> Presentation:
     c0 = projective_cover(m)
     c1 = projective_cover(c0.kernel.module)
     d = c1.cover.then(c0.kernel.include)
@@ -589,7 +628,7 @@ def minimal_presentation(m: CModule) -> Presentation:
 
 
 def is_projective_module(m: CModule) -> bool:
-    return projective_cover(m).kernel.module.is_zero()
+    return minimal_presentation(m).kernel.module.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +636,22 @@ def is_projective_module(m: CModule) -> bool:
 
 
 def duality_D(m: CModule) -> CModule:
-    """The componentwise dual, a module over the opposite category."""
-    op = opposite_category(m.cat)
-    action = {}
-    for x in op.objects:
-        for y in op.objects:
-            for i in range(op.dim(x, y)):
-                action[(x, y, i)] = m.action[(y, x, i)].transpose()
-    return CModule(op, dict(m.dims), action, validate=True)
+    """The componentwise dual, a module over the opposite category; an exact
+    involution.
+
+    Built and validated once per module and cached on both sides, so that
+    duality_D(duality_D(m)) is m.
+    """
+    if m._dual is None:
+        op = opposite_category(m.cat)
+        action = {}
+        for x in op.objects:
+            for y in op.objects:
+                for i in range(op.dim(x, y)):
+                    action[(x, y, i)] = m.action[(y, x, i)].transpose()
+        dual = CModule(op, dict(m.dims), action, validate=True)
+        m._dual, dual._dual = dual, m
+    return m._dual
 
 
 def dual_map(phi: ModuleMap) -> ModuleMap:
@@ -680,12 +727,6 @@ def map_from_coords(basis: List[ModuleMap], coords) -> ModuleMap:
         if c != fld.zero():
             out = out.add(b.scale(c))
     return out
-
-
-def radical_end_maps(m: CModule) -> List[ModuleMap]:
-    alg, basis = end_algebra(m)
-    rad = radical_basis(alg)
-    return [map_from_coords(basis, tuple(rad.col(j))) for j in range(rad.cols)]
 
 
 def is_isomorphic(m: CModule, n: CModule) -> Optional[Tuple[ModuleMap, ModuleMap]]:
@@ -899,7 +940,7 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     """
     if z.is_zero():
         raise PreconditionError("zero module has no almost split sequence")
-    alg, _ = end_algebra(z)
+    alg, basis = end_algebra(z)
     if find_nontrivial_idempotent(alg) is not None:
         raise PreconditionError("module is decomposable")
     if is_projective_module(z):
@@ -910,7 +951,8 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     ext = Ext1(z, tz)
     if ext.dim == 0:
         raise AssertionError("vanishing Ext against the translate")
-    rads = radical_end_maps(z)
+    rad = radical_basis(alg)
+    rads = [map_from_coords(basis, tuple(rad.col(j))) for j in range(rad.cols)]
     fld = z.cat.field
     if rads:
         thetas = [_end_action_on_kernel(ext.pres, r) for r in rads]

@@ -1,12 +1,14 @@
+import pickle
 import random
 
 import pytest
 
+from arcat import modcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of
-from arcat.linalg import Mat
-from arcat.modcat import (Ext1, ShortExact, almost_split_sequence, ar_quiver,
-                          cokernel_module, conjugate_module, decompose_module,
+from arcat.linalg import Mat, solve
+from arcat.modcat import (CModule, Ext1, ShortExact, almost_split_sequence,
+                          ar_quiver, cokernel_module, conjugate_module, decompose_module,
                           direct_sum, dual_map, duality_D, end_algebra,
                           extension_from_cocycle, global_dimension, hom_space,
                           identity_map, image_module, is_injective_module,
@@ -17,8 +19,8 @@ from arcat.modcat import (Ext1, ShortExact, almost_split_sequence, ar_quiver,
                           top_quotient, transpose, verify_almost_split,
                           yoneda_map, yoneda_projective, zero_module)
 
-from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2,
-                      one_loop_rad2, rand_invertible)
+from _support import (F101, QQ, a2_quiver, a3_rad2, a_m_rad_n, cyclic_rad2,
+                      one_loop_rad2, rand_hom, rand_invertible, rand_module)
 
 
 def rep_a2(field=F101):
@@ -79,6 +81,10 @@ def test_duality_involution_and_maps():
     rc = rep_a2()
     p1 = yoneda_projective(rc, "1")
     assert duality_D(duality_D(p1)) == p1
+    # an uncached copy of the dual is dualized back by construction
+    d = duality_D(p1)
+    back = duality_D(CModule(d.cat, d.dims, d.action))
+    assert back == p1 and back is not p1
     incl = yoneda_map(rc, "2", "1", (F101.one(),))
     d = dual_map(incl)
     assert d.src.dims == incl.tgt.dims
@@ -273,3 +279,90 @@ def test_hom_respects_conjugation():
     mats = {x: rand_invertible(F101, n.dims[x], rng) for x in rc.objects}
     conj, _ = conjugate_module(n, mats)
     assert len(hom_space(m, conj)) == base
+
+
+def test_derived_objects_are_memoised_and_match_fresh_builds():
+    for field in (F101, QQ):
+        rc = representation_category(a3_rad2(), field)
+        fresh_cat = representation_category(a3_rad2(), field)
+        for x in rc.objects:
+            assert yoneda_projective(rc, x) is yoneda_projective(rc, x)
+            assert yoneda_projective(fresh_cat, x) == yoneda_projective(rc, x)
+            assert yoneda_projective(fresh_cat, x) is not yoneda_projective(rc, x)
+        for m in ar_quiver(rc).modules:
+            pres = minimal_presentation(m)
+            assert minimal_presentation(m) is pres
+            assert modcat._minimal_presentation(m) == pres
+            d = duality_D(m)
+            assert duality_D(d) is m
+            # uncached copies are dualized by construction, to equal modules
+            fresh = duality_D(CModule(m.cat, m.dims, m.action))
+            assert fresh == d and fresh is not d
+            back = duality_D(CModule(d.cat, d.dims, d.action))
+            assert back == m and back is not m
+
+
+def test_pickled_module_carries_no_memo():
+    rc = rep_a2()
+    m = simple_module(rc, "1")
+    pres = minimal_presentation(m)
+    d = duality_D(m)
+    yoneda_projective(rc, "1")
+    assert rc._representables
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m
+    assert back._presentation is None and back._dual is None
+    assert back.cat._representables == {}
+    assert m._presentation is pres and m._dual is d
+    assert minimal_presentation(back) == pres
+    assert duality_D(back) == d and duality_D(duality_D(back)) is back
+
+
+def test_submodule_on_non_invariant_bases_is_refused():
+    rc = rep_a2()
+    p1 = yoneda_projective(rc, "1")
+    one, none = Mat.identity(F101, 1), Mat.zeros(F101, 1, 0)
+    # the radical (the span at 2) is a submodule, its complement is not
+    sub = modcat._submodule_on_bases(p1, {"1": none, "2": one})
+    assert sub.module.dims == {"1": 0, "2": 1}
+    with pytest.raises(PreconditionError, match="spans are not invariant"):
+        modcat._submodule_on_bases(p1, {"1": one, "2": none})
+
+
+def test_submodule_actions_match_per_element_solves():
+    rng = random.Random(31)
+    for field in (F101, QQ):
+        rc = representation_category(a3_rad2(), field)
+        pool = ar_quiver(rc).modules
+        proper = 0
+        for _ in range(8):
+            m = rand_module(pool, rc, rng, max_total=5)
+            n = rand_module(pool, rc, rng, max_total=5)
+            phi = rand_hom(m, n, rng)
+            kernel = {x: phi.comps[x].kernel_basis() for x in rc.objects}
+            image = {x: phi.comps[x].column_space_basis()[0] for x in rc.objects}
+            for tgt, bases in ((m, kernel), (n, image)):
+                proper += any(0 < b.cols < b.rows for b in bases.values())
+                sub = modcat._submodule_on_bases(tgt, bases)
+                for (x, y, i), got in sub.module.action.items():
+                    assert got == solve(bases[x], tgt.action[(x, y, i)] @ bases[y])
+        assert proper
+
+
+def test_knitting_builds_each_presentation_once(monkeypatch):
+    built = []
+    build = modcat._minimal_presentation
+
+    def counting(m):
+        built.append(m)
+        return build(m)
+
+    monkeypatch.setattr(modcat, "_minimal_presentation", counting)
+    rc = representation_category(a_m_rad_n(5, 2), F101)
+    arq = ar_quiver(rc)
+    assert len(arq.modules) == 9
+    for i, z in enumerate(arq.modules):
+        if not arq.projective[i]:
+            verify_almost_split(almost_split_sequence(z), arq.modules)
+    # the list keeps every module alive, so ids are distinct objects
+    assert built and len({id(m) for m in built}) == len(built)
