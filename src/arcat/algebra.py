@@ -1,5 +1,11 @@
-"""Structure analysis for a finite dimensional associative unital algebra
-given by a multiplication table.
+"""Structure analysis for a finite dimensional associative unital algebra,
+held as its left regular representation.
+
+An algebra of dimension n with basis b_0..b_{n-1} is stored as the n x n
+matrices left[i] of y -> b_i y (column j holds the coordinates of b_i b_j)
+and the coordinates of its unit.  Products, the trace form, the nilpotency
+guard and minimal polynomials are Mat products and eliminations in linalg;
+nothing here multiplies structure constants one coordinate at a time.
 
 This backs every indecomposability question in the package: End algebras of
 objects and of modules are converted to a TableAlgebra, the radical is the
@@ -9,6 +15,10 @@ coprime splitting of minimal polynomials and lifted by Newton iteration
 e <- 3e^2 - 2e^3.  All verdicts are exact: "no nontrivial idempotent" is
 returned only with a certificate (dimension one, or a commutative quotient
 with a primitive element whose minimal polynomial is irreducible).
+
+Algebras are immutable after construction, so radical_basis builds the
+radical once per algebra and memoises it on the algebra, the way modcat
+memoises minimal presentations on a module.
 """
 
 import random
@@ -24,133 +34,99 @@ SEARCH_ATTEMPTS = 200
 
 
 class TableAlgebra:
-    """An algebra of dimension n with basis b_0..b_{n-1} and a full table.
+    """An algebra of dimension n with basis b_0..b_{n-1}.
 
-    table[i][j] holds the coordinate tuple of b_i * b_j; unit is the
+    Built from the n x (n^2 + 1) matrix that one solve against the basis
+    returns: column i*n + j holds the coordinates of b_i * b_j and the last
+    column those of 1.  left[i] is the n x n matrix of y -> b_i y, unit the
     coordinate tuple of 1.  Elements are coordinate tuples.
     """
 
-    def __init__(self, field: Field, table: List[List[Tuple]], unit: Tuple):
+    def __init__(self, field: Field, products: Mat):
+        n = products.rows
+        if products.cols != n * n + 1:
+            raise ValueError(f"expected {n} x {n * n + 1} products, got {products!r}")
         self.field = field
-        self.dim = len(table)
-        self.table = table
-        self.unit = tuple(unit)
-
-    def zero(self) -> Tuple:
-        return tuple([self.field.zero()] * self.dim)
-
-    def basis_element(self, i: int) -> Tuple:
-        z, o = self.field.zero(), self.field.one()
-        return tuple(o if j == i else z for j in range(self.dim))
-
-    def mul(self, x: Tuple, y: Tuple) -> Tuple:
-        f = self.field
-        z = f.zero()
-        out = [z] * self.dim
-        for i, xi in enumerate(x):
-            if xi == z:
-                continue
-            for j, yj in enumerate(y):
-                if yj == z:
-                    continue
-                c = f.mul(xi, yj)
-                row = self.table[i][j]
-                for k, r in enumerate(row):
-                    if r != z:
-                        out[k] = f.add(out[k], f.mul(c, r))
-        return tuple(out)
-
-    def add(self, x: Tuple, y: Tuple) -> Tuple:
-        f = self.field
-        return tuple(f.add(a, b) for a, b in zip(x, y))
-
-    def sub(self, x: Tuple, y: Tuple) -> Tuple:
-        f = self.field
-        return tuple(f.sub(a, b) for a, b in zip(x, y))
-
-    def scale(self, c, x: Tuple) -> Tuple:
-        f = self.field
-        return tuple(f.mul(c, a) for a in x)
+        self.dim = n
+        rows = [products.row(k) for k in range(n)]
+        self.left = [Mat(field, n, n, [v for r in rows for v in r[i * n:(i + 1) * n]])
+                     for i in range(n)]
+        self.unit = products.col(n * n)
+        # row i is left[i] read row major, so x^T _flat is x_i left[i] summed
+        self._flat = Mat(field, n, n * n, [v for m in self.left for v in m.data])
+        self._radical: Optional[Mat] = None
 
     def left_mult_matrix(self, x: Tuple) -> Mat:
-        cols = [self.mul(x, self.basis_element(j)) for j in range(self.dim)]
-        flat = [cols[j][i] for i in range(self.dim) for j in range(self.dim)]
-        return Mat(self.field, self.dim, self.dim, flat)
+        """The matrix of y -> x y."""
+        n = self.dim
+        return Mat(self.field, n, n, (Mat(self.field, 1, n, x) @ self._flat).data)
+
+    def mul(self, x: Tuple, y: Tuple) -> Tuple:
+        return (self.left_mult_matrix(x) @ Mat(self.field, self.dim, 1, y)).data
 
     def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.table[i][j] != self.table[j][i]:
-                    return False
-        return True
+        # b_i b_j = b_j b_i for all i, j: read row major, the transpose of
+        # _flat lists (b_i b_j)_k and the left matrices side by side list
+        # (b_j b_i)_k, both in the order k, j, i
+        return self._flat.transpose().data == hstack(self.left).data
 
     def minimal_polynomial(self, x: Tuple) -> List:
-        """Monic coefficients [c_0, ..., c_{k-1}, 1] with sum c_i x^i = 0."""
+        """Monic coefficients [c_0, ..., c_{d-1}, 1] with sum c_i x^i = 0.
+
+        One elimination of the Krylov matrix [1, x, ..., x^n]: its pivots are
+        the first d columns, and column d of the echelon form writes x^d in
+        terms of them.
+        """
         f = self.field
-        powers = [self.unit]
-        current = self.unit
-        while True:
-            stack = Mat(f, self.dim, len(powers),
-                        [powers[j][i] for i in range(self.dim) for j in range(len(powers))])
-            current = self.mul(current, x)
-            rhs = Mat.column(f, list(current))
-            dep = solve(stack, rhs)
-            if dep is not None and stack @ dep == rhs:
-                coeffs = [f.neg(dep.at(i, 0)) for i in range(len(powers))]
-                coeffs.append(f.one())
-                return coeffs
-            powers.append(current)
-            if len(powers) > self.dim + 1:
-                raise AssertionError("minimal polynomial search overran the dimension")
+        lx = self.left_mult_matrix(x)
+        powers = [Mat(f, self.dim, 1, self.unit)]
+        for _ in range(self.dim):
+            powers.append(lx @ powers[-1])
+        reduced, pivots = hstack(powers).rref()
+        d = len(pivots)
+        return [f.neg(reduced.at(i, d)) for i in range(d)] + [f.one()]
 
 
 def radical_basis(alg: TableAlgebra) -> Mat:
     """Columns span rad(alg), from the kernel of the regular trace form.
 
     Requires Q or F_p with p > dim; the form's radical then equals the
-    Jacobson radical, and nilpotency is asserted as a guard.
+    Jacobson radical, and nilpotency is asserted as a guard.  Built once per
+    algebra and memoised on it.
     """
+    if alg._radical is None:
+        alg._radical = _trace_form_radical(alg)
+    return alg._radical
+
+
+def _trace_form_radical(alg: TableAlgebra) -> Mat:
     f = alg.field
-    if f.is_prime_field and f.p <= alg.dim:
-        raise PreconditionError(
-            f"field F_{f.p} too small for a {alg.dim} dimensional End algebra; "
-            "use p > dim for radical computations")
     n = alg.dim
-    mult = [alg.left_mult_matrix(alg.basis_element(i)) for i in range(n)]
-    gram = []
-    for i in range(n):
-        row = []
-        li = mult[i]
-        for j in range(n):
-            lj = mult[j]
-            # trace(L_i L_j) without forming the product
-            tr = f.zero()
-            for k in range(n):
-                for l in range(n):
-                    tr = f.add(tr, f.mul(li.at(k, l), lj.at(l, k)))
-            row.append(tr)
-        gram.append(row)
-    rad = Mat.from_rows(f, gram).kernel_basis() if n else Mat.zeros(f, 0, 0)
+    if f.is_prime_field and f.p <= n:
+        raise PreconditionError(
+            f"field F_{f.p} too small for a {n} dimensional End algebra; "
+            "use p > dim for radical computations")
+    # trace(left[i] left[j]) is row i of the left matrices read column major
+    # against row j of them read row major
+    by_cols = Mat(f, n, n * n, [v for m in alg.left for v in m.transpose().data])
+    rad = (by_cols @ alg._flat.transpose()).kernel_basis()
     _assert_nilpotent(alg, rad)
     return rad
 
 
 def _assert_nilpotent(alg: TableAlgebra, rad: Mat):
-    span = [tuple(rad.col(j)) for j in range(rad.cols)]
-    gens = list(span)
-    steps = 0
-    while span:
-        steps += 1
-        if steps > alg.dim + 1:
-            raise AssertionError("radical candidate is not nilpotent")
-        nxt = [alg.mul(x, g) for x in span for g in gens]
-        cols = [v for v in nxt if any(c != alg.field.zero() for c in v)]
-        if not cols:
+    """rad^k = 0 for some k <= dim + 1; rad^(k+1) is spanned by the products
+    of the generators with a basis of rad^k."""
+    gens = [alg.left_mult_matrix(rad.col(j)) for j in range(rad.cols)]
+    span = rad
+    for _ in range(alg.dim + 1):
+        if span.cols == 0:
             return
-        m = Mat(alg.field, alg.dim, len(cols),
-                [cols[j][i] for i in range(alg.dim) for j in range(len(cols))])
-        basis, _ = m.column_space_basis()
-        span = [tuple(basis.col(j)) for j in range(basis.cols)]
+        products = hstack([g @ span for g in gens])
+        if products.is_zero():
+            return
+        span, _ = products.column_space_basis()
+    raise AssertionError("radical candidate is not nilpotent")
 
 
 class QuotientAlgebra:
@@ -170,18 +146,15 @@ class QuotientAlgebra:
         self.lift_matrix = Mat(f, n, d, [o if i == j else z for i in range(n) for j in comp])
         # one coset decomposition x = ideal part + lift part for every product
         # of lifted basis elements and for the unit; the lift part is the image
-        lifts = [self.lift_matrix.col(i) for i in range(d)]
-        rhs = [Mat.column(f, list(alg.mul(a, b))) for a in lifts for b in lifts]
+        products = [alg.left[i] @ self.lift_matrix for i in comp]
         coords = solve(hstack([ideal, self.lift_matrix]),
-                       hstack(rhs + [Mat.column(f, list(alg.unit))]))
+                       hstack(products + [Mat(f, n, 1, alg.unit)]))
         if coords is None:
             raise AssertionError("coset decomposition failed")
-        table = [[coords.col(i * d + j)[k:] for j in range(d)] for i in range(d)]
-        self.quotient = TableAlgebra(f, table, coords.col(d * d)[k:])
+        self.quotient = TableAlgebra(f, Mat(f, d, coords.cols, coords.data[k * coords.cols:]))
 
     def lift(self, xbar: Tuple) -> Tuple:
-        v = self.lift_matrix @ Mat.column(self.alg.field, list(xbar))
-        return tuple(v.col(0))
+        return (self.lift_matrix @ Mat(self.alg.field, self.dim, 1, xbar)).data
 
 
 def _to_sympy_poly(field: Field, coeffs: List):
@@ -208,20 +181,19 @@ def _from_sympy_coeffs(field: Field, poly) -> List:
 
 def _poly_eval(alg: TableAlgebra, coeffs: List, x: Tuple) -> Tuple:
     # Horner on [c_0, ..., c_k], lowest degree first
-    acc = alg.zero()
+    f = alg.field
+    lx = alg.left_mult_matrix(x)
+    unit = Mat(f, alg.dim, 1, alg.unit)
+    acc = Mat.zeros(f, alg.dim, 1)
     for c in reversed(coeffs):
-        acc = alg.mul(acc, x)
-        acc = alg.add(acc, alg.scale(c, alg.unit))
-    return acc
+        acc = lx @ acc + unit.scale(c)
+    return acc.data
 
 
-def _split_idempotent_from_element(alg: TableAlgebra, x: Tuple) -> Optional[Tuple]:
-    """A nontrivial idempotent of k[x] when min poly splits into coprime parts."""
-    coeffs = alg.minimal_polynomial(x)
-    if len(coeffs) <= 2:
-        return None
-    poly = _to_sympy_poly(alg.field, coeffs)
-    _, factors = poly.factor_list()
+def _split_idempotent_from_element(alg: TableAlgebra, x: Tuple, poly,
+                                   factors: List) -> Optional[Tuple]:
+    """A nontrivial idempotent of k[x] when the minimal polynomial poly of x,
+    with factor list factors, splits into coprime parts."""
     if len(factors) < 2:
         return None
     m1 = factors[0][0] ** factors[0][1]
@@ -233,17 +205,18 @@ def _split_idempotent_from_element(alg: TableAlgebra, x: Tuple) -> Optional[Tupl
     e = _poly_eval(alg, _from_sympy_coeffs(alg.field, e_poly), x)
     if alg.mul(e, e) != e:
         raise AssertionError("CRT element is not idempotent")
-    if e == alg.zero() or e == alg.unit:
+    if e == alg.unit or not any(e):
         return None
     return e
 
 
 def _candidates(alg: TableAlgebra, rng: random.Random):
+    basis = Mat.identity(alg.field, alg.dim)
     for i in range(alg.dim):
-        yield alg.basis_element(i)
+        yield basis.col(i)
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            yield alg.add(alg.basis_element(i), alg.basis_element(j))
+            yield tuple(map(alg.field.add, basis.col(i), basis.col(j)))
     while True:
         yield tuple(alg.field.random(rng) for _ in range(alg.dim))
 
@@ -254,7 +227,8 @@ def find_idempotent_semisimple(alg: TableAlgebra) -> Optional[Tuple]:
     None is certified: dim 1, or commutative with a primitive element whose
     minimal polynomial is irreducible (a field).  A noncommutative semisimple
     algebra over F_p always has one; over Q the search may be inconclusive
-    and raises rather than guess.
+    and raises rather than guess.  Each candidate's minimal polynomial is
+    computed and factored once, for the split attempt and the certificate.
     """
     if alg.dim == 0:
         raise PreconditionError("zero algebra has no identity")
@@ -267,16 +241,16 @@ def find_idempotent_semisimple(alg: TableAlgebra) -> Optional[Tuple]:
         attempts += 1
         if attempts > SEARCH_ATTEMPTS:
             break
-        e = _split_idempotent_from_element(alg, x)
+        coeffs = alg.minimal_polynomial(x)
+        poly = _to_sympy_poly(alg.field, coeffs)
+        # degree <= 1: x is a scalar, nothing to split or certify
+        factors = poly.factor_list()[1] if len(coeffs) > 2 else []
+        e = _split_idempotent_from_element(alg, x, poly, factors)
         if e is not None:
             return e
-        if commutative:
-            coeffs = alg.minimal_polynomial(x)
-            if len(coeffs) == alg.dim + 1:
-                poly = _to_sympy_poly(alg.field, coeffs)
-                _, factors = poly.factor_list()
-                if len(factors) == 1 and factors[0][1] == 1:
-                    return None  # certified: the algebra is the field k[x]
+        if commutative and len(coeffs) == alg.dim + 1 \
+                and len(factors) == 1 and factors[0][1] == 1:
+            return None  # certified: the algebra is the field k[x]
     raise CapExceededError(
         f"idempotent search inconclusive after {SEARCH_ATTEMPTS} attempts "
         f"(dim {alg.dim}, commutative={commutative})")
@@ -284,13 +258,13 @@ def find_idempotent_semisimple(alg: TableAlgebra) -> Optional[Tuple]:
 
 def lift_idempotent(alg: TableAlgebra, e0: Tuple) -> Tuple:
     """Newton lift e <- 3e^2 - 2e^3 until exactly idempotent."""
-    e = e0
+    e = Mat(alg.field, alg.dim, 1, e0)
     for _ in range(64):
-        if alg.mul(e, e) == e:
-            return e
-        sq = alg.mul(e, e)
-        cube = alg.mul(sq, e)
-        e = alg.sub(alg.scale(alg.field.of(3), sq), alg.scale(alg.field.of(2), cube))
+        le = alg.left_mult_matrix(e.data)
+        sq = le @ e
+        if sq == e:
+            return e.data
+        e = sq.scale(3) - (le @ sq).scale(2)
     raise AssertionError("idempotent lift did not converge")
 
 
@@ -306,7 +280,7 @@ def find_nontrivial_idempotent(alg: TableAlgebra) -> Optional[Tuple]:
     if ebar is None:
         return None
     e = lift_idempotent(alg, quo.lift(ebar))
-    if e == alg.zero() or e == alg.unit:
+    if e == alg.unit or not any(e):
         raise AssertionError("lifted idempotent degenerated")
     return e
 
@@ -324,5 +298,4 @@ def end_table(field: Field, basis: Mat, unit_vec: Mat,
     if coords is None:
         raise AssertionError("End space is not closed under composition "
                              "or misses the identity")
-    table = [[coords.col(i * n + j) for j in range(n)] for i in range(n)]
-    return TableAlgebra(field, table, coords.col(n * n))
+    return TableAlgebra(field, coords)

@@ -344,11 +344,6 @@ def flatten_map(phi: ModuleMap) -> Mat:
                       [v for x in phi.src.cat.objects for v in phi.comps[x].data])
 
 
-def map_from_flat(m: CModule, n: CModule, vec: Mat) -> ModuleMap:
-    comps = split_blocks(m.cat.field, _hom_shapes(m, n), vec.col(0))
-    return ModuleMap(m, n, comps, validate=False)
-
-
 def naturality_equations(m: CModule, n: CModule, unknown=lambda x: x) -> List:
     """The equations X_x m(f) = n(f) X_y, one per hom basis element f: x -> y,
     that make components X_x: m_x -> n_x natural, for `equation_matrix`;
@@ -970,11 +965,6 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     return AlmostSplit(se, tz, ext.dim, coords)
 
 
-def _local_end_top_dim(m: CModule) -> int:
-    alg, _ = end_algebra(m)
-    return alg.dim - radical_basis(alg).cols
-
-
 def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     """Checks the almost split property of a sequence against test modules.
 
@@ -989,10 +979,12 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     check_short_exact(se)
     if splitting_section(se) is not None:
         raise VerificationError("sequence splits")
+    top = {}  # dim End/rad of each end term
     for term, name in ((se.right, "right"), (se.left, "left")):
         alg, _ = end_algebra(term)
         if find_nontrivial_idempotent(alg) is not None:
             raise VerificationError(f"{name} term is decomposable")
+        top[name] = alg.dim - radical_basis(alg).cols
     for m in test_modules:
         if m.is_zero():
             raise VerificationError("zero module in the test family")
@@ -1002,10 +994,10 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
         rank = hstack(cols).rank() if cols else 0
         coker = len(into) - rank
         if is_isomorphic(m, se.right) is not None:
-            expected = _local_end_top_dim(se.right)
-            if coker != expected:
+            if coker != top["right"]:
                 raise VerificationError(
-                    f"maps from the right term itself: cokernel {coker}, expected {expected}")
+                    f"maps from the right term itself: cokernel {coker}, "
+                    f"expected {top['right']}")
         elif coker != 0:
             raise VerificationError(
                 f"a map {m!r} -> right term does not factor through the middle")
@@ -1015,10 +1007,10 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
         rank = hstack(cols).rank() if cols else 0
         coker = len(outof) - rank
         if is_isomorphic(m, se.left) is not None:
-            expected = _local_end_top_dim(se.left)
-            if coker != expected:
+            if coker != top["left"]:
                 raise VerificationError(
-                    f"maps into the left term itself: cokernel {coker}, expected {expected}")
+                    f"maps into the left term itself: cokernel {coker}, "
+                    f"expected {top['left']}")
         elif coker != 0:
             raise VerificationError(
                 f"a map left term -> {m!r} does not extend through the middle")
@@ -1036,9 +1028,6 @@ class ARQuiver:
     injective: List[bool]
     edges: Dict[Tuple[int, int], int]
     tau_pairs: List[Tuple[int, int]]
-
-    def dim_vectors(self) -> List[Dict]:
-        return [m.dim_vector() for m in self.modules]
 
 
 def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQuiver:

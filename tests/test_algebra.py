@@ -1,0 +1,208 @@
+"""End-algebra analysis on hand-built algebras with known answers."""
+
+import random
+
+import pytest
+
+from _support import F101, QQ
+from arcat import algebra
+from arcat.algebra import (TableAlgebra, find_nontrivial_idempotent,
+                           lift_idempotent, radical_basis)
+from arcat.errors import PreconditionError
+from arcat.fincat import category_of
+from arcat.linalg import Field, Mat, hstack
+from arcat.modcat import almost_split_sequence, ar_quiver, verify_almost_split
+from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
+
+
+def table_algebra(field, n, mult, unit):
+    """The algebra with b_i b_j = mult(i, j), both coordinate lists."""
+    cols = [mult(i, j) for i in range(n) for j in range(n)] + [unit]
+    return TableAlgebra(field, Mat.from_rows(field, [[c[k] for c in cols]
+                                                     for k in range(n)]))
+
+
+def unit_vector(n, i):
+    return [1 if k == i else 0 for k in range(n)]
+
+
+def diagonal(field):
+    """k x k with b_i the i-th coordinate idempotent."""
+    return table_algebra(field, 2, lambda i, j: unit_vector(2, i) if i == j else [0, 0],
+                         [1, 1])
+
+
+def upper_triangular(field):
+    """Upper-triangular 2 x 2 matrices on the basis E11, E12, E22."""
+    units = [(0, 0), (0, 1), (1, 1)]
+
+    def mult(i, j):
+        (a, b), (c, d) = units[i], units[j]
+        return unit_vector(3, units.index((a, d))) if b == c else [0, 0, 0]
+    return table_algebra(field, 3, mult, [1, 0, 1])
+
+
+def matrix_algebra(field):
+    """M_2(k) on the basis E11, E12, E21, E22: E_ab E_cd = [b = c] E_ad."""
+    def mult(i, j):
+        (a, b), (c, d) = divmod(i, 2), divmod(j, 2)
+        return unit_vector(4, 2 * a + d) if b == c else [0] * 4
+    return table_algebra(field, 4, mult, [1, 0, 0, 1])
+
+
+def truncated(field, coeffs):
+    """k[t]/(f) on the basis 1, t, ..., t^(d-1), for monic f with lower
+    coefficients coeffs: t^d = -sum coeffs[i] t^i."""
+    d = len(coeffs)
+    powers = [unit_vector(d, e) for e in range(d)]
+    for _ in range(d - 1):
+        # t * v = v shifted up by one degree, with its t^d term rewritten
+        v = [field.of(c) for c in powers[-1]]
+        powers.append([field.sub(a, field.mul(v[-1], field.of(c)))
+                       for a, c in zip([field.zero()] + v[:-1], coeffs)])
+    return table_algebra(field, d, lambda i, j: powers[i + j], unit_vector(d, 0))
+
+
+def assert_nontrivial_idempotent(alg, e):
+    assert e is not None
+    assert alg.mul(e, e) == e
+    assert e != alg.unit and any(e)
+
+
+def dual_numbers(field):
+    return truncated(field, [0, 0])  # t^2 = 0
+
+
+def non_residue_field():
+    r = 2
+    assert pow(r, 50, 101) == 100  # Euler: 2 is not a square mod 101
+    return truncated(F101, [-r, 0])  # t^2 = r
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_diagonal_algebra_splits(field):
+    alg = diagonal(field)
+    assert radical_basis(alg).cols == 0
+    assert alg.is_commutative()
+    assert_nontrivial_idempotent(alg, find_nontrivial_idempotent(alg))
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_upper_triangular_radical_and_lift(field):
+    alg = upper_triangular(field)
+    rad = radical_basis(alg)
+    assert rad.cols == 1
+    assert rad.col(0)[0] == 0 and rad.col(0)[2] == 0 and rad.col(0)[1] != 0  # E12
+    assert not alg.is_commutative()
+    assert_nontrivial_idempotent(alg, find_nontrivial_idempotent(alg))
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_lift_from_a_non_idempotent_element(field):
+    # k[t]/(t^3 - t^2) = k[t]/(t^2) x k; t is idempotent modulo the radical
+    # spanned by t^2 - t, and its Newton lift is t^2
+    alg = truncated(field, [0, 0, -1])
+    rad = radical_basis(alg)
+    assert rad.cols == 1
+    t = tuple(field.of(c) for c in (0, 1, 0))
+    assert alg.mul(t, t) != t
+    e = lift_idempotent(alg, t)
+    assert e == tuple(field.of(c) for c in (0, 0, 1))
+    diff = Mat.column(field, [field.sub(a, b) for a, b in zip(e, t)])
+    assert hstack([rad, diff]).rank() == 1
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_dual_numbers_are_local(field):
+    alg = dual_numbers(field)
+    assert radical_basis(alg).cols == 1
+    assert find_nontrivial_idempotent(alg) is None
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_matrix_algebra_is_semisimple_and_splits(field):
+    alg = matrix_algebra(field)
+    assert radical_basis(alg).cols == 0
+    assert not alg.is_commutative()
+    assert_nontrivial_idempotent(alg, find_nontrivial_idempotent(alg))
+
+
+@pytest.mark.parametrize("alg", [non_residue_field(), truncated(QQ, [1, 0])],
+                         ids=["F101[t]/(t^2-2)", "Q[t]/(t^2+1)"])
+def test_fields_are_certified_local(alg):
+    assert radical_basis(alg).cols == 0
+    assert alg.is_commutative()
+    assert find_nontrivial_idempotent(alg) is None
+
+
+def test_left_matrices_are_the_products():
+    for alg in (upper_triangular(F101), matrix_algebra(QQ), non_residue_field()):
+        n = alg.dim
+        basis = [tuple(alg.field.of(c) for c in unit_vector(n, i)) for i in range(n)]
+        for i in range(n):
+            assert alg.left_mult_matrix(basis[i]) == alg.left[i]
+            for j in range(n):
+                assert alg.left[i].col(j) == alg.mul(basis[i], basis[j])
+        assert alg.mul(alg.unit, basis[-1]) == basis[-1] == alg.mul(basis[-1], alg.unit)
+
+
+def test_minimal_polynomial_against_direct_evaluation():
+    rng = random.Random(5)
+    algs = [diagonal(F101), upper_triangular(QQ), dual_numbers(F101),
+            matrix_algebra(F101), matrix_algebra(QQ), non_residue_field(),
+            truncated(QQ, [1, 0]), truncated(F101, [3, 0, 5, 1])]
+    for alg in algs:
+        f, n = alg.field, alg.dim
+        elements = [tuple(f.of(c) for c in unit_vector(n, i)) for i in range(n)]
+        elements += [tuple(f.random(rng) for _ in range(n)) for _ in range(4)]
+        for x in elements:
+            coeffs = alg.minimal_polynomial(x)
+            d = len(coeffs) - 1
+            assert 1 <= d <= n and coeffs[-1] == f.one()
+            powers = [alg.unit]
+            for _ in range(d):
+                powers.append(alg.mul(powers[-1], x))
+            total = [f.zero()] * n
+            for c, p in zip(coeffs, powers):
+                total = [f.add(a, f.mul(c, b)) for a, b in zip(total, p)]
+            assert not any(total)
+            lower = Mat(f, n, d, [powers[j][i] for i in range(n) for j in range(d)])
+            assert lower.rank() == d
+
+
+def test_small_prime_field_is_refused():
+    for p in (2, 3):
+        alg = matrix_algebra(Field.prime(p))
+        with pytest.raises(PreconditionError):
+            radical_basis(alg)
+        with pytest.raises(PreconditionError):
+            find_nontrivial_idempotent(alg)
+    radical_basis(matrix_algebra(Field.prime(5)))  # p > dim is accepted
+
+
+def test_radical_is_memoised():
+    alg = upper_triangular(F101)
+    assert radical_basis(alg) is radical_basis(alg)
+
+
+def test_almost_split_builds_each_radical_once(monkeypatch):
+    built = []
+    build = algebra._trace_form_radical
+
+    def counting(alg):
+        built.append(alg)
+        return build(alg)
+
+    monkeypatch.setattr(algebra, "_trace_form_radical", counting)
+    # k[x]/(x^3): the sequence ending at k[x]/(x^2) has End = k[x]/(x^2) at
+    # both ends, so the idempotent search and the radical maps share a radical
+    loop = Quiver(["v"], [Arrow("x", "v", "v")])
+    cat = category_of(BoundQuiver(loop, MonomialIdeal(frozenset(
+        [Path("v", "v", ("x", "x", "x"))]))), F101)
+    family = ar_quiver(cat).modules
+    z = next(m for m in family if m.dims["v"] == 2)
+    built.clear()
+    verify_almost_split(almost_split_sequence(z), family)
+    assert any(alg.dim == 2 for alg in built)
+    # the list keeps every algebra alive, so ids are distinct objects
+    assert len({id(alg) for alg in built}) == len(built)

@@ -366,3 +366,19 @@ def test_knitting_builds_each_presentation_once(monkeypatch):
             verify_almost_split(almost_split_sequence(z), arq.modules)
     # the list keeps every module alive, so ids are distinct objects
     assert built and len({id(m) for m in built}) == len(built)
+
+
+def test_verify_builds_each_end_term_algebra_once(monkeypatch):
+    built = []
+    build = modcat.end_algebra
+
+    def counting(m):
+        built.append(m)
+        return build(m)
+
+    cat = category_of(a3_rad2(), F101)
+    se = almost_split_sequence(simple_module(cat, "2")).sequence
+    monkeypatch.setattr(modcat, "end_algebra", counting)
+    # each end term is tested against itself, so dim End/rad is needed for both
+    assert verify_almost_split(se, [se.right, se.left]) == 2
+    assert built == [se.right, se.left]

@@ -1,10 +1,11 @@
 """Representations, the tensor-module dictionary, and induced covers."""
 
 import random
+from itertools import product
 
 import pytest
 
-from _support import (F101, a2_quiver, a3_rad2, cyclic_rad2, point_pool,
+from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, point_pool,
                       rand_qrep)
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
@@ -12,8 +13,8 @@ from arcat.linalg import Mat
 from arcat.modcat import (CModule, ModuleMap, ar_quiver, hom_space, is_isomorphic,
                           yoneda_projective, zero_map)
 from arcat.repcat import (QRep, QRepMap, adjunction_unit, check_adjunction,
-                          f_star_v, g_star_v, lemma2_cover, phi, psi,
-                          qrep_hom, rep_direct_sum, sharp, t_star_v,
+                          f_star_v, g_star_v, lemma2_cover, phi, phi_map, psi,
+                          psi_map, qrep_hom, rep_direct_sum, sharp, t_star_v,
                           tensor_base, zero_rep)
 
 
@@ -110,6 +111,32 @@ def test_qrep_hom_matches_module_hom_dims():
                 assert len(got) == len(hom_space(phi(r, t), phi(s, t)))
                 for f in got:
                     QRepMap(r, s, f.comps, validate=True)  # raises unless a morphism
+
+
+@pytest.mark.parametrize("field", [F101, QQ])
+def test_map_dictionary_round_trips_and_composes(field):
+    rng = random.Random(29)
+    bq = a3_rad2()
+    a2 = category_of(a2_quiver(), field)
+    for coeff, pool in (point_pool(field), (a2, ar_quiver(a2).modules)):
+        t = tensor_base(bq, coeff)
+        reps = [rand_qrep(bq, coeff, pool, rng) for _ in range(3)]
+        mods = [phi(r, t) for r in reps]
+        images = {}
+        for i, r in enumerate(reps):
+            for j, s in enumerate(reps):
+                images[i, j] = [(f, phi_map(f, t)) for f in qrep_hom(r, s)]
+                for f, g in images[i, j]:
+                    assert g.src == mods[i] and g.tgt == mods[j]
+                    assert psi_map(g, r, s) == f
+                if images[i, j]:  # psi_map reading both ends off the modules
+                    assert psi_map(images[i, j][0][1]) == images[i, j][0][0]
+                for g in hom_space(mods[i], mods[j]):
+                    assert phi_map(psi_map(g, r, s), t) == g
+        for i, j, k in product(range(3), repeat=3):
+            for (f, f_mod), (h, h_mod) in zip(images[i, j], images[j, k]):
+                assert phi_map(f.then(h), t) == f_mod.then(h_mod)
+                assert psi_map(f_mod.then(h_mod), reps[i], reps[k]) == f.then(h)
 
 
 def test_induction_shapes_respect_relations():
