@@ -286,14 +286,15 @@ def find_nontrivial_idempotent(alg: TableAlgebra) -> Optional[Tuple]:
 
 
 def end_table(field: Field, basis: Mat, unit_vec: Mat,
-              compose: Callable[[int, int], Mat]) -> TableAlgebra:
+              products_with: Callable[[int], Mat]) -> TableAlgebra:
     """Algebra table from a flattened End space.
 
     basis columns are the flattened basis vectors, unit_vec the flattened
-    identity, compose(i, j) the flattened product b_i * b_j.
+    identity, products_with(i) the flattened products b_i * b_j, one column
+    per j.
     """
     n = basis.cols
-    products = [compose(i, j) for i in range(n) for j in range(n)]
+    products = [products_with(i) for i in range(n)]
     coords = solve(basis, hstack(products + [unit_vec]))
     if coords is None:
         raise AssertionError("End space is not closed under composition "

@@ -11,6 +11,15 @@ On top of that sit the additive hull (formal finite sums, block morphisms)
 and the idempotent completion (pairs of an additive object and an idempotent
 endomorphism), with certified Krull-Schmidt decomposition through the End
 algebra analysis of the algebra module.
+
+Hull arithmetic runs through linalg.  A block morphism f: X -> Y flattens to
+one column: the coordinates of its (X_i -> Y_j) blocks, source summand
+major, each block in the hom basis of the category.  Composing with a fixed
+morphism is linear in this layout, so the hull builds one matrix per fixed
+morphism from the comp tables: post_matrix(g, X), the matrix of f -> g o f,
+and pre_matrix(f, Z), the matrix of g -> g o f.  Composites, the hom spaces
+e_y Hom(X, Y) e_x of the completion, End algebra tables and inverses are
+products and eliminations of these matrices.
 """
 
 from dataclasses import dataclass
@@ -333,7 +342,15 @@ class Summand:
 
 
 class Hull:
-    """Block morphism calculus over a FinCategory."""
+    """Block morphism calculus over a FinCategory.
+
+    flatten(f) lists the blocks of f: X -> Y source summand major, block
+    (X_i -> Y_j) at the offset of pair (i, j), each block in the hom basis
+    of Hom(X_i, Y_j); unflatten is its inverse.  post_matrix(g, X) is the
+    matrix of f -> g o f from flat Hom(X, g.src) to flat Hom(X, g.tgt),
+    pre_matrix(f, Z) the matrix of g -> g o f from flat Hom(f.tgt, Z) to
+    flat Hom(f.src, Z); every composite below is a product with one of them.
+    """
 
     def __init__(self, cat: FinCategory):
         self.cat = cat
@@ -350,6 +367,10 @@ class Hull:
 
     def to_kar(self, x) -> KarObject:
         if isinstance(x, KarObject):
+            if x.idem.src != x.base or x.idem.tgt != x.base:
+                raise PreconditionError(
+                    "the idempotent of a completion object must be an "
+                    "endomorphism of its base")
             return x
         add = self.to_add(x)
         return KarObject(add, self.identity(add))
@@ -396,24 +417,73 @@ class Hull:
         """The composite g o f (f applied first)."""
         if f.tgt != g.src:
             raise PreconditionError("composition type mismatch")
-        cat = self.cat
-        fld = cat.field
-        x, y, z = f.src, f.tgt, g.tgt
-        blocks = []
-        for k, zs in enumerate(z.summands):
-            row = []
-            for i, xs in enumerate(x.summands):
-                acc = list(cat.zero_coords(xs, zs))
-                for j, ys in enumerate(y.summands):
-                    part = cat.compose(xs, ys, zs, f.blocks[j][i], g.blocks[k][j])
-                    acc = [fld.add(a, b) for a, b in zip(acc, part)]
-                row.append(tuple(acc))
-            blocks.append(tuple(row))
-        return AddMor(x, z, tuple(blocks))
+        return self.unflatten(f.src, g.tgt, self.post_matrix(g, f.src) @ self.flatten(f))
 
     # flattening -----------------------------------------------------------
     def flat_dim(self, x: AddObject, y: AddObject) -> int:
         return sum(self.cat.dim(xs, ys) for xs in x.summands for ys in y.summands)
+
+    def _layout(self, x: AddObject, y: AddObject) -> Tuple[List[List[int]], int]:
+        """off[i][j], the position of block (x_i -> y_j) in flat Hom(x, y),
+        and the flat dimension."""
+        off, pos = [], 0
+        for xs in x.summands:
+            row = []
+            for ys in y.summands:
+                row.append(pos)
+                pos += self.cat.dim(xs, ys)
+            off.append(row)
+        return off, pos
+
+    def post_matrix(self, g: AddMor, x: AddObject) -> Mat:
+        """The matrix of f -> g o f, flat Hom(x, g.src) -> flat Hom(x, g.tgt)."""
+        cat = self.cat
+        fld = cat.field
+        zero, add, mul = fld.zero(), fld.add, fld.mul
+        src_off, cols = self._layout(x, g.src)
+        tgt_off, rows = self._layout(x, g.tgt)
+        data = [zero] * (rows * cols)
+        for i, xs in enumerate(x.summands):
+            for j, ys in enumerate(g.src.summands):
+                c0 = src_off[i][j]
+                for k, zs in enumerate(g.tgt.summands):
+                    table = cat.comp.get((xs, ys, zs))
+                    if not table:
+                        continue
+                    gb, r0 = g.blocks[k][j], tgt_off[i][k]
+                    for (a, b), entry in table.items():
+                        s = gb[b]
+                        if s == zero:
+                            continue
+                        for t, v in entry.items():
+                            idx = (r0 + t) * cols + c0 + a
+                            data[idx] = add(data[idx], mul(s, v))
+        return Mat(fld, rows, cols, data)
+
+    def pre_matrix(self, f: AddMor, z: AddObject) -> Mat:
+        """The matrix of g -> g o f, flat Hom(f.tgt, z) -> flat Hom(f.src, z)."""
+        cat = self.cat
+        fld = cat.field
+        zero, add, mul = fld.zero(), fld.add, fld.mul
+        src_off, cols = self._layout(f.tgt, z)
+        tgt_off, rows = self._layout(f.src, z)
+        data = [zero] * (rows * cols)
+        for i, xs in enumerate(f.src.summands):
+            for j, ys in enumerate(f.tgt.summands):
+                fb = f.blocks[j][i]
+                for k, zs in enumerate(z.summands):
+                    table = cat.comp.get((xs, ys, zs))
+                    if not table:
+                        continue
+                    r0, c0 = tgt_off[i][k], src_off[j][k]
+                    for (a, b), entry in table.items():
+                        s = fb[a]
+                        if s == zero:
+                            continue
+                        for t, v in entry.items():
+                            idx = (r0 + t) * cols + c0 + b
+                            data[idx] = add(data[idx], mul(s, v))
+        return Mat(fld, rows, cols, data)
 
     def flatten(self, f: AddMor) -> Mat:
         vals = []
@@ -445,21 +515,14 @@ class Hull:
             raise PreconditionError("morphism is not idempotent")
 
     def kar_hom_basis(self, x: KarObject, y: KarObject) -> List[AddMor]:
-        """Canonical basis of e_y Hom(base_x, base_y) e_x."""
-        n = self.flat_dim(x.base, y.base)
-        if n == 0:
+        """Canonical basis of e_y Hom(base_x, base_y) e_x: the pivot columns
+        of the matrix of h -> e_y o h o e_x."""
+        x, y = self.to_kar(x), self.to_kar(y)
+        if self.flat_dim(x.base, y.base) == 0:
             return []
-        cols = []
-        for t in range(n):
-            unit = Mat.column(self.cat.field,
-                              [self.cat.field.one() if s == t else self.cat.field.zero()
-                               for s in range(n)])
-            h = self.unflatten(x.base, y.base, unit)
-            sandwiched = self.then(self.then(x.idem, h), y.idem)
-            cols.append(self.flatten(sandwiched))
-        op = hstack(cols)
+        op = self.post_matrix(y.idem, x.base) @ self.pre_matrix(x.idem, y.base)
         basis, _ = op.column_space_basis()
-        return [self.unflatten(x.base, y.base, Mat.column(self.cat.field, list(basis.col(j))))
+        return [self.unflatten(x.base, y.base, Mat(self.cat.field, basis.rows, 1, basis.col(j)))
                 for j in range(basis.cols)]
 
     def kar_end_algebra(self, x: KarObject) -> Tuple[TableAlgebra, List[AddMor]]:
@@ -468,37 +531,24 @@ class Hull:
             raise PreconditionError("End algebra of the zero object")
         basis_mat = hstack([self.flatten(b) for b in basis])
 
-        def compose_pair(i: int, j: int) -> Mat:
-            return self.flatten(self.then(basis[j], basis[i]))
+        def products_with(i: int) -> Mat:
+            return self.post_matrix(basis[i], x.base) @ basis_mat
 
-        alg = end_table(self.cat.field, basis_mat, self.flatten(x.idem), compose_pair)
+        alg = end_table(self.cat.field, basis_mat, self.flatten(x.idem), products_with)
         return alg, basis
 
     def mor_from_coords(self, basis: List[AddMor], coords: Coords) -> AddMor:
-        fld = self.cat.field
-        out = self.zero_mor(basis[0].src, basis[0].tgt)
-        for c, b in zip(coords, basis):
-            if c != fld.zero():
-                out = self.add(out, self.scale(c, b))
-        return out
+        basis_mat = hstack([self.flatten(b) for b in basis])
+        return self.unflatten(basis[0].src, basis[0].tgt,
+                              basis_mat @ Mat.column(self.cat.field, coords))
 
     def invert(self, f: AddMor) -> Optional[AddMor]:
         """Two sided inverse of an endomorphism-shaped block morphism, if any."""
-        n = self.flat_dim(f.src, f.src)
         if f.src != f.tgt:
             return None
-        if n == 0:
+        if self.flat_dim(f.src, f.src) == 0:
             return self.identity(f.src)
-        cols = []
-        for t in range(n):
-            unit = Mat.column(self.cat.field,
-                              [self.cat.field.one() if s == t else self.cat.field.zero()
-                               for s in range(n)])
-            h = self.unflatten(f.src, f.src, unit)
-            cols.append(self.flatten(self.then(h, f)))
-        op = hstack(cols)
-        rhs = self.flatten(self.identity(f.src))
-        sol = solve(op, rhs)
+        sol = solve(self.post_matrix(f, f.src), self.flatten(self.identity(f.src)))
         if sol is None:
             return None
         g = self.unflatten(f.src, f.src, sol)

@@ -708,10 +708,10 @@ def end_algebra(m: CModule) -> Tuple[TableAlgebra, List[ModuleMap]]:
         raise PreconditionError("End algebra of the zero module")
     basis_mat = hstack([flatten_map(b) for b in basis])
 
-    def compose_pair(i: int, j: int) -> Mat:
-        return flatten_map(basis[j].then(basis[i]))
+    def products_with(i: int) -> Mat:
+        return hstack([flatten_map(b.then(basis[i])) for b in basis])
 
-    alg = end_table(m.cat.field, basis_mat, flatten_map(identity_map(m)), compose_pair)
+    alg = end_table(m.cat.field, basis_mat, flatten_map(identity_map(m)), products_with)
     return alg, basis
 
 

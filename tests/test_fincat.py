@@ -1,4 +1,6 @@
+import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -7,7 +9,8 @@ from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, KarObject,
                           category_of, decompose_object, hom_basis,
                           opposite_category, point_category, split_idempotent,
                           tensor_product)
-from arcat.linalg import Field
+from arcat.linalg import Field, Mat, hstack
+from arcat.quiver import Arrow, BoundQuiver, Quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
                       one_loop_rad2, point_quiver)
@@ -199,3 +202,280 @@ def test_decompose_tensor_object():
     t = tensor_product(b, b)
     pieces = decompose_object(t, AddObject.of([("1", "1"), ("2", "2")]))
     assert len(pieces) == 2
+
+
+# ---------------------------------------------------------------------------
+# hull arithmetic against a per-block oracle on FinCategory.compose
+
+
+def kronecker():
+    return BoundQuiver(Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")]))
+
+
+def hull_categories(field):
+    """One-loop rad^2 (dim End(v) = 2), the Kronecker quiver (dim Hom(1, 2)
+    = 2) and A3 rad^2 (x) A2, where flat offsets differ from block indices."""
+    return [category_of(one_loop_rad2(), field), category_of(kronecker(), field),
+            tensor_product(category_of(a3_rad2(), field), category_of(a2_quiver(), field))]
+
+
+def oracle_then(cat, f, g):
+    """g o f block by block: (g o f)_ki = sum over j of g_kj o f_ji."""
+    fld = cat.field
+    blocks = []
+    for k, zs in enumerate(g.tgt.summands):
+        row = []
+        for i, xs in enumerate(f.src.summands):
+            acc = cat.zero_coords(xs, zs)
+            for j, ys in enumerate(f.tgt.summands):
+                part = cat.compose(xs, ys, zs, f.blocks[j][i], g.blocks[k][j])
+                acc = tuple(fld.add(a, b) for a, b in zip(acc, part))
+            row.append(acc)
+        blocks.append(tuple(row))
+    return AddMor(f.src, g.tgt, tuple(blocks))
+
+
+def typed(f):
+    return [[[(type(v), v) for v in cell] for cell in row] for row in f.blocks]
+
+
+def rand_obj(cat, rng, lo=0, hi=3):
+    return AddObject.of([rng.choice(cat.objects) for _ in range(rng.randint(lo, hi))])
+
+
+def rand_mor(cat, x, y, rng):
+    """Random blocks, about a third of them zero."""
+    fld = cat.field
+    return AddMor(x, y, tuple(
+        tuple(cat.zero_coords(xs, ys) if rng.random() < 0.3
+              else tuple(fld.random(rng) for _ in range(cat.dim(xs, ys)))
+              for xs in x.summands) for ys in y.summands))
+
+
+def unit_mor(hull, x, y, t):
+    n = hull.flat_dim(x, y)
+    fld = hull.cat.field
+    return hull.unflatten(x, y, Mat.column(fld, [fld.one() if s == t else fld.zero()
+                                                 for s in range(n)]))
+
+
+def oracle_operator(hull, x, y, fn):
+    """Columns: the flattened fn(h) for the unit vectors h of flat Hom(x, y)."""
+    n = hull.flat_dim(x, y)
+    cols = [list(hull.flatten(fn(unit_mor(hull, x, y, t))).col(0)) for t in range(n)]
+    return Mat(hull.cat.field, len(cols[0]), n, [c[r] for r in range(len(cols[0])) for c in cols])
+
+
+def rand_idempotent(hull, x, rng):
+    """A diagonal unit on a random subset of summands, conjugated by a random
+    automorphism whose inverse the oracle certifies."""
+    cat = hull.cat
+    keep = [rng.random() < 0.5 for _ in x.summands]
+    e = AddMor(x, x, tuple(tuple(cat.units[xs] if i == j and keep[i] else cat.zero_coords(xs, ys)
+                                 for i, xs in enumerate(x.summands))
+                           for j, ys in enumerate(x.summands)))
+    for _ in range(20):
+        g = rand_mor(cat, x, x, rng)
+        ginv = hull.invert(g)
+        if ginv is not None:
+            assert oracle_then(cat, g, ginv) == hull.identity(x)
+            e = oracle_then(cat, oracle_then(cat, ginv, e), g)
+            break
+    assert oracle_then(cat, e, e) == e
+    return e
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_hull_then_matches_block_oracle(field):
+    rng = random.Random(f"then-{field}")
+    for cat in hull_categories(field):
+        hull = Hull(cat)
+        for _ in range(40):
+            x, y, z = (rand_obj(cat, rng) for _ in range(3))
+            f, g = rand_mor(cat, x, y, rng), rand_mor(cat, y, z, rng)
+            got, want = hull.then(f, g), oracle_then(cat, f, g)
+            assert got == want and typed(got) == typed(want)
+            assert hull.post_matrix(g, x) @ hull.flatten(f) == hull.flatten(got)
+            assert hull.pre_matrix(f, z) @ hull.flatten(g) == hull.flatten(got)
+        empty = AddObject(())
+        y = rand_obj(cat, rng, lo=1)
+        assert hull.then(hull.zero_mor(empty, y), rand_mor(cat, y, y, rng)) == hull.zero_mor(empty, y)
+        assert hull.then(rand_mor(cat, y, y, rng), hull.zero_mor(y, empty)) == hull.zero_mor(y, empty)
+        assert hull.then(hull.zero_mor(y, empty), hull.zero_mor(empty, y)) == hull.zero_mor(y, y)
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_kar_hom_basis_matches_block_oracle(field):
+    rng = random.Random(f"kar-{field}")
+    for cat in hull_categories(field):
+        hull = Hull(cat)
+        for _ in range(12):
+            bx, by = rand_obj(cat, rng), rand_obj(cat, rng)
+            kx = KarObject(bx, rand_idempotent(hull, bx, rng))
+            ky = KarObject(by, rand_idempotent(hull, by, rng))
+            got = hull.kar_hom_basis(kx, ky)
+            if hull.flat_dim(bx, by) == 0:
+                assert got == []
+                continue
+            sandwich = oracle_operator(
+                hull, bx, by, lambda h: oracle_then(cat, oracle_then(cat, kx.idem, h), ky.idem))
+            want, _ = sandwich.column_space_basis()
+            assert [list(hull.flatten(b).col(0)) for b in got] == \
+                [list(want.col(j)) for j in range(want.cols)]
+            for b in got:
+                assert oracle_then(cat, oracle_then(cat, kx.idem, b), ky.idem) == b
+        empty = hull.to_kar(AddObject(()))
+        assert hull.kar_hom_basis(empty, hull.to_kar(cat.objects[0])) == []
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_kar_end_algebra_matches_block_oracle(field):
+    rng = random.Random(f"end-{field}")
+    noncommutative = 0
+    for cat in hull_categories(field):
+        hull = Hull(cat)
+        for _ in range(6):
+            base = rand_obj(cat, rng, lo=1)
+            x = KarObject(base, rand_idempotent(hull, base, rng))
+            if hull.is_zero_mor(x.idem):
+                continue
+            alg, basis = hull.kar_end_algebra(x)
+            basis_mat = hstack([hull.flatten(b) for b in basis])
+            assert hull.mor_from_coords(basis, alg.unit) == x.idem
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    # column j of left[i] holds b_i * b_j = b_i o b_j, b_j applied first
+                    prod = basis_mat @ Mat(field, alg.dim, 1, alg.left[i].col(j))
+                    assert prod == hull.flatten(oracle_then(cat, basis[j], basis[i]))
+            noncommutative += not alg.is_commutative()
+    assert noncommutative
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_invert_matches_block_oracle(field):
+    rng = random.Random(f"invert-{field}")
+    for cat in hull_categories(field):
+        hull = Hull(cat)
+        seen = {True: 0, False: 0}
+        for _ in range(30):
+            x = rand_obj(cat, rng, lo=1)
+            f = rand_mor(cat, x, x, rng)
+            g = hull.invert(f)
+            rank = oracle_operator(hull, x, x, lambda h: oracle_then(cat, h, f)).rank()
+            assert (g is not None) == (rank == hull.flat_dim(x, x))
+            if g is not None:
+                assert oracle_then(cat, f, g) == hull.identity(x)
+                assert oracle_then(cat, g, f) == hull.identity(x)
+            seen[g is not None] += 1
+        assert seen[True] and seen[False]
+        # non-invertible by construction: a proper idempotent and a radical map
+        x = AddObject.of([cat.objects[0], cat.objects[-1]])
+        e = hull.identity(x)
+        proper = AddMor(x, x, ((e.blocks[0][0], e.blocks[0][1]),
+                               (e.blocks[1][0], cat.zero_coords(x.summands[1], x.summands[1]))))
+        assert hull.invert(proper) is None
+        assert hull.invert(hull.sub(e, e)) is None
+        assert hull.invert(hull.zero_mor(x, AddObject.of([cat.objects[0]]))) is None
+        assert hull.invert(e) == e
+        assert hull.invert(hull.identity(AddObject(()))) == hull.identity(AddObject(()))
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_mor_from_coords_matches_sum_of_scaled_basis(field):
+    rng = random.Random(f"coords-{field}")
+    for cat in hull_categories(field):
+        hull = Hull(cat)
+        for _ in range(15):
+            x, y = rand_obj(cat, rng, lo=1), rand_obj(cat, rng, lo=1)
+            basis = hull.kar_hom_basis(hull.to_kar(x), hull.to_kar(y))
+            if not basis:
+                continue
+            coords = tuple(field.zero() if rng.random() < 0.3 else field.random(rng)
+                           for _ in basis)
+            want = hull.zero_mor(x, y)
+            for c, b in zip(coords, basis):
+                want = hull.add(want, hull.scale(c, b))
+            got = hull.mor_from_coords(basis, coords)
+            assert got == want
+            assert typed(got) == typed(want)
+
+
+def test_completion_object_idempotent_must_be_an_endomorphism_of_its_base():
+    c = category_of(a2_quiver(), F101)
+    hull = Hull(c)
+    one, both = AddObject.of(["1"]), AddObject.of(["1", "2"])
+    plain = hull.to_kar("1")
+    bad = [KarObject(one, hull.identity(AddObject.of(["1", "1"]))),
+           KarObject(one, hull.zero_mor(one, both)),
+           KarObject(both, hull.identity(one))]
+    for x in bad:
+        for call in (lambda: hull.to_kar(x), lambda: hull.kar_hom_basis(x, plain),
+                     lambda: hull.kar_hom_basis(plain, x), lambda: hom_basis(c, x, "2"),
+                     lambda: decompose_object(c, x)):
+            with pytest.raises(PreconditionError, match="endomorphism of its base"):
+                call()
+    # the well-formed completion object passes
+    assert len(decompose_object(c, KarObject(one, hull.identity(one)))) == 1
+
+
+# ---------------------------------------------------------------------------
+# golden decompose_object output: SHA-256 over every summand's include and
+# project blocks, entry types included
+
+
+def decompose_digest(c, x):
+    h = hashlib.sha256()
+    for s in decompose_object(c, x):
+        for mor in (s.include, s.project):
+            h.update(repr([[[(type(v).__name__, str(v)) for v in cell] for cell in row]
+                           for row in mor.blocks]).encode())
+    return h.hexdigest()
+
+
+def scrambled(c, y, seed):
+    """The units of y's first two summands, conjugated by a fixed automorphism."""
+    hull = Hull(c)
+    basis = hull.kar_hom_basis(hull.to_kar(y), hull.to_kar(y))
+    rng = random.Random(seed)
+    while True:
+        g = hull.mor_from_coords(basis, tuple(c.field.random(rng) for _ in basis))
+        ginv = hull.invert(g)
+        if ginv is not None:
+            break
+    blocks = [list(row) for row in hull.zero_mor(y, y).blocks]
+    blocks[0][0], blocks[1][1] = c.units[y.summands[0]], c.units[y.summands[1]]
+    e = AddMor(y, y, tuple(tuple(row) for row in blocks))
+    return KarObject(y, hull.then(hull.then(ginv, e), g))
+
+
+@lru_cache(maxsize=None)
+def golden_sums():
+    out = {}
+    for name, bq in (("A3rad2xA2", a3_rad2()), ("C2rad2xA2", cyclic_rad2(2))):
+        c = tensor_product(category_of(bq, F101), category_of(a2_quiver(), F101))
+        objs = c.objects
+        y = AddObject.of([objs[0], objs[0], objs[1], objs[2]])
+        out[name + ":sum"] = (c, y)
+        out[name + ":all"] = (c, AddObject.of(list(objs) + [objs[-1]]))
+        out[name + ":scrambled"] = (c, scrambled(c, y, 7))
+    c = tensor_product(category_of(a3_rad2(), QQ), category_of(a2_quiver(), QQ))
+    objs = c.objects
+    out["A3rad2xA2-Q:sum"] = (c, AddObject.of([objs[0], objs[0], objs[1], objs[3]]))
+    return out
+
+
+GOLDEN_DECOMPOSE = {
+    "A3rad2xA2-Q:sum": "3b2d07fcbce15f7b481fded1c9632ed82820b7882ff82ed2712e423529bdb73e",
+    "A3rad2xA2:all": "dde75c7c94c5193203d7503a3d24595dd02f08766a6b47188716385f80171985",
+    "A3rad2xA2:scrambled": "54ea7725b34f6058eceabc1f70714b46f34fcd8e58485a9952c69431e43b1f7f",
+    "A3rad2xA2:sum": "2edd1d3efb59b05b8b260ebad9d2cabd52e0281a0fe7b723c8dbeee8847eb49e",
+    "C2rad2xA2:all": "d6907c2920213297c379eb815092a6ce2c5a705325d9e9910ce3f3da3fd0b801",
+    "C2rad2xA2:scrambled": "750e276b65ee4a73110bd4c9a609dc8542ee59e9f26541d38f32ef5f21609930",
+    "C2rad2xA2:sum": "68d236cdd1c144587d14a2bf54afec02a4167f6392a77a16c5c42bd792d965f6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DECOMPOSE))
+def test_decompose_object_golden(name):
+    c, x = golden_sums()[name]
+    assert decompose_digest(c, x) == GOLDEN_DECOMPOSE[name]
