@@ -23,7 +23,7 @@ memoises minimal presentations on a module.
 
 import random
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import sympy
 
@@ -286,15 +286,13 @@ def find_nontrivial_idempotent(alg: TableAlgebra) -> Optional[Tuple]:
 
 
 def end_table(field: Field, basis: Mat, unit_vec: Mat,
-              products_with: Callable[[int], Mat]) -> TableAlgebra:
+              products: List[Mat]) -> TableAlgebra:
     """Algebra table from a flattened End space.
 
     basis columns are the flattened basis vectors, unit_vec the flattened
-    identity, products_with(i) the flattened products b_i * b_j, one column
-    per j.
+    identity; the columns of products, read in order, are the flattened
+    products b_i * b_j, i major.
     """
-    n = basis.cols
-    products = [products_with(i) for i in range(n)]
     coords = solve(basis, hstack(products + [unit_vec]))
     if coords is None:
         raise AssertionError("End space is not closed under composition "

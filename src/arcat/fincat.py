@@ -514,27 +514,32 @@ class Hull:
         if self.then(e, e) != e:
             raise PreconditionError("morphism is not idempotent")
 
-    def kar_hom_basis(self, x: KarObject, y: KarObject) -> List[AddMor]:
-        """Canonical basis of e_y Hom(base_x, base_y) e_x: the pivot columns
-        of the matrix of h -> e_y o h o e_x."""
+    def kar_hom_basis(self, x, y) -> List[AddMor]:
+        """Canonical basis of e_y Hom(base_x, base_y) e_x for plain, additive
+        or completion objects x and y."""
         x, y = self.to_kar(x), self.to_kar(y)
+        return self._columns(x.base, y.base, self._kar_hom_matrix(x, y))
+
+    def _kar_hom_matrix(self, x: KarObject, y: KarObject) -> Mat:
+        """The canonical basis of e_y Hom(base_x, base_y) e_x as flat columns:
+        the pivot columns of the matrix of h -> e_y o h o e_x."""
         if self.flat_dim(x.base, y.base) == 0:
-            return []
+            return Mat.zeros(self.cat.field, 0, 0)
         op = self.post_matrix(y.idem, x.base) @ self.pre_matrix(x.idem, y.base)
-        basis, _ = op.column_space_basis()
-        return [self.unflatten(x.base, y.base, Mat(self.cat.field, basis.rows, 1, basis.col(j)))
-                for j in range(basis.cols)]
+        return op.column_space_basis()[0]
 
-    def kar_end_algebra(self, x: KarObject) -> Tuple[TableAlgebra, List[AddMor]]:
-        basis = self.kar_hom_basis(x, x)
-        if not basis:
+    def _columns(self, x: AddObject, y: AddObject, mat: Mat) -> List[AddMor]:
+        return [self.unflatten(x, y, Mat(self.cat.field, mat.rows, 1, mat.col(j)))
+                for j in range(mat.cols)]
+
+    def kar_end_algebra(self, x) -> Tuple[TableAlgebra, List[AddMor]]:
+        x = self.to_kar(x)
+        basis_mat = self._kar_hom_matrix(x, x)
+        if basis_mat.cols == 0:
             raise PreconditionError("End algebra of the zero object")
-        basis_mat = hstack([self.flatten(b) for b in basis])
-
-        def products_with(i: int) -> Mat:
-            return self.post_matrix(basis[i], x.base) @ basis_mat
-
-        alg = end_table(self.cat.field, basis_mat, self.flatten(x.idem), products_with)
+        basis = self._columns(x.base, x.base, basis_mat)
+        products = [self.post_matrix(b, x.base) @ basis_mat for b in basis]
+        alg = end_table(self.cat.field, basis_mat, self.flatten(x.idem), products)
         return alg, basis
 
     def mor_from_coords(self, basis: List[AddMor], coords: Coords) -> AddMor:
@@ -559,8 +564,7 @@ class Hull:
 
 def hom_basis(c: FinCategory, x, y) -> List[AddMor]:
     """Basis of Hom(x, y) for plain, additive, or completion objects."""
-    hull = Hull(c)
-    return hull.kar_hom_basis(hull.to_kar(x), hull.to_kar(y))
+    return Hull(c).kar_hom_basis(x, y)
 
 
 def split_idempotent(c: FinCategory, x: KarObject) -> Tuple[AddMor, AddMor]:

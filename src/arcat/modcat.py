@@ -707,11 +707,8 @@ def end_algebra(m: CModule) -> Tuple[TableAlgebra, List[ModuleMap]]:
     if not basis:
         raise PreconditionError("End algebra of the zero module")
     basis_mat = hstack([flatten_map(b) for b in basis])
-
-    def products_with(i: int) -> Mat:
-        return hstack([flatten_map(b.then(basis[i])) for b in basis])
-
-    alg = end_table(m.cat.field, basis_mat, flatten_map(identity_map(m)), products_with)
+    products = [flatten_map(bj.then(bi)) for bi in basis for bj in basis]
+    alg = end_table(m.cat.field, basis_mat, flatten_map(identity_map(m)), products)
     return alg, basis
 
 

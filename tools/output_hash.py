@@ -1,7 +1,6 @@
 """Bit-identity hashes of arcat's outputs, for comparing two checkouts.
 
     python3 tools/output_hash.py --seed 1
-    python3 tools/output_hash.py --seed 1 --set decompose
 
 Prints one SHA-256 per set:
 
@@ -122,12 +121,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the decompose workload (default 1)")
-    parser.add_argument("--set", choices=("cli", "decompose", "all"), default="all")
     args = parser.parse_args(argv)
-    if args.set in ("cli", "all"):
-        print(f"cli {cli_hash()}")
-    if args.set in ("decompose", "all"):
-        print(f"decompose seed {args.seed} {decompose_hash(args.seed)}")
+    print(f"cli {cli_hash()}")
+    print(f"decompose seed {args.seed} {decompose_hash(args.seed)}")
     return 0
 
 
