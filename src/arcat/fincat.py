@@ -61,6 +61,7 @@ class FinCategory:
         self._opposite: Optional["FinCategory"] = None
         # representables Hom(-, x) by object, memoised by modcat.yoneda_projective
         self._representables: Dict[ObjectId, object] = {}
+        self._non_unit: Dict[Tuple[ObjectId, ObjectId], Tuple[int, ...]] = {}
         self._index: Dict[Tuple[ObjectId, ObjectId], Dict[Label, int]] = {
             key: {lab: i for i, lab in enumerate(labels)} for key, labels in hom.items()}
         if validate:
@@ -103,12 +104,40 @@ class FinCategory:
                     out[k] = fld.add(out[k], fld.mul(c, v))
         return tuple(out)
 
+    def unit_index(self, x: ObjectId) -> Optional[int]:
+        """The index i with units[x] the basis vector e_i, or None when the
+        identity of x is not a basis element."""
+        zero = self.field.zero()
+        hits = [i for i, c in enumerate(self.units[x]) if c != zero]
+        if len(hits) == 1 and self.units[x][hits[0]] == self.field.one():
+            return hits[0]
+        return None
+
+    def _non_unit_indices(self, x: ObjectId, y: ObjectId) -> Tuple[int, ...]:
+        """The basis indices of Hom(x, y), leaving out the identity of x when
+        x == y and that identity is a basis element.  Memoised: module
+        validation asks for it at every object pair of every module."""
+        out = self._non_unit.get((x, y))
+        if out is None:
+            skip = self.unit_index(x) if x == y else None
+            out = self._non_unit[(x, y)] = tuple(
+                i for i in range(self.dim(x, y)) if i != skip)
+        return out
+
     def is_radical(self, x: ObjectId, y: ObjectId, coords: Coords) -> bool:
         rad = self.radical[(x, y)]
         zero = self.field.zero()
         return all(c == zero for i, c in enumerate(coords) if i not in rad)
 
     def _validate(self):
+        """Check the hom tables, the unit laws, associativity and the radical.
+
+        Associativity is checked on the basis triples (f, g, h) with no
+        identity factor: when f, g or h is the identity basis element, both
+        sides reduce to the same composite by the unit laws, which are
+        checked first on every basis element and extend by bilinearity.  A
+        unit that is not a basis element skips nothing.
+        """
         fld = self.field
         objs = self.objects
         for x in objs:
@@ -132,12 +161,12 @@ class FinCategory:
             for x in objs:
                 for y in objs:
                     for z in objs:
-                        for i in range(self.dim(w, x)):
+                        for i in self._non_unit_indices(w, x):
                             f = self.basis_coords(w, x, i)
-                            for j in range(self.dim(x, y)):
+                            for j in self._non_unit_indices(x, y):
                                 g = self.basis_coords(x, y, j)
                                 gf = self.compose(w, x, y, f, g)
-                                for k in range(self.dim(y, z)):
+                                for k in self._non_unit_indices(y, z):
                                     h = self.basis_coords(y, z, k)
                                     hg = self.compose(x, y, z, g, h)
                                     left = self.compose(w, y, z, gf, h)
@@ -533,14 +562,18 @@ class Hull:
                 for j in range(mat.cols)]
 
     def kar_end_algebra(self, x) -> Tuple[TableAlgebra, List[AddMor]]:
-        x = self.to_kar(x)
+        alg, basis, _ = self._end_algebra(self.to_kar(x))
+        return alg, basis
+
+    def _end_algebra(self, x: KarObject) -> Tuple[TableAlgebra, List[AddMor], Mat]:
+        """End(x), its canonical basis, and that basis as flat columns."""
         basis_mat = self._kar_hom_matrix(x, x)
         if basis_mat.cols == 0:
             raise PreconditionError("End algebra of the zero object")
         basis = self._columns(x.base, x.base, basis_mat)
         products = [self.post_matrix(b, x.base) @ basis_mat for b in basis]
         alg = end_table(self.cat.field, basis_mat, self.flatten(x.idem), products)
-        return alg, basis
+        return alg, basis, basis_mat
 
     def mor_from_coords(self, basis: List[AddMor], coords: Coords) -> AddMor:
         basis_mat = hstack([self.flatten(b) for b in basis])
@@ -600,12 +633,13 @@ def decompose_object(c: FinCategory, x) -> List[Summand]:
         if hull.is_zero_mor(idem):
             return
         piece = KarObject(kx.base, idem)
-        alg, basis = hull.kar_end_algebra(piece)
+        alg, _, basis_mat = hull._end_algebra(piece)
         e = find_nontrivial_idempotent(alg)
         if e is None:
             out.append(Summand(piece, include=idem, project=idem))
             return
-        eta = hull.mor_from_coords(basis, e)
+        # the idempotent's coordinates are in the basis held as flat columns
+        eta = hull.unflatten(kx.base, kx.base, basis_mat @ Mat.column(c.field, e))
         recurse(eta)
         recurse(hull.sub(idem, eta))
 

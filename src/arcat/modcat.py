@@ -3,8 +3,11 @@
 A CModule assigns to every object x a space k^dims[x] and to every hom basis
 element f_i: x -> y a matrix action[(x, y, i)]: k^dims[y] -> k^dims[x];
 composites reverse, M(g o f) = M(f) M(g), and functoriality is re-verified on
-construction.  ModuleMaps are natural transformations with per object
-components, also verified.
+construction, with one matrix product per middle object y covering every
+pair f_i: x -> y, g_j: y -> z.  Pairs with an identity factor are left out:
+they follow from the unit check and the unit laws of the category.
+ModuleMaps are natural transformations with per object components, also
+verified.
 
 On this representation the module category is computed exactly: hom spaces,
 kernels, images, cokernels, radicals, projective covers and minimal
@@ -75,33 +78,66 @@ class CModule:
         return dict(self.dims)
 
     def _validate(self):
+        """Check the dimensions and shapes, the unit action and functoriality.
+
+        Functoriality M(g o f) = M(f) M(g) is checked with one product per
+        middle object y: the vstack of M(f_i) over the basis elements
+        f_i: x -> y times the hstack of M(g_j) over the g_j: y -> z, each
+        (i, j) block compared with the combination of M(k) that the
+        composition table gives for g_j o f_i.  A pair whose f_i or g_j is
+        the identity basis element is left out: M(1) = 1 by the unit check,
+        so both sides are M(g_j) (or M(f_i)) by the unit laws of the
+        validated category.  A unit that is not a basis element skips
+        nothing.  Sources and targets of dimension zero carry empty blocks
+        and are left out of the product.
+        """
         cat = self.cat
+        dims, action = self.dims, self.action
         for x in cat.objects:
-            if x not in self.dims or self.dims[x] < 0:
+            if x not in dims or dims[x] < 0:
                 raise PreconditionError(f"missing or negative dimension at {x!r}")
         for x in cat.objects:
             for y in cat.objects:
                 for i in range(cat.dim(x, y)):
-                    m = self.action.get((x, y, i))
-                    if m is None or m.rows != self.dims[x] or m.cols != self.dims[y]:
+                    m = action.get((x, y, i))
+                    if m is None or m.rows != dims[x] or m.cols != dims[y]:
                         raise PreconditionError(f"bad action matrix at {(x, y, i)}")
         for x in cat.objects:
-            if self.act(x, x, cat.units[x]) != Mat.identity(cat.field, self.dims[x]):
+            unit = self._combination(x, x, enumerate(cat.units[x]))
+            if unit != list(Mat.identity(cat.field, dims[x]).data):
                 raise PreconditionError(f"unit does not act as identity at {x!r}")
-        for x in cat.objects:
-            for y in cat.objects:
-                for z in cat.objects:
-                    table = cat.comp.get((x, y, z), {})
-                    for i in range(cat.dim(x, y)):
-                        for j in range(cat.dim(y, z)):
-                            entry = table.get((i, j), {})
-                            expected = Mat.zeros(cat.field, self.dims[x], self.dims[z])
-                            for k, c in entry.items():
-                                expected = expected + self.action[(x, z, k)].scale(c)
-                            got = self.action[(x, y, i)] @ self.action[(y, z, j)]
-                            if got != expected:
-                                raise PreconditionError(
-                                    f"action not functorial at {(x, y, z, i, j)}")
+        for y in cat.objects:
+            left = [(x, i) for x in cat.objects if dims[x]
+                    for i in cat._non_unit_indices(x, y)]
+            right = [(z, j) for z in cat.objects if dims[z]
+                     for j in cat._non_unit_indices(y, z)]
+            if not left or not right:
+                continue
+            prod = (vstack([action[(x, y, i)] for x, i in left])
+                    @ hstack([action[(y, z, j)] for z, j in right]))
+            width, got = prod.cols, prod.data
+            r0 = 0
+            for x, i in left:
+                c0 = 0
+                for z, j in right:
+                    entry = cat.comp.get((x, y, z), {}).get((i, j), {})
+                    block = [v for r in range(r0, r0 + dims[x])
+                             for v in got[r * width + c0:r * width + c0 + dims[z]]]
+                    if block != self._combination(x, z, entry.items()):
+                        raise PreconditionError(
+                            f"action not functorial at {(x, y, z, i, j)}")
+                    c0 += dims[z]
+                r0 += dims[x]
+
+    def _combination(self, x, z, coeffs) -> List:
+        """The row-major entries of sum c M(h_k) over the pairs (k, c) of
+        coeffs, for the basis elements h_k: x -> z."""
+        out = [0] * (self.dims[x] * self.dims[z])
+        for k, c in coeffs:
+            if c:
+                out = [e + c * a for e, a in zip(out, self.action[(x, z, k)].data)]
+        p = self.cat.field.p
+        return [e % p for e in out] if p is not None else out
 
     def __eq__(self, other):
         return (isinstance(other, CModule) and self.cat == other.cat

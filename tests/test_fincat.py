@@ -10,7 +10,8 @@ from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, KarObject,
                           opposite_category, point_category, split_idempotent,
                           tensor_product)
 from arcat.linalg import Field, Mat, hstack
-from arcat.quiver import Arrow, BoundQuiver, Quiver
+from arcat.modcat import CModule
+from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
                       one_loop_rad2, point_quiver)
@@ -71,6 +72,56 @@ def test_validation_rejects_radical_ideal_violation():
     comp[("v", "v", "v")][(1, 1)] = {0: F101.one()}
     with pytest.raises(PreconditionError):
         FinCategory(c.field, c.objects, c.hom, comp, c.units, c.radical)
+
+
+def perturbed_comp(c, key, pair, entry):
+    comp = {k: {p: dict(e) for p, e in table.items()} for k, table in c.comp.items()}
+    comp[key][pair] = entry
+    return comp
+
+
+def test_validation_rejects_broken_unit_law():
+    c = category_of(a2_quiver(), F101)
+    # declare a1 o 1 = 2 a1
+    comp = perturbed_comp(c, ("1", "1", "2"), (0, 0), {0: F101.of(2)})
+    with pytest.raises(PreconditionError, match=r"right unit law fails at \('1', '2'\)"):
+        FinCategory(c.field, c.objects, c.hom, comp, c.units, c.radical)
+
+
+def test_validation_rejects_associativity_broken_at_a_non_identity_triple():
+    c = category_of(BoundQuiver(linear_quiver(4)), F101)
+    # declare a2 o a1 = 2 (a1 a2): the unit laws and the radical still hold,
+    # but a3 o (a2 o a1) is twice (a3 o a2) o a1 on the triple of arrows
+    comp = perturbed_comp(c, ("1", "2", "3"), (0, 0), {0: F101.of(2)})
+    with pytest.raises(PreconditionError,
+                       match=r"associativity fails at \('1', '2', '3', '4'\)"):
+        FinCategory(c.field, c.objects, c.hom, comp, c.units, c.radical)
+
+
+def dual_numbers_off_basis(field):
+    """k[x]/(x^2) on the basis {1 + x, x}: the identity 1 = (1 + x) - x is not
+    a basis element."""
+    one = field.one()
+    comp = {("v", "v", "v"): {(0, 0): {0: one, 1: one},  # (1 + x)^2 = (1 + x) + x
+                              (0, 1): {1: one}, (1, 0): {1: one}}}
+    return FinCategory(field, ["v"], {("v", "v"): ("1+x", "x")}, comp,
+                       {"v": (one, field.neg(one))}, {("v", "v"): frozenset([1])})
+
+
+def test_unit_off_the_basis_skips_no_functoriality_pair():
+    c = dual_numbers_off_basis(F101)
+    assert c.unit_index("v") is None
+    assert c._non_unit_indices("v", "v") == (0, 1)
+    nilpotent = Mat.from_rows(F101, [[0, 1], [0, 0]])
+    good = {("v", "v", 0): Mat.identity(F101, 2) + nilpotent, ("v", "v", 1): nilpotent}
+    CModule(c, {"v": 2}, good)
+    # x acts as an idempotent n, n^2 != 0: the unit still acts as 1 + n - n = 1,
+    # but (1 + x)^2 acts as 1 + 3n, not as M(1 + x) + M(x) = 1 + 2n
+    idem = Mat.from_rows(F101, [[1, 0], [0, 0]])
+    bad = {("v", "v", 0): Mat.identity(F101, 2) + idem, ("v", "v", 1): idem}
+    with pytest.raises(PreconditionError,
+                       match=r"not functorial at \('v', 'v', 'v', 0, 0\)"):
+        CModule(c, {"v": 2}, bad)
 
 
 def test_tensor_dimensions_multiply():

@@ -1,5 +1,7 @@
+import ast
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from arcat.modcat import (CModule, Ext1, ShortExact, almost_split_sequence,
                           simple_module, splitting_section, tau, tau_inverse,
                           top_quotient, transpose, verify_almost_split,
                           yoneda_map, yoneda_projective, zero_module)
+from arcat.repcat import tensor_base
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, a_m_rad_n, cyclic_rad2,
                       one_loop_rad2, rand_hom, rand_invertible, rand_module)
@@ -382,3 +385,111 @@ def test_verify_builds_each_end_term_algebra_once(monkeypatch):
     # each end term is tested against itself, so dim End/rad is needed for both
     assert verify_almost_split(se, [se.right, se.left]) == 2
     assert built == [se.right, se.left]
+
+
+# ---------------------------------------------------------------------------
+# CModule._validate against the per-pair functoriality check
+
+
+def reference_unit_fails(m, x):
+    return m.act(x, x, m.cat.units[x]) != Mat.identity(m.cat.field, m.dims[x])
+
+
+def reference_pair_fails(m, x, y, z, i, j):
+    """Whether M(g_j o f_i) = M(f_i) M(g_j) fails for f_i: x -> y, g_j: y -> z."""
+    cat = m.cat
+    expected = Mat.zeros(cat.field, m.dims[x], m.dims[z])
+    for k, c in cat.comp.get((x, y, z), {}).get((i, j), {}).items():
+        expected = expected + m.action[(x, z, k)].scale(c)
+    return m.action[(x, y, i)] @ m.action[(y, z, j)] != expected
+
+
+def reference_refuses(m):
+    """The unit check, then one product per composable pair of basis
+    elements, identities included."""
+    objs = m.cat.objects
+    dim = m.cat.dim
+    return (any(reference_unit_fails(m, x) for x in objs)
+            or any(reference_pair_fails(m, x, y, z, i, j)
+                   for x in objs for y in objs for z in objs
+                   for i in range(dim(x, y)) for j in range(dim(y, z))))
+
+
+def validate_against_reference(m):
+    """Validate m; the verdict must be the reference's, and a refusal must name
+    a statement that fails under the reference.  Returns the refusal kind."""
+    refused = reference_refuses(m)
+    try:
+        m._validate()
+    except PreconditionError as exc:
+        msg = str(exc)
+        assert refused, msg
+        named = ast.literal_eval(msg.split(" at ", 1)[1])
+        if msg.startswith("unit does not act as identity"):
+            assert reference_unit_fails(m, named), msg
+            return "unit"
+        assert msg.startswith("action not functorial"), msg
+        assert reference_pair_fails(m, *named), msg
+        return "functoriality"
+    assert not refused
+    return "accept"
+
+
+def bumped(m, key, e):
+    """m, unvalidated, with entry e of the action matrix at key raised by one."""
+    fld = m.cat.field
+    mat = m.action[key]
+    data = list(mat.data)
+    data[e] = fld.add(data[e], fld.one())
+    action = {**m.action, key: Mat(fld, mat.rows, mat.cols, data)}
+    return CModule(m.cat, m.dims, action, validate=False)
+
+
+def test_validate_matches_per_pair_reference_on_perturbed_modules():
+    cats = [representation_category(a_m_rad_n(5, 3), F101),
+            representation_category(cyclic_rad2(3), F101),
+            representation_category(a3_rad2(), QQ),
+            tensor_base(a3_rad2(), category_of(a2_quiver(), F101)),
+            # a loop: the non-identity endomorphism x, and x o x = 0
+            representation_category(one_loop_rad2(), F101)]
+    kinds = Counter()
+    for cat in cats:
+        for m in ar_quiver(cat).modules:
+            assert validate_against_reference(m) == "accept"
+            for key, mat in m.action.items():
+                for e in range(len(mat.data)):
+                    kinds[validate_against_reference(bumped(m, key, e))] += 1
+    # every single-entry perturbation of the knitted modules, unit actions included
+    assert sum(kinds.values()) == 35 + 12 + 9 + 72 + 10
+    assert kinds["unit"] and kinds["functoriality"] and kinds["accept"]
+
+
+def test_validate_refuses_through_a_zero_dimensional_middle_object():
+    cat = representation_category(a_m_rad_n(5, 3), F101)
+    m = direct_sum([simple_module(cat, "1"), simple_module(cat, "3")], cat)[0]
+    # the one nonempty non-unit action: the path of length two between 1 and 3
+    (key,) = [(x, z, k) for (x, z, k), mat in m.action.items()
+              if mat.data and x != z]
+    bad = bumped(m, key, 0)
+    with pytest.raises(PreconditionError, match="not functorial") as info:
+        bad._validate()
+    x, y, z, _, _ = ast.literal_eval(str(info.value).split(" at ", 1)[1])
+    assert (bad.dims[x], bad.dims[y], bad.dims[z]) == (1, 0, 1)
+    assert validate_against_reference(bad) == "functoriality"
+
+
+def test_validate_makes_one_functoriality_product_per_middle_object(monkeypatch):
+    cat = representation_category(a_m_rad_n(6, 2), F101)
+    m = direct_sum([yoneda_projective(cat, x) for x in cat.objects], cat)[0]
+    products = []
+    matmul = Mat.__matmul__
+
+    def counting(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counting)
+    m._validate()
+    # vertices 2..5 have an arrow in and an arrow out; one product per pair of
+    # basis elements made 20, 16 of them with an identity factor
+    assert len(products) == 4 <= len(cat.objects)

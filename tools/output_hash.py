@@ -15,10 +15,20 @@ Prints one SHA-256 per set:
   the decompose benchmark workload at the given seed, in op order (the
   seed draws the order), with every matrix entry and block coordinate
   hashed together with its type.
+- `validate`: the accept/refuse outcome of every single-entry +1
+  perturbation of every action matrix of the knitted modules, and of every
+  coefficient of the composition table, of six categories: A5 mod rad^3,
+  the 3-cycle mod rad^2, A4 without relations and one loop mod rad^2 over
+  F_101, A3 mod rad^2 over Q, and A3 mod rad^2 with A2 coefficients over
+  F_101.  A4 has composites of three arrows, so there a table perturbation
+  can break associativity alone; the loop has a non-identity endomorphism
+  and a zero composite of two non-identity basis elements.  An outcome is
+  `accept` or the class of the error; messages are left out, since a
+  refusal only has to name one failing statement.
 
 Run it in two checkouts and compare the lines.  It imports arcat from the
 checkout's `src/`, and takes the job texts and the workload inputs from
-`bench/workloads.py`, which it only reads.
+`bench/workloads.py` and `bench/inputs.py`, which it only reads.
 """
 
 import argparse
@@ -34,10 +44,15 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+import inputs  # noqa: E402
 import workloads  # noqa: E402
 from arcat import cli  # noqa: E402
-from arcat.linalg import Mat  # noqa: E402
-from arcat.modcat import CModule, ModuleMap  # noqa: E402
+from arcat.errors import PreconditionError, VerificationError  # noqa: E402
+from arcat.fincat import FinCategory, category_of  # noqa: E402
+from arcat.linalg import Field, Mat  # noqa: E402
+from arcat.modcat import CModule, ModuleMap, ar_quiver, representation_category  # noqa: E402
+from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver  # noqa: E402
+from arcat.repcat import tensor_base  # noqa: E402
 
 # (label, family, m, n): A_m modulo rad^n (n None: no relations), or the
 # m-cycle modulo rad^2 when family is "C"
@@ -117,6 +132,52 @@ def decompose_hash(seed):
     return h.hexdigest()
 
 
+def sweep_categories():
+    """(label, category) for the perturbation sweep of `validate`."""
+    fp, qq = Field.prime(101), Field.rationals()
+    # one vertex with a loop x, modulo x^2
+    loop = BoundQuiver(Quiver(["v"], [Arrow("x", "v", "v")]),
+                       MonomialIdeal(frozenset([Path("v", "v", ("x", "x"))])))
+    return (("A5-rad3", representation_category(inputs.a_m_rad_n(5, 3), fp)),
+            ("C3-rad2", representation_category(inputs.cyclic_rad2(3), fp)),
+            ("A3-rad2-Q", representation_category(inputs.a_m_rad_n(3, 2), qq)),
+            ("A4", representation_category(inputs.a_m_rad_n(4), fp)),
+            ("A3-rad2xA2", tensor_base(inputs.a_m_rad_n(3, 2),
+                                       category_of(inputs.a_m_rad_n(2), fp))),
+            ("loop-rad2", representation_category(loop, fp)))
+
+
+def outcome(build):
+    try:
+        build()
+    except (PreconditionError, VerificationError) as exc:
+        return type(exc).__name__
+    return "accept"
+
+
+def validate_hash():
+    h = hashlib.sha256()
+    for label, cat in sweep_categories():
+        fld = cat.field
+        for n, m in enumerate(ar_quiver(cat).modules):
+            for key, mat in m.action.items():
+                for e in range(len(mat.data)):
+                    data = list(mat.data)
+                    data[e] = fld.add(data[e], fld.one())
+                    action = {**m.action, key: Mat(fld, mat.rows, mat.cols, data)}
+                    h.update(repr((label, n, key, e, outcome(
+                        lambda: CModule(cat, m.dims, action)))).encode())
+        for key, table in cat.comp.items():
+            for pair, entry in table.items():
+                for k in entry:
+                    bumped = {**entry, k: fld.add(entry[k], fld.one())}
+                    comp = {**cat.comp, key: {**table, pair: bumped}}
+                    h.update(repr((label, key, pair, k, outcome(
+                        lambda: FinCategory(fld, cat.objects, cat.hom, comp, cat.units,
+                                            cat.radical)))).encode())
+    return h.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
@@ -124,6 +185,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     print(f"cli {cli_hash()}")
     print(f"decompose seed {args.seed} {decompose_hash(args.seed)}")
+    print(f"validate {validate_hash()}")
     return 0
 
 
