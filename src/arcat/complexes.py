@@ -11,15 +11,22 @@ identities (doubling M on a one-vertex cycle); summing them over the
 degrees of Z gives a degreewise-surjective chain map onto Z, every
 null-homotopic map factors through it by an explicit homotopy formula, and
 right approximations combine evaluation copies of the requested generators
-with coils built from projective covers.
+with coils built from projective covers.  Sums of complexes and the maps
+out of them are assembled blockwise, one block matrix per coefficient
+object.  An approximation certifies each generator G by preimages: the
+injections of its evaluation copies are validated chain maps G -> Y, and
+their composites with the approximation map have rank dim Hom(G, Z), so
+Hom(G, Y) -> Hom(G, Z) is surjective.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory
-from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
+from .linalg import (Mat, block_diag, equation_matrix, hstack, solve,
+                     split_blocks, vstack)
 from .modcat import (CModule, ModuleMap, cokernel_module, direct_sum,
                      factor_through_cokernel, flatten_map, identity_map,
                      kernel_module, projective_cover, zero_map, zero_module)
@@ -80,23 +87,29 @@ class NComplexSpec:
         """How many consecutive degrees one vanishing composite spans."""
         return 2 if self.cyclic else self.n
 
-    def degrees(self) -> List[int]:
+    @cached_property
+    def _degrees(self) -> Tuple[int, ...]:
         if isinstance(self.shape, Interval):
-            return list(range(1, self.shape.m + 1))
+            return tuple(range(1, self.shape.m + 1))
         if isinstance(self.shape, Window):
-            return list(range(self.shape.lo, self.shape.hi + 1))
-        return list(range(self.shape.order))
+            return tuple(range(self.shape.lo, self.shape.hi + 1))
+        return tuple(range(self.shape.order))
+
+    @cached_property
+    def _diff_degrees(self) -> Tuple[int, ...]:
+        return self._degrees if self.cyclic else self._degrees[:-1]
+
+    def degrees(self) -> List[int]:
+        return list(self._degrees)
 
     def diff_degrees(self) -> List[int]:
-        if self.cyclic:
-            return self.degrees()
-        return self.degrees()[:-1]
+        return list(self._diff_degrees)
 
     def wrap(self, i: int) -> Optional[int]:
         """The degree i normalizes to, or None when it falls off the shape."""
         if self.cyclic:
             return i % self.shape.order
-        return i if i in range(self.degrees()[0], self.degrees()[-1] + 1) else None
+        return i if self._degrees[0] <= i <= self._degrees[-1] else None
 
     def vertex(self, i: int) -> str:
         w = self.wrap(i)
@@ -106,7 +119,7 @@ class NComplexSpec:
 
     def arrow(self, i: int) -> str:
         w = self.wrap(i)
-        if w is None or w not in self.diff_degrees():
+        if w is None or w not in self._diff_degrees:
             raise PreconditionError(f"no differential at degree {i}")
         return f"a{w}"
 
@@ -114,12 +127,23 @@ class NComplexSpec:
         """The window extended so every coil starting inside it fits."""
         if self.cyclic:
             return self
-        lo, hi = self.degrees()[0], self.degrees()[-1]
+        lo, hi = self._degrees[0], self._degrees[-1]
         return NComplexSpec(self.n, Window(lo, hi + self.n - 1))
 
 
+_CATEGORIES: Dict[NComplexSpec, BoundQuiver] = {}
+
+
 def build_category(spec: NComplexSpec) -> BoundQuiver:
-    """The bound quiver whose representations are complexes of this shape."""
+    """The bound quiver whose representations are complexes of this shape,
+    built once per shape."""
+    bq = _CATEGORIES.get(spec)
+    if bq is None:
+        bq = _CATEGORIES[spec] = _bound_quiver(spec)
+    return bq
+
+
+def _bound_quiver(spec: NComplexSpec) -> BoundQuiver:
     if spec.cyclic:
         order = spec.shape.order
         q = cyclic_quiver(order)
@@ -127,7 +151,7 @@ def build_category(spec: NComplexSpec) -> BoundQuiver:
                      (f"a{i}", f"a{(i + 1) % order}"))
                 for i in range(order)]
         return BoundQuiver(q, MonomialIdeal(frozenset(gens)))
-    degs = spec.degrees()
+    degs = spec._degrees
     q = linear_quiver(len(degs), start=degs[0])
     gens = []
     for i in degs:
@@ -151,12 +175,15 @@ class NComplex:
             self._validate()
 
     def _validate(self):
+        """Check the components, the differentials' endpoints, and that every
+        window of consecutive differentials composes to zero.  A window
+        holding a zero differential is zero without a product."""
         spec = self.spec
-        for i in spec.degrees():
+        for i in spec._degrees:
             m = self.components.get(i)
             if m is None or not (m.cat is self.coeff or m.cat == self.coeff):
                 raise PreconditionError(f"missing or foreign component at degree {i}")
-        for i in spec.diff_degrees():
+        for i in spec._diff_degrees:
             d = self.differentials.get(i)
             if d is None:
                 raise PreconditionError(f"missing differential at degree {i}")
@@ -164,25 +191,23 @@ class NComplex:
             if d.src != self.components[i] or d.tgt != self.components[tgt]:
                 raise PreconditionError(f"differential endpoints wrong at degree {i}")
         length = spec.window_len
-        for i in spec.degrees():
-            if not spec.cyclic and i + length > spec.degrees()[-1] + 1:
+        zero = {j: self.differentials[j].is_zero() for j in spec._diff_degrees}
+        for i in spec._degrees:
+            window = [spec.wrap(i + k) for k in range(length)]
+            if any(j is None or j not in zero for j in window):
                 continue
-            cur = None
-            ok = True
-            for k in range(length):
-                j = spec.wrap(i + k)
-                if j is None or j not in spec.diff_degrees():
-                    ok = False
-                    break
-                step = self.differentials[j]
-                cur = step if cur is None else cur.then(step)
-            if ok and cur is not None and not cur.is_zero():
+            if any(zero[j] for j in window):
+                continue
+            cur = self.differentials[window[0]]
+            for j in window[1:]:
+                cur = cur.then(self.differentials[j])
+            if not cur.is_zero():
                 raise PreconditionError(
                     f"window of {length} differentials from degree {i} is nonzero")
 
     def d(self, i: int) -> ModuleMap:
         w = self.spec.wrap(i)
-        if w is None or w not in self.spec.diff_degrees():
+        if w is None or w not in self.spec._diff_degrees:
             raise PreconditionError(f"no differential at degree {i}")
         return self.differentials[w]
 
@@ -203,7 +228,7 @@ class NComplex:
         return all(m.is_zero() for m in self.components.values())
 
     def degree_dims(self) -> Dict[int, int]:
-        return {i: self.components[i].total_dim() for i in self.spec.degrees()}
+        return {i: self.components[i].total_dim() for i in self.spec._degrees}
 
     def __eq__(self, other):
         return (isinstance(other, NComplex) and self.spec == other.spec
@@ -232,13 +257,13 @@ class NChainMap:
 
     def _validate(self):
         spec = self.src.spec
-        for i in spec.degrees():
+        for i in spec._degrees:
             f = self.comps.get(i)
             if f is None:
                 raise PreconditionError(f"missing component at degree {i}")
             if f.src != self.src.components[i] or f.tgt != self.tgt.components[i]:
                 raise PreconditionError(f"component endpoints wrong at degree {i}")
-        for i in spec.diff_degrees():
+        for i in spec._diff_degrees:
             j = spec.wrap(i + 1)
             left = self.src.differentials[i].then(self.comps[j])
             right = self.comps[i].then(self.tgt.differentials[i])
@@ -268,8 +293,8 @@ class NChainMap:
 
 def zero_complex(spec: NComplexSpec, coeff: FinCategory) -> NComplex:
     z = zero_module(coeff)
-    return NComplex(spec, coeff, {i: z for i in spec.degrees()},
-                    {i: zero_map(z, z) for i in spec.diff_degrees()},
+    return NComplex(spec, coeff, {i: z for i in spec._degrees},
+                    {i: zero_map(z, z) for i in spec._diff_degrees},
                     validate=False)
 
 
@@ -279,9 +304,9 @@ def stalk(spec: NComplexSpec, degree: int, m: CModule) -> NComplex:
     if w is None:
         raise PreconditionError(f"degree {degree} is outside the shape")
     z = zero_module(m.cat)
-    comps = {i: m if i == w else z for i in spec.degrees()}
+    comps = {i: m if i == w else z for i in spec._degrees}
     diffs = {i: zero_map(comps[i], comps[spec.wrap(i + 1)])
-             for i in spec.diff_degrees()}
+             for i in spec._diff_degrees}
     return NComplex(spec, m.cat, comps, diffs, validate=False)
 
 
@@ -292,25 +317,40 @@ def complex_direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
         z = zero_complex(spec, coeff)
         return z, [], []
     comps, injs, projs = {}, {}, {}
-    for i in spec.degrees():
+    for i in spec._degrees:
         total, vi, vp = direct_sum([x.components[i] for x in xs], coeff)
         comps[i] = total
         injs[i], projs[i] = vi, vp
-    diffs = {}
-    for i in spec.diff_degrees():
-        j = spec.wrap(i + 1)
-        cur = zero_map(comps[i], comps[j])
-        for k, x in enumerate(xs):
-            cur = cur.add(projs[i][k].then(x.differentials[i]).then(injs[j][k]))
-        diffs[i] = cur
+    diffs = {i: _block_diag_map(comps[i], comps[spec.wrap(i + 1)],
+                                [x.differentials[i] for x in xs])
+             for i in spec._diff_degrees}
     total_complex = NComplex(spec, coeff, comps, diffs, validate=False)
     inj_maps = [NChainMap(x, total_complex,
-                          {i: injs[i][k] for i in spec.degrees()}, validate=False)
+                          {i: injs[i][k] for i in spec._degrees}, validate=False)
                 for k, x in enumerate(xs)]
     proj_maps = [NChainMap(total_complex, x,
-                           {i: projs[i][k] for i in spec.degrees()}, validate=False)
+                           {i: projs[i][k] for i in spec._degrees}, validate=False)
                  for k, x in enumerate(xs)]
     return total_complex, inj_maps, proj_maps
+
+
+def _block_diag_map(src: CModule, tgt: CModule,
+                    maps: Sequence[ModuleMap]) -> ModuleMap:
+    """The direct sum of maps between the summands of src and of tgt."""
+    fld = src.cat.field
+    return ModuleMap(src, tgt, {c: block_diag(fld, [f.comps[c] for f in maps])
+                                for c in src.cat.objects}, validate=False)
+
+
+def _copair(src: NComplex, tgt: NComplex, maps: Sequence[NChainMap]) -> NChainMap:
+    """The chain map out of the direct sum src whose restriction to summand
+    k is maps[k], validated."""
+    objects = src.coeff.objects
+    comps = {i: ModuleMap(src.components[i], tgt.components[i],
+                          {c: hstack([f.comps[i].comps[c] for f in maps])
+                           for c in objects}, validate=False)
+             for i in src.spec._degrees}
+    return NChainMap(src, tgt, comps, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +360,15 @@ def complex_direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
 def to_rep(x: NComplex, bq: Optional[BoundQuiver] = None) -> QRep:
     if bq is None:
         bq = build_category(x.spec)
-    vertex_modules = {x.spec.vertex(i): x.components[i] for i in x.spec.degrees()}
+    vertex_modules = {x.spec.vertex(i): x.components[i] for i in x.spec._degrees}
     arrow_maps = {x.spec.arrow(i): x.differentials[i]
-                  for i in x.spec.diff_degrees()}
+                  for i in x.spec._diff_degrees}
     return QRep(bq, x.coeff, vertex_modules, arrow_maps, validate=True)
 
 
 def from_rep(spec: NComplexSpec, r: QRep) -> NComplex:
-    comps = {i: r.vertex_modules[spec.vertex(i)] for i in spec.degrees()}
-    diffs = {i: r.arrow_maps[spec.arrow(i)] for i in spec.diff_degrees()}
+    comps = {i: r.vertex_modules[spec.vertex(i)] for i in spec._degrees}
+    diffs = {i: r.arrow_maps[spec.arrow(i)] for i in spec._diff_degrees}
     return NComplex(spec, r.coeff, comps, diffs, validate=True)
 
 
@@ -346,13 +386,13 @@ def chain_maps(x: NComplex, z: NComplex) -> List[NChainMap]:
     basis = qrep_hom(to_rep(x, bq), to_rep(z, bq))
     out = []
     for qm in basis:
-        comps = {i: qm.comps[x.spec.vertex(i)] for i in x.spec.degrees()}
+        comps = {i: qm.comps[x.spec.vertex(i)] for i in x.spec._degrees}
         out.append(NChainMap(x, z, comps, validate=False))
     return out
 
 
 def _chain_flat(f: NChainMap) -> Mat:
-    return vstack([flatten_map(f.comps[i]) for i in f.src.spec.degrees()])
+    return vstack([flatten_map(f.comps[i]) for i in f.src.spec._degrees])
 
 
 def chain_map_from_module(spec: NComplexSpec, f: ModuleMap,
@@ -364,7 +404,7 @@ def chain_map_from_module(spec: NComplexSpec, f: ModuleMap,
     if tgt is None:
         tgt = from_module(spec, f.tgt)
     comps = {}
-    for i in spec.degrees():
+    for i in spec._degrees:
         v = spec.vertex(i)
         comps[i] = ModuleMap(src.components[i], tgt.components[i],
                              {c: f.comps[(v, c)] for c in src.coeff.objects},
@@ -387,7 +427,7 @@ def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
         total, injs, projs = direct_sum([m, m], m.cat)
         d0 = projs[0].then(injs[1])
         return NComplex(spec, m.cat, {0: total}, {0: d0}, validate=True)
-    degs = spec.degrees()
+    degs = spec._degrees
     if not spec.cyclic and (j not in degs or j + length - 1 not in degs):
         raise PreconditionError(f"window from degree {j} does not fit the shape")
     support = [spec.wrap(j + k) for k in range(length)]
@@ -397,7 +437,7 @@ def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
         comps[i] = m
     diffs = {}
     inner = {spec.wrap(j + k) for k in range(length - 1)}
-    for i in spec.diff_degrees():
+    for i in spec._diff_degrees:
         if i in inner:
             diffs[i] = identity_map(m)
         else:
@@ -405,18 +445,20 @@ def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
     return NComplex(spec, m.cat, comps, diffs, validate=True)
 
 
-def interval_J_map(spec: NComplexSpec, j: int, f: ModuleMap) -> NChainMap:
-    """The coil construction applied to a coefficient map."""
-    src = interval_J(spec, j, f.src)
-    tgt = interval_J(spec, j, f.tgt)
+def interval_J_map(spec: NComplexSpec, j: int, f: ModuleMap,
+                   src: Optional[NComplex] = None,
+                   tgt: Optional[NComplex] = None) -> NChainMap:
+    """The coil construction applied to a coefficient map; src and tgt, when
+    given, must be the coils of f.src and f.tgt at degree j."""
+    if src is None:
+        src = interval_J(spec, j, f.src)
+    if tgt is None:
+        tgt = interval_J(spec, j, f.tgt)
     if spec.cyclic and spec.shape.order == 1:
-        _, injs_s, projs_s = direct_sum([f.src, f.src], f.src.cat)
-        _, injs_t, projs_t = direct_sum([f.tgt, f.tgt], f.tgt.cat)
-        comp = projs_s[0].then(f).then(injs_t[0]).add(
-            projs_s[1].then(f).then(injs_t[1]))
+        comp = _block_diag_map(src.components[0], tgt.components[0], [f, f])
         return NChainMap(src, tgt, {0: comp}, validate=True)
     comps = {}
-    for i in spec.degrees():
+    for i in spec._degrees:
         if src.components[i].is_zero() and tgt.components[i].is_zero():
             comps[i] = zero_map(src.components[i], tgt.components[i])
         elif src.components[i] == f.src:
@@ -434,14 +476,14 @@ def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
         raise PreconditionError("only linear shapes can be padded")
     if x.spec.n != spec.n:
         raise PreconditionError("padding cannot change the nilpotency degree")
-    old = set(x.spec.degrees())
-    if not old <= set(spec.degrees()):
+    old = set(x.spec._degrees)
+    if not old <= set(spec._degrees):
         raise PreconditionError("target window does not contain the source")
     z = zero_module(x.coeff)
-    comps = {i: x.components[i] if i in old else z for i in spec.degrees()}
+    comps = {i: x.components[i] if i in old else z for i in spec._degrees}
     diffs = {}
-    for i in spec.diff_degrees():
-        if i in x.spec.diff_degrees():
+    for i in spec._diff_degrees:
+        if i in x.spec._diff_degrees:
             diffs[i] = x.differentials[i]
         else:
             diffs[i] = zero_map(comps[i], comps[i + 1])
@@ -452,7 +494,7 @@ def pad_chain_map(f: NChainMap, spec: NComplexSpec) -> NChainMap:
     src = pad_complex(f.src, spec)
     tgt = pad_complex(f.tgt, spec)
     comps = {}
-    for i in spec.degrees():
+    for i in spec._degrees:
         if i in f.comps:
             comps[i] = f.comps[i]
         else:
@@ -480,26 +522,28 @@ def coil_epi(z: NComplex) -> CoilEpi:
     blocks = z.spec.degrees()
     length = spec_p.window_len
     coils = [interval_J(spec_p, j, z.components[j]) for j in blocks]
-    source, injs, projs = complex_direct_sum(coils, spec_p, z.coeff)
-    comps = {}
-    for i in spec_p.degrees():
-        cur = zero_map(source.components[i], zp.components[i])
-        for t, j in enumerate(blocks):
-            if spec_p.cyclic and spec_p.shape.order == 1:
-                m = z.components[j]
-                _, _, dbl_projs = direct_sum([m, m], z.coeff)
-                part = dbl_projs[0].add(dbl_projs[1].then(zp.differentials[0]))
-                cur = cur.add(projs[t].comps[i].then(part))
-                continue
-            offsets = [k for k in range(length) if spec_p.wrap(j + k) == i]
-            for k in offsets:
-                step = _composite_or_none(zp, j, k)
-                if step is None:
-                    continue
-                cur = cur.add(projs[t].comps[i].then(step))
-        comps[i] = cur
-    p = NChainMap(source, zp, comps, validate=True)
-    for i in spec_p.degrees():
+    source, injs, _ = complex_direct_sum(coils, spec_p, z.coeff)
+    legs = []
+    for j, coil in zip(blocks, coils):
+        if spec_p.cyclic and spec_p.shape.order == 1:
+            m = z.components[j]
+            _, _, dbl_projs = direct_sum([m, m], z.coeff)
+            part = dbl_projs[0].add(dbl_projs[1].then(zp.differentials[0]))
+            legs.append(NChainMap(coil, zp, {0: part}, validate=False))
+            continue
+        # only the order-1 cycle folds a window onto one degree, so each
+        # degree of the coil gets one composite
+        steps = {}
+        for k in range(length):
+            step = _composite_or_none(zp, j, k)
+            if step is not None:
+                steps[spec_p.wrap(j + k)] = step
+        comps = {i: steps[i] if i in steps else
+                 zero_map(coil.components[i], zp.components[i])
+                 for i in spec_p._degrees}
+        legs.append(NChainMap(coil, zp, comps, validate=False))
+    p = _copair(source, zp, legs)
+    for i in spec_p._degrees:
         comp = p.comps[i]
         if not comp.is_surjective():
             raise VerificationError(f"coil map not surjective at degree {i}")
@@ -511,7 +555,7 @@ def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
     cur = identity_map(z.components[z.spec.wrap(j)])
     for k in range(count):
         w = z.spec.wrap(j + k)
-        if w is None or w not in z.spec.diff_degrees():
+        if w is None or w not in z.spec._diff_degrees:
             return None
         cur = cur.then(z.differentials[w])
     return cur
@@ -542,7 +586,7 @@ def assemble_null_homotopic(src: NComplex, tgt: NComplex,
     """The chain map determined by a homotopy: the sum over each degree of
     d_tgt^(k) s d_src^(window-1-k); always null-homotopic by construction."""
     comps = {}
-    for i in src.spec.degrees():
+    for i in src.spec._degrees:
         cur = zero_map(src.components[i], tgt.components[i])
         for mid, before, after in _homotopy_terms(src, tgt, i, s):
             cur = cur.add(before.then(s[mid]).then(after))
@@ -562,14 +606,14 @@ def find_null_homotopy(l: NChainMap) -> Optional[Dict[int, ModuleMap]]:
     coeff = l.src.coeff
     fld = coeff.field
     lows = {}
-    for i in spec.degrees():
+    for i in spec._degrees:
         low = spec.wrap(i - (spec.window_len - 1))
         if low is not None:
             lows[i] = low
     shapes = {(i, c): (l.tgt.components[low].dims[c], l.src.components[i].dims[c])
               for i, low in lows.items() for c in coeff.objects}
     equations, rhs = [], []
-    for i in spec.degrees():
+    for i in spec._degrees:
         tgt_i, src_i = l.tgt.components[i], l.src.components[i]
         live = [c for c in coeff.objects if tgt_i.dims[c] * src_i.dims[c]]
         terms = _homotopy_terms(l.src, l.tgt, i, lows) if live else []
@@ -600,7 +644,7 @@ def factor_null_homotopy(l: NChainMap, coil: CoilEpi) -> NChainMap:
     zp = coil.padded
     src = lp.src
     comps = {}
-    for i in spec_p.degrees():
+    for i in spec_p._degrees:
         cur = zero_map(src.components[i], coil.source.components[i])
         for t, j in enumerate(coil.blocks):
             if spec_p.cyclic and spec_p.shape.order == 1:
@@ -640,9 +684,9 @@ def hard_truncate(x: NComplex, floor: int) -> NComplex:
     if not isinstance(x.spec.shape, Window):
         raise PreconditionError("hard truncation needs a window shape")
     z = zero_module(x.coeff)
-    comps = {i: x.components[i] if i >= floor else z for i in x.spec.degrees()}
+    comps = {i: x.components[i] if i >= floor else z for i in x.spec._degrees}
     diffs = {}
-    for i in x.spec.diff_degrees():
+    for i in x.spec._diff_degrees:
         if i >= floor:
             diffs[i] = x.differentials[i]
         else:
@@ -662,7 +706,13 @@ class Approximation:
 
 def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
     """An approximation Y -> z: evaluation copies of each generator plus the
-    coil of projective covers; certifies Hom(G, Y) -> Hom(G, z) surjective."""
+    coil of projective covers.
+
+    The map is validated and checked degreewise surjective.  certified[s]
+    says that Hom(G_s, Y) -> Hom(G_s, z) is surjective, shown by preimages:
+    the injections of G_s's evaluation copies are validated chain maps
+    G_s -> Y, and their composites with the map have rank dim Hom(G_s, z).
+    """
     coil = coil_epi(z)
     spec_p = coil.padded.spec
     zp = coil.padded
@@ -671,16 +721,14 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
         cov = projective_cover(z.components[j])
         covers.append((j, cov))
     cover_coils = [interval_J(spec_p, j, cov.psum.module) for j, cov in covers]
-    cover_maps = [interval_J_map(spec_p, j, cov.cover) for j, cov in covers]
-    coil_src, c_injs, c_projs = complex_direct_sum(cover_coils, spec_p, z.coeff)
-    p_prime_comps = {}
-    for i in spec_p.degrees():
-        cur = zero_map(coil_src.components[i], coil.source.components[i])
-        for t in range(len(covers)):
-            cur = cur.add(c_projs[t].comps[i].then(cover_maps[t].comps[i])
-                          .then(coil.injections[t].comps[i]))
-        p_prime_comps[i] = cur
-    p_prime = NChainMap(coil_src, coil.source, p_prime_comps, validate=True)
+    cover_maps = [interval_J_map(spec_p, j, cov.cover, src, inj.src)
+                  for (j, cov), src, inj in zip(covers, cover_coils, coil.injections)]
+    coil_src, _, _ = complex_direct_sum(cover_coils, spec_p, z.coeff)
+    p_prime = NChainMap(coil_src, coil.source,
+                        {i: _block_diag_map(coil_src.components[i],
+                                            coil.source.components[i],
+                                            [f.comps[i] for f in cover_maps])
+                         for i in spec_p._degrees}, validate=True)
     r = p_prime.then(coil.p)
     gens_p = [pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]
     eval_bases = [chain_maps(g, zp) for g in gens_p]
@@ -694,30 +742,40 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
             piece_maps.append(f)
     pieces.append(coil_src)
     piece_maps.append(r)
-    y, injs, projs = complex_direct_sum(pieces, spec_p, z.coeff)
-    g_comps = {}
-    for i in spec_p.degrees():
-        cur = zero_map(y.components[i], zp.components[i])
-        for t, f in enumerate(piece_maps):
-            cur = cur.add(projs[t].comps[i].then(f.comps[i]))
-        g_comps[i] = cur
-    g_map = NChainMap(y, zp, g_comps, validate=True)
+    y, injs, _ = complex_direct_sum(pieces, spec_p, z.coeff)
+    g_map = _copair(y, zp, piece_maps)
     if not g_map.is_surjective():
         raise VerificationError("approximation map is not degreewise surjective")
-    certified = []
-    for g, basis in zip(gens_p, eval_bases):
-        target_dim = len(basis)
-        if target_dim == 0:
-            certified.append(True)
-            continue
-        cols = [_chain_flat(f.then(g_map)) for f in chain_maps(g, y)]
-        if not cols:
-            certified.append(False)
-            continue
-        certified.append(hstack(cols).rank() == target_dim)
+    certified = _certify_generators(gens_p, multiplicities, injs, g_map)
     if not all(certified):
         raise VerificationError("approximation certificate failed")
     return Approximation(y, g_map, zp, multiplicities, coil, certified)
+
+
+def _certify_generators(gens: Sequence[NComplex], multiplicities: Sequence[int],
+                        injections: Sequence[NChainMap],
+                        g_map: NChainMap) -> List[bool]:
+    """certified[s] for each generator G_s: the injections of its evaluation
+    copies (the next multiplicities[s] of `injections`) pass validation as
+    chain maps G_s -> Y, and their composites with the validated g_map have
+    rank multiplicities[s] = dim Hom(G_s, Z).  Those preimages then span
+    Hom(G_s, Z), so Hom(G_s, Y) -> Hom(G_s, Z) is surjective."""
+    certified = []
+    pos = 0
+    for g, mult in zip(gens, multiplicities):
+        copies = injections[pos:pos + mult]
+        pos += mult
+        try:
+            for f in copies:
+                if f.src is not g and f.src != g:
+                    raise PreconditionError("copy is not a map out of its generator")
+                f._validate()
+        except PreconditionError:
+            certified.append(False)
+            continue
+        cols = [_chain_flat(f.then(g_map)) for f in copies]
+        certified.append(not cols or hstack(cols).rank() == mult)
+    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +805,7 @@ def stalk_filtration_certificate(x: NComplex,
         if rounds > cap:
             return None
         peeled = False
-        for j in spec.degrees():
+        for j in spec._degrees:
             ker = kernel_module(cur.differentials[j])
             if ker.module.total_dim() == 0:
                 continue
@@ -756,7 +814,7 @@ def stalk_filtration_certificate(x: NComplex,
             comps = dict(cur.components)
             comps[j] = ck.module
             diffs = {}
-            for i in spec.diff_degrees():
+            for i in spec._diff_degrees:
                 d = cur.differentials[i]
                 if i == j:
                     d = factor_through_cokernel(ck, d)

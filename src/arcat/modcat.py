@@ -264,17 +264,18 @@ def direct_sum(mods: Sequence[CModule], cat: Optional[FinCategory] = None):
         for m in mods:
             offsets[x].append(pos)
             pos += m.dims[x]
+    one, zero = fld.one(), fld.zero()
     injections, projections = [], []
     for k, m in enumerate(mods):
         inj, prj = {}, {}
         for x in cat.objects:
-            rows = []
-            for r in range(dims[x]):
-                off = offsets[x][k]
-                rows.append([fld.one() if r == off + c else fld.zero()
-                             for c in range(m.dims[x])])
-            inj[x] = Mat.from_rows(fld, rows) if dims[x] else Mat.zeros(fld, 0, m.dims[x])
-            prj[x] = inj[x].transpose()
+            n, d, off = dims[x], m.dims[x], offsets[x][k]
+            inj_data, prj_data = [zero] * (n * d), [zero] * (d * n)
+            for c in range(d):
+                inj_data[(off + c) * d + c] = one
+                prj_data[c * n + off + c] = one
+            inj[x] = Mat(fld, n, d, inj_data)
+            prj[x] = Mat(fld, d, n, prj_data)
         injections.append(ModuleMap(m, total, inj, validate=False))
         projections.append(ModuleMap(total, m, prj, validate=False))
     return total, injections, projections

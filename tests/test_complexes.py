@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from _support import (F101, point_pool, rand_complex, rand_homotopy,
-                      rand_qrep)
+from _support import (F101, QQ, a2_quiver, point_pool, rand_complex,
+                      rand_homotopy, rand_qrep)
+from arcat import complexes
 from arcat.complexes import (Approximation, Cyclic, Interval, NChainMap,
                              NComplex, NComplexSpec, Window, assemble_null_homotopic,
                              build_category, chain_map_from_module, chain_maps,
@@ -14,9 +15,9 @@ from arcat.complexes import (Approximation, Cyclic, Interval, NChainMap,
                              hard_truncate, interval_J, interval_J_map,
                              pad_complex, right_approximation, stalk,
                              stalk_filtration_certificate, to_module, to_rep,
-                             zero_complex)
+                             zero_complex, _chain_flat, _copair)
 from arcat.errors import PreconditionError, VerificationError
-from arcat.fincat import point_category
+from arcat.fincat import category_of, point_category
 from arcat.linalg import Mat, solve, hstack
 from arcat.modcat import (CModule, ModuleMap, almost_split_sequence, ar_quiver,
                           identity_map, is_isomorphic, verify_almost_split,
@@ -265,3 +266,214 @@ def test_direct_sum_and_pad():
     assert wide.degree_dims() == {0: 0, 1: 1, 2: 0, 3: 0}
     with pytest.raises(PreconditionError):
         pad_complex(st1, NComplexSpec(3, Window(0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# block assembly and the generator certificate against the constructions
+# they replace
+
+BENCH_SPECS = (NComplexSpec(2, Interval(5)), NComplexSpec(3, Window(0, 5)),
+               NComplexSpec(2, Cyclic(2)))
+
+
+def typed(f: ModuleMap):
+    """Every entry of every component, with its type."""
+    return {c: [(type(v), v) for v in m.data] for c, m in f.comps.items()}
+
+
+def typed_chain(f: NChainMap):
+    return {i: typed(g) for i, g in f.comps.items()}
+
+
+def coefficient_pools(fld):
+    a2 = category_of(a2_quiver(), fld)
+    return [point_pool(fld), (a2, list(ar_quiver(a2).modules))]
+
+
+def test_complex_direct_sum_matches_sum_of_products():
+    rng = random.Random(1313)
+    for fld in (F101, QQ):
+        for coeff, pool in coefficient_pools(fld):
+            loop = NComplexSpec(1, Cyclic(1))
+            for spec in BENCH_SPECS + (loop,):
+                xs = ([interval_J(spec, 0, pool[k % len(pool)]) for k in range(3)]
+                      if spec == loop else
+                      [rand_complex(spec, coeff, pool, rng) for _ in range(3)])
+                total, injs, projs = complex_direct_sum(xs, spec, coeff)
+                for i in spec.diff_degrees():
+                    j = spec.wrap(i + 1)
+                    old = zero_map(total.components[i], total.components[j])
+                    for k, x in enumerate(xs):
+                        old = old.add(projs[k].comps[i].then(x.differentials[i])
+                                      .then(injs[k].comps[j]))
+                    assert typed(total.differentials[i]) == typed(old)
+                total._validate()
+
+
+def test_copair_matches_sum_of_products():
+    rng = random.Random(1414)
+    for fld in (F101, QQ):
+        for coeff, pool in coefficient_pools(fld):
+            for spec in BENCH_SPECS:
+                xs = [rand_complex(spec, coeff, pool, rng) for _ in range(3)]
+                tgt = rand_complex(spec, coeff, pool, rng)
+                maps = []
+                for x in xs:
+                    basis = chain_maps(x, tgt)
+                    maps.append(basis[0].add(basis[-1]) if basis else
+                                NChainMap(x, tgt, {i: zero_map(x.components[i],
+                                                               tgt.components[i])
+                                                   for i in spec.degrees()}))
+                total, _, projs = complex_direct_sum(xs, spec, coeff)
+                new = _copair(total, tgt, maps)
+                for i in spec.degrees():
+                    old = zero_map(total.components[i], tgt.components[i])
+                    for k, f in enumerate(maps):
+                        old = old.add(projs[k].comps[i].then(f.comps[i]))
+                    assert typed(new.comps[i]) == typed(old)
+
+
+def reference_certificate(g: NComplex, y: NComplex, g_map: NChainMap,
+                          target_dim: int) -> bool:
+    """The certificate by a whole basis of Hom(G, Y): its composites with
+    g_map must have rank dim Hom(G, Z)."""
+    if target_dim == 0:
+        return True
+    cols = [_chain_flat(f.then(g_map)) for f in chain_maps(g, y)]
+    return bool(cols) and hstack(cols).rank() == target_dim
+
+
+def zero_block(injections, k, g_map):
+    """g_map with the block of evaluation copy k replaced by the zero map."""
+    legs = [f.then(g_map) for f in injections]
+    src = injections[k].src
+    legs[k] = NChainMap(src, g_map.tgt,
+                        {i: zero_map(src.components[i], g_map.tgt.components[i])
+                         for i in src.spec.degrees()})
+    return injections, _copair(g_map.src, g_map.tgt, legs)
+
+
+def scaled_degree(injections, k, g_map):
+    """Copy k's injection doubled in its lowest nonzero degree: no longer a
+    chain map, though its composite with g_map keeps its rank."""
+    f = injections[k]
+    low = next(i for i in f.src.spec.degrees() if not f.src.components[i].is_zero())
+    comps = {i: c.scale(2) if i == low else c for i, c in f.comps.items()}
+    bad = NChainMap(f.src, f.tgt, comps, validate=False)
+    return injections[:k] + [bad] + injections[k + 1:], g_map
+
+
+def spy_certificates(monkeypatch, corrupt=None):
+    """Records every call of the generator certificate; corrupt, if given,
+    rewrites the injections and g_map it is handed at the first evaluation
+    copy."""
+    calls = []
+    original = complexes._certify_generators
+
+    def spy(gens, multiplicities, injections, g_map):
+        if corrupt is not None:
+            first = next(s for s, m in enumerate(multiplicities) if m)
+            injections, g_map = corrupt(list(injections), sum(multiplicities[:first]),
+                                        g_map)
+        out = original(gens, multiplicities, injections, g_map)
+        calls.append((gens, multiplicities, g_map, out))
+        return out
+
+    monkeypatch.setattr(complexes, "_certify_generators", spy)
+    return calls
+
+
+def test_generator_certificate_agrees_with_reference(monkeypatch):
+    calls = spy_certificates(monkeypatch)
+    rng = random.Random(1515)
+    for fld in (F101, QQ):
+        pt, pool = point_pool(fld)
+        for spec in BENCH_SPECS:
+            padded = spec.padded()
+            gens = [interval_J(padded, j, pool[0]) for j in spec.degrees()]
+            for _ in range(2):
+                z = rand_complex(spec, pt, pool, rng)
+                ap = right_approximation(z, gens)
+                assert ap.certified == [True] * len(gens)
+                gens_p, mults, g_map, out = calls[-1]
+                assert out == ap.certified and g_map is ap.chain_map
+                assert [reference_certificate(g, ap.source, ap.chain_map, m)
+                        for g, m in zip(gens_p, mults)] == [True] * len(gens)
+
+
+@pytest.mark.parametrize("corrupt", [zero_block, scaled_degree])
+def test_generator_certificate_negative_control(monkeypatch, corrupt):
+    calls = spy_certificates(monkeypatch, corrupt)
+    rng = random.Random(1616)
+    for fld in (F101, QQ):
+        pt, pool = point_pool(fld)
+        for spec in BENCH_SPECS:
+            padded = spec.padded()
+            gens = [interval_J(padded, j, pool[0]) for j in spec.degrees()]
+            z = rand_complex(spec, pt, pool, rng)
+            while z.is_zero():
+                z = rand_complex(spec, pt, pool, rng)
+            with pytest.raises(VerificationError):
+                right_approximation(z, gens)
+            gens_p, mults, bad_map, out = calls[-1]
+            first = next(s for s, m in enumerate(mults) if m)
+            assert out[first] is False
+            y = bad_map.src
+            for g, m, ok in zip(gens_p, mults, out):
+                if ok:
+                    assert reference_certificate(g, y, bad_map, m)
+
+
+def test_right_approximation_builds_only_what_it_needs(monkeypatch):
+    targets = []
+    original = complexes.chain_maps
+
+    def spy(x, z):
+        targets.append(z)
+        return original(x, z)
+
+    monkeypatch.setattr(complexes, "chain_maps", spy)
+    spec = NComplexSpec(3, Window(0, 5))
+    gens = [interval_J(spec.padded(), j, K1) for j in spec.degrees()]
+    z = rand_complex(spec, PT, POOL, random.Random(1717))
+    ap = right_approximation(z, gens)
+    assert len(targets) == len(gens)
+    assert all(t is ap.padded for t in targets)
+
+
+def test_build_category_once_per_spec(monkeypatch):
+    built = []
+    original = complexes.BoundQuiver
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "_CATEGORIES", {})
+    monkeypatch.setattr(complexes, "BoundQuiver", counting)
+    spec = NComplexSpec(2, Interval(5))
+    first = build_category(spec)
+    assert build_category(NComplexSpec(2, Interval(5))) is first
+    gens = [interval_J(spec.padded(), j, K1) for j in spec.degrees()]
+    right_approximation(rand_complex(spec, PT, POOL, random.Random(1818)), gens)
+    assert len(built) == 2
+    assert set(complexes._CATEGORIES) == {spec, spec.padded()}
+
+
+def test_window_check_names_first_nonzero_window():
+    spec = NComplexSpec(2, Interval(4))
+    ident = identity_map(K1)
+    zero = zero_map(K1, K1)
+    comps = {i: K1 for i in spec.degrees()}
+    for diffs, first in (({1: ident, 2: ident, 3: ident}, 1),
+                         ({1: zero, 2: ident, 3: ident}, 2),
+                         ({1: ident, 2: zero, 3: ident}, None)):
+        if first is None:
+            NComplex(spec, PT, comps, diffs)
+            continue
+        with pytest.raises(PreconditionError, match=f"from degree {first} is nonzero"):
+            NComplex(spec, PT, comps, diffs)
+    loop = NComplexSpec(1, Cyclic(1))
+    with pytest.raises(PreconditionError, match="from degree 0 is nonzero"):
+        NComplex(loop, PT, {0: K1}, {0: ident})
+    NComplex(loop, PT, {0: K1}, {0: zero})

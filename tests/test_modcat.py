@@ -493,3 +493,27 @@ def test_validate_makes_one_functoriality_product_per_middle_object(monkeypatch)
     # vertices 2..5 have an arrow in and an arrow out; one product per pair of
     # basis elements made 20, 16 of them with an identity factor
     assert len(products) == 4 <= len(cat.objects)
+
+
+def test_direct_sum_maps_match_entrywise_rows():
+    """The injections and projections equal the row-by-row construction,
+    entry types included, over F_101 and Q."""
+    for fld in (F101, QQ):
+        cat = representation_category(a3_rad2(), fld)
+        pool = list(ar_quiver(cat).modules)
+        for mods in (pool, pool[::-1] + pool[:2], [pool[0]], [zero_module(cat), pool[1]]):
+            total, injs, projs = direct_sum(mods, cat)
+            pos = {x: 0 for x in cat.objects}
+            for m, inj, prj in zip(mods, injs, projs):
+                for x in cat.objects:
+                    off, n = pos[x], total.dims[x]
+                    rows = [[fld.one() if r == off + c else fld.zero()
+                             for c in range(m.dims[x])] for r in range(n)]
+                    old = Mat.from_rows(fld, rows) if n else Mat.zeros(fld, 0, m.dims[x])
+                    typed = [(type(v), v) for v in old.data]
+                    assert [(type(v), v) for v in inj.comps[x].data] == typed
+                    assert (inj.comps[x].rows, inj.comps[x].cols) == (old.rows, old.cols)
+                    assert prj.comps[x] == old.transpose()
+                    assert ([(type(v), v) for v in prj.comps[x].data]
+                            == [(type(v), v) for v in old.transpose().data])
+                    pos[x] += m.dims[x]

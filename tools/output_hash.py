@@ -25,6 +25,15 @@ Prints one SHA-256 per set:
   and a zero composite of two non-identity basis elements.  An outcome is
   `accept` or the class of the error; messages are left out, since a
   refusal only has to name one failing statement.
+- `complexes`: every coil, approximation and factoring answer of the
+  complexes-rep benchmark workload at the given seed, in op order: coil
+  sources and maps, approximation sources, chain maps, multiplicities and
+  certificates, and factored lifts, every entry hashed with its type (the
+  workload's representation ops are left out); then the exit code, stdout
+  and stderr of 48 `approximate` CLI jobs: interval 4, window 0..3 with
+  n = 3, and the cycles of order 2 and 1 (n = 1), each with `generators =
+  none` and `coils`, on a stalk of the point and of both A2 projectives,
+  over F_101 and with `--field Q`.
 
 Run it in two checkouts and compare the lines.  It imports arcat from the
 checkout's `src/`, and takes the job texts and the workload inputs from
@@ -47,6 +56,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import inputs  # noqa: E402
 import workloads  # noqa: E402
 from arcat import cli  # noqa: E402
+from arcat.complexes import NChainMap, NComplex  # noqa: E402
 from arcat.errors import PreconditionError, VerificationError  # noqa: E402
 from arcat.fincat import FinCategory, category_of  # noqa: E402
 from arcat.linalg import Field, Mat  # noqa: E402
@@ -89,17 +99,42 @@ def cli_jobs():
     return jobs
 
 
-def cli_hash():
-    h = hashlib.sha256()
+# (label, complex line, stalk degree)
+APPROXIMATE_SHAPES = (("interval4", "interval 4", 2), ("window0-3", "window 0 3 n=3", 1),
+                      ("cyclic2", "cyclic 2", 0), ("cyclic1", "cyclic 1 n=1", 0))
+
+
+def approximate_jobs():
+    """(name, job text, extra argv) for the 48 `approximate` jobs."""
+    jobs = []
+    for label, shape, degree in APPROXIMATE_SHAPES:
+        for coeff, obj, extra in (("pt", "pt", ""), ("A2-1", "1", A2_COEFFICIENT),
+                                  ("A2-2", "2", A2_COEFFICIENT)):
+            for gens in ("none", "coils"):
+                text = (f"[field]\np = {workloads.P}\n\n[quiver]\ncomplex = {shape}\n\n"
+                        f"[command]\nname = approximate\ntarget = stalk {degree} {obj}\n"
+                        f"generators = {gens}\n" + extra)
+                name = f"{label}.{coeff}.{gens}"
+                jobs += [(name, text, []), (f"{name}-Q", text, ["--field", "Q"])]
+    return jobs
+
+
+def run_jobs(h, jobs):
+    """Feeds the exit code, stdout and stderr of each job into h."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "job.txt")
-        for name, text, argv in cli_jobs():
+        for name, text, argv in jobs:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([path] + argv)
             h.update(repr((name, code, out.getvalue(), err.getvalue())).encode())
+
+
+def cli_hash():
+    h = hashlib.sha256()
+    run_jobs(h, cli_jobs())
     return h.hexdigest()
 
 
@@ -115,6 +150,10 @@ def canon(obj):
         return ("CModule", canon(obj.dims), canon(obj.action))
     if isinstance(obj, ModuleMap):
         return ("ModuleMap", canon(obj.src), canon(obj.tgt), canon(obj.comps))
+    if isinstance(obj, NComplex):
+        return ("NComplex", canon(obj.components), canon(obj.differentials))
+    if isinstance(obj, NChainMap):
+        return ("NChainMap", canon(obj.src), canon(obj.tgt), canon(obj.comps))
     if dataclasses.is_dataclass(obj):
         return (type(obj).__name__,) + tuple(canon(getattr(obj, f.name))
                                              for f in dataclasses.fields(obj))
@@ -129,6 +168,25 @@ def decompose_hash(seed):
     h = hashlib.sha256()
     for op in workloads.build("decompose", seed, prepared=workloads.decompose_pools()):
         h.update(repr((op.name, canon(op.run()))).encode())
+    return h.hexdigest()
+
+
+def complexes_answer(name, answer):
+    """The parts of a complexes-rep answer that the hash fixes."""
+    kind = name.split(":")[0]
+    if kind == "coil":
+        return (answer.source, answer.p)
+    if kind == "approx":
+        return (answer.source, answer.chain_map, answer.multiplicities, answer.certified)
+    return answer
+
+
+def complexes_hash(seed):
+    h = hashlib.sha256()
+    for op in workloads.build("complexes-rep", seed):
+        if op.name.split(":")[0] in ("coil", "approx", "factor"):
+            h.update(repr((op.name, canon(complexes_answer(op.name, op.run())))).encode())
+    run_jobs(h, approximate_jobs())
     return h.hexdigest()
 
 
@@ -181,11 +239,12 @@ def validate_hash():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the decompose workload (default 1)")
+                        help="seed of the decompose and complexes-rep workloads (default 1)")
     args = parser.parse_args(argv)
     print(f"cli {cli_hash()}")
     print(f"decompose seed {args.seed} {decompose_hash(args.seed)}")
     print(f"validate {validate_hash()}")
+    print(f"complexes seed {args.seed} {complexes_hash(args.seed)}")
     return 0
 
 
