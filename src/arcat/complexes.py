@@ -446,14 +446,9 @@ def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
 
 
 def interval_J_map(spec: NComplexSpec, j: int, f: ModuleMap,
-                   src: Optional[NComplex] = None,
-                   tgt: Optional[NComplex] = None) -> NChainMap:
-    """The coil construction applied to a coefficient map; src and tgt, when
-    given, must be the coils of f.src and f.tgt at degree j."""
-    if src is None:
-        src = interval_J(spec, j, f.src)
-    if tgt is None:
-        tgt = interval_J(spec, j, f.tgt)
+                   src: NComplex, tgt: NComplex) -> NChainMap:
+    """The coil construction applied to a coefficient map; src and tgt are
+    the coils of f.src and f.tgt at degree j."""
     if spec.cyclic and spec.shape.order == 1:
         comp = _block_diag_map(src.components[0], tgt.components[0], [f, f])
         return NChainMap(src, tgt, {0: comp}, validate=True)
@@ -757,7 +752,7 @@ def _certify_generators(gens: Sequence[NComplex], multiplicities: Sequence[int],
                         g_map: NChainMap) -> List[bool]:
     """certified[s] for each generator G_s: the injections of its evaluation
     copies (the next multiplicities[s] of `injections`) pass validation as
-    chain maps G_s -> Y, and their composites with the validated g_map have
+    chain maps G_s -> Y, the source of g_map, and their composites with the validated g_map have
     rank multiplicities[s] = dim Hom(G_s, Z).  Those preimages then span
     Hom(G_s, Z), so Hom(G_s, Y) -> Hom(G_s, Z) is surjective."""
     certified = []
@@ -769,6 +764,8 @@ def _certify_generators(gens: Sequence[NComplex], multiplicities: Sequence[int],
             for f in copies:
                 if f.src is not g and f.src != g:
                     raise PreconditionError("copy is not a map out of its generator")
+                if f.tgt is not g_map.src and f.tgt != g_map.src:
+                    raise PreconditionError("copy is not a map into Y")
                 f._validate()
         except PreconditionError:
             certified.append(False)

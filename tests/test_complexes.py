@@ -363,6 +363,22 @@ def scaled_degree(injections, k, g_map):
     return injections[:k] + [bad] + injections[k + 1:], g_map
 
 
+def foreign_target(injections, k, g_map):
+    """Copy k's injection retargeted at another sum of the same pieces, whose
+    last piece has its differentials doubled: still a chain map into that
+    sum, with the same components, but not a map into Y."""
+    pieces = [f.src for f in injections]
+    last = pieces[-1]
+    pieces[-1] = NComplex(last.spec, last.coeff, last.components,
+                          {i: d.scale(2) for i, d in last.differentials.items()})
+    other, other_injs, _ = complex_direct_sum(pieces, last.spec, last.coeff)
+    assert other != g_map.src
+    f = injections[k]
+    moved = NChainMap(f.src, other, other_injs[k].comps)
+    assert moved.comps == f.comps
+    return injections[:k] + [moved] + injections[k + 1:], g_map
+
+
 def spy_certificates(monkeypatch, corrupt=None):
     """Records every call of the generator certificate; corrupt, if given,
     rewrites the injections and g_map it is handed at the first evaluation
@@ -401,7 +417,7 @@ def test_generator_certificate_agrees_with_reference(monkeypatch):
                         for g, m in zip(gens_p, mults)] == [True] * len(gens)
 
 
-@pytest.mark.parametrize("corrupt", [zero_block, scaled_degree])
+@pytest.mark.parametrize("corrupt", [zero_block, scaled_degree, foreign_target])
 def test_generator_certificate_negative_control(monkeypatch, corrupt):
     calls = spy_certificates(monkeypatch, corrupt)
     rng = random.Random(1616)
