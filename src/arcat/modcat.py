@@ -2,12 +2,29 @@
 
 A CModule assigns to every object x a space k^dims[x] and to every hom basis
 element f_i: x -> y a matrix action[(x, y, i)]: k^dims[y] -> k^dims[x];
-composites reverse, M(g o f) = M(f) M(g), and functoriality is re-verified on
-construction, with one matrix product per middle object y covering every
-pair f_i: x -> y, g_j: y -> z.  Pairs with an identity factor are left out:
-they follow from the unit check and the unit laws of the category.
-ModuleMaps are natural transformations with per object components, also
-verified.
+composites reverse, M(g o f) = M(f) M(g).  ModuleMaps are natural
+transformations with per object components.
+
+Validation happens at the trust boundary.  A module or map built from given
+data is verified on construction: functoriality with one matrix product per
+middle object y covering every pair f_i: x -> y, g_j: y -> z (pairs with an
+identity factor follow from the unit check and the unit laws of the
+category), naturality square by square.  So are the representables and the
+maps between them, the simple modules, the base change of
+conjugate_module, the cocycle pair of extension_from_cocycle, and the maps
+that factor_through_cokernel, dual_map and _end_action_on_kernel return;
+complexes and representations built on modules validate on construction.
+The derived objects whose construction proves them valid are built
+unvalidated, each with its proof in its docstring: sub-modules and their
+inclusions (one exact solve against bases of full column rank), the
+projection onto an image, cokernels and their projections (phi is natural),
+maps between sums of representables and the cover map (associativity,
+Yoneda), and duals (transposed actions).  Composites, sums and scalings of
+maps, identities, zero maps and direct sums are natural or functorial by
+linear algebra alone.  Every certificate the program reports is still
+checked: cover surjectivity and ker <= rad, the rebuilt presentation,
+exactness and non-splitness, the almost split property and the
+decomposition identities.
 
 On this representation the module category is computed exactly: hom spaces,
 kernels, images, cokernels, radicals, projective covers and minimal
@@ -42,9 +59,11 @@ from .quiver import BoundQuiver, opposite
 class CModule:
     """A contravariant functor from a FinCategory to finite vector spaces.
 
-    Immutable after construction: callers must never assign to dims or
-    action, because the memoised presentation and dual are keyed on the
-    object itself.
+    Built from given data it is validated on construction (validate=True);
+    the constructions of this module that prove their result functorial pass
+    validate=False (see the module docstring).  Immutable after
+    construction: callers must never assign to dims or action, because the
+    memoised presentation and dual are keyed on the object itself.
     """
 
     def __init__(self, cat: FinCategory, dims: Dict, action: Dict, validate: bool = True):
@@ -140,6 +159,8 @@ class CModule:
         return [e % p for e in out] if p is not None else out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, CModule) and self.cat == other.cat
                 and self.dims == other.dims and self.action == other.action)
 
@@ -216,6 +237,8 @@ class ModuleMap:
         return ModuleMap(self.tgt, self.src, inv, validate=False)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, ModuleMap) and self.src == other.src
                 and self.tgt == other.tgt and self.comps == other.comps)
 
@@ -437,7 +460,11 @@ def _submodule_on_bases(m: CModule, bases: Dict) -> Kernel:
     """The submodule spanned objectwise by the given invariant column bases.
 
     The actions out of each object x come from one solve against bases[x],
-    one block of columns per hom basis element (x, y, i).
+    one block of columns per hom basis element (x, y, i).  The bases have
+    full column rank, and the exact solve gives M(f) B_y = B_x A(f) for
+    every f: x -> y, so A(f) is unique and the unit law, functoriality
+    (B_x A(g o f) = M(f) M(g) B_z = B_x A(f) A(g)) and the naturality of the
+    inclusion follow from those of m: both are built unvalidated.
     """
     cat = m.cat
     dims = {x: bases[x].cols for x in cat.objects}
@@ -453,8 +480,8 @@ def _submodule_on_bases(m: CModule, bases: Dict) -> Kernel:
             action[k] = Mat(cat.field, sol.rows, width,
                             [v for r in range(sol.rows) for v in sol.row(r)[pos:pos + width]])
             pos += width
-    sub = CModule(cat, dims, action, validate=True)
-    return Kernel(sub, ModuleMap(sub, m, bases, validate=True))
+    sub = CModule(cat, dims, action, validate=False)
+    return Kernel(sub, ModuleMap(sub, m, bases, validate=False))
 
 
 def kernel_module(phi: ModuleMap) -> Kernel:
@@ -463,6 +490,12 @@ def kernel_module(phi: ModuleMap) -> Kernel:
 
 
 def image_module(phi: ModuleMap) -> Image:
+    """The image of phi, with phi = include o project.
+
+    project is built unvalidated: include o project = phi by the solve, and
+    include is injective, so the naturality of project follows from that of
+    phi (B_x P_x m(f) = phi_x m(f) = n(f) phi_y = B_x A(f) P_y).
+    """
     m, n = phi.src, phi.tgt
     bases = {x: phi.comps[x].column_space_basis()[0] for x in m.cat.objects}
     sub = _submodule_on_bases(n, bases)
@@ -473,10 +506,19 @@ def image_module(phi: ModuleMap) -> Image:
             raise AssertionError("image factorization failed")
         project[x] = sol
     return Image(sub.module, sub.include,
-                 ModuleMap(m, sub.module, project, validate=True))
+                 ModuleMap(m, sub.module, project, validate=False))
 
 
 def cokernel_module(phi: ModuleMap) -> Cokernel:
+    """The cokernel of phi: the rows of the projection pi_x span the left
+    null space of phi_x, s_x is a section of pi_x, and f acts by
+    pi_x n(f) s_y.
+
+    The module and the projection are built unvalidated: pi kills im phi, and
+    im phi is stable under n because phi is natural, so pi_x n(f) =
+    (pi_x n(f) s_y) pi_y; functoriality and the unit law then follow from
+    those of n, since every pi_x is surjective.
+    """
     n = phi.tgt
     cat = n.cat
     fld = cat.field
@@ -495,8 +537,8 @@ def cokernel_module(phi: ModuleMap) -> Cokernel:
         for y in cat.objects:
             for i in range(cat.dim(x, y)):
                 action[(x, y, i)] = pis[x] @ n.action[(x, y, i)] @ sections[y]
-    coker = CModule(cat, dims, action, validate=True)
-    return Cokernel(coker, ModuleMap(n, coker, pis, validate=True), sections)
+    coker = CModule(cat, dims, action, validate=False)
+    return Cokernel(coker, ModuleMap(n, coker, pis, validate=False), sections)
 
 
 def factor_through_cokernel(ck: Cokernel, psi: ModuleMap) -> ModuleMap:
@@ -556,7 +598,10 @@ def proj_sum_map(src: ProjSum, tgt: ProjSum, matrix: Sequence[Sequence]) -> Modu
     """The map of representable sums with block (j, i) given by a hom element.
 
     matrix[j][i] holds coordinates in hom(src.vertices[i], tgt.vertices[j]);
-    the block acts by postcomposition.
+    the block acts by postcomposition.  The map is built unvalidated:
+    postcomposition commutes with the precomposition action of the
+    representables, (h o g) o f = h o (g o f), by the associativity of the
+    validated category.
     """
     cat = src.cat
     fld = cat.field
@@ -574,7 +619,7 @@ def proj_sum_map(src: ProjSum, tgt: ProjSum, matrix: Sequence[Sequence]) -> Modu
                         vals[tgt.offsets[z][j] + t][src.offsets[z][i] + k] = v
         comps[z] = (Mat.from_rows(fld, vals) if rows_t
                     else Mat.zeros(fld, 0, cols_s))
-    return ModuleMap(src.module, tgt.module, comps, validate=True)
+    return ModuleMap(src.module, tgt.module, comps, validate=False)
 
 
 def proj_sum_matrix(src: ProjSum, tgt: ProjSum, phi: ModuleMap) -> List[List[Tuple]]:
@@ -603,7 +648,12 @@ class Cover:
 
 
 def projective_cover(m: CModule) -> Cover:
-    """A projective cover with surjectivity and ker <= rad certificates."""
+    """A projective cover with surjectivity and ker <= rad certificates.
+
+    The cover map sends g in Hom(y, x) to m(g) e for a lift e of a top basis
+    vector at x; it is built unvalidated, because it is natural by the
+    functoriality of m (Yoneda): m(g o f) e = m(f) m(g) e.
+    """
     cat = m.cat
     fld = cat.field
     top = top_quotient(m)
@@ -620,7 +670,7 @@ def projective_cover(m: CModule) -> Cover:
             cols = [m.action[(y, x, i)] @ elem for i in range(cat.dim(y, x))]
             blocks.append(hstack(cols) if cols else Mat.zeros(fld, m.dims[y], 0))
         comps[y] = hstack(blocks) if blocks else Mat.zeros(fld, m.dims[y], 0)
-    p = ModuleMap(psum.module, m, comps, validate=True)
+    p = ModuleMap(psum.module, m, comps, validate=False)
     if not p.is_surjective():
         raise AssertionError("cover map is not surjective")
     ker = kernel_module(p)
@@ -671,8 +721,11 @@ def duality_D(m: CModule) -> CModule:
     """The componentwise dual, a module over the opposite category; an exact
     involution.
 
-    Built and validated once per module and cached on both sides, so that
-    duality_D(duality_D(m)) is m.
+    Built once per module and cached on both sides, so that
+    duality_D(duality_D(m)) is m.  It is built unvalidated: its action is the
+    transpose of the functorial action of m, over opposite_category, whose
+    tables are those of m.cat with the factors swapped, and transposing
+    reverses products, (M(f) M(g))^T = M(g)^T M(f)^T.
     """
     if m._dual is None:
         op = opposite_category(m.cat)
@@ -681,7 +734,7 @@ def duality_D(m: CModule) -> CModule:
             for y in op.objects:
                 for i in range(op.dim(x, y)):
                     action[(x, y, i)] = m.action[(y, x, i)].transpose()
-        dual = CModule(op, dict(m.dims), action, validate=True)
+        dual = CModule(op, dict(m.dims), action, validate=False)
         m._dual, dual._dual = dual, m
     return m._dual
 
@@ -694,6 +747,8 @@ def dual_map(phi: ModuleMap) -> ModuleMap:
 
 
 def _transpose_raw(m: CModule) -> CModule:
+    """Tr m, the cokernel of the dualized differential of a minimal
+    presentation, without the projective-summand check of `transpose`."""
     pres = minimal_presentation(m)
     op = opposite_category(m.cat)
     s1 = proj_sum(op, pres.p1.vertices)
@@ -709,7 +764,9 @@ def transpose(m: CModule) -> CModule:
 
     Rejects inputs with a projective direct summand: the double transpose
     recovers exactly the projective-free part, so a dimension drop there
-    pins down the summand's dim vector without any idempotent search.
+    pins down the summand's dim vector without any idempotent search.  The
+    check costs a second transpose; callers that have already proved m free
+    of projective summands (almost_split_sequence) use _transpose_raw.
     """
     t = _transpose_raw(m)
     back = _transpose_raw(t)
@@ -722,7 +779,7 @@ def transpose(m: CModule) -> CModule:
 
 def tau(m: CModule) -> CModule:
     """The translate D Tr; rejects projective summands, whose translate
-    would vanish."""
+    would vanish, by the double-transpose check of `transpose`."""
     return duality_D(transpose(m))
 
 
@@ -965,7 +1022,10 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     """The almost split sequence ending at an indecomposable non-projective z.
 
     The class is taken in the socle of Ext^1(z, tau z) under the End(z)
-    action; the materialized sequence is checked exact and non-split.
+    action; the materialized sequence is checked exact and non-split.  The
+    local End(z) and is_projective_module prove that z has no projective
+    summand, so tau z is taken as D(_transpose_raw(z)), without the
+    double-transpose check of `tau`; the result equals tau(z).
     """
     if z.is_zero():
         raise PreconditionError("zero module has no almost split sequence")
@@ -974,7 +1034,7 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
         raise PreconditionError("module is decomposable")
     if is_projective_module(z):
         raise PreconditionError("projective module has no almost split sequence")
-    tz = tau(z)
+    tz = duality_D(_transpose_raw(z))
     if tz.is_zero():
         raise AssertionError("translate of a non-projective vanished")
     ext = Ext1(z, tz)

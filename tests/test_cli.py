@@ -235,6 +235,16 @@ def test_verify_split_control_exits_3(tmp_path, capsys):
     assert "sequence splits" in err
 
 
+def test_verify_split_projective_target_refused_by_tau(tmp_path, capsys):
+    text = A2_QUIVER + ("\n[command]\nname = verify\n"
+                        "target = projective 2:pt\nsequence = split\n")
+    code, out, err = run(tmp_path, text, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("precondition failed: projective summand with dims "
+                   "{('2', 'pt'): 1} present\n")
+
+
 def test_verify_almost_split_passes(tmp_path, capsys):
     text = A2_QUIVER + ("\n[command]\nname = verify\n"
                         "target = dims 1 0\nsequence = almost-split\n")

@@ -17,7 +17,7 @@ from arcat.complexes import (Approximation, Cyclic, Interval, NChainMap,
                              stalk_filtration_certificate, to_module, to_rep,
                              zero_complex, _chain_flat, _copair)
 from arcat.errors import PreconditionError, VerificationError
-from arcat.fincat import category_of, point_category
+from arcat.fincat import FinCategory, category_of, point_category
 from arcat.linalg import Mat, solve, hstack
 from arcat.modcat import (CModule, ModuleMap, almost_split_sequence, ar_quiver,
                           identity_map, is_isomorphic, verify_almost_split,
@@ -493,3 +493,58 @@ def test_window_check_names_first_nonzero_window():
     with pytest.raises(PreconditionError, match="from degree 0 is nonzero"):
         NComplex(loop, PT, {0: K1}, {0: ident})
     NComplex(loop, PT, {0: K1}, {0: zero})
+
+
+def test_every_coil_is_a_complex(monkeypatch):
+    """interval_J builds its coils unvalidated; every coil built for the
+    benchmark shapes and the one-vertex cycle passes the full check."""
+    coils = []
+    original = complexes.interval_J
+
+    def recording(spec, j, m):
+        coil = original(spec, j, m)
+        coils.append(coil)
+        return coil
+
+    monkeypatch.setattr(complexes, "interval_J", recording)
+    rng = random.Random(1919)
+    loop = NComplexSpec(1, Cyclic(1))
+    for fld in (F101, QQ):
+        for coeff, pool in coefficient_pools(fld):
+            for spec in BENCH_SPECS:
+                padded = spec.padded()
+                gens = [recording(padded, j, pool[0]) for j in spec.degrees()]
+                for _ in range(2):
+                    z = rand_complex(spec, coeff, pool, rng)
+                    coil_epi(z)
+                    right_approximation(z, gens)
+            for m in pool:
+                coil_epi(recording(loop, 0, m))
+    assert {c.spec for c in coils} == {s.padded() for s in BENCH_SPECS} | {loop}
+    for coil in coils:
+        coil._validate()
+
+
+def test_coil_validation_compares_no_module_with_itself(monkeypatch):
+    """Endpoint checks meet the same module objects again and again; the
+    identity shortcut of CModule.__eq__ answers them without comparing
+    categories, dimensions or actions."""
+    compared = []
+    original = FinCategory.__eq__
+
+    def counting(self, other):
+        compared.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(FinCategory, "__eq__", counting)
+    for fld in (F101, QQ):
+        for coeff, pool in coefficient_pools(fld):
+            for spec in BENCH_SPECS:
+                for j in spec.padded().degrees()[:2]:
+                    coil = interval_J(spec.padded(), j, pool[-1])
+                    coil._validate()
+                    NChainMap(coil, coil, {i: identity_map(coil.components[i])
+                                           for i in spec.padded().degrees()})
+                    d = coil.differentials[j]
+                    assert d == d and d.src == d.src
+    assert compared == []

@@ -9,8 +9,9 @@ from arcat import modcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of
 from arcat.linalg import Mat, solve
-from arcat.modcat import (CModule, Ext1, ShortExact, almost_split_sequence,
-                          ar_quiver, cokernel_module, conjugate_module, decompose_module,
+from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
+                          almost_split_sequence, ar_quiver, cokernel_module,
+                          conjugate_module, decompose_module,
                           direct_sum, dual_map, duality_D, end_algebra,
                           extension_from_cocycle, global_dimension, hom_space,
                           identity_map, image_module, is_injective_module,
@@ -517,3 +518,99 @@ def test_direct_sum_maps_match_entrywise_rows():
                     assert ([(type(v), v) for v in prj.comps[x].data]
                             == [(type(v), v) for v in old.transpose().data])
                     pos[x] += m.dims[x]
+
+
+# ---------------------------------------------------------------------------
+# trusted derived objects against a run that validates everything
+
+
+def force_validation(monkeypatch):
+    """Make every CModule and ModuleMap validate on construction, whatever
+    its constructor asks for."""
+    module_init, map_init = CModule.__init__, ModuleMap.__init__
+
+    def module(self, cat, dims, action, validate=True):
+        module_init(self, cat, dims, action, validate=True)
+
+    def natural(self, src, tgt, comps, validate=True):
+        map_init(self, src, tgt, comps, validate=True)
+
+    monkeypatch.setattr(CModule, "__init__", module)
+    monkeypatch.setattr(ModuleMap, "__init__", natural)
+
+
+def typed_entries(mat):
+    return (mat.rows, mat.cols, tuple((type(v), v) for v in mat.data))
+
+
+def module_print(m):
+    return (tuple(m.dims.items()),
+            tuple((k, typed_entries(a)) for k, a in m.action.items()))
+
+
+def map_print(f):
+    return (module_print(f.src), module_print(f.tgt),
+            tuple((x, typed_entries(c)) for x, c in f.comps.items()))
+
+
+ORACLE_CATEGORIES = {
+    "A4rad2": lambda fld: representation_category(a_m_rad_n(4, 2), fld),
+    "C3rad2": lambda fld: representation_category(cyclic_rad2(3), fld),
+    "A3rad2xA2": lambda fld: tensor_base(a3_rad2(), category_of(a2_quiver(), fld)),
+}
+
+
+def knitting_results(name, fld, check_tau=False):
+    """Everything the knitting path reports on a freshly built category: the
+    AR quiver, the almost split sequence ending at each non-projective with
+    its verification against the whole quiver, and the decomposition of one
+    scrambled sum, every entry typed."""
+    cat = ORACLE_CATEGORIES[name](fld)
+    ar = ar_quiver(cat)
+    out = [[module_print(m) for m in ar.modules], ar.projective, ar.injective,
+           sorted(ar.edges.items()), ar.tau_pairs]
+    for z, proj in zip(ar.modules, ar.projective):
+        if proj:
+            continue
+        ass = almost_split_sequence(z)
+        if check_tau:
+            assert ass.tau_module == tau(z)
+        se = ass.sequence
+        out.append((map_print(se.include), map_print(se.project),
+                    module_print(ass.tau_module), ass.ext_dim,
+                    tuple((type(c), c) for c in ass.socle_class),
+                    verify_almost_split(ass, ar.modules)))
+    rng = random.Random(2024)
+    nonproj = [m for m, p in zip(ar.modules, ar.projective) if not p]
+    picked = [nonproj[0], ar.modules[0], nonproj[0]]
+    total = direct_sum(picked, cat)[0]
+    scrambled, _ = conjugate_module(
+        total, {x: rand_invertible(fld, total.dims[x], rng) for x in cat.objects})
+    out.append([(map_print(p.include), map_print(p.project))
+                for p in decompose_module(scrambled)])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CATEGORIES))
+def test_trusted_constructions_pass_forced_validation(monkeypatch, name):
+    for fld in (F101, QQ):
+        trusted = knitting_results(name, fld, check_tau=True)
+        with monkeypatch.context() as patch:
+            force_validation(patch)
+            assert knitting_results(name, fld) == trusted
+
+
+def test_knitting_validation_count_guard(monkeypatch):
+    calls = Counter()
+    for cls in (CModule, ModuleMap):
+        def counting(self, original=cls._validate, name=cls.__name__):
+            calls[name] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "_validate", counting)
+    ar = ar_quiver(representation_category(a_m_rad_n(4, 2), F101))
+    assert len(ar.modules) == 7
+    # validated: the representables over the category and its opposite, and
+    # the maps built at the extensions' boundaries (14 in all; 388 when every
+    # derived object was validated)
+    assert sum(calls.values()) <= 20, calls
