@@ -358,12 +358,16 @@ def _copair(src: NComplex, tgt: NComplex, maps: Sequence[NChainMap]) -> NChainMa
 
 
 def to_rep(x: NComplex, bq: Optional[BoundQuiver] = None) -> QRep:
+    """x as a representation of bq = build_category(x.spec), built
+    unvalidated: the NComplex already has its components over the
+    coefficients and its differentials between the components at the arrows'
+    endpoints, and its vanishing windows are the relations of bq."""
     if bq is None:
         bq = build_category(x.spec)
     vertex_modules = {x.spec.vertex(i): x.components[i] for i in x.spec._degrees}
     arrow_maps = {x.spec.arrow(i): x.differentials[i]
                   for i in x.spec._diff_degrees}
-    return QRep(bq, x.coeff, vertex_modules, arrow_maps, validate=True)
+    return QRep(bq, x.coeff, vertex_modules, arrow_maps, validate=False)
 
 
 def from_rep(spec: NComplexSpec, r: QRep) -> NComplex:

@@ -41,7 +41,8 @@ class Field:
     """A coefficient field, either F_p (p prime) or Q.
 
     Elements of F_p are ints in [0, p); elements of Q are Fraction.  The
-    class only carries the arithmetic, values are plain Python objects.
+    class only carries the arithmetic, values are plain Python objects; zero
+    and one are shared (Fractions are immutable).
     """
 
     def __init__(self, p: Optional[int] = None):
@@ -49,6 +50,7 @@ class Field:
             if not _is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
         self.p = p
+        self._zero, self._one = (0, 1) if p is not None else (Fraction(0), Fraction(1))
 
     @classmethod
     def prime(cls, p: int) -> "Field":
@@ -63,10 +65,10 @@ class Field:
         return self.p is not None
 
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return self._zero
 
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return self._one
 
     def of(self, n) -> object:
         """Coerce an int or a Fraction into the field; over F_p, a/b maps to
@@ -106,7 +108,7 @@ class Field:
         return Fraction(rng.randrange(-4, 5))
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p
+        return self is other or (isinstance(other, Field) and self.p == other.p)
 
     def __hash__(self):
         return hash(("Field", self.p))

@@ -9,22 +9,24 @@ Validation happens at the trust boundary.  A module or map built from given
 data is verified on construction: functoriality with one matrix product per
 middle object y covering every pair f_i: x -> y, g_j: y -> z (pairs with an
 identity factor follow from the unit check and the unit laws of the
-category), naturality square by square.  So are the representables and the
-maps between them, the simple modules, the base change of
-conjugate_module, the cocycle pair of extension_from_cocycle, and the maps
-that factor_through_cokernel, dual_map and _end_action_on_kernel return;
-complexes and representations built on modules validate on construction.
-The derived objects whose construction proves them valid are built
-unvalidated, each with its proof in its docstring: sub-modules and their
-inclusions (one exact solve against bases of full column rank), the
-projection onto an image, cokernels and their projections (phi is natural),
-maps between sums of representables and the cover map (associativity,
-Yoneda), and duals (transposed actions).  Composites, sums and scalings of
-maps, identities, zero maps and direct sums are natural or functorial by
-linear algebra alone.  Every certificate the program reports is still
-checked: cover surjectivity and ker <= rad, the rebuilt presentation,
-exactness and non-splitness, the almost split property and the
-decomposition identities.
+category), naturality square by square.  So are the representables, the
+simple modules, the base change of conjugate_module, the cocycle pair of
+extension_from_cocycle, and the maps that factor_through_cokernel, dual_map
+and _end_action_on_kernel return.  The derived objects whose construction
+proves them valid are built unvalidated, each with its proof in its
+docstring: sub-modules and their inclusions (one exact solve against bases
+of full column rank), the projection onto an image, cokernels and their
+projections (phi is natural), sums of representables and the maps between
+them (unit laws, associativity), the cover map (Yoneda), and duals
+(transposed actions).  Composites, sums and scalings of maps, identities,
+zero maps and direct sums are natural or functorial by linear algebra
+alone.  Every certificate the program reports is still checked: cover
+surjectivity and ker <= rad, the rebuilt presentation, exactness and
+non-splitness, the almost split property and the decomposition identities.
+
+Sums of representables are the hull's Hom(-, X) for additive objects X of
+fincat.Hull, and the maps between them its Hom(-, g) for block morphisms g:
+both are read off Hull's composition matrices, and Yoneda gives g back.
 
 On this representation the module category is computed exactly: hom spaces,
 kernels, images, cokernels, radicals, projective covers and minimal
@@ -38,10 +40,11 @@ Modules and maps are immutable after construction: nothing assigns to the
 dims or action of a CModule once it is built.  Three derived objects are
 therefore built once and memoised by object identity: the minimal
 presentation of a module and its dual are cached on the module (the dual on
-both sides, so duality_D is an exact involution), and the representable
-Hom(-, x) is cached on its category.  Projective covers and End algebras are
-deliberately not memoised: long-lived modules would keep them alive, for
-little gain.  Memos are dropped when a module or category is pickled.
+both sides, so duality_D is an exact involution), and the validated
+representable Hom(-, x) on its category.  Other sums of representables,
+projective covers and End algebras are not memoised: long-lived modules
+would keep them alive, for little gain.  Memos are dropped when a module or
+category is pickled.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -50,7 +53,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
                       radical_basis)
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .fincat import FinCategory, category_of, opposite_category
+from .fincat import (AddMor, AddObject, FinCategory, Hull, category_of,
+                     opposite_category)
 from .linalg import (Mat, block_diag, equation_matrix, hstack, solve, split_blocks,
                      vstack)
 from .quiver import BoundQuiver, opposite
@@ -281,18 +285,14 @@ def direct_sum(mods: Sequence[CModule], cat: Optional[FinCategory] = None):
             for i in range(cat.dim(x, y)):
                 action[(x, y, i)] = block_diag(fld, [m.action[(x, y, i)] for m in mods])
     total = CModule(cat, dims, action, validate=False)
-    offsets = {x: [] for x in cat.objects}
-    for x in cat.objects:
-        pos = 0
-        for m in mods:
-            offsets[x].append(pos)
-            pos += m.dims[x]
     one, zero = fld.one(), fld.zero()
     injections, projections = [], []
-    for k, m in enumerate(mods):
+    pos = {x: 0 for x in cat.objects}
+    for m in mods:
         inj, prj = {}, {}
         for x in cat.objects:
-            n, d, off = dims[x], m.dims[x], offsets[x][k]
+            n, d, off = dims[x], m.dims[x], pos[x]
+            pos[x] += d
             inj_data, prj_data = [zero] * (n * d), [zero] * (d * n)
             for c in range(d):
                 inj_data[(off + c) * d + c] = one
@@ -322,40 +322,25 @@ def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
 
 
 def yoneda_projective(cat: FinCategory, x) -> CModule:
-    """The representable module Hom(-, x), built and validated once per
-    category and object, and memoised on the category."""
+    """The representable Hom(-, x), the one-summand `proj_sum`, validated
+    once per category and object and memoised on the category."""
     if x not in cat.objects:
         raise PreconditionError(f"{x!r} is not an object of the category")
-    if x in cat._representables:
-        return cat._representables[x]
-    dims = {y: cat.dim(y, x) for y in cat.objects}
-    action = {}
-    for y in cat.objects:
-        for z in cat.objects:
-            for i in range(cat.dim(y, z)):
-                f = cat.basis_coords(y, z, i)
-                cols = [cat.compose(y, z, x, f, cat.basis_coords(z, x, j))
-                        for j in range(cat.dim(z, x))]
-                if cols:
-                    action[(y, z, i)] = hstack([Mat.column(cat.field, c) for c in cols])
-                else:
-                    action[(y, z, i)] = Mat.zeros(cat.field, dims[y], 0)
-    rep = CModule(cat, dims, action, validate=True)
-    cat._representables[x] = rep
-    return rep
+    if x not in cat._representables:
+        rep = proj_sum(cat, (x,)).module
+        rep._validate()
+        cat._representables[x] = rep
+    return cat._representables[x]
 
 
 def yoneda_map(cat: FinCategory, x, y, h_coords) -> ModuleMap:
-    """The map Hom(-, x) -> Hom(-, y) given by postcomposition with h: x -> y."""
-    px = yoneda_projective(cat, x)
-    py = yoneda_projective(cat, y)
-    comps = {}
-    for z in cat.objects:
-        cols = [cat.compose(z, x, y, cat.basis_coords(z, x, k), h_coords)
-                for k in range(cat.dim(z, x))]
-        comps[z] = (hstack([Mat.column(cat.field, c) for c in cols]) if cols
-                    else Mat.zeros(cat.field, cat.dim(z, y), 0))
-    return ModuleMap(px, py, comps, validate=True)
+    """The map Hom(-, x) -> Hom(-, y) given by postcomposition with h: x -> y,
+    the 1x1 case of `proj_sum_map`."""
+    src = ProjSum(cat, (x,), yoneda_projective(cat, x))
+    tgt = ProjSum(cat, (y,), yoneda_projective(cat, y))
+    if len(h_coords) != cat.dim(x, y):
+        raise PreconditionError(f"h needs {cat.dim(x, y)} coordinates")
+    return proj_sum_map(src, tgt, AddMor(src.obj, tgt.obj, ((tuple(h_coords),),)))
 
 
 def simple_module(cat: FinCategory, x) -> CModule:
@@ -572,71 +557,64 @@ def top_quotient(m: CModule) -> Cokernel:
 
 @dataclass
 class ProjSum:
-    """A direct sum of representables with per object block offsets."""
+    """Hom(-, X) for the additive object X = AddObject(vertices), repeats
+    allowed: its value at y is flat Hom(y, X) in the layout of fincat.Hull,
+    one block of hom coordinates per summand, in the order of vertices."""
 
     cat: FinCategory
     vertices: Tuple
     module: CModule
-    offsets: Dict
+
+    @property
+    def obj(self) -> AddObject:
+        return AddObject(self.vertices)
 
 
 def proj_sum(cat: FinCategory, vertices: Sequence) -> ProjSum:
-    mods = [yoneda_projective(cat, v) for v in vertices]
-    offsets = {}
-    for y in cat.objects:
-        offs = []
-        pos = 0
-        for v in vertices:
-            offs.append(pos)
-            pos += cat.dim(y, v)
-        offsets[y] = offs
-    module = direct_sum(mods, cat)[0] if mods else zero_module(cat)
-    return ProjSum(cat, tuple(vertices), module, offsets)
+    """Hom(-, X) for X = AddObject(vertices): a basis element f: y -> z acts
+    by precomposition, the matrix Hull.pre_matrix(f, X) of g -> g o f.
 
-
-def proj_sum_map(src: ProjSum, tgt: ProjSum, matrix: Sequence[Sequence]) -> ModuleMap:
-    """The map of representable sums with block (j, i) given by a hom element.
-
-    matrix[j][i] holds coordinates in hom(src.vertices[i], tgt.vertices[j]);
-    the block acts by postcomposition.  The map is built unvalidated:
-    postcomposition commutes with the precomposition action of the
-    representables, (h o g) o f = h o (g o f), by the associativity of the
-    validated category.
+    The module is built unvalidated: the unit acts as the identity by the
+    unit laws, and M(g o f) = M(f) M(g) is h o (g o f) = (h o g) o f, both
+    checked when the category was validated.
     """
-    cat = src.cat
-    fld = cat.field
-    comps = {}
-    for z in cat.objects:
-        rows_t = tgt.module.dims[z]
-        cols_s = src.module.dims[z]
-        vals = [[fld.zero()] * cols_s for _ in range(rows_t)]
-        for j, b in enumerate(tgt.vertices):
-            for i, a in enumerate(src.vertices):
-                h = matrix[j][i]
-                for k in range(cat.dim(z, a)):
-                    col = cat.compose(z, a, b, cat.basis_coords(z, a, k), h)
-                    for t, v in enumerate(col):
-                        vals[tgt.offsets[z][j] + t][src.offsets[z][i] + k] = v
-        comps[z] = (Mat.from_rows(fld, vals) if rows_t
-                    else Mat.zeros(fld, 0, cols_s))
+    hull = Hull(cat)
+    obj = AddObject(tuple(vertices))
+    single = {y: AddObject((y,)) for y in cat.objects}
+    dims = {y: hull.flat_dim(single[y], obj) for y in cat.objects}
+    action = {(y, z, i): hull.pre_matrix(
+                  AddMor(single[y], single[z], ((cat.basis_coords(y, z, i),),)), obj)
+              for y in cat.objects for z in cat.objects for i in range(cat.dim(y, z))}
+    return ProjSum(cat, obj.summands, CModule(cat, dims, action, validate=False))
+
+
+def proj_sum_map(src: ProjSum, tgt: ProjSum, g: AddMor) -> ModuleMap:
+    """Hom(-, g): Hom(-, X) -> Hom(-, Y) for a block morphism g: X -> Y, the
+    matrix Hull.post_matrix(g, z) of h -> g o h at each object z.
+
+    The map is built unvalidated: postcomposition commutes with the
+    precomposition action of the sums, g o (h o f) = (g o h) o f, by the
+    associativity of the validated category.
+    """
+    if g.src != src.obj or g.tgt != tgt.obj:
+        raise PreconditionError("block morphism between other additive objects")
+    hull = Hull(src.cat)
+    comps = {z: hull.post_matrix(g, AddObject((z,))) for z in src.cat.objects}
     return ModuleMap(src.module, tgt.module, comps, validate=False)
 
 
-def proj_sum_matrix(src: ProjSum, tgt: ProjSum, phi: ModuleMap) -> List[List[Tuple]]:
-    """Recovers the hom element matrix of a map between representable sums."""
-    cat = src.cat
-    fld = cat.field
-    out = [[None] * len(src.vertices) for _ in tgt.vertices]
+def proj_sum_matrix(src: ProjSum, tgt: ProjSum, phi: ModuleMap) -> AddMor:
+    """The block morphism g: X -> Y with proj_sum_map(src, tgt, g) = phi, by
+    Yoneda: the blocks out of summand i are the image under phi of the unit
+    of that summand, a column of flat Hom(X_i, Y)."""
+    cat, hull = src.cat, Hull(src.cat)
+    vals = []
     for i, a in enumerate(src.vertices):
-        vec = [fld.zero()] * src.module.dims[a]
-        off = src.offsets[a][i]
-        for t, c in enumerate(cat.units[a]):
-            vec[off + t] = c
-        img = phi.comps[a] @ Mat.column(fld, vec)
-        for j, b in enumerate(tgt.vertices):
-            offb = tgt.offsets[a][j]
-            out[j][i] = tuple(img.at(offb + t, 0) for t in range(cat.dim(a, b)))
-    return out
+        vec = [cat.field.zero()] * src.module.dims[a]
+        off = hull.flat_dim(AddObject((a,)), AddObject(src.vertices[:i]))
+        vec[off:off + cat.dim(a, a)] = cat.units[a]
+        vals.extend((phi.comps[a] @ Mat.column(cat.field, vec)).data)
+    return hull.unflatten(src.obj, tgt.obj, Mat.column(cat.field, vals))
 
 
 @dataclass
@@ -644,7 +622,6 @@ class Cover:
     psum: ProjSum
     cover: ModuleMap
     kernel: Kernel
-    top_dims: Dict
 
 
 def projective_cover(m: CModule) -> Cover:
@@ -653,6 +630,13 @@ def projective_cover(m: CModule) -> Cover:
     The cover map sends g in Hom(y, x) to m(g) e for a lift e of a top basis
     vector at x; it is built unvalidated, because it is natural by the
     functoriality of m (Yoneda): m(g o f) e = m(f) m(g) e.
+
+    ker <= rad is read off the coordinates: rad P0 at y, for P0 = Hom(-, X),
+    is the span of the radical basis coordinates of flat Hom(y, X).  It is
+    spanned by the g o r with r radical, radical since the radical is an
+    ideal (checked by FinCategory._validate), and it holds each radical
+    basis element r: y -> X_k as 1 o r.  So the kernel inclusion must vanish
+    on every non-radical coordinate.
     """
     cat = m.cat
     fld = cat.field
@@ -674,11 +658,14 @@ def projective_cover(m: CModule) -> Cover:
     if not p.is_surjective():
         raise AssertionError("cover map is not surjective")
     ker = kernel_module(p)
-    rad = radical_submodule(psum.module)
-    for x in cat.objects:
-        if solve(rad.include.comps[x], ker.include.comps[x]) is None:
-            raise AssertionError("cover kernel is not contained in the radical")
-    return Cover(psum, p, ker, {x: top.module.dims[x] for x in cat.objects})
+    for y in cat.objects:
+        inc, pos = ker.include.comps[y], 0
+        for x in vertices:
+            rad = cat.radical[(y, x)]
+            if any(any(inc.row(pos + t)) for t in range(cat.dim(y, x)) if t not in rad):
+                raise AssertionError("cover kernel is not contained in the radical")
+            pos += cat.dim(y, x)
+    return Cover(psum, p, ker)
 
 
 @dataclass
@@ -688,7 +675,7 @@ class Presentation:
     differential: ModuleMap
     cover: ModuleMap
     kernel: Kernel
-    matrix: List[List[Tuple]]
+    matrix: AddMor
 
 
 def minimal_presentation(m: CModule) -> Presentation:
@@ -747,15 +734,16 @@ def dual_map(phi: ModuleMap) -> ModuleMap:
 
 
 def _transpose_raw(m: CModule) -> CModule:
-    """Tr m, the cokernel of the dualized differential of a minimal
-    presentation, without the projective-summand check of `transpose`."""
+    """Tr m, the cokernel of the dualized differential Hom(-, g^op) of a
+    minimal presentation Hom(-, g): over the opposite category, g^op has the
+    transposed blocks of g.  Without the projective-summand check of
+    `transpose`."""
     pres = minimal_presentation(m)
+    g = pres.matrix
     op = opposite_category(m.cat)
-    s1 = proj_sum(op, pres.p1.vertices)
-    s0 = proj_sum(op, pres.p0.vertices)
-    dual_matrix = [[pres.matrix[j][i] for j in range(len(pres.p0.vertices))]
-                   for i in range(len(pres.p1.vertices))]
-    dualized = proj_sum_map(s0, s1, dual_matrix)
+    blocks = tuple(tuple(row[i] for row in g.blocks) for i in range(len(g.src.summands)))
+    dualized = proj_sum_map(proj_sum(op, pres.p0.vertices), proj_sum(op, pres.p1.vertices),
+                            AddMor(g.tgt, g.src, blocks))
     return cokernel_module(dualized).module
 
 

@@ -548,3 +548,35 @@ def test_coil_validation_compares_no_module_with_itself(monkeypatch):
                     d = coil.differentials[j]
                     assert d == d and d.src == d.src
     assert compared == []
+
+
+def test_every_representation_of_a_complex_is_valid(monkeypatch):
+    """to_rep builds its representations unvalidated; every one built for
+    the benchmark shapes and the one-vertex cycle passes the full check."""
+    reps = []
+    original = complexes.to_rep
+
+    def recording(x, bq=None):
+        rep = original(x, bq)
+        reps.append(rep)
+        return rep
+
+    monkeypatch.setattr(complexes, "to_rep", recording)
+    rng = random.Random(2121)
+    loop = NComplexSpec(1, Cyclic(1))
+    for fld in (F101, QQ):
+        for coeff, pool in coefficient_pools(fld):
+            for spec in BENCH_SPECS + (loop,):
+                gens = [interval_J(spec.padded(), j, pool[0]) for j in spec.degrees()]
+                if spec == loop:
+                    zs = [stalk(loop, 0, pool[-1]), interval_J(loop, 0, pool[-1])]
+                else:
+                    zs = [rand_complex(spec, coeff, pool, rng) for _ in range(2)]
+                for z in zs:
+                    to_module(z)
+                    right_approximation(z, gens)
+    specs = BENCH_SPECS + (loop,)
+    assert {r.bq for r in reps} == {build_category(s) for s in specs} | {
+        build_category(s.padded()) for s in specs}
+    for rep in reps:
+        rep._validate()

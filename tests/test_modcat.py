@@ -7,8 +7,8 @@ import pytest
 
 from arcat import modcat
 from arcat.errors import PreconditionError, VerificationError
-from arcat.fincat import category_of
-from arcat.linalg import Mat, solve
+from arcat.fincat import AddMor, AddObject, category_of, opposite_category
+from arcat.linalg import Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
                           conjugate_module, decompose_module,
@@ -16,11 +16,12 @@ from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           extension_from_cocycle, global_dimension, hom_space,
                           identity_map, image_module, is_injective_module,
                           is_isomorphic, is_projective_module, kernel_module,
-                          minimal_presentation, projective_cover,
-                          radical_submodule, representation_category,
-                          simple_module, splitting_section, tau, tau_inverse,
-                          top_quotient, transpose, verify_almost_split,
-                          yoneda_map, yoneda_projective, zero_module)
+                          minimal_presentation, proj_sum, proj_sum_map,
+                          proj_sum_matrix, projective_cover, radical_submodule,
+                          representation_category, simple_module,
+                          splitting_section, tau, tau_inverse, top_quotient,
+                          transpose, verify_almost_split,
+                          yoneda_map, yoneda_projective, zero_map, zero_module)
 from arcat.repcat import tensor_base
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, a_m_rad_n, cyclic_rad2,
@@ -389,6 +390,123 @@ def test_verify_builds_each_end_term_algebra_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# sums of representables against per-element compositions
+
+
+def representable_categories(fld):
+    """A path, an opposite and a tensor category."""
+    return [category_of(a3_rad2(), fld),
+            opposite_category(category_of(cyclic_rad2(2), fld)),
+            tensor_base(a3_rad2(), category_of(a2_quiver(), fld))]
+
+
+def vertex_lists(cat):
+    """Repeated vertices, and blocks Hom(y, v) = 0 (on the path category
+    and the tensor category), as well as the empty sum."""
+    objs = cat.objects
+    return [(), (objs[0],), (objs[-1], objs[0], objs[-1]),
+            tuple(objs) + (objs[1], objs[0])]
+
+
+def reference_offsets(cat, vertices):
+    return {y: [sum(cat.dim(y, v) for v in vertices[:k]) for k in range(len(vertices))]
+            for y in cat.objects}
+
+
+def reference_representable(cat, x):
+    """Hom(-, x) with one composite per pair of basis elements."""
+    fld = cat.field
+    dims = {y: cat.dim(y, x) for y in cat.objects}
+    action = {}
+    for y in cat.objects:
+        for z in cat.objects:
+            for i in range(cat.dim(y, z)):
+                f = cat.basis_coords(y, z, i)
+                cols = [cat.compose(y, z, x, f, cat.basis_coords(z, x, j))
+                        for j in range(cat.dim(z, x))]
+                action[(y, z, i)] = (hstack([Mat.column(fld, c) for c in cols]) if cols
+                                     else Mat.zeros(fld, dims[y], 0))
+    return CModule(cat, dims, action)
+
+
+def reference_sum_map(src, tgt, g):
+    """The block (j, i) of each component is postcomposition with
+    g.blocks[j][i], one composite per basis element."""
+    cat = src.cat
+    fld = cat.field
+    src_off = reference_offsets(cat, src.vertices)
+    tgt_off = reference_offsets(cat, tgt.vertices)
+    comps = {}
+    for z in cat.objects:
+        vals = [[fld.zero()] * src.module.dims[z] for _ in range(tgt.module.dims[z])]
+        for j, b in enumerate(tgt.vertices):
+            for i, a in enumerate(src.vertices):
+                for k in range(cat.dim(z, a)):
+                    col = cat.compose(z, a, b, cat.basis_coords(z, a, k), g.blocks[j][i])
+                    for t, v in enumerate(col):
+                        vals[tgt_off[z][j] + t][src_off[z][i] + k] = v
+        comps[z] = (Mat.from_rows(fld, vals) if vals
+                    else Mat.zeros(fld, 0, src.module.dims[z]))
+    return ModuleMap(src.module, tgt.module, comps)
+
+
+def random_block_morphism(cat, src, tgt, rng):
+    fld = cat.field
+    return AddMor(src.obj, tgt.obj,
+                  tuple(tuple(tuple(fld.random(rng) for _ in range(cat.dim(a, b)))
+                              for a in src.vertices) for b in tgt.vertices))
+
+
+def test_representables_match_per_element_compositions():
+    for fld in (F101, QQ):
+        for cat in representable_categories(fld):
+            for x in cat.objects:
+                assert (module_print(yoneda_projective(cat, x))
+                        == module_print(reference_representable(cat, x)))
+
+
+def test_proj_sum_is_the_direct_sum_of_representables():
+    for fld in (F101, QQ):
+        for cat in representable_categories(fld):
+            for vs in vertex_lists(cat):
+                psum = proj_sum(cat, vs)
+                assert psum.vertices == vs and psum.obj == AddObject(vs)
+                total = direct_sum([yoneda_projective(cat, v) for v in vs], cat)[0]
+                assert module_print(psum.module) == module_print(total)
+
+
+def test_proj_sum_maps_match_per_block_compositions_and_invert():
+    rng = random.Random(4141)
+    for fld in (F101, QQ):
+        for cat in representable_categories(fld):
+            sums = [proj_sum(cat, vs) for vs in vertex_lists(cat)]
+            for src in sums:
+                for tgt in sums:
+                    g = random_block_morphism(cat, src, tgt, rng)
+                    phi = proj_sum_map(src, tgt, g)
+                    assert map_print(phi) == map_print(reference_sum_map(src, tgt, g))
+                    assert proj_sum_matrix(src, tgt, phi) == g
+    rc = rep_a2()
+    p1, p2 = proj_sum(rc, ("1",)), proj_sum(rc, ("2",))
+    with pytest.raises(PreconditionError):
+        proj_sum_map(p1, p2, AddMor(p2.obj, p1.obj, (((1,),),)))
+    with pytest.raises(PreconditionError):
+        yoneda_map(rc, "2", "1", ())
+
+
+def test_cover_kernel_outside_the_radical_is_refused(monkeypatch):
+    """With the top replaced by the whole module, the cover of P1 over A2 is
+    P1 + P2 -> P1, whose kernel meets the top of P2."""
+    rc = rep_a2()
+    p1 = yoneda_projective(rc, "1")
+    assert projective_cover(p1).kernel.module.is_zero()
+    monkeypatch.setattr(modcat, "top_quotient",
+                        lambda m: cokernel_module(zero_map(zero_module(m.cat), m)))
+    with pytest.raises(AssertionError, match="not contained in the radical"):
+        projective_cover(p1)
+
+
+# ---------------------------------------------------------------------------
 # CModule._validate against the per-pair functoriality check
 
 
@@ -610,7 +728,8 @@ def test_knitting_validation_count_guard(monkeypatch):
         monkeypatch.setattr(cls, "_validate", counting)
     ar = ar_quiver(representation_category(a_m_rad_n(4, 2), F101))
     assert len(ar.modules) == 7
-    # validated: the representables over the category and its opposite, and
-    # the maps built at the extensions' boundaries (14 in all; 388 when every
-    # derived object was validated)
+    # validated: the representables over the category and the maps built at
+    # the extensions' boundaries (10 in all; 14 while the transpose validated
+    # the representables over the opposite, 388 when every derived object
+    # was validated)
     assert sum(calls.values()) <= 20, calls

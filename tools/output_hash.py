@@ -25,6 +25,10 @@ Prints one SHA-256 per set:
   and a zero composite of two non-identity basis elements.  An outcome is
   `accept` or the class of the error; messages are left out, since a
   refusal only has to name one failing statement.
+- `presentations`: for every knitted module of the six `validate`
+  categories, the components of its minimal presentation's differential
+  and cover map, and the action of its transpose (`_transpose_raw`), every
+  entry hashed with its type.
 - `complexes`: every coil, approximation and factoring answer of the
   complexes-rep benchmark workload at the given seed, in op order: coil
   sources and maps, approximation sources, chain maps, multiplicities and
@@ -60,7 +64,8 @@ from arcat.complexes import NChainMap, NComplex  # noqa: E402
 from arcat.errors import PreconditionError, VerificationError  # noqa: E402
 from arcat.fincat import FinCategory, category_of  # noqa: E402
 from arcat.linalg import Field, Mat  # noqa: E402
-from arcat.modcat import CModule, ModuleMap, ar_quiver, representation_category  # noqa: E402
+from arcat.modcat import (CModule, ModuleMap, _transpose_raw, ar_quiver,  # noqa: E402
+                          minimal_presentation, representation_category)
 from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver  # noqa: E402
 from arcat.repcat import tensor_base  # noqa: E402
 
@@ -236,6 +241,16 @@ def validate_hash():
     return h.hexdigest()
 
 
+def presentations_hash():
+    h = hashlib.sha256()
+    for label, cat in sweep_categories():
+        for n, m in enumerate(ar_quiver(cat).modules):
+            pres = minimal_presentation(m)
+            h.update(repr((label, n, canon(pres.differential.comps), canon(pres.cover.comps),
+                           canon(_transpose_raw(m).action))).encode())
+    return h.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
@@ -245,6 +260,7 @@ def main(argv=None):
     print(f"decompose seed {args.seed} {decompose_hash(args.seed)}")
     print(f"validate {validate_hash()}")
     print(f"complexes seed {args.seed} {complexes_hash(args.seed)}")
+    print(f"presentations {presentations_hash()}")
     return 0
 
 
