@@ -227,12 +227,16 @@ class Mat:
                         s += arow[t] * other.data[t * m + j]
                     out[i * m + j] = s % p
         else:
+            # a Fraction product costs far more than a zero test, so zero
+            # entries on either side are skipped; the sums are exact either way
+            cols = [other.data[j::m] for j in range(m)]
             for i in range(n):
-                arow = self.data[i * k:(i + 1) * k]
-                for j in range(m):
-                    s = Fraction(0)
-                    for t in range(k):
-                        s += arow[t] * other.data[t * m + j]
+                nz = [(t, a) for t, a in enumerate(self.data[i * k:(i + 1) * k]) if a]
+                for j, col in enumerate(cols):
+                    s = z
+                    for t, a in nz:
+                        if col[t]:
+                            s += a * col[t]
                     out[i * m + j] = s
         return Mat(f, n, m, out)
 

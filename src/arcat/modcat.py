@@ -22,7 +22,8 @@ them (unit laws, associativity), the cover map (Yoneda), and duals
 zero maps and direct sums are natural or functorial by linear algebra
 alone.  Every certificate the program reports is still checked: cover
 surjectivity and ker <= rad, the rebuilt presentation, exactness and
-non-splitness, the almost split property and the decomposition identities.
+non-splitness, the almost split property, and the decomposition identities
+(in End(m), by algebra.primitive_idempotents).
 
 Sums of representables are the hull's Hom(-, X) for additive objects X of
 fincat.Hull, and the maps between them its Hom(-, g) for block morphisms g:
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
-                      radical_basis)
+                      primitive_idempotents, radical_basis)
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .fincat import (AddMor, AddObject, FinCategory, Hull, category_of,
                      opposite_category)
@@ -806,6 +807,12 @@ def map_from_coords(basis: List[ModuleMap], coords) -> ModuleMap:
 def is_isomorphic(m: CModule, n: CModule) -> Optional[Tuple[ModuleMap, ModuleMap]]:
     """An explicit inverse pair (f: m -> n, g: n -> m), or a certified None.
 
+    With m.dims == n.dims every component is square, so det(g_x f_x) =
+    det(f_x g_x), and g o f is invertible exactly when f and g are: the first
+    invertible f of the forward basis, if the backward basis holds one, is
+    the first basis pair with an invertible composite, in either order, and
+    (g o f)^-1 o g = f^-1 (Mat.inverse checks both sides).
+
     The None branch certifies non-isomorphism: every pairwise product of hom
     bases lies in rad End(m), so no composite can be the identity.
     """
@@ -819,18 +826,9 @@ def is_isomorphic(m: CModule, n: CModule) -> Optional[Tuple[ModuleMap, ModuleMap
     bwd = hom_space(n, m)
     if not fwd or not bwd:
         return None
-    for f in fwd:
-        for g in bwd:
-            for a, b in ((f, g), (g, f)):
-                u = a.then(b)
-                uinv = u.inverse()
-                if uinv is None:
-                    continue
-                cand = b.then(uinv)
-                if a.then(cand) == identity_map(a.src) and cand.then(a) == identity_map(a.tgt):
-                    if a.src is m or a.src == m:
-                        return a, cand
-                    return cand, a
+    f = next((a for a in fwd if a.is_injective()), None)
+    if f is not None and any(b.is_injective() for b in bwd):
+        return f, f.inverse()
     alg, basis = end_algebra(m)
     basis_mat = hstack([flatten_map(b) for b in basis])
     rad = radical_basis(alg)
@@ -842,50 +840,22 @@ def is_isomorphic(m: CModule, n: CModule) -> Optional[Tuple[ModuleMap, ModuleMap
     return None
 
 
-@dataclass
-class Piece:
-    module: CModule
-    include: ModuleMap
-    project: ModuleMap
-
-
-def decompose_module(m: CModule) -> List[Piece]:
-    """Indecomposable summands with include/project certificates.
-
-    The certificates are checked: project_i o include_i is the identity of
-    each piece, cross composites vanish, and the idempotents
-    include_i o project_i sum to the identity of m.
+def decompose_module(m: CModule) -> List[Image]:
+    """Indecomposable summands: the images of the primitive idempotents e_i
+    of A = End(m), which primitive_idempotents checks in A to sum to 1 and
+    be orthogonal.  That carries over to maps, as the table is exact and
+    map_from_coords linear and multiplicative.  image_module gives e_i =
+    include_i o project_i, include_i injective, project_i surjective; so
+    e_j e_i = [i = j] e_i gives project_j o include_i = [i = j].  End of a
+    piece is e_i A e_i, a corner certified local.
     """
     if m.is_zero():
         return []
-    out: List[Piece] = []
-
-    def recurse(sub: CModule, include: ModuleMap, project: ModuleMap):
-        alg, basis = end_algebra(sub)
-        coords = find_nontrivial_idempotent(alg)
-        if coords is None:
-            out.append(Piece(sub, include, project))
-            return
-        e = map_from_coords(basis, coords)
-        for idem in (e, identity_map(sub).sub(e)):
-            img = image_module(idem)
-            recurse(img.module, img.include.then(include), project.then(img.project))
-
-    recurse(m, identity_map(m), identity_map(m))
-    total = zero_map(m, m)
-    for p in out:
-        total = total.add(p.project.then(p.include))
-    if total != identity_map(m):
-        raise AssertionError("summand idempotents do not sum to the identity")
-    for i, p in enumerate(out):
-        for j, q in enumerate(out):
-            comp = p.include.then(q.project)
-            if i == j:
-                if comp != identity_map(p.module):
-                    raise AssertionError("projection of a summand onto itself is not 1")
-            elif not comp.is_zero():
-                raise AssertionError("summand idempotents are not orthogonal")
-    return out
+    alg, basis = end_algebra(m)
+    idems = primitive_idempotents(alg)
+    if len(idems) == 1:  # m is indecomposable: the image of 1 is m itself
+        return [Image(m, identity_map(m), identity_map(m))]
+    return [image_module(map_from_coords(basis, e)) for e in idems]
 
 
 # ---------------------------------------------------------------------------

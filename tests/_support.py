@@ -4,8 +4,10 @@ from typing import List
 
 from arcat.fincat import FinCategory, point_category
 from arcat.linalg import Field, Mat, hstack, vstack
-from arcat.modcat import (CModule, conjugate_module, direct_sum, flatten_map,
-                          hom_space, zero_map, zero_module)
+from arcat.algebra import find_nontrivial_idempotent
+from arcat.modcat import (CModule, Image, conjugate_module, direct_sum, end_algebra,
+                          flatten_map, hom_space, identity_map, image_module,
+                          map_from_coords, zero_map, zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
 from arcat.repcat import QRep
@@ -181,3 +183,36 @@ def rand_homotopy(src, tgt, rng):
             continue
         s[i] = rand_hom(src.components[i], tgt.components[t], rng)
     return s
+
+
+def recursive_decompose_module(m: CModule) -> List[Image]:
+    """Indecomposable summands by the recursive split: a new End algebra for
+    every piece, one idempotent at a time, then the sum and orthogonality of
+    the pieces checked as maps.  The oracle for modcat.decompose_module,
+    which splits End(m) once."""
+    if m.is_zero():
+        return []
+    out: List[Image] = []
+
+    def recurse(sub: CModule, include, project):
+        alg, basis = end_algebra(sub)
+        coords = find_nontrivial_idempotent(alg)
+        if coords is None:
+            out.append(Image(sub, include, project))
+            return
+        e = map_from_coords(basis, coords)
+        for idem in (e, identity_map(sub).sub(e)):
+            img = image_module(idem)
+            recurse(img.module, img.include.then(include), project.then(img.project))
+
+    recurse(m, identity_map(m), identity_map(m))
+    total = zero_map(m, m)
+    for p in out:
+        total = total.add(p.project.then(p.include))
+    assert total == identity_map(m), "summand idempotents do not sum to the identity"
+    for i, p in enumerate(out):
+        for j, q in enumerate(out):
+            comp = p.include.then(q.project)
+            assert comp == identity_map(p.module) if i == j else comp.is_zero(), \
+                "summand idempotents are not orthogonal"
+    return out

@@ -6,14 +6,16 @@ else is certified by ranks, idempotent identities, or explicit inverse
 pairs.  All randomness is seeded.
 """
 
+import os
 import random
+import sys
 from functools import lru_cache
 
 import pytest
 
 from _support import (F101, a2_quiver, a3_rad2, cyclic_rad2, point_pool,
                       rand_complex, rand_homotopy, rand_invertible,
-                      rand_module, rand_qrep)
+                      rand_module, rand_qrep, recursive_decompose_module)
 from arcat import cli
 from arcat.complexes import (Cyclic, Interval, NComplexSpec, Window,
                              assemble_null_homotopic, build_category,
@@ -229,20 +231,27 @@ def _object_class(hull, cat, summand):
     return matches[0]
 
 
+def _criterion_6_module_sums(rng):
+    """(pool, picks, m) for the 50 scrambled module sums of criterion 6, drawn
+    from rng in turn."""
+    pool_cases = (PAIR_NAMES[0], PAIR_NAMES[1])
+    for k in range(50):
+        name = pool_cases[k % 2]
+        base = _base(name)
+        pool = list(_knit(name).modules)
+        picks = _pick_summands(pool, rng) or [0]
+        summed = direct_sum([pool[i] for i in picks], base)[0]
+        mats = {x: rand_invertible(base.field, summed.dims[x], rng)
+                for x in base.objects}
+        yield pool, picks, conjugate_module(summed, mats)[0]
+
+
 def test_criterion_6_krull_schmidt_recovers_multisets():
     def body():
         rng = random.Random(606)
         mod_runs = obj_runs = 0
         pool_cases = (PAIR_NAMES[0], PAIR_NAMES[1])
-        for k in range(50):
-            name = pool_cases[k % 2]
-            base = _base(name)
-            pool = list(_knit(name).modules)
-            picks = _pick_summands(pool, rng) or [0]
-            summed = direct_sum([pool[i] for i in picks], base)[0]
-            mats = {x: rand_invertible(base.field, summed.dims[x], rng)
-                    for x in base.objects}
-            m = conjugate_module(summed, mats)[0]
+        for pool, picks, m in _criterion_6_module_sums(rng):
             pieces = decompose_module(m)
             got = []
             for p in pieces:
@@ -296,6 +305,51 @@ def test_criterion_6_krull_schmidt_recovers_multisets():
                 "recovered with idempotent certificates")
 
     _run(6, "random direct sums decompose back to their summand multisets", body)
+
+
+def _decompose_workload_modules(monkeypatch, seeds):
+    """The distinct module inputs of the decompose benchmark workload at the
+    given seeds, read through its ops with the decomposition stubbed out."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    monkeypatch.setattr(workloads, "decompose_module", lambda m: m)
+    pools = workloads.decompose_pools()
+    distinct = {}
+    for seed in seeds:
+        for op in workloads.build("decompose", seed, prepared=pools):
+            if op.name.startswith("module:"):
+                m = op.run()[0]
+                key = (id(m.cat), frozenset(m.dims.items()), frozenset(m.action.items()))
+                distinct.setdefault(key, m)
+    return list(distinct.values())
+
+
+def test_decompose_module_agrees_with_the_recursive_oracle(monkeypatch):
+    """One split of End(m) against the recursive split: equal summand
+    multisets, and decompose_module's pieces satisfy sum include o project
+    = 1 and project_j o include_i = [i = j]."""
+    mods = _decompose_workload_modules(monkeypatch, (1, 2, 3))
+    assert mods
+    mods += [m for _, _, m in _criterion_6_module_sums(random.Random(606))]
+    for m in mods:
+        pieces = decompose_module(m)
+        total = zero_map(m, m)
+        for i, p in enumerate(pieces):
+            total = total.add(p.project.then(p.include))
+            for j, q in enumerate(pieces):
+                comp = p.include.then(q.project)
+                assert comp == identity_map(p.module) if i == j else comp.is_zero()
+        assert total == identity_map(m)
+        unmatched = [q.module for q in recursive_decompose_module(m)]
+        for p in pieces:
+            hits = [k for k, q in enumerate(unmatched) if is_isomorphic(p.module, q) is not None]
+            assert hits, "a summand has no partner in the oracle's answer"
+            unmatched.pop(hits[0])
+        assert not unmatched
 
 
 def test_criterion_7_approximations_coils_and_homotopies():

@@ -7,7 +7,7 @@ import pytest
 from _support import F101, QQ
 from arcat import algebra
 from arcat.algebra import (TableAlgebra, find_nontrivial_idempotent,
-                           lift_idempotent, radical_basis)
+                           lift_idempotent, primitive_idempotents, radical_basis)
 from arcat.errors import PreconditionError
 from arcat.fincat import category_of
 from arcat.linalg import Field, Mat, hstack
@@ -26,10 +26,10 @@ def unit_vector(n, i):
     return [1 if k == i else 0 for k in range(n)]
 
 
-def diagonal(field):
-    """k x k with b_i the i-th coordinate idempotent."""
-    return table_algebra(field, 2, lambda i, j: unit_vector(2, i) if i == j else [0, 0],
-                         [1, 1])
+def diagonal(field, n=2):
+    """k^n with b_i the i-th coordinate idempotent."""
+    return table_algebra(field, n, lambda i, j: unit_vector(n, i) if i == j else [0] * n,
+                         [1] * n)
 
 
 def upper_triangular(field):
@@ -168,6 +168,64 @@ def test_minimal_polynomial_against_direct_evaluation():
             assert not any(total)
             lower = Mat(f, n, d, [powers[j][i] for i in range(n) for j in range(d)])
             assert lower.rank() == d
+
+
+# name: (algebra over a field, number of primitive idempotents)
+SPLIT_CASES = {"T2": (upper_triangular, 2), "M2": (matrix_algebra, 2),
+               "kxkxk": (lambda f: diagonal(f, 3), 3), "dual-numbers": (dual_numbers, 1),
+               "k[t]/(t^3-t^2)": (lambda f: truncated(f, [0, 0, -1]), 2)}
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_primitive_idempotents_split_completely(field, name):
+    build, count = SPLIT_CASES[name]
+    alg = build(field)
+    n = alg.dim
+    zero = (field.zero(),) * n
+    idems = primitive_idempotents(alg)
+    assert len(idems) == count
+    total = zero
+    for e in idems:
+        total = tuple(map(field.add, total, e))
+    assert total == alg.unit
+    for i, e in enumerate(idems):
+        for j, g in enumerate(idems):
+            assert alg.mul(e, g) == (e if i == j else zero)
+        corner, basis = algebra._corner(alg, e)
+        # the corner's table is alg's product on its basis, with unit e
+        assert (basis @ Mat.column(field, corner.unit)).data == e
+        for k in range(corner.dim):
+            assert basis @ corner.left[k] == alg.left_mult_matrix(basis.col(k)) @ basis
+        # split and local: the corner modulo its radical is k
+        assert corner.dim - radical_basis(corner).cols == 1
+
+
+def test_primitive_idempotents_refuse_a_non_idempotent(monkeypatch):
+    # negative control: 2 b_0 squares to 4 b_0, and once every corner is
+    # declared local the leaves' units sum to 8 b_0 + (1 - 2 b_0) != 1
+    found = []
+
+    def fake(alg):
+        found.append(alg)
+        return (2, 0, 0) if len(found) == 1 else None
+
+    monkeypatch.setattr(algebra, "find_nontrivial_idempotent", fake)
+    with pytest.raises(AssertionError, match="sum to 1"):
+        primitive_idempotents(diagonal(F101, 3))
+
+
+def test_primitive_idempotents_refuse_non_orthogonal_leaves(monkeypatch):
+    # negative control: corners embedded so that the leaves are 2 b_0 and
+    # 1 - 2 b_0, which sum to 1, but 2 b_0 squares to 4 b_0
+    point = TableAlgebra(F101, Mat.from_rows(F101, [[1, 1]]))  # k: b b = b = 1
+    leaves = iter([(-1, 1, 1), (2, 0, 0)])  # the complement's corner is built first
+    monkeypatch.setattr(algebra, "find_nontrivial_idempotent",
+                        lambda alg: (1, 0, 0) if alg.dim == 3 else None)
+    monkeypatch.setattr(algebra, "_corner",
+                        lambda alg, e: (point, Mat.column(F101, next(leaves))))
+    with pytest.raises(AssertionError, match="not orthogonal"):
+        primitive_idempotents(diagonal(F101, 3))
 
 
 def test_small_prime_field_is_refused():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from arcat import modcat
-from arcat.errors import PreconditionError, VerificationError
+from arcat.errors import CapExceededError, PreconditionError, VerificationError
 from arcat.fincat import AddMor, AddObject, category_of, opposite_category
 from arcat.linalg import Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
@@ -201,6 +201,44 @@ def test_is_isomorphic_certificates():
     f, g = pair
     assert f.then(g) == identity_map(conj)
     assert g.then(f) == identity_map(p1)
+
+
+def pair_trial_isomorphism(m, n):
+    """Reference for is_isomorphic's found pairs: the first (f, g) of the two
+    hom bases, f outer, tried in both orders, whose composite inverts."""
+    for f in hom_space(m, n):
+        for g in hom_space(n, m):
+            for a, b in ((f, g), (g, f)):
+                uinv = a.then(b).inverse()
+                if uinv is None:
+                    continue
+                cand = b.then(uinv)
+                if a.then(cand) == identity_map(a.src) and cand.then(a) == identity_map(a.tgt):
+                    return (a, cand) if a.src == m else (cand, a)
+    return None
+
+
+def test_is_isomorphic_returns_the_pair_trial_pair():
+    cat = tensor_base(a3_rad2(), category_of(a2_quiver(), F101))
+    pool = ar_quiver(cat).modules
+    rng = random.Random(31)
+    mods = list(pool) + [rand_module(pool, cat, rng, max_total=4) for _ in range(12)]
+    mods += [conjugate_module(m, {x: rand_invertible(F101, m.dims[x], rng)
+                                  for x in cat.objects})[0] for m in mods]
+    found = 0
+    for m in mods:
+        for n in mods:
+            if m.dims != n.dims or m.is_zero():
+                continue
+            want = pair_trial_isomorphism(m, n)
+            try:
+                got = is_isomorphic(m, n)
+            except CapExceededError:
+                # no basis pair inverts, and the radical test cannot decide
+                got = None
+            assert got == want
+            found += want is not None
+    assert found > len(mods)
 
 
 def test_decompose_conjugated_sum():

@@ -11,10 +11,13 @@ Prints one SHA-256 per set:
   jobs); `tensor` on A4 mod rad^2 and the 2-cycle mod rad^2 (2 jobs);
   `ar-quiver` over F_101 and Q, `roundtrip` and `ass` at two simples, with
   A2 coefficients, on A3 mod rad^2 and the 2-cycle mod rad^2 (10 jobs).
-- `decompose`: every `decompose_module` and `decompose_object` answer of
-  the decompose benchmark workload at the given seed, in op order (the
-  seed draws the order), with every matrix entry and block coordinate
-  hashed together with its type.
+- `decompose-modules` and `decompose-objects`: every `decompose_module`
+  answer, and every `decompose_object` answer, of the decompose benchmark
+  workload at the given seed, in op order (the seed draws the order), with
+  every matrix entry and block coordinate hashed together with its type.
+  The two lines are separate so that one can stay bit-identical while the
+  other changes (a summand of a module with multiplicity may come back in
+  another basis of the same module).
 - `validate`: the accept/refuse outcome of every single-entry +1
   perturbation of every action matrix of the knitted modules, and of every
   coefficient of the composition table, of six categories: A5 mod rad^3,
@@ -169,11 +172,12 @@ def canon(obj):
     raise TypeError(f"cannot hash a {type(obj).__name__}")
 
 
-def decompose_hash(seed):
-    h = hashlib.sha256()
+def decompose_hashes(seed):
+    """{kind: digest} for the module and the object ops, each in op order."""
+    hashes = {"module": hashlib.sha256(), "object": hashlib.sha256()}
     for op in workloads.build("decompose", seed, prepared=workloads.decompose_pools()):
-        h.update(repr((op.name, canon(op.run()))).encode())
-    return h.hexdigest()
+        hashes[op.name.split(":")[0]].update(repr((op.name, canon(op.run()))).encode())
+    return {kind: h.hexdigest() for kind, h in hashes.items()}
 
 
 def complexes_answer(name, answer):
@@ -257,7 +261,9 @@ def main(argv=None):
                         help="seed of the decompose and complexes-rep workloads (default 1)")
     args = parser.parse_args(argv)
     print(f"cli {cli_hash()}")
-    print(f"decompose seed {args.seed} {decompose_hash(args.seed)}")
+    decompose = decompose_hashes(args.seed)
+    print(f"decompose-modules seed {args.seed} {decompose['module']}")
+    print(f"decompose-objects seed {args.seed} {decompose['object']}")
     print(f"validate {validate_hash()}")
     print(f"complexes seed {args.seed} {complexes_hash(args.seed)}")
     print(f"presentations {presentations_hash()}")
