@@ -30,12 +30,14 @@ fincat.Hull, and the maps between them its Hom(-, g) for block morphisms g:
 both are read off Hull's composition matrices, and Yoneda gives g back.
 
 On this representation the module category is computed exactly: hom spaces,
-kernels, images, cokernels, radicals, projective covers and minimal
-presentations, the standard duality, the transpose, the translates built
-from them, Ext^1 with explicit extension classes, almost split sequences
-with independent verification, Krull-Schmidt decomposition with idempotent
-certificates, the Auslander-Reiten quiver by knitting, and global dimension
-by iterated syzygies.
+and their dimensions off presentations (Yoneda), kernels, images, cokernels,
+radicals, projective covers and minimal presentations, projectivity by
+counting top dimensions, the standard duality, the transpose, the translates
+built from them, Ext^1 with explicit extension classes, almost split
+sequences with independent verification by Hom-dimension defects,
+Krull-Schmidt decomposition with idempotent certificates, the
+Auslander-Reiten quiver by knitting, and global dimension by iterated
+syzygies.
 
 Modules and maps are immutable after construction: nothing assigns to the
 dims or action of a CModule once it is built.  Three derived objects are
@@ -536,16 +538,18 @@ def factor_through_cokernel(ck: Cokernel, psi: ModuleMap) -> ModuleMap:
     return out
 
 
+def _radical_actions(m: CModule, x) -> Mat:
+    """The hstack of m(r) over the radical basis elements r out of x, in
+    order; its column span is rad m at x, the sum of the images m(r)."""
+    cat = m.cat
+    cols = [m.action[(x, y, i)] for y in cat.objects for i in sorted(cat.radical[(x, y)])]
+    return hstack(cols) if cols else Mat.zeros(cat.field, m.dims[x], 0)
+
+
 def radical_submodule(m: CModule) -> Kernel:
     """The intersection of maximal submodules: sums of radical actions."""
-    cat = m.cat
-    bases = {}
-    for x in cat.objects:
-        cols = [m.action[(x, y, i)] for y in cat.objects
-                for i in sorted(cat.radical[(x, y)])]
-        stacked = hstack(cols) if cols else Mat.zeros(cat.field, m.dims[x], 0)
-        bases[x] = stacked.column_space_basis()[0]
-    return _submodule_on_bases(m, bases)
+    return _submodule_on_bases(m, {x: _radical_actions(m, x).column_space_basis()[0]
+                                   for x in m.cat.objects})
 
 
 def top_quotient(m: CModule) -> Cokernel:
@@ -573,7 +577,8 @@ class ProjSum:
 
 def proj_sum(cat: FinCategory, vertices: Sequence) -> ProjSum:
     """Hom(-, X) for X = AddObject(vertices): a basis element f: y -> z acts
-    by precomposition, the matrix Hull.pre_matrix(f, X) of g -> g o f.
+    by precomposition, the matrix Hull.pre_matrix(f, X) of g -> g o f (all
+    of Hom(y, z) at once, by Hull.basis_pre_matrices).
 
     The module is built unvalidated: the unit acts as the identity by the
     unit laws, and M(g o f) = M(f) M(g) is h o (g o f) = (h o g) o f, both
@@ -581,11 +586,9 @@ def proj_sum(cat: FinCategory, vertices: Sequence) -> ProjSum:
     """
     hull = Hull(cat)
     obj = AddObject(tuple(vertices))
-    single = {y: AddObject((y,)) for y in cat.objects}
-    dims = {y: hull.flat_dim(single[y], obj) for y in cat.objects}
-    action = {(y, z, i): hull.pre_matrix(
-                  AddMor(single[y], single[z], ((cat.basis_coords(y, z, i),),)), obj)
-              for y in cat.objects for z in cat.objects for i in range(cat.dim(y, z))}
+    dims = {y: hull.flat_dim(AddObject((y,)), obj) for y in cat.objects}
+    action = {(y, z, i): mat for y in cat.objects for z in cat.objects
+              for i, mat in enumerate(hull.basis_pre_matrices(y, z, obj))}
     return ProjSum(cat, obj.summands, CModule(cat, dims, action, validate=False))
 
 
@@ -625,12 +628,33 @@ class Cover:
     kernel: Kernel
 
 
+def _top_lifts(m: CModule) -> Dict:
+    """At each object x, columns that lift a basis of the top m(x)/rad m(x).
+
+    The rows of pi = (kernel basis of S^T)^T span the left null space of S =
+    _radical_actions(m, x), so pi is a projection onto the top with kernel
+    rad m(x), and the lifts are the columns of its canonical section.  These
+    are the sections of top_quotient(m), bit for bit: that cokernel reads
+    the same kernel basis off the rref of B^T for the pivot columns B of S,
+    and B^T has the row space, hence the rref, of S^T.
+    """
+    fld = m.cat.field
+    lifts = {}
+    for x in m.cat.objects:
+        pi = _radical_actions(m, x).transpose().kernel_basis().transpose()
+        sec = solve(pi, Mat.identity(fld, pi.rows))
+        if sec is None:
+            raise AssertionError("top projection has no section")
+        lifts[x] = sec
+    return lifts
+
+
 def projective_cover(m: CModule) -> Cover:
     """A projective cover with surjectivity and ker <= rad certificates.
 
     The cover map sends g in Hom(y, x) to m(g) e for a lift e of a top basis
-    vector at x; it is built unvalidated, because it is natural by the
-    functoriality of m (Yoneda): m(g o f) e = m(f) m(g) e.
+    vector at x (`_top_lifts`); it is built unvalidated, because it is
+    natural by the functoriality of m (Yoneda): m(g o f) e = m(f) m(g) e.
 
     ker <= rad is read off the coordinates: rad P0 at y, for P0 = Hom(-, X),
     is the span of the radical basis coordinates of flat Hom(y, X).  It is
@@ -641,12 +665,12 @@ def projective_cover(m: CModule) -> Cover:
     """
     cat = m.cat
     fld = cat.field
-    top = top_quotient(m)
+    top = _top_lifts(m)
     vertices, lifts = [], []
     for x in cat.objects:
-        for j in range(top.module.dims[x]):
+        for j in range(top[x].cols):
             vertices.append(x)
-            lifts.append((x, Mat.column(fld, list(top.sections[x].col(j)))))
+            lifts.append((x, Mat.column(fld, list(top[x].col(j)))))
     psum = proj_sum(cat, vertices)
     comps = {}
     for y in cat.objects:
@@ -697,8 +721,52 @@ def _minimal_presentation(m: CModule) -> Presentation:
     return Presentation(c1.psum, c0.psum, d, c0.cover, c0.kernel, matrix)
 
 
+def hom_dim(a: CModule, b: CModule) -> int:
+    """dim Hom(a, b), read off the memoised minimal presentation of a.
+
+    Hom(-, b) is left exact, so P1 -g-> P0 -> a -> 0 gives Hom(a, b) as the
+    kernel of Hom(P0, b) -> Hom(P1, b), and Yoneda turns that map into
+    [b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), for the blocks g_ji: x1_i ->
+    x0_j of the presentation matrix (a map phi: P_x0 -> b is its value v at
+    the unit, and phi o P_g is then b(g) v).  So dim Hom(a, b) is
+    sum_j dim b(x0_j) minus one rank, with no hom basis built.
+    """
+    return _presented_hom_dim(minimal_presentation(a), b)
+
+
+def _presented_hom_dim(pres: Presentation, b: CModule) -> int:
+    """dim Hom(a, b) for the module a that pres presents (see hom_dim)."""
+    g = pres.matrix
+    x0, x1 = pres.p0.vertices, pres.p1.vertices
+    width = sum(b.dims[x] for x in x0)
+    height = sum(b.dims[u] for u in x1)
+    if not width or not height:
+        return width
+    data = []
+    for i, u in enumerate(x1):
+        blocks = [b._combination(u, x, enumerate(g.blocks[j][i])) for j, x in enumerate(x0)]
+        for r in range(b.dims[u]):
+            for x, block in zip(x0, blocks):
+                data.extend(block[r * b.dims[x]:(r + 1) * b.dims[x]])
+    return width - Mat(b.cat.field, height, width, data).rank()
+
+
 def is_projective_module(m: CModule) -> bool:
-    return minimal_presentation(m).kernel.module.is_zero()
+    """Whether m is projective, by counting: no presentation is built.
+
+    With t_x = dim m(x) - dim rad m(x), the dimension of the top at x, the
+    projective cover of m is the sum of t_x copies of Hom(-, x) (the
+    split-basic assumption of `projective_cover`: Hom(-, x) has a simple,
+    one dimensional top at x).  A cover is surjective, so its kernel has
+    dimension sum_x t_x dim Hom(-, x) - dim m, and m is projective exactly
+    when that kernel is zero.
+    """
+    cat = m.cat
+    covered = 0
+    for x in cat.objects:
+        t = m.dims[x] - _radical_actions(m, x).rank()
+        covered += t * sum(cat.dim(y, x) for y in cat.objects)
+    return covered == m.total_dim()
 
 
 # ---------------------------------------------------------------------------
@@ -1020,11 +1088,32 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
 def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     """Checks the almost split property of a sequence against test modules.
 
-    For each test module m: maps m -> right factor through the middle unless
-    m is isomorphic to the right term, where the failure space has dimension
-    dim End/rad; dually for maps left -> m.  Exactness, non-splitness and
-    indecomposability of both end terms are also checked.  Returns the
-    number of test modules, raises VerificationError on any failure.
+    Exactness, non-splitness and indecomposability of both end terms are
+    checked first.  Then, for each test module m, maps m -> right factor
+    through the middle unless m is isomorphic to the right term, where the
+    failure space has dimension dim End/rad; dually for maps left -> m.
+    Returns the number of test modules, raises VerificationError on any
+    failure.
+
+    The failure spaces are measured by Auslander's defects (ARS ch. IV.4).
+    For the sequence 0 -> X -> Y -> Z -> 0, proved exact by
+    check_short_exact, Hom(m, -) is left exact, so 0 -> Hom(m, X) ->
+    Hom(m, Y) -> Hom(m, Z) is exact and the maps m -> Z that do not factor
+    through Y span a space of dimension dim Hom(m, Z) - dim Hom(m, Y) +
+    dim Hom(m, X).  Dually Hom(-, m) is left exact, and the maps X -> m
+    that do not extend through Y span dim Hom(X, m) - dim Hom(Y, m) +
+    dim Hom(Z, m).  Each dimension is one rank on the memoised presentation
+    of its first argument (`hom_dim`, by Yoneda), so no hom basis or
+    composite is built.
+
+    is_isomorphic runs only where a defect is nonzero.  A zero defect is
+    correct for every m not isomorphic to the end term, and it cannot occur
+    at m isomorphic to Z: the dimensions are invariant under isomorphism,
+    so Hom(Z, Y) -> Hom(Z, Z) would be onto, and a lift of 1_Z would be a
+    section of Y -> Z, which splitting_section (an exact solve over a basis
+    of Hom(Z, Y)) has already refused.  Likewise a zero covariant defect at
+    m isomorphic to X would extend 1_X to a retraction of X -> Y, and a
+    retraction splits the sequence too.
     """
     if isinstance(se, AlmostSplit):
         se = se.sequence
@@ -1037,33 +1126,30 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
         if find_nontrivial_idempotent(alg) is not None:
             raise VerificationError(f"{name} term is decomposable")
         top[name] = alg.dim - radical_basis(alg).cols
+    x, y, z = se.left, se.middle, se.right
+    px, py, pz = (minimal_presentation(t) for t in (x, y, z))
     for m in test_modules:
         if m.is_zero():
             raise VerificationError("zero module in the test family")
-        into = hom_space(m, se.right)
-        lifted = hom_space(m, se.middle)
-        cols = [flatten_map(b.then(se.project)) for b in lifted]
-        rank = hstack(cols).rank() if cols else 0
-        coker = len(into) - rank
-        if is_isomorphic(m, se.right) is not None:
+        pm = minimal_presentation(m)
+        coker = (_presented_hom_dim(pm, z) - _presented_hom_dim(pm, y)
+                 + _presented_hom_dim(pm, x))
+        if coker and is_isomorphic(m, z) is not None:
             if coker != top["right"]:
                 raise VerificationError(
                     f"maps from the right term itself: cokernel {coker}, "
                     f"expected {top['right']}")
-        elif coker != 0:
+        elif coker:
             raise VerificationError(
                 f"a map {m!r} -> right term does not factor through the middle")
-        outof = hom_space(se.left, m)
-        extended = hom_space(se.middle, m)
-        cols = [flatten_map(se.include.then(b)) for b in extended]
-        rank = hstack(cols).rank() if cols else 0
-        coker = len(outof) - rank
-        if is_isomorphic(m, se.left) is not None:
+        coker = (_presented_hom_dim(px, m) - _presented_hom_dim(py, m)
+                 + _presented_hom_dim(pz, m))
+        if coker and is_isomorphic(m, x) is not None:
             if coker != top["left"]:
                 raise VerificationError(
                     f"maps into the left term itself: cokernel {coker}, "
                     f"expected {top['left']}")
-        elif coker != 0:
+        elif coker:
             raise VerificationError(
                 f"a map left term -> {m!r} does not extend through the middle")
     return len(test_modules)

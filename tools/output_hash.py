@@ -41,6 +41,16 @@ Prints one SHA-256 per set:
   n = 3, and the cycles of order 2 and 1 (n = 1), each with `generators =
   none` and `coils`, on a stalk of the point and of both A2 projectives,
   over F_101 and with `--field Q`.
+- `verify`: the outcome of `verify_almost_split` against the complete
+  knitted family of A4 mod rad^2, A5 mod rad^3, the 3-cycle mod rad^2 and A3
+  mod rad^2 with A2 coefficients, over F_101, at every non-projective z, on
+  four sequences: the almost split sequence ending at z, the split control
+  tau z -> tau z + z -> z, the almost split sequence with its left map
+  replaced by zero, and the extension of z by the first knitted x other than
+  tau z with Ext^1(z, x) nonzero, at the first class representative (exact
+  and non-split, but not almost split).  An outcome is the returned count,
+  or the message of the `VerificationError`, since the messages name the
+  failing statement.
 
 Run it in two checkouts and compare the lines.  It imports arcat from the
 checkout's `src/`, and takes the job texts and the workload inputs from
@@ -67,8 +77,11 @@ from arcat.complexes import NChainMap, NComplex  # noqa: E402
 from arcat.errors import PreconditionError, VerificationError  # noqa: E402
 from arcat.fincat import FinCategory, category_of  # noqa: E402
 from arcat.linalg import Field, Mat  # noqa: E402
-from arcat.modcat import (CModule, ModuleMap, _transpose_raw, ar_quiver,  # noqa: E402
-                          minimal_presentation, representation_category)
+from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,  # noqa: E402
+                          _transpose_raw, almost_split_sequence, ar_quiver,
+                          direct_sum, extension_from_cocycle,
+                          minimal_presentation, representation_category,
+                          verify_almost_split)
 from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver  # noqa: E402
 from arcat.repcat import tensor_base  # noqa: E402
 
@@ -255,6 +268,49 @@ def presentations_hash():
     return h.hexdigest()
 
 
+def verify_categories():
+    """(label, category) for `verify`."""
+    fp = Field.prime(101)
+    return (("A4-rad2", representation_category(inputs.a_m_rad_n(4, 2), fp)),
+            ("A5-rad3", representation_category(inputs.a_m_rad_n(5, 3), fp)),
+            ("C3-rad2", representation_category(inputs.cyclic_rad2(3), fp)),
+            ("A3-rad2xA2", tensor_base(inputs.a_m_rad_n(3, 2),
+                                       category_of(inputs.a_m_rad_n(2), fp))))
+
+
+def verify_outcome(se, family):
+    try:
+        return verify_almost_split(se, family)
+    except VerificationError as exc:
+        return str(exc)
+
+
+def verify_hash():
+    h = hashlib.sha256()
+    for label, cat in verify_categories():
+        ar = ar_quiver(cat)
+        tau_of = {z: t for t, z in ar.tau_pairs}
+        for n, (z, proj) in enumerate(zip(ar.modules, ar.projective)):
+            if proj:
+                continue
+            se = almost_split_sequence(z).sequence
+            total, injs, projs = direct_sum([se.left, z])
+            controls = (("ass", se),
+                        ("split", ShortExact(se.left, total, z, injs[0], projs[1])),
+                        ("zero-include", ShortExact(se.left, se.middle, z,
+                                                    se.include.scale(cat.field.zero()),
+                                                    se.project)))
+            for t, x in enumerate(ar.modules):
+                ext = Ext1(z, x)
+                if t != tau_of[n] and ext.dim:
+                    controls += (("other-ext", extension_from_cocycle(
+                        ext, ext.representatives[0])),)
+                    break
+            for kind, seq in controls:
+                h.update(repr((label, n, kind, verify_outcome(seq, ar.modules))).encode())
+    return h.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
@@ -267,6 +323,7 @@ def main(argv=None):
     print(f"validate {validate_hash()}")
     print(f"complexes seed {args.seed} {complexes_hash(args.seed)}")
     print(f"presentations {presentations_hash()}")
+    print(f"verify {verify_hash()}")
     return 0
 
 
