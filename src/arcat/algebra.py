@@ -11,7 +11,8 @@ This backs every indecomposability question in the package: End algebras of
 objects and of modules are converted to a TableAlgebra, the radical is the
 kernel of the regular trace form (valid over Q, and over F_p when p exceeds
 the algebra dimension), idempotents of the semisimple quotient are found by
-coprime splitting of minimal polynomials and lifted by Newton iteration
+coprime splitting of minimal polynomials, factored by arcat.poly (in the
+package, over F_p and over Q), and lifted by Newton iteration
 e <- 3e^2 - 2e^3.  All verdicts are exact: "no nontrivial idempotent" is
 returned only with a certificate (dimension one, or a commutative quotient
 with a primitive element whose minimal polynomial is irreducible).
@@ -22,15 +23,14 @@ by one elimination, and checks completeness and orthogonality once, in A.
 
 Algebras are immutable after construction, so radical_basis builds the
 radical once per algebra and memoises it on the algebra, the way modcat
-memoises minimal presentations on a module.
+memoises minimal presentations on a module.  A corner's radical is not
+built at all: _corner sets it to e rad(A) e.
 """
 
 import random
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import sympy
-
+from . import poly
 from .errors import CapExceededError, PreconditionError
 from .linalg import Field, Mat, hstack, solve
 
@@ -161,28 +161,6 @@ class QuotientAlgebra:
         return (self.lift_matrix @ Mat(self.alg.field, self.dim, 1, xbar)).data
 
 
-def _to_sympy_poly(field: Field, coeffs: List):
-    t = sympy.Symbol("t")
-    cs = list(reversed(coeffs))  # sympy wants leading coefficient first
-    if field.is_prime_field:
-        return sympy.Poly([int(c) for c in cs], t, modulus=field.p)
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       if isinstance(c, Fraction) else sympy.Rational(c) for c in cs],
-                      t, domain="QQ")
-
-
-def _from_sympy_coeffs(field: Field, poly) -> List:
-    cs = poly.all_coeffs()  # leading first
-    out = []
-    for c in reversed(cs):
-        if field.is_prime_field:
-            out.append(int(c) % field.p)
-        else:
-            r = sympy.Rational(c)
-            out.append(Fraction(int(r.p), int(r.q)))
-    return out
-
-
 def _poly_eval(alg: TableAlgebra, coeffs: List, x: Tuple) -> Tuple:
     # Horner on [c_0, ..., c_k], lowest degree first
     f = alg.field
@@ -194,19 +172,22 @@ def _poly_eval(alg: TableAlgebra, coeffs: List, x: Tuple) -> Tuple:
     return acc.data
 
 
-def _split_idempotent_from_element(alg: TableAlgebra, x: Tuple, poly,
+def _split_idempotent_from_element(alg: TableAlgebra, x: Tuple, minpoly: List,
                                    factors: List) -> Optional[Tuple]:
-    """A nontrivial idempotent of k[x] when the minimal polynomial poly of x,
-    with factor list factors, splits into coprime parts."""
+    """A nontrivial idempotent of k[x] when the minimal polynomial minpoly of
+    x, with factor list factors, splits into coprime parts: e = 1 mod m1 and
+    e = 0 mod m2 for m1 the first factor's power and m2 = minpoly / m1."""
     if len(factors) < 2:
         return None
-    m1 = factors[0][0] ** factors[0][1]
-    m2 = poly.quo(m1)
-    s, u, h = m1.gcdex(m2)
-    if not h.is_one:
+    f = alg.field
+    m1 = [f.one()]
+    for _ in range(factors[0][1]):
+        m1 = poly.mul(m1, factors[0][0], f)
+    m2 = poly.quo_rem(minpoly, m1, f)[0]
+    _, u, h = poly.gcdex(m1, m2, f)
+    if h != [f.one()]:
         return None
-    e_poly = (u * m2) % poly
-    e = _poly_eval(alg, _from_sympy_coeffs(alg.field, e_poly), x)
+    e = _poly_eval(alg, poly.quo_rem(poly.mul(u, m2, f), minpoly, f)[1], x)
     if alg.mul(e, e) != e:
         raise AssertionError("CRT element is not idempotent")
     if e == alg.unit or not any(e):
@@ -246,10 +227,9 @@ def find_idempotent_semisimple(alg: TableAlgebra) -> Optional[Tuple]:
         if attempts > SEARCH_ATTEMPTS:
             break
         coeffs = alg.minimal_polynomial(x)
-        poly = _to_sympy_poly(alg.field, coeffs)
         # degree <= 1: x is a scalar, nothing to split or certify
-        factors = poly.factor_list()[1] if len(coeffs) > 2 else []
-        e = _split_idempotent_from_element(alg, x, poly, factors)
+        factors = poly.factor(coeffs, alg.field) if len(coeffs) > 2 else []
+        e = _split_idempotent_from_element(alg, x, coeffs, factors)
         if e is not None:
             return e
         if commutative and len(coeffs) == alg.dim + 1 \
@@ -297,6 +277,10 @@ def _corner(alg: TableAlgebra, e: Tuple) -> Tuple[TableAlgebra, Mat]:
     the pivot columns c_i = M b_(p_i), and M = C R, so R y are the
     coordinates of any y = e y e.  As e c_j = c_j e = c_j, c_i c_j =
     M (b_(p_i) c_j): the table is R left[p_i] C, and the unit R e.
+
+    The corner's radical is e rad(alg) e, memoised on it: R C = 1 gives
+    R M = R, so its coordinates are the column space of R rad(alg), and no
+    trace form is built for a corner.
     """
     f, n = alg.field, alg.dim
     ev = Mat(f, n, 1, e)
@@ -308,7 +292,9 @@ def _corner(alg: TableAlgebra, e: Tuple) -> Tuple[TableAlgebra, Mat]:
     red = Mat(f, r, n, reduced.data[:r * n])
     basis = Mat(f, n, r, [m.at(i, p) for i in range(n) for p in pivots])
     products = hstack([red @ (alg.left[p] @ basis) for p in pivots] + [red @ ev])
-    return TableAlgebra(f, products), basis
+    corner = TableAlgebra(f, products)
+    corner._radical = (red @ radical_basis(alg)).column_space_basis()[0]
+    return corner, basis
 
 
 def primitive_idempotents(alg: TableAlgebra) -> List[Tuple]:

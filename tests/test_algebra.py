@@ -11,7 +11,8 @@ from arcat.algebra import (TableAlgebra, find_nontrivial_idempotent,
 from arcat.errors import PreconditionError
 from arcat.fincat import category_of
 from arcat.linalg import Field, Mat, hstack
-from arcat.modcat import almost_split_sequence, ar_quiver, verify_almost_split
+from arcat.modcat import (almost_split_sequence, ar_quiver, direct_sum, end_algebra,
+                          verify_almost_split)
 from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
 
 
@@ -199,6 +200,34 @@ def test_primitive_idempotents_split_completely(field, name):
             assert basis @ corner.left[k] == alg.left_mult_matrix(basis.col(k)) @ basis
         # split and local: the corner modulo its radical is k
         assert corner.dim - radical_basis(corner).cols == 1
+
+
+def one_loop_sum_end(field):
+    """End of the sum k[x]/(x^2) + k + k[x]/(x^2) of modules over one loop
+    mod rad^2: a non-semisimple algebra with three summands."""
+    loop = Quiver(["v"], [Arrow("x", "v", "v")])
+    cat = category_of(BoundQuiver(loop, MonomialIdeal(frozenset(
+        [Path("v", "v", ("x", "x"))]))), field)
+    family = sorted(ar_quiver(cat).modules, key=lambda m: -m.dims["v"])
+    return end_algebra(direct_sum([family[0], family[1], family[0]])[0])[0]
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES) + ["loop-sum"])
+def test_corner_radical_is_e_rad_e(field, name, monkeypatch):
+    # oracle: the trace-form radical of the corner itself, built directly
+    build = algebra._trace_form_radical
+    built = []
+    monkeypatch.setattr(algebra, "_trace_form_radical",
+                        lambda alg: built.append(alg) or build(alg))
+    alg = one_loop_sum_end(field) if name == "loop-sum" else SPLIT_CASES[name][0](field)
+    built.clear()  # knitting the loop's family builds radicals of its own
+    idems = primitive_idempotents(alg)
+    assert built == [alg]  # no corner builds a trace form
+    for e in idems + [tuple(map(field.sub, alg.unit, idems[0]))]:
+        corner, _ = algebra._corner(alg, e)
+        derived, direct = corner._radical, build(corner)
+        assert derived.cols == direct.cols == hstack([derived, direct]).rank()
 
 
 def test_primitive_idempotents_refuse_a_non_idempotent(monkeypatch):

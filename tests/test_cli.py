@@ -378,6 +378,48 @@ def test_module_entry_point(tmp_path):
     assert "verified" in proc.stdout
 
 
+# Imports the CLI, runs jobs that factor minimal polynomials over F_101 and
+# over Q (through the CLI and through decompose_module), and reports whether
+# sympy was ever imported.
+NO_SYMPY_CHILD = """
+import sys
+from arcat import cli, poly
+from arcat.fincat import category_of
+from arcat.linalg import Field
+from arcat.modcat import ar_quiver, decompose_module, direct_sum
+from arcat.quiver import BoundQuiver, linear_quiver
+
+fields = set()
+factor = poly.factor
+poly.factor = lambda f, field: fields.add(repr(field)) or factor(f, field)
+assert cli.main([sys.argv[1]]) == 0
+assert cli.main([sys.argv[2], "--field", "Q"]) == 0
+for field in (Field.prime(101), Field.rationals()):
+    family = ar_quiver(category_of(BoundQuiver(linear_quiver(3)), field)).modules
+    m = direct_sum([family[0], family[1], family[0]])[0]
+    assert len(decompose_module(m)) == 3
+print("factored over", sorted(fields))
+print("sympy imported:", "sympy" in sys.modules)
+"""
+
+
+def test_runtime_never_imports_sympy(tmp_path):
+    ar_job = tmp_path / "ar.txt"
+    ar_job.write_text(A4_RAD2, encoding="utf-8")
+    ass_job = tmp_path / "ass.txt"
+    ass_job.write_text(A3_RAD2 + "\n[command]\nname = ass\ntarget = simple 2:pt\n",
+                       encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY_CHILD, str(ar_job), str(ass_job)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == "factored over ['F_101', 'Q']"
+    assert lines[-1] == "sympy imported: False"
+
+
 def test_bad_stalk_degree_is_a_parse_error(tmp_path, capsys):
     text = ("[quiver]\ncomplex = cyclic 2\n"
             "[command]\nname = approximate\ntarget = stalk x pt\n")

@@ -52,6 +52,13 @@ Prints one SHA-256 per set:
   or the message of the `VerificationError`, since the messages name the
   failing statement.
 
+- `idempotents`: `primitive_idempotents` of the End algebras of scrambled
+  direct sums of knitted modules of A3 mod rad^2 and the 2-cycle mod rad^2,
+  both with A2 coefficients, over F_101 and over Q: for each pair and field,
+  three sums of each of two, three and four summands, with the first
+  summand repeated, drawn with their base changes from a fixed design
+  seed; every coordinate hashed with its type.
+
 Run it in two checkouts and compare the lines.  It imports arcat from the
 checkout's `src/`, and takes the job texts and the workload inputs from
 `bench/workloads.py` and `bench/inputs.py`, which it only reads.
@@ -63,6 +70,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -73,13 +81,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import inputs  # noqa: E402
 import workloads  # noqa: E402
 from arcat import cli  # noqa: E402
+from arcat.algebra import primitive_idempotents  # noqa: E402
 from arcat.complexes import NChainMap, NComplex  # noqa: E402
 from arcat.errors import PreconditionError, VerificationError  # noqa: E402
 from arcat.fincat import FinCategory, category_of  # noqa: E402
 from arcat.linalg import Field, Mat  # noqa: E402
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,  # noqa: E402
                           _transpose_raw, almost_split_sequence, ar_quiver,
-                          direct_sum, extension_from_cocycle,
+                          direct_sum, end_algebra, extension_from_cocycle,
                           minimal_presentation, representation_category,
                           verify_almost_split)
 from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver  # noqa: E402
@@ -311,6 +320,22 @@ def verify_hash():
     return h.hexdigest()
 
 
+def idempotents_hash():
+    h = hashlib.sha256()
+    design = random.Random("idempotents-design")
+    for fld in (Field.prime(workloads.P), Field.rationals()):
+        for name in workloads.DECOMPOSE_PAIRS:
+            base = tensor_base(*workloads.tensor_pair(name, fld))
+            pool = ar_quiver(base).modules
+            for count in (2, 3, 4) * 3:
+                picks = design.sample(range(len(pool)), count - 1)
+                picks.append(picks[0])
+                m = inputs.scramble(direct_sum([pool[i] for i in picks], base)[0], design)
+                idems = primitive_idempotents(end_algebra(m)[0])
+                h.update(repr((repr(fld), name, picks, canon(idems))).encode())
+    return h.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
@@ -324,6 +349,7 @@ def main(argv=None):
     print(f"complexes seed {args.seed} {complexes_hash(args.seed)}")
     print(f"presentations {presentations_hash()}")
     print(f"verify {verify_hash()}")
+    print(f"idempotents {idempotents_hash()}")
     return 0
 
 
