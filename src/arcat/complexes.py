@@ -25,11 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory
-from .linalg import (Mat, block_diag, equation_matrix, hstack, solve,
-                     split_blocks, vstack)
-from .modcat import (CModule, ModuleMap, cokernel_module, direct_sum,
+from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
+from .modcat import (CModule, ModuleMap, cokernel_module, copair, direct_sum,
                      factor_through_cokernel, flatten_map, identity_map,
-                     kernel_module, projective_cover, zero_map, zero_module)
+                     kernel_module, projective_cover, sum_map, zero_map,
+                     zero_module)
 from .quiver import (BoundQuiver, MonomialIdeal, Path, cyclic_quiver,
                      linear_quiver)
 from .repcat import QRep, phi, psi, qrep_hom
@@ -213,12 +213,10 @@ class NComplex:
 
     def composite(self, i: int, count: int) -> ModuleMap:
         """The composite of `count` differentials starting at degree i."""
-        w = self.spec.wrap(i)
-        if w is None:
-            raise PreconditionError(f"degree {i} is outside the shape")
-        cur = identity_map(self.components[w])
-        for k in range(count):
-            cur = cur.then(self.d(i + k))
+        cur = _composite_or_none(self, i, count)
+        if cur is None:
+            raise PreconditionError(
+                f"no {count} consecutive differentials from degree {i}")
         return cur
 
     def total_dim(self) -> int:
@@ -321,8 +319,8 @@ def complex_direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
         total, vi, vp = direct_sum([x.components[i] for x in xs], coeff)
         comps[i] = total
         injs[i], projs[i] = vi, vp
-    diffs = {i: _block_diag_map(comps[i], comps[spec.wrap(i + 1)],
-                                [x.differentials[i] for x in xs])
+    diffs = {i: sum_map(comps[i], comps[spec.wrap(i + 1)],
+                        [x.differentials[i] for x in xs])
              for i in spec._diff_degrees}
     total_complex = NComplex(spec, coeff, comps, diffs, validate=False)
     inj_maps = [NChainMap(x, total_complex,
@@ -334,21 +332,11 @@ def complex_direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
     return total_complex, inj_maps, proj_maps
 
 
-def _block_diag_map(src: CModule, tgt: CModule,
-                    maps: Sequence[ModuleMap]) -> ModuleMap:
-    """The direct sum of maps between the summands of src and of tgt."""
-    fld = src.cat.field
-    return ModuleMap(src, tgt, {c: block_diag(fld, [f.comps[c] for f in maps])
-                                for c in src.cat.objects}, validate=False)
-
-
 def _copair(src: NComplex, tgt: NComplex, maps: Sequence[NChainMap]) -> NChainMap:
     """The chain map out of the direct sum src whose restriction to summand
     k is maps[k], validated."""
-    objects = src.coeff.objects
-    comps = {i: ModuleMap(src.components[i], tgt.components[i],
-                          {c: hstack([f.comps[i].comps[c] for f in maps])
-                           for c in objects}, validate=False)
+    comps = {i: copair(src.components[i], tgt.components[i],
+                       [f.comps[i] for f in maps])
              for i in src.spec._degrees}
     return NChainMap(src, tgt, comps, validate=True)
 
@@ -459,7 +447,7 @@ def interval_J_map(spec: NComplexSpec, j: int, f: ModuleMap,
     """The coil construction applied to a coefficient map; src and tgt are
     the coils of f.src and f.tgt at degree j."""
     if spec.cyclic and spec.shape.order == 1:
-        comp = _block_diag_map(src.components[0], tgt.components[0], [f, f])
+        comp = sum_map(src.components[0], tgt.components[0], [f, f])
         return NChainMap(src, tgt, {0: comp}, validate=True)
     comps = {}
     for i in spec._degrees:
@@ -530,9 +518,8 @@ def coil_epi(z: NComplex) -> CoilEpi:
     legs = []
     for j, coil in zip(blocks, coils):
         if spec_p.cyclic and spec_p.shape.order == 1:
-            m = z.components[j]
-            _, _, dbl_projs = direct_sum([m, m], z.coeff)
-            part = dbl_projs[0].add(dbl_projs[1].then(zp.differentials[0]))
+            part = copair(coil.components[0], zp.components[0],
+                          [identity_map(z.components[j]), zp.differentials[0]])
             legs.append(NChainMap(coil, zp, {0: part}, validate=False))
             continue
         # only the order-1 cycle folds a window onto one degree, so each
@@ -556,7 +543,10 @@ def coil_epi(z: NComplex) -> CoilEpi:
 
 def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
     """d^{j+count-1} ... d^j, or None when it runs off the shape."""
-    cur = identity_map(z.components[z.spec.wrap(j)])
+    start = z.spec.wrap(j)
+    if start is None:
+        return None
+    cur = identity_map(z.components[start])
     for k in range(count):
         w = z.spec.wrap(j + k)
         if w is None or w not in z.spec._diff_degrees:
@@ -651,14 +641,14 @@ def factor_null_homotopy(l: NChainMap, coil: CoilEpi) -> NChainMap:
     for i in spec_p._degrees:
         cur = zero_map(src.components[i], coil.source.components[i])
         for t, j in enumerate(coil.blocks):
+            inj = coil.injections[t].comps[i]
             if spec_p.cyclic and spec_p.shape.order == 1:
-                m = zp.components[0]
-                _, dbl_injs, _ = direct_sum([m, m], zp.coeff)
-                d0 = src.differentials[0]
-                first = d0.then(s[0]).then(dbl_injs[0])
-                second = s[0].then(dbl_injs[1])
-                block = first.add(second)
-                cur = cur.add(block.then(coil.injections[t].comps[i]))
+                # the map into m + m with components (s0 d0 ; s0)
+                first = src.differentials[0].then(s[0])
+                block = ModuleMap(src.components[0], inj.src,
+                                  {c: vstack([first.comps[c], s[0].comps[c]])
+                                   for c in zp.coeff.objects}, validate=False)
+                cur = cur.add(block.then(inj))
                 continue
             offsets = [k for k in range(length) if spec_p.wrap(j + k) == i]
             for k in offsets:
@@ -670,8 +660,7 @@ def factor_null_homotopy(l: NChainMap, coil: CoilEpi) -> NChainMap:
                                           else (top - i) % spec_p.shape.order)
                 if walk is None:
                     continue
-                block = walk.then(s[top])
-                cur = cur.add(block.then(coil.injections[t].comps[i]))
+                cur = cur.add(walk.then(s[top]).then(inj))
         comps[i] = cur
     lifted = NChainMap(src, coil.source, comps, validate=True)
     if lifted.then(coil.p) != lp:
@@ -729,9 +718,8 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
                   for (j, cov), src, inj in zip(covers, cover_coils, coil.injections)]
     coil_src, _, _ = complex_direct_sum(cover_coils, spec_p, z.coeff)
     p_prime = NChainMap(coil_src, coil.source,
-                        {i: _block_diag_map(coil_src.components[i],
-                                            coil.source.components[i],
-                                            [f.comps[i] for f in cover_maps])
+                        {i: sum_map(coil_src.components[i], coil.source.components[i],
+                                    [f.comps[i] for f in cover_maps])
                          for i in spec_p._degrees}, validate=True)
     r = p_prime.then(coil.p)
     gens_p = [pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]

@@ -396,11 +396,6 @@ def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
     return Mat(field, rows, cols, [x for row in out for x in row])
 
 
-def block_matrix(field: Field, blocks: Sequence[Sequence[Mat]]) -> Mat:
-    """Assemble from a grid of blocks; each grid row is hstacked, then vstacked."""
-    return vstack([hstack(list(row)) for row in blocks])
-
-
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product, (a kron b)[i*br+k, j*bc+l] = a[i,j] * b[k,l]."""
     if a.field != b.field:

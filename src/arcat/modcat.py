@@ -19,11 +19,12 @@ of full column rank), the projection onto an image, cokernels and their
 projections (phi is natural), sums of representables and the maps between
 them (unit laws, associativity), the cover map (Yoneda), and duals
 (transposed actions).  Composites, sums and scalings of maps, identities,
-zero maps and direct sums are natural or functorial by linear algebra
-alone.  Every certificate the program reports is still checked: cover
-surjectivity and ker <= rad, the rebuilt presentation, exactness and
-non-splitness, the almost split property, and the decomposition identities
-(in End(m), by algebra.primitive_idempotents).
+zero maps, direct sums and the block maps between sums (sum_map, copair)
+are natural or functorial by linear algebra alone.  Every certificate the
+program reports is still checked: cover surjectivity and ker <= rad, the
+rebuilt presentation, exactness and non-splitness, the almost split
+property, and the decomposition identities (in End(m), by
+algebra.primitive_idempotents).
 
 Sums of representables are the hull's Hom(-, X) for additive objects X of
 fincat.Hull, and the maps between them its Hom(-, g) for block morphisms g:
@@ -305,6 +306,26 @@ def direct_sum(mods: Sequence[CModule], cat: Optional[FinCategory] = None):
         injections.append(ModuleMap(m, total, inj, validate=False))
         projections.append(ModuleMap(total, m, prj, validate=False))
     return total, injections, projections
+
+
+def sum_map(src: CModule, tgt: CModule, maps: Sequence[ModuleMap]) -> ModuleMap:
+    """The direct sum of maps f_k: src_k -> tgt_k, from the direct sum src of
+    their sources to the direct sum tgt of their targets, built unvalidated:
+    the actions of src and tgt are block diagonal, so naturality holds
+    block by block."""
+    fld = src.cat.field
+    return ModuleMap(src, tgt, {c: block_diag(fld, [f.comps[c] for f in maps])
+                                for c in src.cat.objects}, validate=False)
+
+
+def copair(src: CModule, tgt: CModule, maps: Sequence[ModuleMap]) -> ModuleMap:
+    """The map out of the direct sum src whose restriction to summand k is
+    maps[k], built unvalidated: the action of src is block diagonal, so each
+    column block is natural exactly when maps[k] is."""
+    if not maps:
+        return zero_map(src, tgt)
+    return ModuleMap(src, tgt, {c: hstack([f.comps[c] for f in maps])
+                                for c in src.cat.objects}, validate=False)
 
 
 def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:

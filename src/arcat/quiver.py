@@ -231,53 +231,6 @@ def opposite(bq: BoundQuiver) -> BoundQuiver:
     return BoundQuiver(op_quiver, MonomialIdeal(op_gens))
 
 
-@dataclass
-class PathSpace:
-    """The left path space at a vertex: one vertex per surviving path from it.
-
-    Vertices are keyed deterministically ("e" for the trivial path, else the
-    arrow names joined in application order); each arrow extends a path by
-    one quiver arrow.
-    """
-
-    source_vertex: str
-    bound_quiver: BoundQuiver            # tree shaped, empty ideal
-    path_by_vertex: Dict[str, Path]
-    extension_by_arrow: Dict[str, Tuple[str, str, str]]  # arrow -> (p key, quiver arrow, ap key)
-
-    @property
-    def quiver(self) -> Quiver:
-        return self.bound_quiver.quiver
-
-
-def path_key(p: Path) -> str:
-    return ".".join(p.arrows) if p.arrows else "e"
-
-
-def left_path_space(bq: BoundQuiver, v: str) -> PathSpace:
-    if v not in bq.quiver.vertices:
-        raise ValueError(f"no vertex {v}")
-    paths = []
-    for w in bq.quiver.vertices:
-        paths.extend(bq.paths(v, w))
-    paths.sort(key=lambda p: (p.length, p.arrows))
-    by_key = {path_key(p): p for p in paths}
-    vertices = [path_key(p) for p in paths]
-    arrows = []
-    extensions = {}
-    for p in paths:
-        for a in bq.quiver.out_arrows(p.target):
-            word = p.arrows + (a.name,)
-            if bq.ideal.kills_suffix(word):
-                continue
-            ap = Path(v, a.target, word)
-            name = f"{path_key(p)}+{a.name}"
-            arrows.append(Arrow(name, path_key(p), path_key(ap)))
-            extensions[name] = (path_key(p), a.name, path_key(ap))
-    space_quiver = Quiver(vertices, arrows)
-    return PathSpace(v, BoundQuiver(space_quiver, MonomialIdeal()), by_key, extensions)
-
-
 def linear_quiver(m: int, prefix: str = "a", start: int = 1) -> Quiver:
     """The A_m quiver start -> start+1 -> ... with arrows prefix+i."""
     vertices = [str(start + i) for i in range(m)]

@@ -6,11 +6,13 @@ vanish.  phi and psi repackage these exactly as modules over the tensor
 product of the opposite path category with the coefficient category, and
 are mutually inverse on the nose.
 
-The induced representations are built from the left path space at a vertex:
-g_star_v inflates a coefficient module to the constant path-space
-representation, t_star_v rolls a path-space representation up into a QRep
-with block arrows, and f_star_v is their composite.  check_adjunction
-certifies the evaluation adjunction by computing both hom spaces
+The induced representation f_star_v(p) puts one copy of p at w for every
+surviving path q: v -> w, and acts by path-shift matrices: an arrow a sends
+copy q to copy q.a, or to zero when q.a is killed, one block matrix per
+coefficient object.  Maps into and out of direct sums of representations,
+and the transposition sharp across the evaluation adjunction, are assembled
+the same way, blockwise with modcat.sum_map and modcat.copair.
+check_adjunction certifies the adjunction by computing both hom spaces
 independently and verifying the two transposition maps are mutually inverse
 on bases; lemma2_cover assembles the canonical projective cover of a
 representation from the f_star_v of vertexwise covers.
@@ -21,10 +23,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory, category_of, opposite_category, tensor_product
-from .linalg import equation_matrix, split_blocks
-from .modcat import (CModule, ModuleMap, direct_sum, hom_space, identity_map,
-                     naturality_equations, projective_cover, zero_map, zero_module)
-from .quiver import BoundQuiver, Path, left_path_space, path_key
+from .linalg import Mat, equation_matrix, kron, split_blocks
+from .modcat import (CModule, ModuleMap, copair, direct_sum, hom_space,
+                     identity_map, naturality_equations, projective_cover,
+                     sum_map, zero_map, zero_module)
+from .quiver import BoundQuiver, Path
 
 
 class QRep:
@@ -133,13 +136,9 @@ def rep_direct_sum(reps: List[QRep], bq: BoundQuiver,
         total, vi, vp = direct_sum([r.vertex_modules[v] for r in reps], coeff)
         vertex_modules[v] = total
         injs[v], projs[v] = vi, vp
-    arrow_maps = {}
-    for a in bq.quiver.arrows:
-        cur = zero_map(vertex_modules[a.source], vertex_modules[a.target])
-        for k, r in enumerate(reps):
-            part = projs[a.source][k].then(r.arrow_maps[a.name]).then(injs[a.target][k])
-            cur = cur.add(part)
-        arrow_maps[a.name] = cur
+    arrow_maps = {a.name: sum_map(vertex_modules[a.source], vertex_modules[a.target],
+                                  [r.arrow_maps[a.name] for r in reps])
+                  for a in bq.quiver.arrows}
     total_rep = QRep(bq, coeff, vertex_modules, arrow_maps, validate=False)
     inj_maps = [QRepMap(r, total_rep, {v: injs[v][k] for v in bq.quiver.vertices},
                         validate=False) for k, r in enumerate(reps)]
@@ -287,86 +286,64 @@ def qrep_hom(r: QRep, s: QRep) -> List[QRepMap]:
 
 
 # ---------------------------------------------------------------------------
-# induced representations from the left path space
-
-
-def g_star_v(bq: BoundQuiver, v, p: CModule) -> QRep:
-    """The constant path-space representation with value p, identity arrows."""
-    ps = left_path_space(bq, v)
-    return QRep(ps.bound_quiver, p.cat,
-                {key: p for key in ps.quiver.vertices},
-                {a.name: identity_map(p) for a in ps.quiver.arrows},
-                validate=False)
-
-
-def t_star_v(bq: BoundQuiver, v, psrep: QRep) -> QRep:
-    """Rolls a path-space representation into a QRep with path-block sums."""
-    ps = left_path_space(bq, v)
-    if psrep.bq.quiver != ps.quiver:
-        raise PreconditionError("representation does not live on the path space")
-    coeff = psrep.coeff
-    vertex_modules, injs, projs, orders = {}, {}, {}, {}
-    for w in bq.quiver.vertices:
-        plist = bq.paths(v, w)
-        orders[w] = {path_key(p): t for t, p in enumerate(plist)}
-        mods = [psrep.vertex_modules[path_key(p)] for p in plist]
-        total, vi, vp = direct_sum(mods, coeff)
-        vertex_modules[w] = total
-        injs[w], projs[w] = vi, vp
-    arrow_maps = {}
-    for a in bq.quiver.arrows:
-        w, u = a.source, a.target
-        cur = zero_map(vertex_modules[w], vertex_modules[u])
-        for p in bq.paths(v, w):
-            tree_arrow = f"{path_key(p)}+{a.name}"
-            if tree_arrow not in psrep.arrow_maps:
-                continue
-            src_idx = orders[w][path_key(p)]
-            tgt_key = path_key(Path(v, u, p.arrows + (a.name,)))
-            tgt_idx = orders[u][tgt_key]
-            part = projs[w][src_idx].then(psrep.arrow_maps[tree_arrow]).then(injs[u][tgt_idx])
-            cur = cur.add(part)
-        arrow_maps[a.name] = cur
-    return QRep(bq, coeff, vertex_modules, arrow_maps, validate=True)
+# induced representations
 
 
 def f_star_v(bq: BoundQuiver, v, p: CModule) -> QRep:
-    """Induction of a coefficient module along the vertex inclusion."""
-    return t_star_v(bq, v, g_star_v(bq, v, p))
+    """Induction of a coefficient module along the vertex inclusion.
 
-
-def _trivial_block_index(bq: BoundQuiver, v) -> int:
-    for t, p in enumerate(bq.paths(v, v)):
-        if p.length == 0:
-            return t
-    raise AssertionError("trivial path missing from its own hom set")
+    Vertex w carries one copy of p per surviving path q: v -> w, in the
+    order of bq.paths(v, w), and an arrow a: w -> u acts at each coefficient
+    object by kron(S_a, 1), where the 0/1 matrix S_a sends copy q to copy
+    q.a, or to zero when q.a is killed.  Built unvalidated: identity blocks
+    commute with the block-diagonal actions of the sums, and a monomial
+    generator g sends copy q to copy q.g, which contains g and so is killed.
+    """
+    fld = p.cat.field
+    one, zero = fld.one(), fld.zero()
+    paths = {w: bq.paths(v, w) for w in bq.quiver.vertices}
+    vertex_modules = {w: direct_sum([p] * len(plist), p.cat)[0]
+                      for w, plist in paths.items()}
+    arrow_maps = {}
+    for a in bq.quiver.arrows:
+        src, tgt = paths[a.source], paths[a.target]
+        row_of = {q.arrows: j for j, q in enumerate(tgt)}
+        shift = [zero] * (len(tgt) * len(src))
+        for i, q in enumerate(src):
+            j = row_of.get(q.arrows + (a.name,))
+            if j is not None:
+                shift[j * len(src) + i] = one
+        s_a = Mat(fld, len(tgt), len(src), shift)
+        arrow_maps[a.name] = ModuleMap(
+            vertex_modules[a.source], vertex_modules[a.target],
+            {c: kron(s_a, Mat.identity(fld, p.dims[c])) for c in p.cat.objects},
+            validate=False)
+    return QRep(bq, p.cat, vertex_modules, arrow_maps, validate=False)
 
 
 def adjunction_unit(bq: BoundQuiver, v, p: CModule,
                     ind: Optional[QRep] = None) -> ModuleMap:
-    """The unit p -> f_star_v(p)(v): inclusion of the trivial path block."""
+    """The unit p -> f_star_v(p)(v): inclusion of the trivial path block,
+    which comes first in bq.paths(v, v)."""
     if ind is None:
         ind = f_star_v(bq, v, p)
-    mods = [p for _ in bq.paths(v, v)]
-    _, injs, _ = direct_sum(mods, p.cat)
-    inj = injs[_trivial_block_index(bq, v)]
-    return ModuleMap(p, ind.vertex_modules[v], inj.comps, validate=True)
+    fld = p.cat.field
+    count = len(bq.paths(v, v))
+    unit = Mat(fld, count, 1, [fld.one()] + [fld.zero()] * (count - 1))
+    return ModuleMap(p, ind.vertex_modules[v],
+                     {c: kron(unit, Mat.identity(fld, p.dims[c])) for c in p.cat.objects},
+                     validate=True)
 
 
 def sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap,
           ind: Optional[QRep] = None) -> QRepMap:
-    """Transposes p -> r(v) across the adjunction to f_star_v(p) -> r."""
-    p = psi_map.src
+    """Transposes p -> r(v) across the adjunction to f_star_v(p) -> r: the
+    copy of p at path q: v -> w maps by psi_map followed by r along q."""
     if ind is None:
-        ind = f_star_v(bq, v, p)
-    comps = {}
-    for w in bq.quiver.vertices:
-        plist = bq.paths(v, w)
-        _, _, projs = direct_sum([p for _ in plist], p.cat)
-        cur = zero_map(ind.vertex_modules[w], r.vertex_modules[w])
-        for t, q in enumerate(plist):
-            cur = cur.add(projs[t].then(psi_map).then(r.path_map(q)))
-        comps[w] = cur
+        ind = f_star_v(bq, v, psi_map.src)
+    comps = {w: copair(ind.vertex_modules[w], r.vertex_modules[w],
+                       [psi_map.then(r.path_map(q)) for q in bq.paths(v, w)])
+             for w in bq.quiver.vertices}
     return QRepMap(ind, r, comps, validate=True)
 
 
@@ -422,13 +399,10 @@ def lemma2_cover(r: QRep) -> CoverResult:
         ind = f_star_v(bq, v, cov.psum.module)
         parts.append(ind)
         maps.append(sharp(bq, v, r, cov.cover, ind))
-    total, _, projs = rep_direct_sum(parts, bq, coeff)
-    comps = {}
-    for w in bq.quiver.vertices:
-        cur = zero_map(total.vertex_modules[w], r.vertex_modules[w])
-        for k in range(len(parts)):
-            cur = cur.add(projs[k].comps[w].then(maps[k].comps[w]))
-        comps[w] = cur
+    total, _, _ = rep_direct_sum(parts, bq, coeff)
+    comps = {w: copair(total.vertex_modules[w], r.vertex_modules[w],
+                       [f.comps[w] for f in maps])
+             for w in bq.quiver.vertices}
     cover = QRepMap(total, r, comps, validate=True)
     for w in bq.quiver.vertices:
         for c in coeff.objects:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcat.linalg import (Field, Mat, block_diag, block_matrix, equation_matrix, hstack,
+from arcat.linalg import (Field, Mat, block_diag, equation_matrix, hstack,
                           kron, solve, split_blocks, vstack)
 
 F5 = Field.prime(5)
@@ -127,8 +127,6 @@ def test_stack_shapes():
     d = block_diag(F5, [a, Mat.identity(F5, 1)])
     assert (d.rows, d.cols) == (3, 3)
     assert d.at(2, 2) == 1 and d.at(2, 0) == 0
-    g = block_matrix(F5, [[a, b]])
-    assert g == hstack([a, b])
 
 
 def test_randomized_invariants():

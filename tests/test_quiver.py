@@ -6,7 +6,7 @@ from _support import a2_quiver, a3_quiver, a3_rad2, cyclic_rad2, one_loop_rad2
 from arcat.errors import CapExceededError, NotAdmissibleError, PreconditionError
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, enumerate_paths, is_admissible,
-                          left_path_space, linear_quiver, opposite)
+                          linear_quiver, opposite)
 
 
 def test_generator_too_short():
@@ -107,29 +107,6 @@ def test_opposite_is_an_involution():
         back = opposite(opposite(bq))
         assert back == bq
         assert back.bounds == bq.bounds
-
-
-def test_left_path_space_a3():
-    space = left_path_space(a3_quiver(), "1")
-    assert set(space.quiver.vertices) == {"e", "a1", "a1.a2"}
-    assert len(space.quiver.arrows) == 2
-
-    clipped = left_path_space(a3_rad2(), "1")
-    assert set(clipped.quiver.vertices) == {"e", "a1"}
-    assert len(clipped.quiver.arrows) == 1
-
-
-def test_left_path_space_is_a_tree():
-    for bq in (a3_quiver(), cyclic_rad2(3)):
-        for v in bq.quiver.vertices:
-            space = left_path_space(bq, v)
-            indeg = {w: 0 for w in space.quiver.vertices}
-            for a in space.quiver.arrows:
-                indeg[a.target] += 1
-            assert indeg["e"] == 0
-            assert all(indeg[w] == 1 for w in space.quiver.vertices if w != "e")
-            total = sum(len(bq.paths(v, w)) for w in bq.quiver.vertices)
-            assert len(space.quiver.vertices) == total
 
 
 def test_cyclic_quiver_single_vertex():

@@ -5,17 +5,18 @@ from itertools import product
 
 import pytest
 
-from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, point_pool,
-                      rand_qrep)
+from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, one_loop_rad2,
+                      point_pool, rand_qrep)
+from arcat import repcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
 from arcat.linalg import Mat
-from arcat.modcat import (CModule, ModuleMap, ar_quiver, hom_space, is_isomorphic,
-                          yoneda_projective, zero_map)
+from arcat.modcat import (CModule, ModuleMap, ar_quiver, direct_sum, hom_space,
+                          is_isomorphic, yoneda_projective, zero_map)
+from arcat.quiver import Arrow, BoundQuiver, Path, Quiver
 from arcat.repcat import (QRep, QRepMap, adjunction_unit, check_adjunction,
-                          f_star_v, g_star_v, lemma2_cover, phi, phi_map, psi,
-                          psi_map, qrep_hom, rep_direct_sum, sharp, t_star_v,
-                          tensor_base, zero_rep)
+                          f_star_v, lemma2_cover, phi, phi_map, psi, psi_map,
+                          qrep_hom, rep_direct_sum, sharp, tensor_base, zero_rep)
 
 
 def one_dim(field):
@@ -164,15 +165,83 @@ def test_induction_of_representable_is_projective():
                                            for o in t.objects})
 
 
-def test_g_star_constant_shape():
-    bq = a3_rad2()
-    cat, k1 = one_dim(F101)
-    const = g_star_v(bq, "1", k1)
-    assert all(m.total_dim() == 1 for m in const.vertex_modules.values())
-    assert all(f.comps["pt"] == Mat.identity(F101, 1)
-               for f in const.arrow_maps.values())
-    rolled = t_star_v(bq, "1", const)
-    assert rolled == f_star_v(bq, "1", k1)
+def induction_by_sums(bq, v, p):
+    """f_star_v by the sum formula: one copy of p per path from v, and each
+    arrow a sum of projection . identity . injection blocks, one per path
+    extension that the ideal does not kill."""
+    sums = {w: direct_sum([p] * len(bq.paths(v, w)), p.cat) for w in bq.quiver.vertices}
+    arrow_maps = {}
+    for a in bq.quiver.arrows:
+        (src, _, projs), (tgt, injs, _) = sums[a.source], sums[a.target]
+        targets = [q.arrows for q in bq.paths(v, a.target)]
+        cur = zero_map(src, tgt)
+        for i, q in enumerate(bq.paths(v, a.source)):
+            ext = Path(v, a.target, q.arrows + (a.name,))
+            if not bq.ideal.kills(ext):
+                cur = cur.add(projs[i].then(injs[targets.index(ext.arrows)]))
+        arrow_maps[a.name] = cur
+    return QRep(bq, p.cat, {w: total for w, (total, _, _) in sums.items()},
+                arrow_maps, validate=False)
+
+
+def typed_rep(r):
+    """Every entry of every action and arrow map, with its type."""
+    def typed(mats):
+        return {k: [(type(x), x) for x in a.data] for k, a in mats.items()}
+    return ({w: (m.dims, typed(m.action)) for w, m in r.vertex_modules.items()},
+            {n: typed(f.comps) for n, f in r.arrow_maps.items()})
+
+
+INDUCTION_QUIVERS = (a2_quiver, a3_rad2, lambda: cyclic_rad2(2), lambda: cyclic_rad2(3),
+                     one_loop_rad2)
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_induction_matches_the_sum_formula(field):
+    a2 = category_of(a2_quiver(), field)
+    coefficients = point_pool(field)[1] + list(ar_quiver(a2).modules)
+    for make in INDUCTION_QUIVERS:
+        bq = make()
+        for v in bq.quiver.vertices:
+            for p in coefficients:
+                ind = f_star_v(bq, v, p)
+                ind._validate()
+                oracle = induction_by_sums(bq, v, p)
+                assert ind == oracle
+                assert typed_rep(ind) == typed_rep(oracle)
+
+
+def kronecker():
+    return BoundQuiver(Quiver(["1", "2"], [Arrow("b", "1", "2"), Arrow("c", "1", "2")]))
+
+
+def test_induction_with_a_misplaced_block_is_caught(monkeypatch):
+    """Moving the block that sends copy e to copy q.a onto another copy breaks
+    the relation on the loop mod x^2, and the adjunction on the Kronecker
+    quiver, where no relation can catch it."""
+    _, k1 = one_dim(F101)
+    for bq, v, arrow, caught_by_validate in ((one_loop_rad2(), "v", "x", True),
+                                             (kronecker(), "1", "b", False)):
+        ind = f_star_v(bq, v, k1)
+        f = ind.arrow_maps[arrow]
+        block = f.comps["pt"]
+        # k1 is one dimensional, so each copy is one row: rotate the rows
+        moved = Mat(F101, block.rows, block.cols,
+                    block.data[block.cols:] + block.data[:block.cols])
+        assert moved != block
+        broken = QRep(bq, ind.coeff, ind.vertex_modules,
+                      {**ind.arrow_maps, arrow: ModuleMap(f.src, f.tgt, {"pt": moved})},
+                      validate=False)
+        if caught_by_validate:
+            with pytest.raises(PreconditionError):
+                broken._validate()
+            continue
+        broken._validate()
+        check_adjunction(bq, v, k1, ind)
+        monkeypatch.setattr(repcat, "f_star_v", lambda *args: broken)
+        with pytest.raises((PreconditionError, VerificationError)):
+            check_adjunction(bq, v, k1, ind)
+        monkeypatch.undo()
 
 
 def test_adjunction_on_random_reps():
@@ -185,6 +254,17 @@ def test_adjunction_on_random_reps():
         for v in bq.quiver.vertices:
             report = check_adjunction(bq, v, k1, r)
             assert report.dim == r.vertex_modules[v].total_dim()
+
+
+def test_adjunction_on_the_loop():
+    """The loop mod x^2 has a nontrivial path from its vertex to itself, so
+    the unit has to pick the trivial copy."""
+    bq = one_loop_rad2()
+    for coeff in (point_category(F101), category_of(a2_quiver(), F101)):
+        for r in map(psi, ar_quiver(tensor_base(bq, coeff)).modules):
+            for p in ar_quiver(coeff).modules:
+                report = check_adjunction(bq, "v", p, r)
+                assert report.dim == len(hom_space(p, r.vertex_modules["v"]))
 
 
 def test_adjunction_flags_invalid_representation():

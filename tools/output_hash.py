@@ -58,6 +58,16 @@ Prints one SHA-256 per set:
   three sums of each of two, three and four summands, with the first
   summand repeated, drawn with their base changes from a fixed design
   seed; every coordinate hashed with its type.
+- `repcat`: over F_101 and over Q, on the three representation pairs of
+  the complexes-rep workload (A2 with point coefficients, A3 mod rad^2 and
+  the 2-cycle mod rad^2 with A2 coefficients): `f_star_v` and
+  `adjunction_unit` at every vertex and every indecomposable coefficient
+  module, and likewise on one loop mod rad^2 with point and A2
+  coefficients (two paths from its vertex to itself); then, for
+  representations drawn as that workload draws them (the same design seed
+  and pools, the given seed for coordinates), with its vertex and
+  coefficient module, `lemma2_cover` and `sharp` of every basis map
+  p -> r(v); every entry hashed with its type.
 
 Run it in two checkouts and compare the lines.  It imports arcat from the
 checkout's `src/`, and takes the job texts and the workload inputs from
@@ -89,10 +99,11 @@ from arcat.linalg import Field, Mat  # noqa: E402
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,  # noqa: E402
                           _transpose_raw, almost_split_sequence, ar_quiver,
                           direct_sum, end_algebra, extension_from_cocycle,
-                          minimal_presentation, representation_category,
-                          verify_almost_split)
+                          hom_space, minimal_presentation,
+                          representation_category, verify_almost_split)
 from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver  # noqa: E402
-from arcat.repcat import tensor_base  # noqa: E402
+from arcat.repcat import (QRep, QRepMap, adjunction_unit, f_star_v,  # noqa: E402
+                          lemma2_cover, sharp, tensor_base)
 
 # (label, family, m, n): A_m modulo rad^n (n None: no relations), or the
 # m-cycle modulo rad^2 when family is "C"
@@ -180,6 +191,10 @@ def canon(obj):
         return ("CModule", canon(obj.dims), canon(obj.action))
     if isinstance(obj, ModuleMap):
         return ("ModuleMap", canon(obj.src), canon(obj.tgt), canon(obj.comps))
+    if isinstance(obj, QRep):
+        return ("QRep", canon(obj.vertex_modules), canon(obj.arrow_maps))
+    if isinstance(obj, QRepMap):
+        return ("QRepMap", canon(obj.src), canon(obj.tgt), canon(obj.comps))
     if isinstance(obj, NComplex):
         return ("NComplex", canon(obj.components), canon(obj.differentials))
     if isinstance(obj, NChainMap):
@@ -221,19 +236,22 @@ def complexes_hash(seed):
     return h.hexdigest()
 
 
+def loop_rad2():
+    """One vertex with a loop x, modulo x^2."""
+    return BoundQuiver(Quiver(["v"], [Arrow("x", "v", "v")]),
+                       MonomialIdeal(frozenset([Path("v", "v", ("x", "x"))])))
+
+
 def sweep_categories():
     """(label, category) for the perturbation sweep of `validate`."""
     fp, qq = Field.prime(101), Field.rationals()
-    # one vertex with a loop x, modulo x^2
-    loop = BoundQuiver(Quiver(["v"], [Arrow("x", "v", "v")]),
-                       MonomialIdeal(frozenset([Path("v", "v", ("x", "x"))])))
     return (("A5-rad3", representation_category(inputs.a_m_rad_n(5, 3), fp)),
             ("C3-rad2", representation_category(inputs.cyclic_rad2(3), fp)),
             ("A3-rad2-Q", representation_category(inputs.a_m_rad_n(3, 2), qq)),
             ("A4", representation_category(inputs.a_m_rad_n(4), fp)),
             ("A3-rad2xA2", tensor_base(inputs.a_m_rad_n(3, 2),
                                        category_of(inputs.a_m_rad_n(2), fp))),
-            ("loop-rad2", representation_category(loop, fp)))
+            ("loop-rad2", representation_category(loop_rad2(), fp)))
 
 
 def outcome(build):
@@ -336,10 +354,48 @@ def idempotents_hash():
     return h.hexdigest()
 
 
+# representations drawn per pair and field for `repcat`
+REPCAT_REPS = 10
+
+
+def repcat_hash(seed):
+    h = hashlib.sha256()
+    for fld in (Field.prime(workloads.P), Field.rationals()):
+        rng = random.Random(f"repcat:{seed}")
+        shape = random.Random("complexes-rep-design")
+        points = inputs.point_pool(fld)[1]
+        a2_modules = list(ar_quiver(category_of(inputs.a_m_rad_n(2), fld)).modules)
+        pairs = []
+        for name in workloads.REP_PAIRS:
+            bq, coeff = workloads.tensor_pair(name, fld)
+            pairs.append((name, bq, coeff, points if coeff.objects == ("pt",) else a2_modules))
+        # the loop has two paths from its vertex to itself, so it pins the
+        # order of the copies and the copy the unit picks
+        inductions = [(name, bq, pool) for name, bq, _, pool in pairs]
+        inductions.append(("loop-rad2", loop_rad2(), points + a2_modules))
+        for name, bq, pool in inductions:
+            for v in bq.quiver.vertices:
+                for k, p in enumerate(pool):
+                    ind = f_star_v(bq, v, p)
+                    h.update(repr((repr(fld), name, v, k, canon(ind),
+                                   canon(adjunction_unit(bq, v, p, ind)))).encode())
+        for name, bq, coeff, pool in pairs:
+            for c in range(REPCAT_REPS):
+                r = inputs.rand_qrep(bq, coeff, pool, rng, shape)
+                v = bq.quiver.vertices[c % len(bq.quiver.vertices)]
+                p = inputs.nonzero_module(pool, coeff, rng, shape)
+                ind = f_star_v(bq, v, p)
+                maps = [sharp(bq, v, r, f, ind) for f in hom_space(p, r.vertex_modules[v])]
+                h.update(repr((repr(fld), name, c, canon(lemma2_cover(r)),
+                               canon(maps))).encode())
+    return h.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
-                        help="seed of the decompose and complexes-rep workloads (default 1)")
+                        help="seed of the decompose and complexes-rep workloads and of "
+                             "the repcat representations (default 1)")
     args = parser.parse_args(argv)
     print(f"cli {cli_hash()}")
     decompose = decompose_hashes(args.seed)
@@ -350,6 +406,7 @@ def main(argv=None):
     print(f"presentations {presentations_hash()}")
     print(f"verify {verify_hash()}")
     print(f"idempotents {idempotents_hash()}")
+    print(f"repcat seed {args.seed} {repcat_hash(args.seed)}")
     return 0
 
 
