@@ -14,7 +14,8 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .complexes import NComplexSpec, Interval, Window, Cyclic, build_category
+from .complexes import (NComplexSpec, Interval, Window, Cyclic, build_category,
+                        interval_J, right_approximation, stalk)
 from .errors import (CapExceededError, NotAdmissibleError, PreconditionError,
                      VerificationError)
 from .fincat import FinCategory, category_of, point_category
@@ -412,7 +413,6 @@ def _cmd_verify(job: JobSpec, out: List[str], cap: int, family_choice: str):
 
 
 def _cmd_approximate(job: JobSpec, out: List[str], cap: int):
-    from .complexes import (interval_J, right_approximation, stalk)
     spec = job.quiver.complex_spec
     if spec is None:
         raise PreconditionError("approximate needs a complex shape")

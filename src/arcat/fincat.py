@@ -512,26 +512,6 @@ class Hull:
                             data[idx] = add(data[idx], mul(s, v))
         return Mat(fld, rows, cols, data)
 
-    def basis_pre_matrices(self, y, z, x: AddObject) -> List[Mat]:
-        """pre_matrix(f_a, x) for every basis element f_a: y -> z of plain
-        objects y and z, in order, filled in one walk per table."""
-        cat = self.cat
-        if not cat.dim(y, z):
-            return []
-        fld = cat.field
-        zero, add = fld.zero(), fld.add
-        src_off, cols = self._layout(AddObject((z,)), x)
-        tgt_off, rows = self._layout(AddObject((y,)), x)
-        datas = [[zero] * (rows * cols) for _ in range(cat.dim(y, z))]
-        for k, zs in enumerate(x.summands):
-            r0, c0 = tgt_off[0][k], src_off[0][k]
-            for (a, b), entry in cat.comp.get((y, z, zs), {}).items():
-                data = datas[a]
-                for t, v in entry.items():
-                    idx = (r0 + t) * cols + c0 + b
-                    data[idx] = add(data[idx], v)
-        return [Mat(fld, rows, cols, data) for data in datas]
-
     def flatten(self, f: AddMor) -> Mat:
         vals = []
         for i in range(len(f.src.summands)):

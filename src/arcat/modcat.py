@@ -16,19 +16,18 @@ and _end_action_on_kernel return.  The derived objects whose construction
 proves them valid are built unvalidated, each with its proof in its
 docstring: sub-modules and their inclusions (one exact solve against bases
 of full column rank), the projection onto an image, cokernels and their
-projections (phi is natural), sums of representables and the maps between
-them (unit laws, associativity), the cover map (Yoneda), and duals
-(transposed actions).  Composites, sums and scalings of maps, identities,
-zero maps, direct sums and the block maps between sums (sum_map, copair)
-are natural or functorial by linear algebra alone.  Every certificate the
-program reports is still checked: cover surjectivity and ker <= rad, the
-rebuilt presentation, exactness and non-splitness, the almost split
-property, and the decomposition identities (in End(m), by
-algebra.primitive_idempotents).
+projections (phi is natural), the maps between sums of representables
+(associativity), the cover map (Yoneda), and duals (transposed actions).
+Composites, sums and scalings of maps, identities, zero maps, direct sums
+(sum_module) and the block maps between sums (sum_map, copair) are natural
+or functorial by linear algebra alone.  Every certificate the program
+reports is still checked: cover surjectivity and ker <= rad, the rebuilt
+presentation, exactness and non-splitness, the almost split property, and
+the decomposition identities (in End(m), by algebra.primitive_idempotents).
 
-Sums of representables are the hull's Hom(-, X) for additive objects X of
-fincat.Hull, and the maps between them its Hom(-, g) for block morphisms g:
-both are read off Hull's composition matrices, and Yoneda gives g back.
+Sums of representables are fincat.Hull's Hom(-, X), block sums of the
+memoised representables, and the maps between them its Hom(-, g) for block
+morphisms g, read off Hull's composition matrices; Yoneda gives g back.
 
 On this representation the module category is computed exactly: hom spaces,
 and their dimensions off presentations (Yoneda), kernels, images, cokernels,
@@ -274,28 +273,35 @@ def zero_module(cat: FinCategory) -> CModule:
     return CModule(cat, dims, action, validate=False)
 
 
-def direct_sum(mods: Sequence[CModule], cat: Optional[FinCategory] = None):
-    """Returns (sum module, injections, projections) in the given order."""
+def sum_module(mods: Sequence[CModule], cat: FinCategory) -> CModule:
+    """The direct sum of modules over cat, in order, with block-diagonal
+    actions (functorial block by block, so built unvalidated).  The sum of
+    one module is that module, the empty sum the zero module."""
+    if len(mods) == 1:
+        return mods[0]
     if not mods:
-        if cat is None:
-            raise PreconditionError("empty direct sum needs an explicit category")
-        return zero_module(cat), [], []
-    cat = mods[0].cat
+        return zero_module(cat)
     fld = cat.field
     dims = {x: sum(m.dims[x] for m in mods) for x in cat.objects}
-    action = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            for i in range(cat.dim(x, y)):
-                action[(x, y, i)] = block_diag(fld, [m.action[(x, y, i)] for m in mods])
-    total = CModule(cat, dims, action, validate=False)
+    action = {(x, y, i): block_diag(fld, [m.action[(x, y, i)] for m in mods])
+              for x in cat.objects for y in cat.objects for i in range(cat.dim(x, y))}
+    return CModule(cat, dims, action, validate=False)
+
+
+def direct_sum(mods: Sequence[CModule], cat: Optional[FinCategory] = None):
+    """Returns (sum_module(mods), injections, projections) in the given order."""
+    if not mods and cat is None:
+        raise PreconditionError("empty direct sum needs an explicit category")
+    cat = mods[0].cat if mods else cat
+    total = sum_module(mods, cat)
+    fld = cat.field
     one, zero = fld.one(), fld.zero()
     injections, projections = [], []
     pos = {x: 0 for x in cat.objects}
     for m in mods:
         inj, prj = {}, {}
         for x in cat.objects:
-            n, d, off = dims[x], m.dims[x], pos[x]
+            n, d, off = total.dims[x], m.dims[x], pos[x]
             pos[x] += d
             inj_data, prj_data = [zero] * (n * d), [zero] * (d * n)
             for c in range(d):
@@ -346,22 +352,31 @@ def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
 
 
 def yoneda_projective(cat: FinCategory, x) -> CModule:
-    """The representable Hom(-, x), the one-summand `proj_sum`, validated
-    once per category and object and memoised on the category."""
+    """The representable Hom(-, x), validated once per category and object
+    and memoised on the category.  f_a: y -> z acts by g -> g o f_a: column
+    b of its matrix is g_b o f_a, the entry (a, b) of comp[(y, z, x)]."""
     if x not in cat.objects:
         raise PreconditionError(f"{x!r} is not an object of the category")
     if x not in cat._representables:
-        rep = proj_sum(cat, (x,)).module
-        rep._validate()
-        cat._representables[x] = rep
+        fld = cat.field
+        dims = {y: cat.dim(y, x) for y in cat.objects}
+        action = {}
+        for y in cat.objects:
+            for z in cat.objects:
+                datas = [[fld.zero()] * (dims[y] * dims[z]) for _ in range(cat.dim(y, z))]
+                for (a, b), entry in cat.comp.get((y, z, x), {}).items():
+                    for t, v in entry.items():
+                        datas[a][t * dims[z] + b] = v
+                action.update(((y, z, a), Mat(fld, dims[y], dims[z], data))
+                              for a, data in enumerate(datas))
+        cat._representables[x] = CModule(cat, dims, action)
     return cat._representables[x]
 
 
 def yoneda_map(cat: FinCategory, x, y, h_coords) -> ModuleMap:
     """The map Hom(-, x) -> Hom(-, y) given by postcomposition with h: x -> y,
     the 1x1 case of `proj_sum_map`."""
-    src = ProjSum(cat, (x,), yoneda_projective(cat, x))
-    tgt = ProjSum(cat, (y,), yoneda_projective(cat, y))
+    src, tgt = proj_sum(cat, (x,)), proj_sum(cat, (y,))
     if len(h_coords) != cat.dim(x, y):
         raise PreconditionError(f"h needs {cat.dim(x, y)} coordinates")
     return proj_sum_map(src, tgt, AddMor(src.obj, tgt.obj, ((tuple(h_coords),),)))
@@ -597,20 +612,14 @@ class ProjSum:
 
 
 def proj_sum(cat: FinCategory, vertices: Sequence) -> ProjSum:
-    """Hom(-, X) for X = AddObject(vertices): a basis element f: y -> z acts
-    by precomposition, the matrix Hull.pre_matrix(f, X) of g -> g o f (all
-    of Hom(y, z) at once, by Hull.basis_pre_matrices).
-
-    The module is built unvalidated: the unit acts as the identity by the
-    unit laws, and M(g o f) = M(f) M(g) is h o (g o f) = (h o g) o f, both
-    checked when the category was validated.
-    """
-    hull = Hull(cat)
-    obj = AddObject(tuple(vertices))
-    dims = {y: hull.flat_dim(AddObject((y,)), obj) for y in cat.objects}
-    action = {(y, z, i): mat for y in cat.objects for z in cat.objects
-              for i, mat in enumerate(hull.basis_pre_matrices(y, z, obj))}
-    return ProjSum(cat, obj.summands, CModule(cat, dims, action, validate=False))
+    """Hom(-, X) for X = AddObject(vertices), the sum_module of the memoised
+    representables Hom(-, x_k) in order, by Yoneda's additivity: flat
+    Hom(y, X) holds one block Hom(y, x_k) per summand, in order (the layout
+    that proj_sum_map and proj_sum_matrix read), and precomposition with f
+    acts on each block, g_k -> g_k o f."""
+    vertices = tuple(vertices)
+    mods = [yoneda_projective(cat, v) for v in vertices]
+    return ProjSum(cat, vertices, sum_module(mods, cat))
 
 
 def proj_sum_map(src: ProjSum, tgt: ProjSum, g: AddMor) -> ModuleMap:

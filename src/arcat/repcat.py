@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory, category_of, opposite_category, tensor_product
 from .linalg import Mat, equation_matrix, kron, split_blocks
-from .modcat import (CModule, ModuleMap, copair, direct_sum, hom_space,
-                     identity_map, naturality_equations, projective_cover,
-                     sum_map, zero_map, zero_module)
+from .modcat import (CModule, ModuleMap, copair, hom_space, identity_map,
+                     naturality_equations, projective_cover, sum_map, sum_module,
+                     zero_map, zero_module)
 from .quiver import BoundQuiver, Path
 
 
@@ -127,24 +127,15 @@ def zero_rep(bq: BoundQuiver, coeff: FinCategory) -> QRep:
                 {a.name: zero_map(z, z) for a in bq.quiver.arrows}, validate=False)
 
 
-def rep_direct_sum(reps: List[QRep], bq: BoundQuiver,
-                   coeff: FinCategory) -> Tuple[QRep, List[QRepMap], List[QRepMap]]:
-    if not reps:
-        return zero_rep(bq, coeff), [], []
-    vertex_modules, injs, projs = {}, {}, {}
-    for v in bq.quiver.vertices:
-        total, vi, vp = direct_sum([r.vertex_modules[v] for r in reps], coeff)
-        vertex_modules[v] = total
-        injs[v], projs[v] = vi, vp
+def rep_direct_sum(reps: List[QRep], bq: BoundQuiver, coeff: FinCategory) -> QRep:
+    """The vertexwise sum_module of reps, in order, each arrow acting by
+    the block sum of its maps (sum_map)."""
+    vertex_modules = {v: sum_module([r.vertex_modules[v] for r in reps], coeff)
+                      for v in bq.quiver.vertices}
     arrow_maps = {a.name: sum_map(vertex_modules[a.source], vertex_modules[a.target],
                                   [r.arrow_maps[a.name] for r in reps])
                   for a in bq.quiver.arrows}
-    total_rep = QRep(bq, coeff, vertex_modules, arrow_maps, validate=False)
-    inj_maps = [QRepMap(r, total_rep, {v: injs[v][k] for v in bq.quiver.vertices},
-                        validate=False) for k, r in enumerate(reps)]
-    proj_maps = [QRepMap(total_rep, r, {v: projs[v][k] for v in bq.quiver.vertices},
-                         validate=False) for k, r in enumerate(reps)]
-    return total_rep, inj_maps, proj_maps
+    return QRep(bq, coeff, vertex_modules, arrow_maps, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +293,7 @@ def f_star_v(bq: BoundQuiver, v, p: CModule) -> QRep:
     fld = p.cat.field
     one, zero = fld.one(), fld.zero()
     paths = {w: bq.paths(v, w) for w in bq.quiver.vertices}
-    vertex_modules = {w: direct_sum([p] * len(plist), p.cat)[0]
+    vertex_modules = {w: sum_module([p] * len(plist), p.cat)
                       for w, plist in paths.items()}
     arrow_maps = {}
     for a in bq.quiver.arrows:
@@ -399,7 +390,7 @@ def lemma2_cover(r: QRep) -> CoverResult:
         ind = f_star_v(bq, v, cov.psum.module)
         parts.append(ind)
         maps.append(sharp(bq, v, r, cov.cover, ind))
-    total, _, _ = rep_direct_sum(parts, bq, coeff)
+    total = rep_direct_sum(parts, bq, coeff)
     comps = {w: copair(total.vertex_modules[w], r.vertex_modules[w],
                        [f.comps[w] for f in maps])
              for w in bq.quiver.vertices}

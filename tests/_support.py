@@ -59,6 +59,17 @@ def point_quiver() -> BoundQuiver:
     return BoundQuiver(Quiver(["pt"], []))
 
 
+def typed_entries(mat: Mat):
+    """A matrix's shape and entries with their types, so that Fraction(1)
+    and 1 differ."""
+    return (mat.rows, mat.cols, tuple((type(v), v) for v in mat.data))
+
+
+def module_print(m: CModule):
+    return (tuple(m.dims.items()),
+            tuple((k, typed_entries(a)) for k, a in m.action.items()))
+
+
 def rand_mat(field: Field, rows: int, cols: int, rng) -> Mat:
     return Mat(field, rows, cols, [field.random(rng) for _ in range(rows * cols)])
 

@@ -8,7 +8,8 @@ import pytest
 
 from arcat import modcat
 from arcat.errors import CapExceededError, PreconditionError, VerificationError
-from arcat.fincat import AddMor, AddObject, category_of, opposite_category, point_category
+from arcat.fincat import (AddMor, AddObject, Hull, category_of, opposite_category,
+                          point_category)
 from arcat.linalg import Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
@@ -27,7 +28,8 @@ from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 from arcat.repcat import tensor_base
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, a_m_rad_n, composite_rank_verify,
-                      cyclic_rad2, one_loop_rad2, rand_hom, rand_invertible, rand_module)
+                      cyclic_rad2, module_print, one_loop_rad2, rand_hom, rand_invertible,
+                      rand_module, typed_entries)
 
 
 def rep_a2(field=F101):
@@ -629,13 +631,24 @@ def test_representables_match_per_element_compositions():
 
 
 def test_proj_sum_is_the_direct_sum_of_representables():
+    """Against the hull's own definition of Hom(-, X): a basis element
+    f: y -> z acts on flat Hom(z, X) by Hull.pre_matrix(f, X), g -> g o f."""
     for fld in (F101, QQ):
         for cat in representable_categories(fld):
+            hull = Hull(cat)
             for vs in vertex_lists(cat):
                 psum = proj_sum(cat, vs)
                 assert psum.vertices == vs and psum.obj == AddObject(vs)
-                total = direct_sum([yoneda_projective(cat, v) for v in vs], cat)[0]
-                assert module_print(psum.module) == module_print(total)
+                for y in cat.objects:
+                    assert psum.module.dims[y] == hull.flat_dim(AddObject((y,)), psum.obj)
+                    for z in cat.objects:
+                        for i in range(cat.dim(y, z)):
+                            f = AddMor(AddObject((y,)), AddObject((z,)),
+                                       ((cat.basis_coords(y, z, i),),))
+                            assert (typed_entries(psum.module.action[(y, z, i)])
+                                    == typed_entries(hull.pre_matrix(f, psum.obj)))
+            for x in cat.objects:
+                assert proj_sum(cat, (x,)).module is yoneda_projective(cat, x)
 
 
 def test_proj_sum_maps_match_per_block_compositions_and_invert():
@@ -821,15 +834,6 @@ def force_validation(monkeypatch):
     monkeypatch.setattr(ModuleMap, "__init__", natural)
 
 
-def typed_entries(mat):
-    return (mat.rows, mat.cols, tuple((type(v), v) for v in mat.data))
-
-
-def module_print(m):
-    return (tuple(m.dims.items()),
-            tuple((k, typed_entries(a)) for k, a in m.action.items()))
-
-
 def map_print(f):
     return (module_print(f.src), module_print(f.tgt),
             tuple((x, typed_entries(c)) for x, c in f.comps.items()))
@@ -892,8 +896,8 @@ def test_knitting_validation_count_guard(monkeypatch):
         monkeypatch.setattr(cls, "_validate", counting)
     ar = ar_quiver(representation_category(a_m_rad_n(4, 2), F101))
     assert len(ar.modules) == 7
-    # validated: the representables over the category and the maps built at
-    # the extensions' boundaries (10 in all; 14 while the transpose validated
-    # the representables over the opposite, 388 when every derived object
-    # was validated)
+    # validated: the representables over the category and its opposite, once
+    # each, and the maps built at the extensions' boundaries (14 in all; 10
+    # while the transpose built its sums of representables unvalidated, 388
+    # when every derived object was validated)
     assert sum(calls.values()) <= 20, calls

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, one_loop_rad2,
-                      point_pool, rand_qrep)
+from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, module_print,
+                      one_loop_rad2, point_pool, rand_qrep)
 from arcat import repcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
@@ -297,17 +297,20 @@ def test_lemma2_cover_zero_rep():
 
 
 def test_rep_direct_sum_dims_and_hom_additivity():
-    rng = random.Random(717)
+    """phi carries the vertexwise sum to the direct sum of modules over the
+    tensor category, entry for entry and type for type."""
     bq = a3_rad2()
-    cat, pool = point_pool(F101)
-    r = rand_qrep(bq, cat, pool, rng)
-    s = rand_qrep(bq, cat, pool, rng)
-    total, injs, projs = rep_direct_sum([r, s], bq, cat)
-    assert total.total_dim() == r.total_dim() + s.total_dim()
-    for inj, proj in zip(injs, projs):
-        QRepMap(inj.src, inj.tgt, inj.comps)
-        QRepMap(proj.src, proj.tgt, proj.comps)
-    assert len(qrep_hom(total, r)) == len(qrep_hom(r, r)) + len(qrep_hom(s, r))
+    for fld in (F101, QQ):
+        rng = random.Random(717)
+        cat, pool = point_pool(fld)
+        r = rand_qrep(bq, cat, pool, rng)
+        s = rand_qrep(bq, cat, pool, rng)
+        total = rep_direct_sum([r, s], bq, cat)
+        assert total.total_dim() == r.total_dim() + s.total_dim()
+        assert len(qrep_hom(total, r)) == len(qrep_hom(r, r)) + len(qrep_hom(s, r))
+        base = tensor_base(bq, cat)
+        assert (module_print(phi(total, base))
+                == module_print(direct_sum([phi(r, base), phi(s, base)])[0]))
 
 
 def test_unit_and_sharp_recover_cover_map():
