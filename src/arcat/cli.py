@@ -12,7 +12,7 @@ consistency check (AssertionError or ZeroDivisionError) that failed.
 import argparse
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import (NComplexSpec, Interval, Window, Cyclic, build_category,
                         interval_J, right_approximation, stalk)

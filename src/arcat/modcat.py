@@ -50,7 +50,7 @@ would keep them alive, for little gain.  Memos are dropped when a module or
 category is pickled.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
@@ -905,14 +905,20 @@ def map_from_coords(basis: List[ModuleMap], coords) -> ModuleMap:
 def is_isomorphic(m: CModule, n: CModule) -> Optional[Tuple[ModuleMap, ModuleMap]]:
     """An explicit inverse pair (f: m -> n, g: n -> m), or a certified None.
 
-    With m.dims == n.dims every component is square, so det(g_x f_x) =
-    det(f_x g_x), and g o f is invertible exactly when f and g are: the first
-    invertible f of the forward basis, if the backward basis holds one, is
-    the first basis pair with an invertible composite, in either order, and
-    (g o f)^-1 o g = f^-1 (Mat.inverse checks both sides).
+    The forward basis of Hom(m, n) is built first.  With m.dims == n.dims
+    every component of a map m -> n is square, so an injective f is
+    invertible: the first injective basis element f is returned with
+    f.inverse() (Mat.inverse checks both sides), and Hom(n, m) is never
+    built.  Since det(g_x f_x) = det(f_x g_x), a basis pair has an
+    invertible composite, in either order, only if f is invertible, so
+    this is the first such pair whenever the backward basis holds an
+    invertible map.
 
-    The None branch certifies non-isomorphism: every pairwise product of hom
-    bases lies in rad End(m), so no composite can be the identity.
+    Only when no forward basis element is injective is the backward basis
+    built, for the None branch, which certifies non-isomorphism: every
+    pairwise product of the hom bases lies in rad End(m), so no composite
+    can be the identity.  If some product does not, the bases decide
+    nothing and CapExceededError is raised.
     """
     if m.is_zero() or n.is_zero():
         if m.is_zero() and n.is_zero():
@@ -921,12 +927,14 @@ def is_isomorphic(m: CModule, n: CModule) -> Optional[Tuple[ModuleMap, ModuleMap
     if m.dims != n.dims:
         return None
     fwd = hom_space(m, n)
-    bwd = hom_space(n, m)
-    if not fwd or not bwd:
+    if not fwd:
         return None
     f = next((a for a in fwd if a.is_injective()), None)
-    if f is not None and any(b.is_injective() for b in bwd):
+    if f is not None:
         return f, f.inverse()
+    bwd = hom_space(n, m)
+    if not bwd:
+        return None
     alg, basis = end_algebra(m)
     basis_mat = hstack([flatten_map(b) for b in basis])
     rad = radical_basis(alg)
@@ -1132,9 +1140,15 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     through Y span a space of dimension dim Hom(m, Z) - dim Hom(m, Y) +
     dim Hom(m, X).  Dually Hom(-, m) is left exact, and the maps X -> m
     that do not extend through Y span dim Hom(X, m) - dim Hom(Y, m) +
-    dim Hom(Z, m).  Each dimension is one rank on the memoised presentation
-    of its first argument (`hom_dim`, by Yoneda), so no hom basis or
-    composite is built.
+    dim Hom(Z, m).  Each dimension is one rank on a memoised presentation
+    (`_presented_hom_dim`, by Yoneda), so no hom basis or composite is
+    built.  The first defect is read off the presentation of m.  The
+    second is read off the presentation of D m: D is an exact duality
+    (ARS ch. II), so Hom(X, m) = Hom(D m, D X) for every X, and the defect
+    is dim Hom(D m, D X) - dim Hom(D m, D Y) + dim Hom(D m, D Z).  D X,
+    D Y and D Z only transpose matrices, so no presentation of the fresh
+    X or Y is built, and knitting's tau_inverse has already presented D m
+    for every non-injective m.
 
     is_isomorphic runs only where a defect is nonzero.  A zero defect is
     correct for every m not isomorphic to the end term, and it cannot occur
@@ -1157,7 +1171,7 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
             raise VerificationError(f"{name} term is decomposable")
         top[name] = alg.dim - radical_basis(alg).cols
     x, y, z = se.left, se.middle, se.right
-    px, py, pz = (minimal_presentation(t) for t in (x, y, z))
+    dx, dy, dz = (duality_D(t) for t in (x, y, z))
     for m in test_modules:
         if m.is_zero():
             raise VerificationError("zero module in the test family")
@@ -1172,8 +1186,9 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
         elif coker:
             raise VerificationError(
                 f"a map {m!r} -> right term does not factor through the middle")
-        coker = (_presented_hom_dim(px, m) - _presented_hom_dim(py, m)
-                 + _presented_hom_dim(pz, m))
+        pdm = minimal_presentation(duality_D(m))
+        coker = (_presented_hom_dim(pdm, dx) - _presented_hom_dim(pdm, dy)
+                 + _presented_hom_dim(pdm, dz))
         if coker and is_isomorphic(m, x) is not None:
             if coker != top["left"]:
                 raise VerificationError(

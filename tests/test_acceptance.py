@@ -22,7 +22,7 @@ from arcat.complexes import (Cyclic, Interval, NComplexSpec, Window,
                              coil_epi, factor_null_homotopy, interval_J,
                              pad_chain_map, right_approximation)
 from arcat.errors import PreconditionError, VerificationError
-from arcat.fincat import AddObject, Hull, category_of, decompose_object, point_category
+from arcat.fincat import AddObject, Hull, category_of, decompose_object
 from arcat.modcat import (CModule, ShortExact, almost_split_sequence,
                           ar_quiver, conjugate_module, decompose_module, direct_sum,
                           duality_D, identity_map, is_isomorphic,

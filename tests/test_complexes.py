@@ -5,22 +5,22 @@ import random
 import pytest
 
 from _support import (F101, QQ, a2_quiver, point_pool, rand_complex,
-                      rand_homotopy, rand_qrep)
+                      rand_homotopy)
 from arcat import complexes
-from arcat.complexes import (Approximation, Cyclic, Interval, NChainMap,
+from arcat.complexes import (Cyclic, Interval, NChainMap,
                              NComplex, NComplexSpec, Window, assemble_null_homotopic,
                              build_category, chain_map_from_module, chain_maps,
                              coil_epi, complex_direct_sum, factor_null_homotopy,
                              find_null_homotopy, from_module, from_rep,
-                             hard_truncate, interval_J, interval_J_map,
+                             hard_truncate, interval_J,
                              pad_complex, right_approximation, stalk,
                              stalk_filtration_certificate, to_module, to_rep,
                              zero_complex, _chain_flat, _copair)
 from arcat.errors import PreconditionError, VerificationError
-from arcat.fincat import FinCategory, category_of, point_category
+from arcat.fincat import FinCategory, category_of
 from arcat.linalg import Mat, solve, hstack
 from arcat.modcat import (CModule, ModuleMap, almost_split_sequence, ar_quiver,
-                          identity_map, is_isomorphic, verify_almost_split,
+                          identity_map, verify_almost_split,
                           zero_map)
 from arcat.repcat import f_star_v, tensor_base
 

@@ -9,12 +9,12 @@ from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, KarObject,
                           category_of, decompose_object, hom_basis,
                           opposite_category, point_category, split_idempotent,
                           tensor_product)
-from arcat.linalg import Field, Mat, hstack
+from arcat.linalg import Mat, hstack
 from arcat.modcat import CModule
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
-                      one_loop_rad2, point_quiver)
+                      one_loop_rad2)
 
 
 def dims(c):

@@ -14,7 +14,7 @@ from arcat.linalg import Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
                           conjugate_module, decompose_module,
-                          direct_sum, dual_map, duality_D, end_algebra,
+                          direct_sum, dual_map, duality_D,
                           extension_from_cocycle, global_dimension, hom_dim, hom_space,
                           identity_map, image_module, is_injective_module,
                           is_isomorphic, is_projective_module, kernel_module,
@@ -243,6 +243,28 @@ def test_is_isomorphic_returns_the_pair_trial_pair():
             assert got == want
             found += want is not None
     assert found > len(mods)
+
+
+def test_is_isomorphic_builds_the_backward_basis_only_without_an_injective_map(monkeypatch):
+    """A knitted module and a base change of it: the forward basis holds an
+    invertible map, so is_isomorphic builds one hom space, not two."""
+    rng = random.Random(41)
+    built = []
+    build = modcat.hom_space
+
+    def counting(m, n):
+        built.append((m, n))
+        return build(m, n)
+
+    monkeypatch.setattr(modcat, "hom_space", counting)
+    for m in knitted_pair("A3rad2xA2").modules:
+        conj, _ = conjugate_module(m, {x: rand_invertible(F101, m.dims[x], rng)
+                                       for x in m.cat.objects})
+        built.clear()
+        f, g = is_isomorphic(m, conj)
+        assert built == [(m, conj)]
+        assert f.then(g) == identity_map(m)
+        assert g.then(f) == identity_map(conj)
 
 
 def test_decompose_conjugated_sum():
@@ -513,6 +535,22 @@ def test_verify_runs_is_isomorphic_at_most_twice(monkeypatch):
         assert len(calls) <= 2, len(calls)
 
 
+def test_verify_builds_no_presentation_of_the_left_or_middle_term():
+    """The covariant defect is read off the presentation of D m, so verify
+    presents neither X nor Y of the sequence it checks."""
+    ar = knitted_pair("A3rad2xA2")
+    checked = 0
+    for z, proj in zip(ar.modules, ar.projective):
+        if proj:
+            continue
+        se = almost_split_sequence(z).sequence
+        assert verify_almost_split(se, ar.modules) == len(ar.modules)
+        assert se.left._presentation is None
+        assert se.middle._presentation is None
+        checked += 1
+    assert checked == 14
+
+
 @pytest.mark.parametrize("make", [TENSOR_PAIRS["A3rad2xA2"],
                                   lambda: representation_category(cyclic_rad2(3), F101),
                                   lambda: representation_category(one_loop_rad2(), F101)],
@@ -523,7 +561,9 @@ def test_hom_dim_is_the_dimension_of_the_hom_space(make):
     mods += [zero_module(cat), direct_sum(mods[:2])[0]]
     for a in mods:
         for b in mods:
-            assert hom_dim(a, b) == len(hom_space(a, b)), (a, b)
+            dim = len(hom_space(a, b))
+            assert hom_dim(a, b) == dim, (a, b)
+            assert hom_dim(duality_D(b), duality_D(a)) == dim, (a, b)
 
 
 KNIT_FP_QUIVERS = [a_m_rad_n(4, 2), a_m_rad_n(4, 3), BoundQuiver(linear_quiver(4)),
