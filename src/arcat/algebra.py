@@ -6,11 +6,15 @@ matrices left[i] of y -> b_i y (column j holds the coordinates of b_i b_j)
 and the coordinates of its unit.  Products, the trace form, the nilpotency
 guard and minimal polynomials are Mat products and eliminations in linalg;
 nothing here multiplies structure constants one coordinate at a time.
+left_mult_matrix(x) adds up only the left[i] with x_i nonzero.
 
 This backs every indecomposability question in the package: End algebras of
-objects and of modules are converted to a TableAlgebra, the radical is the
+objects and of modules are converted to a TableAlgebra by end_table, from
+all d^2 basis products in one matrix (the callers build it with one product
+per object, or per basis element, rather than per pair), the radical is the
 kernel of the regular trace form (valid over Q, and over F_p when p exceeds
-the algebra dimension), idempotents of the semisimple quotient are found by
+the algebra dimension), built from the n traces of the left matrices, as L
+is a homomorphism, idempotents of the semisimple quotient are found by
 coprime splitting of minimal polynomials, factored by arcat.poly (in the
 package, over F_p and over Q), and lifted by Newton iteration
 e <- 3e^2 - 2e^3.  All verdicts are exact: "no nontrivial idempotent" is
@@ -61,9 +65,16 @@ class TableAlgebra:
         self._radical: Optional[Mat] = None
 
     def left_mult_matrix(self, x: Tuple) -> Mat:
-        """The matrix of y -> x y."""
-        n = self.dim
-        return Mat(self.field, n, n, (Mat(self.field, 1, n, x) @ self._flat).data)
+        """The matrix of y -> x y: the sum of x_i left[i], read off the rows
+        of _flat at the nonzero coordinates of x only.  Candidates, radical
+        vectors and idempotents are mostly sparse; the sums are those of
+        the dense product x^T _flat, term for term."""
+        f, n = self.field, self.dim
+        acc = [f.zero()] * (n * n)
+        for i, c in enumerate(x):
+            if c:
+                acc = [a + c * v if v else a for a, v in zip(acc, self._flat.row(i))]
+        return Mat(f, n, n, acc if f.p is None else [a % f.p for a in acc])
 
     def mul(self, x: Tuple, y: Tuple) -> Tuple:
         return (self.left_mult_matrix(x) @ Mat(self.field, self.dim, 1, y)).data
@@ -104,18 +115,41 @@ def radical_basis(alg: TableAlgebra) -> Mat:
 
 
 def _trace_form_radical(alg: TableAlgebra) -> Mat:
+    """The kernel of the trace form Tr(L_x L_y), with nilpotency asserted
+    (see radical_basis); the p > dim precondition is checked here.
+
+    The form is built from the n traces Tr(L_(b_l)), as Tr(L_(b_i) L_(b_j))
+    = sum_l (b_i b_j)_l Tr(L_(b_l)) for the homomorphism L (see
+    _trace_form); a zero dimensional algebra has the empty radical.
+    """
     f = alg.field
     n = alg.dim
     if f.is_prime_field and f.p <= n:
         raise PreconditionError(
             f"field F_{f.p} too small for a {n} dimensional End algebra; "
             "use p > dim for radical computations")
-    # trace(left[i] left[j]) is row i of the left matrices read column major
-    # against row j of them read row major
-    by_cols = Mat(f, n, n * n, [v for m in alg.left for v in m.transpose().data])
-    rad = (by_cols @ alg._flat.transpose()).kernel_basis()
+    rad = _trace_form(alg).kernel_basis()
     _assert_nilpotent(alg, rad)
     return rad
+
+
+def _trace_form(alg: TableAlgebra) -> Mat:
+    """The n x n matrix of Tr(L_(b_i) L_(b_j)), L the left regular
+    representation (Ronyai, J. Symbolic Comput. 9, 1990).
+
+    Every table here is exact (End, corner and quotient products solved
+    exactly), so L is a homomorphism: L_(b_i) L_(b_j) = L_(b_i b_j) =
+    sum_l (b_i b_j)_l L_(b_l), and Tr(L_(b_i) L_(b_j)) = sum_l (b_i b_j)_l
+    Tr(L_(b_l)).  Column i*n + j of hstack(left) holds the coordinates of
+    b_i b_j, so the form, read row major, is the one 1 x n by n x n^2
+    product traces @ hstack(left): n^3 multiplications instead of the n^4
+    of Tr(left[i] left[j]) pair by pair, and the same matrix.
+    """
+    f, n = alg.field, alg.dim
+    if n == 0:
+        return Mat.zeros(f, 0, 0)
+    traces = Mat(f, 1, n, [f.of(sum(m.at(k, k) for k in range(n))) for m in alg.left])
+    return Mat(f, n, n, (traces @ hstack(alg.left)).data)
 
 
 def _assert_nilpotent(alg: TableAlgebra, rad: Mat):
@@ -330,15 +364,16 @@ def primitive_idempotents(alg: TableAlgebra) -> List[Tuple]:
     return out
 
 
-def end_table(field: Field, basis: Mat, unit_vec: Mat,
-              products: List[Mat]) -> TableAlgebra:
+def end_table(field: Field, basis: Mat, unit_vec: Mat, products: Mat) -> TableAlgebra:
     """Algebra table from a flattened End space.
 
-    basis columns are the flattened basis vectors, unit_vec the flattened
-    identity; the columns of products, read in order, are the flattened
-    products b_i * b_j, i major.
+    basis columns are the flattened basis vectors b_0..b_(d-1), unit_vec
+    the flattened identity, and products the N x d^2 matrix whose column
+    i*d + j is the flattened product b_i * b_j.  One exact solve writes
+    every product and the unit in the basis, and refuses a space that is
+    not closed under composition.
     """
-    coords = solve(basis, hstack(products + [unit_vec]))
+    coords = solve(basis, hstack([products, unit_vec]))
     if coords is None:
         raise AssertionError("End space is not closed under composition "
                              "or misses the identity")

@@ -569,7 +569,7 @@ class Hull:
         if basis_mat.cols == 0:
             raise PreconditionError("End algebra of the zero object")
         basis = self._columns(x.base, x.base, basis_mat)
-        products = [self.post_matrix(b, x.base) @ basis_mat for b in basis]
+        products = hstack([self.post_matrix(b, x.base) @ basis_mat for b in basis])
         alg = end_table(self.cat.field, basis_mat, self.flatten(x.idem), products)
         return alg, basis, basis_mat
 

@@ -122,6 +122,11 @@ class Mat:
 
     Zero rows or columns are legal; empty matrices show up constantly as
     hom spaces of zero modules and must compose cleanly.
+
+    Over F_p every entry is an int in [0, p), as Field's arithmetic returns
+    it; callers that build data by hand reduce it first (Field.of does).
+    rref relies on this: it rewrites only the entries a row operation
+    changes, and passes the others through as they are.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -255,8 +260,16 @@ class Mat:
         Leading entries are 1 and are the only nonzero entries in their
         columns.  Deterministic: pivots are chosen top-down by first nonzero
         entry in column order.
+
+        Row operations are sparse, with the arithmetic inlined: the pivot
+        row is scaled at its nonzero entries from the pivot column on (the
+        earlier ones are already zero), and another row is updated only
+        where the pivot row is nonzero.  Every other entry passes through
+        as it came in, so over F_p the result lies in [0, p) only because
+        the input does (see the class docstring).
         """
         f = self.field
+        p = f.p
         m = self.to_lists()
         rows, cols = self.rows, self.cols
         pivots = []
@@ -264,18 +277,32 @@ class Mat:
         for j in range(cols):
             sel = None
             for i in range(r, rows):
-                if m[i][j] != f.zero():
+                if m[i][j]:
                     sel = i
                     break
             if sel is None:
                 continue
             m[r], m[sel] = m[sel], m[r]
-            inv = f.inv(m[r][j])
-            m[r] = [f.mul(inv, x) for x in m[r]]
+            prow = m[r]
+            inv = f.inv(prow[j])
+            support = []
+            for k in range(j, cols):
+                y = prow[k]
+                if y:
+                    y = y * inv % p if p is not None else y * inv
+                    prow[k] = y
+                    support.append((k, y))
             for i in range(rows):
-                if i != r and m[i][j] != f.zero():
-                    c = m[i][j]
-                    m[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[i], m[r])]
+                row = m[i]
+                c = row[j]
+                if i == r or not c:
+                    continue
+                if p is not None:
+                    for k, y in support:
+                        row[k] = (row[k] - c * y) % p
+                else:
+                    for k, y in support:
+                        row[k] = row[k] - c * y
             pivots.append(j)
             r += 1
             if r == rows:

@@ -884,11 +884,31 @@ def is_injective_module(m: CModule) -> bool:
 
 
 def end_algebra(m: CModule) -> Tuple[TableAlgebra, List[ModuleMap]]:
+    """End(m) as a table algebra on the canonical basis b_0..b_(d-1) of
+    hom_space(m, m), and that basis.
+
+    The product b_i b_j (b_j first) has component b_i,x b_j,x at each
+    object x, which is block (i, j) of vstack(b_k,x) @ hstack(b_k,x), both
+    stacks over k.  So all d^2 products come from one product per object,
+    and their flattened columns are cut out of the blocks in the layout of
+    flatten_map, column i*d + j for b_i b_j.
+    """
     basis = hom_space(m, m)
     if not basis:
         raise PreconditionError("End algebra of the zero module")
+    d = len(basis)
     basis_mat = hstack([flatten_map(b) for b in basis])
-    products = [flatten_map(bj.then(bi)) for bi in basis for bj in basis]
+    data = []
+    for x in m.cat.objects:
+        k = m.dims[x]
+        if not k:
+            continue
+        comps = [b.comps[x] for b in basis]
+        blocks = (vstack(comps) @ hstack(comps)).data
+        w = d * k
+        data.extend(blocks[(i * k + r) * w + j * k + c]
+                    for r in range(k) for c in range(k) for i in range(d) for j in range(d))
+    products = Mat(m.cat.field, basis_mat.rows, d * d, data)
     alg = end_table(m.cat.field, basis_mat, flatten_map(identity_map(m)), products)
     return alg, basis
 

@@ -5,7 +5,7 @@ from typing import List
 from arcat.errors import VerificationError
 from arcat.fincat import FinCategory, point_category
 from arcat.linalg import Field, Mat, hstack, vstack
-from arcat.algebra import find_nontrivial_idempotent, radical_basis
+from arcat.algebra import TableAlgebra, end_table, find_nontrivial_idempotent, radical_basis
 from arcat.modcat import (AlmostSplit, CModule, Image, check_short_exact,
                           conjugate_module, direct_sum, end_algebra, flatten_map,
                           hom_space, identity_map, image_module, is_isomorphic,
@@ -279,3 +279,59 @@ def composite_rank_verify(se, test_modules) -> int:
             raise VerificationError(
                 f"a map left term -> {m!r} does not extend through the middle")
     return len(test_modules)
+
+
+def reference_rref(a: Mat):
+    """Reduced row echelon form by whole-row operations through the Field
+    methods, zero entries included: the oracle for Mat.rref, which must
+    agree on the form, the pivots and the entry types."""
+    f = a.field
+    m = a.to_lists()
+    pivots = []
+    r = 0
+    for j in range(a.cols):
+        sel = next((i for i in range(r, a.rows) if m[i][j] != f.zero()), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = f.inv(m[r][j])
+        m[r] = [f.mul(inv, x) for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][j] != f.zero():
+                c = m[i][j]
+                m[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(j)
+        r += 1
+        if r == a.rows:
+            break
+    return Mat(f, a.rows, a.cols, [x for row in m for x in row]), tuple(pivots)
+
+
+def reference_trace_form(alg: TableAlgebra) -> Mat:
+    """The n x n matrix of Tr(left[i] left[j]), one product per pair: the
+    oracle for algebra._trace_form."""
+    f, n = alg.field, alg.dim
+    data = []
+    for a in alg.left:
+        for b in alg.left:
+            prod = a @ b
+            tr = f.zero()
+            for k in range(n):
+                tr = f.add(tr, prod.at(k, k))
+            data.append(tr)
+    return Mat(f, n, n, data)
+
+
+def reference_left_mult_matrix(alg: TableAlgebra, x) -> Mat:
+    """x^T _flat as one dense product: the oracle for left_mult_matrix."""
+    n = alg.dim
+    return Mat(alg.field, n, n, (Mat(alg.field, 1, n, x) @ alg._flat).data)
+
+
+def reference_end_algebra(m: CModule) -> TableAlgebra:
+    """End(m) with each product b_i b_j composed as a map, one `then` per
+    pair: the oracle for modcat.end_algebra's products by blocks."""
+    basis = hom_space(m, m)
+    products = hstack([flatten_map(bj.then(bi)) for bi in basis for bj in basis])
+    return end_table(m.cat.field, hstack([flatten_map(b) for b in basis]),
+                     flatten_map(identity_map(m)), products)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from _support import F101, QQ
+from _support import (F101, QQ, reference_left_mult_matrix, reference_trace_form,
+                      typed_entries)
 from arcat import algebra
 from arcat.algebra import (TableAlgebra, find_nontrivial_idempotent,
                            lift_idempotent, primitive_idempotents, radical_basis)
@@ -228,6 +229,40 @@ def test_corner_radical_is_e_rad_e(field, name, monkeypatch):
         corner, _ = algebra._corner(alg, e)
         derived, direct = corner._radical, build(corner)
         assert derived.cols == direct.cols == hstack([derived, direct]).rank()
+
+
+def oracle_algebras(field):
+    """The SPLIT_CASES algebras, the loop-sum End algebra and the zero
+    dimensional corner of dual-numbers at the idempotent 0."""
+    algs = {name: build(field) for name, (build, _) in SPLIT_CASES.items()}
+    algs["loop-sum"] = one_loop_sum_end(field)
+    dual = algs["dual-numbers"]
+    algs["dim-0 corner"] = algebra._corner(dual, (field.zero(),) * dual.dim)[0]
+    return algs
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_trace_form_matches_pairwise_traces(field):
+    algs = oracle_algebras(field)
+    assert algs["dim-0 corner"].dim == 0
+    for name, alg in algs.items():
+        assert typed_entries(algebra._trace_form(alg)) == \
+            typed_entries(reference_trace_form(alg)), name
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_left_mult_matrix_matches_the_dense_product(field):
+    rng = random.Random(77 + (field.p or 0))
+    for name, alg in oracle_algebras(field).items():
+        n = alg.dim
+        basis = [tuple(field.of(c) for c in unit_vector(n, i)) for i in range(n)]
+        vectors = [(field.zero(),) * n] + basis
+        vectors += [tuple(map(field.add, basis[i], basis[j]))
+                    for i in range(n) for j in range(i + 1, n)]
+        vectors.append(tuple(field.random(rng) or field.one() for _ in range(n)))
+        for x in vectors:
+            assert typed_entries(alg.left_mult_matrix(x)) == \
+                typed_entries(reference_left_mult_matrix(alg, x)), (name, x)
 
 
 def test_primitive_idempotents_refuse_a_non_idempotent(monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 from arcat.linalg import (Field, Mat, block_diag, equation_matrix, hstack,
                           kron, solve, split_blocks, vstack)
 
+from _support import reference_rref, typed_entries
+
 F5 = Field.prime(5)
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -62,6 +64,45 @@ def test_rref_swap():
     r, pivots = a.rref()
     assert r == Mat.identity(F3, 2)
     assert pivots == (0, 1)
+
+
+def sparse_entry(field, density, rng):
+    """Zero with probability 1 - density, else a random nonzero element;
+    over Q a fraction with a denominator up to 7."""
+    if rng.random() >= density:
+        return field.zero()
+    if field.p is not None:
+        return rng.randrange(1, field.p)
+    return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 8))
+
+
+def rref_oracle_cases(field, rng):
+    """Seeded matrices at densities 0.1, 0.5 and 1, plus empty shapes, zero
+    matrices, repeated rows and rank-deficient wide matrices."""
+    def sample(rows, cols, density):
+        return Mat(field, rows, cols, [sparse_entry(field, density, rng)
+                                       for _ in range(rows * cols)])
+    cases = [Mat.zeros(field, r, c) for r, c in ((0, 0), (0, 4), (4, 0), (3, 5))]
+    for density in (0.1, 0.5, 1):
+        for _ in range(12):
+            cases.append(sample(rng.randrange(1, 7), rng.randrange(1, 9), density))
+        top = sample(3, 6, density)
+        cases.append(vstack([top, top, Mat(field, 1, 6, top.row(0))]))
+        # rank at most 2 with 8 columns: a product through 2 dimensions
+        cases.append(sample(4, 2, density) @ sample(2, 8, density))
+    return cases
+
+
+@pytest.mark.parametrize("field", [F2, F3, F101, QQ], ids=["F2", "F3", "F101", "Q"])
+def test_rref_matches_the_whole_row_oracle(field):
+    rng = random.Random(1300 + (field.p or 0))
+    for a in rref_oracle_cases(field, rng):
+        got, pivots = a.rref()
+        want, want_pivots = reference_rref(a)
+        assert pivots == want_pivots
+        assert typed_entries(got) == typed_entries(want)
+        assert a.rank() == len(want_pivots)
+        assert a.kernel_basis().cols == a.cols - len(want_pivots)
 
 
 def test_solve_identity():

@@ -13,7 +13,7 @@ from arcat.fincat import (AddMor, AddObject, Hull, category_of, opposite_categor
 from arcat.linalg import Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
-                          conjugate_module, decompose_module,
+                          conjugate_module, decompose_module, end_algebra,
                           direct_sum, dual_map, duality_D,
                           extension_from_cocycle, global_dimension, hom_dim, hom_space,
                           identity_map, image_module, is_injective_module,
@@ -29,7 +29,7 @@ from arcat.repcat import tensor_base
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, a_m_rad_n, composite_rank_verify,
                       cyclic_rad2, module_print, one_loop_rad2, rand_hom, rand_invertible,
-                      rand_module, typed_entries)
+                      rand_module, reference_end_algebra, typed_entries)
 
 
 def rep_a2(field=F101):
@@ -941,3 +941,49 @@ def test_knitting_validation_count_guard(monkeypatch):
     # while the transpose built its sums of representables unvalidated, 388
     # when every derived object was validated)
     assert sum(calls.values()) <= 20, calls
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_end_algebra_matches_the_pairwise_table(fld):
+    """The End table from one block product per object against the table
+    from one `then` per basis pair, on scrambled sums of knitted modules."""
+    cat = ORACLE_CATEGORIES["A3rad2xA2"](fld)
+    pool = ar_quiver(cat).modules
+    rng = random.Random(57)
+    dims = []
+    for parts in (3, 3, 4, 4):
+        picked = rng.sample(pool, parts - 1)
+        total = direct_sum(picked + picked[:1], cat)[0]
+        m, _ = conjugate_module(
+            total, {x: rand_invertible(fld, total.dims[x], rng) for x in cat.objects})
+        alg, _ = end_algebra(m)
+        want = reference_end_algebra(m)
+        assert [typed_entries(a) for a in alg.left] == [typed_entries(a) for a in want.left]
+        assert [(type(c), c) for c in alg.unit] == [(type(c), c) for c in want.unit]
+        dims.append(alg.dim)
+    assert min(dims) >= 5, dims  # the repeated summand alone gives M_2(k)
+
+
+def test_rref_inputs_over_fp_are_reduced(monkeypatch):
+    """Mat.rref passes the entries it does not change through as they came
+    in, so its F_p inputs must already lie in [0, p): checked on every rref
+    of knitting A3 rad^2 x A2 and decomposing one scrambled sum."""
+    seen = []
+    rref = Mat.rref
+
+    def checking(a):
+        p = a.field.p
+        seen.append(p)
+        if p is not None:
+            assert all(type(v) is int and 0 <= v < p for v in a.data), a
+        return rref(a)
+
+    monkeypatch.setattr(Mat, "rref", checking)
+    cat = ORACLE_CATEGORIES["A3rad2xA2"](F101)
+    ar = ar_quiver(cat)
+    rng = random.Random(8)
+    total = direct_sum([ar.modules[3], ar.modules[0], ar.modules[3]], cat)[0]
+    scrambled, _ = conjugate_module(
+        total, {x: rand_invertible(F101, total.dims[x], rng) for x in cat.objects})
+    assert len(decompose_module(scrambled)) == 3
+    assert len(seen) > 1000 and set(seen) == {101}
