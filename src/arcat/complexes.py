@@ -7,16 +7,20 @@ quiver, so complexes are representations and inherit the whole module
 pipeline through phi and psi.
 
 The coil complexes J_j(M) concentrate M on n consecutive degrees joined by
-identities (doubling M on a one-vertex cycle); summing them over the
-degrees of Z gives a degreewise-surjective chain map onto Z, every
-null-homotopic map factors through it by an explicit homotopy formula, and
-right approximations combine evaluation copies of the requested generators
-with coils built from projective covers.  Sums of complexes and the maps
-out of them are assembled blockwise, one block matrix per coefficient
-object.  An approximation certifies each generator G by preimages: the
-injections of its evaluation copies are validated chain maps G -> Y, and
-their composites with the approximation map have rank dim Hom(G, Z), so
-Hom(G, Y) -> Hom(G, Z) is surjective.
+identities (doubling M on a one-vertex cycle).  A map f: M -> Z_j gives
+the coil's leg J_j(M) -> Z, f followed by d^k at degree j + k.  The legs
+of the identities, summed over the degrees of Z, give a degreewise-
+surjective chain map onto Z, and every null-homotopic map factors through
+it by an explicit homotopy formula.  A right approximation combines
+evaluation copies of the requested generators with the legs of the
+projective covers P_j -> Z_j.  Sums of complexes, their injections and
+the maps out of them are assembled blockwise, one block matrix per
+coefficient object, and built unvalidated; validation sits at the
+boundary, on the maps handed out.  An approximation certifies each
+generator G by preimages: the injections of its evaluation copies are
+validated chain maps G -> Y, and their composites with the validated
+approximation map have rank dim Hom(G, Z), so Hom(G, Y) -> Hom(G, Z) is
+surjective.
 """
 
 from dataclasses import dataclass
@@ -26,10 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory
 from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
-from .modcat import (CModule, ModuleMap, cokernel_module, copair, direct_sum,
+from .modcat import (CModule, ModuleMap, cokernel_module, copair,
                      factor_through_cokernel, flatten_map, identity_map,
-                     kernel_module, projective_cover, sum_map, zero_map,
-                     zero_module)
+                     kernel_module, projective_cover, sum_map, sum_module,
+                     zero_map, zero_module)
 from .quiver import (BoundQuiver, MonomialIdeal, Path, cyclic_quiver,
                      linear_quiver)
 from .repcat import QRep, phi, psi, qrep_hom
@@ -309,36 +313,53 @@ def stalk(spec: NComplexSpec, degree: int, m: CModule) -> NComplex:
 
 
 def complex_direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
-                       coeff: FinCategory):
-    """Returns (total, injections, projections) as chain maps."""
+                       coeff: FinCategory) -> NComplex:
+    """The direct sum of xs, degreewise by sum_module and sum_map, built
+    unvalidated (its windows are block sums of the summands' zero windows),
+    with no injection or projection: sum_injections builds those read."""
     if not xs:
-        z = zero_complex(spec, coeff)
-        return z, [], []
-    comps, injs, projs = {}, {}, {}
-    for i in spec._degrees:
-        total, vi, vp = direct_sum([x.components[i] for x in xs], coeff)
-        comps[i] = total
-        injs[i], projs[i] = vi, vp
+        return zero_complex(spec, coeff)
+    comps = {i: sum_module([x.components[i] for x in xs], coeff)
+             for i in spec._degrees}
     diffs = {i: sum_map(comps[i], comps[spec.wrap(i + 1)],
                         [x.differentials[i] for x in xs])
              for i in spec._diff_degrees}
-    total_complex = NComplex(spec, coeff, comps, diffs, validate=False)
-    inj_maps = [NChainMap(x, total_complex,
-                          {i: injs[i][k] for i in spec._degrees}, validate=False)
-                for k, x in enumerate(xs)]
-    proj_maps = [NChainMap(total_complex, x,
-                           {i: projs[i][k] for i in spec._degrees}, validate=False)
-                 for k, x in enumerate(xs)]
-    return total_complex, inj_maps, proj_maps
+    return NComplex(spec, coeff, comps, diffs, validate=False)
+
+
+def sum_injections(total: NComplex, xs: Sequence[NComplex]) -> List[NChainMap]:
+    """The injections of the leading summands xs of total =
+    complex_direct_sum(xs + rest), built unvalidated: each component is a
+    block column, the identity on the summand's rows and zero elsewhere,
+    which commutes with the block-diagonal actions and differentials."""
+    fld = total.coeff.field
+    one, zero = fld.one(), fld.zero()
+    pos = {(i, c): 0 for i in total.spec._degrees for c in total.coeff.objects}
+    out = []
+    for x in xs:
+        comps = {}
+        for i in total.spec._degrees:
+            src, tgt = x.components[i], total.components[i]
+            blocks = {}
+            for c in total.coeff.objects:
+                n, d, off = tgt.dims[c], src.dims[c], pos[(i, c)]
+                pos[(i, c)] += d
+                data = [zero] * (n * d)
+                data[off * d:(off + d) * d:d + 1] = [one] * d
+                blocks[c] = Mat(fld, n, d, data)
+            comps[i] = ModuleMap(src, tgt, blocks, validate=False)
+        out.append(NChainMap(x, total, comps, validate=False))
+    return out
 
 
 def _copair(src: NComplex, tgt: NComplex, maps: Sequence[NChainMap]) -> NChainMap:
     """The chain map out of the direct sum src whose restriction to summand
-    k is maps[k], validated."""
+    k is maps[k], built unvalidated: src's differentials are block diagonal,
+    so it is a chain map iff every maps[k] is; callers validate it."""
     comps = {i: copair(src.components[i], tgt.components[i],
                        [f.comps[i] for f in maps])
              for i in src.spec._degrees}
-    return NChainMap(src, tgt, comps, validate=True)
+    return NChainMap(src, tgt, comps, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +433,8 @@ def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
     """m spread over one full window from degree j, joined by identities.
 
     On a one-vertex cycle the window folds onto itself, so the component
-    doubles to m + m with the shift map as differential.
+    doubles to m + m with the shift map (first copy onto second) as
+    differential.
 
     The coil is a complex by construction and is built unvalidated: only
     window_len - 1 consecutive differentials are identities, so any
@@ -421,8 +443,10 @@ def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
     """
     length = spec.window_len
     if spec.cyclic and spec.shape.order == 1:
-        total, injs, projs = direct_sum([m, m], m.cat)
-        d0 = projs[0].then(injs[1])
+        total, fld = sum_module([m, m], m.cat), m.cat.field
+        d0 = ModuleMap(total, total, {c: vstack([
+            Mat.zeros(fld, d, 2 * d), hstack([Mat.identity(fld, d), Mat.zeros(fld, d, d)])])
+            for c, d in m.dims.items()}, validate=False)
         return NComplex(spec, m.cat, {0: total}, {0: d0}, validate=False)
     degs = spec._degrees
     if not spec.cyclic and (j not in degs or j + length - 1 not in degs):
@@ -442,24 +466,6 @@ def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
     return NComplex(spec, m.cat, comps, diffs, validate=False)
 
 
-def interval_J_map(spec: NComplexSpec, j: int, f: ModuleMap,
-                   src: NComplex, tgt: NComplex) -> NChainMap:
-    """The coil construction applied to a coefficient map; src and tgt are
-    the coils of f.src and f.tgt at degree j."""
-    if spec.cyclic and spec.shape.order == 1:
-        comp = sum_map(src.components[0], tgt.components[0], [f, f])
-        return NChainMap(src, tgt, {0: comp}, validate=True)
-    comps = {}
-    for i in spec._degrees:
-        if src.components[i].is_zero() and tgt.components[i].is_zero():
-            comps[i] = zero_map(src.components[i], tgt.components[i])
-        elif src.components[i] == f.src:
-            comps[i] = f
-        else:
-            comps[i] = zero_map(src.components[i], tgt.components[i])
-    return NChainMap(src, tgt, comps, validate=True)
-
-
 def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
     """x viewed on a larger window, zero outside its own degrees."""
     if x.spec == spec:
@@ -473,24 +479,16 @@ def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
         raise PreconditionError("target window does not contain the source")
     z = zero_module(x.coeff)
     comps = {i: x.components[i] if i in old else z for i in spec._degrees}
-    diffs = {}
-    for i in spec._diff_degrees:
-        if i in x.spec._diff_degrees:
-            diffs[i] = x.differentials[i]
-        else:
-            diffs[i] = zero_map(comps[i], comps[i + 1])
+    diffs = {i: x.differentials[i] if i in x.spec._diff_degrees
+             else zero_map(comps[i], comps[i + 1]) for i in spec._diff_degrees}
     return NComplex(spec, x.coeff, comps, diffs, validate=False)
 
 
 def pad_chain_map(f: NChainMap, spec: NComplexSpec) -> NChainMap:
     src = pad_complex(f.src, spec)
     tgt = pad_complex(f.tgt, spec)
-    comps = {}
-    for i in spec._degrees:
-        if i in f.comps:
-            comps[i] = f.comps[i]
-        else:
-            comps[i] = zero_map(src.components[i], tgt.components[i])
+    comps = {i: f.comps[i] if i in f.comps
+             else zero_map(src.components[i], tgt.components[i]) for i in spec._degrees}
     return NChainMap(src, tgt, comps, validate=False)
 
 
@@ -506,39 +504,52 @@ class CoilEpi:
 def coil_epi(z: NComplex) -> CoilEpi:
     """The degreewise-surjective map from the sum of coils on z's degrees.
 
-    The coil at degree j maps in through the composites (1, d, d^2, ...)
-    starting at j; the identity block at each degree forces surjectivity.
+    The coil at degree j maps in by its leg (_coil_leg, f the identity):
+    the composites (1, d, d^2, ...) starting at j; the identity block at
+    each degree forces surjectivity.  p is a public answer, so it is
+    validated and checked surjective; the injections are built for
+    factor_null_homotopy, which lifts through them.
     """
     spec_p = z.spec.padded()
     zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
     blocks = z.spec.degrees()
-    length = spec_p.window_len
     coils = [interval_J(spec_p, j, z.components[j]) for j in blocks]
-    source, injs, _ = complex_direct_sum(coils, spec_p, z.coeff)
-    legs = []
-    for j, coil in zip(blocks, coils):
-        if spec_p.cyclic and spec_p.shape.order == 1:
-            part = copair(coil.components[0], zp.components[0],
-                          [identity_map(z.components[j]), zp.differentials[0]])
-            legs.append(NChainMap(coil, zp, {0: part}, validate=False))
-            continue
-        # only the order-1 cycle folds a window onto one degree, so each
-        # degree of the coil gets one composite
-        steps = {}
-        for k in range(length):
-            step = _composite_or_none(zp, j, k)
-            if step is not None:
-                steps[spec_p.wrap(j + k)] = step
-        comps = {i: steps[i] if i in steps else
-                 zero_map(coil.components[i], zp.components[i])
-                 for i in spec_p._degrees}
-        legs.append(NChainMap(coil, zp, comps, validate=False))
+    source = complex_direct_sum(coils, spec_p, z.coeff)
+    legs = [_coil_leg(coil, zp, j, identity_map(z.components[j]))
+            for j, coil in zip(blocks, coils)]
     p = _copair(source, zp, legs)
+    p._validate()
     for i in spec_p._degrees:
-        comp = p.comps[i]
-        if not comp.is_surjective():
+        if not p.comps[i].is_surjective():
             raise VerificationError(f"coil map not surjective at degree {i}")
-    return CoilEpi(zp, source, blocks, injs, p)
+    return CoilEpi(zp, source, blocks, sum_injections(source, coils), p)
+
+
+def _coil_leg(coil: NComplex, zp: NComplex, j: int, f: ModuleMap) -> NChainMap:
+    """The leg J_j(M) -> zp of coil = interval_J(zp.spec, j, M) for a
+    coefficient map f: M -> zp_j: f followed by d^k at degree j + k of the
+    window, zero off it; copair(f, f d) out of M + M on the one-vertex cycle.
+
+    Built unvalidated, as a chain map by construction: inside the window
+    the coil's differentials are identities and both sides of a square read
+    f d^(k+1); the square leaving the window's top reads 0 = f d^window_len,
+    a vanishing window of zp; every other square reads 0 = 0.  On the
+    one-vertex cycle, (f, f d) after the shift is (f d, 0) = d (f, f d).
+    """
+    spec = zp.spec
+    if spec.cyclic and spec.shape.order == 1:
+        part = copair(coil.components[0], zp.components[0],
+                      [f, f.then(zp.differentials[0])])
+        return NChainMap(coil, zp, {0: part}, validate=False)
+    steps, cur = {}, f
+    for k in range(spec.window_len):
+        if k:
+            cur = cur.then(zp.differentials[spec.wrap(j + k - 1)])
+        steps[spec.wrap(j + k)] = cur
+    comps = {i: steps[i] if i in steps else
+             zero_map(coil.components[i], zp.components[i])
+             for i in spec._degrees}
+    return NChainMap(coil, zp, comps, validate=False)
 
 
 def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
@@ -678,12 +689,8 @@ def hard_truncate(x: NComplex, floor: int) -> NComplex:
         raise PreconditionError("hard truncation needs a window shape")
     z = zero_module(x.coeff)
     comps = {i: x.components[i] if i >= floor else z for i in x.spec._degrees}
-    diffs = {}
-    for i in x.spec._diff_degrees:
-        if i >= floor:
-            diffs[i] = x.differentials[i]
-        else:
-            diffs[i] = zero_map(comps[i], comps[i + 1])
+    diffs = {i: x.differentials[i] if i >= floor else zero_map(comps[i], comps[i + 1])
+             for i in x.spec._diff_degrees}
     return NComplex(x.spec, x.coeff, comps, diffs, validate=True)
 
 
@@ -693,55 +700,47 @@ class Approximation:
     chain_map: NChainMap
     padded: NComplex
     multiplicities: List[int]
-    coil: CoilEpi
     certified: List[bool]
 
 
 def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
     """An approximation Y -> z: evaluation copies of each generator plus the
-    coil of projective covers.
+    coils of projective covers.
 
-    The map is validated and checked degreewise surjective.  certified[s]
+    The projective cover cov_j: P_j -> z_j of each degree j gives the coil
+    J_j(P_j) and its leg (_coil_leg, f = cov_j): cov_j followed by d^k at
+    degree j + k.  The coil part r, the copair of the legs, and the legs
+    are built unvalidated.  Validation is at the boundary: the map Y -> z,
+    the copair of the evaluation maps and r, is validated block by block,
+    r's block included, and checked degreewise surjective.  certified[s]
     says that Hom(G_s, Y) -> Hom(G_s, z) is surjective, shown by preimages:
     the injections of G_s's evaluation copies are validated chain maps
     G_s -> Y, and their composites with the map have rank dim Hom(G_s, z).
     """
-    coil = coil_epi(z)
-    spec_p = coil.padded.spec
-    zp = coil.padded
-    covers = []
-    for j in coil.blocks:
-        cov = projective_cover(z.components[j])
-        covers.append((j, cov))
-    cover_coils = [interval_J(spec_p, j, cov.psum.module) for j, cov in covers]
-    cover_maps = [interval_J_map(spec_p, j, cov.cover, src, inj.src)
-                  for (j, cov), src, inj in zip(covers, cover_coils, coil.injections)]
-    coil_src, _, _ = complex_direct_sum(cover_coils, spec_p, z.coeff)
-    p_prime = NChainMap(coil_src, coil.source,
-                        {i: sum_map(coil_src.components[i], coil.source.components[i],
-                                    [f.comps[i] for f in cover_maps])
-                         for i in spec_p._degrees}, validate=True)
-    r = p_prime.then(coil.p)
+    spec_p = z.spec.padded()
+    zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
+    blocks = z.spec._degrees
+    covers = [projective_cover(z.components[j]).cover for j in blocks]
+    cover_coils = [interval_J(spec_p, j, cov.src) for j, cov in zip(blocks, covers)]
+    legs = [_coil_leg(coil, zp, j, cov)
+            for j, coil, cov in zip(blocks, cover_coils, covers)]
+    coil_src = complex_direct_sum(cover_coils, spec_p, z.coeff)
+    r = _copair(coil_src, zp, legs)
     gens_p = [pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]
     eval_bases = [chain_maps(g, zp) for g in gens_p]
-    pieces: List[NComplex] = []
-    piece_maps: List[NChainMap] = []
-    multiplicities = []
-    for g, basis in zip(gens_p, eval_bases):
-        multiplicities.append(len(basis))
-        for f in basis:
-            pieces.append(g)
-            piece_maps.append(f)
-    pieces.append(coil_src)
-    piece_maps.append(r)
-    y, injs, _ = complex_direct_sum(pieces, spec_p, z.coeff)
-    g_map = _copair(y, zp, piece_maps)
+    multiplicities = [len(basis) for basis in eval_bases]
+    copies = [f for basis in eval_bases for f in basis]
+    pieces = [f.src for f in copies]
+    y = complex_direct_sum(pieces + [coil_src], spec_p, z.coeff)
+    g_map = _copair(y, zp, copies + [r])
+    g_map._validate()
     if not g_map.is_surjective():
         raise VerificationError("approximation map is not degreewise surjective")
-    certified = _certify_generators(gens_p, multiplicities, injs, g_map)
+    certified = _certify_generators(gens_p, multiplicities,
+                                    sum_injections(y, pieces), g_map)
     if not all(certified):
         raise VerificationError("approximation certificate failed")
-    return Approximation(y, g_map, zp, multiplicities, coil, certified)
+    return Approximation(y, g_map, zp, multiplicities, certified)
 
 
 def _certify_generators(gens: Sequence[NComplex], multiplicities: Sequence[int],

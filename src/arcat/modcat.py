@@ -158,7 +158,7 @@ class CModule:
     def _combination(self, x, z, coeffs) -> List:
         """The row-major entries of sum c M(h_k) over the pairs (k, c) of
         coeffs, for the basis elements h_k: x -> z."""
-        out = [0] * (self.dims[x] * self.dims[z])
+        out = [self.cat.field.zero()] * (self.dims[x] * self.dims[z])
         for k, c in coeffs:
             if c:
                 out = [e + c * a for e, a in zip(out, self.action[(x, z, k)].data)]

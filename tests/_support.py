@@ -6,10 +6,11 @@ from arcat.errors import VerificationError
 from arcat.fincat import FinCategory, point_category
 from arcat.linalg import Field, Mat, hstack, vstack
 from arcat.algebra import TableAlgebra, end_table, find_nontrivial_idempotent, radical_basis
-from arcat.modcat import (AlmostSplit, CModule, Image, check_short_exact,
+from arcat.modcat import (AlmostSplit, CModule, Image, ModuleMap, check_short_exact,
                           conjugate_module, direct_sum, end_algebra, flatten_map,
                           hom_space, identity_map, image_module, is_isomorphic,
-                          map_from_coords, splitting_section, zero_map, zero_module)
+                          map_from_coords, projective_cover, splitting_section,
+                          sum_map, zero_map, zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
 from arcat.repcat import QRep
@@ -335,3 +336,82 @@ def reference_end_algebra(m: CModule) -> TableAlgebra:
     products = hstack([flatten_map(bj.then(bi)) for bi in basis for bj in basis])
     return end_table(m.cat.field, hstack([flatten_map(b) for b in basis]),
                      flatten_map(identity_map(m)), products)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the complexes module: sums with all their maps, and the
+# approximation through the full coil epimorphism
+
+
+def complex_sum_maps(xs, total):
+    """(injections, projections) of total = complex_direct_sum(xs, ...), as
+    validated chain maps whose components at each degree are those of
+    modcat.direct_sum of the summands' components there."""
+    from arcat.complexes import NChainMap
+    injs, projs = [{} for _ in xs], [{} for _ in xs]
+    for i in total.spec.degrees():
+        t = total.components[i]
+        _, vi, vp = direct_sum([x.components[i] for x in xs], total.coeff)
+        for k, x in enumerate(xs):
+            injs[k][i] = ModuleMap(x.components[i], t, vi[k].comps)
+            projs[k][i] = ModuleMap(t, x.components[i], vp[k].comps)
+    return ([NChainMap(x, total, c) for x, c in zip(xs, injs)],
+            [NChainMap(total, x, c) for x, c in zip(xs, projs)])
+
+
+def interval_J_map(spec, j, f: ModuleMap, src, tgt):
+    """The coil construction applied to a coefficient map f, validated; src
+    and tgt are the coils of f.src and f.tgt at degree j."""
+    from arcat.complexes import NChainMap
+    if spec.cyclic and spec.shape.order == 1:
+        comp = sum_map(src.components[0], tgt.components[0], [f, f])
+        return NChainMap(src, tgt, {0: comp})
+    comps = {}
+    for i in spec.degrees():
+        if src.components[i].is_zero() and tgt.components[i].is_zero():
+            comps[i] = zero_map(src.components[i], tgt.components[i])
+        elif src.components[i] == f.src:
+            comps[i] = f
+        else:
+            comps[i] = zero_map(src.components[i], tgt.components[i])
+    return NChainMap(src, tgt, comps)
+
+
+def coil_route_approximation(z, gens):
+    """The right approximation through the coil epimorphism p of z: the
+    cover coils map into the coils of z by interval_J_map, their sum by the
+    validated p' onto p's source, and r = p' p.  Y's injections come from
+    complex_sum_maps.  The oracle for complexes.right_approximation, which
+    builds r from the cover-coil legs alone."""
+    from arcat import complexes as cx
+    coil = cx.coil_epi(z)
+    spec_p, zp = coil.padded.spec, coil.padded
+    covers = [(j, projective_cover(z.components[j])) for j in coil.blocks]
+    cover_coils = [cx.interval_J(spec_p, j, cov.psum.module) for j, cov in covers]
+    cover_maps = [interval_J_map(spec_p, j, cov.cover, src, inj.src)
+                  for (j, cov), src, inj in zip(covers, cover_coils, coil.injections)]
+    coil_src = cx.complex_direct_sum(cover_coils, spec_p, z.coeff)
+    p_prime = cx.NChainMap(coil_src, coil.source,
+                           {i: sum_map(coil_src.components[i], coil.source.components[i],
+                                       [f.comps[i] for f in cover_maps])
+                            for i in spec_p.degrees()})
+    r = p_prime.then(coil.p)
+    gens_p = [cx.pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]
+    pieces, piece_maps, multiplicities = [], [], []
+    for g in gens_p:
+        basis = cx.chain_maps(g, zp)
+        multiplicities.append(len(basis))
+        pieces += [g] * len(basis)
+        piece_maps += basis
+    pieces.append(coil_src)
+    piece_maps.append(r)
+    y = cx.complex_direct_sum(pieces, spec_p, z.coeff)
+    injs, _ = complex_sum_maps(pieces, y)
+    g_map = cx._copair(y, zp, piece_maps)
+    g_map._validate()
+    if not g_map.is_surjective():
+        raise VerificationError("approximation map is not degreewise surjective")
+    certified = cx._certify_generators(gens_p, multiplicities, injs, g_map)
+    if not all(certified):
+        raise VerificationError("approximation certificate failed")
+    return cx.Approximation(y, g_map, zp, multiplicities, certified)

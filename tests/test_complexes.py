@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from _support import (F101, QQ, a2_quiver, point_pool, rand_complex,
+from _support import (F101, QQ, a2_quiver, coil_route_approximation,
+                      complex_sum_maps, module_print, point_pool, rand_complex,
                       rand_homotopy)
-from arcat import complexes
+from arcat import complexes, modcat
 from arcat.complexes import (Cyclic, Interval, NChainMap,
                              NComplex, NComplexSpec, Window, assemble_null_homotopic,
                              build_category, chain_map_from_module, chain_maps,
@@ -14,8 +15,8 @@ from arcat.complexes import (Cyclic, Interval, NChainMap,
                              find_null_homotopy, from_module, from_rep,
                              hard_truncate, interval_J,
                              pad_complex, right_approximation, stalk,
-                             stalk_filtration_certificate, to_module, to_rep,
-                             zero_complex, _chain_flat, _copair)
+                             stalk_filtration_certificate, sum_injections,
+                             to_module, to_rep, zero_complex, _chain_flat, _copair)
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import FinCategory, category_of
 from arcat.linalg import Mat, solve, hstack
@@ -259,9 +260,11 @@ def test_direct_sum_and_pad():
     spec = NComplexSpec(2, Interval(2))
     st1 = stalk(spec, 1, K1)
     st2 = stalk(spec, 2, K1)
-    total, injs, projs = complex_direct_sum([st1, st2], spec, PT)
+    total = complex_direct_sum([st1, st2], spec, PT)
+    injs, projs = complex_sum_maps([st1, st2], total)
     assert total.degree_dims() == {1: 1, 2: 1}
     assert injs[0].then(projs[0]).comps[1] == identity_map(K1)
+    assert sum_injections(total, [st1, st2])[0].then(projs[0]).comps[1] == identity_map(K1)
     wide = pad_complex(st1, NComplexSpec(2, Window(0, 3)))
     assert wide.degree_dims() == {0: 0, 1: 1, 2: 0, 3: 0}
     with pytest.raises(PreconditionError):
@@ -299,7 +302,8 @@ def test_complex_direct_sum_matches_sum_of_products():
                 xs = ([interval_J(spec, 0, pool[k % len(pool)]) for k in range(3)]
                       if spec == loop else
                       [rand_complex(spec, coeff, pool, rng) for _ in range(3)])
-                total, injs, projs = complex_direct_sum(xs, spec, coeff)
+                total = complex_direct_sum(xs, spec, coeff)
+                injs, projs = complex_sum_maps(xs, total)
                 for i in spec.diff_degrees():
                     j = spec.wrap(i + 1)
                     old = zero_map(total.components[i], total.components[j])
@@ -308,6 +312,12 @@ def test_complex_direct_sum_matches_sum_of_products():
                                       .then(injs[k].comps[j]))
                     assert typed(total.differentials[i]) == typed(old)
                 total._validate()
+                for k in range(1, len(xs) + 1):
+                    built = sum_injections(total, xs[:k])
+                    assert [typed_chain(f) for f in built] == \
+                        [typed_chain(f) for f in injs[:k]]
+                    for f in built:
+                        f._validate()
 
 
 def test_copair_matches_sum_of_products():
@@ -324,7 +334,8 @@ def test_copair_matches_sum_of_products():
                                 NChainMap(x, tgt, {i: zero_map(x.components[i],
                                                                tgt.components[i])
                                                    for i in spec.degrees()}))
-                total, _, projs = complex_direct_sum(xs, spec, coeff)
+                total = complex_direct_sum(xs, spec, coeff)
+                _, projs = complex_sum_maps(xs, total)
                 new = _copair(total, tgt, maps)
                 for i in spec.degrees():
                     old = zero_map(total.components[i], tgt.components[i])
@@ -343,9 +354,10 @@ def reference_certificate(g: NComplex, y: NComplex, g_map: NChainMap,
     return bool(cols) and hstack(cols).rank() == target_dim
 
 
-def zero_block(injections, k, g_map):
-    """g_map with the block of evaluation copy k replaced by the zero map."""
-    legs = [f.then(g_map) for f in injections]
+def zero_block(injections, k, g_map, pieces):
+    """g_map with the block of evaluation copy k replaced by the zero map;
+    pieces are the summands of Y, g_map's source."""
+    legs = [f.then(g_map) for f in sum_injections(g_map.src, pieces)]
     src = injections[k].src
     legs[k] = NChainMap(src, g_map.tgt,
                         {i: zero_map(src.components[i], g_map.tgt.components[i])
@@ -353,7 +365,7 @@ def zero_block(injections, k, g_map):
     return injections, _copair(g_map.src, g_map.tgt, legs)
 
 
-def scaled_degree(injections, k, g_map):
+def scaled_degree(injections, k, g_map, pieces):
     """Copy k's injection doubled in its lowest nonzero degree: no longer a
     chain map, though its composite with g_map keeps its rank."""
     f = injections[k]
@@ -363,18 +375,19 @@ def scaled_degree(injections, k, g_map):
     return injections[:k] + [bad] + injections[k + 1:], g_map
 
 
-def foreign_target(injections, k, g_map):
+def foreign_target(injections, k, g_map, pieces):
     """Copy k's injection retargeted at another sum of the same pieces, whose
-    last piece has its differentials doubled: still a chain map into that
-    sum, with the same components, but not a map into Y."""
-    pieces = [f.src for f in injections]
+    last piece (the cover coils) has its differentials doubled: still a
+    chain map into that sum, with the same components, but not a map into
+    Y."""
+    pieces = list(pieces)
     last = pieces[-1]
     pieces[-1] = NComplex(last.spec, last.coeff, last.components,
                           {i: d.scale(2) for i, d in last.differentials.items()})
-    other, other_injs, _ = complex_direct_sum(pieces, last.spec, last.coeff)
+    other = complex_direct_sum(pieces, last.spec, last.coeff)
     assert other != g_map.src
     f = injections[k]
-    moved = NChainMap(f.src, other, other_injs[k].comps)
+    moved = NChainMap(f.src, other, sum_injections(other, pieces[:k + 1])[k].comps)
     assert moved.comps == f.comps
     return injections[:k] + [moved] + injections[k + 1:], g_map
 
@@ -382,15 +395,25 @@ def foreign_target(injections, k, g_map):
 def spy_certificates(monkeypatch, corrupt=None):
     """Records every call of the generator certificate; corrupt, if given,
     rewrites the injections and g_map it is handed at the first evaluation
-    copy."""
+    copy, knowing the summands of Y (recorded from complex_direct_sum)."""
     calls = []
     original = complexes._certify_generators
+    summing = complexes.complex_direct_sum
+    sums = []
+
+    def recording(xs, spec, coeff):
+        total = summing(xs, spec, coeff)
+        sums.append((total, list(xs)))
+        return total
+
+    monkeypatch.setattr(complexes, "complex_direct_sum", recording)
 
     def spy(gens, multiplicities, injections, g_map):
         if corrupt is not None:
             first = next(s for s, m in enumerate(multiplicities) if m)
+            pieces = next(xs for total, xs in sums if total is g_map.src)
             injections, g_map = corrupt(list(injections), sum(multiplicities[:first]),
-                                        g_map)
+                                        g_map, pieces)
         out = original(gens, multiplicities, injections, g_map)
         calls.append((gens, multiplicities, g_map, out))
         return out
@@ -493,6 +516,112 @@ def test_window_check_names_first_nonzero_window():
     with pytest.raises(PreconditionError, match="from degree 0 is nonzero"):
         NComplex(loop, PT, {0: K1}, {0: ident})
     NComplex(loop, PT, {0: K1}, {0: zero})
+
+
+def typed_complex(x: NComplex):
+    return ({i: module_print(m) for i, m in x.components.items()},
+            {i: typed(d) for i, d in x.differentials.items()})
+
+
+def approximation_cases(fld, rng):
+    """(z, generators) over the benchmark shapes with random z and interval
+    generators, and over the one-vertex cycle with a stalk and a coil as z,
+    for point and A2 coefficients."""
+    loop = NComplexSpec(1, Cyclic(1))
+    for coeff, pool in coefficient_pools(fld):
+        for spec in BENCH_SPECS:
+            gens = [interval_J(spec.padded(), j, pool[0]) for j in spec.degrees()]
+            for _ in range(2):
+                yield rand_complex(spec, coeff, pool, rng), gens
+        for z in (stalk(loop, 0, pool[-1]), interval_J(loop, 0, pool[-1])):
+            yield z, [interval_J(loop, 0, pool[0])]
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_right_approximation_matches_the_coil_route(fld):
+    """The approximation from the cover-coil legs against the one through
+    the coil epimorphism, p' and r = p' p: the same source, map,
+    multiplicities and certificates, every entry typed."""
+    for z, gens in approximation_cases(fld, random.Random(2323)):
+        ap = right_approximation(z, gens)
+        want = coil_route_approximation(z, gens)
+        assert typed_complex(ap.source) == typed_complex(want.source)
+        assert typed_chain(ap.chain_map) == typed_chain(want.chain_map)
+        assert typed_complex(ap.padded) == typed_complex(want.padded)
+        assert ap.multiplicities == want.multiplicities
+        assert ap.certified == want.certified == [True] * len(gens)
+
+
+def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
+    """_coil_leg, _copair and sum_injections build their chain maps
+    unvalidated; every one built by coil_epi and right_approximation on the
+    benchmark shapes and the one-vertex cycle passes the full check."""
+    built = {"_coil_leg": [], "_copair": [], "sum_injections": []}
+    for name, out in built.items():
+        def recording(*args, original=getattr(complexes, name), out=out):
+            made = original(*args)
+            out.extend(made if isinstance(made, list) else [made])
+            return made
+
+        monkeypatch.setattr(complexes, name, recording)
+    rng = random.Random(2424)
+    cases = 0
+    for fld in (F101, QQ):
+        for z, gens in approximation_cases(fld, rng):
+            coil_epi(z)
+            right_approximation(z, gens)
+            cases += 1
+    # per case the copairs p (coil_epi), r and the approximation map
+    assert len(built["_copair"]) == 3 * cases
+    for f in built["_coil_leg"] + built["_copair"] + built["sum_injections"]:
+        f._validate()
+    assert {f.src.spec for f in built["_coil_leg"]} == \
+        {s.padded() for s in BENCH_SPECS} | {NComplexSpec(1, Cyclic(1))}
+
+
+def test_right_approximation_builds_no_coil_epi_and_no_projection(monkeypatch):
+    """The approximation reads the coil part off the cover-coil legs: no
+    coil epimorphism, and no direct sum with its projections."""
+    cases = [case for fld in (F101, QQ)
+             for case in approximation_cases(fld, random.Random(2525))]
+    calls = []
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return spy
+
+    monkeypatch.setattr(complexes, "coil_epi", refuse("coil_epi"))
+    monkeypatch.setattr(modcat, "direct_sum", refuse("direct_sum"))
+    monkeypatch.setattr(complexes, "direct_sum", refuse("direct_sum"), raising=False)
+    for z, gens in cases:
+        assert all(right_approximation(z, gens).certified)
+    assert calls == []
+
+
+def test_validation_sits_at_the_boundary(monkeypatch):
+    """Chain maps are validated where they are handed out: coil_epi's map
+    p, the approximation map, and each evaluation-copy injection of the
+    generator certificate, once each; legs, sums and r are not."""
+    validated = []
+    original = NChainMap._validate
+
+    def recording(self):
+        validated.append(self)
+        return original(self)
+
+    cases = list(approximation_cases(F101, random.Random(2626)))
+    monkeypatch.setattr(NChainMap, "_validate", recording)
+    for z, gens in cases:
+        del validated[:]
+        epi = coil_epi(z)
+        assert len(validated) == 1 and validated[0] is epi.p
+        del validated[:]
+        ap = right_approximation(z, gens)
+        assert validated[0] is ap.chain_map
+        assert len(validated) == 1 + sum(ap.multiplicities)
+        assert all(f.tgt is ap.source for f in validated[1:])
 
 
 def test_every_coil_is_a_complex(monkeypatch):

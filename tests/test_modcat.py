@@ -2,6 +2,7 @@ import ast
 import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -987,3 +988,26 @@ def test_rref_inputs_over_fp_are_reduced(monkeypatch):
         total, {x: rand_invertible(F101, total.dims[x], rng) for x in cat.objects})
     assert len(decompose_module(scrambled)) == 3
     assert len(seen) > 1000 and set(seen) == {101}
+
+
+def test_rref_inputs_over_q_are_fractions(monkeypatch):
+    """Over Q every entry is a Fraction, also where a sum has no nonzero
+    term: checked on every rref while verifying the almost split sequences
+    of A3 rad^2 x A2 against its knitted family, which reads Hom dimensions
+    off presentations (CModule._combination builds their matrices)."""
+    cat = ORACLE_CATEGORIES["A3rad2xA2"](QQ)
+    ar = ar_quiver(cat)
+    sequences = [almost_split_sequence(z)
+                 for z, proj in zip(ar.modules, ar.projective) if not proj]
+    seen = []
+    rref = Mat.rref
+
+    def checking(a):
+        seen.append(a)
+        assert all(type(v) is Fraction for v in a.data), a
+        return rref(a)
+
+    monkeypatch.setattr(Mat, "rref", checking)
+    for ass in sequences:
+        verify_almost_split(ass, ar.modules)
+    assert len(sequences) == 14 and len(seen) > 100
