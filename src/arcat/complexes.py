@@ -1,10 +1,14 @@
-"""Bounded n-complexes over a coefficient category, as quiver machinery.
+"""Bounded n-complexes over a coefficient category, as representations.
 
 A complex shape is a linear run of degrees (interval or explicit window)
 where any n consecutive differentials compose to zero, or a cyclic grading
 where consecutive pairs compose to zero.  Each shape compiles to a bound
-quiver, so complexes are representations and inherit the whole module
-pipeline through phi and psi.
+quiver whose vertices are the degrees, whose arrows are the differentials
+and whose relations are the vanishing windows.  An NComplex is a QRep of
+that quiver with degree access on top, and a chain map is a QRepMap with
+components keyed by degree; sums, copairs, injections, hom bases and
+validation are repcat's, and phi and psi carry complexes to modules over
+the tensor category and back.
 
 The coil complexes J_j(M) concentrate M on n consecutive degrees joined by
 identities (doubling M on a one-vertex cycle).  A map f: M -> Z_j gives
@@ -13,14 +17,12 @@ of the identities, summed over the degrees of Z, give a degreewise-
 surjective chain map onto Z, and every null-homotopic map factors through
 it by an explicit homotopy formula.  A right approximation combines
 evaluation copies of the requested generators with the legs of the
-projective covers P_j -> Z_j.  Sums of complexes, their injections and
-the maps out of them are assembled blockwise, one block matrix per
-coefficient object, and built unvalidated; validation sits at the
-boundary, on the maps handed out.  An approximation certifies each
-generator G by preimages: the injections of its evaluation copies are
-validated chain maps G -> Y, and their composites with the validated
-approximation map have rank dim Hom(G, Z), so Hom(G, Y) -> Hom(G, Z) is
-surjective.
+projective covers P_j -> Z_j.  Sums, legs and copairs are built
+unvalidated; validation sits at the boundary, on the maps handed out.  An
+approximation certifies each generator G by preimages: the injections of
+its evaluation copies are validated chain maps G -> Y, and their
+composites with the validated approximation map have rank dim Hom(G, Z),
+so Hom(G, Y) -> Hom(G, Z) is surjective.
 """
 
 from dataclasses import dataclass
@@ -30,13 +32,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory
 from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
-from .modcat import (CModule, ModuleMap, cokernel_module, copair,
+from .modcat import (CModule, ModuleMap, _cover_map, cokernel_module, copair,
                      factor_through_cokernel, flatten_map, identity_map,
-                     kernel_module, projective_cover, sum_map, sum_module,
-                     zero_map, zero_module)
-from .quiver import (BoundQuiver, MonomialIdeal, Path, cyclic_quiver,
-                     linear_quiver)
-from .repcat import QRep, phi, psi, qrep_hom
+                     kernel_module, sum_module, zero_map, zero_module)
+from .quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
+from .repcat import (QRep, QRepMap, qrep_hom, rep_copair, rep_direct_sum,
+                     rep_injections)
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,6 @@ class NComplexSpec:
             return i % self.shape.order
         return i if self._degrees[0] <= i <= self._degrees[-1] else None
 
-    def vertex(self, i: int) -> str:
-        w = self.wrap(i)
-        if w is None:
-            raise PreconditionError(f"degree {i} is outside the shape")
-        return str(w)
-
     def arrow(self, i: int) -> str:
         w = self.wrap(i)
         if w is None or w not in self._diff_degrees:
@@ -148,72 +143,48 @@ def build_category(spec: NComplexSpec) -> BoundQuiver:
 
 
 def _bound_quiver(spec: NComplexSpec) -> BoundQuiver:
-    if spec.cyclic:
-        order = spec.shape.order
-        q = cyclic_quiver(order)
-        gens = [Path(str(i), str((i + 2) % order),
-                     (f"a{i}", f"a{(i + 1) % order}"))
-                for i in range(order)]
-        return BoundQuiver(q, MonomialIdeal(frozenset(gens)))
-    degs = spec._degrees
-    q = linear_quiver(len(degs), start=degs[0])
-    gens = []
-    for i in degs:
-        if i + spec.n <= degs[-1]:
-            arrows = tuple(f"a{i + k}" for k in range(spec.n))
-            gens.append(Path(str(i), str(i + spec.n), arrows))
-    return BoundQuiver(q, MonomialIdeal(frozenset(gens)))
+    """The degrees as vertices, an arrow spec.arrow(i): i -> i + 1 for each
+    differential, and the vanishing windows as relations."""
+    length = spec.window_len
+    arrows = [Arrow(spec.arrow(i), i, spec.wrap(i + 1)) for i in spec._diff_degrees]
+    windows = [Path(i, spec.wrap(i + length),
+                    tuple(spec.arrow(i + k) for k in range(length)))
+               for i in spec._degrees if spec.wrap(i + length) is not None]
+    return BoundQuiver(Quiver(list(spec._degrees), arrows),
+                       MonomialIdeal(frozenset(windows)))
 
 
-class NComplex:
-    """Components and differentials indexed by the degrees of a shape."""
+class NComplex(QRep):
+    """A complex of shape spec: a representation of build_category(spec).
+
+    The shape quiver's vertices are the degrees, so the components are the
+    vertex modules, and a chain map is a QRepMap with components keyed by
+    degree.  differentials[i] is the arrow map of spec.arrow(i).
+    """
 
     def __init__(self, spec: NComplexSpec, coeff: FinCategory,
                  components: Dict[int, CModule],
                  differentials: Dict[int, ModuleMap], validate: bool = True):
         self.spec = spec
-        self.coeff = coeff
-        self.components = dict(components)
         self.differentials = dict(differentials)
-        if validate:
-            self._validate()
+        super().__init__(build_category(spec), coeff, components,
+                         {spec.arrow(i): d for i, d in self.differentials.items()},
+                         validate)
 
     def _validate(self):
-        """Check the components, the differentials' endpoints, and that every
-        window of consecutive differentials composes to zero.  A window
-        holding a zero differential is zero without a product."""
-        spec = self.spec
-        for i in spec._degrees:
-            m = self.components.get(i)
-            if m is None or not (m.cat is self.coeff or m.cat == self.coeff):
-                raise PreconditionError(f"missing or foreign component at degree {i}")
-        for i in spec._diff_degrees:
-            d = self.differentials.get(i)
-            if d is None:
-                raise PreconditionError(f"missing differential at degree {i}")
-            tgt = spec.wrap(i + 1)
-            if d.src != self.components[i] or d.tgt != self.components[tgt]:
-                raise PreconditionError(f"differential endpoints wrong at degree {i}")
-        length = spec.window_len
-        zero = {j: self.differentials[j].is_zero() for j in spec._diff_degrees}
-        for i in spec._degrees:
-            window = [spec.wrap(i + k) for k in range(length)]
-            if any(j is None or j not in zero for j in window):
-                continue
-            if any(zero[j] for j in window):
-                continue
-            cur = self.differentials[window[0]]
-            for j in window[1:]:
-                cur = cur.then(self.differentials[j])
-            if not cur.is_zero():
-                raise PreconditionError(
-                    f"window of {length} differentials from degree {i} is nonzero")
+        """QRep's checks; the relations are the windows of differentials."""
+        QRep._validate(self)
+
+    def _relation_failure(self, window: Path) -> str:
+        return (f"window of {self.spec.window_len} differentials from degree "
+                f"{window.source} is nonzero")
+
+    @property
+    def components(self) -> Dict[int, CModule]:
+        return self.vertex_modules
 
     def d(self, i: int) -> ModuleMap:
-        w = self.spec.wrap(i)
-        if w is None or w not in self.spec._diff_degrees:
-            raise PreconditionError(f"no differential at degree {i}")
-        return self.differentials[w]
+        return self.arrow_maps[self.spec.arrow(i)]
 
     def composite(self, i: int, count: int) -> ModuleMap:
         """The composite of `count` differentials starting at degree i."""
@@ -223,80 +194,24 @@ class NComplex:
                 f"no {count} consecutive differentials from degree {i}")
         return cur
 
-    def total_dim(self) -> int:
-        return sum(m.total_dim() for m in self.components.values())
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.components.values())
-
     def degree_dims(self) -> Dict[int, int]:
         return {i: self.components[i].total_dim() for i in self.spec._degrees}
 
-    def __eq__(self, other):
-        return (isinstance(other, NComplex) and self.spec == other.spec
-                and self.coeff == other.coeff
-                and self.components == other.components
-                and self.differentials == other.differentials)
 
-    __hash__ = object.__hash__
-
-    def __repr__(self):
-        return f"NComplex({self.degree_dims()})"
+def from_rep(spec: NComplexSpec, r: QRep) -> NComplex:
+    """A representation of build_category(spec) as a complex, validated."""
+    return NComplex(spec, r.coeff, r.vertex_modules,
+                    {i: r.arrow_maps[spec.arrow(i)] for i in spec._diff_degrees})
 
 
-class NChainMap:
-    """Degreewise maps commuting with both differentials."""
-
-    def __init__(self, src: NComplex, tgt: NComplex, comps: Dict[int, ModuleMap],
-                 validate: bool = True):
-        if src.spec != tgt.spec:
-            raise PreconditionError("chain map endpoints have different shapes")
-        self.src = src
-        self.tgt = tgt
-        self.comps = dict(comps)
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        spec = self.src.spec
-        for i in spec._degrees:
-            f = self.comps.get(i)
-            if f is None:
-                raise PreconditionError(f"missing component at degree {i}")
-            if f.src != self.src.components[i] or f.tgt != self.tgt.components[i]:
-                raise PreconditionError(f"component endpoints wrong at degree {i}")
-        for i in spec._diff_degrees:
-            j = spec.wrap(i + 1)
-            left = self.src.differentials[i].then(self.comps[j])
-            right = self.comps[i].then(self.tgt.differentials[i])
-            if left != right:
-                raise PreconditionError(f"square at degree {i} does not commute")
-
-    def then(self, other: "NChainMap") -> "NChainMap":
-        comps = {i: self.comps[i].then(other.comps[i]) for i in self.comps}
-        return NChainMap(self.src, other.tgt, comps, validate=False)
-
-    def add(self, other: "NChainMap") -> "NChainMap":
-        comps = {i: self.comps[i].add(other.comps[i]) for i in self.comps}
-        return NChainMap(self.src, self.tgt, comps, validate=False)
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.comps.values())
-
-    def is_surjective(self) -> bool:
-        return all(f.is_surjective() for f in self.comps.values())
-
-    def __eq__(self, other):
-        return (isinstance(other, NChainMap) and self.src == other.src
-                and self.tgt == other.tgt and self.comps == other.comps)
-
-    __hash__ = object.__hash__
-
-
-def zero_complex(spec: NComplexSpec, coeff: FinCategory) -> NComplex:
-    z = zero_module(coeff)
-    return NComplex(spec, coeff, {i: z for i in spec._degrees},
-                    {i: zero_map(z, z) for i in spec._diff_degrees},
+def _direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
+                coeff: FinCategory) -> NComplex:
+    """rep_direct_sum of complexes of shape spec, as a complex; built
+    unvalidated, with no injection or projection (rep_injections builds
+    those read)."""
+    r = rep_direct_sum(xs, build_category(spec), coeff)
+    return NComplex(spec, coeff, r.vertex_modules,
+                    {i: r.arrow_maps[spec.arrow(i)] for i in spec._diff_degrees},
                     validate=False)
 
 
@@ -310,119 +225,6 @@ def stalk(spec: NComplexSpec, degree: int, m: CModule) -> NComplex:
     diffs = {i: zero_map(comps[i], comps[spec.wrap(i + 1)])
              for i in spec._diff_degrees}
     return NComplex(spec, m.cat, comps, diffs, validate=False)
-
-
-def complex_direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
-                       coeff: FinCategory) -> NComplex:
-    """The direct sum of xs, degreewise by sum_module and sum_map, built
-    unvalidated (its windows are block sums of the summands' zero windows),
-    with no injection or projection: sum_injections builds those read."""
-    if not xs:
-        return zero_complex(spec, coeff)
-    comps = {i: sum_module([x.components[i] for x in xs], coeff)
-             for i in spec._degrees}
-    diffs = {i: sum_map(comps[i], comps[spec.wrap(i + 1)],
-                        [x.differentials[i] for x in xs])
-             for i in spec._diff_degrees}
-    return NComplex(spec, coeff, comps, diffs, validate=False)
-
-
-def sum_injections(total: NComplex, xs: Sequence[NComplex]) -> List[NChainMap]:
-    """The injections of the leading summands xs of total =
-    complex_direct_sum(xs + rest), built unvalidated: each component is a
-    block column, the identity on the summand's rows and zero elsewhere,
-    which commutes with the block-diagonal actions and differentials."""
-    fld = total.coeff.field
-    one, zero = fld.one(), fld.zero()
-    pos = {(i, c): 0 for i in total.spec._degrees for c in total.coeff.objects}
-    out = []
-    for x in xs:
-        comps = {}
-        for i in total.spec._degrees:
-            src, tgt = x.components[i], total.components[i]
-            blocks = {}
-            for c in total.coeff.objects:
-                n, d, off = tgt.dims[c], src.dims[c], pos[(i, c)]
-                pos[(i, c)] += d
-                data = [zero] * (n * d)
-                data[off * d:(off + d) * d:d + 1] = [one] * d
-                blocks[c] = Mat(fld, n, d, data)
-            comps[i] = ModuleMap(src, tgt, blocks, validate=False)
-        out.append(NChainMap(x, total, comps, validate=False))
-    return out
-
-
-def _copair(src: NComplex, tgt: NComplex, maps: Sequence[NChainMap]) -> NChainMap:
-    """The chain map out of the direct sum src whose restriction to summand
-    k is maps[k], built unvalidated: src's differentials are block diagonal,
-    so it is a chain map iff every maps[k] is; callers validate it."""
-    comps = {i: copair(src.components[i], tgt.components[i],
-                       [f.comps[i] for f in maps])
-             for i in src.spec._degrees}
-    return NChainMap(src, tgt, comps, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# the dictionary with representations and tensor modules
-
-
-def to_rep(x: NComplex, bq: Optional[BoundQuiver] = None) -> QRep:
-    """x as a representation of bq = build_category(x.spec), built
-    unvalidated: the NComplex already has its components over the
-    coefficients and its differentials between the components at the arrows'
-    endpoints, and its vanishing windows are the relations of bq."""
-    if bq is None:
-        bq = build_category(x.spec)
-    vertex_modules = {x.spec.vertex(i): x.components[i] for i in x.spec._degrees}
-    arrow_maps = {x.spec.arrow(i): x.differentials[i]
-                  for i in x.spec._diff_degrees}
-    return QRep(bq, x.coeff, vertex_modules, arrow_maps, validate=False)
-
-
-def from_rep(spec: NComplexSpec, r: QRep) -> NComplex:
-    comps = {i: r.vertex_modules[spec.vertex(i)] for i in spec._degrees}
-    diffs = {i: r.arrow_maps[spec.arrow(i)] for i in spec._diff_degrees}
-    return NComplex(spec, r.coeff, comps, diffs, validate=True)
-
-
-def to_module(x: NComplex, base: Optional[FinCategory] = None) -> CModule:
-    return phi(to_rep(x), base)
-
-
-def from_module(spec: NComplexSpec, m: CModule) -> NComplex:
-    return from_rep(spec, psi(m))
-
-
-def chain_maps(x: NComplex, z: NComplex) -> List[NChainMap]:
-    """A basis of chain maps, computed through the representation side."""
-    bq = build_category(x.spec)
-    basis = qrep_hom(to_rep(x, bq), to_rep(z, bq))
-    out = []
-    for qm in basis:
-        comps = {i: qm.comps[x.spec.vertex(i)] for i in x.spec._degrees}
-        out.append(NChainMap(x, z, comps, validate=False))
-    return out
-
-
-def _chain_flat(f: NChainMap) -> Mat:
-    return vstack([flatten_map(f.comps[i]) for i in f.src.spec._degrees])
-
-
-def chain_map_from_module(spec: NComplexSpec, f: ModuleMap,
-                          src: Optional[NComplex] = None,
-                          tgt: Optional[NComplex] = None) -> NChainMap:
-    """Transports a map of tensor-category modules to a chain map."""
-    if src is None:
-        src = from_module(spec, f.src)
-    if tgt is None:
-        tgt = from_module(spec, f.tgt)
-    comps = {}
-    for i in spec._degrees:
-        v = spec.vertex(i)
-        comps[i] = ModuleMap(src.components[i], tgt.components[i],
-                             {c: f.comps[(v, c)] for c in src.coeff.objects},
-                             validate=False)
-    return NChainMap(src, tgt, comps, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +286,12 @@ def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
     return NComplex(spec, x.coeff, comps, diffs, validate=False)
 
 
-def pad_chain_map(f: NChainMap, spec: NComplexSpec) -> NChainMap:
+def pad_chain_map(f: QRepMap, spec: NComplexSpec) -> QRepMap:
     src = pad_complex(f.src, spec)
     tgt = pad_complex(f.tgt, spec)
     comps = {i: f.comps[i] if i in f.comps
              else zero_map(src.components[i], tgt.components[i]) for i in spec._degrees}
-    return NChainMap(src, tgt, comps, validate=False)
+    return QRepMap(src, tgt, comps, validate=False)
 
 
 @dataclass
@@ -497,8 +299,8 @@ class CoilEpi:
     padded: NComplex
     source: NComplex
     blocks: List[int]
-    injections: List[NChainMap]
-    p: NChainMap
+    injections: List[QRepMap]
+    p: QRepMap
 
 
 def coil_epi(z: NComplex) -> CoilEpi:
@@ -514,18 +316,18 @@ def coil_epi(z: NComplex) -> CoilEpi:
     zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
     blocks = z.spec.degrees()
     coils = [interval_J(spec_p, j, z.components[j]) for j in blocks]
-    source = complex_direct_sum(coils, spec_p, z.coeff)
+    source = _direct_sum(coils, spec_p, z.coeff)
     legs = [_coil_leg(coil, zp, j, identity_map(z.components[j]))
             for j, coil in zip(blocks, coils)]
-    p = _copair(source, zp, legs)
+    p = rep_copair(source, zp, legs)
     p._validate()
     for i in spec_p._degrees:
         if not p.comps[i].is_surjective():
             raise VerificationError(f"coil map not surjective at degree {i}")
-    return CoilEpi(zp, source, blocks, sum_injections(source, coils), p)
+    return CoilEpi(zp, source, blocks, rep_injections(source, coils), p)
 
 
-def _coil_leg(coil: NComplex, zp: NComplex, j: int, f: ModuleMap) -> NChainMap:
+def _coil_leg(coil: NComplex, zp: NComplex, j: int, f: ModuleMap) -> QRepMap:
     """The leg J_j(M) -> zp of coil = interval_J(zp.spec, j, M) for a
     coefficient map f: M -> zp_j: f followed by d^k at degree j + k of the
     window, zero off it; copair(f, f d) out of M + M on the one-vertex cycle.
@@ -540,7 +342,7 @@ def _coil_leg(coil: NComplex, zp: NComplex, j: int, f: ModuleMap) -> NChainMap:
     if spec.cyclic and spec.shape.order == 1:
         part = copair(coil.components[0], zp.components[0],
                       [f, f.then(zp.differentials[0])])
-        return NChainMap(coil, zp, {0: part}, validate=False)
+        return QRepMap(coil, zp, {0: part}, validate=False)
     steps, cur = {}, f
     for k in range(spec.window_len):
         if k:
@@ -549,7 +351,7 @@ def _coil_leg(coil: NComplex, zp: NComplex, j: int, f: ModuleMap) -> NChainMap:
     comps = {i: steps[i] if i in steps else
              zero_map(coil.components[i], zp.components[i])
              for i in spec._degrees}
-    return NChainMap(coil, zp, comps, validate=False)
+    return QRepMap(coil, zp, comps, validate=False)
 
 
 def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
@@ -587,7 +389,7 @@ def _homotopy_terms(src: NComplex, tgt: NComplex, i: int, mids) -> List:
 
 
 def assemble_null_homotopic(src: NComplex, tgt: NComplex,
-                            s: Dict[int, ModuleMap]) -> NChainMap:
+                            s: Dict[int, ModuleMap]) -> QRepMap:
     """The chain map determined by a homotopy: the sum over each degree of
     d_tgt^(k) s d_src^(window-1-k); always null-homotopic by construction."""
     comps = {}
@@ -596,10 +398,10 @@ def assemble_null_homotopic(src: NComplex, tgt: NComplex,
         for mid, before, after in _homotopy_terms(src, tgt, i, s):
             cur = cur.add(before.then(s[mid]).then(after))
         comps[i] = cur
-    return NChainMap(src, tgt, comps, validate=True)
+    return QRepMap(src, tgt, comps, validate=True)
 
 
-def find_null_homotopy(l: NChainMap) -> Optional[Dict[int, ModuleMap]]:
+def find_null_homotopy(l: QRepMap) -> Optional[Dict[int, ModuleMap]]:
     """Degreewise maps s with l = sum of d^(k) s d^(window-1-k), or None.
 
     s at degree i points window-1 degrees down; summands whose degrees fall
@@ -636,7 +438,7 @@ def find_null_homotopy(l: NChainMap) -> Optional[Dict[int, ModuleMap]]:
             for i, low in lows.items()}
 
 
-def factor_null_homotopy(l: NChainMap, coil: CoilEpi) -> NChainMap:
+def factor_null_homotopy(l: QRepMap, coil: CoilEpi) -> QRepMap:
     """Factors a null-homotopic map l through the coil surjection exactly."""
     spec_p = coil.padded.spec
     lp = pad_chain_map(l, spec_p) if l.src.spec != spec_p else l
@@ -673,7 +475,7 @@ def factor_null_homotopy(l: NChainMap, coil: CoilEpi) -> NChainMap:
                     continue
                 cur = cur.add(walk.then(s[top]).then(inj))
         comps[i] = cur
-    lifted = NChainMap(src, coil.source, comps, validate=True)
+    lifted = QRepMap(src, coil.source, comps, validate=True)
     if lifted.then(coil.p) != lp:
         raise VerificationError("factorization residual is nonzero")
     return lifted
@@ -697,7 +499,7 @@ def hard_truncate(x: NComplex, floor: int) -> NComplex:
 @dataclass
 class Approximation:
     source: NComplex
-    chain_map: NChainMap
+    chain_map: QRepMap
     padded: NComplex
     multiplicities: List[int]
     certified: List[bool]
@@ -720,32 +522,32 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
     spec_p = z.spec.padded()
     zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
     blocks = z.spec._degrees
-    covers = [projective_cover(z.components[j]).cover for j in blocks]
+    covers = [_cover_map(z.components[j])[1] for j in blocks]
     cover_coils = [interval_J(spec_p, j, cov.src) for j, cov in zip(blocks, covers)]
     legs = [_coil_leg(coil, zp, j, cov)
             for j, coil, cov in zip(blocks, cover_coils, covers)]
-    coil_src = complex_direct_sum(cover_coils, spec_p, z.coeff)
-    r = _copair(coil_src, zp, legs)
+    coil_src = _direct_sum(cover_coils, spec_p, z.coeff)
+    r = rep_copair(coil_src, zp, legs)
     gens_p = [pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]
-    eval_bases = [chain_maps(g, zp) for g in gens_p]
+    eval_bases = [qrep_hom(g, zp) for g in gens_p]
     multiplicities = [len(basis) for basis in eval_bases]
     copies = [f for basis in eval_bases for f in basis]
     pieces = [f.src for f in copies]
-    y = complex_direct_sum(pieces + [coil_src], spec_p, z.coeff)
-    g_map = _copair(y, zp, copies + [r])
+    y = _direct_sum(pieces + [coil_src], spec_p, z.coeff)
+    g_map = rep_copair(y, zp, copies + [r])
     g_map._validate()
     if not g_map.is_surjective():
         raise VerificationError("approximation map is not degreewise surjective")
     certified = _certify_generators(gens_p, multiplicities,
-                                    sum_injections(y, pieces), g_map)
+                                    rep_injections(y, pieces), g_map)
     if not all(certified):
         raise VerificationError("approximation certificate failed")
     return Approximation(y, g_map, zp, multiplicities, certified)
 
 
 def _certify_generators(gens: Sequence[NComplex], multiplicities: Sequence[int],
-                        injections: Sequence[NChainMap],
-                        g_map: NChainMap) -> List[bool]:
+                        injections: Sequence[QRepMap],
+                        g_map: QRepMap) -> List[bool]:
     """certified[s] for each generator G_s: the injections of its evaluation
     copies (the next multiplicities[s] of `injections`) pass validation as
     chain maps G_s -> Y, the source of g_map, and their composites with the validated g_map have
@@ -766,7 +568,8 @@ def _certify_generators(gens: Sequence[NComplex], multiplicities: Sequence[int],
         except PreconditionError:
             certified.append(False)
             continue
-        cols = [_chain_flat(f.then(g_map)) for f in copies]
+        cols = [vstack([flatten_map(c) for c in f.then(g_map).comps.values()])
+                for f in copies]
         certified.append(not cols or hstack(cols).rank() == mult)
     return certified
 

@@ -21,7 +21,8 @@ projections (phi is natural), the maps between sums of representables
 Composites, sums and scalings of maps, identities, zero maps, direct sums
 (sum_module) and the block maps between sums (sum_map, copair) are natural
 or functorial by linear algebra alone.  Every certificate the program
-reports is still checked: cover surjectivity and ker <= rad, the rebuilt
+reports is still checked: cover surjectivity and, where a cover must be
+minimal (projective_cover), ker <= rad, the rebuilt
 presentation, exactness and non-splitness, the almost split property, and
 the decomposition identities (in End(m), by algebra.primitive_idempotents).
 
@@ -197,6 +198,8 @@ class ModuleMap:
                 raise PreconditionError(f"bad component shape at {x!r}")
         for x in cat.objects:
             for y in cat.objects:
+                if not self.tgt.dims[x] * self.src.dims[y]:
+                    continue  # both sides of every square are empty
                 for i in range(cat.dim(x, y)):
                     left = self.comps[x] @ self.src.action[(x, y, i)]
                     right = self.tgt.action[(x, y, i)] @ self.comps[y]
@@ -679,19 +682,13 @@ def _top_lifts(m: CModule) -> Dict:
     return lifts
 
 
-def projective_cover(m: CModule) -> Cover:
-    """A projective cover with surjectivity and ker <= rad certificates.
+def _cover_map(m: CModule) -> Tuple[ProjSum, ModuleMap]:
+    """The sum of representables of a projective cover of m and its map onto
+    m, certified surjective, without the kernel.
 
-    The cover map sends g in Hom(y, x) to m(g) e for a lift e of a top basis
+    The map sends g in Hom(y, x) to m(g) e for a lift e of a top basis
     vector at x (`_top_lifts`); it is built unvalidated, because it is
     natural by the functoriality of m (Yoneda): m(g o f) e = m(f) m(g) e.
-
-    ker <= rad is read off the coordinates: rad P0 at y, for P0 = Hom(-, X),
-    is the span of the radical basis coordinates of flat Hom(y, X).  It is
-    spanned by the g o r with r radical, radical since the radical is an
-    ideal (checked by FinCategory._validate), and it holds each radical
-    basis element r: y -> X_k as 1 o r.  So the kernel inclusion must vanish
-    on every non-radical coordinate.
     """
     cat = m.cat
     fld = cat.field
@@ -712,10 +709,26 @@ def projective_cover(m: CModule) -> Cover:
     p = ModuleMap(psum.module, m, comps, validate=False)
     if not p.is_surjective():
         raise AssertionError("cover map is not surjective")
+    return psum, p
+
+
+def projective_cover(m: CModule) -> Cover:
+    """A projective cover (`_cover_map`) with its kernel, certified to lie
+    in the radical.
+
+    ker <= rad is read off the coordinates: rad P0 at y, for P0 = Hom(-, X),
+    is the span of the radical basis coordinates of flat Hom(y, X).  It is
+    spanned by the g o r with r radical, radical since the radical is an
+    ideal (checked by FinCategory._validate), and it holds each radical
+    basis element r: y -> X_k as 1 o r.  So the kernel inclusion must vanish
+    on every non-radical coordinate.
+    """
+    cat = m.cat
+    psum, p = _cover_map(m)
     ker = kernel_module(p)
     for y in cat.objects:
         inc, pos = ker.include.comps[y], 0
-        for x in vertices:
+        for x in psum.vertices:
             rad = cat.radical[(y, x)]
             if any(any(inc.row(pos + t)) for t in range(cat.dim(y, x)) if t not in rad):
                 raise AssertionError("cover kernel is not contained in the radical")

@@ -231,11 +231,10 @@ def opposite(bq: BoundQuiver) -> BoundQuiver:
     return BoundQuiver(op_quiver, MonomialIdeal(op_gens))
 
 
-def linear_quiver(m: int, prefix: str = "a", start: int = 1) -> Quiver:
-    """The A_m quiver start -> start+1 -> ... with arrows prefix+i."""
-    vertices = [str(start + i) for i in range(m)]
-    arrows = [Arrow(f"{prefix}{start + i}", str(start + i), str(start + i + 1))
-              for i in range(m - 1)]
+def linear_quiver(m: int, prefix: str = "a") -> Quiver:
+    """The A_m quiver 1 -> 2 -> ... -> m with arrows prefix+i."""
+    vertices = [str(i) for i in range(1, m + 1)]
+    arrows = [Arrow(f"{prefix}{i}", str(i), str(i + 1)) for i in range(1, m)]
     return Quiver(vertices, arrows)
 
 

@@ -2,16 +2,21 @@
 
 A QRep assigns to each vertex a CModule over a fixed coefficient category
 and to each arrow a ModuleMap, with the monomial relations verified to
-vanish.  phi and psi repackage these exactly as modules over the tensor
-product of the opposite path category with the coefficient category, and
-are mutually inverse on the nose.
+vanish.  A QRepMap is a family of vertexwise ModuleMaps, each validated as
+a map of coefficient modules, commuting with every arrow.  These are the
+only such classes: an n-complex (complexes.NComplex) is a QRep of its
+shape quiver and a chain map is a QRepMap.  phi and psi repackage
+representations exactly as modules over the tensor product of the
+opposite path category with the coefficient category, and are mutually
+inverse on the nose.
 
 The induced representation f_star_v(p) puts one copy of p at w for every
 surviving path q: v -> w, and acts by path-shift matrices: an arrow a sends
 copy q to copy q.a, or to zero when q.a is killed, one block matrix per
-coefficient object.  Maps into and out of direct sums of representations,
-and the transposition sharp across the evaluation adjunction, are assembled
-the same way, blockwise with modcat.sum_map and modcat.copair.
+coefficient object.  Direct sums of representations, their block-column
+injections, copairs out of them, and the transposition sharp across the
+evaluation adjunction are assembled the same way, blockwise with
+modcat.sum_map and modcat.copair, and built unvalidated.
 check_adjunction certifies the adjunction by computing both hom spaces
 independently and verifying the two transposition maps are mutually inverse
 on bases; lemma2_cover assembles the canonical projective cover of a
@@ -19,14 +24,13 @@ representation from the f_star_v of vertexwise covers.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory, category_of, opposite_category, tensor_product
 from .linalg import Mat, equation_matrix, kron, split_blocks
-from .modcat import (CModule, ModuleMap, copair, hom_space, identity_map,
-                     naturality_equations, projective_cover, sum_map, sum_module,
-                     zero_map, zero_module)
+from .modcat import (CModule, ModuleMap, _cover_map, copair, hom_space, identity_map,
+                     naturality_equations, sum_map, sum_module, zero_map, zero_module)
 from .quiver import BoundQuiver, Path
 
 
@@ -43,7 +47,11 @@ class QRep:
             self._validate()
 
     def _validate(self):
-        for v in self.bq.quiver.vertices:
+        """Check the vertex modules, the arrow maps' endpoints, and that every
+        relation vanishes, shortest first and then by source vertex.  A
+        relation through a zero arrow map vanishes without a product."""
+        vertices = self.bq.quiver.vertices
+        for v in vertices:
             m = self.vertex_modules.get(v)
             if m is None or not (m.cat is self.coeff or m.cat == self.coeff):
                 raise PreconditionError(f"missing or foreign module at vertex {v!r}")
@@ -53,9 +61,14 @@ class QRep:
                 raise PreconditionError(f"missing arrow map for {a.name!r}")
             if f.src != self.vertex_modules[a.source] or f.tgt != self.vertex_modules[a.target]:
                 raise PreconditionError(f"arrow map endpoints wrong for {a.name!r}")
-        for gen in sorted(self.bq.ideal.generators, key=lambda p: (p.length, p.arrows)):
-            if not self.path_map(gen).is_zero():
-                raise PreconditionError(f"relation {gen!r} does not vanish")
+        zero = {name: f.is_zero() for name, f in self.arrow_maps.items()}
+        for gen in sorted(self.bq.ideal.generators,
+                          key=lambda p: (p.length, vertices.index(p.source), p.arrows)):
+            if not any(zero[a] for a in gen.arrows) and not self.path_map(gen).is_zero():
+                raise PreconditionError(self._relation_failure(gen))
+
+    def _relation_failure(self, gen: Path) -> str:
+        return f"relation {gen!r} does not vanish"
 
     def path_map(self, p: Path) -> ModuleMap:
         """The composite map along a path, arrows applied in storage order."""
@@ -94,6 +107,10 @@ class QRepMap:
             self._validate()
 
     def _validate(self):
+        """Check the components, each a validated map of coefficient modules
+        between the vertex modules, and every arrow's square."""
+        if self.src.bq is not self.tgt.bq and self.src.bq != self.tgt.bq:
+            raise PreconditionError("map between representations of different quivers")
         for v in self.src.bq.quiver.vertices:
             f = self.comps.get(v)
             if f is None:
@@ -110,6 +127,13 @@ class QRepMap:
     def then(self, other: "QRepMap") -> "QRepMap":
         comps = {v: self.comps[v].then(other.comps[v]) for v in self.comps}
         return QRepMap(self.src, other.tgt, comps, validate=False)
+
+    def add(self, other: "QRepMap") -> "QRepMap":
+        comps = {v: self.comps[v].add(other.comps[v]) for v in self.comps}
+        return QRepMap(self.src, self.tgt, comps, validate=False)
+
+    def is_zero(self) -> bool:
+        return all(f.is_zero() for f in self.comps.values())
 
     def is_surjective(self) -> bool:
         return all(f.is_surjective() for f in self.comps.values())
@@ -136,6 +160,41 @@ def rep_direct_sum(reps: List[QRep], bq: BoundQuiver, coeff: FinCategory) -> QRe
                                   [r.arrow_maps[a.name] for r in reps])
                   for a in bq.quiver.arrows}
     return QRep(bq, coeff, vertex_modules, arrow_maps, validate=False)
+
+
+def rep_injections(total: QRep, reps: Sequence[QRep]) -> List[QRepMap]:
+    """The injections of the leading summands reps of total =
+    rep_direct_sum(reps + rest), built unvalidated: each component is a
+    block column, the identity on the summand's rows and zero elsewhere,
+    which commutes with the block-diagonal actions and arrow maps."""
+    fld = total.coeff.field
+    one, zero = fld.one(), fld.zero()
+    vertices = total.bq.quiver.vertices
+    pos = {(v, c): 0 for v in vertices for c in total.coeff.objects}
+    out = []
+    for r in reps:
+        comps = {}
+        for v in vertices:
+            src, tgt = r.vertex_modules[v], total.vertex_modules[v]
+            blocks = {}
+            for c in total.coeff.objects:
+                n, d, off = tgt.dims[c], src.dims[c], pos[(v, c)]
+                pos[(v, c)] += d
+                data = [zero] * (n * d)
+                data[off * d:(off + d) * d:d + 1] = [one] * d
+                blocks[c] = Mat(fld, n, d, data)
+            comps[v] = ModuleMap(src, tgt, blocks, validate=False)
+        out.append(QRepMap(r, total, comps, validate=False))
+    return out
+
+
+def rep_copair(src: QRep, tgt: QRep, maps: Sequence[QRepMap]) -> QRepMap:
+    """The map out of the direct sum src whose restriction to summand k is
+    maps[k], vertexwise by copair, built unvalidated: src's arrow maps are
+    block diagonal, so it is a morphism iff every maps[k] is."""
+    return QRepMap(src, tgt, {v: copair(src.vertex_modules[v], tgt.vertex_modules[v],
+                                        [f.comps[v] for f in maps])
+                              for v in src.bq.quiver.vertices}, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +444,14 @@ def lemma2_cover(r: QRep) -> CoverResult:
         rv = r.vertex_modules[v]
         if rv.is_zero():
             continue
-        cov = projective_cover(rv)
-        pieces.append((v, cov.psum.module))
-        ind = f_star_v(bq, v, cov.psum.module)
+        _, cov = _cover_map(rv)
+        pieces.append((v, cov.src))
+        ind = f_star_v(bq, v, cov.src)
         parts.append(ind)
-        maps.append(sharp(bq, v, r, cov.cover, ind))
+        maps.append(sharp(bq, v, r, cov, ind))
     total = rep_direct_sum(parts, bq, coeff)
-    comps = {w: copair(total.vertex_modules[w], r.vertex_modules[w],
-                       [f.comps[w] for f in maps])
-             for w in bq.quiver.vertices}
-    cover = QRepMap(total, r, comps, validate=True)
+    cover = rep_copair(total, r, maps)
+    cover._validate()
     for w in bq.quiver.vertices:
         for c in coeff.objects:
             comp = cover.comps[w].comps[c]

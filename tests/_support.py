@@ -13,7 +13,7 @@ from arcat.modcat import (AlmostSplit, CModule, Image, ModuleMap, check_short_ex
                           sum_map, zero_map, zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
-from arcat.repcat import QRep
+from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair
 
 F101 = Field.prime(101)
 QQ = Field.rationals()
@@ -344,10 +344,9 @@ def reference_end_algebra(m: CModule) -> TableAlgebra:
 
 
 def complex_sum_maps(xs, total):
-    """(injections, projections) of total = complex_direct_sum(xs, ...), as
+    """(injections, projections) of total = complexes._direct_sum(xs, ...), as
     validated chain maps whose components at each degree are those of
     modcat.direct_sum of the summands' components there."""
-    from arcat.complexes import NChainMap
     injs, projs = [{} for _ in xs], [{} for _ in xs]
     for i in total.spec.degrees():
         t = total.components[i]
@@ -355,17 +354,16 @@ def complex_sum_maps(xs, total):
         for k, x in enumerate(xs):
             injs[k][i] = ModuleMap(x.components[i], t, vi[k].comps)
             projs[k][i] = ModuleMap(t, x.components[i], vp[k].comps)
-    return ([NChainMap(x, total, c) for x, c in zip(xs, injs)],
-            [NChainMap(total, x, c) for x, c in zip(xs, projs)])
+    return ([QRepMap(x, total, c) for x, c in zip(xs, injs)],
+            [QRepMap(total, x, c) for x, c in zip(xs, projs)])
 
 
 def interval_J_map(spec, j, f: ModuleMap, src, tgt):
     """The coil construction applied to a coefficient map f, validated; src
     and tgt are the coils of f.src and f.tgt at degree j."""
-    from arcat.complexes import NChainMap
     if spec.cyclic and spec.shape.order == 1:
         comp = sum_map(src.components[0], tgt.components[0], [f, f])
-        return NChainMap(src, tgt, {0: comp})
+        return QRepMap(src, tgt, {0: comp})
     comps = {}
     for i in spec.degrees():
         if src.components[i].is_zero() and tgt.components[i].is_zero():
@@ -374,7 +372,7 @@ def interval_J_map(spec, j, f: ModuleMap, src, tgt):
             comps[i] = f
         else:
             comps[i] = zero_map(src.components[i], tgt.components[i])
-    return NChainMap(src, tgt, comps)
+    return QRepMap(src, tgt, comps)
 
 
 def coil_route_approximation(z, gens):
@@ -390,24 +388,24 @@ def coil_route_approximation(z, gens):
     cover_coils = [cx.interval_J(spec_p, j, cov.psum.module) for j, cov in covers]
     cover_maps = [interval_J_map(spec_p, j, cov.cover, src, inj.src)
                   for (j, cov), src, inj in zip(covers, cover_coils, coil.injections)]
-    coil_src = cx.complex_direct_sum(cover_coils, spec_p, z.coeff)
-    p_prime = cx.NChainMap(coil_src, coil.source,
-                           {i: sum_map(coil_src.components[i], coil.source.components[i],
-                                       [f.comps[i] for f in cover_maps])
-                            for i in spec_p.degrees()})
+    coil_src = cx._direct_sum(cover_coils, spec_p, z.coeff)
+    p_prime = QRepMap(coil_src, coil.source,
+                      {i: sum_map(coil_src.components[i], coil.source.components[i],
+                                  [f.comps[i] for f in cover_maps])
+                       for i in spec_p.degrees()})
     r = p_prime.then(coil.p)
     gens_p = [cx.pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]
     pieces, piece_maps, multiplicities = [], [], []
     for g in gens_p:
-        basis = cx.chain_maps(g, zp)
+        basis = qrep_hom(g, zp)
         multiplicities.append(len(basis))
         pieces += [g] * len(basis)
         piece_maps += basis
     pieces.append(coil_src)
     piece_maps.append(r)
-    y = cx.complex_direct_sum(pieces, spec_p, z.coeff)
+    y = cx._direct_sum(pieces, spec_p, z.coeff)
     injs, _ = complex_sum_maps(pieces, y)
-    g_map = cx._copair(y, zp, piece_maps)
+    g_map = rep_copair(y, zp, piece_maps)
     g_map._validate()
     if not g_map.is_surjective():
         raise VerificationError("approximation map is not degreewise surjective")

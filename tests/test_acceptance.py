@@ -175,9 +175,9 @@ def test_criterion_5_two_periodic_complex_category():
         base = _base(name)
         knitted = _knit(name)
         assert len(knitted.modules) == 4
-        s0 = simple_module(base, ("0", "pt"))
-        s1 = simple_module(base, ("1", "pt"))
-        p0 = yoneda_projective(base, ("0", "pt"))
+        s0 = simple_module(base, (0, "pt"))
+        s1 = simple_module(base, (1, "pt"))
+        p0 = yoneda_projective(base, (0, "pt"))
         ass = almost_split_sequence(s0)
         assert is_isomorphic(ass.sequence.left, s1) is not None
         assert is_isomorphic(ass.sequence.middle, p0) is not None

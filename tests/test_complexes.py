@@ -1,6 +1,8 @@
 """Complex shapes, coils, approximations, and the module dictionary."""
 
+import os
 import random
+import sys
 
 import pytest
 
@@ -8,22 +10,21 @@ from _support import (F101, QQ, a2_quiver, coil_route_approximation,
                       complex_sum_maps, module_print, point_pool, rand_complex,
                       rand_homotopy)
 from arcat import complexes, modcat
-from arcat.complexes import (Cyclic, Interval, NChainMap,
-                             NComplex, NComplexSpec, Window, assemble_null_homotopic,
-                             build_category, chain_map_from_module, chain_maps,
-                             coil_epi, complex_direct_sum, factor_null_homotopy,
-                             find_null_homotopy, from_module, from_rep,
-                             hard_truncate, interval_J,
-                             pad_complex, right_approximation, stalk,
-                             stalk_filtration_certificate, sum_injections,
-                             to_module, to_rep, zero_complex, _chain_flat, _copair)
+from arcat.complexes import (Cyclic, Interval, NComplex, NComplexSpec, Window,
+                             assemble_null_homotopic, build_category, coil_epi,
+                             factor_null_homotopy, find_null_homotopy, from_rep,
+                             hard_truncate, interval_J, pad_complex,
+                             right_approximation, stalk,
+                             stalk_filtration_certificate, _direct_sum)
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import FinCategory, category_of
-from arcat.linalg import Mat, solve, hstack
+from arcat.linalg import Mat, solve, hstack, vstack
 from arcat.modcat import (CModule, ModuleMap, almost_split_sequence, ar_quiver,
-                          identity_map, verify_almost_split,
+                          flatten_map, hom_space, identity_map, verify_almost_split,
                           zero_map)
-from arcat.repcat import f_star_v, tensor_base
+from arcat.repcat import (QRepMap, f_star_v, phi, psi, psi_map, qrep_hom,
+                          rep_copair, rep_direct_sum, rep_injections, tensor_base,
+                          zero_rep)
 
 PT, POOL = point_pool(F101)
 K1 = POOL[0]
@@ -46,7 +47,7 @@ def test_spec_validation():
 
 def test_build_category_shapes():
     b = build_category(NComplexSpec(2, Interval(3)))
-    assert b.quiver.vertices == ("1", "2", "3")
+    assert b.quiver.vertices == (1, 2, 3)
     assert sorted(g.arrows for g in b.ideal.generators) == [("a1", "a2")]
     assert build_category(NComplexSpec(2, Interval(2))).ideal.generators == frozenset()
     c = build_category(NComplexSpec(2, Cyclic(2)))
@@ -54,7 +55,7 @@ def test_build_category_shapes():
     loop = build_category(NComplexSpec(1, Cyclic(1)))
     assert sorted(g.arrows for g in loop.ideal.generators) == [("a0", "a0")]
     w = build_category(NComplexSpec(3, Window(-1, 3)))
-    assert w.quiver.vertices == ("-1", "0", "1", "2", "3")
+    assert w.quiver.vertices == (-1, 0, 1, 2, 3)
     assert sorted(g.arrows for g in w.ideal.generators) == \
         [("a-1", "a0", "a1"), ("a0", "a1", "a2")]
 
@@ -85,13 +86,13 @@ def test_interval_j_shapes():
 
 
 def test_interval_j_is_induction():
-    cases = [(NComplexSpec(2, Interval(3)), "1"),
-             (NComplexSpec(2, Interval(3)), "2"),
-             (NComplexSpec(2, Cyclic(2)), "0"),
-             (NComplexSpec(1, Cyclic(1)), "0")]
+    cases = [(NComplexSpec(2, Interval(3)), 1),
+             (NComplexSpec(2, Interval(3)), 2),
+             (NComplexSpec(2, Cyclic(2)), 0),
+             (NComplexSpec(1, Cyclic(1)), 0)]
     for spec, v in cases:
         bq = build_category(spec)
-        assert to_rep(interval_J(spec, int(v), K1), bq) == f_star_v(bq, v, K1)
+        assert interval_J(spec, v, K1) == f_star_v(bq, v, K1)
 
 
 def test_module_roundtrip_all_shapes():
@@ -101,9 +102,9 @@ def test_module_roundtrip_all_shapes():
         base = tensor_base(build_category(spec), PT)
         for _ in range(4):
             x = rand_complex(spec, PT, POOL, rng)
-            assert from_rep(spec, to_rep(x)) == x
-            m = to_module(x, base)
-            assert from_module(spec, m) == x
+            assert from_rep(spec, x) == x
+            m = phi(x, base)
+            assert from_rep(spec, psi(m)) == x
 
 
 def test_coil_epi_shapes_and_split_on_coils():
@@ -119,9 +120,9 @@ def test_coil_epi_shapes_and_split_on_coils():
     idx = cz.blocks.index(1)
     section = cz.injections[idx]
     back = section.then(cz.p)
-    ident = NChainMap(cz.padded, cz.padded,
-                      {i: identity_map(cz.padded.components[i])
-                       for i in cz.padded.spec.degrees()})
+    ident = QRepMap(cz.padded, cz.padded,
+                    {i: identity_map(cz.padded.components[i])
+                     for i in cz.padded.spec.degrees()})
     assert back == ident
 
 
@@ -132,7 +133,8 @@ def test_coil_epi_surjective_on_random_complexes():
         for _ in range(4):
             z = rand_complex(spec, PT, POOL, rng)
             assert coil_epi(z).p.is_surjective()
-    assert coil_epi(zero_complex(NComplexSpec(2, Interval(2)), PT)).p.is_zero()
+    spec = NComplexSpec(2, Interval(2))
+    assert coil_epi(from_rep(spec, zero_rep(build_category(spec), PT))).p.is_zero()
 
 
 def test_null_homotopy_factorization_random():
@@ -159,7 +161,7 @@ def test_null_homotopy_order_one_cycle():
     z = NComplex(spec, PT, {0: k2}, {0: d})
     ce = coil_epi(z)
     assert ce.source.degree_dims() == {0: 4}
-    l = NChainMap(z, z, {0: d})
+    l = QRepMap(z, z, {0: d})
     lifted = factor_null_homotopy(l, ce)
     assert lifted.then(ce.p) == l
 
@@ -167,8 +169,8 @@ def test_null_homotopy_order_one_cycle():
 def test_non_homotopic_map_is_reported():
     spec = NComplexSpec(2, Interval(3))
     st = stalk(spec, 2, K1)
-    ident = NChainMap(st, st, {i: identity_map(st.components[i])
-                               for i in spec.degrees()})
+    ident = QRepMap(st, st, {i: identity_map(st.components[i])
+                             for i in spec.degrees()})
     assert find_null_homotopy(ident) is None
     with pytest.raises(PreconditionError):
         factor_null_homotopy(ident, coil_epi(st))
@@ -204,13 +206,12 @@ def test_right_approximation_splits_on_generator():
     spec = NComplexSpec(2, Cyclic(2))
     z = interval_J(spec, 0, K1)
     ap = right_approximation(z, [z])
-    flat_basis = [f.then(ap.chain_map) for f in chain_maps(ap.padded, ap.source)]
-    from arcat.complexes import _chain_flat
-    ident = NChainMap(ap.padded, ap.padded,
-                      {i: identity_map(ap.padded.components[i])
-                       for i in spec.degrees()})
-    mat = hstack([_chain_flat(f) for f in flat_basis])
-    assert solve(mat, _chain_flat(ident)) is not None
+    flat_basis = [f.then(ap.chain_map) for f in qrep_hom(ap.padded, ap.source)]
+    ident = QRepMap(ap.padded, ap.padded,
+                    {i: identity_map(ap.padded.components[i])
+                     for i in spec.degrees()})
+    mat = hstack([chain_flat(f) for f in flat_basis])
+    assert solve(mat, chain_flat(ident)) is not None
 
 
 def test_stalk_filtration():
@@ -248,11 +249,11 @@ def test_transported_almost_split_sequence():
     for z in non_proj:
         ass = almost_split_sequence(z)
         verify_almost_split(ass.sequence, knitted.modules)
-        left = from_module(spec, ass.sequence.left)
-        mid = from_module(spec, ass.sequence.middle)
-        right = from_module(spec, ass.sequence.right)
-        inc = chain_map_from_module(spec, ass.sequence.include, left, mid)
-        pro = chain_map_from_module(spec, ass.sequence.project, mid, right)
+        left = from_rep(spec, psi(ass.sequence.left))
+        mid = from_rep(spec, psi(ass.sequence.middle))
+        right = from_rep(spec, psi(ass.sequence.right))
+        inc = psi_map(ass.sequence.include, left, mid)
+        pro = psi_map(ass.sequence.project, mid, right)
         assert inc.then(pro).is_zero()
 
 
@@ -260,11 +261,11 @@ def test_direct_sum_and_pad():
     spec = NComplexSpec(2, Interval(2))
     st1 = stalk(spec, 1, K1)
     st2 = stalk(spec, 2, K1)
-    total = complex_direct_sum([st1, st2], spec, PT)
+    total = from_rep(spec, rep_direct_sum([st1, st2], build_category(spec), PT))
     injs, projs = complex_sum_maps([st1, st2], total)
     assert total.degree_dims() == {1: 1, 2: 1}
     assert injs[0].then(projs[0]).comps[1] == identity_map(K1)
-    assert sum_injections(total, [st1, st2])[0].then(projs[0]).comps[1] == identity_map(K1)
+    assert rep_injections(total, [st1, st2])[0].then(projs[0]).comps[1] == identity_map(K1)
     wide = pad_complex(st1, NComplexSpec(2, Window(0, 3)))
     assert wide.degree_dims() == {0: 0, 1: 1, 2: 0, 3: 0}
     with pytest.raises(PreconditionError):
@@ -284,8 +285,13 @@ def typed(f: ModuleMap):
     return {c: [(type(v), v) for v in m.data] for c, m in f.comps.items()}
 
 
-def typed_chain(f: NChainMap):
+def typed_chain(f: QRepMap):
     return {i: typed(g) for i, g in f.comps.items()}
+
+
+def chain_flat(f: QRepMap) -> Mat:
+    """The components of a chain map stacked in degree order."""
+    return vstack([flatten_map(f.comps[i]) for i in f.src.spec.degrees()])
 
 
 def coefficient_pools(fld):
@@ -302,7 +308,7 @@ def test_complex_direct_sum_matches_sum_of_products():
                 xs = ([interval_J(spec, 0, pool[k % len(pool)]) for k in range(3)]
                       if spec == loop else
                       [rand_complex(spec, coeff, pool, rng) for _ in range(3)])
-                total = complex_direct_sum(xs, spec, coeff)
+                total = _direct_sum(xs, spec, coeff)
                 injs, projs = complex_sum_maps(xs, total)
                 for i in spec.diff_degrees():
                     j = spec.wrap(i + 1)
@@ -313,7 +319,7 @@ def test_complex_direct_sum_matches_sum_of_products():
                     assert typed(total.differentials[i]) == typed(old)
                 total._validate()
                 for k in range(1, len(xs) + 1):
-                    built = sum_injections(total, xs[:k])
+                    built = rep_injections(total, xs[:k])
                     assert [typed_chain(f) for f in built] == \
                         [typed_chain(f) for f in injs[:k]]
                     for f in built:
@@ -329,14 +335,14 @@ def test_copair_matches_sum_of_products():
                 tgt = rand_complex(spec, coeff, pool, rng)
                 maps = []
                 for x in xs:
-                    basis = chain_maps(x, tgt)
+                    basis = qrep_hom(x, tgt)
                     maps.append(basis[0].add(basis[-1]) if basis else
-                                NChainMap(x, tgt, {i: zero_map(x.components[i],
-                                                               tgt.components[i])
-                                                   for i in spec.degrees()}))
-                total = complex_direct_sum(xs, spec, coeff)
+                                QRepMap(x, tgt, {i: zero_map(x.components[i],
+                                                             tgt.components[i])
+                                                 for i in spec.degrees()}))
+                total = _direct_sum(xs, spec, coeff)
                 _, projs = complex_sum_maps(xs, total)
-                new = _copair(total, tgt, maps)
+                new = rep_copair(total, tgt, maps)
                 for i in spec.degrees():
                     old = zero_map(total.components[i], tgt.components[i])
                     for k, f in enumerate(maps):
@@ -344,25 +350,25 @@ def test_copair_matches_sum_of_products():
                     assert typed(new.comps[i]) == typed(old)
 
 
-def reference_certificate(g: NComplex, y: NComplex, g_map: NChainMap,
+def reference_certificate(g: NComplex, y: NComplex, g_map: QRepMap,
                           target_dim: int) -> bool:
     """The certificate by a whole basis of Hom(G, Y): its composites with
     g_map must have rank dim Hom(G, Z)."""
     if target_dim == 0:
         return True
-    cols = [_chain_flat(f.then(g_map)) for f in chain_maps(g, y)]
+    cols = [chain_flat(f.then(g_map)) for f in qrep_hom(g, y)]
     return bool(cols) and hstack(cols).rank() == target_dim
 
 
 def zero_block(injections, k, g_map, pieces):
     """g_map with the block of evaluation copy k replaced by the zero map;
     pieces are the summands of Y, g_map's source."""
-    legs = [f.then(g_map) for f in sum_injections(g_map.src, pieces)]
+    legs = [f.then(g_map) for f in rep_injections(g_map.src, pieces)]
     src = injections[k].src
-    legs[k] = NChainMap(src, g_map.tgt,
-                        {i: zero_map(src.components[i], g_map.tgt.components[i])
-                         for i in src.spec.degrees()})
-    return injections, _copair(g_map.src, g_map.tgt, legs)
+    legs[k] = QRepMap(src, g_map.tgt,
+                      {i: zero_map(src.components[i], g_map.tgt.components[i])
+                       for i in src.spec.degrees()})
+    return injections, rep_copair(g_map.src, g_map.tgt, legs)
 
 
 def scaled_degree(injections, k, g_map, pieces):
@@ -371,7 +377,21 @@ def scaled_degree(injections, k, g_map, pieces):
     f = injections[k]
     low = next(i for i in f.src.spec.degrees() if not f.src.components[i].is_zero())
     comps = {i: c.scale(2) if i == low else c for i, c in f.comps.items()}
-    bad = NChainMap(f.src, f.tgt, comps, validate=False)
+    bad = QRepMap(f.src, f.tgt, comps, validate=False)
+    return injections[:k] + [bad] + injections[k + 1:], g_map
+
+
+def scaled_object(injections, k, g_map, pieces):
+    """Copy k's injection doubled at the coefficient object '1' in every
+    degree: its chain squares still commute and its composite with g_map
+    keeps its rank, but it is no longer a map of coefficient modules."""
+    f = injections[k]
+    comps = {i: ModuleMap(c.src, c.tgt, {x: b.scale(2) if x == "1" else b
+                                         for x, b in c.comps.items()}, validate=False)
+             for i, c in f.comps.items()}
+    bad = QRepMap(f.src, f.tgt, comps, validate=False)
+    with pytest.raises(PreconditionError, match="naturality fails"):
+        bad._validate()
     return injections[:k] + [bad] + injections[k + 1:], g_map
 
 
@@ -384,10 +404,10 @@ def foreign_target(injections, k, g_map, pieces):
     last = pieces[-1]
     pieces[-1] = NComplex(last.spec, last.coeff, last.components,
                           {i: d.scale(2) for i, d in last.differentials.items()})
-    other = complex_direct_sum(pieces, last.spec, last.coeff)
+    other = _direct_sum(pieces, last.spec, last.coeff)
     assert other != g_map.src
     f = injections[k]
-    moved = NChainMap(f.src, other, sum_injections(other, pieces[:k + 1])[k].comps)
+    moved = QRepMap(f.src, other, rep_injections(other, pieces[:k + 1])[k].comps)
     assert moved.comps == f.comps
     return injections[:k] + [moved] + injections[k + 1:], g_map
 
@@ -395,10 +415,10 @@ def foreign_target(injections, k, g_map, pieces):
 def spy_certificates(monkeypatch, corrupt=None):
     """Records every call of the generator certificate; corrupt, if given,
     rewrites the injections and g_map it is handed at the first evaluation
-    copy, knowing the summands of Y (recorded from complex_direct_sum)."""
+    copy, knowing the summands of Y (recorded from _direct_sum)."""
     calls = []
     original = complexes._certify_generators
-    summing = complexes.complex_direct_sum
+    summing = complexes._direct_sum
     sums = []
 
     def recording(xs, spec, coeff):
@@ -406,7 +426,7 @@ def spy_certificates(monkeypatch, corrupt=None):
         sums.append((total, list(xs)))
         return total
 
-    monkeypatch.setattr(complexes, "complex_direct_sum", recording)
+    monkeypatch.setattr(complexes, "_direct_sum", recording)
 
     def spy(gens, multiplicities, injections, g_map):
         if corrupt is not None:
@@ -440,17 +460,23 @@ def test_generator_certificate_agrees_with_reference(monkeypatch):
                         for g, m in zip(gens_p, mults)] == [True] * len(gens)
 
 
-@pytest.mark.parametrize("corrupt", [zero_block, scaled_degree, foreign_target])
+@pytest.mark.parametrize("corrupt", [zero_block, scaled_degree, foreign_target,
+                                     scaled_object])
 def test_generator_certificate_negative_control(monkeypatch, corrupt):
+    """Each corruption of the first evaluation copy fails its certificate.
+    scaled_object runs over A2 coefficients with the coils of the module of
+    dimension (1, 1), where scaling at one object breaks naturality; the
+    others run over the point."""
     calls = spy_certificates(monkeypatch, corrupt)
     rng = random.Random(1616)
     for fld in (F101, QQ):
-        pt, pool = point_pool(fld)
+        pt, pool = coefficient_pools(fld)[1 if corrupt is scaled_object else 0]
+        module = max(pool, key=lambda p: p.total_dim())
         for spec in BENCH_SPECS:
             padded = spec.padded()
-            gens = [interval_J(padded, j, pool[0]) for j in spec.degrees()]
+            gens = [interval_J(padded, j, module) for j in spec.degrees()]
             z = rand_complex(spec, pt, pool, rng)
-            while z.is_zero():
+            while not any(hom_space(module, z.components[j]) for j in spec.degrees()):
                 z = rand_complex(spec, pt, pool, rng)
             with pytest.raises(VerificationError):
                 right_approximation(z, gens)
@@ -465,13 +491,13 @@ def test_generator_certificate_negative_control(monkeypatch, corrupt):
 
 def test_right_approximation_builds_only_what_it_needs(monkeypatch):
     targets = []
-    original = complexes.chain_maps
+    original = complexes.qrep_hom
 
     def spy(x, z):
         targets.append(z)
         return original(x, z)
 
-    monkeypatch.setattr(complexes, "chain_maps", spy)
+    monkeypatch.setattr(complexes, "qrep_hom", spy)
     spec = NComplexSpec(3, Window(0, 5))
     gens = [interval_J(spec.padded(), j, K1) for j in spec.degrees()]
     z = rand_complex(spec, PT, POOL, random.Random(1717))
@@ -553,10 +579,10 @@ def test_right_approximation_matches_the_coil_route(fld):
 
 
 def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
-    """_coil_leg, _copair and sum_injections build their chain maps
+    """_coil_leg, rep_copair and rep_injections build their chain maps
     unvalidated; every one built by coil_epi and right_approximation on the
     benchmark shapes and the one-vertex cycle passes the full check."""
-    built = {"_coil_leg": [], "_copair": [], "sum_injections": []}
+    built = {"_coil_leg": [], "rep_copair": [], "rep_injections": []}
     for name, out in built.items():
         def recording(*args, original=getattr(complexes, name), out=out):
             made = original(*args)
@@ -572,8 +598,8 @@ def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
             right_approximation(z, gens)
             cases += 1
     # per case the copairs p (coil_epi), r and the approximation map
-    assert len(built["_copair"]) == 3 * cases
-    for f in built["_coil_leg"] + built["_copair"] + built["sum_injections"]:
+    assert len(built["rep_copair"]) == 3 * cases
+    for f in built["_coil_leg"] + built["rep_copair"] + built["rep_injections"]:
         f._validate()
     assert {f.src.spec for f in built["_coil_leg"]} == \
         {s.padded() for s in BENCH_SPECS} | {NComplexSpec(1, Cyclic(1))}
@@ -581,7 +607,8 @@ def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
 
 def test_right_approximation_builds_no_coil_epi_and_no_projection(monkeypatch):
     """The approximation reads the coil part off the cover-coil legs: no
-    coil epimorphism, and no direct sum with its projections."""
+    coil epimorphism, no direct sum with its projections, and no kernel of
+    a projective cover."""
     cases = [case for fld in (F101, QQ)
              for case in approximation_cases(fld, random.Random(2525))]
     calls = []
@@ -595,6 +622,7 @@ def test_right_approximation_builds_no_coil_epi_and_no_projection(monkeypatch):
     monkeypatch.setattr(complexes, "coil_epi", refuse("coil_epi"))
     monkeypatch.setattr(modcat, "direct_sum", refuse("direct_sum"))
     monkeypatch.setattr(complexes, "direct_sum", refuse("direct_sum"), raising=False)
+    monkeypatch.setattr(modcat, "kernel_module", refuse("kernel_module"))
     for z, gens in cases:
         assert all(right_approximation(z, gens).certified)
     assert calls == []
@@ -605,14 +633,14 @@ def test_validation_sits_at_the_boundary(monkeypatch):
     p, the approximation map, and each evaluation-copy injection of the
     generator certificate, once each; legs, sums and r are not."""
     validated = []
-    original = NChainMap._validate
+    original = QRepMap._validate
 
     def recording(self):
         validated.append(self)
         return original(self)
 
     cases = list(approximation_cases(F101, random.Random(2626)))
-    monkeypatch.setattr(NChainMap, "_validate", recording)
+    monkeypatch.setattr(QRepMap, "_validate", recording)
     for z, gens in cases:
         del validated[:]
         epi = coil_epi(z)
@@ -672,25 +700,26 @@ def test_coil_validation_compares_no_module_with_itself(monkeypatch):
                 for j in spec.padded().degrees()[:2]:
                     coil = interval_J(spec.padded(), j, pool[-1])
                     coil._validate()
-                    NChainMap(coil, coil, {i: identity_map(coil.components[i])
-                                           for i in spec.padded().degrees()})
+                    QRepMap(coil, coil, {i: identity_map(coil.components[i])
+                                         for i in spec.padded().degrees()})
                     d = coil.differentials[j]
                     assert d == d and d.src == d.src
     assert compared == []
 
 
 def test_every_representation_of_a_complex_is_valid(monkeypatch):
-    """to_rep builds its representations unvalidated; every one built for
-    the benchmark shapes and the one-vertex cycle passes the full check."""
+    """_direct_sum builds its sums of complexes unvalidated; every one built
+    for the benchmark shapes and the one-vertex cycle passes the full check,
+    and phi takes each complex as it is."""
     reps = []
-    original = complexes.to_rep
+    original = complexes._direct_sum
 
-    def recording(x, bq=None):
-        rep = original(x, bq)
+    def recording(xs, spec, coeff):
+        rep = original(xs, spec, coeff)
         reps.append(rep)
         return rep
 
-    monkeypatch.setattr(complexes, "to_rep", recording)
+    monkeypatch.setattr(complexes, "_direct_sum", recording)
     rng = random.Random(2121)
     loop = NComplexSpec(1, Cyclic(1))
     for fld in (F101, QQ):
@@ -702,10 +731,29 @@ def test_every_representation_of_a_complex_is_valid(monkeypatch):
                 else:
                     zs = [rand_complex(spec, coeff, pool, rng) for _ in range(2)]
                 for z in zs:
-                    to_module(z)
+                    phi(z)
                     right_approximation(z, gens)
     specs = BENCH_SPECS + (loop,)
-    assert {r.bq for r in reps} == {build_category(s) for s in specs} | {
-        build_category(s.padded()) for s in specs}
+    assert {r.bq for r in reps} == {build_category(s.padded()) for s in specs}
     for rep in reps:
         rep._validate()
+
+
+def test_benchmark_complexes_workload_passes_its_checks():
+    """One pass of the complexes-rep benchmark workload at seed 1, which
+    reads the complexes API as the benchmark does (from_rep, coil_epi's p
+    and padded, right_approximation's certificates, pad_chain_map, chain-map
+    components by degree and then): every op runs and passes every check of
+    its oracle."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    ops = workloads.build("complexes-rep", 1)
+    assert {op.name.split(":")[0] for op in ops} == {
+        "coil", "approx", "factor", "roundtrip", "cover", "adjunction"}
+    for op in ops:
+        for label, got, want in op.check(op.run()):
+            assert got == want, f"{op.name}: {label}"

@@ -41,6 +41,13 @@ Prints one SHA-256 per set:
   n = 3, and the cycles of order 2 and 1 (n = 1), each with `generators =
   none` and `coils`, on a stalk of the point and of both A2 projectives,
   over F_101 and with `--field Q`.
+- `shapes`: the exit code, stdout and stderr of 147 CLI jobs on seven
+  complex shapes (interval 3 and 11, window 0..3 and -1..3 with n = 3, the
+  cycles of order 2, of order 1 with n = 1 and of order 3 with n = 2):
+  `info`, `ar-quiver`, `ass` at the simples of degrees 0 and 1, `verify` at
+  the simple of degree 1, `roundtrip` and `tensor`, each plain, with `--out
+  dot` and with `--field Q`.  A degree outside the shape is refused, and the
+  refusals are hashed too.
 - `verify`: the outcome of `verify_almost_split` against the complete
   knitted family of A4 mod rad^2, A5 mod rad^3, the 3-cycle mod rad^2 and A3
   mod rad^2 with A2 coefficients, over F_101, at every non-projective z, on
@@ -92,7 +99,7 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 from arcat import cli  # noqa: E402
 from arcat.algebra import primitive_idempotents  # noqa: E402
-from arcat.complexes import NChainMap, NComplex  # noqa: E402
+from arcat.complexes import NComplex  # noqa: E402
 from arcat.errors import PreconditionError, VerificationError  # noqa: E402
 from arcat.fincat import FinCategory, category_of  # noqa: E402
 from arcat.linalg import Field, Mat  # noqa: E402
@@ -160,6 +167,28 @@ def approximate_jobs():
     return jobs
 
 
+SHAPES = ("interval 3", "interval 11", "window 0 3 n=3", "window -1 3 n=3",
+          "cyclic 2", "cyclic 1 n=1", "cyclic 3 n=2")
+SHAPE_COMMANDS = (("info", None), ("ar-quiver", None), ("ass", "simple 0:pt"),
+                  ("ass", "simple 1:pt"), ("verify", "simple 1:pt"),
+                  ("roundtrip", None), ("tensor", None))
+
+
+def shape_jobs():
+    """(name, job text, extra argv) for the 147 complex-shape jobs."""
+    jobs = []
+    for shape in SHAPES:
+        for command, target in SHAPE_COMMANDS:
+            text = (f"[field]\np = {workloads.P}\n\n[quiver]\ncomplex = {shape}\n\n"
+                    f"[command]\nname = {command}\n")
+            if target:
+                text += f"target = {target}\n"
+            name = f"{shape}.{command}.{target}"
+            jobs += [(name, text, []), (f"{name}-dot", text, ["--out", "dot"]),
+                     (f"{name}-Q", text, ["--field", "Q"])]
+    return jobs
+
+
 def run_jobs(h, jobs):
     """Feeds the exit code, stdout and stderr of each job into h."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,6 +208,12 @@ def cli_hash():
     return h.hexdigest()
 
 
+def shapes_hash():
+    h = hashlib.sha256()
+    run_jobs(h, shape_jobs())
+    return h.hexdigest()
+
+
 def canon(obj):
     """A nested tuple that fixes every value and the type of every entry."""
     if isinstance(obj, (int, Fraction)):
@@ -191,14 +226,15 @@ def canon(obj):
         return ("CModule", canon(obj.dims), canon(obj.action))
     if isinstance(obj, ModuleMap):
         return ("ModuleMap", canon(obj.src), canon(obj.tgt), canon(obj.comps))
+    # before QRep, since a complex is one: complexes, and chain maps out of
+    # them, hash under their own tags with degree keys
+    if isinstance(obj, NComplex):
+        return ("NComplex", canon(obj.components), canon(obj.differentials))
     if isinstance(obj, QRep):
         return ("QRep", canon(obj.vertex_modules), canon(obj.arrow_maps))
     if isinstance(obj, QRepMap):
-        return ("QRepMap", canon(obj.src), canon(obj.tgt), canon(obj.comps))
-    if isinstance(obj, NComplex):
-        return ("NComplex", canon(obj.components), canon(obj.differentials))
-    if isinstance(obj, NChainMap):
-        return ("NChainMap", canon(obj.src), canon(obj.tgt), canon(obj.comps))
+        tag = "NChainMap" if isinstance(obj.src, NComplex) else "QRepMap"
+        return (tag, canon(obj.src), canon(obj.tgt), canon(obj.comps))
     if dataclasses.is_dataclass(obj):
         return (type(obj).__name__,) + tuple(canon(getattr(obj, f.name))
                                              for f in dataclasses.fields(obj))
@@ -404,6 +440,7 @@ def main(argv=None):
     print(f"validate {validate_hash()}")
     print(f"complexes seed {args.seed} {complexes_hash(args.seed)}")
     print(f"presentations {presentations_hash()}")
+    print(f"shapes {shapes_hash()}")
     print(f"verify {verify_hash()}")
     print(f"idempotents {idempotents_hash()}")
     print(f"repcat seed {args.seed} {repcat_hash(args.seed)}")
