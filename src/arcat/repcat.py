@@ -391,10 +391,17 @@ def sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap,
     copy of p at path q: v -> w maps by psi_map followed by r along q."""
     if ind is None:
         ind = f_star_v(bq, v, psi_map.src)
+    out = _sharp(bq, v, r, psi_map, ind)
+    out._validate()
+    return out
+
+
+def _sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap, ind: QRep) -> QRepMap:
+    """sharp, built unvalidated."""
     comps = {w: copair(ind.vertex_modules[w], r.vertex_modules[w],
                        [psi_map.then(r.path_map(q)) for q in bq.paths(v, w)])
              for w in bq.quiver.vertices}
-    return QRepMap(ind, r, comps, validate=True)
+    return QRepMap(ind, r, comps, validate=False)
 
 
 @dataclass
@@ -437,7 +444,12 @@ class CoverResult:
 
 
 def lemma2_cover(r: QRep) -> CoverResult:
-    """The canonical surjection onto r from induced vertexwise covers."""
+    """The canonical surjection onto r from induced vertexwise covers.
+
+    The sharp maps are built unvalidated and certified once, as the copair:
+    its source is a rep_direct_sum, block diagonal in every action and
+    arrow map, so the copair is a morphism iff every sharp map is.
+    """
     bq, coeff = r.bq, r.coeff
     parts, maps, pieces = [], [], []
     for v in bq.quiver.vertices:
@@ -448,7 +460,7 @@ def lemma2_cover(r: QRep) -> CoverResult:
         pieces.append((v, cov.src))
         ind = f_star_v(bq, v, cov.src)
         parts.append(ind)
-        maps.append(sharp(bq, v, r, cov, ind))
+        maps.append(_sharp(bq, v, r, cov, ind))
     total = rep_direct_sum(parts, bq, coeff)
     cover = rep_copair(total, r, maps)
     cover._validate()

@@ -282,6 +282,22 @@ def composite_rank_verify(se, test_modules) -> int:
     return len(test_modules)
 
 
+def reference_matmul(a: Mat, b: Mat) -> Mat:
+    """The product by the full triple loop, every entry a sum over all k
+    terms, reduced once mod p over F_p: the oracle for Mat.__matmul__,
+    which must agree on the entries and their types."""
+    f = a.field
+    n, m, k = a.rows, b.cols, a.cols
+    out = [f.zero()] * (n * m)
+    for i in range(n):
+        for j in range(m):
+            s = 0 if f.p is not None else f.zero()
+            for t in range(k):
+                s += a.data[i * k + t] * b.data[t * m + j]
+            out[i * m + j] = s % f.p if f.p is not None else s
+    return Mat(f, n, m, out)
+
+
 def reference_rref(a: Mat):
     """Reduced row echelon form by whole-row operations through the Field
     methods, zero entries included: the oracle for Mat.rref, which must

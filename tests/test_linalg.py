@@ -6,12 +6,14 @@ import pytest
 from arcat.linalg import (Field, Mat, block_diag, equation_matrix, hstack,
                           kron, solve, split_blocks, vstack)
 
-from _support import reference_rref, typed_entries
+from _support import reference_matmul, reference_rref, typed_entries
 
 F5 = Field.prime(5)
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F101 = Field.prime(101)
+# a Mersenne prime, so entry products exceed 64 bits
+FBIG = Field.prime(2 ** 61 - 1)
 QQ = Field.rationals()
 
 
@@ -103,6 +105,74 @@ def test_rref_matches_the_whole_row_oracle(field):
         assert typed_entries(got) == typed_entries(want)
         assert a.rank() == len(want_pivots)
         assert a.kernel_basis().cols == a.cols - len(want_pivots)
+
+
+def matmul_oracle_cases(field, rng):
+    """Seeded operand pairs: every empty shape, 1 x k, k x 1, k = 1, 2 and 3,
+    all-zero rows, 0/1 entries, and fully dense and 5%-dense operands at
+    shapes where either the row-accumulating or the dot-product path runs."""
+    def sample(rows, cols, density, units=False):
+        if units:
+            return Mat(field, rows, cols, [field.one() if rng.random() < density
+                                           else field.zero() for _ in range(rows * cols)])
+        return Mat(field, rows, cols, [sparse_entry(field, density, rng)
+                                       for _ in range(rows * cols)])
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 4), (4, 0, 0),
+              (1, 5, 4), (5, 4, 1), (1, 6, 1), (4, 1, 5), (1, 1, 1), (1, 1, 6),
+              (2, 2, 2), (3, 3, 3), (7, 2, 5), (4, 3, 6), (36, 3, 36),
+              (12, 12, 12), (13, 13, 9), (48, 4, 48), (4, 30, 4), (20, 7, 11)]
+    cases = []
+    for n, k, m in shapes:
+        for density in (0.05, 0.5, 1):
+            cases.append((sample(n, k, density), sample(k, m, density)))
+        cases.append((sample(n, k, 0.3, units=True), sample(k, m, 0.6)))
+    for n, k, m in ((6, 5, 7), (12, 12, 12)):
+        a = sample(n, k, 0.4)
+        zero_rows = Mat(field, n, k, [x if (i // k) % 3 else field.zero()
+                                      for i, x in enumerate(a.data)])
+        cases.append((zero_rows, sample(k, m, 1)))
+        cases.append((Mat.zeros(field, n, k), sample(k, m, 1)))
+        cases.append((sample(n, k, 1), Mat.zeros(field, k, m)))
+    return cases
+
+
+@pytest.mark.parametrize("field", [F2, F101, FBIG, QQ], ids=["F2", "F101", "Fbig", "Q"])
+def test_matmul_matches_the_triple_loop_oracle(field):
+    rng = random.Random(1400 + (field.p or 0) % 1000)
+    for a, b in matmul_oracle_cases(field, rng):
+        got = a @ b
+        assert typed_entries(got) == typed_entries(reference_matmul(a, b))
+        if field.p is not None:
+            assert all(type(x) is int and 0 <= x < field.p for x in got.data)
+
+
+def reference_block_diag(field, mats):
+    """block_diag as a list of zero rows filled block by block."""
+    rows = sum(m.rows for m in mats)
+    cols = sum(m.cols for m in mats)
+    out = [[field.zero()] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.rows):
+            out[r0 + i][c0:c0 + m.cols] = list(m.row(i))
+        r0 += m.rows
+        c0 += m.cols
+    return Mat(field, rows, cols, [x for row in out for x in row])
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_block_diag_matches_the_row_list_construction(field):
+    rng = random.Random(1500 + (field.p or 0))
+    shapes = [(0, 0), (1, 1), (2, 3), (3, 1), (0, 2), (2, 0), (4, 4)]
+    cases = [[], [Mat.zeros(field, 0, 0)] * 3, [rand_mat(field, 2, 2, rng)]]
+    for _ in range(30):
+        picks = [rng.choice(shapes) for _ in range(rng.randrange(1, 6))]
+        cases.append([rand_mat(field, r, c, rng) for r, c in picks])
+    for mats in cases:
+        assert (typed_entries(block_diag(field, mats))
+                == typed_entries(reference_block_diag(field, mats)))
+    with pytest.raises(ValueError):
+        block_diag(field, [Mat.zeros(F5, 1, 1)])
 
 
 def test_solve_identity():

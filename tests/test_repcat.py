@@ -294,6 +294,81 @@ def test_lemma2_cover_on_random_reps(monkeypatch):
                 assert piece.total_dim() == r.vertex_modules[v].total_dim()
 
 
+def cover_cases():
+    """Random representations with point and A2 coefficients over F_101."""
+    rng = random.Random(818)
+    a2 = category_of(a2_quiver(), F101)
+    pools = [point_pool(F101), (a2, list(ar_quiver(a2).modules))]
+    for bq in (a2_quiver(), a3_rad2(), cyclic_rad2(2)):
+        for cat, pool in pools:
+            for _ in range(2):
+                yield rand_qrep(bq, cat, pool, rng)
+
+
+def test_lemma2_cover_validates_once(monkeypatch):
+    """The sharp maps are certified by the copair's validation alone."""
+    calls = []
+    real = QRepMap._validate
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(QRepMap, "_validate", counting)
+    for r in cover_cases():
+        calls.clear()
+        res = lemma2_cover(r)
+        assert calls == [res.cover]
+
+
+def perturbed(g: QRepMap, w, c) -> QRepMap:
+    """g with entry (0, 0) of its block at vertex w and object c raised by 1."""
+    f = g.comps[w]
+    block = f.comps[c]
+    fld = block.field
+    moved = Mat(fld, block.rows, block.cols,
+                (fld.add(block.data[0], fld.one()),) + block.data[1:])
+    comp = ModuleMap(f.src, f.tgt, {**f.comps, c: moved}, validate=False)
+    return QRepMap(g.src, g.tgt, {**g.comps, w: comp}, validate=False)
+
+
+def test_lemma2_cover_refuses_a_perturbed_sharp_block(monkeypatch):
+    """Negative control: with one entry of one sharp block changed, in a
+    way that sharp's own validation refuses, the cover is refused too."""
+    real = repcat._sharp
+    refused = 0
+    for r in cover_cases():
+        bq, coeff = r.bq, r.coeff
+        sources = [v for v in bq.quiver.vertices if not r.vertex_modules[v].is_zero()]
+        for target in range(len(sources)):
+            for w in bq.quiver.vertices:
+                for c in coeff.objects:
+                    seen = []
+
+                    def broken(*args, target=target, w=w, c=c):
+                        g = real(*args)
+                        if len(seen) == target and g.comps[w].comps[c].data:
+                            g = perturbed(g, w, c)
+                            try:
+                                g._validate()
+                            except PreconditionError:
+                                seen.append(True)
+                                return g
+                        seen.append(False)
+                        return g
+
+                    monkeypatch.setattr(repcat, "_sharp", broken)
+                    try:
+                        lemma2_cover(r)
+                        caught = False
+                    except PreconditionError:
+                        caught = True
+                    monkeypatch.undo()
+                    assert caught == any(seen)
+                    refused += caught
+    assert refused >= 10
+
+
 def test_lemma2_cover_zero_rep():
     bq, cat, _ = constant_a2_rep()
     res = lemma2_cover(zero_rep(bq, cat))

@@ -75,6 +75,12 @@ Prints one SHA-256 per set:
   and pools, the given seed for coordinates), with its vertex and
   coefficient module, `lemma2_cover` and `sharp` of every basis map
   p -> r(v); every entry hashed with its type.
+- `linalg`: the products `a @ b` of a fixed corpus of operand pairs drawn
+  from a design seed, over F_2, F_101 and Q: empty shapes, outer products
+  (one inner index), matrix-vector products, and products with inner
+  dimensions 2 to 30, up to 48 x 4 x 48, each at left and right densities
+  0.02, 0.1, 0.5 and 1; every entry hashed with its type.  It pins the
+  product kernels bit for bit, whichever path each product takes.
 
 Run it in two checkouts and compare the lines.  It imports arcat from the
 checkout's `src/`, and takes the job texts and the workload inputs from
@@ -427,6 +433,38 @@ def repcat_hash(seed):
     return h.hexdigest()
 
 
+# (n, k, m): an n x k by k x m product
+LINALG_SHAPES = ((0, 0, 0), (0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1), (5, 1, 6),
+                 (7, 6, 1), (1, 8, 5), (7, 2, 5), (3, 3, 3), (12, 12, 12),
+                 (13, 13, 9), (48, 4, 48), (4, 30, 4))
+LINALG_DENSITIES = (0.02, 0.1, 0.5, 1)
+
+
+def corpus_mat(fld, rows, cols, density, rng):
+    """Zero with probability 1 - density, else a random nonzero element; over
+    Q a fraction with a denominator up to 7."""
+    def entry():
+        if rng.random() >= density:
+            return fld.zero()
+        if fld.p is not None:
+            return rng.randrange(1, fld.p)
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 8))
+    return Mat(fld, rows, cols, [entry() for _ in range(rows * cols)])
+
+
+def linalg_hash():
+    h = hashlib.sha256()
+    design = random.Random("linalg-design")
+    for fld in (Field.prime(2), Field.prime(workloads.P), Field.rationals()):
+        for n, k, m in LINALG_SHAPES:
+            for da in LINALG_DENSITIES:
+                for db in LINALG_DENSITIES:
+                    a = corpus_mat(fld, n, k, da, design)
+                    b = corpus_mat(fld, k, m, db, design)
+                    h.update(repr((repr(fld), canon(a), canon(b), canon(a @ b))).encode())
+    return h.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
@@ -444,6 +482,7 @@ def main(argv=None):
     print(f"verify {verify_hash()}")
     print(f"idempotents {idempotents_hash()}")
     print(f"repcat seed {args.seed} {repcat_hash(args.seed)}")
+    print(f"linalg {linalg_hash()}")
     return 0
 
 
