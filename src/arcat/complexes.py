@@ -10,15 +10,18 @@ components keyed by degree; sums, copairs, injections, hom bases and
 validation are repcat's, and phi and psi carry complexes to modules over
 the tensor category and back.
 
-The coil complexes J_j(M) concentrate M on n consecutive degrees joined by
-identities (doubling M on a one-vertex cycle).  A map f: M -> Z_j gives
-the coil's leg J_j(M) -> Z, f followed by d^k at degree j + k.  The legs
-of the identities, summed over the degrees of Z, give a degreewise-
-surjective chain map onto Z, and every null-homotopic map factors through
-it by an explicit homotopy formula.  A right approximation combines
-evaluation copies of the requested generators with the legs of the
-projective covers P_j -> Z_j.  Sums, legs and copairs are built
-unvalidated; validation sits at the boundary, on the maps handed out.  An
+The coil J_j(M) is the induced representation f_star_j(M) of the shape
+quiver (repcat.f_star_v): one copy of M per surviving path from degree j,
+so M on one window of consecutive degrees from j, joined by identities.
+A map f: M -> Z_j gives the coil's leg J_j(M) -> Z, its transpose across
+the evaluation adjunction (repcat's sharp): the copy of path q takes f
+followed by Z along q.  The legs of the identities, summed over the
+degrees of Z, give a degreewise-surjective chain map onto Z, and every
+null-homotopic map factors through it by an explicit homotopy formula.  A
+right approximation combines evaluation copies of the requested
+generators with the legs of the projective covers P_j -> Z_j.  Coils,
+sums, legs and copairs are built unvalidated; validation sits at the
+boundary, on the maps handed out.  An
 approximation certifies each generator G by preimages: the injections of
 its evaluation copies are validated chain maps G -> Y, and their
 composites with the validated approximation map have rank dim Hom(G, Z),
@@ -27,17 +30,18 @@ so Hom(G, Y) -> Hom(G, Z) is surjective.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory
 from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
-from .modcat import (CModule, ModuleMap, _cover_map, cokernel_module, copair,
+from .modcat import (CModule, ModuleMap, _cover_map, cokernel_module,
                      factor_through_cokernel, flatten_map, identity_map,
-                     kernel_module, sum_module, zero_map, zero_module)
+                     kernel_module, zero_map, zero_module)
 from .quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
-from .repcat import (QRep, QRepMap, qrep_hom, rep_copair, rep_direct_sum,
-                     rep_injections)
+from .repcat import (QRep, QRepMap, _sharp, f_star_v, qrep_hom, rep_copair,
+                     rep_direct_sum, rep_injections)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class NComplexSpec:
         else:
             raise PreconditionError(f"unknown shape {self.shape!r}")
 
-    @property
+    @cached_property
     def cyclic(self) -> bool:
         return isinstance(self.shape, Cyclic)
 
@@ -116,11 +120,15 @@ class NComplexSpec:
             return i % self.shape.order
         return i if self._degrees[0] <= i <= self._degrees[-1] else None
 
+    @cached_property
+    def _arrows(self) -> Dict[int, str]:
+        return {i: f"a{i}" for i in self._diff_degrees}
+
     def arrow(self, i: int) -> str:
-        w = self.wrap(i)
-        if w is None or w not in self._diff_degrees:
+        name = self._arrows.get(self.wrap(i))
+        if name is None:
             raise PreconditionError(f"no differential at degree {i}")
-        return f"a{w}"
+        return name
 
     def padded(self) -> "NComplexSpec":
         """The window extended so every coil starting inside it fits."""
@@ -159,17 +167,23 @@ class NComplex(QRep):
 
     The shape quiver's vertices are the degrees, so the components are the
     vertex modules, and a chain map is a QRepMap with components keyed by
-    degree.  differentials[i] is the arrow map of spec.arrow(i).
+    degree.  The differential at degree i, d(i), is the arrow map of
+    spec.arrow(i); the maps are stored once, as the arrow maps.
     """
 
     def __init__(self, spec: NComplexSpec, coeff: FinCategory,
                  components: Dict[int, CModule],
                  differentials: Dict[int, ModuleMap], validate: bool = True):
         self.spec = spec
-        self.differentials = dict(differentials)
         super().__init__(build_category(spec), coeff, components,
-                         {spec.arrow(i): d for i, d in self.differentials.items()},
+                         {spec.arrow(i): d for i, d in differentials.items()},
                          validate)
+
+    @property
+    def differentials(self) -> Mapping[int, ModuleMap]:
+        """The differentials by degree, read-only, read off the arrow maps
+        on each access."""
+        return MappingProxyType({i: self.d(i) for i in self.spec._diff_degrees})
 
     def _validate(self):
         """QRep's checks; the relations are the windows of differentials."""
@@ -200,8 +214,19 @@ class NComplex(QRep):
 
 def from_rep(spec: NComplexSpec, r: QRep) -> NComplex:
     """A representation of build_category(spec) as a complex, validated."""
-    return NComplex(spec, r.coeff, r.vertex_modules,
-                    {i: r.arrow_maps[spec.arrow(i)] for i in spec._diff_degrees})
+    x = _view(spec, r)
+    x._validate()
+    return x
+
+
+def _view(spec: NComplexSpec, r: QRep) -> NComplex:
+    """A representation of build_category(spec) as a complex, unvalidated:
+    its arrow maps are taken as they are, without keying them by degree and
+    back."""
+    x = NComplex.__new__(NComplex)
+    x.spec = spec
+    QRep.__init__(x, r.bq, r.coeff, r.vertex_modules, r.arrow_maps, validate=False)
+    return x
 
 
 def _direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
@@ -209,10 +234,7 @@ def _direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
     """rep_direct_sum of complexes of shape spec, as a complex; built
     unvalidated, with no injection or projection (rep_injections builds
     those read)."""
-    r = rep_direct_sum(xs, build_category(spec), coeff)
-    return NComplex(spec, coeff, r.vertex_modules,
-                    {i: r.arrow_maps[spec.arrow(i)] for i in spec._diff_degrees},
-                    validate=False)
+    return _view(spec, rep_direct_sum(xs, build_category(spec), coeff))
 
 
 def stalk(spec: NComplexSpec, degree: int, m: CModule) -> NComplex:
@@ -232,40 +254,18 @@ def stalk(spec: NComplexSpec, degree: int, m: CModule) -> NComplex:
 
 
 def interval_J(spec: NComplexSpec, j: int, m: CModule) -> NComplex:
-    """m spread over one full window from degree j, joined by identities.
+    """The coil J_j(m): f_star_v of m along degree j on the shape quiver.
 
-    On a one-vertex cycle the window folds onto itself, so the component
-    doubles to m + m with the shift map (first copy onto second) as
-    differential.
-
-    The coil is a complex by construction and is built unvalidated: only
-    window_len - 1 consecutive differentials are identities, so any
-    window_len consecutive ones contain a zero map and leave the window's
-    support, and the shift of the one-vertex cycle squares to zero.
+    Its copies of m sit on the surviving paths from degree j, one per
+    degree of the window from j, and the differentials shift each copy to
+    the next, so m is spread over the window joined by identities.  On a
+    linear shape the whole window must fit.  The coil is a complex by
+    construction and is built unvalidated (f_star_v's proof).
     """
-    length = spec.window_len
-    if spec.cyclic and spec.shape.order == 1:
-        total, fld = sum_module([m, m], m.cat), m.cat.field
-        d0 = ModuleMap(total, total, {c: vstack([
-            Mat.zeros(fld, d, 2 * d), hstack([Mat.identity(fld, d), Mat.zeros(fld, d, d)])])
-            for c, d in m.dims.items()}, validate=False)
-        return NComplex(spec, m.cat, {0: total}, {0: d0}, validate=False)
     degs = spec._degrees
-    if not spec.cyclic and (j not in degs or j + length - 1 not in degs):
+    if not spec.cyclic and (j not in degs or j + spec.window_len - 1 not in degs):
         raise PreconditionError(f"window from degree {j} does not fit the shape")
-    support = [spec.wrap(j + k) for k in range(length)]
-    z = zero_module(m.cat)
-    comps = {i: z for i in degs}
-    for i in support:
-        comps[i] = m
-    diffs = {}
-    inner = {spec.wrap(j + k) for k in range(length - 1)}
-    for i in spec._diff_degrees:
-        if i in inner:
-            diffs[i] = identity_map(m)
-        else:
-            diffs[i] = zero_map(comps[i], comps[spec.wrap(i + 1)])
-    return NComplex(spec, m.cat, comps, diffs, validate=False)
+    return _view(spec, f_star_v(build_category(spec), spec.wrap(j), m))
 
 
 def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
@@ -281,7 +281,7 @@ def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
         raise PreconditionError("target window does not contain the source")
     z = zero_module(x.coeff)
     comps = {i: x.components[i] if i in old else z for i in spec._degrees}
-    diffs = {i: x.differentials[i] if i in x.spec._diff_degrees
+    diffs = {i: x.d(i) if i in x.spec._diff_degrees
              else zero_map(comps[i], comps[i + 1]) for i in spec._diff_degrees}
     return NComplex(spec, x.coeff, comps, diffs, validate=False)
 
@@ -306,18 +306,18 @@ class CoilEpi:
 def coil_epi(z: NComplex) -> CoilEpi:
     """The degreewise-surjective map from the sum of coils on z's degrees.
 
-    The coil at degree j maps in by its leg (_coil_leg, f the identity):
+    The coil at degree j maps in by the leg of the identity of z_j (sharp):
     the composites (1, d, d^2, ...) starting at j; the identity block at
     each degree forces surjectivity.  p is a public answer, so it is
-    validated and checked surjective; the injections are built for
-    factor_null_homotopy, which lifts through them.
+    validated and checked surjective; the injections of the coils into the
+    source are built unvalidated.
     """
     spec_p = z.spec.padded()
     zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
     blocks = z.spec.degrees()
     coils = [interval_J(spec_p, j, z.components[j]) for j in blocks]
     source = _direct_sum(coils, spec_p, z.coeff)
-    legs = [_coil_leg(coil, zp, j, identity_map(z.components[j]))
+    legs = [_sharp(zp.bq, j, zp, identity_map(z.components[j]), coil)
             for j, coil in zip(blocks, coils)]
     p = rep_copair(source, zp, legs)
     p._validate()
@@ -325,33 +325,6 @@ def coil_epi(z: NComplex) -> CoilEpi:
         if not p.comps[i].is_surjective():
             raise VerificationError(f"coil map not surjective at degree {i}")
     return CoilEpi(zp, source, blocks, rep_injections(source, coils), p)
-
-
-def _coil_leg(coil: NComplex, zp: NComplex, j: int, f: ModuleMap) -> QRepMap:
-    """The leg J_j(M) -> zp of coil = interval_J(zp.spec, j, M) for a
-    coefficient map f: M -> zp_j: f followed by d^k at degree j + k of the
-    window, zero off it; copair(f, f d) out of M + M on the one-vertex cycle.
-
-    Built unvalidated, as a chain map by construction: inside the window
-    the coil's differentials are identities and both sides of a square read
-    f d^(k+1); the square leaving the window's top reads 0 = f d^window_len,
-    a vanishing window of zp; every other square reads 0 = 0.  On the
-    one-vertex cycle, (f, f d) after the shift is (f d, 0) = d (f, f d).
-    """
-    spec = zp.spec
-    if spec.cyclic and spec.shape.order == 1:
-        part = copair(coil.components[0], zp.components[0],
-                      [f, f.then(zp.differentials[0])])
-        return QRepMap(coil, zp, {0: part}, validate=False)
-    steps, cur = {}, f
-    for k in range(spec.window_len):
-        if k:
-            cur = cur.then(zp.differentials[spec.wrap(j + k - 1)])
-        steps[spec.wrap(j + k)] = cur
-    comps = {i: steps[i] if i in steps else
-             zero_map(coil.components[i], zp.components[i])
-             for i in spec._degrees}
-    return QRepMap(coil, zp, comps, validate=False)
 
 
 def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
@@ -364,7 +337,7 @@ def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
         w = z.spec.wrap(j + k)
         if w is None or w not in z.spec._diff_degrees:
             return None
-        cur = cur.then(z.differentials[w])
+        cur = cur.then(z.d(w))
     return cur
 
 
@@ -439,7 +412,14 @@ def find_null_homotopy(l: QRepMap) -> Optional[Dict[int, ModuleMap]]:
 
 
 def factor_null_homotopy(l: QRepMap, coil: CoilEpi) -> QRepMap:
-    """Factors a null-homotopic map l through the coil surjection exactly."""
+    """Factors a null-homotopic map l through the coil surjection exactly.
+
+    With l = sum of d^(k) s d^(window-1-k), the coils' sum has at degree
+    i one copy of z_j for each coil J_j(z_j) and path q: j -> i, coil by
+    coil and in bq.paths order within a coil.  The lift maps into copy q by
+    the window-1-len(q) differentials from i up to the window's top
+    j + window - 1, then s there; the copies are stacked in that order.
+    """
     spec_p = coil.padded.spec
     lp = pad_chain_map(l, spec_p) if l.src.spec != spec_p else l
     if lp.tgt != coil.padded:
@@ -448,33 +428,20 @@ def factor_null_homotopy(l: QRepMap, coil: CoilEpi) -> QRepMap:
     if s is None:
         raise PreconditionError("map is not null-homotopic")
     length = spec_p.window_len
-    zp = coil.padded
+    paths = coil.padded.bq.all_paths()
+    tops = {j: s[spec_p.wrap(j + length - 1)] for j in coil.blocks}
     src = lp.src
     comps = {}
     for i in spec_p._degrees:
-        cur = zero_map(src.components[i], coil.source.components[i])
-        for t, j in enumerate(coil.blocks):
-            inj = coil.injections[t].comps[i]
-            if spec_p.cyclic and spec_p.shape.order == 1:
-                # the map into m + m with components (s0 d0 ; s0)
-                first = src.differentials[0].then(s[0])
-                block = ModuleMap(src.components[0], inj.src,
-                                  {c: vstack([first.comps[c], s[0].comps[c]])
-                                   for c in zp.coeff.objects}, validate=False)
-                cur = cur.add(block.then(inj))
-                continue
-            offsets = [k for k in range(length) if spec_p.wrap(j + k) == i]
-            for k in offsets:
-                top = spec_p.wrap(j + length - 1)
-                if top is None or top not in s:
-                    continue
-                walk = _composite_or_none(src, i, (j + length - 1) - i
-                                          if not spec_p.cyclic
-                                          else (top - i) % spec_p.shape.order)
-                if walk is None:
-                    continue
-                cur = cur.add(walk.then(s[top]).then(inj))
-        comps[i] = cur
+        copies = [_composite_or_none(src, i, length - 1 - q.length).then(tops[j])
+                  for j in coil.blocks for q in paths[(j, i)]]
+        tgt = coil.source.components[i]
+        if copies:
+            comps[i] = ModuleMap(src.components[i], tgt,
+                                 {c: vstack([f.comps[c] for f in copies])
+                                  for c in src.coeff.objects}, validate=False)
+        else:
+            comps[i] = zero_map(src.components[i], tgt)
     lifted = QRepMap(src, coil.source, comps, validate=True)
     if lifted.then(coil.p) != lp:
         raise VerificationError("factorization residual is nonzero")
@@ -491,7 +458,7 @@ def hard_truncate(x: NComplex, floor: int) -> NComplex:
         raise PreconditionError("hard truncation needs a window shape")
     z = zero_module(x.coeff)
     comps = {i: x.components[i] if i >= floor else z for i in x.spec._degrees}
-    diffs = {i: x.differentials[i] if i >= floor else zero_map(comps[i], comps[i + 1])
+    diffs = {i: x.d(i) if i >= floor else zero_map(comps[i], comps[i + 1])
              for i in x.spec._diff_degrees}
     return NComplex(x.spec, x.coeff, comps, diffs, validate=True)
 
@@ -510,9 +477,9 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
     coils of projective covers.
 
     The projective cover cov_j: P_j -> z_j of each degree j gives the coil
-    J_j(P_j) and its leg (_coil_leg, f = cov_j): cov_j followed by d^k at
-    degree j + k.  The coil part r, the copair of the legs, and the legs
-    are built unvalidated.  Validation is at the boundary: the map Y -> z,
+    J_j(P_j) and its leg, the transpose of cov_j (sharp): cov_j followed by
+    d^k at degree j + k.  The coil part r, the copair of the legs, and the
+    legs are built unvalidated.  Validation is at the boundary: the map Y -> z,
     the copair of the evaluation maps and r, is validated block by block,
     r's block included, and checked degreewise surjective.  certified[s]
     says that Hom(G_s, Y) -> Hom(G_s, z) is surjective, shown by preimages:
@@ -524,7 +491,7 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
     blocks = z.spec._degrees
     covers = [_cover_map(z.components[j])[1] for j in blocks]
     cover_coils = [interval_J(spec_p, j, cov.src) for j, cov in zip(blocks, covers)]
-    legs = [_coil_leg(coil, zp, j, cov)
+    legs = [_sharp(zp.bq, j, zp, cov, coil)
             for j, coil, cov in zip(blocks, cover_coils, covers)]
     coil_src = _direct_sum(cover_coils, spec_p, z.coeff)
     r = rep_copair(coil_src, zp, legs)
@@ -602,7 +569,7 @@ def stalk_filtration_certificate(x: NComplex,
             return None
         peeled = False
         for j in spec._degrees:
-            ker = kernel_module(cur.differentials[j])
+            ker = kernel_module(cur.d(j))
             if ker.module.total_dim() == 0:
                 continue
             steps.append((j, ker.module))
@@ -611,7 +578,7 @@ def stalk_filtration_certificate(x: NComplex,
             comps[j] = ck.module
             diffs = {}
             for i in spec._diff_degrees:
-                d = cur.differentials[i]
+                d = cur.d(i)
                 if i == j:
                     d = factor_through_cokernel(ck, d)
                 if spec.wrap(i + 1) == j:

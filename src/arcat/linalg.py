@@ -444,17 +444,27 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
 
 
 def hstack(mats: Sequence[Mat]) -> Mat:
+    """The blocks side by side; one block is returned as it is (a Mat is
+    immutable).  Each row of the result is the same row of every block,
+    sliced off its data straight into one flat list."""
     if not mats:
         raise ValueError("hstack of nothing")
-    f = mats[0].field
-    rows = mats[0].rows
-    if any(m.rows != rows or m.field != f for m in mats):
-        raise ValueError("hstack row or field mismatch")
+    first = mats[0]
+    if len(mats) == 1:
+        return first
+    f, rows = first.field, first.rows
+    blocks = []
+    cols = 0
+    for m in mats:
+        if m.rows != rows or (m.field is not f and m.field != f):
+            raise ValueError("hstack row or field mismatch")
+        blocks.append((m.data, m.cols))
+        cols += m.cols
     flat = []
     for i in range(rows):
-        for m in mats:
-            flat.extend(m.row(i))
-    return Mat(f, rows, sum(m.cols for m in mats), flat)
+        for data, c in blocks:
+            flat += data[i * c:i * c + c]
+    return Mat(f, rows, cols, flat)
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:

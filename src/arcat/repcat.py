@@ -345,29 +345,41 @@ def f_star_v(bq: BoundQuiver, v, p: CModule) -> QRep:
     Vertex w carries one copy of p per surviving path q: v -> w, in the
     order of bq.paths(v, w), and an arrow a: w -> u acts at each coefficient
     object by kron(S_a, 1), where the 0/1 matrix S_a sends copy q to copy
-    q.a, or to zero when q.a is killed.  Built unvalidated: identity blocks
-    commute with the block-diagonal actions of the sums, and a monomial
-    generator g sends copy q to copy q.g, which contains g and so is killed.
+    q.a, or to zero when q.a is killed: each 1 of S_a is written straight
+    in as an identity block.  Built unvalidated: identity blocks commute
+    with the block-diagonal actions of the sums, and a monomial generator g
+    sends copy q to copy q.g, which contains g and so is killed.
     """
     fld = p.cat.field
     one, zero = fld.one(), fld.zero()
-    paths = {w: bq.paths(v, w) for w in bq.quiver.vertices}
-    vertex_modules = {w: sum_module([p] * len(plist), p.cat)
+    table = bq.all_paths()
+    paths = {w: table[(v, w)] for w in bq.quiver.vertices}
+    # one zero module for the vertices no path reaches, one zero map for the
+    # arrows between them
+    unreached = zero_module(p.cat)
+    idle = zero_map(unreached, unreached)
+    vertex_modules = {w: sum_module([p] * len(plist), p.cat) if plist else unreached
                       for w, plist in paths.items()}
     arrow_maps = {}
     for a in bq.quiver.arrows:
         src, tgt = paths[a.source], paths[a.target]
+        if not src and not tgt:
+            arrow_maps[a.name] = idle
+            continue
         row_of = {q.arrows: j for j, q in enumerate(tgt)}
-        shift = [zero] * (len(tgt) * len(src))
-        for i, q in enumerate(src):
-            j = row_of.get(q.arrows + (a.name,))
-            if j is not None:
-                shift[j * len(src) + i] = one
-        s_a = Mat(fld, len(tgt), len(src), shift)
-        arrow_maps[a.name] = ModuleMap(
-            vertex_modules[a.source], vertex_modules[a.target],
-            {c: kron(s_a, Mat.identity(fld, p.dims[c])) for c in p.cat.objects},
-            validate=False)
+        shift = [(i, row_of.get(q.arrows + (a.name,))) for i, q in enumerate(src)]
+        comps = {}
+        for c in p.cat.objects:
+            d = p.dims[c]
+            cols = len(src) * d
+            data = [zero] * (len(tgt) * d * cols)
+            for i, j in shift:
+                if j is not None:
+                    start = j * d * cols + i * d
+                    data[start:start + d * (cols + 1):cols + 1] = [one] * d
+            comps[c] = Mat(fld, len(tgt) * d, cols, data)
+        arrow_maps[a.name] = ModuleMap(vertex_modules[a.source], vertex_modules[a.target],
+                                       comps, validate=False)
     return QRep(bq, p.cat, vertex_modules, arrow_maps, validate=False)
 
 
@@ -397,9 +409,18 @@ def sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap,
 
 
 def _sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap, ind: QRep) -> QRepMap:
-    """sharp, built unvalidated."""
+    """sharp, built unvalidated.  The leg of the trivial path is psi_map,
+    and the leg of a path q.a the leg of q followed by r's map of a; a
+    prefix of a surviving path survives, so shortest first every leg
+    extends one built before it."""
+    table = bq.all_paths()
+    legs = {}
+    for q in sorted((q for w in bq.quiver.vertices for q in table[(v, w)]),
+                    key=lambda q: q.length):
+        legs[q.arrows] = (legs[q.arrows[:-1]].then(r.arrow_maps[q.arrows[-1]])
+                          if q.arrows else psi_map)
     comps = {w: copair(ind.vertex_modules[w], r.vertex_modules[w],
-                       [psi_map.then(r.path_map(q)) for q in bq.paths(v, w)])
+                       [legs[q.arrows] for q in table[(v, w)]])
              for w in bq.quiver.vertices}
     return QRepMap(ind, r, comps, validate=False)
 

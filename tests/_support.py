@@ -7,7 +7,7 @@ from arcat.fincat import FinCategory, point_category
 from arcat.linalg import Field, Mat, hstack, vstack
 from arcat.algebra import TableAlgebra, end_table, find_nontrivial_idempotent, radical_basis
 from arcat.modcat import (AlmostSplit, CModule, Image, ModuleMap, check_short_exact,
-                          conjugate_module, direct_sum, end_algebra, flatten_map,
+                          conjugate_module, copair, direct_sum, end_algebra, flatten_map,
                           hom_space, identity_map, image_module, is_isomorphic,
                           map_from_coords, projective_cover, splitting_section,
                           sum_map, zero_map, zero_module)
@@ -429,3 +429,51 @@ def coil_route_approximation(z, gens):
     if not all(certified):
         raise VerificationError("approximation certificate failed")
     return cx.Approximation(y, g_map, zp, multiplicities, certified)
+
+
+def path_route_sharp(bq, v, r: QRep, psi_map: ModuleMap, ind: QRep) -> QRepMap:
+    """The transpose f_star_v(p) -> r of psi_map: p -> r(v) leg by leg, the
+    copy of path q taking psi_map followed by r.path_map(q), each path's
+    composite built from scratch; unvalidated.  The oracle for
+    repcat._sharp, which extends the leg of each path's prefix."""
+    return QRepMap(ind, r, {w: copair(ind.vertex_modules[w], r.vertex_modules[w],
+                                      [psi_map.then(r.path_map(q)) for q in bq.paths(v, w)])
+                            for w in bq.quiver.vertices}, validate=False)
+
+
+def special_case_lift(l, coil):
+    """The lift of a null-homotopic l through coil.p built shape by shape:
+    on the one-vertex cycle the coil's component is M + M and the lift maps
+    into it by (s d ; s); on any other shape, for the offset k of the coil's
+    window that lands at degree i, by the differentials from i up to the
+    window's top followed by s there.  Validated, residual unchecked.  The
+    oracle for complexes.factor_null_homotopy, which takes one formula over
+    the paths of the shape quiver."""
+    from arcat import complexes as cx
+    spec_p = coil.padded.spec
+    lp = cx.pad_chain_map(l, spec_p) if l.src.spec != spec_p else l
+    s = cx.find_null_homotopy(lp)
+    length = spec_p.window_len
+    src = lp.src
+    comps = {}
+    for i in spec_p.degrees():
+        cur = zero_map(src.components[i], coil.source.components[i])
+        for t, j in enumerate(coil.blocks):
+            inj = coil.injections[t].comps[i]
+            if spec_p.cyclic and spec_p.shape.order == 1:
+                first = src.d(0).then(s[0])
+                block = ModuleMap(src.components[0], inj.src,
+                                  {c: vstack([first.comps[c], s[0].comps[c]])
+                                   for c in src.coeff.objects}, validate=False)
+                cur = cur.add(block.then(inj))
+                continue
+            for k in range(length):
+                if spec_p.wrap(j + k) != i:
+                    continue
+                top = spec_p.wrap(j + length - 1)
+                walk = cx._composite_or_none(src, i, (j + length - 1) - i
+                                             if not spec_p.cyclic
+                                             else (top - i) % spec_p.shape.order)
+                cur = cur.add(walk.then(s[top]).then(inj))
+        comps[i] = cur
+    return QRepMap(src, coil.source, comps)

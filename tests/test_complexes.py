@@ -8,7 +8,7 @@ import pytest
 
 from _support import (F101, QQ, a2_quiver, coil_route_approximation,
                       complex_sum_maps, module_print, point_pool, rand_complex,
-                      rand_homotopy)
+                      rand_homotopy, rand_module, special_case_lift)
 from arcat import complexes, modcat
 from arcat.complexes import (Cyclic, Interval, NComplex, NComplexSpec, Window,
                              assemble_null_homotopic, build_category, coil_epi,
@@ -578,11 +578,43 @@ def test_right_approximation_matches_the_coil_route(fld):
         assert ap.certified == want.certified == [True] * len(gens)
 
 
+def draw_complex(spec, coeff, pool, rng):
+    """rand_complex; on the one-vertex cycle, whose relation repeats its
+    arrow so that rand_complex cannot draw there, a scrambled sum of the
+    indecomposable modules of the tensor category read back as a complex."""
+    if spec != NComplexSpec(1, Cyclic(1)):
+        return rand_complex(spec, coeff, pool, rng)
+    base = tensor_base(build_category(spec), coeff)
+    return from_rep(spec, psi(rand_module(ar_quiver(base).modules, base, rng, 6)))
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_factor_lift_matches_the_special_case_route(fld):
+    """The lift through the copies of the shape quiver's paths against the
+    one built shape by shape (special_case_lift), every entry typed, on the
+    cycles of order 1, 2 and 3 and the benchmark shapes, with point
+    coefficients.  Lifts are not unique, so only this pins the formula."""
+    rng = random.Random(2727)
+    coeff, pool = point_pool(fld)
+    for spec in BENCH_SPECS + (NComplexSpec(1, Cyclic(1)), NComplexSpec(2, Cyclic(3))):
+        nonzero = 0
+        for _ in range(4):
+            ce = coil_epi(draw_complex(spec, coeff, pool, rng))
+            src = draw_complex(spec, coeff, pool, rng)
+            if not spec.cyclic:
+                src = pad_complex(src, ce.padded.spec)
+            l = assemble_null_homotopic(src, ce.padded, rand_homotopy(src, ce.padded, rng))
+            lifted = factor_null_homotopy(l, ce)
+            assert typed_chain(lifted) == typed_chain(special_case_lift(l, ce))
+            nonzero += not lifted.is_zero()
+        assert nonzero, spec
+
+
 def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
-    """_coil_leg, rep_copair and rep_injections build their chain maps
-    unvalidated; every one built by coil_epi and right_approximation on the
-    benchmark shapes and the one-vertex cycle passes the full check."""
-    built = {"_coil_leg": [], "rep_copair": [], "rep_injections": []}
+    """_sharp (the legs), rep_copair and rep_injections build their chain
+    maps unvalidated; every one built by coil_epi and right_approximation on
+    the benchmark shapes and the one-vertex cycle passes the full check."""
+    built = {"_sharp": [], "rep_copair": [], "rep_injections": []}
     for name, out in built.items():
         def recording(*args, original=getattr(complexes, name), out=out):
             made = original(*args)
@@ -599,9 +631,9 @@ def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
             cases += 1
     # per case the copairs p (coil_epi), r and the approximation map
     assert len(built["rep_copair"]) == 3 * cases
-    for f in built["_coil_leg"] + built["rep_copair"] + built["rep_injections"]:
+    for f in built["_sharp"] + built["rep_copair"] + built["rep_injections"]:
         f._validate()
-    assert {f.src.spec for f in built["_coil_leg"]} == \
+    assert {f.src.spec for f in built["_sharp"]} == \
         {s.padded() for s in BENCH_SPECS} | {NComplexSpec(1, Cyclic(1))}
 
 

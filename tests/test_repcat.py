@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, module_print,
-                      one_loop_rad2, point_pool, rand_qrep)
+                      one_loop_rad2, path_route_sharp, point_pool, rand_module,
+                      rand_qrep)
 from arcat import modcat, repcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
@@ -184,10 +185,13 @@ def induction_by_sums(bq, v, p):
                 arrow_maps, validate=False)
 
 
+def typed(mats):
+    """Every entry of every matrix of a dict, with its type."""
+    return {k: [(type(x), x) for x in a.data] for k, a in mats.items()}
+
+
 def typed_rep(r):
     """Every entry of every action and arrow map, with its type."""
-    def typed(mats):
-        return {k: [(type(x), x) for x in a.data] for k, a in mats.items()}
     return ({w: (m.dims, typed(m.action)) for w, m in r.vertex_modules.items()},
             {n: typed(f.comps) for n, f in r.arrow_maps.items()})
 
@@ -391,6 +395,41 @@ def test_rep_direct_sum_dims_and_hom_additivity():
         base = tensor_base(bq, cat)
         assert (module_print(phi(total, base))
                 == module_print(direct_sum([phi(r, base), phi(s, base)])[0]))
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_sharp_matches_the_path_route(field):
+    """sharp, each leg extended from its prefix's, against the legs built
+    from scratch as psi_map followed by r.path_map(q) (path_route_sharp),
+    every entry typed: on the loop mod x^2 and A3 mod rad^2 with A2
+    coefficients, for scrambled sums of indecomposable representations, at
+    every vertex, every indecomposable coefficient module and every basis
+    map p -> r(v) and one random combination of them."""
+    rng = random.Random(3131)
+    coeff = category_of(a2_quiver(), field)
+    pool = ar_quiver(coeff).modules
+    longer = 0
+    for bq in (one_loop_rad2(), a3_rad2()):
+        base = tensor_base(bq, coeff)
+        indecomposables = ar_quiver(base).modules
+        for _ in range(3):
+            r = psi(rand_module(indecomposables, base, rng, 4))
+            for v in bq.quiver.vertices:
+                for p in pool:
+                    ind = f_star_v(bq, v, p)
+                    basis = hom_space(p, r.vertex_modules[v])
+                    combo = zero_map(p, r.vertex_modules[v])
+                    for b in basis:
+                        combo = combo.add(b.scale(field.random(rng)))
+                    for f in basis + [combo]:
+                        got = sharp(bq, v, r, f, ind)
+                        want = path_route_sharp(bq, v, r, f, ind)
+                        assert {w: typed(g.comps) for w, g in got.comps.items()} == \
+                            {w: typed(g.comps) for w, g in want.comps.items()}
+                        longer += any(not f.then(r.path_map(q)).is_zero()
+                                      for w in bq.quiver.vertices
+                                      for q in bq.paths(v, w) if q.length)
+    assert longer
 
 
 def test_unit_and_sharp_recover_cover_map():

@@ -41,6 +41,17 @@ Prints one SHA-256 per set:
   n = 3, and the cycles of order 2 and 1 (n = 1), each with `generators =
   none` and `coils`, on a stalk of the point and of both A2 projectives,
   over F_101 and with `--field Q`.
+- `coils`: over F_101 and Q, with point and A2 coefficients, on the two
+  cyclic shapes that the complexes-rep workload never draws, the
+  one-vertex cycle with n = 1 and the 3-cycle with n = 2.  The targets z
+  are the stalk and the coil of every indecomposable coefficient module at
+  every degree, then four direct sums of one to three of those drawn from
+  a fixed seed.  For each z: `coil_epi` (source and map),
+  `right_approximation` with generators `none` and `coils` (the coils of
+  the representable projectives at every degree, as the CLI builds them;
+  source, map, multiplicities and certificates), and `factor_null_homotopy`
+  through z's coil map of a null-homotopic map from another drawn sum,
+  assembled from a random homotopy; every entry hashed with its type.
 - `shapes`: the exit code, stdout and stderr of 147 CLI jobs on seven
   complex shapes (interval 3 and 11, window 0..3 and -1..3 with n = 3, the
   cycles of order 2, of order 1 with n = 1 and of order 3 with n = 2):
@@ -105,7 +116,10 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 from arcat import cli  # noqa: E402
 from arcat.algebra import primitive_idempotents  # noqa: E402
-from arcat.complexes import NComplex  # noqa: E402
+from arcat.complexes import (Cyclic, NComplex, NComplexSpec,  # noqa: E402
+                             assemble_null_homotopic, build_category, coil_epi,
+                             factor_null_homotopy, from_rep, interval_J,
+                             right_approximation, stalk)
 from arcat.errors import PreconditionError, VerificationError  # noqa: E402
 from arcat.fincat import FinCategory, category_of  # noqa: E402
 from arcat.linalg import Field, Mat  # noqa: E402
@@ -113,10 +127,11 @@ from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,  # noqa: E402
                           _transpose_raw, almost_split_sequence, ar_quiver,
                           direct_sum, end_algebra, extension_from_cocycle,
                           hom_space, minimal_presentation,
-                          representation_category, verify_almost_split)
+                          representation_category, verify_almost_split,
+                          yoneda_projective)
 from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver  # noqa: E402
 from arcat.repcat import (QRep, QRepMap, adjunction_unit, f_star_v,  # noqa: E402
-                          lemma2_cover, sharp, tensor_base)
+                          lemma2_cover, rep_direct_sum, sharp, tensor_base)
 
 # (label, family, m, n): A_m modulo rad^n (n None: no relations), or the
 # m-cycle modulo rad^2 when family is "C"
@@ -235,7 +250,7 @@ def canon(obj):
     # before QRep, since a complex is one: complexes, and chain maps out of
     # them, hash under their own tags with degree keys
     if isinstance(obj, NComplex):
-        return ("NComplex", canon(obj.components), canon(obj.differentials))
+        return ("NComplex", canon(obj.components), canon(dict(obj.differentials)))
     if isinstance(obj, QRep):
         return ("QRep", canon(obj.vertex_modules), canon(obj.arrow_maps))
     if isinstance(obj, QRepMap):
@@ -275,6 +290,48 @@ def complexes_hash(seed):
         if op.name.split(":")[0] in ("coil", "approx", "factor"):
             h.update(repr((op.name, canon(complexes_answer(op.name, op.run())))).encode())
     run_jobs(h, approximate_jobs())
+    return h.hexdigest()
+
+
+# the cyclic shapes of `coils`, and the random sums drawn on each
+COIL_SPECS = (NComplexSpec(1, Cyclic(1)), NComplexSpec(2, Cyclic(3)))
+COIL_SUMS = 4
+
+
+def coil_answers(z, gens, null):
+    """coil_epi, right_approximation without and with gens, and the factoring
+    of null through the coil map, as `complexes_answer` keeps them."""
+    epi = coil_epi(z)
+    out = [complexes_answer("coil", epi)]
+    for g in ([], gens):
+        out.append(complexes_answer("approx", right_approximation(z, g)))
+    out.append(factor_null_homotopy(null, epi))
+    return out
+
+
+def coils_hash():
+    h = hashlib.sha256()
+    for fld in (Field.prime(workloads.P), Field.rationals()):
+        rng = random.Random("coils")
+        a2 = category_of(inputs.a_m_rad_n(2), fld)
+        for coeff, pool in (inputs.point_pool(fld), (a2, list(ar_quiver(a2).modules))):
+            for spec in COIL_SPECS:
+                bq = build_category(spec)
+                gens = [interval_J(spec, j, yoneda_projective(coeff, x))
+                        for j in spec.degrees() for x in coeff.objects]
+                pieces = [make(spec, j, m) for m in pool for j in spec.degrees()
+                          for make in (stalk, interval_J)]
+
+                def rand_sum():
+                    picks = [rng.choice(pieces) for _ in range(rng.randrange(1, 4))]
+                    return from_rep(spec, rep_direct_sum(picks, bq, coeff))
+
+                zs = pieces + [rand_sum() for _ in range(COIL_SUMS)]
+                for k, z in enumerate(zs):
+                    src = rand_sum()
+                    null = assemble_null_homotopic(src, z, inputs.rand_homotopy(src, z, rng))
+                    h.update(repr((repr(fld), coeff.objects, spec, k,
+                                   canon(coil_answers(z, gens, null)))).encode())
     return h.hexdigest()
 
 
@@ -478,6 +535,7 @@ def main(argv=None):
     print(f"validate {validate_hash()}")
     print(f"complexes seed {args.seed} {complexes_hash(args.seed)}")
     print(f"presentations {presentations_hash()}")
+    print(f"coils {coils_hash()}")
     print(f"shapes {shapes_hash()}")
     print(f"verify {verify_hash()}")
     print(f"idempotents {idempotents_hash()}")
