@@ -15,13 +15,13 @@ quiver (repcat.f_star_v): one copy of M per surviving path from degree j,
 so M on one window of consecutive degrees from j, joined by identities.
 A map f: M -> Z_j gives the coil's leg J_j(M) -> Z, its transpose across
 the evaluation adjunction (repcat's sharp): the copy of path q takes f
-followed by Z along q.  The legs of the identities, summed over the
-degrees of Z, give a degreewise-surjective chain map onto Z, and every
-null-homotopic map factors through it by an explicit homotopy formula.  A
-right approximation combines evaluation copies of the requested
-generators with the legs of the projective covers P_j -> Z_j.  Coils,
-sums, legs and copairs are built unvalidated; validation sits at the
-boundary, on the maps handed out.  An
+followed by Z along q.  The coil map sums the legs of one map into each
+degree of Z: of the identities, a degreewise-surjective chain map onto Z
+through which every null-homotopic map factors by an explicit homotopy
+formula; of the projective covers P_j -> Z_j, the coil part of a right
+approximation, which adds evaluation copies of the requested generators.
+Coils, sums, legs and copairs are built unvalidated; validation sits at
+the boundary, on the maps handed out.  An
 approximation certifies each generator G by preimages: the injections of
 its evaluation copies are validated chain maps G -> Y, and their
 composites with the validated approximation map have rank dim Hom(G, Z),
@@ -38,7 +38,7 @@ from .fincat import FinCategory
 from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
 from .modcat import (CModule, ModuleMap, _cover_map, cokernel_module,
                      factor_through_cokernel, flatten_map, identity_map,
-                     kernel_module, zero_map, zero_module)
+                     kernel_module, naturality_equations, zero_map, zero_module)
 from .quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
 from .repcat import (QRep, QRepMap, _sharp, f_star_v, qrep_hom, rep_copair,
                      rep_direct_sum, rep_injections)
@@ -294,37 +294,41 @@ def pad_chain_map(f: QRepMap, spec: NComplexSpec) -> QRepMap:
     return QRepMap(src, tgt, comps, validate=False)
 
 
+def _coil_map(z: NComplex, maps: Sequence[ModuleMap]) -> QRepMap:
+    """The copair onto z, padded, of the legs (sharp) of maps[k]: M_k -> z_j
+    for the k-th degree j of z, out of the sum of the coils J_j(M_k); all
+    built unvalidated."""
+    spec_p = z.spec.padded()
+    zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
+    coils = [interval_J(spec_p, j, f.src) for j, f in zip(z.spec._degrees, maps)]
+    legs = [_sharp(zp.bq, j, zp, f, coil)
+            for j, f, coil in zip(z.spec._degrees, maps, coils)]
+    return rep_copair(_direct_sum(coils, spec_p, z.coeff), zp, legs)
+
+
 @dataclass
 class CoilEpi:
     padded: NComplex
     source: NComplex
     blocks: List[int]
-    injections: List[QRepMap]
     p: QRepMap
 
 
 def coil_epi(z: NComplex) -> CoilEpi:
     """The degreewise-surjective map from the sum of coils on z's degrees.
 
-    The coil at degree j maps in by the leg of the identity of z_j (sharp):
-    the composites (1, d, d^2, ...) starting at j; the identity block at
-    each degree forces surjectivity.  p is a public answer, so it is
-    validated and checked surjective; the injections of the coils into the
-    source are built unvalidated.
+    The coil at degree j maps in by the leg of the identity of z_j
+    (`_coil_map`): the composites (1, d, d^2, ...) starting at j; the
+    identity block at each degree forces surjectivity.  p is a public
+    answer, so it is validated and checked surjective.
     """
-    spec_p = z.spec.padded()
-    zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
     blocks = z.spec.degrees()
-    coils = [interval_J(spec_p, j, z.components[j]) for j in blocks]
-    source = _direct_sum(coils, spec_p, z.coeff)
-    legs = [_sharp(zp.bq, j, zp, identity_map(z.components[j]), coil)
-            for j, coil in zip(blocks, coils)]
-    p = rep_copair(source, zp, legs)
+    p = _coil_map(z, [identity_map(z.components[j]) for j in blocks])
     p._validate()
-    for i in spec_p._degrees:
+    for i in p.tgt.spec._degrees:
         if not p.comps[i].is_surjective():
             raise VerificationError(f"coil map not surjective at degree {i}")
-    return CoilEpi(zp, source, blocks, rep_injections(source, coils), p)
+    return CoilEpi(p.tgt, p.src, blocks, p)
 
 
 def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
@@ -380,7 +384,8 @@ def find_null_homotopy(l: QRepMap) -> Optional[Dict[int, ModuleMap]]:
     s at degree i points window-1 degrees down; summands whose degrees fall
     off a linear shape are dropped.  The unknowns are the components
     X_(i,c) of s, and each degree i and coefficient object c gives the
-    equation l_i(c) = sum of after(c) X_(mid,c) before(c).
+    equation l_i(c) = sum of after(c) X_(mid,c) before(c).  The naturality
+    equations of each s_i make it a map of coefficient modules.
     """
     spec = l.src.spec
     coeff = l.src.coeff
@@ -402,6 +407,11 @@ def find_null_homotopy(l: QRepMap) -> Optional[Dict[int, ModuleMap]]:
                               [(1, after.comps[c], (mid, c), before.comps[c])
                                for mid, before, after in terms]))
             rhs.extend(l.comps[i].comps[c].data)
+    for i, low in lows.items():
+        natural = naturality_equations(l.src.components[i], l.tgt.components[low],
+                                       lambda c, i=i: (i, c))
+        equations += natural
+        rhs += [fld.zero()] * sum(p * q for p, q, _ in natural)
     sol = solve(equation_matrix(fld, shapes, equations), Mat.column(fld, rhs))
     if sol is None:
         return None
@@ -478,23 +488,18 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
 
     The projective cover cov_j: P_j -> z_j of each degree j gives the coil
     J_j(P_j) and its leg, the transpose of cov_j (sharp): cov_j followed by
-    d^k at degree j + k.  The coil part r, the copair of the legs, and the
-    legs are built unvalidated.  Validation is at the boundary: the map Y -> z,
-    the copair of the evaluation maps and r, is validated block by block,
-    r's block included, and checked degreewise surjective.  certified[s]
-    says that Hom(G_s, Y) -> Hom(G_s, z) is surjective, shown by preimages:
-    the injections of G_s's evaluation copies are validated chain maps
-    G_s -> Y, and their composites with the map have rank dim Hom(G_s, z).
+    d^k at degree j + k.  The coil part r, the copair of the legs
+    (`_coil_map`), is built unvalidated.  Validation is at the boundary:
+    the map Y -> z, the copair of the evaluation maps and r, is validated
+    block by block, r's block included, and checked degreewise surjective.
+    certified[s] says that Hom(G_s, Y) -> Hom(G_s, z) is surjective, shown
+    by preimages: the injections of G_s's evaluation copies are validated
+    chain maps G_s -> Y, and their composites with the map have rank
+    dim Hom(G_s, z).
     """
-    spec_p = z.spec.padded()
-    zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
-    blocks = z.spec._degrees
-    covers = [_cover_map(z.components[j])[1] for j in blocks]
-    cover_coils = [interval_J(spec_p, j, cov.src) for j, cov in zip(blocks, covers)]
-    legs = [_sharp(zp.bq, j, zp, cov, coil)
-            for j, coil, cov in zip(blocks, cover_coils, covers)]
-    coil_src = _direct_sum(cover_coils, spec_p, z.coeff)
-    r = rep_copair(coil_src, zp, legs)
+    r = _coil_map(z, [_cover_map(z.components[j])[1] for j in z.spec._degrees])
+    zp, coil_src = r.tgt, r.src
+    spec_p = zp.spec
     gens_p = [pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]
     eval_bases = [qrep_hom(g, zp) for g in gens_p]
     multiplicities = [len(basis) for basis in eval_bases]

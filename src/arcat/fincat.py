@@ -51,7 +51,7 @@ class FinCategory:
                  hom: Dict[Tuple[ObjectId, ObjectId], Tuple[Label, ...]],
                  comp: Dict, units: Dict[ObjectId, Coords],
                  radical: Dict[Tuple[ObjectId, ObjectId], frozenset],
-                 meta: Optional[dict] = None, validate: bool = True):
+                 meta: Optional[dict] = None):
         self.field = field
         self.objects = tuple(objects)
         self.hom = hom
@@ -65,8 +65,7 @@ class FinCategory:
         self._non_unit: Dict[Tuple[ObjectId, ObjectId], Tuple[int, ...]] = {}
         self._index: Dict[Tuple[ObjectId, ObjectId], Dict[Label, int]] = {
             key: {lab: i for i, lab in enumerate(labels)} for key, labels in hom.items()}
-        if validate:
-            self._validate()
+        self._validate()
 
     def __getstate__(self):
         return {**self.__dict__, "_representables": {}}

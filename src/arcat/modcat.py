@@ -88,12 +88,8 @@ class CModule:
 
     def act(self, x, y, coords) -> Mat:
         """The matrix of the action of a hom coordinate vector at (x, y)."""
-        fld = self.cat.field
-        out = Mat.zeros(fld, self.dims[x], self.dims[y])
-        for i, c in enumerate(coords):
-            if c != fld.zero():
-                out = out + self.action[(x, y, i)].scale(c)
-        return out
+        return Mat(self.cat.field, self.dims[x], self.dims[y],
+                   self._combination(x, y, enumerate(coords)))
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -434,14 +430,16 @@ def flatten_map(phi: ModuleMap) -> Mat:
 def naturality_equations(m: CModule, n: CModule, unknown=lambda x: x) -> List:
     """The equations X_x m(f) = n(f) X_y, one per hom basis element f: x -> y,
     that make components X_x: m_x -> n_x natural, for `equation_matrix`;
-    the component at x is the unknown named unknown(x)."""
+    the component at x is the unknown named unknown(x).  The identity of x
+    is left out (`_non_unit_indices`): M(1) = 1, so its square holds for
+    every X."""
     cat = m.cat
     out = []
     for x in cat.objects:
         for y in cat.objects:
             if n.dims[x] * m.dims[y] == 0:
                 continue
-            for i in range(cat.dim(x, y)):
+            for i in cat._non_unit_indices(x, y):
                 out.append((n.dims[x], m.dims[y],
                             [(1, None, unknown(x), m.action[(x, y, i)]),
                              (-1, n.action[(x, y, i)], unknown(y), None)]))
@@ -536,6 +534,16 @@ def image_module(phi: ModuleMap) -> Image:
                  ModuleMap(m, sub.module, project, validate=False))
 
 
+def _projection_and_section(s: Mat) -> Tuple[Mat, Mat]:
+    """pi, whose rows are the kernel basis of s^T and so span the left null
+    space of s (a projection with kernel im s), and its canonical section."""
+    pi = s.transpose().kernel_basis().transpose()
+    sec = solve(pi, Mat.identity(s.field, pi.rows))
+    if sec is None:
+        raise AssertionError("cokernel projection has no section")
+    return pi, sec
+
+
 def cokernel_module(phi: ModuleMap) -> Cokernel:
     """The cokernel of phi: the rows of the projection pi_x span the left
     null space of phi_x, s_x is a section of pi_x, and f acts by
@@ -548,16 +556,9 @@ def cokernel_module(phi: ModuleMap) -> Cokernel:
     """
     n = phi.tgt
     cat = n.cat
-    fld = cat.field
     pis, sections = {}, {}
     for x in cat.objects:
-        left = phi.comps[x].transpose().kernel_basis()
-        pi = left.transpose()
-        pis[x] = pi
-        sec = solve(pi, Mat.identity(fld, pi.rows))
-        if sec is None:
-            raise AssertionError("cokernel projection has no section")
-        sections[x] = sec
+        pis[x], sections[x] = _projection_and_section(phi.comps[x])
     dims = {x: pis[x].rows for x in cat.objects}
     action = {}
     for x in cat.objects:
@@ -664,22 +665,13 @@ class Cover:
 def _top_lifts(m: CModule) -> Dict:
     """At each object x, columns that lift a basis of the top m(x)/rad m(x).
 
-    The rows of pi = (kernel basis of S^T)^T span the left null space of S =
-    _radical_actions(m, x), so pi is a projection onto the top with kernel
-    rad m(x), and the lifts are the columns of its canonical section.  These
-    are the sections of top_quotient(m), bit for bit: that cokernel reads
-    the same kernel basis off the rref of B^T for the pivot columns B of S,
-    and B^T has the row space, hence the rref, of S^T.
+    The projection `_projection_and_section` of S = _radical_actions(m, x)
+    maps onto the top with kernel rad m(x), and the lifts are the columns of
+    its section.  These are the sections of top_quotient(m), bit for bit:
+    that cokernel reads the same kernel basis off the rref of B^T for the
+    pivot columns B of S, and B^T has the row space, hence the rref, of S^T.
     """
-    fld = m.cat.field
-    lifts = {}
-    for x in m.cat.objects:
-        pi = _radical_actions(m, x).transpose().kernel_basis().transpose()
-        sec = solve(pi, Mat.identity(fld, pi.rows))
-        if sec is None:
-            raise AssertionError("top projection has no section")
-        lifts[x] = sec
-    return lifts
+    return {x: _projection_and_section(_radical_actions(m, x))[1] for x in m.cat.objects}
 
 
 def _cover_map(m: CModule) -> Tuple[ProjSum, ModuleMap]:

@@ -6,7 +6,9 @@ A monomial ideal is a set of generator paths of length at least two; a path
 survives modulo the ideal when no generator occurs as a contiguous factor.
 Admissibility is decided exactly: the surviving paths of a bound quiver form
 a finite set, with per vertex nilpotency bounds, or the search proves the set
-infinite by pumping a repeated suffix state.
+infinite by pumping a repeated suffix state.  One depth-first walk from each
+vertex does both jobs: the surviving paths it visits on the way are the path
+table of the bound quiver, the hom bases of its path category.
 """
 
 from dataclasses import dataclass, field
@@ -119,6 +121,13 @@ def is_admissible(quiver: Quiver, ideal: MonomialIdeal, cap: int = 32) -> Option
     when a surviving path of length cap is met before either decision; that
     is reported distinctly because it is an artifact limit, not a proof.
     """
+    return _surviving_paths(quiver, ideal, cap)[0]
+
+
+def _surviving_paths(quiver: Quiver, ideal: MonomialIdeal, cap: int) -> Tuple:
+    """`is_admissible`'s bounds and, if they are not None, every surviving
+    path keyed by (source, target) and sorted by (length, arrows): the walk
+    visits each surviving path exactly once when the ideal is admissible."""
     for g in ideal.generators:
         try:
             built = quiver.path(list(g.arrows))
@@ -129,6 +138,7 @@ def is_admissible(quiver: Quiver, ideal: MonomialIdeal, cap: int = 32) -> Option
     suffix_len = max((g.length for g in ideal.generators), default=1) - 1
     # max length of a surviving path with source or target v
     touch = {v: 0 for v in quiver.vertices}
+    table = {(v, w): [] for v in quiver.vertices for w in quiver.vertices}
 
     def walk(source: str, vertex: str, arrows: Tuple[str, ...], seen_states: set) -> bool:
         # returns False when a repeated suffix state proves non-admissibility
@@ -142,6 +152,7 @@ def is_admissible(quiver: Quiver, ideal: MonomialIdeal, cap: int = 32) -> Option
             state = (a.target, word[-suffix_len:] if suffix_len else ())
             if state in seen_states:
                 return False
+            table[(source, a.target)].append(Path(source, a.target, word))
             length = len(word)
             if length > touch[a.target]:
                 touch[a.target] = length
@@ -155,48 +166,31 @@ def is_admissible(quiver: Quiver, ideal: MonomialIdeal, cap: int = 32) -> Option
         return True
 
     for v in quiver.vertices:
+        table[(v, v)].append(quiver.trivial_path(v))
         if not walk(v, v, (), {(v, ())}):
-            return None
-    return {v: touch[v] + 1 for v in quiver.vertices}
+            return None, table
+    for paths in table.values():
+        paths.sort(key=lambda p: (p.length, p.arrows))
+    return {v: touch[v] + 1 for v in quiver.vertices}, table
 
 
 class BoundQuiver:
-    """A quiver with an admissible monomial ideal and its nilpotency bounds."""
+    """A quiver with an admissible monomial ideal, its nilpotency bounds and
+    its surviving paths, both from one walk (`_surviving_paths`)."""
 
     def __init__(self, quiver: Quiver, ideal: MonomialIdeal = MonomialIdeal(),
                  cap: int = 32):
-        bounds = is_admissible(quiver, ideal, cap=cap)
+        bounds, paths = _surviving_paths(quiver, ideal, cap)
         if bounds is None:
             raise NotAdmissibleError(
                 "ideal is not admissible: surviving paths can be pumped")
         self.quiver = quiver
         self.ideal = ideal
         self.bounds = bounds
-        self._paths: Optional[Dict[Tuple[str, str], List[Path]]] = None
+        self._paths = paths
 
     def all_paths(self) -> Dict[Tuple[str, str], List[Path]]:
         """Every surviving path, keyed by (source, target), canonically sorted."""
-        if self._paths is None:
-            table: Dict[Tuple[str, str], List[Path]] = {}
-            for v in self.quiver.vertices:
-                for w in self.quiver.vertices:
-                    table[(v, w)] = []
-            for v in self.quiver.vertices:
-                table[(v, v)].append(self.quiver.trivial_path(v))
-                frontier = [(v, ())]
-                while frontier:
-                    nxt = []
-                    for vertex, arrows in frontier:
-                        for a in self.quiver.out_arrows(vertex):
-                            word = arrows + (a.name,)
-                            if self.ideal.kills_suffix(word):
-                                continue
-                            table[(v, a.target)].append(Path(v, a.target, word))
-                            nxt.append((a.target, word))
-                    frontier = nxt
-            for key in table:
-                table[key].sort(key=lambda p: (p.length, p.arrows))
-            self._paths = table
         return self._paths
 
     def paths(self, v: str, w: str) -> List[Path]:

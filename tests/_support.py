@@ -13,7 +13,7 @@ from arcat.modcat import (AlmostSplit, CModule, Image, ModuleMap, check_short_ex
                           sum_map, zero_map, zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
-from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair
+from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair, rep_injections
 
 F101 = Field.prime(101)
 QQ = Field.rationals()
@@ -80,6 +80,51 @@ def rand_invertible(field: Field, n: int, rng) -> Mat:
         g = rand_mat(field, n, n, rng)
         if g.inverse() is not None:
             return g
+
+
+def reference_all_paths(bq: BoundQuiver):
+    """Every surviving path, keyed by (source, target) and sorted by (length,
+    arrows), found by breadth-first search from each vertex: the oracle for
+    the path table of quiver's depth-first walk."""
+    q = bq.quiver
+    table = {(v, w): [] for v in q.vertices for w in q.vertices}
+    for v in q.vertices:
+        table[(v, v)].append(q.trivial_path(v))
+        frontier = [(v, ())]
+        while frontier:
+            nxt = []
+            for vertex, arrows in frontier:
+                for a in q.out_arrows(vertex):
+                    word = arrows + (a.name,)
+                    if bq.ideal.kills_suffix(word):
+                        continue
+                    table[(v, a.target)].append(Path(v, a.target, word))
+                    nxt.append((a.target, word))
+            frontier = nxt
+    for paths in table.values():
+        paths.sort(key=lambda p: (p.length, p.arrows))
+    return table
+
+
+def reference_bounds(table):
+    """The nilpotency bound of each vertex off a path table: one more than
+    the longest surviving path that starts or ends there."""
+    vertices = {v for v, _ in table}
+    return {v: 1 + max(p.length for (s, t), paths in table.items() if v in (s, t)
+                       for p in paths)
+            for v in vertices}
+
+
+def reference_act(m: CModule, x, y, coords) -> Mat:
+    """The action of a hom coordinate vector at (x, y) as a sum of scaled
+    action matrices, one Mat addition per nonzero coordinate: the oracle for
+    CModule.act, which combines the entries in one pass."""
+    fld = m.cat.field
+    out = Mat.zeros(fld, m.dims[x], m.dims[y])
+    for i, c in enumerate(coords):
+        if c != fld.zero():
+            out = out + m.action[(x, y, i)].scale(c)
+    return out
 
 
 def rand_module(pool: List[CModule], cat: FinCategory, rng,
@@ -374,6 +419,15 @@ def complex_sum_maps(xs, total):
             [QRepMap(total, x, c) for x, c in zip(xs, projs)])
 
 
+def coil_injections(coil):
+    """The injections of the coils J_j(z_j) into coil.source, one per block
+    j in order, by rep_injections, unvalidated."""
+    from arcat import complexes as cx
+    spec_p = coil.padded.spec
+    return rep_injections(coil.source, [cx.interval_J(spec_p, j, coil.padded.components[j])
+                                        for j in coil.blocks])
+
+
 def interval_J_map(spec, j, f: ModuleMap, src, tgt):
     """The coil construction applied to a coefficient map f, validated; src
     and tgt are the coils of f.src and f.tgt at degree j."""
@@ -403,7 +457,7 @@ def coil_route_approximation(z, gens):
     covers = [(j, projective_cover(z.components[j])) for j in coil.blocks]
     cover_coils = [cx.interval_J(spec_p, j, cov.psum.module) for j, cov in covers]
     cover_maps = [interval_J_map(spec_p, j, cov.cover, src, inj.src)
-                  for (j, cov), src, inj in zip(covers, cover_coils, coil.injections)]
+                  for (j, cov), src, inj in zip(covers, cover_coils, coil_injections(coil))]
     coil_src = cx._direct_sum(cover_coils, spec_p, z.coeff)
     p_prime = QRepMap(coil_src, coil.source,
                       {i: sum_map(coil_src.components[i], coil.source.components[i],
@@ -455,11 +509,12 @@ def special_case_lift(l, coil):
     s = cx.find_null_homotopy(lp)
     length = spec_p.window_len
     src = lp.src
+    injections = coil_injections(coil)
     comps = {}
     for i in spec_p.degrees():
         cur = zero_map(src.components[i], coil.source.components[i])
         for t, j in enumerate(coil.blocks):
-            inj = coil.injections[t].comps[i]
+            inj = injections[t].comps[i]
             if spec_p.cyclic and spec_p.shape.order == 1:
                 first = src.d(0).then(s[0])
                 block = ModuleMap(src.components[0], inj.src,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from _support import (F101, QQ, a2_quiver, coil_route_approximation,
+from _support import (F101, QQ, a2_quiver, coil_injections, coil_route_approximation,
                       complex_sum_maps, module_print, point_pool, rand_complex,
                       rand_homotopy, rand_module, special_case_lift)
 from arcat import complexes, modcat
@@ -118,7 +118,7 @@ def test_coil_epi_shapes_and_split_on_coils():
     z = interval_J(spec.padded(), 1, K1)
     cz = coil_epi(z)
     idx = cz.blocks.index(1)
-    section = cz.injections[idx]
+    section = coil_injections(cz)[idx]
     back = section.then(cz.p)
     ident = QRepMap(cz.padded, cz.padded,
                     {i: identity_map(cz.padded.components[i])
@@ -592,22 +592,65 @@ def draw_complex(spec, coeff, pool, rng):
 def test_factor_lift_matches_the_special_case_route(fld):
     """The lift through the copies of the shape quiver's paths against the
     one built shape by shape (special_case_lift), every entry typed, on the
-    cycles of order 1, 2 and 3 and the benchmark shapes, with point
-    coefficients.  Lifts are not unique, so only this pins the formula."""
+    cycles of order 1, 2 and 3 and the benchmark shapes, with point and A2
+    coefficients.  Lifts are not unique, so only this pins the formula.  Each
+    case draws at least four maps, and more, up to 24, until two lifts are
+    nonzero."""
     rng = random.Random(2727)
-    coeff, pool = point_pool(fld)
-    for spec in BENCH_SPECS + (NComplexSpec(1, Cyclic(1)), NComplexSpec(2, Cyclic(3))):
-        nonzero = 0
-        for _ in range(4):
-            ce = coil_epi(draw_complex(spec, coeff, pool, rng))
-            src = draw_complex(spec, coeff, pool, rng)
+    for coeff, pool in coefficient_pools(fld):
+        for spec in BENCH_SPECS + (NComplexSpec(1, Cyclic(1)), NComplexSpec(2, Cyclic(3))):
+            nonzero = draws = 0
+            while draws < 4 or (nonzero < 2 and draws < 24):
+                draws += 1
+                ce = coil_epi(draw_complex(spec, coeff, pool, rng))
+                src = draw_complex(spec, coeff, pool, rng)
+                if not spec.cyclic:
+                    src = pad_complex(src, ce.padded.spec)
+                l = assemble_null_homotopic(src, ce.padded,
+                                            rand_homotopy(src, ce.padded, rng))
+                lifted = factor_null_homotopy(l, ce)
+                assert typed_chain(lifted) == typed_chain(special_case_lift(l, ce))
+                nonzero += not lifted.is_zero()
+            assert nonzero, (coeff.objects, spec)
+
+
+def null_homotopy_refusals():
+    """How many of 10 null-homotopic maps per shape factor_null_homotopy
+    refuses, over A2 coefficients and F_101: the benchmark shapes and the
+    3-cycle, sources and targets from rand_complex, maps assembled from
+    rand_homotopy, all drawn from random.Random(5)."""
+    a2 = category_of(a2_quiver(), F101)
+    pool = list(ar_quiver(a2).modules)
+    rng = random.Random(5)
+    refused = []
+    for spec in BENCH_SPECS + (NComplexSpec(2, Cyclic(3)),):
+        count = 0
+        for _ in range(10):
+            ce = coil_epi(rand_complex(spec, a2, pool, rng))
+            src = rand_complex(spec, a2, pool, rng)
             if not spec.cyclic:
                 src = pad_complex(src, ce.padded.spec)
             l = assemble_null_homotopic(src, ce.padded, rand_homotopy(src, ce.padded, rng))
-            lifted = factor_null_homotopy(l, ce)
-            assert typed_chain(lifted) == typed_chain(special_case_lift(l, ce))
-            nonzero += not lifted.is_zero()
-        assert nonzero, spec
+            try:
+                assert factor_null_homotopy(l, ce).then(ce.p) == l
+            except PreconditionError:
+                count += 1
+        refused.append(count)
+    return refused
+
+
+def test_null_homotopy_is_natural_over_a2_coefficients():
+    """find_null_homotopy solves with the naturality equations of each s_i,
+    so every null-homotopic map over A2 coefficients factors."""
+    assert null_homotopy_refusals() == [0, 0, 0, 0]
+
+
+def test_null_homotopy_without_naturality_refuses(monkeypatch):
+    """Negative control: without the naturality equations the solve can
+    return a homotopy that is not a map of coefficient modules, and 5 of
+    the 40 maps are refused."""
+    monkeypatch.setattr(complexes, "naturality_equations", lambda *args: [])
+    assert null_homotopy_refusals() == [1, 2, 1, 1]
 
 
 def test_every_leg_and_copair_is_a_chain_map(monkeypatch):

@@ -11,7 +11,7 @@ from arcat import modcat
 from arcat.errors import CapExceededError, PreconditionError, VerificationError
 from arcat.fincat import (AddMor, AddObject, Hull, category_of, opposite_category,
                           point_category)
-from arcat.linalg import Mat, hstack, solve
+from arcat.linalg import Field, Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
                           conjugate_module, decompose_module, end_algebra,
@@ -30,7 +30,7 @@ from arcat.repcat import tensor_base
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, a_m_rad_n, composite_rank_verify,
                       cyclic_rad2, module_print, one_loop_rad2, rand_hom, rand_invertible,
-                      rand_module, reference_end_algebra, typed_entries)
+                      rand_module, reference_act, reference_end_algebra, typed_entries)
 
 
 def rep_a2(field=F101):
@@ -963,6 +963,32 @@ def test_end_algebra_matches_the_pairwise_table(fld):
         assert [(type(c), c) for c in alg.unit] == [(type(c), c) for c in want.unit]
         dims.append(alg.dim)
     assert min(dims) >= 5, dims  # the repeated summand alone gives M_2(k)
+
+
+@pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
+def test_act_matches_the_sum_of_scaled_actions(fld):
+    """CModule.act, one pass over the entries, against the sum of scaled
+    action matrices (reference_act), every entry typed: on scrambled sums of
+    representables and simples of the loop mod x^2 and of A3 mod rad^2 with
+    A2 coefficients, at zero, unit and random coordinate vectors."""
+    rng = random.Random(61)
+    for cat in (representation_category(one_loop_rad2(), fld),
+                tensor_base(a3_rad2(), category_of(a2_quiver(), fld))):
+        pool = [make(cat, x) for x in cat.objects
+                for make in (yoneda_projective, simple_module)]
+        for _ in range(4):
+            m = rand_module(pool, cat, rng, max_total=6)
+            for x in cat.objects:
+                for y in cat.objects:
+                    d = cat.dim(x, y)
+                    vectors = [[fld.zero()] * d] + [
+                        [fld.random(rng) if rng.random() < 0.6 else fld.zero()
+                         for _ in range(d)] for _ in range(3)]
+                    if x == y:
+                        vectors.append(list(cat.units[x]))
+                    for coords in vectors:
+                        assert typed_entries(m.act(x, y, coords)) == \
+                            typed_entries(reference_act(m, x, y, coords))
 
 
 def test_rref_inputs_over_fp_are_reduced(monkeypatch):

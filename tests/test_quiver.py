@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from _support import a2_quiver, a3_quiver, a3_rad2, cyclic_rad2, one_loop_rad2
+from _support import (a2_quiver, a3_quiver, a3_rad2, a_m_rad_n, cyclic_rad2, one_loop_rad2,
+                      reference_all_paths, reference_bounds)
+from arcat.complexes import Cyclic, Interval, NComplexSpec, Window, build_category
 from arcat.errors import CapExceededError, NotAdmissibleError, PreconditionError
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, enumerate_paths, is_admissible,
@@ -92,6 +94,32 @@ def test_path_counts_match_adjacency_powers():
         for i in range(n):
             for j in range(n):
                 assert len(bq.paths(str(i), str(j))) == total[i][j]
+
+
+def test_path_table_matches_the_breadth_first_reference():
+    """The path table of the admissibility walk against today's breadth-first
+    search (reference_all_paths), entry by entry and in order, and the
+    bounds against the longest paths of that table."""
+    bqs = [BoundQuiver(linear_quiver(m)) for m in range(1, 7)]
+    bqs += [a_m_rad_n(m, n) for m in range(3, 8) for n in range(2, m)]
+    bqs += [cyclic_rad2(n) for n in range(1, 6)] + [one_loop_rad2()]
+    # a square with a diagonal: the walk meets a path of length 2 from 1 to 4
+    # before the diagonal, so only the sort puts the table in order
+    square = Quiver(["1", "2", "3", "4"],
+                    [Arrow("a", "1", "2"), Arrow("b", "2", "4"), Arrow("c", "1", "3"),
+                     Arrow("d", "3", "4"), Arrow("e", "1", "4")])
+    bqs += [BoundQuiver(square),
+            BoundQuiver(square, MonomialIdeal(frozenset([Path("1", "4", ("c", "d"))])))]
+    specs = [NComplexSpec(2, Interval(1)), NComplexSpec(2, Interval(5)),
+             NComplexSpec(4, Interval(6)), NComplexSpec(3, Window(-1, 3)),
+             NComplexSpec(3, Window(0, 5)), NComplexSpec(1, Cyclic(1)),
+             NComplexSpec(2, Cyclic(2)), NComplexSpec(2, Cyclic(3))]
+    bqs += [build_category(s) for spec in specs for s in dict.fromkeys((spec, spec.padded()))]
+    for bq in bqs + [opposite(bq) for bq in bqs]:
+        want = reference_all_paths(bq)
+        assert list(bq.all_paths().items()) == list(want.items())
+        assert bq.bounds == reference_bounds(want)
+        assert is_admissible(bq.quiver, bq.ideal) == bq.bounds
 
 
 def test_opposite_reverses_generators():
