@@ -22,9 +22,11 @@ Composites, sums and scalings of maps, identities, zero maps, direct sums
 (sum_module) and the block maps between sums (sum_map, copair) are natural
 or functorial by linear algebra alone.  Every certificate the program
 reports is still checked: cover surjectivity and, where a cover must be
-minimal (projective_cover), ker <= rad, the rebuilt
-presentation, exactness and non-splitness, the almost split property, and
-the decomposition identities (in End(m), by algebra.primitive_idempotents).
+minimal (projective_cover and both covers of a presentation), ker <= rad,
+the rebuilt presentation, exactness and non-splitness, the almost split
+property, the decomposition identities (in End(m), by
+algebra.primitive_idempotents), and the closure of knitting's summand
+multiplicities to the dimension of the middle term.
 
 Sums of representables are fincat.Hull's Hom(-, X), block sums of the
 memoised representables, and the maps between them its Hom(-, g) for block
@@ -36,8 +38,10 @@ radicals, projective covers and minimal presentations, projectivity by
 counting top dimensions, the standard duality, the transpose, the translates
 built from them, Ext^1 with explicit extension classes, almost split
 sequences with independent verification by Hom-dimension defects,
-Krull-Schmidt decomposition with idempotent certificates, the
-Auslander-Reiten quiver by knitting, and global dimension by iterated
+Krull-Schmidt decomposition with idempotent certificates, summand
+multiplicities by a trace pairing, the Auslander-Reiten quiver by knitting
+(middle terms certified by the multiplicities of registered nodes, with
+decomposition only as the fallback), and global dimension by iterated
 syzygies.
 
 Modules and maps are immutable after construction: nothing assigns to the
@@ -715,17 +719,24 @@ def projective_cover(m: CModule) -> Cover:
     basis element r: y -> X_k as 1 o r.  So the kernel inclusion must vanish
     on every non-radical coordinate.
     """
-    cat = m.cat
     psum, p = _cover_map(m)
     ker = kernel_module(p)
+    _check_kernel_in_radical(psum, ker.include.comps)
+    return Cover(psum, p, ker)
+
+
+def _check_kernel_in_radical(psum: ProjSum, bases: Dict):
+    """Raises unless the kernel bases of a cover from psum (bases[y], the
+    kernel basis of its component at y) vanish on every non-radical
+    coordinate of flat Hom(y, X); see projective_cover."""
+    cat = psum.cat
     for y in cat.objects:
-        inc, pos = ker.include.comps[y], 0
+        inc, pos = bases[y], 0
         for x in psum.vertices:
             rad = cat.radical[(y, x)]
             if any(any(inc.row(pos + t)) for t in range(cat.dim(y, x)) if t not in rad):
                 raise AssertionError("cover kernel is not contained in the radical")
             pos += cat.dim(y, x)
-    return Cover(psum, p, ker)
 
 
 @dataclass
@@ -747,13 +758,17 @@ def minimal_presentation(m: CModule) -> Presentation:
 
 
 def _minimal_presentation(m: CModule) -> Presentation:
+    """The second cover is certified minimal from the kernel bases of its
+    components alone: the second syzygy itself is never built."""
     c0 = projective_cover(m)
-    c1 = projective_cover(c0.kernel.module)
-    d = c1.cover.then(c0.kernel.include)
-    matrix = proj_sum_matrix(c1.psum, c0.psum, d)
-    if proj_sum_map(c1.psum, c0.psum, matrix) != d:
+    psum1, cover1 = _cover_map(c0.kernel.module)
+    _check_kernel_in_radical(psum1, {y: cover1.comps[y].kernel_basis()
+                                     for y in m.cat.objects})
+    d = cover1.then(c0.kernel.include)
+    matrix = proj_sum_matrix(psum1, c0.psum, d)
+    if proj_sum_map(psum1, c0.psum, matrix) != d:
         raise AssertionError("presentation matrix does not rebuild the differential")
-    return Presentation(c1.psum, c0.psum, d, c0.cover, c0.kernel, matrix)
+    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, matrix)
 
 
 def hom_dim(a: CModule, b: CModule) -> int:
@@ -854,24 +869,50 @@ def _transpose_raw(m: CModule) -> CModule:
 def transpose(m: CModule) -> CModule:
     """Cokernel of the dualized differential of a minimal presentation.
 
-    Rejects inputs with a projective direct summand: the double transpose
-    recovers exactly the projective-free part, so a dimension drop there
-    pins down the summand's dim vector without any idempotent search.  The
-    check costs a second transpose; callers that have already proved m free
-    of projective summands (almost_split_sequence) use _transpose_raw.
+    Rejects inputs with a projective direct summand (`_projective_summand_dims`);
+    callers that have already proved m free of projective summands
+    (almost_split_sequence) use _transpose_raw.
     """
-    t = _transpose_raw(m)
-    back = _transpose_raw(t)
-    if back.dims != m.dims:
-        gap = {x: m.dims[x] - back.dims[x] for x in m.cat.objects
-               if m.dims[x] != back.dims[x]}
+    gap = _projective_summand_dims(m)
+    if gap:
         raise PreconditionError(f"projective summand with dims {gap} present")
-    return t
+    return _transpose_raw(m)
+
+
+def _projective_summand_dims(m: CModule) -> Dict:
+    """The dimension vector of the largest projective direct summand of m,
+    at the objects where it is nonzero, in the order of cat.objects.
+
+    The multiplicity a_x of P_x = Hom(-, x) as a summand of m is the rank of
+    the composition pairing Hom(P_x, m) x Hom(m, P_x) -> End(P_x)/rad, which
+    is k (the split-basic assumption of `projective_cover`): by Yoneda,
+    Hom(P_x, m) = m(x), the vector v giving the map with 1_x -> v, and
+    g o (that map) is g_x(v) in End(P_x) = Hom(x, x).  So a_x is the rank
+    of [identity coefficient of g_x(v)] over v in a basis of m(x) and g in
+    a basis of Hom(m, P_x): row t0 of g_x, for the one basis index t0 of
+    Hom(x, x) outside the radical.  A pairing of a summand P_x^a with its
+    complement lands in the radical (Krull-Schmidt), so the rank is exact
+    in every characteristic.
+    """
+    cat = m.cat
+    gap = {y: 0 for y in cat.objects}
+    for x in cat.objects:
+        if not m.dims[x]:
+            continue
+        basis = hom_space(m, yoneda_projective(cat, x))
+        if not basis:
+            continue
+        (t0,) = (t for t in range(cat.dim(x, x)) if t not in cat.radical[(x, x)])
+        a = Mat(cat.field, len(basis), m.dims[x],
+                [v for g in basis for v in g.comps[x].row(t0)]).rank()
+        for y in cat.objects:
+            gap[y] += a * cat.dim(y, x)
+    return {y: d for y, d in gap.items() if d}
 
 
 def tau(m: CModule) -> CModule:
     """The translate D Tr; rejects projective summands, whose translate
-    would vanish, by the double-transpose check of `transpose`."""
+    would vanish, by the check of `transpose`."""
     return duality_D(transpose(m))
 
 
@@ -987,6 +1028,45 @@ def decompose_module(m: CModule) -> List[Image]:
     if len(idems) == 1:  # m is indecomposable: the image of 1 is m itself
         return [Image(m, identity_map(m), identity_map(m))]
     return [image_module(map_from_coords(basis, e)) for e in idems]
+
+
+def _end_top_dim(m: CModule) -> int:
+    """dim End(m)/rad End(m): 1 when End(m) = k, which one rank on the
+    memoised presentation decides (hom_dim), else from end_algebra."""
+    if hom_dim(m, m) == 1:
+        return 1
+    alg, _ = end_algebra(m)
+    return alg.dim - radical_basis(alg).cols
+
+
+def _summand_multiplicity(y: CModule, m: CModule, top_dim: int) -> Optional[int]:
+    """The multiplicity of the indecomposable y as a direct summand of m,
+    certified by a trace pairing, or None where the certificate does not
+    apply: top_dim = dim End(y)/rad (`_end_top_dim`) is not 1, or the
+    characteristic divides dim y.
+
+    The multiplicity a is the rank of the composition pairing
+    Hom(y, m) x Hom(m, y) -> End(y)/rad = k (Krull-Schmidt; Krause,
+    Expo. Math. 33, 2015): with m = y^a + w, w free of y, a pairing through w
+    lands in the radical, and the pairing on the y^a blocks is that of k^a.
+    The rank is taken of T[a][b] = sum_x tr(g_b,x f_a,x), over bases f of
+    Hom(y, m) and g of Hom(m, y): the trace of lambda 1 + r, r radical and
+    so nilpotent, is lambda dim y, so T is dim y times the pairing.
+    """
+    p = y.cat.field.p
+    if top_dim != 1 or (p is not None and y.total_dim() % p == 0):
+        return None
+    fwd = hom_space(y, m)
+    bwd = hom_space(m, y) if fwd else []
+    if not bwd:
+        return 0
+    objs = [x for x in y.cat.objects if y.dims[x] and m.dims[x]]
+    width = sum(y.dims[x] * m.dims[x] for x in objs)
+    fs = Mat(y.cat.field, len(fwd), width,
+             [v for f in fwd for x in objs for v in f.comps[x].transpose().data])
+    gs = Mat(y.cat.field, len(bwd), width,
+             [v for g in bwd for x in objs for v in g.comps[x].data])
+    return (fs @ gs.transpose()).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -1114,7 +1194,7 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     action; the materialized sequence is checked exact and non-split.  The
     local End(z) and is_projective_module prove that z has no projective
     summand, so tau z is taken as D(_transpose_raw(z)), without the
-    double-transpose check of `tau`; the result equals tau(z).
+    projective-summand check of `tau`; the result equals tau(z).
     """
     if z.is_zero():
         raise PreconditionError("zero module has no almost split sequence")
@@ -1241,10 +1321,24 @@ class ARQuiver:
 def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQuiver:
     """Knits the Auslander-Reiten quiver from the projectives.
 
-    Edges into a node are read off once, from rad P for projectives and from
-    the decomposed middle of the almost split sequence otherwise; closure
-    under the inverse translate reaches every successor.  Caps guard against
-    infinite type and raise CapExceededError.
+    Edges into a node are read off once: from the decomposed rad P for a
+    projective P, and otherwise from the summands of the middle term E of
+    the almost split sequence.  Those summands are certified among the
+    registered nodes by their multiplicities (`_summand_multiplicity`),
+    trying the nodes Y with dim Y <= dim E at every object, first those
+    with an edge out of tau z (the mesh; Gabriel, LNM 831, 1980), then, by
+    index, the nodes whose edges are not read off yet.  Once
+    sum a_Y dim Y = dim E, E is the sum of the Y^a_Y, since what is left
+    over has dimension zero.  Only when the certified multiplicities do not
+    close is E decomposed (decompose_module) and its pieces registered; that
+    fallback is the one route that can add a node for a middle term.
+    Closure under the inverse translate reaches every
+    successor, and a closed knitting is the whole AR quiver: the nodes
+    reached are closed under predecessors and successors, so they form
+    finite components holding every projective, and by Auslander's theorem
+    a finite component is the whole AR quiver of its connected block
+    (ARS ch. VI.1).  Caps guard against infinite type and raise
+    CapExceededError.
     """
     modules: List[CModule] = []
     queue: List[int] = []
@@ -1252,10 +1346,17 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
     tau_pairs: List[Tuple[int, int]] = []
     projective: List[bool] = []
     injective: List[bool] = []
+    by_dims: Dict[Tuple, List[int]] = {}  # node indices by dimension vector
+    tops: Dict[int, int] = {}  # dim End/rad of the nodes tried as summands
+
+    def dim_key(m: CModule) -> Tuple:
+        return tuple(m.dims[x] for x in cat.objects)
 
     def register(m: CModule) -> int:
-        for idx, other in enumerate(modules):
-            if is_isomorphic(m, other) is not None:
+        # nodes are pairwise non-isomorphic, and is_isomorphic needs equal dims
+        bucket = by_dims.setdefault(dim_key(m), [])
+        for idx in bucket:
+            if is_isomorphic(m, modules[idx]) is not None:
                 return idx
         if m.total_dim() > dim_cap:
             raise CapExceededError(
@@ -1263,10 +1364,45 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
         if len(modules) >= node_cap:
             raise CapExceededError(f"more than {node_cap} indecomposables")
         modules.append(m)
+        bucket.append(len(modules) - 1)
         projective.append(is_projective_module(m))
         injective.append(is_injective_module(m))
         queue.append(len(modules) - 1)
         return len(modules) - 1
+
+    def known_summands(e: CModule, jt: int) -> Optional[Dict[int, int]]:
+        """The multiplicities of the registered nodes in e, the middle term of
+        the sequence from node jt = tau z to the node z being done, or None
+        unless they are certified and their sum closes to dim e.
+
+        Only the mesh and the nodes not yet done, but for jt, are tried.  A
+        done node j that is a summand of e has an irreducible map from
+        tau z, so node jt was registered and the edge (jt, j) recorded when
+        j was done.  An end term as a summand of e would be a loop of the AR
+        quiver, and there are none (Bautista and Smalo, 1983).  Leaving a
+        candidate out costs no soundness: had it a summand in e, the sum
+        would not close and e would be decomposed."""
+        left = list(dim_key(e))
+        mesh = sorted({j for (s, j) in edges if s == jt})
+        rest = [j for j in range(len(modules)) if j not in done and j != jt]
+        counts = {}
+        for j in mesh + rest:
+            y = modules[j]
+            dims = dim_key(y)
+            if any(d > r for d, r in zip(dims, left)):
+                continue
+            if j not in tops:
+                tops[j] = _end_top_dim(y)
+            if hom_dim(y, e) == 0:  # off the presentation _end_top_dim built
+                continue
+            a = _summand_multiplicity(y, e, tops[j])
+            if not a:
+                continue
+            counts[j] = a
+            left = [r - a * d for r, d in zip(left, dims)]
+            if not any(left):
+                return counts
+        return None
 
     for x in cat.objects:
         register(yoneda_projective(cat, x))
@@ -1287,9 +1423,14 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
             ass = almost_split_sequence(m)
             jt = register(ass.tau_module)
             tau_pairs.append((jt, i))
-            for piece in decompose_module(ass.sequence.middle):
-                j = register(piece.module)
-                edges[(j, i)] = edges.get((j, i), 0) + 1
+            counts = known_summands(ass.sequence.middle, jt)
+            if counts is None:
+                counts = {}
+                for piece in decompose_module(ass.sequence.middle):
+                    j = register(piece.module)
+                    counts[j] = counts.get(j, 0) + 1
+            for j, a in counts.items():
+                edges[(j, i)] = edges.get((j, i), 0) + a
         if not injective[i]:
             register(tau_inverse(m))
     return ARQuiver(modules, projective, injective, edges, tau_pairs)

@@ -1,6 +1,9 @@
 import ast
+import importlib.util
+import os
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -724,6 +727,27 @@ def test_cover_kernel_outside_the_radical_is_refused(monkeypatch):
         projective_cover(p1)
 
 
+def test_second_cover_kernel_outside_the_radical_is_refused(monkeypatch):
+    """The presentation certifies its second cover minimal from kernel bases
+    alone: over A3, S1 has the minimal cover P1 -> S1 with kernel rad P1 =
+    P2, and a second cover from the whole of P2 instead of its top is
+    refused."""
+    cat = representation_category(BoundQuiver(linear_quiver(3)), F101)
+    s1 = simple_module(cat, "1")
+    assert modcat._minimal_presentation(s1).p1.vertices == ("2",)
+    top_lifts = modcat._top_lifts
+
+    def whole_syzygy(m):
+        if m.dims == yoneda_projective(cat, "2").dims:
+            return {x: Mat.identity(m.cat.field, m.dims[x]) for x in m.cat.objects}
+        return top_lifts(m)
+
+    monkeypatch.setattr(modcat, "_top_lifts", whole_syzygy)
+    assert projective_cover(s1).kernel.module.dims == {"1": 0, "2": 1, "3": 1}
+    with pytest.raises(AssertionError, match="not contained in the radical"):
+        modcat._minimal_presentation(s1)
+
+
 # ---------------------------------------------------------------------------
 # CModule._validate against the per-pair functoriality check
 
@@ -1037,3 +1061,126 @@ def test_rref_inputs_over_q_are_fractions(monkeypatch):
     for ass in sequences:
         verify_almost_split(ass, ar.modules)
     assert len(sequences) == 14 and len(seen) > 100
+
+
+# ---------------------------------------------------------------------------
+# summand multiplicities of knitting's middle terms
+
+
+def knit_print(ar):
+    return ([module_print(m) for m in ar.modules], ar.projective, ar.injective,
+            sorted(ar.edges.items()), ar.tau_pairs)
+
+
+def knit_counting_fallbacks(monkeypatch, cat):
+    """ar_quiver(cat) and the number of middle terms it decomposed, counted
+    by tools/knit_probe.py."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    spec = importlib.util.spec_from_file_location(
+        "_knit_probe", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "tools", "knit_probe.py"))
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    ar, _, fallbacks = probe.knit_counting(cat)
+    return ar, fallbacks
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_summand_multiplicity_matches_decompose_module(fld):
+    """The trace-pairing rank against every knitted node equals the number of
+    decompose_module pieces isomorphic to it, on scrambled sums with
+    repeats; and the multiplicities close to the dimension of the sum."""
+    cat = ORACLE_CATEGORIES["A3rad2xA2"](fld)
+    pool = ar_quiver(cat).modules
+    rng = random.Random(23)
+    for parts in (2, 3, 3, 4):
+        picked = rng.sample(pool, parts - 1)
+        total = direct_sum(picked + picked[:1], cat)[0]
+        m, _ = conjugate_module(
+            total, {x: rand_invertible(fld, total.dims[x], rng) for x in cat.objects})
+        pieces = [p.module for p in decompose_module(m)]
+        closed = {x: 0 for x in cat.objects}
+        for y in pool:
+            got = modcat._summand_multiplicity(y, m, modcat._end_top_dim(y))
+            assert got == sum(is_isomorphic(p, y) is not None for p in pieces)
+            for x in cat.objects:
+                closed[x] += got * y.dims[x]
+        assert closed == m.dims
+
+
+def kronecker_rotation():
+    """The Kronecker representation Q^2 => Q^2 by the identity and a quarter
+    turn: indecomposable over Q, with End = Q(i), whose top has dimension 2."""
+    q = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+    cat = representation_category(BoundQuiver(q), QQ)
+    one, zero = QQ.one(), QQ.zero()
+    turns = [Mat.identity(QQ, 2), Mat(QQ, 2, 2, [zero, -one, one, zero])]
+    action = {(x, x, 0): Mat.identity(QQ, 2) for x in cat.objects}
+    action.update({("2", "1", i): turns[i] for i in range(2)})
+    return CModule(cat, {"1": 2, "2": 2}, action)
+
+
+def test_summand_multiplicity_refuses_where_the_pairing_is_not_the_count(monkeypatch):
+    """None where the certificate does not apply: End(y)/rad = Q(i), and
+    p | dim y.  Over F_3, knitting A3 must then decompose the middle term
+    that holds the three dimensional projective-injective, and still give
+    the quiver that knitting by decomposition alone gives."""
+    y = kronecker_rotation()
+    assert modcat._end_top_dim(y) == 2
+    assert modcat._summand_multiplicity(y, direct_sum([y, y])[0], 2) is None
+    f3 = Field.prime(3)
+    cat = representation_category(BoundQuiver(linear_quiver(3)), f3)
+    p = yoneda_projective(cat, "1")
+    assert p.total_dim() == 3 and modcat._end_top_dim(p) == 1
+    assert modcat._summand_multiplicity(p, direct_sum([p, p])[0], 1) is None
+    ar, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
+    assert fallbacks == 1 and len(ar.modules) == 6
+    monkeypatch.setattr(modcat, "_summand_multiplicity", lambda y, m, top: None)
+    decomposed, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
+    assert fallbacks == len(ar.tau_pairs) == 3
+    assert knit_print(decomposed) == knit_print(ar)
+
+
+@pytest.mark.parametrize("tamper", ["drop", "plus-one", "minus-one"])
+def test_knitting_falls_back_when_the_multiplicities_do_not_close(monkeypatch, tamper):
+    """Negative controls: dropping one certified summand, or claiming one
+    copy more or less of it, leaves the closure check unmet, so that middle
+    term is decomposed instead and the AR quiver is unchanged."""
+    cat = ORACLE_CATEGORIES["A4rad2"](F101)
+    want, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
+    assert fallbacks == 0
+    multiplicity, seen = modcat._summand_multiplicity, []
+
+    def tampered(y, m, top):
+        a = multiplicity(y, m, top)
+        if a and not seen:
+            seen.append(y)
+            return {"drop": 0, "plus-one": a + 1, "minus-one": a - 1}[tamper]
+        return a
+
+    monkeypatch.setattr(modcat, "_summand_multiplicity", tampered)
+    ar, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
+    assert seen and fallbacks == 1
+    assert knit_print(ar) == knit_print(want)
+
+
+@pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
+def test_projective_summands_match_the_double_transpose(fld):
+    """The projective summand read off the pairing with each P_x has the
+    dimension vector that the double transpose loses, in every
+    characteristic: on scrambled sums of representables, simples and
+    injectives of A4 mod rad^3 and of the loop mod x^2."""
+    rng = random.Random(31)
+    for cat in (representation_category(a_m_rad_n(4, 3), fld),
+                representation_category(one_loop_rad2(), fld)):
+        pool = [f(cat, x) for x in cat.objects for f in (yoneda_projective, simple_module)]
+        pool += [duality_D(yoneda_projective(opposite_category(cat), x)) for x in cat.objects]
+        for _ in range(8):
+            m = rand_module(pool, cat, rng, max_total=7)
+            back = modcat._transpose_raw(modcat._transpose_raw(m))
+            gap = {x: m.dims[x] - back.dims[x] for x in cat.objects
+                   if m.dims[x] != back.dims[x]}
+            assert modcat._projective_summand_dims(m) == gap
+            if gap:
+                with pytest.raises(PreconditionError, match="projective summand"):
+                    transpose(m)
