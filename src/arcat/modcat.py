@@ -1391,10 +1391,10 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
             dims = dim_key(y)
             if any(d > r for d, r in zip(dims, left)):
                 continue
+            if hom_dim(y, e) == 0:
+                continue
             if j not in tops:
                 tops[j] = _end_top_dim(y)
-            if hom_dim(y, e) == 0:  # off the presentation _end_top_dim built
-                continue
             a = _summand_multiplicity(y, e, tops[j])
             if not a:
                 continue

@@ -2,7 +2,6 @@
 middle terms that knitting certified from nodes it had already registered.
 
     python3 tools/knit_probe.py
-    python3 tools/knit_probe.py --only A4,E6,kronecker
 
 Knits, over F_101, the path categories of A_4..A_8, D6, E6 and E7 (no
 relations), A3 mod rad^2 (x) A2 and A3 (x) A2 (tensor_base, as the CLI's
@@ -14,11 +13,12 @@ split into those whose summands ar_quiver certified by multiplicities and
 those it decomposed (the fallback).
 
 The count wraps modcat.almost_split_sequence and modcat.decompose_module
-inside this script: a decompose_module call on a middle term is a
-fallback.  arcat itself has no switch for this.
+inside this script: a decompose_module call on the middle term of the
+sequence built last is a fallback (ar_quiver decomposes a middle term, if
+at all, right after building its sequence).  arcat itself has no switch for
+this.
 """
 
-import argparse
 import os
 import sys
 import time
@@ -74,17 +74,17 @@ def knit_counting(cat, cap=64):
     """ar_quiver(cat) at dim cap `cap` and node cap 2 * cap (the CLI's caps),
     or None when a cap is exceeded, with the number of middle terms knitted
     and of those decomposed."""
-    middles, counts = set(), {"middle": 0, "fallback": 0}
+    last, counts = {}, {"middle": 0, "fallback": 0}
     ass, decompose = modcat.almost_split_sequence, modcat.decompose_module
 
     def counting_ass(z):
         out = ass(z)
-        middles.add(id(out.sequence.middle))
+        last["middle"] = out.sequence.middle
         counts["middle"] += 1
         return out
 
     def counting_decompose(m):
-        if id(m) in middles:
+        if m is last.get("middle"):
             counts["fallback"] += 1
         return decompose(m)
 
@@ -98,18 +98,9 @@ def knit_counting(cat, cap=64):
     return ar, counts["middle"], counts["fallback"]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", default="",
-                        help="comma separated job names (default: all of " + ", ".join(JOBS) + ")")
-    args = parser.parse_args(argv)
-    names = [n for n in args.only.split(",") if n] or list(JOBS)
-    unknown = [n for n in names if n not in JOBS]
-    if unknown:
-        parser.error(f"unknown jobs {unknown}")
+def main():
     print(f"{'job':<10} {'wall_s':>7} {'nodes':>5} {'middle':>6} {'certified':>9} {'fallback':>8}")
-    for name in names:
-        make, cap = JOBS[name]
+    for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
         ar, middle, fallback = knit_counting(cat, cap)
