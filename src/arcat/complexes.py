@@ -152,14 +152,16 @@ def build_category(spec: NComplexSpec) -> BoundQuiver:
 
 def _bound_quiver(spec: NComplexSpec) -> BoundQuiver:
     """The degrees as vertices, an arrow spec.arrow(i): i -> i + 1 for each
-    differential, and the vanishing windows as relations."""
+    differential, and the vanishing windows as relations.  Every path of
+    window_len arrows contains a window, so a surviving path has at most
+    window_len - 1 arrows and the path walk's cap is window_len."""
     length = spec.window_len
     arrows = [Arrow(spec.arrow(i), i, spec.wrap(i + 1)) for i in spec._diff_degrees]
     windows = [Path(i, spec.wrap(i + length),
                     tuple(spec.arrow(i + k) for k in range(length)))
                for i in spec._degrees if spec.wrap(i + length) is not None]
     return BoundQuiver(Quiver(list(spec._degrees), arrows),
-                       MonomialIdeal(frozenset(windows)))
+                       MonomialIdeal(frozenset(windows)), cap=length)
 
 
 class NComplex(QRep):

@@ -3,9 +3,10 @@
 A FinCategory carries, for every ordered object pair, a finite hom basis and
 sparse composition constants, plus the subset of basis elements spanning the
 radical (valid for the split basic categories built here: path categories of
-bound quivers, their opposites, and tensor products of those).  Associativity,
-unit laws and the radical ideal property are re-verified on every
-construction.
+bound quivers, their opposites, and tensor products of those).  Every
+construction checks the unit laws, associativity and the radical ideal
+property on the action matrices of the representables Hom(-, w), which
+modcat wraps as its projectives without checking them again.
 
 On top of that sit the additive hull (formal finite sums, block morphisms)
 and the idempotent completion (pairs of an additive object and an idempotent
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import TableAlgebra, end_table, primitive_idempotents
 from .errors import PreconditionError
-from .linalg import Field, Mat, hstack, solve
+from .linalg import Field, Mat, hstack, solve, vstack
 from .quiver import BoundQuiver, MonomialIdeal, Quiver
 
 Coords = Tuple
@@ -130,13 +131,18 @@ class FinCategory:
         return all(c == zero for i, c in enumerate(coords) if i not in rad)
 
     def _validate(self):
-        """Check the hom tables, the unit laws, associativity and the radical.
+        """Check the hom tables, the units, the unit laws, associativity and
+        the radical, the last three on the representables.
 
-        Associativity is checked on the basis triples (f, g, h) with no
-        identity factor: when f, g or h is the identity basis element, both
-        sides reduce to the same composite by the unit laws, which are
-        checked first on every basis element and extend by bilinearity.  A
-        unit that is not a basis element skips nothing.
+        By Yoneda, the right unit law f o 1 = f and associativity are the
+        unit law and the functoriality of every representable Hom(-, w), so
+        `_functor_failure` checks them on `_representable_action`'s
+        matrices, the very matrices that modcat.yoneda_projective wraps.
+        The left unit law 1 o f = f is no functor law; it is read off the
+        same matrices as M_w(f) u_w = f, for f: x -> w and the unit u_w of
+        End(w).  So is the radical ideal property: column j of M_w(f_i), for
+        f_i: x -> y, is g_j o f_i, which must lie in rad(x, w) when f_i or
+        g_j is radical.
         """
         fld = self.field
         objs = self.objects
@@ -150,46 +156,27 @@ class FinCategory:
                 raise PreconditionError(f"unit of {x} has wrong length")
             if self.is_radical(x, x, u):
                 raise PreconditionError(f"unit of {x} lies in the radical")
-            for y in objs:
-                for i in range(self.dim(x, y)):
-                    f = self.basis_coords(x, y, i)
-                    if self.compose(x, x, y, u, f) != f:
-                        raise PreconditionError(f"right unit law fails at {(x, y)} index {i}")
-                    if self.compose(x, y, y, f, self.units[y]) != f:
-                        raise PreconditionError(f"left unit law fails at {(x, y)} index {i}")
         for w in objs:
+            dims, action = _representable_action(self, w)
+            unit = Mat.column(fld, self.units[w])
             for x in objs:
+                if dims[x] and ((vstack([action[(x, w, i)] for i in range(dims[x])]) @ unit).data
+                                != Mat.identity(fld, dims[x]).data):
+                    raise PreconditionError(f"left unit law fails at {(x, w)}")
+            failure = _functor_failure(self, dims, action)
+            if failure is not None:
+                kind, where = failure
+                if kind == "unit":
+                    raise PreconditionError(f"right unit law fails at {(where, w)}")
+                raise PreconditionError(f"associativity fails at {where[:3] + (w,)}")
+            for x in objs:
+                top = [t for t in range(dims[x]) if t not in self.radical[(x, w)]]
                 for y in objs:
-                    for z in objs:
-                        for i in self._non_unit_indices(w, x):
-                            f = self.basis_coords(w, x, i)
-                            for j in self._non_unit_indices(x, y):
-                                g = self.basis_coords(x, y, j)
-                                gf = self.compose(w, x, y, f, g)
-                                for k in self._non_unit_indices(y, z):
-                                    h = self.basis_coords(y, z, k)
-                                    hg = self.compose(x, y, z, g, h)
-                                    left = self.compose(w, y, z, gf, h)
-                                    right = self.compose(w, x, z, f, hg)
-                                    if left != right:
-                                        raise PreconditionError(
-                                            f"associativity fails at {(w, x, y, z)}")
-        # radical is a two sided ideal avoiding the units
-        for x in objs:
-            for y in objs:
-                for z in objs:
                     for i in range(self.dim(x, y)):
-                        for j in range(self.dim(y, z)):
-                            rad_pair = (i in self.radical[(x, y)]
-                                        or j in self.radical[(y, z)])
-                            if not rad_pair:
-                                continue
-                            out = self.compose(
-                                x, y, z, self.basis_coords(x, y, i),
-                                self.basis_coords(y, z, j))
-                            if not self.is_radical(x, z, out):
-                                raise PreconditionError(
-                                    f"radical not an ideal at {(x, y, z)}")
+                        cols = (range(dims[y]) if i in self.radical[(x, y)]
+                                else self.radical[(y, w)])
+                        if any(action[(x, y, i)].at(t, j) for t in top for j in cols):
+                            raise PreconditionError(f"radical not an ideal at {(x, y, w)}")
 
     def __eq__(self, other):
         return (isinstance(other, FinCategory) and self.field == other.field
@@ -202,6 +189,80 @@ class FinCategory:
     def __repr__(self):
         total = sum(len(v) for v in self.hom.values())
         return f"FinCategory({len(self.objects)} objects, total dim {total}, {self.field})"
+
+
+def _representable_action(cat: FinCategory, w: ObjectId) -> Tuple[Dict, Dict]:
+    """The dimensions and action matrices of the representable Hom(-, w).
+    f_a: y -> z acts by g -> g o f_a: column b of its matrix is g_b o f_a,
+    the entry (a, b) of comp[(y, z, w)]."""
+    fld = cat.field
+    dims = {y: cat.dim(y, w) for y in cat.objects}
+    action = {}
+    for y in cat.objects:
+        for z in cat.objects:
+            datas = [[fld.zero()] * (dims[y] * dims[z]) for _ in range(cat.dim(y, z))]
+            for (a, b), entry in cat.comp.get((y, z, w), {}).items():
+                for t, v in entry.items():
+                    datas[a][t * dims[z] + b] = v
+            action.update(((y, z, a), Mat(fld, dims[y], dims[z], data))
+                          for a, data in enumerate(datas))
+    return dims, action
+
+
+def _combination(fld: Field, dims: Dict, action: Dict, x, z, coeffs) -> List:
+    """The row-major entries of sum c M(h_k) over the pairs (k, c) of
+    coeffs, for the basis elements h_k: x -> z and their matrices
+    M(h_k) = action[(x, z, k)]: k^dims[z] -> k^dims[x]."""
+    out = [fld.zero()] * (dims[x] * dims[z])
+    for k, c in coeffs:
+        if c:
+            out = [e + c * a for e, a in zip(out, action[(x, z, k)].data)]
+    return [e % fld.p for e in out] if fld.p is not None else out
+
+
+def _functor_failure(cat: FinCategory, dims: Dict, action: Dict) -> Optional[Tuple]:
+    """Where the matrices action[(x, y, i)]: k^dims[y] -> k^dims[x], one per
+    hom basis element f_i: x -> y, fail to be a contravariant functor, or
+    None: ("unit", x) when the unit of x does not act as the identity, and
+    ("composite", (x, y, z, i, j)) when M(g_j o f_i) != M(f_i) M(g_j).
+
+    Functoriality is checked with one product per middle object y: the
+    vstack of M(f_i) over the basis elements f_i: x -> y times the hstack
+    of M(g_j) over the g_j: y -> z, each (i, j) block compared with the
+    combination of M(k) that the composition table gives for g_j o f_i.  A
+    pair whose f_i or g_j is the identity basis element is left out: M(1) =
+    1 by the unit check, so both sides are M(g_j) (or M(f_i)) by the unit
+    laws of the category, which FinCategory._validate checks.  A unit that
+    is not a basis element skips nothing.  Sources and targets of dimension
+    zero carry empty blocks and are left out of the product.
+    """
+    fld = cat.field
+    for x in cat.objects:
+        unit = _combination(fld, dims, action, x, x, enumerate(cat.units[x]))
+        if unit != list(Mat.identity(fld, dims[x]).data):
+            return "unit", x
+    for y in cat.objects:
+        left = [(x, i) for x in cat.objects if dims[x]
+                for i in cat._non_unit_indices(x, y)]
+        right = [(z, j) for z in cat.objects if dims[z]
+                 for j in cat._non_unit_indices(y, z)]
+        if not left or not right:
+            continue
+        prod = (vstack([action[(x, y, i)] for x, i in left])
+                @ hstack([action[(y, z, j)] for z, j in right]))
+        width, got = prod.cols, prod.data
+        r0 = 0
+        for x, i in left:
+            c0 = 0
+            for z, j in right:
+                entry = cat.comp.get((x, y, z), {}).get((i, j), {})
+                block = [v for r in range(r0, r0 + dims[x])
+                         for v in got[r * width + c0:r * width + c0 + dims[z]]]
+                if block != _combination(fld, dims, action, x, z, entry.items()):
+                    return "composite", (x, y, z, i, j)
+                c0 += dims[z]
+            r0 += dims[x]
+    return None
 
 
 def category_of(bq: BoundQuiver, field: Field) -> FinCategory:

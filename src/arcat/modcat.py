@@ -6,31 +6,33 @@ composites reverse, M(g o f) = M(f) M(g).  ModuleMaps are natural
 transformations with per object components.
 
 Validation happens at the trust boundary.  A module or map built from given
-data is verified on construction: functoriality with one matrix product per
-middle object y covering every pair f_i: x -> y, g_j: y -> z (pairs with an
-identity factor follow from the unit check and the unit laws of the
-category), naturality square by square.  So are the representables, the
-simple modules, the base change of conjugate_module, the cocycle pair of
-extension_from_cocycle, and the maps that factor_through_cokernel, dual_map
-and _end_action_on_kernel return.  The derived objects whose construction
-proves them valid are built unvalidated, each with its proof in its
-docstring: sub-modules and their inclusions (one exact solve against bases
-of full column rank), the projection onto an image, cokernels and their
-projections (phi is natural), the maps between sums of representables
-(associativity), the cover map (Yoneda), and duals (transposed actions).
-Composites, sums and scalings of maps, identities, zero maps, direct sums
-(sum_module) and the block maps between sums (sum_map, copair) are natural
-or functorial by linear algebra alone.  Every certificate the program
-reports is still checked: cover surjectivity and, where a cover must be
-minimal (projective_cover and both covers of a presentation), ker <= rad,
-the rebuilt presentation, exactness and non-splitness, the almost split
-property, the decomposition identities (in End(m), by
-algebra.primitive_idempotents), and the closure of knitting's summand
-multiplicities to the dimension of the middle term.
+data is verified on construction: functoriality by fincat._functor_failure,
+with one matrix product per middle object, and naturality square by square.
+So are the simple modules, the base change of conjugate_module, the cocycle
+pair of extension_from_cocycle, and the maps that factor_through_cokernel,
+dual_map and _end_action_on_kernel return.  The derived objects whose
+construction proves them valid are built unvalidated, each with its proof
+in its docstring: the representables (their matrices are the ones
+FinCategory._validate checked), sub-modules and their inclusions (one exact
+solve against bases of full column rank), the projection onto an image,
+cokernels and their projections (phi is natural), the maps out of sums of
+representables (Yoneda), and duals (transposed actions).  Composites, sums
+and scalings of maps, identities, zero maps, direct sums (sum_module) with
+their block injections and projections, and the block maps between sums
+(sum_map, copair) are natural or functorial by linear algebra alone.  Every
+certificate the program reports is still checked: cover surjectivity and,
+where a cover must be minimal (projective_cover and both covers of a
+presentation), ker <= rad, the rebuilt presentation, exactness and
+non-splitness, the almost split property, the decomposition identities (in
+End(m), by algebra.primitive_idempotents), and the closure of knitting's
+summand multiplicities to the dimension of the middle term.
 
 Sums of representables are fincat.Hull's Hom(-, X), block sums of the
-memoised representables, and the maps between them its Hom(-, g) for block
-morphisms g, read off Hull's composition matrices; Yoneda gives g back.
+memoised representables.  A map out of Hom(-, X) is its values at the
+units of the summands (Yoneda), and `_from_units` builds every such map
+from them: the covers, Hull's Hom(-, g) for block morphisms g, the basis of
+Hom(P0, x) in Ext^1 and the lifts of endomorphisms through a cover.
+proj_sum_matrix reads g back off the unit values.
 
 On this representation the module category is computed exactly: hom spaces,
 and their dimensions off presentations (Yoneda), kernels, images, cokernels,
@@ -48,8 +50,8 @@ Modules and maps are immutable after construction: nothing assigns to the
 dims or action of a CModule once it is built.  Three derived objects are
 therefore built once and memoised by object identity: the minimal
 presentation of a module and its dual are cached on the module (the dual on
-both sides, so duality_D is an exact involution), and the validated
-representable Hom(-, x) on its category.  Other sums of representables,
+both sides, so duality_D is an exact involution), and the representable
+Hom(-, x) on its category.  Other sums of representables,
 projective covers and End algebras are not memoised: long-lived modules
 would keep them alive, for little gain.  Memos are dropped when a module or
 category is pickled.
@@ -61,7 +63,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
                       primitive_idempotents, radical_basis)
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .fincat import (AddMor, AddObject, FinCategory, Hull, category_of,
+from .fincat import (AddMor, AddObject, FinCategory, Hull, _combination,
+                     _functor_failure, _representable_action, category_of,
                      opposite_category)
 from .linalg import (Mat, block_diag, equation_matrix, hstack, solve, split_blocks,
                      vstack)
@@ -93,7 +96,8 @@ class CModule:
     def act(self, x, y, coords) -> Mat:
         """The matrix of the action of a hom coordinate vector at (x, y)."""
         return Mat(self.cat.field, self.dims[x], self.dims[y],
-                   self._combination(x, y, enumerate(coords)))
+                   _combination(self.cat.field, self.dims, self.action, x, y,
+                                enumerate(coords)))
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -105,19 +109,8 @@ class CModule:
         return dict(self.dims)
 
     def _validate(self):
-        """Check the dimensions and shapes, the unit action and functoriality.
-
-        Functoriality M(g o f) = M(f) M(g) is checked with one product per
-        middle object y: the vstack of M(f_i) over the basis elements
-        f_i: x -> y times the hstack of M(g_j) over the g_j: y -> z, each
-        (i, j) block compared with the combination of M(k) that the
-        composition table gives for g_j o f_i.  A pair whose f_i or g_j is
-        the identity basis element is left out: M(1) = 1 by the unit check,
-        so both sides are M(g_j) (or M(f_i)) by the unit laws of the
-        validated category.  A unit that is not a basis element skips
-        nothing.  Sources and targets of dimension zero carry empty blocks
-        and are left out of the product.
-        """
+        """Check the dimensions and shapes, the unit action and functoriality
+        (fincat._functor_failure)."""
         cat = self.cat
         dims, action = self.dims, self.action
         for x in cat.objects:
@@ -129,42 +122,12 @@ class CModule:
                     m = action.get((x, y, i))
                     if m is None or m.rows != dims[x] or m.cols != dims[y]:
                         raise PreconditionError(f"bad action matrix at {(x, y, i)}")
-        for x in cat.objects:
-            unit = self._combination(x, x, enumerate(cat.units[x]))
-            if unit != list(Mat.identity(cat.field, dims[x]).data):
-                raise PreconditionError(f"unit does not act as identity at {x!r}")
-        for y in cat.objects:
-            left = [(x, i) for x in cat.objects if dims[x]
-                    for i in cat._non_unit_indices(x, y)]
-            right = [(z, j) for z in cat.objects if dims[z]
-                     for j in cat._non_unit_indices(y, z)]
-            if not left or not right:
-                continue
-            prod = (vstack([action[(x, y, i)] for x, i in left])
-                    @ hstack([action[(y, z, j)] for z, j in right]))
-            width, got = prod.cols, prod.data
-            r0 = 0
-            for x, i in left:
-                c0 = 0
-                for z, j in right:
-                    entry = cat.comp.get((x, y, z), {}).get((i, j), {})
-                    block = [v for r in range(r0, r0 + dims[x])
-                             for v in got[r * width + c0:r * width + c0 + dims[z]]]
-                    if block != self._combination(x, z, entry.items()):
-                        raise PreconditionError(
-                            f"action not functorial at {(x, y, z, i, j)}")
-                    c0 += dims[z]
-                r0 += dims[x]
-
-    def _combination(self, x, z, coeffs) -> List:
-        """The row-major entries of sum c M(h_k) over the pairs (k, c) of
-        coeffs, for the basis elements h_k: x -> z."""
-        out = [self.cat.field.zero()] * (self.dims[x] * self.dims[z])
-        for k, c in coeffs:
-            if c:
-                out = [e + c * a for e, a in zip(out, self.action[(x, z, k)].data)]
-        p = self.cat.field.p
-        return [e % p for e in out] if p is not None else out
+        failure = _functor_failure(cat, dims, action)
+        if failure is not None:
+            kind, where = failure
+            if kind == "unit":
+                raise PreconditionError(f"unit does not act as identity at {where!r}")
+            raise PreconditionError(f"action not functorial at {where}")
 
     def __eq__(self, other):
         if self is other:
@@ -291,29 +254,33 @@ def sum_module(mods: Sequence[CModule], cat: FinCategory) -> CModule:
     return CModule(cat, dims, action, validate=False)
 
 
+def _block_injections(fld, total: int, sizes: Sequence[int]) -> List[Mat]:
+    """The block columns of the leading summands of k^total, of the given
+    dimensions in order: the identity on the summand's rows, zero
+    elsewhere.  Their transposes are the block projections."""
+    one, zero = fld.one(), fld.zero()
+    out, off = [], 0
+    for d in sizes:
+        data = [zero] * (total * d)
+        data[off * d:(off + d) * d:d + 1] = [one] * d
+        out.append(Mat(fld, total, d, data))
+        off += d
+    return out
+
+
 def direct_sum(mods: Sequence[CModule], cat: Optional[FinCategory] = None):
     """Returns (sum_module(mods), injections, projections) in the given order."""
     if not mods and cat is None:
         raise PreconditionError("empty direct sum needs an explicit category")
     cat = mods[0].cat if mods else cat
     total = sum_module(mods, cat)
-    fld = cat.field
-    one, zero = fld.one(), fld.zero()
-    injections, projections = [], []
-    pos = {x: 0 for x in cat.objects}
-    for m in mods:
-        inj, prj = {}, {}
-        for x in cat.objects:
-            n, d, off = total.dims[x], m.dims[x], pos[x]
-            pos[x] += d
-            inj_data, prj_data = [zero] * (n * d), [zero] * (d * n)
-            for c in range(d):
-                inj_data[(off + c) * d + c] = one
-                prj_data[c * n + off + c] = one
-            inj[x] = Mat(fld, n, d, inj_data)
-            prj[x] = Mat(fld, d, n, prj_data)
-        injections.append(ModuleMap(m, total, inj, validate=False))
-        projections.append(ModuleMap(total, m, prj, validate=False))
+    blocks = {x: _block_injections(cat.field, total.dims[x], [m.dims[x] for m in mods])
+              for x in cat.objects}
+    injections = [ModuleMap(m, total, {x: blocks[x][k] for x in cat.objects}, validate=False)
+                  for k, m in enumerate(mods)]
+    projections = [ModuleMap(total, m, {x: blocks[x][k].transpose() for x in cat.objects},
+                             validate=False)
+                   for k, m in enumerate(mods)]
     return total, injections, projections
 
 
@@ -355,24 +322,14 @@ def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
 
 
 def yoneda_projective(cat: FinCategory, x) -> CModule:
-    """The representable Hom(-, x), validated once per category and object
-    and memoised on the category.  f_a: y -> z acts by g -> g o f_a: column
-    b of its matrix is g_b o f_a, the entry (a, b) of comp[(y, z, x)]."""
+    """The representable Hom(-, x), memoised on the category and built
+    unvalidated: its matrices are fincat._representable_action's, whose unit
+    law and functoriality FinCategory._validate checked when cat was built
+    (they are the right unit law and associativity of cat)."""
     if x not in cat.objects:
         raise PreconditionError(f"{x!r} is not an object of the category")
     if x not in cat._representables:
-        fld = cat.field
-        dims = {y: cat.dim(y, x) for y in cat.objects}
-        action = {}
-        for y in cat.objects:
-            for z in cat.objects:
-                datas = [[fld.zero()] * (dims[y] * dims[z]) for _ in range(cat.dim(y, z))]
-                for (a, b), entry in cat.comp.get((y, z, x), {}).items():
-                    for t, v in entry.items():
-                        datas[a][t * dims[z] + b] = v
-                action.update(((y, z, a), Mat(fld, dims[y], dims[z], data))
-                              for a, data in enumerate(datas))
-        cat._representables[x] = CModule(cat, dims, action)
+        cat._representables[x] = CModule(cat, *_representable_action(cat, x), validate=False)
     return cat._representables[x]
 
 
@@ -630,33 +587,50 @@ def proj_sum(cat: FinCategory, vertices: Sequence) -> ProjSum:
     return ProjSum(cat, vertices, sum_module(mods, cat))
 
 
-def proj_sum_map(src: ProjSum, tgt: ProjSum, g: AddMor) -> ModuleMap:
-    """Hom(-, g): Hom(-, X) -> Hom(-, Y) for a block morphism g: X -> Y, the
-    matrix Hull.post_matrix(g, z) of h -> g o h at each object z.
+def _unit_vector(psum: ProjSum, k: int) -> Mat:
+    """The unit of summand k of Hom(-, X), a column of flat Hom(x_k, X)."""
+    cat = psum.cat
+    x = psum.vertices[k]
+    vec = [cat.field.zero()] * psum.module.dims[x]
+    off = sum(cat.dim(x, v) for v in psum.vertices[:k])
+    vec[off:off + cat.dim(x, x)] = cat.units[x]
+    return Mat.column(cat.field, vec)
 
-    The map is built unvalidated: postcomposition commutes with the
-    precomposition action of the sums, g o (h o f) = (g o h) o f, by the
-    associativity of the validated category.
-    """
+
+def _from_units(psum: ProjSum, n: CModule, values: Sequence[Mat]) -> ModuleMap:
+    """The map Hom(-, X) -> n whose value at the unit of summand k is the
+    column values[k] of n(x_k): by Yoneda it sends g: y -> x_k to
+    n(g) values[k].  It is built unvalidated, because it is natural by the
+    functoriality of n: n(g o f) v = n(f) n(g) v."""
+    cat = psum.cat
+    comps = {}
+    for y in cat.objects:
+        cols = [n.action[(y, x, i)] @ v for x, v in zip(psum.vertices, values)
+                for i in range(cat.dim(y, x))]
+        comps[y] = hstack(cols) if cols else Mat.zeros(cat.field, n.dims[y], 0)
+    return ModuleMap(psum.module, n, comps, validate=False)
+
+
+def proj_sum_map(src: ProjSum, tgt: ProjSum, g: AddMor) -> ModuleMap:
+    """Hom(-, g): Hom(-, X) -> Hom(-, Y) for a block morphism g: X -> Y,
+    h -> g o h, built from its unit values (`_from_units`): at the unit of
+    summand k it is g's block column k, a vector of flat Hom(x_k, Y)."""
     if g.src != src.obj or g.tgt != tgt.obj:
         raise PreconditionError("block morphism between other additive objects")
-    hull = Hull(src.cat)
-    comps = {z: hull.post_matrix(g, AddObject((z,))) for z in src.cat.objects}
-    return ModuleMap(src.module, tgt.module, comps, validate=False)
+    fld = src.cat.field
+    values = [Mat.column(fld, [c for row in g.blocks for c in row[k]])
+              for k in range(len(src.vertices))]
+    return _from_units(src, tgt.module, values)
 
 
 def proj_sum_matrix(src: ProjSum, tgt: ProjSum, phi: ModuleMap) -> AddMor:
     """The block morphism g: X -> Y with proj_sum_map(src, tgt, g) = phi, by
-    Yoneda: the blocks out of summand i are the image under phi of the unit
-    of that summand, a column of flat Hom(X_i, Y)."""
-    cat, hull = src.cat, Hull(src.cat)
+    Yoneda: the blocks out of summand k are the image under phi of the unit
+    of that summand (`_unit_vector`), a column of flat Hom(X_k, Y)."""
     vals = []
-    for i, a in enumerate(src.vertices):
-        vec = [cat.field.zero()] * src.module.dims[a]
-        off = hull.flat_dim(AddObject((a,)), AddObject(src.vertices[:i]))
-        vec[off:off + cat.dim(a, a)] = cat.units[a]
-        vals.extend((phi.comps[a] @ Mat.column(cat.field, vec)).data)
-    return hull.unflatten(src.obj, tgt.obj, Mat.column(cat.field, vals))
+    for k, a in enumerate(src.vertices):
+        vals.extend((phi.comps[a] @ _unit_vector(src, k)).data)
+    return Hull(src.cat).unflatten(src.obj, tgt.obj, Mat.column(src.cat.field, vals))
 
 
 @dataclass
@@ -680,29 +654,12 @@ def _top_lifts(m: CModule) -> Dict:
 
 def _cover_map(m: CModule) -> Tuple[ProjSum, ModuleMap]:
     """The sum of representables of a projective cover of m and its map onto
-    m, certified surjective, without the kernel.
-
-    The map sends g in Hom(y, x) to m(g) e for a lift e of a top basis
-    vector at x (`_top_lifts`); it is built unvalidated, because it is
-    natural by the functoriality of m (Yoneda): m(g o f) e = m(f) m(g) e.
-    """
-    cat = m.cat
-    fld = cat.field
+    m, certified surjective, without the kernel: the map whose unit values
+    (`_from_units`) are the lifts of a top basis (`_top_lifts`)."""
     top = _top_lifts(m)
-    vertices, lifts = [], []
-    for x in cat.objects:
-        for j in range(top[x].cols):
-            vertices.append(x)
-            lifts.append((x, Mat.column(fld, list(top[x].col(j)))))
-    psum = proj_sum(cat, vertices)
-    comps = {}
-    for y in cat.objects:
-        blocks = []
-        for (x, elem) in lifts:
-            cols = [m.action[(y, x, i)] @ elem for i in range(cat.dim(y, x))]
-            blocks.append(hstack(cols) if cols else Mat.zeros(fld, m.dims[y], 0))
-        comps[y] = hstack(blocks) if blocks else Mat.zeros(fld, m.dims[y], 0)
-    p = ModuleMap(psum.module, m, comps, validate=False)
+    psum = proj_sum(m.cat, [x for x in m.cat.objects for _ in range(top[x].cols)])
+    p = _from_units(psum, m, [Mat(m.cat.field, top[x].rows, 1, top[x].col(j))
+                              for x in m.cat.objects for j in range(top[x].cols)])
     if not p.is_surjective():
         raise AssertionError("cover map is not surjective")
     return psum, p
@@ -781,11 +738,7 @@ def hom_dim(a: CModule, b: CModule) -> int:
     the unit, and phi o P_g is then b(g) v).  So dim Hom(a, b) is
     sum_j dim b(x0_j) minus one rank, with no hom basis built.
     """
-    return _presented_hom_dim(minimal_presentation(a), b)
-
-
-def _presented_hom_dim(pres: Presentation, b: CModule) -> int:
-    """dim Hom(a, b) for the module a that pres presents (see hom_dim)."""
+    pres = minimal_presentation(a)
     g = pres.matrix
     x0, x1 = pres.p0.vertices, pres.p1.vertices
     width = sum(b.dims[x] for x in x0)
@@ -794,7 +747,8 @@ def _presented_hom_dim(pres: Presentation, b: CModule) -> int:
         return width
     data = []
     for i, u in enumerate(x1):
-        blocks = [b._combination(u, x, enumerate(g.blocks[j][i])) for j, x in enumerate(x0)]
+        blocks = [_combination(b.cat.field, b.dims, b.action, u, x, enumerate(g.blocks[j][i]))
+                  for j, x in enumerate(x0)]
         for r in range(b.dims[u]):
             for x, block in zip(x0, blocks):
                 data.extend(block[r * b.dims[x]:(r + 1) * b.dims[x]])
@@ -1080,10 +1034,15 @@ class Ext1:
         self.z = z
         self.x = x
         self.pres = minimal_presentation(z)
-        kernel = self.pres.kernel
+        kernel, p0 = self.pres.kernel, self.pres.p0
         self.cocycle_basis = hom_space(kernel.module, x)
-        lifted = hom_space(self.pres.p0.module, x)
         fld = z.cat.field
+        # a basis of Hom(P0, x): the maps whose unit values run over the
+        # basis vectors of the sum of the x(x_k)
+        zeros = [Mat.zeros(fld, x.dims[v], 1) for v in p0.vertices]
+        lifted = [_from_units(p0, x, zeros[:k] + [Mat(fld, x.dims[v], 1, e)] + zeros[k + 1:])
+                  for k, v in enumerate(p0.vertices)
+                  for e in Mat.identity(fld, x.dims[v]).to_lists()]
         restricted = [flatten_map(kernel.include.then(psi)) for psi in lifted]
         flat = [flatten_map(b) for b in self.cocycle_basis]
         # the empty first block keeps the row count when both lists are empty
@@ -1169,17 +1128,26 @@ class AlmostSplit:
 
 
 def _end_action_on_kernel(pres: Presentation, theta: ModuleMap) -> ModuleMap:
-    """Restricts a lift of theta in End(z) to the presentation kernel."""
-    p = pres.cover
-    hom_pp = hom_space(pres.p0.module, pres.p0.module)
-    cols = hstack([flatten_map(b.then(p)) for b in hom_pp])
-    sol = solve(cols, flatten_map(p.then(theta)))
-    if sol is None:
-        raise AssertionError("projective lift does not exist")
-    theta0 = map_from_coords(hom_pp, tuple(sol.col(0)))
+    """Restricts a lift of theta in End(z) to the presentation kernel.
+
+    The lift theta0: P0 -> P0 is built from its unit values (`_from_units`):
+    at the unit of summand k it is a preimage u_k under the cover p of
+    theta(p(unit_k)), so p o theta0 and theta o p agree at every unit, hence
+    everywhere (Yoneda).  Another lift differs from theta0 by a map into the
+    kernel, which changes the restriction by a coboundary, so no class in
+    Ext^1 depends on the choice.
+    """
+    p, p0 = pres.cover, pres.p0
+    lifts = []
+    for k, x in enumerate(p0.vertices):
+        u = solve(p.comps[x], theta.comps[x] @ (p.comps[x] @ _unit_vector(p0, k)))
+        if u is None:
+            raise AssertionError("projective lift does not exist")
+        lifts.append(u)
+    theta0 = _from_units(p0, p0.module, lifts)
     kappa = pres.kernel.include
     comps = {}
-    for x in pres.p0.cat.objects:
+    for x in p0.cat.objects:
         restricted = solve(kappa.comps[x], theta0.comps[x] @ kappa.comps[x])
         if restricted is None:
             raise AssertionError("lift does not preserve the kernel")
@@ -1246,8 +1214,7 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     dim Hom(m, X).  Dually Hom(-, m) is left exact, and the maps X -> m
     that do not extend through Y span dim Hom(X, m) - dim Hom(Y, m) +
     dim Hom(Z, m).  Each dimension is one rank on a memoised presentation
-    (`_presented_hom_dim`, by Yoneda), so no hom basis or composite is
-    built.  The first defect is read off the presentation of m.  The
+    (`hom_dim`, by Yoneda), so no hom basis or composite is built.  The first defect is read off the presentation of m.  The
     second is read off the presentation of D m: D is an exact duality
     (ARS ch. II), so Hom(X, m) = Hom(D m, D X) for every X, and the defect
     is dim Hom(D m, D X) - dim Hom(D m, D Y) + dim Hom(D m, D Z).  D X,
@@ -1280,9 +1247,7 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     for m in test_modules:
         if m.is_zero():
             raise VerificationError("zero module in the test family")
-        pm = minimal_presentation(m)
-        coker = (_presented_hom_dim(pm, z) - _presented_hom_dim(pm, y)
-                 + _presented_hom_dim(pm, x))
+        coker = hom_dim(m, z) - hom_dim(m, y) + hom_dim(m, x)
         if coker and is_isomorphic(m, z) is not None:
             if coker != top["right"]:
                 raise VerificationError(
@@ -1291,9 +1256,8 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
         elif coker:
             raise VerificationError(
                 f"a map {m!r} -> right term does not factor through the middle")
-        pdm = minimal_presentation(duality_D(m))
-        coker = (_presented_hom_dim(pdm, dx) - _presented_hom_dim(pdm, dy)
-                 + _presented_hom_dim(pdm, dz))
+        dm = duality_D(m)
+        coker = hom_dim(dm, dx) - hom_dim(dm, dy) + hom_dim(dm, dz)
         if coker and is_isomorphic(m, x) is not None:
             if coker != top["left"]:
                 raise VerificationError(

@@ -140,12 +140,28 @@ def _surviving_paths(quiver: Quiver, ideal: MonomialIdeal, cap: int) -> Tuple:
     touch = {v: 0 for v in quiver.vertices}
     table = {(v, w): [] for v in quiver.vertices for w in quiver.vertices}
 
-    def walk(source: str, vertex: str, arrows: Tuple[str, ...], seen_states: set) -> bool:
-        # returns False when a repeated suffix state proves non-admissibility
-        if len(arrows) >= cap:
-            raise CapExceededError(
-                f"surviving path of length {cap} reached; raise the cap to decide")
-        for a in quiver.out_arrows(vertex):
+    def walk(source: str) -> bool:
+        """Depth first from source over the surviving paths, on a stack of
+        (word, its remaining out arrows, its suffix state) frames, so that no
+        path length reaches the recursion limit.  Returns False when a
+        repeated suffix state proves non-admissibility."""
+        seen_states, stack = set(), []
+
+        def enter(vertex: str, word: Tuple[str, ...], state):
+            if len(word) >= cap:
+                raise CapExceededError(
+                    f"surviving path of length {cap} reached; raise the cap to decide")
+            seen_states.add(state)
+            stack.append((word, iter(quiver.out_arrows(vertex)), state))
+
+        enter(source, (), (source, ()))
+        while stack:
+            arrows, pending, top_state = stack[-1]
+            a = next(pending, None)
+            if a is None:
+                stack.pop()
+                seen_states.discard(top_state)
+                continue
             word = arrows + (a.name,)
             if ideal.kills_suffix(word):
                 continue
@@ -158,16 +174,12 @@ def _surviving_paths(quiver: Quiver, ideal: MonomialIdeal, cap: int) -> Tuple:
                 touch[a.target] = length
             if length > touch[source]:
                 touch[source] = length
-            seen_states.add(state)
-            ok = walk(source, a.target, word, seen_states)
-            seen_states.discard(state)
-            if not ok:
-                return False
+            enter(a.target, word, state)
         return True
 
     for v in quiver.vertices:
         table[(v, v)].append(quiver.trivial_path(v))
-        if not walk(v, v, (), {(v, ())}):
+        if not walk(v):
             return None, table
     for paths in table.values():
         paths.sort(key=lambda p: (p.length, p.arrows))

@@ -16,7 +16,8 @@ copy q to copy q.a, or to zero when q.a is killed, one block matrix per
 coefficient object.  Direct sums of representations, their block-column
 injections, copairs out of them, and the transposition sharp across the
 evaluation adjunction are assembled the same way, blockwise with
-modcat.sum_map and modcat.copair, and built unvalidated.
+modcat.sum_map, modcat._block_injections and modcat.copair, and built
+unvalidated.
 check_adjunction certifies the adjunction by computing both hom spaces
 independently and verifying the two transposition maps are mutually inverse
 on bases; lemma2_cover assembles the canonical projective cover of a
@@ -28,9 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory, category_of, opposite_category, tensor_product
-from .linalg import Mat, equation_matrix, kron, split_blocks
-from .modcat import (CModule, ModuleMap, _cover_map, copair, hom_space, identity_map,
-                     naturality_equations, sum_map, sum_module, zero_map, zero_module)
+from .linalg import Mat, equation_matrix, split_blocks
+from .modcat import (CModule, ModuleMap, _block_injections, _cover_map, copair, hom_space,
+                     identity_map, naturality_equations, sum_map, sum_module, zero_map,
+                     zero_module)
 from .quiver import BoundQuiver, Path
 
 
@@ -165,25 +167,17 @@ def rep_direct_sum(reps: List[QRep], bq: BoundQuiver, coeff: FinCategory) -> QRe
 def rep_injections(total: QRep, reps: Sequence[QRep]) -> List[QRepMap]:
     """The injections of the leading summands reps of total =
     rep_direct_sum(reps + rest), built unvalidated: each component is a
-    block column, the identity on the summand's rows and zero elsewhere,
-    which commutes with the block-diagonal actions and arrow maps."""
-    fld = total.coeff.field
-    one, zero = fld.one(), fld.zero()
-    vertices = total.bq.quiver.vertices
-    pos = {(v, c): 0 for v in vertices for c in total.coeff.objects}
+    block column (modcat._block_injections), which commutes with the
+    block-diagonal actions and arrow maps."""
+    coeff, vertices = total.coeff, total.bq.quiver.vertices
+    blocks = {(v, c): _block_injections(coeff.field, total.vertex_modules[v].dims[c],
+                                        [r.vertex_modules[v].dims[c] for r in reps])
+              for v in vertices for c in coeff.objects}
     out = []
-    for r in reps:
-        comps = {}
-        for v in vertices:
-            src, tgt = r.vertex_modules[v], total.vertex_modules[v]
-            blocks = {}
-            for c in total.coeff.objects:
-                n, d, off = tgt.dims[c], src.dims[c], pos[(v, c)]
-                pos[(v, c)] += d
-                data = [zero] * (n * d)
-                data[off * d:(off + d) * d:d + 1] = [one] * d
-                blocks[c] = Mat(fld, n, d, data)
-            comps[v] = ModuleMap(src, tgt, blocks, validate=False)
+    for k, r in enumerate(reps):
+        comps = {v: ModuleMap(r.vertex_modules[v], total.vertex_modules[v],
+                              {c: blocks[(v, c)][k] for c in coeff.objects}, validate=False)
+                 for v in vertices}
         out.append(QRepMap(r, total, comps, validate=False))
     return out
 
@@ -389,12 +383,10 @@ def adjunction_unit(bq: BoundQuiver, v, p: CModule,
     which comes first in bq.paths(v, v)."""
     if ind is None:
         ind = f_star_v(bq, v, p)
-    fld = p.cat.field
     count = len(bq.paths(v, v))
-    unit = Mat(fld, count, 1, [fld.one()] + [fld.zero()] * (count - 1))
     return ModuleMap(p, ind.vertex_modules[v],
-                     {c: kron(unit, Mat.identity(fld, p.dims[c])) for c in p.cat.objects},
-                     validate=True)
+                     {c: _block_injections(p.cat.field, count * p.dims[c], [p.dims[c]])[0]
+                      for c in p.cat.objects}, validate=True)
 
 
 def sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap,

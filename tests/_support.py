@@ -1,16 +1,17 @@
 """Shared builders for the test suite: small bound quivers and random data."""
 
+import itertools
 from typing import List
 
-from arcat.errors import VerificationError
+from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import FinCategory, point_category
-from arcat.linalg import Field, Mat, hstack, vstack
+from arcat.linalg import Field, Mat, hstack, kron, solve, vstack
 from arcat.algebra import TableAlgebra, end_table, find_nontrivial_idempotent, radical_basis
-from arcat.modcat import (AlmostSplit, CModule, Image, ModuleMap, check_short_exact,
+from arcat.modcat import (AlmostSplit, CModule, Ext1, Image, ModuleMap, check_short_exact,
                           conjugate_module, copair, direct_sum, end_algebra, flatten_map,
                           hom_space, identity_map, image_module, is_isomorphic,
-                          map_from_coords, projective_cover, splitting_section,
-                          sum_map, zero_map, zero_module)
+                          map_from_coords, minimal_presentation, projective_cover,
+                          splitting_section, sum_map, zero_map, zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
 from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair, rep_injections
@@ -532,3 +533,115 @@ def special_case_lift(l, coil):
                 cur = cur.add(walk.then(s[top]).then(inj))
         comps[i] = cur
     return QRepMap(src, coil.source, comps)
+
+
+# ---------------------------------------------------------------------------
+# the routes that the representables, unit values and block injections
+# replaced, kept as oracles
+
+
+def reference_category_check(fld: Field, objects, hom, comp, units, radical):
+    """The category laws one scalar composite at a time: the unit laws on
+    every basis element, associativity on every basis triple and the
+    radical ideal property on every basis pair.  Raises PreconditionError
+    where FinCategory's validation must refuse: the oracle for its checks
+    on the matrices of the representables."""
+    zero, one = fld.zero(), fld.one()
+
+    def basis(x, y, i):
+        return tuple(one if k == i else zero for k in range(len(hom[(x, y)])))
+
+    def compose(x, y, z, f, g):
+        out = [zero] * len(hom[(x, z)])
+        for (i, j), entry in comp.get((x, y, z), {}).items():
+            for k, v in entry.items():
+                out[k] = fld.add(out[k], fld.mul(fld.mul(f[i], g[j]), v))
+        return tuple(out)
+
+    def radical_coords(x, y, coords):
+        return all(c == zero for i, c in enumerate(coords) if i not in radical[(x, y)])
+
+    for x in objects:
+        for y in objects:
+            if (x, y) not in hom:
+                raise PreconditionError(f"missing hom table for {(x, y)}")
+    for x in objects:
+        if len(units[x]) != len(hom[(x, x)]) or radical_coords(x, x, units[x]):
+            raise PreconditionError(f"bad unit of {x}")
+        for y in objects:
+            for i in range(len(hom[(x, y)])):
+                f = basis(x, y, i)
+                if compose(x, x, y, units[x], f) != f or compose(x, y, y, f, units[y]) != f:
+                    raise PreconditionError(f"unit law fails at {(x, y)}")
+    for w, x, y, z in itertools.product(objects, repeat=4):
+        for i, j, k in itertools.product(range(len(hom[(w, x)])), range(len(hom[(x, y)])),
+                                         range(len(hom[(y, z)]))):
+            f, g, h = basis(w, x, i), basis(x, y, j), basis(y, z, k)
+            if (compose(w, y, z, compose(w, x, y, f, g), h)
+                    != compose(w, x, z, f, compose(x, y, z, g, h))):
+                raise PreconditionError(f"associativity fails at {(w, x, y, z)}")
+    for x, y, z in itertools.product(objects, repeat=3):
+        for i, j in itertools.product(range(len(hom[(x, y)])), range(len(hom[(y, z)]))):
+            if ((i in radical[(x, y)] or j in radical[(y, z)])
+                    and not radical_coords(x, z, compose(x, y, z, basis(x, y, i),
+                                                         basis(y, z, j)))):
+                raise PreconditionError(f"radical not an ideal at {(x, y, z)}")
+
+
+class ReferenceExt1(Ext1):
+    """Ext1 with Hom(P0, x) taken from the naturality solve, hom_space: the
+    oracle for the unit-value basis of modcat.Ext1."""
+
+    def __init__(self, z: CModule, x: CModule):
+        self.z, self.x = z, x
+        self.pres = minimal_presentation(z)
+        kernel = self.pres.kernel
+        self.cocycle_basis = hom_space(kernel.module, x)
+        lifted = hom_space(self.pres.p0.module, x)
+        restricted = [flatten_map(kernel.include.then(psi)) for psi in lifted]
+        flat = [flatten_map(b) for b in self.cocycle_basis]
+        n = sum(kernel.module.dims[o] * x.dims[o] for o in z.cat.objects)
+        combined = hstack([Mat.zeros(z.cat.field, n, 0)] + restricted + flat)
+        span, pivots = combined.column_space_basis()
+        self._span = span
+        self._class_slots = [t for t, p in enumerate(pivots) if p >= len(restricted)]
+        self.representatives = [self.cocycle_basis[pivots[t] - len(restricted)]
+                                for t in self._class_slots]
+        self.dim = len(self.representatives)
+
+
+def reference_end_action_on_kernel(pres, theta: ModuleMap) -> ModuleMap:
+    """The lift of theta through the cover solved over the basis of
+    hom_space(P0, P0), then restricted to the presentation kernel: the
+    oracle for modcat._end_action_on_kernel's lift from unit values."""
+    p = pres.cover
+    hom_pp = hom_space(pres.p0.module, pres.p0.module)
+    sol = solve(hstack([flatten_map(b.then(p)) for b in hom_pp]), flatten_map(p.then(theta)))
+    theta0 = map_from_coords(hom_pp, tuple(sol.col(0)))
+    kappa = pres.kernel.include
+    return ModuleMap(pres.kernel.module, pres.kernel.module,
+                     {x: solve(kappa.comps[x], theta0.comps[x] @ kappa.comps[x])
+                      for x in pres.p0.cat.objects})
+
+
+def reference_sum_injections(fld: Field, total: int, sizes):
+    """(injections, projections) of the leading blocks of the given sizes in
+    k^total, one entry at a time, as direct_sum built them: the oracle for
+    modcat._block_injections and its transposes."""
+    one, zero = fld.one(), fld.zero()
+    injections, projections, off = [], [], 0
+    for d in sizes:
+        inj, prj = [zero] * (total * d), [zero] * (d * total)
+        for c in range(d):
+            inj[(off + c) * d + c] = one
+            prj[c * total + off + c] = one
+        injections.append(Mat(fld, total, d, inj))
+        projections.append(Mat(fld, d, total, prj))
+        off += d
+    return injections, projections
+
+
+def reference_unit_block(fld: Field, count: int, d: int) -> Mat:
+    """kron(e_1, 1_d): the first of count blocks of size d."""
+    unit = Mat(fld, count, 1, [fld.one()] + [fld.zero()] * (count - 1))
+    return kron(unit, Mat.identity(fld, d))

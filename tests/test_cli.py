@@ -326,6 +326,30 @@ def test_unbound_loop_exits_2(tmp_path, capsys):
     assert "not admissible" in err
 
 
+def test_long_surviving_path_is_walked_without_recursion(tmp_path, capsys):
+    """A loop modulo l^1100 has 1100 surviving paths, the longest of 1099
+    arrows: deeper than Python's recursion limit."""
+    text = ("[quiver]\nvertices = 1\narrow l: 1 -> 1\n[ideal]\nrelation = "
+            + " ".join(["l"] * 1100) + "\n[command]\nname = info\n")
+    code, out, err = run(tmp_path, text, "--cap", "2000", capsys=capsys)
+    assert code == 0, err
+    assert "surviving paths: 1100" in out
+    text = "[quiver]\nvertices = 1\narrow l: 1 -> 1\n[command]\nname = info\n"
+    code, _, err = run(tmp_path, text, "--cap", "2000", capsys=capsys)
+    assert code == 2 and "ideal is not admissible" in err
+
+
+def test_long_complex_shapes_walk_to_their_window(tmp_path, capsys):
+    """A shape's longest surviving path has window_len - 1 arrows, which
+    the path walk's cap of window_len admits at any --cap."""
+    for shape, paths in (("interval 40 n=40", 820), ("window -3 60 n=50", 1975)):
+        text = f"[quiver]\ncomplex = {shape}\n[command]\nname = info\n"
+        for flags in ((), ("--cap", "2")):
+            code, out, err = run(tmp_path, text, *flags, capsys=capsys)
+            assert code == 0, err
+            assert f"surviving paths: {paths}" in out
+
+
 def test_usage_error_and_missing_file_exit_1(tmp_path, capsys):
     assert cli.main(["--nope"]) == 1
     capsys.readouterr()

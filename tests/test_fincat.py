@@ -14,7 +14,7 @@ from arcat.modcat import CModule
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
-                      one_loop_rad2)
+                      one_loop_rad2, reference_category_check)
 
 
 def dims(c):
@@ -122,6 +122,38 @@ def test_unit_off_the_basis_skips_no_functoriality_pair():
     with pytest.raises(PreconditionError,
                        match=r"not functorial at \('v', 'v', 'v', 0, 0\)"):
         CModule(c, {"v": 2}, bad)
+
+
+def check_outcome(build):
+    try:
+        build()
+    except PreconditionError:
+        return "refuse"
+    return "accept"
+
+
+def test_category_check_agrees_with_the_scalar_oracle_on_every_perturbation():
+    """Every coefficient g_j o f_i -> h_k of the composition table, present or
+    not, bumped by one: the checks on the representables accept exactly the
+    tables that the scalar unit, associativity and radical loops accept."""
+    outcomes = set()
+    for c in (category_of(BoundQuiver(linear_quiver(4)), F101),
+              category_of(one_loop_rad2(), F101), dual_numbers_off_basis(F101)):
+        fld = c.field
+        for (x, y, z) in [(x, y, z) for x in c.objects for y in c.objects for z in c.objects]:
+            table = c.comp.get((x, y, z), {})
+            for i in range(c.dim(x, y)):
+                for j in range(c.dim(y, z)):
+                    entry = table.get((i, j), {})
+                    for k in range(c.dim(x, z)):
+                        bumped = {**entry, k: fld.add(entry.get(k, fld.zero()), fld.one())}
+                        comp = {**c.comp, (x, y, z): {**table, (i, j): bumped}}
+                        args = (fld, c.objects, c.hom, comp, c.units, c.radical)
+                        got = check_outcome(lambda: FinCategory(*args))
+                        assert got == check_outcome(lambda: reference_category_check(*args)), \
+                            ((x, y, z), (i, j), k)
+                        outcomes.add(got)
+    assert outcomes == {"accept", "refuse"}
 
 
 def test_tensor_dimensions_multiply():

@@ -14,6 +14,7 @@ from arcat import modcat
 from arcat.errors import CapExceededError, PreconditionError, VerificationError
 from arcat.fincat import (AddMor, AddObject, Hull, category_of, opposite_category,
                           point_category)
+from arcat.algebra import radical_basis
 from arcat.linalg import Field, Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
@@ -31,9 +32,11 @@ from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 from arcat.repcat import tensor_base
 
-from _support import (F101, QQ, a2_quiver, a3_rad2, a_m_rad_n, composite_rank_verify,
-                      cyclic_rad2, module_print, one_loop_rad2, rand_hom, rand_invertible,
-                      rand_module, reference_act, reference_end_algebra, typed_entries)
+from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_rad2, a_m_rad_n,
+                      composite_rank_verify, cyclic_rad2, module_print, one_loop_rad2,
+                      rand_hom, rand_invertible, rand_module, reference_act,
+                      reference_end_action_on_kernel, reference_end_algebra,
+                      reference_sum_injections, typed_entries)
 
 
 def rep_a2(field=F101):
@@ -1044,7 +1047,7 @@ def test_rref_inputs_over_q_are_fractions(monkeypatch):
     """Over Q every entry is a Fraction, also where a sum has no nonzero
     term: checked on every rref while verifying the almost split sequences
     of A3 rad^2 x A2 against its knitted family, which reads Hom dimensions
-    off presentations (CModule._combination builds their matrices)."""
+    off presentations (fincat._combination builds their matrices)."""
     cat = ORACLE_CATEGORIES["A3rad2xA2"](QQ)
     ar = ar_quiver(cat)
     sequences = [almost_split_sequence(z)
@@ -1184,3 +1187,80 @@ def test_projective_summands_match_the_double_transpose(fld):
             if gap:
                 with pytest.raises(PreconditionError, match="projective summand"):
                     transpose(m)
+
+
+def sequence_print(ass):
+    seq = ass.sequence
+    return (module_print(seq.left), module_print(seq.middle), module_print(seq.right),
+            tuple((x, typed_entries(m)) for x, m in seq.include.comps.items()),
+            tuple((x, typed_entries(m)) for x, m in seq.project.comps.items()),
+            module_print(ass.tau_module), ass.ext_dim,
+            tuple((type(c), c) for c in ass.socle_class))
+
+
+def class_print(ext, maps):
+    return typed_entries(ext.classes(maps)) if maps else ()
+
+
+def test_ext_and_lift_from_unit_values_match_the_naturality_solves(monkeypatch):
+    """On loop mod x^2 (x) A2, over F_101 and Q, against the routes through
+    hom_space(P0, x) and hom_space(P0, P0): the almost split sequence, its
+    translate and its socle class at every non-projective z, bit for bit;
+    the class of every cocycle in Ext^1(z, x) for every knitted x; and the
+    classes of the End(z) action on Ext^1(z, tau z) by every radical basis
+    element, which depend on the lift only up to coboundaries."""
+    calls = []
+    real = modcat._end_action_on_kernel
+    for fld in (F101, QQ):
+        cat = tensor_base(one_loop_rad2(), category_of(a2_quiver(), fld))
+        with monkeypatch.context() as patch:
+            patch.setattr(modcat, "_end_action_on_kernel",
+                          lambda *args: calls.append(fld) or real(*args))
+            ar = ar_quiver(cat)
+        targets = [z for z, proj in zip(ar.modules, ar.projective) if not proj]
+        new = [sequence_print(almost_split_sequence(z)) for z in targets]
+        with monkeypatch.context() as patch:
+            patch.setattr(modcat, "Ext1", ReferenceExt1)
+            patch.setattr(modcat, "_end_action_on_kernel", reference_end_action_on_kernel)
+            old = [sequence_print(almost_split_sequence(z)) for z in targets]
+        assert new == old
+        actions = 0
+        for z in targets:
+            for x in ar.modules:
+                ext, ref = Ext1(z, x), ReferenceExt1(z, x)
+                assert ext.dim == ref.dim
+                assert (class_print(ext, ext.cocycle_basis)
+                        == class_print(ref, ref.cocycle_basis))
+            ext = Ext1(z, duality_D(modcat._transpose_raw(z)))
+            alg, basis = end_algebra(z)
+            rad = radical_basis(alg)
+            for j in range(rad.cols):
+                r = modcat.map_from_coords(basis, tuple(rad.col(j)))
+                got, want = (class_print(ext, [lift(ext.pres, r).then(rep)
+                                               for rep in ext.representatives])
+                             for lift in (modcat._end_action_on_kernel,
+                                          reference_end_action_on_kernel))
+                assert got == want
+                actions += any(v for _, v in got[2])
+        # some radical endomorphism acts on Ext^1 by a nonzero class matrix
+        assert actions
+    # knitting reaches the rad End(z) != 0 branch
+    assert calls.count(F101) > 0
+
+
+def test_block_injections_match_the_hand_built_ones():
+    """direct_sum's injections and projections over F_2, F_101 and Q, with
+    zero-dimensional summands, entry types included."""
+    for fld in (Field.prime(2), F101, QQ):
+        for total, sizes in ((0, ()), (0, (0, 0)), (3, (0,)), (5, (2, 0, 3)), (4, (1, 0, 1))):
+            inj, _ = reference_sum_injections(fld, total, sizes)
+            assert ([typed_entries(m) for m in modcat._block_injections(fld, total, sizes)]
+                    == [typed_entries(m) for m in inj])
+        rc = representation_category(a2_quiver(), fld)
+        mods = [yoneda_projective(rc, "1"), zero_module(rc), simple_module(rc, "2"),
+                yoneda_projective(rc, "2"), simple_module(rc, "1")]
+        total, injs, projs = direct_sum(mods)
+        for x in rc.objects:
+            inj, prj = reference_sum_injections(fld, total.dims[x], [m.dims[x] for m in mods])
+            assert [typed_entries(f.comps[x]) for f in injs] == [typed_entries(m) for m in inj]
+            assert [typed_entries(f.comps[x]) for f in projs] == [typed_entries(m) for m in prj]

@@ -7,17 +7,20 @@ import pytest
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, module_print,
                       one_loop_rad2, path_route_sharp, point_pool, rand_module,
-                      rand_qrep)
+                      rand_qrep, reference_sum_injections, reference_unit_block,
+                      typed_entries)
 from arcat import modcat, repcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
-from arcat.linalg import Mat
+from arcat.linalg import Field, Mat
 from arcat.modcat import (CModule, ModuleMap, ar_quiver, direct_sum, hom_space,
-                          is_isomorphic, yoneda_projective, zero_map)
+                          is_isomorphic, simple_module, yoneda_projective, zero_map,
+                          zero_module)
 from arcat.quiver import Arrow, BoundQuiver, Path, Quiver
 from arcat.repcat import (QRep, QRepMap, adjunction_unit, check_adjunction,
                           f_star_v, lemma2_cover, phi, phi_map, psi, psi_map,
-                          qrep_hom, rep_direct_sum, sharp, tensor_base, zero_rep)
+                          qrep_hom, rep_direct_sum, rep_injections, sharp, tensor_base,
+                          zero_rep)
 
 
 def one_dim(field):
@@ -441,3 +444,32 @@ def test_unit_and_sharp_recover_cover_map():
     rep_map = sharp(bq2, "1", r, psi_map)
     unit = adjunction_unit(bq2, "1", k1)
     assert unit.then(rep_map.comps["1"]) == psi_map
+
+
+def test_rep_injections_and_unit_match_the_hand_built_blocks():
+    """rep_injections against block columns built one entry at a time, and
+    adjunction_unit against kron(e_1, 1), over F_2, F_101 and Q, with
+    zero-dimensional summands, entry types included."""
+    for fld in (Field.prime(2), F101, QQ):
+        coeff = category_of(a2_quiver(), fld)
+        mods = [yoneda_projective(coeff, "1"), zero_module(coeff), simple_module(coeff, "2")]
+        for bq in (a3_rad2(), one_loop_rad2()):
+            vertices = bq.quiver.vertices
+            reps = [f_star_v(bq, v, m) for m in mods for v in vertices[:2]]
+            total = rep_direct_sum(reps, bq, coeff)
+            for k in (0, 2, len(reps)):
+                built = rep_injections(total, reps[:k])
+                for v in vertices:
+                    for c in coeff.objects:
+                        inj, _ = reference_sum_injections(
+                            fld, total.vertex_modules[v].dims[c],
+                            [r.vertex_modules[v].dims[c] for r in reps[:k]])
+                        assert ([typed_entries(f.comps[v].comps[c]) for f in built]
+                                == [typed_entries(m) for m in inj])
+            for v in vertices:
+                count = len(bq.paths(v, v))
+                for m in mods:
+                    unit = adjunction_unit(bq, v, m)
+                    for c in coeff.objects:
+                        assert (typed_entries(unit.comps[c])
+                                == typed_entries(reference_unit_block(fld, count, m.dims[c])))

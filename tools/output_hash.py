@@ -69,6 +69,13 @@ Prints one SHA-256 per set:
   and non-split, but not almost split).  An outcome is the returned count,
   or the message of the `VerificationError`, since the messages name the
   failing statement.
+- `sequences`: over F_101 and Q, on the four `verify` categories and on
+  one loop mod rad^2 with A2 coefficients, the almost split sequence
+  ending at every non-projective knitted z: the actions of its three
+  terms and of the translate, its `include` and `project` components, its
+  `ext_dim` and its `socle_class`, every entry hashed with its type.  On
+  the loop category some z have radical endomorphisms, so their socle
+  classes come from the End(z) action on Ext^1.
 
 - `idempotents`: `primitive_idempotents` of the End algebras of scrambled
   direct sums of knitted modules of A3 mod rad^2 and the 2-cycle mod rad^2,
@@ -394,9 +401,8 @@ def presentations_hash():
     return h.hexdigest()
 
 
-def verify_categories():
-    """(label, category) for `verify`."""
-    fp = Field.prime(101)
+def verify_categories(fp=Field.prime(101)):
+    """(label, category) for `verify`, and over other fields for `sequences`."""
     return (("A4-rad2", representation_category(inputs.a_m_rad_n(4, 2), fp)),
             ("A5-rad3", representation_category(inputs.a_m_rad_n(5, 3), fp)),
             ("C3-rad2", representation_category(inputs.cyclic_rad2(3), fp)),
@@ -434,6 +440,20 @@ def verify_hash():
                     break
             for kind, seq in controls:
                 h.update(repr((label, n, kind, verify_outcome(seq, ar.modules))).encode())
+    return h.hexdigest()
+
+
+def sequences_hash():
+    h = hashlib.sha256()
+    for fld in (Field.prime(101), Field.rationals()):
+        cats = verify_categories(fld) + (
+            ("loop-rad2xA2", tensor_base(loop_rad2(), category_of(inputs.a_m_rad_n(2), fld))),)
+        for label, cat in cats:
+            ar = ar_quiver(cat)
+            for n, (z, proj) in enumerate(zip(ar.modules, ar.projective)):
+                if not proj:
+                    h.update(repr((repr(fld), label, n,
+                                   canon(almost_split_sequence(z)))).encode())
     return h.hexdigest()
 
 
@@ -538,6 +558,7 @@ def main(argv=None):
     print(f"coils {coils_hash()}")
     print(f"shapes {shapes_hash()}")
     print(f"verify {verify_hash()}")
+    print(f"sequences {sequences_hash()}")
     print(f"idempotents {idempotents_hash()}")
     print(f"repcat seed {args.seed} {repcat_hash(args.seed)}")
     print(f"linalg {linalg_hash()}")
