@@ -214,10 +214,16 @@ def _combination(fld: Field, dims: Dict, action: Dict, x, z, coeffs) -> List:
     coeffs, for the basis elements h_k: x -> z and their matrices
     M(h_k) = action[(x, z, k)]: k^dims[z] -> k^dims[x]."""
     out = [fld.zero()] * (dims[x] * dims[z])
+    if fld.p is not None:
+        for k, c in coeffs:
+            if c:
+                out = [e + c * a for e, a in zip(out, action[(x, z, k)].data)]
+        return [e % fld.p for e in out]
+    # a Fraction product costs far more than a zero test
     for k, c in coeffs:
         if c:
-            out = [e + c * a for e, a in zip(out, action[(x, z, k)].data)]
-    return [e % fld.p for e in out] if fld.p is not None else out
+            out = [e + c * a if a else e for e, a in zip(out, action[(x, z, k)].data)]
+    return out
 
 
 def _functor_failure(cat: FinCategory, dims: Dict, action: Dict) -> Optional[Tuple]:

@@ -4,10 +4,20 @@ Everything in the package funnels its linear algebra through this module so
 that determinism is decided in one place: reduced row echelon form with the
 pivot list, solving with free variables pinned to zero, and kernel bases read
 off the echelon form in free-column order.  No floating point anywhere.
+
+Over F_p entries are ints in [0, p) and the kernels do their arithmetic
+inline.  Over Q the echelon form and the product never combine Fractions:
+they turn the entries into integer numerators over one common denominator,
+eliminate or multiply on the integers, and build one Fraction per nonzero
+output entry at the end (fraction-free elimination: Bareiss, Math. Comp. 22,
+1968; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Every
+zero they output is the field's shared zero and every pivot the shared one:
+a fresh Fraction for each zero would cost more than the elimination saves.
 """
 
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -102,7 +112,8 @@ class Field:
             return pow(a, self.p - 2, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        # a/b in lowest terms has the inverse b/a, in lowest terms too
+        return Fraction(a.denominator, a.numerator)
 
     def random(self, rng) -> object:
         if self.p is not None:
@@ -127,8 +138,12 @@ class Mat:
 
     Over F_p every entry is an int in [0, p), as Field's arithmetic returns
     it; callers that build data by hand reduce it first (Field.of does).
-    rref relies on this: it rewrites only the entries a row operation
-    changes, and passes the others through as they are.
+    The F_p rref relies on this: it rewrites only the entries a row
+    operation changes, and passes the others through as they are.  Over Q
+    every entry is a Fraction; rref and products read them as integer
+    numerators and write every output entry anew, each zero as the shared
+    Field.zero() and each pivot as the shared Field.one() (module
+    docstring).
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -237,6 +252,9 @@ class Mat:
           matrices are mostly zero, and the zero entries cost nothing;
         - any other left factor takes one C-level dot product per entry,
           sum(map(mul, row, col)) % p, over columns of other sliced once.
+
+        Over Q the same integer products run on the numerators of both
+        factors over their common denominators (`_q_product`).
         """
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -247,19 +265,7 @@ class Mat:
         if f.p is not None:
             out = _fp_product(self.data, other.data, n, k, m, f.p)
         else:
-            # a Fraction product costs far more than a zero test, so zero
-            # entries on either side are skipped; the sums are exact either way
-            z = f.zero()
-            out = [z] * (n * m)
-            cols = [other.data[j::m] for j in range(m)]
-            for i in range(n):
-                nz = [(t, a) for t, a in enumerate(self.data[i * k:(i + 1) * k]) if a]
-                for j, col in enumerate(cols):
-                    s = z
-                    for t, a in nz:
-                        if col[t]:
-                            s += a * col[t]
-                    out[i * m + j] = s
+            out = _q_product(self.data, other.data, n, k, m, f.zero())
         return Mat(f, n, m, out)
 
     def transpose(self) -> "Mat":
@@ -278,17 +284,21 @@ class Mat:
         columns.  Deterministic: pivots are chosen top-down by first nonzero
         entry in column order.
 
-        Row operations are sparse, with the arithmetic inlined: the pivot
-        row is scaled at its nonzero entries from the pivot column on (the
-        earlier ones are already zero), and another row is updated only
-        where the pivot row is nonzero.  Every other entry passes through
-        as it came in, so over F_p the result lies in [0, p) only because
-        the input does (see the class docstring).
+        Over F_p row operations are sparse, with the arithmetic inlined:
+        the pivot row is scaled at its nonzero entries from the pivot column
+        on (the earlier ones are already zero), and another row is updated
+        only where the pivot row is nonzero.  Every other entry passes
+        through as it came in, so the result lies in [0, p) only because
+        the input does (see the class docstring).  Over Q the elimination
+        runs on integer rows (`_q_rref`).
         """
         f = self.field
         p = f.p
-        m = self.to_lists()
         rows, cols = self.rows, self.cols
+        if p is None:
+            flat, pivots = _q_rref(self.data, rows, cols, f.zero(), f.one())
+            return Mat(f, rows, cols, flat), pivots
+        m = self.to_lists()
         pivots = []
         r = 0
         for j in range(cols):
@@ -306,7 +316,7 @@ class Mat:
             for k in range(j, cols):
                 y = prow[k]
                 if y:
-                    y = y * inv % p if p is not None else y * inv
+                    y = y * inv % p
                     prow[k] = y
                     support.append((k, y))
             for i in range(rows):
@@ -314,12 +324,8 @@ class Mat:
                 c = row[j]
                 if i == r or not c:
                     continue
-                if p is not None:
-                    for k, y in support:
-                        row[k] = (row[k] - c * y) % p
-                else:
-                    for k, y in support:
-                        row[k] = row[k] - c * y
+                for k, y in support:
+                    row[k] = (row[k] - c * y) % p
             pivots.append(j)
             r += 1
             if r == rows:
@@ -417,6 +423,110 @@ def _fp_product(a: Tuple, b: Tuple, n: int, k: int, m: int, p: int) -> List:
     cols = [b[j::m] for j in range(m)]
     rows = [a[i:i + k] for i in range(0, n * k, k)]
     return [sum(map(mul, row, col)) % p for row in rows for col in cols]
+
+
+def _q_numerators(entries: Sequence, z) -> Tuple[List[int], int]:
+    """Integer numerators of the Q entries over their least common
+    denominator, and that denominator.  The shared zero z is recognised by
+    identity, which costs less than reading its numerator."""
+    den = lcm(*[x.denominator for x in entries if x is not z])
+    if den == 1:
+        return [0 if x is z else x.numerator for x in entries], 1
+    return [0 if x is z else x.numerator * (den // x.denominator) for x in entries], den
+
+
+def _q_product(a: Tuple, b: Tuple, n: int, k: int, m: int, z) -> List:
+    """Row-major entries of the n x k by k x m product of the Q data a and
+    b: C-level integer dot products sum(map(mul, row, col)) of numerator
+    rows and columns (one product per entry for one inner index, as in
+    _fp_product), over the product of the two common denominators.  One
+    Fraction per nonzero entry, the shared zero z for the others."""
+    if not (n and k and m):
+        return [z] * (n * m)
+    an, ad = _q_numerators(a, z)
+    bn, bd = _q_numerators(b, z)
+    if k == 1:
+        sums = [x * y for x in an for y in bn]
+    else:
+        cols = [bn[j::m] for j in range(m)]
+        sums = [sum(map(mul, an[i:i + k], col)) for i in range(0, n * k, k) for col in cols]
+    den = ad * bd
+    if den == 1:
+        return [Fraction(s) if s else z for s in sums]
+    return [Fraction(s, den) if s else z for s in sums]
+
+
+def _q_rref(data: Tuple, rows: int, cols: int, z, o) -> Tuple[List, Tuple[int, ...]]:
+    """Row-major entries and pivots of the reduced row echelon form of the
+    Q data, by fraction-free Gauss-Jordan elimination on integer rows (cf.
+    Bareiss, Math. Comp. 22, 1968, which divides by the previous pivot
+    where this takes out contents).
+
+    The rows are the numerators over one common denominator (scaling a row
+    leaves the row space, hence the rref, as it is).  A pivot row is made
+    primitive with a positive pivot a.  Clearing column j of another row,
+    whose entry there is c, is plain elimination, row - c prow at the
+    nonzero entries of prow, when a = 1; otherwise the row becomes
+    a row - c prow with a and c divided by gcd(a, c), divided in turn by
+    its content, so entries grow no more than the row space needs.  Each
+    pivot row is divided by its pivot once, at the end: the pivot becomes
+    the shared one o, zeros the shared zero z, and every other entry one
+    Fraction.
+    """
+    if not (rows and cols):
+        return [], ()
+    nums = _q_numerators(data, z)[0]
+    m = [nums[i:i + cols] for i in range(0, rows * cols, cols)]
+    pivots = []
+    r = 0
+    for j in range(cols):
+        sel = None
+        for i in range(r, rows):
+            if m[i][j]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        prow = m[sel]
+        g = gcd(*prow)
+        if prow[j] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+        m[sel], m[r] = m[r], prow
+        a = prow[j]
+        support = None
+        for i in range(rows):
+            row = m[i]
+            c = row[j]
+            if i == r or not c:
+                continue
+            if a == 1:
+                if support is None:
+                    support = [(k, y) for k, y in enumerate(prow[j:], j) if y]
+                for k, y in support:
+                    row[k] -= c * y
+                continue
+            g = gcd(a, c)
+            ag, cg = a // g, c // g
+            row = [ag * x - cg * y for x, y in zip(row, prow)]
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(j)
+        r += 1
+        if r == rows:
+            break
+    flat = []
+    for i, j in enumerate(pivots):
+        row, a = m[i], m[i][j]
+        if a == 1:
+            row = [Fraction(x) if x else z for x in row]
+        else:
+            row = [Fraction(x, a) if x else z for x in row]
+        row[j] = o
+        flat += row
+    flat += [z] * ((rows - r) * cols)
+    return flat, tuple(pivots)
 
 
 def solve(a: Mat, b: Mat) -> Optional[Mat]:

@@ -78,7 +78,8 @@ class CModule:
     the constructions of this module that prove their result functorial pass
     validate=False (see the module docstring).  Immutable after
     construction: callers must never assign to dims or action, because the
-    memoised presentation and dual are keyed on the object itself.
+    memoised presentation, dual and top count are keyed on the object
+    itself.
     """
 
     def __init__(self, cat: FinCategory, dims: Dict, action: Dict, validate: bool = True):
@@ -87,6 +88,7 @@ class CModule:
         self.action = dict(action)
         self._presentation: Optional["Presentation"] = None
         self._dual: Optional["CModule"] = None
+        self._top: Optional[Tuple[Dict, bool]] = None
         if validate:
             self._validate()
 
@@ -729,15 +731,22 @@ def _minimal_presentation(m: CModule) -> Presentation:
 
 
 def hom_dim(a: CModule, b: CModule) -> int:
-    """dim Hom(a, b), read off the memoised minimal presentation of a.
+    """dim Hom(a, b), counted for a projective a, else read off the
+    memoised minimal presentation of a.
 
-    Hom(-, b) is left exact, so P1 -g-> P0 -> a -> 0 gives Hom(a, b) as the
-    kernel of Hom(P0, b) -> Hom(P1, b), and Yoneda turns that map into
-    [b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), for the blocks g_ji: x1_i ->
-    x0_j of the presentation matrix (a map phi: P_x0 -> b is its value v at
-    the unit, and phi o P_g is then b(g) v).  So dim Hom(a, b) is
-    sum_j dim b(x0_j) minus one rank, with no hom basis built.
+    A projective a is the sum of t_x copies of Hom(-, x), for its top
+    dimensions t_x (`_top_count`), and Hom(Hom(-, x), b) = b(x) by Yoneda,
+    so dim Hom(a, b) = sum_x t_x dim b(x), with no presentation built.
+    Otherwise Hom(-, b) is left exact, so P1 -g-> P0 -> a -> 0 gives
+    Hom(a, b) as the kernel of Hom(P0, b) -> Hom(P1, b), and Yoneda turns
+    that map into [b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), for the blocks
+    g_ji: x1_i -> x0_j of the presentation matrix (a map phi: P_x0 -> b is
+    its value v at the unit, and phi o P_g is then b(g) v).  So dim
+    Hom(a, b) is sum_j dim b(x0_j) minus one rank, with no hom basis built.
     """
+    tops, projective = _top_count(a)
+    if projective:
+        return sum(t * b.dims[x] for x, t in tops.items())
     pres = minimal_presentation(a)
     g = pres.matrix
     x0, x1 = pres.p0.vertices, pres.p1.vertices
@@ -755,6 +764,18 @@ def hom_dim(a: CModule, b: CModule) -> int:
     return width - Mat(b.cat.field, height, width, data).rank()
 
 
+def _top_count(m: CModule) -> Tuple[Dict, bool]:
+    """The top dimensions t_x = dim m(x) - dim rad m(x) and whether m is
+    projective (see is_projective_module), counted once per module and
+    memoised on it."""
+    if m._top is None:
+        cat = m.cat
+        tops = {x: m.dims[x] - _radical_actions(m, x).rank() for x in cat.objects}
+        covered = sum(t * sum(cat.dim(y, x) for y in cat.objects) for x, t in tops.items())
+        m._top = tops, covered == m.total_dim()
+    return m._top
+
+
 def is_projective_module(m: CModule) -> bool:
     """Whether m is projective, by counting: no presentation is built.
 
@@ -763,14 +784,9 @@ def is_projective_module(m: CModule) -> bool:
     split-basic assumption of `projective_cover`: Hom(-, x) has a simple,
     one dimensional top at x).  A cover is surjective, so its kernel has
     dimension sum_x t_x dim Hom(-, x) - dim m, and m is projective exactly
-    when that kernel is zero.
+    when that kernel is zero.  The count is memoised (`_top_count`).
     """
-    cat = m.cat
-    covered = 0
-    for x in cat.objects:
-        t = m.dims[x] - _radical_actions(m, x).rank()
-        covered += t * sum(cat.dim(y, x) for y in cat.objects)
-    return covered == m.total_dim()
+    return _top_count(m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1220,7 +1236,9 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     is dim Hom(D m, D X) - dim Hom(D m, D Y) + dim Hom(D m, D Z).  D X,
     D Y and D Z only transpose matrices, so no presentation of the fresh
     X or Y is built, and knitting's tau_inverse has already presented D m
-    for every non-injective m.
+    for every non-injective m.  A projective m, or the D m of an injective
+    m, is not presented at all: hom_dim counts with its memoised top
+    dimensions, which knitting's projectivity tests have already counted.
 
     is_isomorphic runs only where a defect is nonzero.  A zero defect is
     correct for every m not isomorphic to the end term, and it cannot occur

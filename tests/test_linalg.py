@@ -230,6 +230,94 @@ def test_rationals_exact():
     assert a.at(0, 0) * 1 == 1  # Fraction compares with int
 
 
+# +-1, a negative fraction, an integer, a denominator written negative, and
+# large coprime numerator/denominator pairs (2^89 - 1 is prime) of both signs
+Q_INVERSE_CASES = [Fraction(1), Fraction(-1), Fraction(-3, 7), Fraction(-5), Fraction(1, -4),
+                   Fraction(2 ** 89 - 1, 3 ** 60), Fraction(-(3 ** 60), 2 ** 89 - 1)]
+
+
+def test_field_inverse_over_q_swaps_numerator_and_denominator():
+    for a in Q_INVERSE_CASES:
+        inv = QQ.inv(a)
+        assert type(inv) is Fraction
+        sign = 1 if a > 0 else -1
+        assert (inv.numerator, inv.denominator) == (sign * a.denominator, abs(a.numerator))
+        assert inv == Fraction(1) / a and a * inv == 1
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero())
+
+
+def hilbert(n):
+    return Mat(QQ, n, n, [Fraction(1, i + j + 1) for i in range(n) for j in range(n)])
+
+
+def large_denominator_rows(rows, cols, rng):
+    """Numerators up to 10^12 over pairwise coprime primes up to 2^61 - 1."""
+    primes = [2 ** 61 - 1, 2 ** 31 - 1, 10 ** 9 + 7, 10 ** 9 + 9, 998244353]
+    return Mat(QQ, rows, cols, [Fraction(rng.randrange(-10 ** 12, 10 ** 12), rng.choice(primes))
+                                for _ in range(rows * cols)])
+
+
+def assert_shared_zero_and_one(r, pivots):
+    """Every zero entry of a Q rref is the shared zero, every pivot the
+    shared one."""
+    assert all(x is QQ.zero() for x in r.data if not x)
+    assert all(r.at(i, j) is QQ.one() for i, j in enumerate(pivots))
+
+
+def test_q_kernels_under_coefficient_growth():
+    """The 8 x 8 Hilbert matrix and rows with large coprime denominators
+    through rref (against the whole-row oracle, with entry types), solve,
+    kernel_basis and inverse round trips."""
+    rng = random.Random(1600)
+    h = hilbert(8)
+    inv = h.inverse()
+    assert inv is not None
+    # the inverse of H_n is integral, with corner entry n^2 and entry sum n^2
+    assert all(type(x) is Fraction and x.denominator == 1 for x in inv.data)
+    assert inv.at(0, 0) == 64 and sum(inv.data) == 64
+    assert inv.inverse() == h
+    noisy = large_denominator_rows(8, 8, rng)
+    cases = [h, hstack([h, Mat.identity(QQ, 8)]), Mat(QQ, 7, 8, h.data[:56]),
+             vstack([Mat(QQ, 4, 8, h.data[:32]), noisy]), noisy,
+             large_denominator_rows(5, 7, rng),
+             large_denominator_rows(6, 3, rng) @ large_denominator_rows(3, 7, rng)]
+    for a in cases:
+        got, pivots = a.rref()
+        want, want_pivots = reference_rref(a)
+        assert pivots == want_pivots
+        assert typed_entries(got) == typed_entries(want)
+        assert_shared_zero_and_one(got, pivots)
+        k = a.kernel_basis()
+        assert k.cols == a.cols - len(pivots)
+        assert (a @ k).is_zero()
+        x0 = large_denominator_rows(a.cols, 2, rng)
+        b = a @ x0
+        x = solve(a, b)
+        assert x is not None and a @ x == b
+        if a.rows == a.cols == len(pivots):
+            a_inv = a.inverse()
+            assert a_inv is not None and a_inv.inverse() == a
+            assert solve(a, b) == a_inv @ b
+    assert all(type(v) is Fraction for v in (noisy @ noisy).data)
+
+
+def test_typed_entries_refuses_an_int_in_a_q_result():
+    """Negative control for the typed oracles: a Q result with a pivot one
+    or a zero replaced by the int of the same value is still equal as a
+    matrix, but no longer matches its oracle."""
+    a = hilbert(3)
+    e = Mat.from_rows(QQ, [[1, 0], [0, 0]])
+    for got, want in ((a.rref()[0], reference_rref(a)[0]), (e @ e, reference_matmul(e, e))):
+        assert typed_entries(got) == typed_entries(want)
+        for pos in (0, 1):
+            data = list(got.data)
+            data[pos] = int(data[pos])
+            spliced = Mat(QQ, got.rows, got.cols, data)
+            assert spliced == got
+            assert typed_entries(spliced) != typed_entries(want)
+
+
 def test_stack_shapes():
     a = Mat.from_rows(F5, [[1, 2], [3, 4]])
     b = Mat.from_rows(F5, [[0], [1]])

@@ -558,6 +558,27 @@ def test_verify_builds_no_presentation_of_the_left_or_middle_term():
     assert checked == 14
 
 
+def test_verify_presents_no_projective_nor_the_dual_of_an_injective(monkeypatch):
+    """hom_dim counts when its first argument is projective, with the top
+    dimensions that knitting's projectivity tests memoised: verifying a
+    knitted family presents no projective test module and no dual of an
+    injective one, and counts no top again."""
+    ar = knitted_pair("A3rad2xA2")
+    seqs = [almost_split_sequence(z).sequence
+            for z, proj in zip(ar.modules, ar.projective) if not proj]
+    calls = []
+    radical_actions = modcat._radical_actions
+    monkeypatch.setattr(modcat, "_radical_actions",
+                        lambda m, x: calls.append(m) or radical_actions(m, x))
+    for se in seqs:
+        assert verify_almost_split(se, ar.modules) == len(ar.modules)
+    assert calls == []
+    ends = [m for m, proj in zip(ar.modules, ar.projective) if proj]
+    ends += [duality_D(m) for m, inj in zip(ar.modules, ar.injective) if inj]
+    assert len(ends) == sum(ar.projective) + sum(ar.injective) > 0
+    assert all(m._presentation is None for m in ends)
+
+
 @pytest.mark.parametrize("make", [TENSOR_PAIRS["A3rad2xA2"],
                                   lambda: representation_category(cyclic_rad2(3), F101),
                                   lambda: representation_category(one_loop_rad2(), F101)],

@@ -7,7 +7,8 @@ Knits, over F_101, the path categories of A_4..A_8, D6, E6 and E7 (no
 relations), A3 mod rad^2 (x) A2 and A3 (x) A2 (tensor_base, as the CLI's
 `tensor` coefficient builds them), the 4-cycle mod rad^2, and the Kronecker
 quiver at cap 20 (dim cap 20, node cap 40, as `--cap 20` sets them), which
-is of infinite type and ends in CapExceededError.  Prints one line per job:
+is of infinite type and ends in CapExceededError; then E6 and E7 over Q
+(rows `E6/Q` and `E7/Q`), where exact rational arithmetic is the cost.  Prints one line per job:
 wall time, node count, and the middle terms of almost split sequences,
 split into those whose summands ar_quiver certified by multiplicities and
 those it decomposed (the fallback).
@@ -34,13 +35,15 @@ from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,  # no
 from arcat.repcat import tensor_base  # noqa: E402
 
 F101 = Field.prime(101)
+QQ = Field.rationals()
 
 
-def tree(edges):
-    """The path category of the quiver with arrows u -> v for (u, v) in edges."""
+def tree(edges, field=F101):
+    """The path category over field of the quiver with arrows u -> v for
+    (u, v) in edges."""
     vertices = sorted({v for e in edges for v in e}, key=int)
     arrows = [Arrow(f"a{k}", u, v) for k, (u, v) in enumerate(edges)]
-    return category_of(BoundQuiver(Quiver(vertices, arrows)), F101)
+    return category_of(BoundQuiver(Quiver(vertices, arrows)), field)
 
 
 def chain(n):
@@ -67,6 +70,8 @@ JOBS = {
     "A3xA2": (lambda: tensor_base(BoundQuiver(linear_quiver(3)), a2()), 64),
     "C4rad2": (lambda: category_of(rad2(cyclic_quiver(4)), F101), 64),
     "kronecker": (lambda: tree([("1", "2"), ("1", "2")]), 20),
+    "E6/Q": (lambda: tree(chain(5) + [("3", "6")], QQ), 64),
+    "E7/Q": (lambda: tree(chain(6) + [("3", "7")], QQ), 64),
 }
 
 
