@@ -63,6 +63,10 @@ def _parse_complex_line(value: str, line: int) -> NComplexSpec:
     for p in parts:
         if "=" in p:
             k, _, v = p.partition("=")
+            if k != "n":
+                raise ParseError(f"unknown complex option {k!r}", line)
+            if k in opts:
+                raise ParseError(f"duplicate complex option {k!r}", line)
             opts[k] = v
         else:
             words.append(p)
@@ -114,8 +118,6 @@ def load_spec(text: str, field_override: Optional[str] = None) -> JobSpec:
         quiver.relations.append(value.split())
     coefficient = _parse_quiver_lines(sections["coefficient"],
                                       allow_complex=False, allow_point=True)
-    if not sections["coefficient"]:
-        coefficient.point = True
 
     command = None
     params: Dict[str, List[str]] = {}
@@ -197,6 +199,10 @@ def _parse_quiver_lines(lines, allow_complex: bool,
             raise ParseError(f"unexpected line {line!r}", no)
     if draft.complex_spec is not None and (draft.vertices or draft.arrows):
         raise ParseError("complex shapes exclude explicit vertices and arrows")
+    if draft.point and (draft.vertices or draft.arrows or draft.relations):
+        raise ParseError("point = true excludes vertices, arrows and relations")
+    if draft.relations and not draft.vertices:
+        raise ParseError("relation lines need vertices and arrows")
     return draft
 
 
@@ -258,6 +264,17 @@ def _dim_vector_text(m: CModule) -> str:
     return ",".join(str(m.dims[x]) for x in m.cat.objects)
 
 
+def _module_by_dims(knitted, text: str, what: str) -> CModule:
+    """The one knitted module whose dim vector is text, its entries
+    separated by commas or whitespace, as `dims` targets and family files
+    write them."""
+    wanted = ",".join(text.replace(",", " ").split())
+    matches = [m for m in knitted.modules if _dim_vector_text(m) == wanted]
+    if len(matches) != 1:
+        raise PreconditionError(f"{what} {wanted} matches {len(matches)} modules")
+    return matches[0]
+
+
 def _resolve_target(base: FinCategory, knitted, params) -> CModule:
     spec = params.get("target")
     if not spec:
@@ -268,12 +285,7 @@ def _resolve_target(base: FinCategory, knitted, params) -> CModule:
     if kind == "simple" and len(rest) == 1:
         return simple_module(base, _find_object(base, rest[0]))
     if kind == "dims" and rest:
-        wanted = ",".join(rest)
-        matches = [m for m in knitted.modules if _dim_vector_text(m) == wanted]
-        if len(matches) != 1:
-            raise PreconditionError(
-                f"dim vector {wanted} matches {len(matches)} modules")
-        return matches[0]
+        return _module_by_dims(knitted, " ".join(rest), "dim vector")
     raise ParseError(f"bad target {' '.join(spec)!r}")
 
 
@@ -300,15 +312,7 @@ def export_dot(knitted, base: FinCategory) -> str:
 def _family_from_file(knitted, path: str) -> List[CModule]:
     with open(path, "r", encoding="utf-8") as fh:
         wanted = [line.strip() for line in fh if line.strip()]
-    out = []
-    for text in wanted:
-        matches = [m for m in knitted.modules
-                   if _dim_vector_text(m) == text.replace(" ", "")]
-        if len(matches) != 1:
-            raise PreconditionError(
-                f"family entry {text!r} matches {len(matches)} modules")
-        out.extend(matches)
-    return out
+    return [_module_by_dims(knitted, text, "family entry") for text in wanted]
 
 
 def _cmd_info(job: JobSpec, out: List[str], cap: int):

@@ -42,7 +42,8 @@ built from them, Ext^1 with explicit extension classes, almost split
 sequences with independent verification by Hom-dimension defects,
 Krull-Schmidt decomposition with idempotent certificates, summand
 multiplicities by a trace pairing, the Auslander-Reiten quiver by knitting
-(middle terms certified by the multiplicities of registered nodes, with
+in one pass over its nodes (the radicals of projectives and the middle
+terms certified by the multiplicities of registered nodes, with
 decomposition only as the fallback), and global dimension by iterated
 syzygies.
 
@@ -1303,27 +1304,25 @@ class ARQuiver:
 def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQuiver:
     """Knits the Auslander-Reiten quiver from the projectives.
 
-    Edges into a node are read off once: from the decomposed rad P for a
-    projective P, and otherwise from the summands of the middle term E of
-    the almost split sequence.  Those summands are certified among the
-    registered nodes by their multiplicities (`_summand_multiplicity`),
-    trying the nodes Y with dim Y <= dim E at every object, first those
-    with an edge out of tau z (the mesh; Gabriel, LNM 831, 1980), then, by
-    index, the nodes whose edges are not read off yet.  Once
+    The nodes are done in one pass, in the order they are registered.  The
+    edges into node z are read off once, from the summands of one module
+    E: rad z for a projective z, and otherwise the middle term of the
+    almost split sequence ending at z.  Those summands are certified among
+    the registered nodes by their multiplicities (`_summand_multiplicity`),
+    trying the nodes Y with dim Y <= dim E at every object in the order
+    `known_summands` gives.  Once
     sum a_Y dim Y = dim E, E is the sum of the Y^a_Y, since what is left
     over has dimension zero.  Only when the certified multiplicities do not
-    close is E decomposed (decompose_module) and its pieces registered; that
-    fallback is the one route that can add a node for a middle term.
-    Closure under the inverse translate reaches every
-    successor, and a closed knitting is the whole AR quiver: the nodes
-    reached are closed under predecessors and successors, so they form
-    finite components holding every projective, and by Auslander's theorem
-    a finite component is the whole AR quiver of its connected block
-    (ARS ch. VI.1).  Caps guard against infinite type and raise
-    CapExceededError.
+    close is E decomposed (decompose_module) and its pieces registered;
+    that fallback is the one route that can add a predecessor.  Closure
+    under the inverse translate reaches every successor, and a closed
+    knitting is the whole AR quiver: the nodes reached are closed under
+    predecessors and successors, so they form finite components holding
+    every projective, and by Auslander's theorem a finite component is the
+    whole AR quiver of its connected block (ARS ch. VI.1).  Caps guard
+    against infinite type and raise CapExceededError.
     """
     modules: List[CModule] = []
-    queue: List[int] = []
     edges: Dict[Tuple[int, int], int] = {}
     tau_pairs: List[Tuple[int, int]] = []
     projective: List[bool] = []
@@ -1349,26 +1348,34 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
         bucket.append(len(modules) - 1)
         projective.append(is_projective_module(m))
         injective.append(is_injective_module(m))
-        queue.append(len(modules) - 1)
         return len(modules) - 1
 
-    def known_summands(e: CModule, jt: int) -> Optional[Dict[int, int]]:
-        """The multiplicities of the registered nodes in e, the middle term of
-        the sequence from node jt = tau z to the node z being done, or None
-        unless they are certified and their sum closes to dim e.
+    def known_summands(e: CModule, i: int, jt: Optional[int]) -> Optional[Dict[int, int]]:
+        """The multiplicities of the registered nodes in e, the predecessors
+        of node i: rad of the projective node i when jt is None, else the
+        middle term of the sequence from node jt = tau z to z = node i.
+        None unless they are certified and their sum closes to dim e.
 
-        Only the mesh and the nodes not yet done, but for jt, are tried.  A
-        done node j that is a summand of e has an irreducible map from
-        tau z, so node jt was registered and the edge (jt, j) recorded when
-        j was done.  An end term as a summand of e would be a loop of the AR
-        quiver, and there are none (Bautista and Smalo, 1983).  Leaving a
-        candidate out costs no soundness: had it a summand in e, the sum
-        would not close and e would be decomposed."""
+        A radical tries every node: there is no translate, so no recorded
+        edge can stand in for a node already done.  A middle term tries
+        the mesh, the nodes with an edge out of jt (Gabriel, LNM 831,
+        1980), then the nodes after i but jt.  A done node j that is a
+        summand of e has an irreducible map from tau z, so node jt was
+        registered and the edge (jt, j) recorded when j was done.  An end
+        term as a summand of e would be a loop of the AR quiver, and there
+        are none (Bautista and Smalo, 1983).  Leaving a candidate out costs
+        no soundness: had it a summand in e, the sum would not close and e
+        would be decomposed."""
+        if jt is None:
+            order = list(range(len(modules)))
+        else:
+            order = sorted({j for (s, j) in edges if s == jt})
+            order += [j for j in range(i + 1, len(modules)) if j != jt]
         left = list(dim_key(e))
-        mesh = sorted({j for (s, j) in edges if s == jt})
-        rest = [j for j in range(len(modules)) if j not in done and j != jt]
         counts = {}
-        for j in mesh + rest:
+        for j in order:
+            if not any(left):
+                break
             y = modules[j]
             dims = dim_key(y)
             if any(d > r for d, r in zip(dims, left)):
@@ -1382,37 +1389,27 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
                 continue
             counts[j] = a
             left = [r - a * d for r, d in zip(left, dims)]
-            if not any(left):
-                return counts
-        return None
+        return None if any(left) else counts
 
     for x in cat.objects:
         register(yoneda_projective(cat, x))
-    done = set()
-    while queue:
-        i = queue.pop(0)
-        if i in done:
-            continue
-        done.add(i)
-        m = modules[i]
+    for i, m in enumerate(modules):  # register appends the nodes still to do
+        jt = None
         if projective[i]:
-            rad = radical_submodule(m)
-            if not rad.module.is_zero():
-                for piece in decompose_module(rad.module):
-                    j = register(piece.module)
-                    edges[(j, i)] = edges.get((j, i), 0) + 1
+            e = radical_submodule(m).module
         else:
             ass = almost_split_sequence(m)
             jt = register(ass.tau_module)
             tau_pairs.append((jt, i))
-            counts = known_summands(ass.sequence.middle, jt)
-            if counts is None:
-                counts = {}
-                for piece in decompose_module(ass.sequence.middle):
-                    j = register(piece.module)
-                    counts[j] = counts.get(j, 0) + 1
-            for j, a in counts.items():
-                edges[(j, i)] = edges.get((j, i), 0) + a
+            e = ass.sequence.middle
+        counts = known_summands(e, i, jt)
+        if counts is None:
+            counts = {}
+            for piece in decompose_module(e):
+                j = register(piece.module)
+                counts[j] = counts.get(j, 0) + 1
+        for j, a in counts.items():
+            edges[(j, i)] = edges.get((j, i), 0) + a
         if not injective[i]:
             register(tau_inverse(m))
     return ARQuiver(modules, projective, injective, edges, tau_pairs)

@@ -264,6 +264,34 @@ def test_verify_family_supplied(tmp_path, capsys):
     assert "against 2 test modules" in out
 
 
+LOOP_RAD10 = """
+[quiver]
+vertices = 1
+arrow x: 1 -> 1
+
+[ideal]
+relation = x x x x x x x x x x
+"""
+
+
+def test_family_entries_read_like_dims_targets(tmp_path, capsys):
+    """A family entry may separate its entries by spaces, as a `dims`
+    target does: on A2, `1 0` is the simple (1,0); on the loop mod x^10,
+    whose modules have one entry, `1 0` names no module, not the one of
+    dimension 10."""
+    fam = tmp_path / "family.txt"
+    fam.write_text("1 0\n1, 1\n", encoding="utf-8")
+    text = A2_QUIVER + ("\n[command]\nname = verify\n"
+                        "target = dims 1 0\nsequence = almost-split\n")
+    code, out, _ = run(tmp_path, text, "--verify-family", f"supplied:{fam}", capsys=capsys)
+    assert code == 0 and "against 2 test modules" in out
+    fam.write_text("1 0\n", encoding="utf-8")
+    text = LOOP_RAD10 + "\n[command]\nname = verify\ntarget = dims 9\n"
+    code, out, err = run(tmp_path, text, "--verify-family", f"supplied:{fam}", capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "precondition failed: family entry 1,0 matches 0 modules\n"
+
+
 def test_roundtrip_command(tmp_path, capsys):
     text = A3_RAD2 + """
 [coefficient]
@@ -387,6 +415,33 @@ def test_complex_excludes_explicit_relations(tmp_path, capsys):
     code, _, err = run(tmp_path, text, capsys=capsys)
     assert code == 1
     assert "carry their own relations" in err
+
+
+def test_complex_options_are_n_once(tmp_path, capsys):
+    for line, message in (("interval 3 m=5", "unknown complex option 'm'"),
+                          ("interval 3 n=3 n=4", "duplicate complex option 'n'")):
+        text = f"[quiver]\ncomplex = {line}\n[command]\nname = info\n"
+        code, out, err = run(tmp_path, text, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"parse error: line 2: {message}\n"
+
+
+def test_coefficient_is_a_point_or_a_quiver(tmp_path, capsys):
+    """Relations alone, or point = true beside quiver lines, are refused
+    rather than read as the point category."""
+    for lines, message in (
+            ("relation = b1 b1", "relation lines need vertices and arrows"),
+            ("point = true\nvertices = 1 2", "point = true excludes"),
+            ("point = true\narrow b1: 1 -> 2", "point = true excludes"),
+            ("point = true\nrelation = b1 b1", "point = true excludes")):
+        text = A2_QUIVER + f"\n[coefficient]\n{lines}\n[command]\nname = info\n"
+        code, out, err = run(tmp_path, text, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("parse error: ") and message in err
+    for lines in ("", "point = true"):
+        text = A2_QUIVER + f"\n[coefficient]\n{lines}\n[command]\nname = info\n"
+        code, out, _ = run(tmp_path, text, capsys=capsys)
+        assert code == 0 and "coefficient objects: 1, total dim 1" in out
 
 
 def test_module_entry_point(tmp_path):

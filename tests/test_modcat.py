@@ -1096,17 +1096,28 @@ def knit_print(ar):
             sorted(ar.edges.items()), ar.tau_pairs)
 
 
-def knit_counting_fallbacks(monkeypatch, cat):
-    """ar_quiver(cat) and the number of middle terms it decomposed, counted
-    by tools/knit_probe.py."""
+def knit_probe(monkeypatch):
+    """tools/knit_probe.py, loaded as a module."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
     spec = importlib.util.spec_from_file_location(
         "_knit_probe", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                     "tools", "knit_probe.py"))
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
-    ar, _, fallbacks = probe.knit_counting(cat)
-    return ar, fallbacks
+    return probe
+
+
+def knit_counts(monkeypatch, cat):
+    """ar_quiver(cat) and its counts of radicals and middle terms knitted and
+    decomposed, keyed as tools/knit_probe.py prints them."""
+    return knit_probe(monkeypatch).knit_counting(cat)
+
+
+def knit_counting_fallbacks(monkeypatch, cat):
+    """ar_quiver(cat) and the number of middle terms it decomposed, counted
+    by tools/knit_probe.py."""
+    ar, counts = knit_counts(monkeypatch, cat)
+    return ar, counts["fallback"]
 
 
 @pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
@@ -1165,26 +1176,74 @@ def test_summand_multiplicity_refuses_where_the_pairing_is_not_the_count(monkeyp
     assert knit_print(decomposed) == knit_print(ar)
 
 
-@pytest.mark.parametrize("tamper", ["drop", "plus-one", "minus-one"])
-def test_knitting_falls_back_when_the_multiplicities_do_not_close(monkeypatch, tamper):
-    """Negative controls: dropping one certified summand, or claiming one
-    copy more or less of it, leaves the closure check unmet, so that middle
-    term is decomposed instead and the AR quiver is unchanged."""
-    cat = ORACLE_CATEGORIES["A4rad2"](F101)
-    want, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
-    assert fallbacks == 0
+def tamper_first_multiplicity(monkeypatch, tamper, applies=lambda m: True):
+    """Replaces the first nonzero multiplicity _summand_multiplicity
+    certifies in a module m with applies(m) by 0 (drop), a + 1 or a - 1;
+    returns the list that records the summand tampered with."""
     multiplicity, seen = modcat._summand_multiplicity, []
 
     def tampered(y, m, top):
         a = multiplicity(y, m, top)
-        if a and not seen:
+        if a and not seen and applies(m):
             seen.append(y)
             return {"drop": 0, "plus-one": a + 1, "minus-one": a - 1}[tamper]
         return a
 
     monkeypatch.setattr(modcat, "_summand_multiplicity", tampered)
-    ar, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
-    assert seen and fallbacks == 1
+    return seen
+
+
+@pytest.mark.parametrize("tamper", ["drop", "plus-one", "minus-one"])
+def test_knitting_falls_back_when_the_multiplicities_do_not_close(monkeypatch, tamper):
+    """Negative controls: dropping one certified summand, or claiming one
+    copy more or less of it, leaves the closure check unmet, so that module,
+    a radical or a middle term, is decomposed instead and the AR quiver is
+    unchanged."""
+    cat = ORACLE_CATEGORIES["A4rad2"](F101)
+    want, before = knit_counts(monkeypatch, cat)
+    assert before["fallback"] == 0
+    seen = tamper_first_multiplicity(monkeypatch, tamper)
+    ar, after = knit_counts(monkeypatch, cat)
+    assert seen
+    assert (after["rad fallback"] + after["fallback"]
+            == before["rad fallback"] + before["fallback"] + 1)
+    assert knit_print(ar) == knit_print(want)
+
+
+def test_knitting_decomposes_no_radical_of_a_hereditary_projective(monkeypatch):
+    """On the path categories of A4..A8, D6, E6 and E7 every rad P is a sum
+    of projectives, registered before any node is done, so the certified
+    multiplicities close on every radical."""
+    probe = knit_probe(monkeypatch)
+    for name in ("A4", "A5", "A6", "A7", "A8", "D6", "E6", "E7"):
+        cat = probe.JOBS[name][0]()
+        ar, counts = probe.knit_counting(cat)
+        assert ar is not None and counts["radicals"] == len(cat.objects), name
+        assert counts["rad fallback"] == counts["fallback"] == 0, name
+
+
+@pytest.mark.parametrize("tamper", ["drop", "plus-one", "minus-one"])
+def test_knitting_falls_back_when_a_radical_multiplicity_is_tampered(monkeypatch, tamper):
+    """Negative control on radicals: on D4 with its three arrows into one
+    vertex, rad P_4 = P_1 + P_2 + P_3.  A wrong multiplicity there leaves
+    the closure unmet, so rad P_4 alone is decomposed and the AR quiver is
+    unchanged."""
+    q = Quiver(["1", "2", "3", "4"], [Arrow(f"a{v}", v, "4") for v in "123"])
+    cat = representation_category(BoundQuiver(q), F101)
+    want, before = knit_counts(monkeypatch, cat)
+    assert before["rad fallback"] == before["fallback"] == 0
+    radicals, rad = [], modcat.radical_submodule
+
+    def recording_rad(m):
+        out = rad(m)
+        radicals.append(out.module)
+        return out
+
+    monkeypatch.setattr(modcat, "radical_submodule", recording_rad)
+    seen = tamper_first_multiplicity(
+        monkeypatch, tamper, lambda m: any(m is r for r in radicals))
+    ar, after = knit_counts(monkeypatch, cat)
+    assert seen and after["rad fallback"] == 1 and after["fallback"] == 0
     assert knit_print(ar) == knit_print(want)
 
 

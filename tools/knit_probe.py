@@ -1,5 +1,6 @@
 """Knit probe: AR quivers of a fixed list of categories, with the share of
-middle terms that knitting certified from nodes it had already registered.
+radicals and middle terms that knitting certified from nodes it had already
+registered.
 
     python3 tools/knit_probe.py
 
@@ -8,16 +9,18 @@ relations), A3 mod rad^2 (x) A2 and A3 (x) A2 (tensor_base, as the CLI's
 `tensor` coefficient builds them), the 4-cycle mod rad^2, and the Kronecker
 quiver at cap 20 (dim cap 20, node cap 40, as `--cap 20` sets them), which
 is of infinite type and ends in CapExceededError; then E6 and E7 over Q
-(rows `E6/Q` and `E7/Q`), where exact rational arithmetic is the cost.  Prints one line per job:
-wall time, node count, and the middle terms of almost split sequences,
-split into those whose summands ar_quiver certified by multiplicities and
-those it decomposed (the fallback).
+(rows `E6/Q` and `E7/Q`), where exact rational arithmetic is the cost.
+Prints one line per job: wall time, node count, the radicals of
+projectives knitted and those of them decomposed (`rad fallback`), and the
+middle terms of almost split sequences, split into those whose summands
+ar_quiver certified by multiplicities and those it decomposed (the
+fallback).
 
-The count wraps modcat.almost_split_sequence and modcat.decompose_module
-inside this script: a decompose_module call on the middle term of the
-sequence built last is a fallback (ar_quiver decomposes a middle term, if
-at all, right after building its sequence).  arcat itself has no switch for
-this.
+The count wraps modcat.radical_submodule, modcat.almost_split_sequence and
+modcat.decompose_module inside this script: a decompose_module call on the
+radical or the middle term built last is a fallback (ar_quiver decomposes
+either, if at all, right after building it).  arcat itself has no switch
+for this.
 """
 
 import os
@@ -77,42 +80,53 @@ JOBS = {
 
 def knit_counting(cat, cap=64):
     """ar_quiver(cat) at dim cap `cap` and node cap 2 * cap (the CLI's caps),
-    or None when a cap is exceeded, with the number of middle terms knitted
-    and of those decomposed."""
-    last, counts = {}, {"middle": 0, "fallback": 0}
-    ass, decompose = modcat.almost_split_sequence, modcat.decompose_module
+    or None when a cap is exceeded, with the numbers of radicals and middle
+    terms knitted and of those decomposed, keyed as the columns."""
+    last, counts = {}, dict.fromkeys(("radicals", "rad fallback", "middle", "fallback"), 0)
+    rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
+    decompose = modcat.decompose_module
+
+    def counting_rad(m):
+        out = rad(m)
+        last["built"], last["kind"] = out.module, "rad fallback"
+        counts["radicals"] += 1
+        return out
 
     def counting_ass(z):
         out = ass(z)
-        last["middle"] = out.sequence.middle
+        last["built"], last["kind"] = out.sequence.middle, "fallback"
         counts["middle"] += 1
         return out
 
     def counting_decompose(m):
-        if m is last.get("middle"):
-            counts["fallback"] += 1
+        if m is last.get("built"):
+            counts[last["kind"]] += 1
         return decompose(m)
 
-    modcat.almost_split_sequence, modcat.decompose_module = counting_ass, counting_decompose
+    modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
+    modcat.decompose_module = counting_decompose
     try:
         ar = modcat.ar_quiver(cat, dim_cap=cap, node_cap=2 * cap)
     except CapExceededError:
         ar = None
     finally:
-        modcat.almost_split_sequence, modcat.decompose_module = ass, decompose
-    return ar, counts["middle"], counts["fallback"]
+        modcat.radical_submodule, modcat.almost_split_sequence = rad, ass
+        modcat.decompose_module = decompose
+    return ar, counts
 
 
 def main():
-    print(f"{'job':<10} {'wall_s':>7} {'nodes':>5} {'middle':>6} {'certified':>9} {'fallback':>8}")
+    print(f"{'job':<10} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
+          f"{'middle':>6} {'certified':>9} {'fallback':>8}")
     for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
-        ar, middle, fallback = knit_counting(cat, cap)
+        ar, counts = knit_counting(cat, cap)
         seconds = time.perf_counter() - start
         shown = "cap" if ar is None else str(len(ar.modules))
-        print(f"{name:<10} {seconds:7.2f} {shown:>5} {middle:6d} "
-              f"{middle - fallback:9d} {fallback:8d}")
+        print(f"{name:<10} {seconds:7.2f} {shown:>5} {counts['radicals']:8d} "
+              f"{counts['rad fallback']:12d} {counts['middle']:6d} "
+              f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d}")
     return 0
 
 
