@@ -7,11 +7,17 @@ application order; the coefficient section is a second quiver (with inline
 relations) or a point.  Exit codes: 0 verified, 1 parse or usage error,
 2 precondition failure, 3 verification failure, including an internal
 consistency check (AssertionError or ZeroDivisionError) that failed.
+
+`_HANDLERS` is the command table: it maps each command name to its handler
+and to the [command] parameters that handler reads, and a job that sets any
+other parameter is refused.  Every handler takes (job, out, args): the
+parsed job, the list of output lines it appends to, and the parsed command
+line.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field, fields
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (NComplexSpec, Interval, Window, Cyclic, build_category,
@@ -31,7 +37,6 @@ class ParseError(Exception):
     def __init__(self, message: str, line: Optional[int] = None):
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
-        self.line = line
 
 
 @dataclass
@@ -40,7 +45,7 @@ class QuiverDraft:
     arrows: List[Tuple[str, str, str]] = dc_field(default_factory=list)
     relations: List[List[str]] = dc_field(default_factory=list)
     complex_spec: Optional[NComplexSpec] = None
-    point: bool = False
+    point: Optional[bool] = None  # None: no point line
 
 
 @dataclass
@@ -52,36 +57,32 @@ class JobSpec:
     params: Dict[str, List[str]]
 
 
-_COMMANDS = ("info", "tensor", "ar-quiver", "ass", "verify", "approximate",
-             "roundtrip")
+_TRUE, _FALSE = ("true", "yes", "1"), ("false", "no", "0")
+# the words of a `complex` line, each taking its shape's fields as integers
+_SHAPES = {"interval": Interval, "window": Window, "cyclic": Cyclic}
 
 
 def _parse_complex_line(value: str, line: int) -> NComplexSpec:
-    parts = value.split()
-    opts = {}
-    words = []
-    for p in parts:
-        if "=" in p:
-            k, _, v = p.partition("=")
-            if k != "n":
-                raise ParseError(f"unknown complex option {k!r}", line)
-            if k in opts:
-                raise ParseError(f"duplicate complex option {k!r}", line)
-            opts[k] = v
+    words, n = [], None
+    for word in value.split():
+        k, eq, v = word.partition("=")
+        if not eq:
+            words.append(word)
+        elif k != "n":
+            raise ParseError(f"unknown complex option {k!r}", line)
+        elif n is not None:
+            raise ParseError(f"duplicate complex option {k!r}", line)
         else:
-            words.append(p)
+            n = v
     try:
-        n = int(opts.get("n", "2"))
+        n = int("2" if n is None else n)
     except ValueError:
-        raise ParseError(f"bad n value {opts.get('n')!r}", line)
+        raise ParseError(f"bad n value {n!r}", line)
+    shape = _SHAPES.get(words[0]) if words else None
     try:
-        if words[0] == "interval" and len(words) == 2:
-            return NComplexSpec(n, Interval(int(words[1])))
-        if words[0] == "window" and len(words) == 3:
-            return NComplexSpec(n, Window(int(words[1]), int(words[2])))
-        if words[0] == "cyclic" and len(words) == 2:
-            return NComplexSpec(n, Cyclic(int(words[1])))
-    except (ValueError, IndexError):
+        if shape is not None and len(words) == 1 + len(fields(shape)):
+            return NComplexSpec(n, shape(*(int(w) for w in words[1:])))
+    except ValueError:
         raise ParseError(f"bad complex shape {value!r}", line)
     except PreconditionError as e:
         raise ParseError(str(e), line)
@@ -121,14 +122,14 @@ def load_spec(text: str, field_override: Optional[str] = None) -> JobSpec:
 
     command = None
     params: Dict[str, List[str]] = {}
+    param_lines: Dict[str, int] = {}
     for no, line in sections["command"]:
         key, eq, value = line.partition("=")
-        key = key.strip()
         if not eq:
             raise ParseError(f"expected 'key = value', got {line!r}", no)
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key == "name":
-            if value not in _COMMANDS:
+            if value not in _HANDLERS:
                 raise ParseError(f"unknown command {value!r}", no)
             if command is not None:
                 raise ParseError("more than one command name", no)
@@ -137,8 +138,12 @@ def load_spec(text: str, field_override: Optional[str] = None) -> JobSpec:
             if key in params:
                 raise ParseError(f"duplicate parameter {key!r}", no)
             params[key] = value.split()
+            param_lines[key] = no
     if command is None:
         raise ParseError("missing command name")
+    for key, no in param_lines.items():
+        if key not in _HANDLERS[command][1]:
+            raise ParseError(f"command {command!r} reads no parameter {key!r}", no)
     return JobSpec(fld, quiver, coefficient, command, params)
 
 
@@ -147,9 +152,11 @@ def _parse_field(lines, override: Optional[str]) -> Field:
     for no, line in lines:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if choice is not None:
+            raise ParseError(f"more than one field line: {line!r}", no)
         if key == "p":
             choice = value
-        elif key == "rationals" and value in ("true", "yes", "1"):
+        elif key == "rationals" and value in _TRUE:
             choice = "Q"
         else:
             raise ParseError(f"bad field line {line!r}", no)
@@ -174,8 +181,7 @@ def _parse_quiver_lines(lines, allow_complex: bool,
     draft = QuiverDraft()
     for no, line in lines:
         if line.startswith("arrow "):
-            rest = line[len("arrow "):]
-            name, colon, ends = rest.partition(":")
+            name, colon, ends = line[len("arrow "):].partition(":")
             if not colon or "->" not in ends:
                 raise ParseError(f"expected 'arrow name: src -> tgt'", no)
             src, _, tgt = ends.partition("->")
@@ -194,24 +200,27 @@ def _parse_quiver_lines(lines, allow_complex: bool,
         elif key == "relation":
             draft.relations.append(value.split())
         elif key == "point" and allow_point:
-            draft.point = value in ("true", "yes", "1")
+            if draft.point is not None:
+                raise ParseError("more than one point line", no)
+            if value not in _TRUE + _FALSE:
+                raise ParseError(f"bad point value {value!r}", no)
+            draft.point = value in _TRUE
         else:
             raise ParseError(f"unexpected line {line!r}", no)
     if draft.complex_spec is not None and (draft.vertices or draft.arrows):
         raise ParseError("complex shapes exclude explicit vertices and arrows")
     if draft.point and (draft.vertices or draft.arrows or draft.relations):
         raise ParseError("point = true excludes vertices, arrows and relations")
+    if draft.point is False and not draft.vertices:
+        raise ParseError("point = false needs vertices")
     if draft.relations and not draft.vertices:
         raise ParseError("relation lines need vertices and arrows")
     return draft
 
 
 def _spec_text(spec: NComplexSpec) -> str:
-    if isinstance(spec.shape, Interval):
-        return f"interval {spec.shape.m} (n={spec.n})"
-    if isinstance(spec.shape, Window):
-        return f"window {spec.shape.lo} {spec.shape.hi} (n={spec.n})"
-    return f"cyclic {spec.shape.order} (n={spec.n})"
+    word = next(w for w, shape in _SHAPES.items() if isinstance(spec.shape, shape))
+    return " ".join([word, *map(str, astuple(spec.shape))]) + f" (n={spec.n})"
 
 
 def _resolve_bound_quiver(draft: QuiverDraft, cap: int = 32) -> BoundQuiver:
@@ -245,6 +254,12 @@ def _resolve_coefficient(draft: QuiverDraft, fld: Field,
     if draft.point or (not draft.vertices and not draft.arrows):
         return point_category(fld)
     return category_of(_resolve_bound_quiver(draft, cap), fld)
+
+
+def _categories(job: JobSpec, cap: int) -> Tuple[BoundQuiver, FinCategory]:
+    """The job's bound quiver and its coefficient category."""
+    return (_resolve_bound_quiver(job.quiver, cap),
+            _resolve_coefficient(job.coefficient, job.fld, cap))
 
 
 def _obj_text(obj) -> str:
@@ -289,18 +304,19 @@ def _resolve_target(base: FinCategory, knitted, params) -> CModule:
     raise ParseError(f"bad target {' '.join(spec)!r}")
 
 
+def _node_flags(knitted, i: int) -> List[str]:
+    """The flags of node i: projective, injective, both or neither."""
+    return [flag for flag, holds in (("projective", knitted.projective),
+                                     ("injective", knitted.injective)) if holds[i]]
+
+
 def export_dot(knitted, base: FinCategory) -> str:
     """A deterministic DOT rendering of a knitted family."""
     lines = ["digraph ar {", "  rankdir=LR;"]
     for i, m in enumerate(knitted.modules):
-        flags = ""
-        if knitted.projective[i]:
-            flags += " P"
-        if knitted.injective[i]:
-            flags += " I"
+        flags = "".join(f" {flag[0].upper()}" for flag in _node_flags(knitted, i))
         lines.append(f'  n{i} [label="({_dim_vector_text(m)}){flags}"];')
-    for (src, tgt) in sorted(knitted.edges):
-        mult = knitted.edges[(src, tgt)]
+    for (src, tgt), mult in sorted(knitted.edges.items()):
         label = f' [label="{mult}"]' if mult > 1 else ""
         lines.append(f"  n{src} -> n{tgt}{label};")
     for (tz, z) in sorted(knitted.tau_pairs, key=lambda p: p[1]):
@@ -309,15 +325,24 @@ def export_dot(knitted, base: FinCategory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _family_from_file(knitted, path: str) -> List[CModule]:
-    with open(path, "r", encoding="utf-8") as fh:
+def _family(knitted, choice: str) -> List[CModule]:
+    if choice == "complete":
+        return list(knitted.modules)
+    if not choice.startswith("supplied:"):
+        raise ParseError(f"bad verify family {choice!r}")
+    with open(choice[len("supplied:"):], "r", encoding="utf-8") as fh:
         wanted = [line.strip() for line in fh if line.strip()]
     return [_module_by_dims(knitted, text, "family entry") for text in wanted]
 
 
-def _cmd_info(job: JobSpec, out: List[str], cap: int):
-    b = _resolve_bound_quiver(job.quiver, cap)
-    coeff = _resolve_coefficient(job.coefficient, job.fld, cap)
+def _knit(job: JobSpec, cap: int):
+    b, coeff = _categories(job, cap)
+    base = tensor_base(b, coeff)
+    return base, ar_quiver(base, dim_cap=cap, node_cap=2 * cap)
+
+
+def _cmd_info(job: JobSpec, out: List[str], args):
+    b, coeff = _categories(job, args.cap)
     out.append(f"field: {job.fld}")
     if job.quiver.complex_spec is not None:
         out.append(f"complex shape: {_spec_text(job.quiver.complex_spec)}")
@@ -333,18 +358,8 @@ def _cmd_info(job: JobSpec, out: List[str], cap: int):
     out.append("verified: quiver admissible, categories valid")
 
 
-def _knit(job: JobSpec, cap: int):
-    b = _resolve_bound_quiver(job.quiver, cap)
-    coeff = _resolve_coefficient(job.coefficient, job.fld, cap)
-    base = tensor_base(b, coeff)
-    knitted = ar_quiver(base, dim_cap=cap, node_cap=2 * cap)
-    return b, coeff, base, knitted
-
-
-def _cmd_tensor(job: JobSpec, out: List[str], cap: int):
-    b = _resolve_bound_quiver(job.quiver, cap)
-    coeff = _resolve_coefficient(job.coefficient, job.fld, cap)
-    base = tensor_base(b, coeff)
+def _cmd_tensor(job: JobSpec, out: List[str], args):
+    base = tensor_base(*_categories(job, args.cap))
     out.append(f"objects: {len(base.objects)}")
     for x in base.objects:
         out.append(f"  {_obj_text(x)}")
@@ -355,72 +370,54 @@ def _cmd_tensor(job: JobSpec, out: List[str], cap: int):
     out.append("verified: category laws hold")
 
 
-def _cmd_ar_quiver(job: JobSpec, out: List[str], cap: int, want_dot: bool):
-    _, _, base, knitted = _knit(job, cap)
-    if want_dot:
+def _cmd_ar_quiver(job: JobSpec, out: List[str], args):
+    base, knitted = _knit(job, args.cap)
+    if args.out == "dot":
         out.append(export_dot(knitted, base).rstrip("\n"))
         return
     out.append(f"indecomposables: {len(knitted.modules)}")
     for i, m in enumerate(knitted.modules):
-        flags = []
-        if knitted.projective[i]:
-            flags.append("projective")
-        if knitted.injective[i]:
-            flags.append("injective")
+        flags = _node_flags(knitted, i)
         suffix = f" ({', '.join(flags)})" if flags else ""
         out.append(f"  [{i}] dims ({_dim_vector_text(m)}){suffix}")
-    for (src, tgt) in sorted(knitted.edges):
-        out.append(f"  edge {src} -> {tgt} x{knitted.edges[(src, tgt)]}")
+    for (src, tgt), mult in sorted(knitted.edges.items()):
+        out.append(f"  edge {src} -> {tgt} x{mult}")
     for (tz, z) in sorted(knitted.tau_pairs, key=lambda p: p[1]):
         out.append(f"  tau [{z}] = [{tz}]")
     out.append("verified: knitting closed under tau-inverse")
 
 
-def _cmd_ass(job: JobSpec, out: List[str], cap: int, family_choice: str):
-    _, _, base, knitted = _knit(job, cap)
+def _cmd_sequence(job: JobSpec, out: List[str], args):
+    """`verify`, and `ass`, which is `verify` of the almost split sequence
+    that also prints the sequence's terms.  Refusals come in one order:
+    the target, then the test family, then the sequence."""
+    base, knitted = _knit(job, args.cap)
     target = _resolve_target(base, knitted, job.params)
-    ass = almost_split_sequence(target)
-    family = _family(knitted, family_choice)
-    checked = verify_almost_split(ass.sequence, family)
-    out.append(f"almost split sequence ending at ({_dim_vector_text(target)})")
-    out.append(f"  left   ({_dim_vector_text(ass.sequence.left)})")
-    out.append(f"  middle ({_dim_vector_text(ass.sequence.middle)})")
-    out.append(f"  right  ({_dim_vector_text(ass.sequence.right)})")
-    out.append(f"  ext dimension {ass.ext_dim}")
-    out.append(f"verified: almost split against {checked} test modules")
-
-
-def _family(knitted, choice: str) -> List[CModule]:
-    if choice == "complete":
-        return list(knitted.modules)
-    if choice.startswith("supplied:"):
-        return _family_from_file(knitted, choice[len("supplied:"):])
-    raise ParseError(f"bad verify family {choice!r}")
-
-
-def _cmd_verify(job: JobSpec, out: List[str], cap: int, family_choice: str):
-    _, _, base, knitted = _knit(job, cap)
-    target = _resolve_target(base, knitted, job.params)
-    sequence = job.params.get("sequence", ["almost-split"])[0]
-    family = _family(knitted, family_choice)
-    if sequence == "almost-split":
+    family = _family(knitted, args.verify_family)
+    kind = job.params.get("sequence", ["almost-split"])[0]
+    if kind == "almost-split":
         ass = almost_split_sequence(target)
         se = ass.sequence
-    elif sequence == "split":
+    elif kind == "split":
         left = tau(target)
         total, injs, projs = direct_sum([left, target])
         se = ShortExact(left, total, target, injs[0], projs[1])
     else:
-        raise ParseError(f"bad sequence kind {sequence!r}")
+        raise ParseError(f"bad sequence kind {kind!r}")
     checked = verify_almost_split(se, family)
+    if job.command == "ass":
+        out.append(f"almost split sequence ending at ({_dim_vector_text(target)})")
+        for name, term in (("left  ", se.left), ("middle", se.middle), ("right ", se.right)):
+            out.append(f"  {name} ({_dim_vector_text(term)})")
+        out.append(f"  ext dimension {ass.ext_dim}")
     out.append(f"verified: almost split against {checked} test modules")
 
 
-def _cmd_approximate(job: JobSpec, out: List[str], cap: int):
+def _cmd_approximate(job: JobSpec, out: List[str], args):
     spec = job.quiver.complex_spec
     if spec is None:
         raise PreconditionError("approximate needs a complex shape")
-    coeff = _resolve_coefficient(job.coefficient, job.fld, cap)
+    coeff = _resolve_coefficient(job.coefficient, job.fld, args.cap)
     tspec = job.params.get("target")
     if not tspec or tspec[0] != "stalk" or len(tspec) != 3:
         raise ParseError("approximate needs 'target = stalk <degree> <object>'")
@@ -447,28 +444,35 @@ def _cmd_approximate(job: JobSpec, out: List[str], cap: int):
                f"{len(ap.certified)} generator certificates")
 
 
-def _cmd_roundtrip(job: JobSpec, out: List[str], cap: int):
-    b = _resolve_bound_quiver(job.quiver, cap)
-    coeff = _resolve_coefficient(job.coefficient, job.fld, cap)
+def _cmd_roundtrip(job: JobSpec, out: List[str], args):
+    b, coeff = _categories(job, args.cap)
     base = tensor_base(b, coeff)
-    trips = 0
     for x in base.objects:
         m = yoneda_projective(base, x)
         r = psi(m)
         if phi(r, base) != m or psi(phi(r, base)) != r:
             raise VerificationError(f"round trip failed at {_obj_text(x)}")
-        trips += 1
-    certified = 0
     for v in b.quiver.vertices:
         for c in coeff.objects:
             ind = phi(f_star_v(b, v, yoneda_projective(coeff, c)), base)
-            pair = is_isomorphic(ind, yoneda_projective(base, (v, c)))
-            if pair is None:
+            if is_isomorphic(ind, yoneda_projective(base, (v, c))) is None:
                 raise VerificationError(f"induction mismatch at ({v}, {_obj_text(c)})")
-            certified += 1
-    out.append(f"round trips verified: {trips}")
-    out.append(f"inductions certified projective: {certified}")
+    out.append(f"round trips verified: {len(base.objects)}")
+    out.append(f"inductions certified projective: {len(b.quiver.vertices) * len(coeff.objects)}")
     out.append("verified: dictionary is exact on representables")
+
+
+# command -> (name of its handler, the [command] parameters it reads); main
+# looks the handler up by name when it runs, so a replaced handler is called
+_HANDLERS = {
+    "info": ("_cmd_info", ()),
+    "tensor": ("_cmd_tensor", ()),
+    "ar-quiver": ("_cmd_ar_quiver", ()),
+    "ass": ("_cmd_sequence", ("target",)),
+    "verify": ("_cmd_sequence", ("target", "sequence")),
+    "approximate": ("_cmd_approximate", ("target", "generators")),
+    "roundtrip": ("_cmd_roundtrip", ()),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -491,29 +495,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.cap < 1:
             parser.error(f"--cap must be at least 1, got {args.cap}")
         with open(args.job, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        job = load_spec(text, args.field)
+            job = load_spec(fh.read(), args.field)
         out: List[str] = []
-        if job.command == "info":
-            _cmd_info(job, out, args.cap)
-        elif job.command == "tensor":
-            _cmd_tensor(job, out, args.cap)
-        elif job.command == "ar-quiver":
-            _cmd_ar_quiver(job, out, args.cap, args.out == "dot")
-        elif job.command == "ass":
-            _cmd_ass(job, out, args.cap, args.verify_family)
-        elif job.command == "verify":
-            _cmd_verify(job, out, args.cap, args.verify_family)
-        elif job.command == "approximate":
-            _cmd_approximate(job, out, args.cap)
-        elif job.command == "roundtrip":
-            _cmd_roundtrip(job, out, args.cap)
+        globals()[_HANDLERS[job.command][0]](job, out, args)
+        text_out = "\n".join(out) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text_out)
         else:
-            raise ParseError(f"unknown command {job.command!r}")
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as e:
+            sys.stdout.write(text_out)
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
     except (PreconditionError, NotAdmissibleError, CapExceededError) as e:
@@ -525,16 +516,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (AssertionError, ZeroDivisionError) as e:
         print(f"internal check failed: {e}", file=sys.stderr)
         return 3
-    text_out = "\n".join(out) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text_out)
-        except OSError as e:
-            print(f"parse error: {e}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text_out)
     return 0
 
 

@@ -1196,16 +1196,14 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
         raise AssertionError("vanishing Ext against the translate")
     rad = radical_basis(alg)
     rads = [map_from_coords(basis, tuple(rad.col(j))) for j in range(rad.cols)]
-    fld = z.cat.field
-    if rads:
-        thetas = [_end_action_on_kernel(ext.pres, r) for r in rads]
-        socle = vstack([ext.classes([t.then(rep) for rep in ext.representatives])
-                        for t in thetas]).kernel_basis()
-        if socle.cols == 0:
-            raise AssertionError("empty socle in Ext against the translate")
-        coords = tuple(socle.col(0))
-    else:
-        coords = tuple(fld.one() if t == 0 else fld.zero() for t in range(ext.dim))
+    thetas = [_end_action_on_kernel(ext.pres, r) for r in rads]
+    # the empty first block makes the socle all of Ext^1 when End(z) is a field
+    socle = vstack([Mat.zeros(z.cat.field, 0, ext.dim)]
+                   + [ext.classes([t.then(rep) for rep in ext.representatives])
+                      for t in thetas]).kernel_basis()
+    if socle.cols == 0:
+        raise AssertionError("empty socle in Ext against the translate")
+    coords = tuple(socle.col(0))
     xi = map_from_coords(ext.representatives, coords)
     se = extension_from_cocycle(ext, xi)
     if splitting_section(se) is not None:

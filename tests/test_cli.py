@@ -521,3 +521,82 @@ def test_internal_check_failure_exits_3(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_info", broken)
         code, _, err = run(tmp_path, text, capsys=capsys)
         assert code == 3 and f"internal check failed: {exc}" in err
+
+
+CYCLIC2_STALK = "[quiver]\ncomplex = cyclic 2\n[command]\nname = approximate\ntarget = stalk 0 pt\n"
+JOB_PER_COMMAND = {
+    "info": A2_QUIVER + "\n[command]\nname = info\n",
+    "tensor": A2_QUIVER + "\n[command]\nname = tensor\n",
+    "ar-quiver": A2_QUIVER + "\n[command]\nname = ar-quiver\n",
+    "ass": A3_RAD2 + "\n[command]\nname = ass\ntarget = simple 2:pt\n",
+    "verify": A2_QUIVER + "\n[command]\nname = verify\ntarget = dims 1 0\nsequence = almost-split\n",
+    "approximate": CYCLIC2_STALK + "generators = coils\n",
+    "roundtrip": A3_RAD2 + "\n[command]\nname = roundtrip\n",
+}
+
+
+def test_every_command_of_the_table_runs_from_a_job_file(tmp_path, capsys):
+    assert sorted(JOB_PER_COMMAND) == sorted(cli._HANDLERS)
+    for command, text in JOB_PER_COMMAND.items():
+        code, out, err = run(tmp_path, text, capsys=capsys)
+        assert code == 0 and err == "", (command, err)
+        assert out.splitlines()[-1].startswith("verified"), command
+    text = A2_QUIVER + "\n[command]\nname = knit\n"
+    code, out, err = run(tmp_path, text, capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "parse error: line 10: unknown command 'knit'\n"
+
+
+def test_a_parameter_the_command_does_not_read_exits_1(tmp_path, capsys):
+    """A misspelt `sequence` would otherwise verify the almost split
+    sequence instead of the split control, and `ass` reads no `sequence`."""
+    verify = A2_QUIVER + "\n[command]\nname = verify\ntarget = dims 1 0\n"
+    for text, command, key, no in (
+            (verify + "sequense = split\n", "verify", "sequense", 12),
+            (verify.replace("verify", "ass") + "sequence = split\n", "ass", "sequence", 12),
+            (A2_QUIVER + "\n[command]\ntarget = dims 1 0\nname = info\n", "info", "target", 10),
+            (CYCLIC2_STALK + "sequence = split\n", "approximate", "sequence", 6)):
+        code, out, err = run(tmp_path, text, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == (f"parse error: line {no}: command {command!r} reads no "
+                       f"parameter {key!r}\n")
+
+
+def test_sequence_commands_refuse_the_target_then_the_family(tmp_path, capsys):
+    """`ass` and `verify` refuse in one order, target, family, sequence:
+    a missing family file is reported before the projective target's
+    missing almost split sequence."""
+    absent = tmp_path / "absent.txt"
+    text = A2_QUIVER + "\n[command]\nname = ass\ntarget = projective 1:pt\n"
+    code, out, err = run(tmp_path, text, "--verify-family", f"supplied:{absent}",
+                         capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: ") and str(absent) in err
+    text = A2_QUIVER + "\n[command]\nname = ass\ntarget = projective 7:pt\n"
+    code, _, err = run(tmp_path, text, "--verify-family", f"supplied:{absent}",
+                       capsys=capsys)
+    assert code == 2 and err == "precondition failed: no object named '7:pt'\n"
+
+
+def test_point_values_are_true_or_false(tmp_path, capsys):
+    for lines, message in (("point = maybe", "line 10: bad point value 'maybe'"),
+                           ("point = false", "point = false needs vertices"),
+                           ("point = no\narrow b1: 1 -> 2", "point = false needs vertices"),
+                           ("point = true\npoint = true", "line 11: more than one point line")):
+        text = A2_QUIVER + f"\n[coefficient]\n{lines}\n[command]\nname = info\n"
+        code, out, err = run(tmp_path, text, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"parse error: {message}\n"
+    text = A2_QUIVER + ("\n[coefficient]\npoint = 0\nvertices = 1 2\narrow b1: 1 -> 2\n"
+                        "[command]\nname = info\n")
+    code, out, _ = run(tmp_path, text, capsys=capsys)
+    assert code == 0 and "coefficient objects: 2, total dim 3" in out
+
+
+def test_a_second_field_line_exits_1(tmp_path, capsys):
+    for lines in ("p = 101\np = 7", "p = 7\nrationals = yes", "rationals = yes\np = 101"):
+        text = f"[field]\n{lines}\n" + A3_RAD2 + "\n[command]\nname = info\n"
+        code, out, err = run(tmp_path, text, "--field", "Q", capsys=capsys)
+        second = lines.splitlines()[1]
+        assert code == 1 and out == ""
+        assert err == f"parse error: line 3: more than one field line: {second!r}\n"
