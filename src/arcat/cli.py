@@ -310,7 +310,7 @@ def _node_flags(knitted, i: int) -> List[str]:
                                      ("injective", knitted.injective)) if holds[i]]
 
 
-def export_dot(knitted, base: FinCategory) -> str:
+def export_dot(knitted) -> str:
     """A deterministic DOT rendering of a knitted family."""
     lines = ["digraph ar {", "  rankdir=LR;"]
     for i, m in enumerate(knitted.modules):
@@ -338,7 +338,7 @@ def _family(knitted, choice: str) -> List[CModule]:
 def _knit(job: JobSpec, cap: int):
     b, coeff = _categories(job, cap)
     base = tensor_base(b, coeff)
-    return base, ar_quiver(base, dim_cap=cap, node_cap=2 * cap)
+    return base, ar_quiver(base, cap)
 
 
 def _cmd_info(job: JobSpec, out: List[str], args):
@@ -371,9 +371,9 @@ def _cmd_tensor(job: JobSpec, out: List[str], args):
 
 
 def _cmd_ar_quiver(job: JobSpec, out: List[str], args):
-    base, knitted = _knit(job, args.cap)
+    knitted = _knit(job, args.cap)[1]
     if args.out == "dot":
-        out.append(export_dot(knitted, base).rstrip("\n"))
+        out.append(export_dot(knitted).rstrip("\n"))
         return
     out.append(f"indecomposables: {len(knitted.modules)}")
     for i, m in enumerate(knitted.modules):

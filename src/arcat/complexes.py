@@ -239,16 +239,25 @@ def _direct_sum(xs: Sequence[NComplex], spec: NComplexSpec,
     return _view(spec, rep_direct_sum(xs, build_category(spec), coeff))
 
 
+def _zero_filled(spec: NComplexSpec, coeff: FinCategory, comps: Mapping[int, CModule],
+                 diffs: Mapping[int, ModuleMap]) -> NComplex:
+    """The complex of shape spec with the given components and differentials,
+    the zero module at every other degree and the zero map at every other
+    differential, built unvalidated: callers whose given pieces are not a
+    complex already validate the result."""
+    z = zero_module(coeff)
+    comps = {i: comps.get(i, z) for i in spec._degrees}
+    diffs = {i: diffs[i] if i in diffs else zero_map(comps[i], comps[spec.wrap(i + 1)])
+             for i in spec._diff_degrees}
+    return NComplex(spec, coeff, comps, diffs, validate=False)
+
+
 def stalk(spec: NComplexSpec, degree: int, m: CModule) -> NComplex:
     """m concentrated in one degree, all differentials zero."""
     w = spec.wrap(degree)
     if w is None:
         raise PreconditionError(f"degree {degree} is outside the shape")
-    z = zero_module(m.cat)
-    comps = {i: m if i == w else z for i in spec._degrees}
-    diffs = {i: zero_map(comps[i], comps[spec.wrap(i + 1)])
-             for i in spec._diff_degrees}
-    return NComplex(spec, m.cat, comps, diffs, validate=False)
+    return _zero_filled(spec, m.cat, {w: m}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +290,7 @@ def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
     old = set(x.spec._degrees)
     if not old <= set(spec._degrees):
         raise PreconditionError("target window does not contain the source")
-    z = zero_module(x.coeff)
-    comps = {i: x.components[i] if i in old else z for i in spec._degrees}
-    diffs = {i: x.d(i) if i in x.spec._diff_degrees
-             else zero_map(comps[i], comps[i + 1]) for i in spec._diff_degrees}
-    return NComplex(spec, x.coeff, comps, diffs, validate=False)
+    return _zero_filled(spec, x.coeff, x.components, x.differentials)
 
 
 def pad_chain_map(f: QRepMap, spec: NComplexSpec) -> QRepMap:
@@ -468,11 +473,10 @@ def hard_truncate(x: NComplex, floor: int) -> NComplex:
     """Zeroes every component below the floor; window shapes only."""
     if not isinstance(x.spec.shape, Window):
         raise PreconditionError("hard truncation needs a window shape")
-    z = zero_module(x.coeff)
-    comps = {i: x.components[i] if i >= floor else z for i in x.spec._degrees}
-    diffs = {i: x.d(i) if i >= floor else zero_map(comps[i], comps[i + 1])
-             for i in x.spec._diff_degrees}
-    return NComplex(x.spec, x.coeff, comps, diffs, validate=True)
+    out = _zero_filled(x.spec, x.coeff, {i: c for i, c in x.components.items() if i >= floor},
+                       {i: d for i, d in x.differentials.items() if i >= floor})
+    out._validate()
+    return out
 
 
 @dataclass

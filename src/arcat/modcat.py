@@ -7,25 +7,27 @@ transformations with per object components.
 
 Validation happens at the trust boundary.  A module or map built from given
 data is verified on construction: functoriality by fincat._functor_failure,
-with one matrix product per middle object, and naturality square by square.
-So are the simple modules, the base change of conjugate_module, the cocycle
-pair of extension_from_cocycle, and the maps that factor_through_cokernel,
-dual_map and _end_action_on_kernel return.  The derived objects whose
-construction proves them valid are built unvalidated, each with its proof
-in its docstring: the representables (their matrices are the ones
+with one matrix product per middle object, and naturality square by
+square.  So are the base change of conjugate_module, the cocycle pair of
+extension_from_cocycle, and the maps that factor_through_cokernel, dual_map
+and _end_action_on_kernel return.  The derived objects whose construction
+proves them valid are built unvalidated, each with its proof in its
+docstring: the representables (their matrices are the ones
 FinCategory._validate checked), sub-modules and their inclusions (one exact
 solve against bases of full column rank), the projection onto an image,
-cokernels and their projections (phi is natural), the maps out of sums of
-representables (Yoneda), and duals (transposed actions).  Composites, sums
-and scalings of maps, identities, zero maps, direct sums (sum_module) with
-their block injections and projections, and the block maps between sums
-(sum_map, copair) are natural or functorial by linear algebra alone.  Every
-certificate the program reports is still checked: cover surjectivity and,
-where a cover must be minimal (projective_cover and both covers of a
-presentation), ker <= rad, the rebuilt presentation, exactness and
-non-splitness, the almost split property, the decomposition identities (in
-End(m), by algebra.primitive_idempotents), and the closure of knitting's
-summand multiplicities to the dimension of the middle term.
+cokernels and their projections (the spans are submodules), among them the
+top quotients and so the simple modules, the tops of the representables, the
+maps out of sums of representables (Yoneda), and duals (transposed
+actions).  Composites, sums and scalings of maps, identities, zero maps,
+direct sums (sum_module) with their block injections and projections, and
+the block maps between sums (sum_map, copair) are natural or functorial by
+linear algebra alone.  Every certificate the program reports is still
+checked: cover surjectivity and, where a cover must be minimal
+(projective_cover and both covers of a presentation), ker <= rad, the
+rebuilt presentation, exactness and non-splitness, the almost split
+property, the decomposition identities (in End(m), by
+algebra.primitive_idempotents), and the closure of knitting's summand
+multiplicities to the dimension of the middle term.
 
 Sums of representables are fincat.Hull's Hom(-, X), block sums of the
 memoised representables.  A map out of Hom(-, X) is its values at the
@@ -37,7 +39,8 @@ proj_sum_matrix reads g back off the unit values.
 On this representation the module category is computed exactly: hom spaces,
 and their dimensions off presentations (Yoneda), kernels, images, cokernels,
 radicals, projective covers and minimal presentations, projectivity by
-counting top dimensions, the standard duality, the transpose, the translates
+counting top dimensions, the standard duality, the transpose and the
+projective summands, both off one dualized presentation, the translates
 built from them, Ext^1 with explicit extension classes, almost split
 sequences with independent verification by Hom-dimension defects,
 Krull-Schmidt decomposition with idempotent certificates, summand
@@ -346,24 +349,15 @@ def yoneda_map(cat: FinCategory, x, y, h_coords) -> ModuleMap:
 
 
 def simple_module(cat: FinCategory, x) -> CModule:
-    """The simple top of the representable at x, for basic categories."""
+    """The simple top of the representable at x (`top_quotient`), for
+    basic categories: End(x) must have the unit as its one basis element
+    outside the radical."""
     if x not in cat.objects:
         raise PreconditionError(f"{x!r} is not an object of the category")
     non_rad = [i for i in range(cat.dim(x, x)) if i not in cat.radical[(x, x)]]
     if len(non_rad) != 1 or cat.units[x] != cat.basis_coords(x, x, non_rad[0]):
         raise PreconditionError(f"End({x!r}) is not basic with unit basis element")
-    unit_idx = non_rad[0]
-    fld = cat.field
-    dims = {y: 1 if y == x else 0 for y in cat.objects}
-    action = {}
-    for y in cat.objects:
-        for z in cat.objects:
-            for i in range(cat.dim(y, z)):
-                if y == x and z == x and i == unit_idx:
-                    action[(y, z, i)] = Mat.identity(fld, 1)
-                else:
-                    action[(y, z, i)] = Mat.zeros(fld, dims[y], dims[z])
-    return CModule(cat, dims, action, validate=True)
+    return top_quotient(yoneda_projective(cat, x)).module
 
 
 def representation_category(bq: BoundQuiver, fld) -> FinCategory:
@@ -508,21 +502,21 @@ def _projection_and_section(s: Mat) -> Tuple[Mat, Mat]:
     return pi, sec
 
 
-def cokernel_module(phi: ModuleMap) -> Cokernel:
-    """The cokernel of phi: the rows of the projection pi_x span the left
-    null space of phi_x, s_x is a section of pi_x, and f acts by
-    pi_x n(f) s_y.
+def _cokernel(n: CModule, spans: Dict) -> Cokernel:
+    """The quotient of n by the submodule whose value at x is the column
+    span of spans[x]: the rows of the projection pi_x span the left null
+    space of spans[x] (`_projection_and_section`, which reads only that
+    span), s_x is a section of pi_x, and f acts by pi_x n(f) s_y.
 
-    The module and the projection are built unvalidated: pi kills im phi, and
-    im phi is stable under n because phi is natural, so pi_x n(f) =
-    (pi_x n(f) s_y) pi_y; functoriality and the unit law then follow from
-    those of n, since every pi_x is surjective.
+    The module and the projection are built unvalidated: the spans are
+    stable under n, so pi_x n(f) = (pi_x n(f) s_y) pi_y; functoriality and
+    the unit law then follow from those of n, since every pi_x is
+    surjective.
     """
-    n = phi.tgt
     cat = n.cat
     pis, sections = {}, {}
     for x in cat.objects:
-        pis[x], sections[x] = _projection_and_section(phi.comps[x])
+        pis[x], sections[x] = _projection_and_section(spans[x])
     dims = {x: pis[x].rows for x in cat.objects}
     action = {}
     for x in cat.objects:
@@ -531,6 +525,12 @@ def cokernel_module(phi: ModuleMap) -> Cokernel:
                 action[(x, y, i)] = pis[x] @ n.action[(x, y, i)] @ sections[y]
     coker = CModule(cat, dims, action, validate=False)
     return Cokernel(coker, ModuleMap(n, coker, pis, validate=False), sections)
+
+
+def cokernel_module(phi: ModuleMap) -> Cokernel:
+    """The cokernel of phi: n = phi.tgt modulo the images of the
+    components, stable under n because phi is natural (`_cokernel`)."""
+    return _cokernel(phi.tgt, phi.comps)
 
 
 def factor_through_cokernel(ck: Cokernel, psi: ModuleMap) -> ModuleMap:
@@ -557,7 +557,10 @@ def radical_submodule(m: CModule) -> Kernel:
 
 
 def top_quotient(m: CModule) -> Cokernel:
-    return cokernel_module(radical_submodule(m).include)
+    """m / rad m, quotiented by the radical actions themselves
+    (`_cokernel`): their column spans are rad m, a submodule, and no
+    radical submodule is built."""
+    return _cokernel(m, {x: _radical_actions(m, x) for x in m.cat.objects})
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +651,8 @@ def _top_lifts(m: CModule) -> Dict:
 
     The projection `_projection_and_section` of S = _radical_actions(m, x)
     maps onto the top with kernel rad m(x), and the lifts are the columns of
-    its section.  These are the sections of top_quotient(m), bit for bit:
-    that cokernel reads the same kernel basis off the rref of B^T for the
-    pivot columns B of S, and B^T has the row space, hence the rref, of S^T.
+    its section.  These are the sections of top_quotient(m), which
+    quotients by the same S.
     """
     return {x: _projection_and_section(_radical_actions(m, x))[1] for x in m.cat.objects}
 
@@ -672,12 +674,8 @@ def projective_cover(m: CModule) -> Cover:
     """A projective cover (`_cover_map`) with its kernel, certified to lie
     in the radical.
 
-    ker <= rad is read off the coordinates: rad P0 at y, for P0 = Hom(-, X),
-    is the span of the radical basis coordinates of flat Hom(y, X).  It is
-    spanned by the g o r with r radical, radical since the radical is an
-    ideal (checked by FinCategory._validate), and it holds each radical
-    basis element r: y -> X_k as 1 o r.  So the kernel inclusion must vanish
-    on every non-radical coordinate.
+    ker <= rad is read off the coordinates (`_top_rows`): the kernel
+    inclusion must vanish on every coordinate outside the radical.
     """
     psum, p = _cover_map(m)
     ker = kernel_module(p)
@@ -685,18 +683,30 @@ def projective_cover(m: CModule) -> Cover:
     return Cover(psum, p, ker)
 
 
+def _top_rows(psum: ProjSum, y, basis: Mat) -> Mat:
+    """The rows of basis, a span in flat Hom(y, X) for psum = Hom(-, X), at
+    the coordinates outside the radical, in order: a span lies in rad
+    Hom(y, X) exactly when these rows vanish.
+
+    rad Hom(-, X) at y is the span of the radical basis coordinates of flat
+    Hom(y, X).  It is spanned by the g o r with r radical, radical since the
+    radical is an ideal (checked by FinCategory._validate), and it holds
+    each radical basis element r: y -> X_k as 1 o r.
+    """
+    cat = psum.cat
+    rows, pos = [], 0
+    for x in psum.vertices:
+        rows.extend(pos + t for t in range(cat.dim(y, x)) if t not in cat.radical[(y, x)])
+        pos += cat.dim(y, x)
+    return Mat(cat.field, len(rows), basis.cols, [v for r in rows for v in basis.row(r)])
+
+
 def _check_kernel_in_radical(psum: ProjSum, bases: Dict):
     """Raises unless the kernel bases of a cover from psum (bases[y], the
-    kernel basis of its component at y) vanish on every non-radical
-    coordinate of flat Hom(y, X); see projective_cover."""
-    cat = psum.cat
-    for y in cat.objects:
-        inc, pos = bases[y], 0
-        for x in psum.vertices:
-            rad = cat.radical[(y, x)]
-            if any(any(inc.row(pos + t)) for t in range(cat.dim(y, x)) if t not in rad):
-                raise AssertionError("cover kernel is not contained in the radical")
-            pos += cat.dim(y, x)
+    kernel basis of its component at y) lie in the radical (`_top_rows`)."""
+    for y in psum.cat.objects:
+        if not _top_rows(psum, y, bases[y]).is_zero():
+            raise AssertionError("cover kernel is not contained in the radical")
 
 
 @dataclass
@@ -823,61 +833,71 @@ def dual_map(phi: ModuleMap) -> ModuleMap:
                      validate=True)
 
 
-def _transpose_raw(m: CModule) -> CModule:
-    """Tr m, the cokernel of the dualized differential Hom(-, g^op) of a
-    minimal presentation Hom(-, g): over the opposite category, g^op has the
-    transposed blocks of g.  Without the projective-summand check of
-    `transpose`."""
+def _dualized(m: CModule) -> Tuple[ProjSum, ModuleMap]:
+    """(P0*, g*) for the minimal presentation Hom(-, g): P1 -> P0 of m:
+    g* = Hom(-, g^op): P0* -> P1* over the opposite category, where g^op
+    has the transposed blocks of g and P0* = Hom_op(-, X0).
+
+    At y, flat Hom_op(y, X0) is flat Hom(X0, y) = Hom(P0, P_y) (Yoneda), and
+    g* sends h to h o g.  Hom(-, P_y) is left exact, so the kernel of
+    g*.comps[y] is Hom(m, P_y), each map phi given by phi o cover; the
+    cokernel of g* is Tr m.
+    """
     pres = minimal_presentation(m)
     g = pres.matrix
     op = opposite_category(m.cat)
     blocks = tuple(tuple(row[i] for row in g.blocks) for i in range(len(g.src.summands)))
-    dualized = proj_sum_map(proj_sum(op, pres.p0.vertices), proj_sum(op, pres.p1.vertices),
-                            AddMor(g.tgt, g.src, blocks))
-    return cokernel_module(dualized).module
+    p0 = proj_sum(op, pres.p0.vertices)
+    return p0, proj_sum_map(p0, proj_sum(op, pres.p1.vertices), AddMor(g.tgt, g.src, blocks))
+
+
+def _transpose_raw(m: CModule) -> CModule:
+    """Tr m, the cokernel of g* (`_dualized`), without the projective-summand
+    check of `transpose`."""
+    return cokernel_module(_dualized(m)[1]).module
 
 
 def transpose(m: CModule) -> CModule:
-    """Cokernel of the dualized differential of a minimal presentation.
+    """Tr m, the cokernel of the dualized differential g* of a minimal
+    presentation (`_dualized`).
 
-    Rejects inputs with a projective direct summand (`_projective_summand_dims`);
-    callers that have already proved m free of projective summands
-    (almost_split_sequence) use _transpose_raw.
+    Rejects inputs with a projective direct summand, read off the kernel of
+    the same g* (`_projective_summand_dims`), so the presentation is
+    dualized once and no hom space is built.  Callers that have already
+    proved m free of projective summands (almost_split_sequence) use
+    _transpose_raw.
     """
-    gap = _projective_summand_dims(m)
+    p0, g = _dualized(m)
+    gap = _projective_summand_dims(p0, g)
     if gap:
         raise PreconditionError(f"projective summand with dims {gap} present")
-    return _transpose_raw(m)
+    return cokernel_module(g).module
 
 
-def _projective_summand_dims(m: CModule) -> Dict:
+def _projective_summand_dims(p0: ProjSum, g: ModuleMap) -> Dict:
     """The dimension vector of the largest projective direct summand of m,
-    at the objects where it is nonzero, in the order of cat.objects.
+    at the objects where it is nonzero, in the order of the objects, for
+    (p0, g) = _dualized(m).
 
     The multiplicity a_x of P_x = Hom(-, x) as a summand of m is the rank of
     the composition pairing Hom(P_x, m) x Hom(m, P_x) -> End(P_x)/rad, which
-    is k (the split-basic assumption of `projective_cover`): by Yoneda,
-    Hom(P_x, m) = m(x), the vector v giving the map with 1_x -> v, and
-    g o (that map) is g_x(v) in End(P_x) = Hom(x, x).  So a_x is the rank
-    of [identity coefficient of g_x(v)] over v in a basis of m(x) and g in
-    a basis of Hom(m, P_x): row t0 of g_x, for the one basis index t0 of
-    Hom(x, x) outside the radical.  A pairing of a summand P_x^a with its
-    complement lands in the radical (Krull-Schmidt), so the rank is exact
-    in every characteristic.
+    is k (the split-basic assumption of `projective_cover`).  The kernel of
+    g*.comps[x] is Hom(m, P_x), each phi given by h = phi o cover in
+    Hom(P0, P_x) = flat Hom(X0, x) (`_dualized`).  P_x is projective, so
+    every map P_x -> m is cover o u for some u in flat Hom(x, X0), and
+    phi o cover o u = sum_k h_k u_k is outside the radical only through
+    the summands x0_k = x, where it is the product of the coefficients of
+    h_k and u_k at the one basis element of End(x) outside the radical.  So
+    a_x is the rank of the top rows of that kernel (`_top_rows`).  A pairing
+    of a summand P_x^a with its complement lands in the radical
+    (Krull-Schmidt), so the rank is exact in every characteristic.
     """
-    cat = m.cat
-    gap = {y: 0 for y in cat.objects}
-    for x in cat.objects:
-        if not m.dims[x]:
-            continue
-        basis = hom_space(m, yoneda_projective(cat, x))
-        if not basis:
-            continue
-        (t0,) = (t for t in range(cat.dim(x, x)) if t not in cat.radical[(x, x)])
-        a = Mat(cat.field, len(basis), m.dims[x],
-                [v for g in basis for v in g.comps[x].row(t0)]).rank()
-        for y in cat.objects:
-            gap[y] += a * cat.dim(y, x)
+    op = p0.cat
+    gap = {y: 0 for y in op.objects}
+    for x in op.objects:
+        a = _top_rows(p0, x, g.comps[x].kernel_basis()).rank()
+        for y in op.objects:
+            gap[y] += a * op.dim(x, y)
     return {y: d for y, d in gap.items() if d}
 
 
@@ -1299,7 +1319,7 @@ class ARQuiver:
     tau_pairs: List[Tuple[int, int]]
 
 
-def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQuiver:
+def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
     """Knits the Auslander-Reiten quiver from the projectives.
 
     The nodes are done in one pass, in the order they are registered.  The
@@ -1317,8 +1337,9 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
     knitting is the whole AR quiver: the nodes reached are closed under
     predecessors and successors, so they form finite components holding
     every projective, and by Auslander's theorem a finite component is the
-    whole AR quiver of its connected block (ARS ch. VI.1).  Caps guard
-    against infinite type and raise CapExceededError.
+    whole AR quiver of its connected block (ARS ch. VI.1).  One cap guards
+    against infinite type: CapExceededError is raised for a node of total
+    dimension above cap, or for more than 2 * cap nodes.
     """
     modules: List[CModule] = []
     edges: Dict[Tuple[int, int], int] = {}
@@ -1337,11 +1358,11 @@ def ar_quiver(cat: FinCategory, dim_cap: int = 64, node_cap: int = 128) -> ARQui
         for idx in bucket:
             if is_isomorphic(m, modules[idx]) is not None:
                 return idx
-        if m.total_dim() > dim_cap:
+        if m.total_dim() > cap:
             raise CapExceededError(
-                f"indecomposable of total dimension {m.total_dim()} exceeds cap {dim_cap}")
-        if len(modules) >= node_cap:
-            raise CapExceededError(f"more than {node_cap} indecomposables")
+                f"indecomposable of total dimension {m.total_dim()} exceeds cap {cap}")
+        if len(modules) >= 2 * cap:
+            raise CapExceededError(f"more than {2 * cap} indecomposables")
         modules.append(m)
         bucket.append(len(modules) - 1)
         projective.append(is_projective_module(m))

@@ -72,6 +72,18 @@ def module_print(m: CModule):
             tuple((k, typed_entries(a)) for k, a in m.action.items()))
 
 
+def reference_simple_module(cat: FinCategory, x) -> CModule:
+    """The simple at x as a hand-built action table, validated: k at x, the
+    identity for the one basis element of End(x) outside the radical, zero
+    everywhere else."""
+    (unit,) = (i for i in range(cat.dim(x, x)) if i not in cat.radical[(x, x)])
+    dims = {y: int(y == x) for y in cat.objects}
+    action = {(y, z, i): (Mat.identity(cat.field, 1) if (y, z, i) == (x, x, unit)
+                          else Mat.zeros(cat.field, dims[y], dims[z]))
+              for y in cat.objects for z in cat.objects for i in range(cat.dim(y, z))}
+    return CModule(cat, dims, action, validate=True)
+
+
 def rand_mat(field: Field, rows: int, cols: int, rng) -> Mat:
     return Mat(field, rows, cols, [field.random(rng) for _ in range(rows * cols)])
 

@@ -12,8 +12,8 @@ import pytest
 
 from arcat import modcat
 from arcat.errors import CapExceededError, PreconditionError, VerificationError
-from arcat.fincat import (AddMor, AddObject, Hull, category_of, opposite_category,
-                          point_category)
+from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, category_of,
+                          opposite_category, point_category)
 from arcat.algebra import radical_basis
 from arcat.linalg import Field, Mat, hstack, solve
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
@@ -36,7 +36,7 @@ from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_rad2, a_m_rad_n,
                       composite_rank_verify, cyclic_rad2, module_print, one_loop_rad2,
                       rand_hom, rand_invertible, rand_module, reference_act,
                       reference_end_action_on_kernel, reference_end_algebra,
-                      reference_sum_injections, typed_entries)
+                      reference_simple_module, reference_sum_injections, typed_entries)
 
 
 def rep_a2(field=F101):
@@ -1247,26 +1247,131 @@ def test_knitting_falls_back_when_a_radical_multiplicity_is_tampered(monkeypatch
     assert knit_print(ar) == knit_print(want)
 
 
+def summand_categories(fld):
+    """A4 mod rad^3, the loop mod x^2 and A3 mod rad^2 (x) A2 over fld."""
+    return (representation_category(a_m_rad_n(4, 3), fld),
+            representation_category(one_loop_rad2(), fld),
+            tensor_base(a3_rad2(), category_of(a2_quiver(), fld)))
+
+
+def summand_pool(cat):
+    """Representables, simples and injectives of cat."""
+    pool = [f(cat, x) for x in cat.objects for f in (yoneda_projective, simple_module)]
+    return pool + [duality_D(yoneda_projective(opposite_category(cat), x))
+                   for x in cat.objects]
+
+
+def scrambled_sum(parts, cat, rng):
+    m = direct_sum(parts, cat)[0]
+    return conjugate_module(m, {x: rand_invertible(cat.field, m.dims[x], rng)
+                                for x in cat.objects})[0]
+
+
 @pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
 def test_projective_summands_match_the_double_transpose(fld):
-    """The projective summand read off the pairing with each P_x has the
-    dimension vector that the double transpose loses, in every
-    characteristic: on scrambled sums of representables, simples and
-    injectives of A4 mod rad^3 and of the loop mod x^2."""
+    """The projective summand read off the kernel of the dualized
+    presentation has the dimension vector that the double transpose loses,
+    in every characteristic: on scrambled sums of representables, simples
+    and injectives, and on scrambled sums with a projective-injective
+    summand, of A4 mod rad^3, the loop mod x^2 and A3 mod rad^2 (x) A2."""
     rng = random.Random(31)
-    for cat in (representation_category(a_m_rad_n(4, 3), fld),
-                representation_category(one_loop_rad2(), fld)):
-        pool = [f(cat, x) for x in cat.objects for f in (yoneda_projective, simple_module)]
-        pool += [duality_D(yoneda_projective(opposite_category(cat), x)) for x in cat.objects]
-        for _ in range(8):
-            m = rand_module(pool, cat, rng, max_total=7)
+    for cat in summand_categories(fld):
+        pool = summand_pool(cat)
+        both = [p for p in (yoneda_projective(cat, x) for x in cat.objects)
+                if is_injective_module(p)]
+        assert both
+        mods = [rand_module(pool, cat, rng, max_total=7) for _ in range(8)]
+        mods += [scrambled_sum([rng.choice(both), rand_module(pool, cat, rng, max_total=4)],
+                               cat, rng) for _ in range(4)]
+        for m in mods:
             back = modcat._transpose_raw(modcat._transpose_raw(m))
             gap = {x: m.dims[x] - back.dims[x] for x in cat.objects
                    if m.dims[x] != back.dims[x]}
-            assert modcat._projective_summand_dims(m) == gap
+            assert modcat._projective_summand_dims(*modcat._dualized(m)) == gap
             if gap:
                 with pytest.raises(PreconditionError, match="projective summand"):
                     transpose(m)
+        assert all(modcat._projective_summand_dims(*modcat._dualized(m)) for m in mods[8:])
+
+
+def test_transpose_and_tau_build_no_hom_space(monkeypatch):
+    """transpose and tau read the projective-summand refusal and Tr m off
+    one dualized presentation: with hom_space patched to raise, the
+    non-projective knitted nodes get the same translates as without the
+    patch, and scrambled sums with a representable summand are refused."""
+    def no_hom_space(*args):
+        raise AssertionError("hom_space called")
+
+    rng = random.Random(7)
+    for cat in summand_categories(F101):
+        ar = ar_quiver(cat)
+        free = [m for m, p in zip(ar.modules, ar.projective) if not p]
+        mixed = [scrambled_sum([rng.choice(free), yoneda_projective(cat, x)], cat, rng)
+                 for x in cat.objects]
+        want = [(module_print(transpose(m)), module_print(tau(m))) for m in free]
+        with monkeypatch.context() as patch:
+            patch.setattr(modcat, "hom_space", no_hom_space)
+            assert [(module_print(transpose(m)), module_print(tau(m))) for m in free] == want
+            for m in mixed:
+                for f in (transpose, tau):
+                    with pytest.raises(PreconditionError, match="projective summand"):
+                        f(m)
+
+
+def test_top_quotient_builds_no_radical_submodule(monkeypatch):
+    """top_quotient quotients by the radical actions themselves, bit for bit
+    the cokernel of the radical submodule's inclusion, over F_2, F_101 and
+    Q."""
+    def no_radical(*args):
+        raise AssertionError("radical_submodule called")
+
+    def quotient_print(ck):
+        return (module_print(ck.module),
+                tuple(typed_entries(ck.project.comps[x]) for x in ck.module.cat.objects),
+                tuple(typed_entries(ck.sections[x]) for x in ck.module.cat.objects))
+
+    rng = random.Random(5)
+    for fld in (Field.prime(2), F101, QQ):
+        for cat in summand_categories(fld):
+            pool = summand_pool(cat)
+            mods = pool + [rand_module(pool, cat, rng, max_total=6) for _ in range(4)]
+            want = [quotient_print(cokernel_module(radical_submodule(m).include))
+                    for m in mods]
+            with monkeypatch.context() as patch:
+                patch.setattr(modcat, "radical_submodule", no_radical)
+                assert [quotient_print(top_quotient(m)) for m in mods] == want
+
+
+def test_simple_module_is_the_top_of_the_representable():
+    """simple_module is the top of the representable and equals the
+    hand-built simple, entry types included, over F_2, F_101 and Q; a
+    non-basic End is still refused."""
+    for fld in (Field.prime(2), F101, QQ):
+        for cat in summand_categories(fld):
+            for x in cat.objects:
+                s = simple_module(cat, x)
+                assert module_print(s) == module_print(reference_simple_module(cat, x))
+                assert (module_print(s)
+                        == module_print(top_quotient(yoneda_projective(cat, x)).module))
+    # End = k[e]/(e^2 - e), k x k: two basis elements outside the radical
+    split = FinCategory(F101, ["v"], {("v", "v"): ("1", "e")},
+                        {("v", "v", "v"): {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                           (1, 0): {1: 1}, (1, 1): {1: 1}}},
+                        {"v": (1, 0)}, {("v", "v"): frozenset()})
+    with pytest.raises(PreconditionError, match="not basic"):
+        simple_module(split, "v")
+
+
+def test_one_cap_bounds_dimension_and_node_count():
+    """ar_quiver(cat, cap) refuses a node of total dimension above cap and
+    more than 2 * cap nodes: A5 has 15 indecomposables of total dimension
+    at most 5."""
+    cat = representation_category(BoundQuiver(linear_quiver(5)), F101)
+    assert len(ar_quiver(cat, 8).modules) == 15
+    with pytest.raises(CapExceededError, match="^more than 14 indecomposables$"):
+        ar_quiver(cat, 7)
+    with pytest.raises(CapExceededError, match="exceeds cap 4$"):
+        ar_quiver(cat, 4)
 
 
 def sequence_print(ass):

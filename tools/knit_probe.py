@@ -4,12 +4,14 @@ registered.
 
     python3 tools/knit_probe.py
 
-Knits, over F_101, the path categories of A_4..A_8, D6, E6 and E7 (no
+Knits, over F_101, the path categories of A_4..A_8, D6, E6, E7 and E8 (no
 relations), A3 mod rad^2 (x) A2 and A3 (x) A2 (tensor_base, as the CLI's
 `tensor` coefficient builds them), the 4-cycle mod rad^2, and the Kronecker
-quiver at cap 20 (dim cap 20, node cap 40, as `--cap 20` sets them), which
-is of infinite type and ends in CapExceededError; then E6 and E7 over Q
-(rows `E6/Q` and `E7/Q`), where exact rational arithmetic is the cost.
+quiver at caps 20 and 28 (rows `kronecker` and `kronecker28`; cap 20 bounds
+the total dimension of a node by 20 and the node count by 40, as `--cap 20`
+does), which is of infinite type and ends in CapExceededError; then E6 and
+E7 over Q (rows `E6/Q` and `E7/Q`), where exact rational arithmetic is the
+cost.  E8 and `kronecker28` are the rows where hom spaces dominate.
 Prints one line per job: wall time, node count, the radicals of
 projectives knitted and those of them decomposed (`rad fallback`), and the
 middle terms of almost split sequences, split into those whose summands
@@ -69,19 +71,21 @@ JOBS = {
     "D6": (lambda: tree(chain(4) + [("4", "5"), ("4", "6")]), 64),
     "E6": (lambda: tree(chain(5) + [("3", "6")]), 64),
     "E7": (lambda: tree(chain(6) + [("3", "7")]), 64),
+    "E8": (lambda: tree(chain(7) + [("3", "8")]), 64),
     "A3rad2xA2": (lambda: tensor_base(rad2(linear_quiver(3)), a2()), 64),
     "A3xA2": (lambda: tensor_base(BoundQuiver(linear_quiver(3)), a2()), 64),
     "C4rad2": (lambda: category_of(rad2(cyclic_quiver(4)), F101), 64),
     "kronecker": (lambda: tree([("1", "2"), ("1", "2")]), 20),
+    "kronecker28": (lambda: tree([("1", "2"), ("1", "2")]), 28),
     "E6/Q": (lambda: tree(chain(5) + [("3", "6")], QQ), 64),
     "E7/Q": (lambda: tree(chain(6) + [("3", "7")], QQ), 64),
 }
 
 
 def knit_counting(cat, cap=64):
-    """ar_quiver(cat) at dim cap `cap` and node cap 2 * cap (the CLI's caps),
-    or None when a cap is exceeded, with the numbers of radicals and middle
-    terms knitted and of those decomposed, keyed as the columns."""
+    """ar_quiver(cat, cap), as the CLI's `--cap` knits, or None when the cap
+    is exceeded, with the numbers of radicals and middle terms knitted and
+    of those decomposed, keyed as the columns."""
     last, counts = {}, dict.fromkeys(("radicals", "rad fallback", "middle", "fallback"), 0)
     rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
     decompose = modcat.decompose_module
@@ -106,7 +110,7 @@ def knit_counting(cat, cap=64):
     modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
     modcat.decompose_module = counting_decompose
     try:
-        ar = modcat.ar_quiver(cat, dim_cap=cap, node_cap=2 * cap)
+        ar = modcat.ar_quiver(cat, cap)
     except CapExceededError:
         ar = None
     finally:
@@ -116,7 +120,7 @@ def knit_counting(cat, cap=64):
 
 
 def main():
-    print(f"{'job':<10} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
+    print(f"{'job':<11} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
           f"{'middle':>6} {'certified':>9} {'fallback':>8}")
     for name, (make, cap) in JOBS.items():
         cat = make()
@@ -124,7 +128,7 @@ def main():
         ar, counts = knit_counting(cat, cap)
         seconds = time.perf_counter() - start
         shown = "cap" if ar is None else str(len(ar.modules))
-        print(f"{name:<10} {seconds:7.2f} {shown:>5} {counts['radicals']:8d} "
+        print(f"{name:<11} {seconds:7.2f} {shown:>5} {counts['radicals']:8d} "
               f"{counts['rad fallback']:12d} {counts['middle']:6d} "
               f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d}")
     return 0
