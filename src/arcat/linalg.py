@@ -639,20 +639,24 @@ def equation_matrix(field: Field, shapes: Dict[Hashable, Tuple[int, int]],
     (sign, a, u, b) with sign +1 or -1 stands for sign * a X_u b, where a or
     b may be None for the identity.  Entries follow the row-major vec
     identity vec(a X b) = (a kron b^T) vec(X) without forming the product.
+    A term's entry goes straight into a slot that still holds the shared
+    zero; it is added only where two terms meet, as in the naturality square
+    of an endomorphism.  Entries are reduced, so zero + v would be v itself,
+    of the same type, over F_p and over Q.
     """
     offs = {}
     total = 0
     for u, (r, c) in shapes.items():
         offs[u] = total
         total += r * c
-    add, mul, neg = field.add, field.mul, field.neg
+    add, mul, neg, zero = field.add, field.mul, field.neg, field.zero()
     out = []
     rows = 0
     for p, q, terms in equations:
         if p * q == 0:
             continue
         rows += p * q
-        block = [field.zero()] * (p * q * total)
+        block = [zero] * (p * q * total)
         for sign, a, u, b in terms:
             ur, uc = shapes[u]
             a_shape = (p, p) if a is None else (a.rows, a.cols)
@@ -669,7 +673,7 @@ def equation_matrix(field: Field, shapes: Dict[Hashable, Tuple[int, int]],
                 for j, s, bv in right:
                     v = bv if av is None else av if bv is None else mul(av, bv)
                     idx = (r * q + s) * total + base + i * uc + j
-                    block[idx] = add(block[idx], v)
+                    block[idx] = v if block[idx] is zero else add(block[idx], v)
         out.extend(block)
     return Mat(field, rows, total, out)
 

@@ -9,8 +9,8 @@ Validation happens at the trust boundary.  A module or map built from given
 data is verified on construction: functoriality by fincat._functor_failure,
 with one matrix product per middle object, and naturality square by
 square.  So are the base change of conjugate_module, the cocycle pair of
-extension_from_cocycle, and the maps that factor_through_cokernel, dual_map
-and _end_action_on_kernel return.  The derived objects whose construction
+extension_from_cocycle, and the maps that factor_through_cokernel and
+dual_map return.  The derived objects whose construction
 proves them valid are built unvalidated, each with its proof in its
 docstring: the representables (their matrices are the ones
 FinCategory._validate checked), sub-modules and their inclusions (one exact
@@ -32,9 +32,8 @@ multiplicities to the dimension of the middle term.
 Sums of representables are fincat.Hull's Hom(-, X), block sums of the
 memoised representables.  A map out of Hom(-, X) is its values at the
 units of the summands (Yoneda), and `_from_units` builds every such map
-from them: the covers, Hull's Hom(-, g) for block morphisms g, the basis of
-Hom(P0, x) in Ext^1 and the lifts of endomorphisms through a cover.
-proj_sum_matrix reads g back off the unit values.
+from them: the covers, Hull's Hom(-, g) for block morphisms g and the basis
+of Hom(P0, x) in Ext^1.  proj_sum_matrix reads g back off the unit values.
 
 On this representation the module category is computed exactly: hom spaces,
 and their dimensions off presentations (Yoneda), kernels, images, cokernels,
@@ -1164,46 +1163,37 @@ class AlmostSplit:
     socle_class: Tuple
 
 
-def _end_action_on_kernel(pres: Presentation, theta: ModuleMap) -> ModuleMap:
-    """Restricts a lift of theta in End(z) to the presentation kernel.
-
-    The lift theta0: P0 -> P0 is built from its unit values (`_from_units`):
-    at the unit of summand k it is a preimage u_k under the cover p of
-    theta(p(unit_k)), so p o theta0 and theta o p agree at every unit, hence
-    everywhere (Yoneda).  Another lift differs from theta0 by a map into the
-    kernel, which changes the restriction by a coboundary, so no class in
-    Ext^1 depends on the choice.
-    """
-    p, p0 = pres.cover, pres.p0
-    lifts = []
-    for k, x in enumerate(p0.vertices):
-        u = solve(p.comps[x], theta.comps[x] @ (p.comps[x] @ _unit_vector(p0, k)))
-        if u is None:
-            raise AssertionError("projective lift does not exist")
-        lifts.append(u)
-    theta0 = _from_units(p0, p0.module, lifts)
-    kappa = pres.kernel.include
-    comps = {}
-    for x in p0.cat.objects:
-        restricted = solve(kappa.comps[x], theta0.comps[x] @ kappa.comps[x])
-        if restricted is None:
-            raise AssertionError("lift does not preserve the kernel")
-        comps[x] = restricted
-    return ModuleMap(pres.kernel.module, pres.kernel.module, comps, validate=True)
+def _socle(ext: Ext1, rads: Sequence[ModuleMap]) -> Mat:
+    """The canonical basis, in class coordinates, of the classes of Ext^1
+    that every s in rads, an endomorphism of ext.x, kills by
+    postcomposition: the common kernel of the class matrices of the s o xi
+    over the representatives xi.  The empty first block makes it all of
+    Ext^1 when rads is empty."""
+    return vstack([Mat.zeros(ext.x.cat.field, 0, ext.dim)]
+                  + [ext.classes([rep.then(s) for rep in ext.representatives])
+                     for s in rads]).kernel_basis()
 
 
 def almost_split_sequence(z: CModule) -> AlmostSplit:
     """The almost split sequence ending at an indecomposable non-projective z.
 
-    The class is taken in the socle of Ext^1(z, tau z) under the End(z)
-    action; the materialized sequence is checked exact and non-split.  The
-    local End(z) and is_projective_module prove that z has no projective
-    summand, so tau z is taken as D(_transpose_raw(z)), without the
-    projective-summand check of `tau`; the result equals tau(z).
+    The class is taken in the socle of Ext^1(z, tau z); the materialized
+    sequence is checked exact and non-split.  The local End(z) and
+    is_projective_module prove that z has no projective summand, so tau z
+    is taken as D(_transpose_raw(z)), without the projective-summand check
+    of `tau`; the result equals tau(z).
+
+    The socle of Ext^1(z, tau z) under End(z) is simple, and it is the
+    socle under End(tau z) (ARS ch. V.2; Auslander-Reiten, Comm. Algebra
+    3, 1975), where s acts on a cocycle xi: K -> tau z by s o xi, with no
+    lift through the cover.  So the socle is what the radical basis of
+    End(tau z) kills (`_socle`).  When rad End(z) = 0, Ext^1 is its own
+    socle (one dimensional, dual to the stable End(z) = k) and End(tau z)
+    is not built.
     """
     if z.is_zero():
         raise PreconditionError("zero module has no almost split sequence")
-    alg, basis = end_algebra(z)
+    alg, _ = end_algebra(z)
     if find_nontrivial_idempotent(alg) is not None:
         raise PreconditionError("module is decomposable")
     if is_projective_module(z):
@@ -1214,13 +1204,12 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     ext = Ext1(z, tz)
     if ext.dim == 0:
         raise AssertionError("vanishing Ext against the translate")
-    rad = radical_basis(alg)
-    rads = [map_from_coords(basis, tuple(rad.col(j))) for j in range(rad.cols)]
-    thetas = [_end_action_on_kernel(ext.pres, r) for r in rads]
-    # the empty first block makes the socle all of Ext^1 when End(z) is a field
-    socle = vstack([Mat.zeros(z.cat.field, 0, ext.dim)]
-                   + [ext.classes([t.then(rep) for rep in ext.representatives])
-                      for t in thetas]).kernel_basis()
+    rads = []
+    if radical_basis(alg).cols:
+        alg_t, basis_t = end_algebra(tz)
+        rad = radical_basis(alg_t)
+        rads = [map_from_coords(basis_t, tuple(rad.col(j))) for j in range(rad.cols)]
+    socle = _socle(ext, rads)
     if socle.cols == 0:
         raise AssertionError("empty socle in Ext against the translate")
     coords = tuple(socle.col(0))

@@ -428,6 +428,7 @@ def test_equation_matrix_matches_kron_oracle():
             got = equation_matrix(field, shapes, equations)
             want = vstack(expected) if expected else Mat.zeros(field, 0, total)
             assert got == want
+            assert [type(v) for v in got.data] == [type(v) for v in want.data]
             # and the matrix acts as the system on a random solution vector
             xs = {u: rand_mat(field, r, c, rng) for u, (r, c) in shapes.items()}
             vec = Mat.column(field, [v for x in xs.values() for v in x.data])

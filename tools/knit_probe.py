@@ -9,7 +9,10 @@ relations), A3 mod rad^2 (x) A2 and A3 (x) A2 (tensor_base, as the CLI's
 `tensor` coefficient builds them), the 4-cycle mod rad^2, and the Kronecker
 quiver at caps 20 and 28 (rows `kronecker` and `kronecker28`; cap 20 bounds
 the total dimension of a node by 20 and the node count by 40, as `--cap 20`
-does), which is of infinite type and ends in CapExceededError; then E6 and
+does), which is of infinite type and ends in CapExceededError, and the loop
+mod x^2 (x) A3 (row `loop2xA3`, 36 nodes): at 27 of its 33 almost split
+sequences rad End(z) != 0, so the socle is taken under End(tau z), a branch
+that no benchmark workload reaches; then E6 and
 E7 over Q (rows `E6/Q` and `E7/Q`), where exact rational arithmetic is the
 cost.  E8 and `kronecker28` are the rows where hom spaces dominate.
 Prints one line per job: wall time, node count, the radicals of
@@ -62,8 +65,8 @@ def rad2(quiver):
     return BoundQuiver(quiver, MonomialIdeal(frozenset(gens)))
 
 
-def a2():
-    return category_of(BoundQuiver(linear_quiver(2)), F101)
+def a_n(n):
+    return category_of(BoundQuiver(linear_quiver(n)), F101)
 
 
 JOBS = {
@@ -72,11 +75,12 @@ JOBS = {
     "E6": (lambda: tree(chain(5) + [("3", "6")]), 64),
     "E7": (lambda: tree(chain(6) + [("3", "7")]), 64),
     "E8": (lambda: tree(chain(7) + [("3", "8")]), 64),
-    "A3rad2xA2": (lambda: tensor_base(rad2(linear_quiver(3)), a2()), 64),
-    "A3xA2": (lambda: tensor_base(BoundQuiver(linear_quiver(3)), a2()), 64),
+    "A3rad2xA2": (lambda: tensor_base(rad2(linear_quiver(3)), a_n(2)), 64),
+    "A3xA2": (lambda: tensor_base(BoundQuiver(linear_quiver(3)), a_n(2)), 64),
     "C4rad2": (lambda: category_of(rad2(cyclic_quiver(4)), F101), 64),
     "kronecker": (lambda: tree([("1", "2"), ("1", "2")]), 20),
     "kronecker28": (lambda: tree([("1", "2"), ("1", "2")]), 28),
+    "loop2xA3": (lambda: tensor_base(rad2(Quiver(["v"], [Arrow("x", "v", "v")])), a_n(3)), 64),
     "E6/Q": (lambda: tree(chain(5) + [("3", "6")], QQ), 64),
     "E7/Q": (lambda: tree(chain(6) + [("3", "7")], QQ), 64),
 }
