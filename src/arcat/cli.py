@@ -8,9 +8,11 @@ relations) or a point.  Exit codes: 0 verified, 1 parse or usage error,
 2 precondition failure, 3 verification failure, including an internal
 consistency check (AssertionError or ZeroDivisionError) that failed.
 
-`_HANDLERS` is the command table: it maps each command name to its handler
-and to the [command] parameters that handler reads, and a job that sets any
-other parameter is refused.  Every handler takes (job, out, args): the
+`_HANDLERS` is the command table: it maps each command name to its handler,
+to the [command] parameters that handler reads and to the flags among
+`--out` and `--verify-family` that it reads, with their defaults.  A job
+that sets any other parameter, or a command line that gives any other of
+those two flags, is refused.  Every handler takes (job, out, args): the
 parsed job, the list of output lines it appends to, and the parsed command
 line.
 """
@@ -223,7 +225,7 @@ def _spec_text(spec: NComplexSpec) -> str:
     return " ".join([word, *map(str, astuple(spec.shape))]) + f" (n={spec.n})"
 
 
-def _resolve_bound_quiver(draft: QuiverDraft, cap: int = 32) -> BoundQuiver:
+def _resolve_bound_quiver(draft: QuiverDraft, cap: int) -> BoundQuiver:
     if draft.complex_spec is not None:
         return build_category(draft.complex_spec)
     if not draft.vertices:
@@ -249,8 +251,7 @@ def _resolve_bound_quiver(draft: QuiverDraft, cap: int = 32) -> BoundQuiver:
     return BoundQuiver(quiver, MonomialIdeal(frozenset(gens)), cap=cap)
 
 
-def _resolve_coefficient(draft: QuiverDraft, fld: Field,
-                         cap: int = 32) -> FinCategory:
+def _resolve_coefficient(draft: QuiverDraft, fld: Field, cap: int) -> FinCategory:
     if draft.point or (not draft.vertices and not draft.arrows):
         return point_category(fld)
     return category_of(_resolve_bound_quiver(draft, cap), fld)
@@ -462,17 +463,19 @@ def _cmd_roundtrip(job: JobSpec, out: List[str], args):
     out.append("verified: dictionary is exact on representables")
 
 
-# command -> (name of its handler, the [command] parameters it reads); main
-# looks the handler up by name when it runs, so a replaced handler is called
+# command -> (name of its handler, the [command] parameters it reads, the
+# flags of _FLAGS it reads with their defaults); main looks the handler up
+# by name when it runs, so a replaced handler is called
 _HANDLERS = {
-    "info": ("_cmd_info", ()),
-    "tensor": ("_cmd_tensor", ()),
-    "ar-quiver": ("_cmd_ar_quiver", ()),
-    "ass": ("_cmd_sequence", ("target",)),
-    "verify": ("_cmd_sequence", ("target", "sequence")),
-    "approximate": ("_cmd_approximate", ("target", "generators")),
-    "roundtrip": ("_cmd_roundtrip", ()),
+    "info": ("_cmd_info", (), {}),
+    "tensor": ("_cmd_tensor", (), {}),
+    "ar-quiver": ("_cmd_ar_quiver", (), {"out": "text"}),
+    "ass": ("_cmd_sequence", ("target",), {"verify_family": "complete"}),
+    "verify": ("_cmd_sequence", ("target", "sequence"), {"verify_family": "complete"}),
+    "approximate": ("_cmd_approximate", ("target", "generators"), {}),
+    "roundtrip": ("_cmd_roundtrip", (), {}),
 }
+_FLAGS = {"out": "--out", "verify_family": "--verify-family"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -486,9 +489,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--field", help="override: a prime p or Q")
     parser.add_argument("--cap", type=int, default=64,
                         help="dimension and node caps")
-    parser.add_argument("--out", choices=("text", "dot"), default="text")
-    parser.add_argument("--verify-family", default="complete",
-                        help="complete or supplied:<file>")
+    parser.add_argument("--out", choices=("text", "dot"), help="ar-quiver only")
+    parser.add_argument("--verify-family",
+                        help="ass and verify only: complete or supplied:<file>")
     parser.add_argument("--output", help="write output to a file")
     try:
         args = parser.parse_args(argv)
@@ -496,8 +499,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--cap must be at least 1, got {args.cap}")
         with open(args.job, "r", encoding="utf-8") as fh:
             job = load_spec(fh.read(), args.field)
+        handler, _, flags = _HANDLERS[job.command]
+        for flag, name in _FLAGS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, flags.get(flag))
+            elif flag not in flags:
+                raise ParseError(f"command {job.command!r} reads no flag {name!r}")
         out: List[str] = []
-        globals()[_HANDLERS[job.command][0]](job, out, args)
+        globals()[handler](job, out, args)
         text_out = "\n".join(out) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

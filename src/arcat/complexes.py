@@ -294,6 +294,10 @@ def pad_complex(x: NComplex, spec: NComplexSpec) -> NComplex:
 
 
 def pad_chain_map(f: QRepMap, spec: NComplexSpec) -> QRepMap:
+    """f between its ends padded to spec (`pad_complex`), zero at the new
+    degrees; f itself when both ends already have that shape."""
+    if f.src.spec == spec and f.tgt.spec == spec:
+        return f
     src = pad_complex(f.src, spec)
     tgt = pad_complex(f.tgt, spec)
     comps = {i: f.comps[i] if i in f.comps
@@ -306,7 +310,7 @@ def _coil_map(z: NComplex, maps: Sequence[ModuleMap]) -> QRepMap:
     for the k-th degree j of z, out of the sum of the coils J_j(M_k); all
     built unvalidated."""
     spec_p = z.spec.padded()
-    zp = pad_complex(z, spec_p) if not z.spec.cyclic else z
+    zp = pad_complex(z, spec_p)
     coils = [interval_J(spec_p, j, f.src) for j, f in zip(z.spec._degrees, maps)]
     legs = [_sharp(zp.bq, j, zp, f, coil)
             for j, f, coil in zip(z.spec._degrees, maps, coils)]
@@ -339,23 +343,21 @@ def coil_epi(z: NComplex) -> CoilEpi:
 
 
 def _composite_or_none(z: NComplex, j: int, count: int) -> Optional[ModuleMap]:
-    """d^{j+count-1} ... d^j, or None when it runs off the shape."""
-    start = z.spec.wrap(j)
-    if start is None:
+    """d^{j+count-1} ... d^j, the path map of its run of differentials, or
+    None when the run leaves the shape."""
+    spec = z.spec
+    steps = [spec.wrap(j + k) for k in range(count + 1)]
+    if None in steps or any(w not in spec._diff_degrees for w in steps[:-1]):
         return None
-    cur = identity_map(z.components[start])
-    for k in range(count):
-        w = z.spec.wrap(j + k)
-        if w is None or w not in z.spec._diff_degrees:
-            return None
-        cur = cur.then(z.d(w))
-    return cur
+    return z.path_map(Path(steps[0], steps[-1], tuple(spec.arrow(w) for w in steps[:-1])))
 
 
 def _homotopy_terms(src: NComplex, tgt: NComplex, i: int, mids) -> List:
     """The summands d_tgt^(k) s d_src^(window-1-k) at degree i of the map
     induced by a homotopy s defined at the degrees in mids, as triples
-    (mid, before, after); summands running off a linear shape are dropped."""
+    (mid, before, after); summands running off a linear shape are dropped.
+    A run of differentials between two degrees of the shape stays on it, so
+    both composites exist once mid and low lie on the shape."""
     spec = src.spec
     length = spec.window_len
     out = []
@@ -364,11 +366,8 @@ def _homotopy_terms(src: NComplex, tgt: NComplex, i: int, mids) -> List:
         low = spec.wrap(i - k)
         if mid is None or low is None or mid not in mids:
             continue
-        before = _composite_or_none(src, i, length - 1 - k)
-        after = _composite_or_none(tgt, low, k)
-        if before is None or after is None:
-            continue
-        out.append((mid, before, after))
+        out.append((mid, _composite_or_none(src, i, length - 1 - k),
+                    _composite_or_none(tgt, low, k)))
     return out
 
 
@@ -438,7 +437,7 @@ def factor_null_homotopy(l: QRepMap, coil: CoilEpi) -> QRepMap:
     j + window - 1, then s there; the copies are stacked in that order.
     """
     spec_p = coil.padded.spec
-    lp = pad_chain_map(l, spec_p) if l.src.spec != spec_p else l
+    lp = pad_chain_map(l, spec_p)
     if lp.tgt != coil.padded:
         raise PreconditionError("map target does not match the coil target")
     s = find_null_homotopy(lp)
@@ -506,7 +505,7 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
     r = _coil_map(z, [_cover_map(z.components[j])[1] for j in z.spec._degrees])
     zp, coil_src = r.tgt, r.src
     spec_p = zp.spec
-    gens_p = [pad_complex(g, spec_p) if g.spec != spec_p else g for g in gens]
+    gens_p = [pad_complex(g, spec_p) for g in gens]
     eval_bases = [qrep_hom(g, zp) for g in gens_p]
     multiplicities = [len(basis) for basis in eval_bases]
     copies = [f for basis in eval_bases for f in basis]

@@ -14,14 +14,18 @@ endomorphism), with certified Krull-Schmidt decomposition: one End algebra
 per object, split by algebra.primitive_idempotents, which checks the sum and
 orthogonality of the idempotents in that algebra.
 
-Hull arithmetic runs through linalg.  A block morphism f: X -> Y flattens to
-one column: the coordinates of its (X_i -> Y_j) blocks, source summand
-major, each block in the hom basis of the category.  Composing with a fixed
-morphism is linear in this layout, so the hull builds one matrix per fixed
-morphism from the comp tables: post_matrix(g, X), the matrix of f -> g o f,
-and pre_matrix(f, Z), the matrix of g -> g o f.  Composites, the hom spaces
-e_y Hom(X, Y) e_x of the completion, End algebra tables and inverses are
-products and eliminations of these matrices.
+Hull arithmetic runs through linalg, and every operation is the same three
+steps: flatten, linear algebra, unflatten.  A block morphism f: X -> Y
+flattens to one column: the coordinates of its (X_i -> Y_j) blocks, source
+summand major, each block in the hom basis of the category.  Sums,
+differences, scalings, zero and identity morphisms and the zero test are
+entrywise on these columns.  Composing with a fixed morphism is linear in
+this layout, so the hull builds one matrix per fixed morphism from the comp
+tables, the one composition kernel: post_matrix(g, X), the matrix of f ->
+g o f, and pre_matrix(f, Z), the matrix of g -> g o f.  Composites, the hom
+spaces e_y Hom(X, Y) e_x of the completion, End algebra tables and inverses
+are products and eliminations of these matrices.  No nested block tuple is
+read or built outside flatten and unflatten.
 """
 
 from dataclasses import dataclass
@@ -442,10 +446,12 @@ class Hull:
 
     flatten(f) lists the blocks of f: X -> Y source summand major, block
     (X_i -> Y_j) at the offset of pair (i, j), each block in the hom basis
-    of Hom(X_i, Y_j); unflatten is its inverse.  post_matrix(g, X) is the
-    matrix of f -> g o f from flat Hom(X, g.src) to flat Hom(X, g.tgt),
-    pre_matrix(f, Z) the matrix of g -> g o f from flat Hom(f.tgt, Z) to
-    flat Hom(f.src, Z); every composite below is a product with one of them.
+    of Hom(X_i, Y_j); unflatten is its inverse, and every operation below
+    is flatten, linear algebra on the flat columns, unflatten.
+    post_matrix(g, X) is the matrix of f -> g o f from flat Hom(X, g.src)
+    to flat Hom(X, g.tgt), pre_matrix(f, Z) the matrix of g -> g o f from
+    flat Hom(f.tgt, Z) to flat Hom(f.src, Z); every composite below is a
+    product with one of them.
     """
 
     def __init__(self, cat: FinCategory):
@@ -472,39 +478,25 @@ class Hull:
         return KarObject(add, self.identity(add))
 
     def zero_mor(self, x: AddObject, y: AddObject) -> AddMor:
-        blocks = tuple(tuple(self.cat.zero_coords(xs, ys) for xs in x.summands)
-                       for ys in y.summands)
-        return AddMor(x, y, blocks)
+        return self.unflatten(x, y, Mat.zeros(self.cat.field, self.flat_dim(x, y), 1))
 
     def identity(self, x: AddObject) -> AddMor:
-        blocks = []
-        for j, ys in enumerate(x.summands):
-            row = []
-            for i, xs in enumerate(x.summands):
-                if i == j:
-                    row.append(tuple(self.cat.units[xs]))
-                else:
-                    row.append(self.cat.zero_coords(xs, ys))
-            blocks.append(tuple(row))
-        return AddMor(x, x, tuple(blocks))
+        """The unit of each summand in its diagonal block, zero elsewhere."""
+        off, n = self._layout(x, x)
+        vals = [self.cat.field.zero()] * n
+        for i, xs in enumerate(x.summands):
+            vals[off[i][i]:off[i][i] + self.cat.dim(xs, xs)] = self.cat.units[xs]
+        return self.unflatten(x, x, Mat.column(self.cat.field, vals))
 
     # arithmetic -----------------------------------------------------------
-    def _entrywise(self, op, f: AddMor, g: AddMor) -> AddMor:
-        blocks = tuple(tuple(tuple(map(op, fb, gb)) for fb, gb in zip(frow, grow))
-                       for frow, grow in zip(f.blocks, g.blocks))
-        return AddMor(f.src, f.tgt, blocks)
-
     def add(self, f: AddMor, g: AddMor) -> AddMor:
-        return self._entrywise(self.cat.field.add, f, g)
+        return self.unflatten(f.src, f.tgt, self.flatten(f) + self.flatten(g))
 
     def sub(self, f: AddMor, g: AddMor) -> AddMor:
-        return self._entrywise(self.cat.field.sub, f, g)
+        return self.unflatten(f.src, f.tgt, self.flatten(f) - self.flatten(g))
 
     def scale(self, c, f: AddMor) -> AddMor:
-        fld = self.cat.field
-        blocks = tuple(tuple(tuple(fld.mul(c, a) for a in fb) for fb in frow)
-                       for frow in f.blocks)
-        return AddMor(f.src, f.tgt, blocks)
+        return self.unflatten(f.src, f.tgt, self.flatten(f).scale(c))
 
     def then(self, f: AddMor, g: AddMor) -> AddMor:
         """The composite g o f (f applied first)."""
@@ -579,11 +571,8 @@ class Hull:
         return Mat(fld, rows, cols, data)
 
     def flatten(self, f: AddMor) -> Mat:
-        vals = []
-        for i in range(len(f.src.summands)):
-            for j in range(len(f.tgt.summands)):
-                vals.extend(f.blocks[j][i])
-        return Mat.column(self.cat.field, vals) if vals else Mat.zeros(self.cat.field, 0, 1)
+        return Mat.column(self.cat.field, [c for i in range(len(f.src.summands))
+                                           for row in f.blocks for c in row[i]])
 
     def unflatten(self, x: AddObject, y: AddObject, vec: Mat) -> AddMor:
         vals = list(vec.col(0))
@@ -597,8 +586,7 @@ class Hull:
         return AddMor(x, y, tuple(tuple(row) for row in blocks))
 
     def is_zero_mor(self, f: AddMor) -> bool:
-        z = self.cat.field.zero()
-        return all(c == z for row in f.blocks for cell in row for c in cell)
+        return self.flatten(f).is_zero()
 
     # completion -----------------------------------------------------------
     def check_idempotent(self, e: AddMor):
@@ -648,8 +636,6 @@ class Hull:
         """Two sided inverse of an endomorphism-shaped block morphism, if any."""
         if f.src != f.tgt:
             return None
-        if self.flat_dim(f.src, f.src) == 0:
-            return self.identity(f.src)
         sol = solve(self.post_matrix(f, f.src), self.flatten(self.identity(f.src)))
         if sol is None:
             return None

@@ -6,22 +6,29 @@ composites reverse, M(g o f) = M(f) M(g).  ModuleMaps are natural
 transformations with per object components.
 
 Validation happens at the trust boundary.  A module or map built from given
-data is verified on construction: functoriality by fincat._functor_failure,
-with one matrix product per middle object, and naturality square by
-square.  So are the base change of conjugate_module, the cocycle pair of
-extension_from_cocycle, and the maps that factor_through_cokernel and
-dual_map return.  The derived objects whose construction
-proves them valid are built unvalidated, each with its proof in its
-docstring: the representables (their matrices are the ones
-FinCategory._validate checked), sub-modules and their inclusions (one exact
-solve against bases of full column rank), the projection onto an image,
-cokernels and their projections (the spans are submodules), among them the
-top quotients and so the simple modules, the tops of the representables, the
-maps out of sums of representables (Yoneda), and duals (transposed
-actions).  Composites, sums and scalings of maps, identities, zero maps,
-direct sums (sum_module) with their block injections and projections, and
-the block maps between sums (sum_map, copair) are natural or functorial by
-linear algebra alone.  Every certificate the program reports is still
+data is verified on construction: the unit law and functoriality by
+fincat._functor_failure, with one matrix product per middle object, and
+naturality square by square, on the squares of `_squares`, the very ones
+the hom spaces solve (naturality_equations).  Those leave out the identity
+squares, which hold for every module, since each acts by the identity at
+every unit: the validated ones are checked for it, and the seven
+constructions built unvalidated (zero_module, sum_module,
+conjugate_module, the representables, `_submodule_on_bases`, `_cokernel`
+and duality_D) prove it in their docstrings.  Validated too are the base
+change of conjugate_module, the cocycle pair of extension_from_cocycle,
+and the maps that factor_through_cokernel and dual_map return.  The
+derived objects whose construction proves them valid are built
+unvalidated, each with its proof in its docstring: the representables
+(their matrices are the ones FinCategory._validate checked), sub-modules
+and their inclusions (one exact solve against bases of full column rank),
+the projection onto an image, cokernels and their projections (the spans
+are submodules), among them the top quotients and so the simple modules,
+the tops of the representables, the maps out of sums of representables
+(Yoneda), the dualized presentation, and duals (transposed actions).
+Composites, sums and scalings of maps, identities, zero maps, direct sums
+(sum_module) with their block injections and projections, and the block
+maps between sums (sum_map, copair) are natural or functorial by linear
+algebra alone.  Every certificate the program reports is still
 checked: cover surjectivity and, where a cover must be minimal
 (projective_cover and both covers of a presentation), ker <= rad, the
 rebuilt presentation, exactness and non-splitness, the almost split
@@ -34,9 +41,13 @@ memoised representables.  A map out of Hom(-, X) is its values at the
 units of the summands (Yoneda), and `_from_units` builds every such map
 from them: the covers, Hull's Hom(-, g) for block morphisms g and the basis
 of Hom(P0, x) in Ext^1.  proj_sum_matrix reads g back off the unit values.
+Maps out of a presentation's P0 restrict to P1 through one Yoneda matrix
+(`_yoneda`), [b(g_ji)]: Hom(P0, b) -> Hom(P1, b): its nullity is
+dim Hom(m, b) (hom_dim), and into the representables it is the dualized
+presentation g*, whose cokernel is Tr m (`_dualized`).
 
 On this representation the module category is computed exactly: hom spaces,
-and their dimensions off presentations (Yoneda), kernels, images, cokernels,
+and their dimensions off presentations (`_yoneda`), kernels, images, cokernels,
 radicals, projective covers and minimal presentations, projectivity by
 counting top dimensions, the standard duality, the transpose and the
 projective summands, both off one dualized presentation, the translates
@@ -157,6 +168,9 @@ class ModuleMap:
             self._validate()
 
     def _validate(self):
+        """Check the categories, the component shapes and naturality on the
+        squares of `_squares`, the ones hom spaces solve: the identity
+        squares hold by the unit law of both modules."""
         cat = self.src.cat
         if not (self.tgt.cat is cat or self.tgt.cat == cat):
             raise PreconditionError("map between modules over different categories")
@@ -164,15 +178,10 @@ class ModuleMap:
             m = self.comps.get(x)
             if m is None or m.rows != self.tgt.dims[x] or m.cols != self.src.dims[x]:
                 raise PreconditionError(f"bad component shape at {x!r}")
-        for x in cat.objects:
-            for y in cat.objects:
-                if not self.tgt.dims[x] * self.src.dims[y]:
-                    continue  # both sides of every square are empty
-                for i in range(cat.dim(x, y)):
-                    left = self.comps[x] @ self.src.action[(x, y, i)]
-                    right = self.tgt.action[(x, y, i)] @ self.comps[y]
-                    if left != right:
-                        raise PreconditionError(f"naturality fails at {(x, y, i)}")
+        for key in _squares(self.src, self.tgt):
+            x, y, _ = key
+            if self.comps[x] @ self.src.action[key] != self.tgt.action[key] @ self.comps[y]:
+                raise PreconditionError(f"naturality fails at {key}")
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
         """The composite (other o self), self applied first."""
@@ -237,6 +246,8 @@ def zero_map(m: CModule, n: CModule) -> ModuleMap:
 
 
 def zero_module(cat: FinCategory) -> CModule:
+    """The zero module, built unvalidated: every action is the empty
+    matrix, the identity of k^0, so the unit law and functoriality hold."""
     dims = {x: 0 for x in cat.objects}
     action = {(x, y, i): Mat.zeros(cat.field, 0, 0)
               for x in cat.objects for y in cat.objects
@@ -246,8 +257,9 @@ def zero_module(cat: FinCategory) -> CModule:
 
 def sum_module(mods: Sequence[CModule], cat: FinCategory) -> CModule:
     """The direct sum of modules over cat, in order, with block-diagonal
-    actions (functorial block by block, so built unvalidated).  The sum of
-    one module is that module, the empty sum the zero module."""
+    actions, built unvalidated: functorial block by block, and a unit acts
+    by the block diagonal of identities, the identity.  The sum of one
+    module is that module, the empty sum the zero module."""
     if len(mods) == 1:
         return mods[0]
     if not mods:
@@ -310,7 +322,11 @@ def copair(src: CModule, tgt: CModule, maps: Sequence[ModuleMap]) -> ModuleMap:
 
 
 def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
-    """Transport of structure along invertible components; returns (n, iso n -> m)."""
+    """Transport of structure along invertible components; returns (n, iso n -> m).
+
+    n is built unvalidated: f: x -> y acts by g_x^-1 m(f) g_y, so a unit
+    acts by g_x^-1 g_x = 1, and n(f) n(h) = g_x^-1 m(f) m(h) g_z = n(h o f).
+    The iso is validated."""
     inv = {}
     for x in m.cat.objects:
         gi = mats[x].inverse()
@@ -384,23 +400,29 @@ def flatten_map(phi: ModuleMap) -> Mat:
                       [v for x in phi.src.cat.objects for v in phi.comps[x].data])
 
 
-def naturality_equations(m: CModule, n: CModule, unknown=lambda x: x) -> List:
-    """The equations X_x m(f) = n(f) X_y, one per hom basis element f: x -> y,
-    that make components X_x: m_x -> n_x natural, for `equation_matrix`;
-    the component at x is the unknown named unknown(x).  The identity of x
-    is left out (`_non_unit_indices`): M(1) = 1, so its square holds for
-    every X."""
+def _squares(m: CModule, n: CModule) -> List[Tuple]:
+    """The naturality squares X_x m(f_i) = n(f_i) X_y of maps m -> n that
+    can fail, as keys (x, y, i): every hom basis element f_i: x -> y but
+    the identity of x (`_non_unit_indices`), where n(x) and m(y) are
+    nonzero.  A square with n(x) or m(y) zero has both sides empty, and
+    the identity square holds for every X, since both modules act by the
+    identity at every unit: a module built from data is checked for that
+    (CModule._validate), and each construction built unvalidated proves it
+    in its docstring."""
     cat = m.cat
-    out = []
-    for x in cat.objects:
-        for y in cat.objects:
-            if n.dims[x] * m.dims[y] == 0:
-                continue
-            for i in cat._non_unit_indices(x, y):
-                out.append((n.dims[x], m.dims[y],
-                            [(1, None, unknown(x), m.action[(x, y, i)]),
-                             (-1, n.action[(x, y, i)], unknown(y), None)]))
-    return out
+    return [(x, y, i) for x in cat.objects for y in cat.objects if n.dims[x] * m.dims[y]
+            for i in cat._non_unit_indices(x, y)]
+
+
+def naturality_equations(m: CModule, n: CModule, unknown=lambda x: x) -> List:
+    """The equations X_x m(f) = n(f) X_y, one per square of `_squares`, that
+    make components X_x: m_x -> n_x natural, for `equation_matrix`; the
+    component at x is the unknown named unknown(x).  ModuleMap._validate
+    checks the same squares, so a map passes validation exactly when its
+    flat components solve these equations."""
+    return [(n.dims[x], m.dims[y], [(1, None, unknown(x), m.action[(x, y, i)]),
+                                    (-1, n.action[(x, y, i)], unknown(y), None)])
+            for x, y, i in _squares(m, n)]
 
 
 def hom_space(m: CModule, n: CModule) -> List[ModuleMap]:
@@ -740,30 +762,15 @@ def _minimal_presentation(m: CModule) -> Presentation:
     return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, matrix)
 
 
-def hom_dim(a: CModule, b: CModule) -> int:
-    """dim Hom(a, b), counted for a projective a, else read off the
-    memoised minimal presentation of a.
-
-    A projective a is the sum of t_x copies of Hom(-, x), for its top
-    dimensions t_x (`_top_count`), and Hom(Hom(-, x), b) = b(x) by Yoneda,
-    so dim Hom(a, b) = sum_x t_x dim b(x), with no presentation built.
-    Otherwise Hom(-, b) is left exact, so P1 -g-> P0 -> a -> 0 gives
-    Hom(a, b) as the kernel of Hom(P0, b) -> Hom(P1, b), and Yoneda turns
-    that map into [b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), for the blocks
-    g_ji: x1_i -> x0_j of the presentation matrix (a map phi: P_x0 -> b is
-    its value v at the unit, and phi o P_g is then b(g) v).  So dim
-    Hom(a, b) is sum_j dim b(x0_j) minus one rank, with no hom basis built.
-    """
-    tops, projective = _top_count(a)
-    if projective:
-        return sum(t * b.dims[x] for x, t in tops.items())
-    pres = minimal_presentation(a)
+def _yoneda(pres: Presentation, b: CModule) -> Mat:
+    """[b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), the map Hom(P0, b) ->
+    Hom(P1, b), phi -> phi o P_g, of the presentation P1 -g-> P0, for the
+    blocks g_ji: x1_i -> x0_j of its matrix.  By Yoneda a map phi: P_x0 ->
+    b is its value v at the unit, and phi o P_g is then b(g) v.  Hom(-, b)
+    is left exact, so the kernel is Hom(a, b) for the presented module a,
+    each phi given by phi o cover."""
     g = pres.matrix
     x0, x1 = pres.p0.vertices, pres.p1.vertices
-    width = sum(b.dims[x] for x in x0)
-    height = sum(b.dims[u] for u in x1)
-    if not width or not height:
-        return width
     data = []
     for i, u in enumerate(x1):
         blocks = [_combination(b.cat.field, b.dims, b.action, u, x, enumerate(g.blocks[j][i]))
@@ -771,7 +778,27 @@ def hom_dim(a: CModule, b: CModule) -> int:
         for r in range(b.dims[u]):
             for x, block in zip(x0, blocks):
                 data.extend(block[r * b.dims[x]:(r + 1) * b.dims[x]])
-    return width - Mat(b.cat.field, height, width, data).rank()
+    return Mat(b.cat.field, sum(b.dims[u] for u in x1), sum(b.dims[x] for x in x0), data)
+
+
+def hom_dim(a: CModule, b: CModule) -> int:
+    """dim Hom(a, b), counted for a projective a, else the nullity of the
+    Yoneda matrix of the memoised minimal presentation of a (`_yoneda`),
+    with no hom basis built; when b vanishes on P0 or P1 the nullity is
+    dim Hom(P0, b), with no matrix built.
+
+    A projective a is the sum of t_x copies of Hom(-, x), for its top
+    dimensions t_x (`_top_count`), and Hom(Hom(-, x), b) = b(x) by Yoneda,
+    so dim Hom(a, b) = sum_x t_x dim b(x), with no presentation built.
+    """
+    tops, projective = _top_count(a)
+    if projective:
+        return sum(t * b.dims[x] for x, t in tops.items())
+    pres = minimal_presentation(a)
+    width = sum(b.dims[x] for x in pres.p0.vertices)
+    if not width or not any(b.dims[u] for u in pres.p1.vertices):
+        return width
+    return width - _yoneda(pres, b).rank()
 
 
 def _top_count(m: CModule) -> Tuple[Dict, bool]:
@@ -811,7 +838,8 @@ def duality_D(m: CModule) -> CModule:
     duality_D(duality_D(m)) is m.  It is built unvalidated: its action is the
     transpose of the functorial action of m, over opposite_category, whose
     tables are those of m.cat with the factors swapped, and transposing
-    reverses products, (M(f) M(g))^T = M(g)^T M(f)^T.
+    reverses products, (M(f) M(g))^T = M(g)^T M(f)^T; a unit acts by
+    1^T = 1.
     """
     if m._dual is None:
         op = opposite_category(m.cat)
@@ -834,20 +862,21 @@ def dual_map(phi: ModuleMap) -> ModuleMap:
 
 def _dualized(m: CModule) -> Tuple[ProjSum, ModuleMap]:
     """(P0*, g*) for the minimal presentation Hom(-, g): P1 -> P0 of m:
-    g* = Hom(-, g^op): P0* -> P1* over the opposite category, where g^op
-    has the transposed blocks of g and P0* = Hom_op(-, X0).
+    g* = Hom(g, P_-): P0* -> P1* over the opposite category, where P0* =
+    Hom_op(-, X0) and P1* = Hom_op(-, X1).
 
     At y, flat Hom_op(y, X0) is flat Hom(X0, y) = Hom(P0, P_y) (Yoneda), and
-    g* sends h to h o g.  Hom(-, P_y) is left exact, so the kernel of
-    g*.comps[y] is Hom(m, P_y), each map phi given by phi o cover; the
-    cokernel of g* is Tr m.
+    g* sends h to h o g: its component at y is the Yoneda matrix of the
+    presentation into the representable P_y (`_yoneda`), whose kernel is
+    Hom(m, P_y), each map phi given by phi o cover.  g* is natural, as
+    Hom(g, -) is, and built unvalidated; its cokernel is Tr m.
     """
     pres = minimal_presentation(m)
-    g = pres.matrix
     op = opposite_category(m.cat)
-    blocks = tuple(tuple(row[i] for row in g.blocks) for i in range(len(g.src.summands)))
     p0 = proj_sum(op, pres.p0.vertices)
-    return p0, proj_sum_map(p0, proj_sum(op, pres.p1.vertices), AddMor(g.tgt, g.src, blocks))
+    return p0, ModuleMap(p0.module, proj_sum(op, pres.p1.vertices).module,
+                         {y: _yoneda(pres, yoneda_projective(m.cat, y)) for y in m.cat.objects},
+                         validate=False)
 
 
 def _transpose_raw(m: CModule) -> CModule:

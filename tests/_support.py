@@ -4,14 +4,15 @@ import itertools
 from typing import List
 
 from arcat.errors import PreconditionError, VerificationError
-from arcat.fincat import FinCategory, point_category
+from arcat.fincat import AddMor, AddObject, FinCategory, opposite_category, point_category
 from arcat.linalg import Field, Mat, hstack, kron, solve, vstack
 from arcat.algebra import TableAlgebra, end_table, find_nontrivial_idempotent, radical_basis
 from arcat.modcat import (AlmostSplit, CModule, Ext1, Image, ModuleMap, check_short_exact,
                           conjugate_module, copair, direct_sum, end_algebra, flatten_map,
                           hom_space, identity_map, image_module, is_isomorphic,
-                          map_from_coords, minimal_presentation, projective_cover,
-                          splitting_section, sum_map, zero_map, zero_module)
+                          map_from_coords, minimal_presentation, proj_sum, proj_sum_map,
+                          projective_cover, splitting_section, sum_map, zero_map,
+                          zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
 from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair, rep_injections
@@ -657,3 +658,65 @@ def reference_unit_block(fld: Field, count: int, d: int) -> Mat:
     """kron(e_1, 1_d): the first of count blocks of size d."""
     unit = Mat(fld, count, 1, [fld.one()] + [fld.zero()] * (count - 1))
     return kron(unit, Mat.identity(fld, d))
+
+
+def reference_dualized(m: CModule):
+    """(P0*, g*) by the transposed block route: g^op, the block morphism
+    X0 -> X1 over the opposite category with the transposed blocks of the
+    presentation matrix, and g* = Hom_op(-, g^op) by proj_sum_map.  The
+    oracle of modcat._dualized, which reads g* off the Yoneda matrices."""
+    pres = minimal_presentation(m)
+    g = pres.matrix
+    op = opposite_category(m.cat)
+    blocks = tuple(tuple(row[i] for row in g.blocks) for i in range(len(g.src.summands)))
+    p0 = proj_sum(op, pres.p0.vertices)
+    return p0, proj_sum_map(p0, proj_sum(op, pres.p1.vertices), AddMor(g.tgt, g.src, blocks))
+
+
+def reference_entrywise(op, f: AddMor, g: AddMor) -> AddMor:
+    """op applied coordinate by coordinate to the nested block tuples of f
+    and g: the oracle of Hull.add and Hull.sub."""
+    return AddMor(f.src, f.tgt,
+                  tuple(tuple(tuple(map(op, fb, gb)) for fb, gb in zip(frow, grow))
+                        for frow, grow in zip(f.blocks, g.blocks)))
+
+
+def reference_scale(fld: Field, c, f: AddMor) -> AddMor:
+    """c f block by block, the oracle of Hull.scale."""
+    return AddMor(f.src, f.tgt, tuple(tuple(tuple(fld.mul(c, a) for a in fb) for fb in row)
+                                      for row in f.blocks))
+
+
+def reference_zero_mor(cat: FinCategory, x: AddObject, y: AddObject) -> AddMor:
+    """The zero block morphism from zero_coords, the oracle of Hull.zero_mor."""
+    return AddMor(x, y, tuple(tuple(cat.zero_coords(xs, ys) for xs in x.summands)
+                              for ys in y.summands))
+
+
+def reference_identity(cat: FinCategory, x: AddObject) -> AddMor:
+    """The units on the diagonal blocks and zero_coords elsewhere, the oracle
+    of Hull.identity."""
+    return AddMor(x, x, tuple(tuple(tuple(cat.units[xs]) if i == j else cat.zero_coords(xs, ys)
+                                    for i, xs in enumerate(x.summands))
+                              for j, ys in enumerate(x.summands)))
+
+
+def reference_is_zero_mor(fld: Field, f: AddMor) -> bool:
+    """Every coordinate of every block is zero: the oracle of Hull.is_zero_mor."""
+    return all(c == fld.zero() for row in f.blocks for cell in row for c in cell)
+
+
+def reference_composite_or_none(z, j: int, count: int):
+    """d^{j+count-1} ... d^j by the degree walk, one `then` per differential
+    from the identity at degree j, or None as soon as a degree leaves the
+    shape: the oracle of complexes._composite_or_none."""
+    start = z.spec.wrap(j)
+    if start is None:
+        return None
+    cur = identity_map(z.components[start])
+    for k in range(count):
+        w = z.spec.wrap(j + k)
+        if w is None or w not in z.spec.diff_degrees():
+            return None
+        cur = cur.then(z.d(w))
+    return cur

@@ -562,6 +562,25 @@ def test_a_parameter_the_command_does_not_read_exits_1(tmp_path, capsys):
                        f"parameter {key!r}\n")
 
 
+def test_a_flag_the_command_does_not_read_exits_1(tmp_path, capsys):
+    """Only `ar-quiver` reads `--out` and only `ass` and `verify` read
+    `--verify-family`; another command given either flag is refused, even
+    with the default value, and the commands that read them print as
+    without the flag when it carries the default."""
+    for command, flag, value in (("info", "--out", "dot"), ("ass", "--out", "text"),
+                                 ("info", "--verify-family", "bogus"),
+                                 ("ar-quiver", "--verify-family", "complete")):
+        code, out, err = run(tmp_path, JOB_PER_COMMAND[command], flag, value, capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"parse error: command {command!r} reads no flag {flag!r}\n"
+    for command, flag, value in (("ar-quiver", "--out", "text"),
+                                 ("ass", "--verify-family", "complete"),
+                                 ("verify", "--verify-family", "complete")):
+        plain = run(tmp_path, JOB_PER_COMMAND[command], capsys=capsys)
+        assert plain[0] == 0
+        assert run(tmp_path, JOB_PER_COMMAND[command], flag, value, capsys=capsys) == plain
+
+
 def test_sequence_commands_refuse_the_target_then_the_family(tmp_path, capsys):
     """`ass` and `verify` refuse in one order, target, family, sequence:
     a missing family file is reported before the projective target's

@@ -1,15 +1,18 @@
 """Complex shapes, coils, approximations, and the module dictionary."""
 
+import importlib.util
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from _support import (F101, QQ, a2_quiver, coil_injections, coil_route_approximation,
                       complex_sum_maps, module_print, point_pool, rand_complex,
-                      rand_homotopy, rand_module, special_case_lift)
-from arcat import complexes, modcat
+                      rand_homotopy, rand_module, reference_composite_or_none,
+                      special_case_lift, typed_entries)
+from arcat import cli, complexes, modcat
 from arcat.complexes import (Cyclic, Interval, NComplex, NComplexSpec, Window,
                              assemble_null_homotopic, build_category, coil_epi,
                              factor_null_homotopy, find_null_homotopy, from_rep,
@@ -832,3 +835,47 @@ def test_benchmark_complexes_workload_passes_its_checks():
     for op in ops:
         for label, got, want in op.check(op.run()):
             assert got == want, f"{op.name}: {label}"
+
+
+def output_hash_shapes(monkeypatch):
+    """tools/output_hash.py's SHAPES, the complex shapes its `shapes` line
+    runs, as specs read by the CLI."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and bench/
+    spec = importlib.util.spec_from_file_location(
+        "_output_hash", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                     "tools", "output_hash.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return [cli.load_spec(f"[quiver]\ncomplex = {shape}\n\n[command]\nname = info\n")
+            .quiver.complex_spec for shape in tool.SHAPES]
+
+
+def test_composites_are_the_degree_walk(monkeypatch):
+    """_composite_or_none, the path map of a run of differentials, equals
+    the degree walk, one `then` per differential, entry types included, on
+    random complexes over F_101 and Q of every shape of the `shapes` hash
+    line, at every start from two degrees below the shape to two above and
+    every length up to two past the number of degrees: runs that leave a
+    linear shape are None on both routes."""
+    rng = random.Random(59)
+    for spec in output_hash_shapes(monkeypatch):
+        degs = spec.degrees()
+        for fld in (F101, QQ):
+            pt, pool = point_pool(fld)
+            if spec.shape == Cyclic(1):  # rand_complex samples no loop: two coils
+                z = _direct_sum([interval_J(spec, 0, pool[0])] * 2, spec, pt)
+            else:
+                z = rand_complex(spec, pt, pool, rng)
+            seen = Counter()
+            for j in range(degs[0] - 2, degs[-1] + 3):
+                for count in range(len(degs) + 3):
+                    got = complexes._composite_or_none(z, j, count)
+                    want = reference_composite_or_none(z, j, count)
+                    seen[got is None] += 1
+                    if want is None:
+                        assert got is None, (spec, j, count)
+                        continue
+                    assert (got.src, got.tgt) == (want.src, want.tgt)
+                    assert ([(c, typed_entries(m)) for c, m in got.comps.items()]
+                            == [(c, typed_entries(m)) for c, m in want.comps.items()])
+            assert seen[False] and (spec.cyclic or seen[True]), spec

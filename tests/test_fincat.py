@@ -9,12 +9,14 @@ from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, KarObject,
                           category_of, decompose_object, hom_basis,
                           opposite_category, point_category, split_idempotent,
                           tensor_product)
-from arcat.linalg import Mat, hstack
+from arcat.linalg import Field, Mat, hstack
 from arcat.modcat import CModule
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
-                      one_loop_rad2, reference_category_check)
+                      one_loop_rad2, reference_category_check, reference_entrywise,
+                      reference_identity, reference_is_zero_mor, reference_scale,
+                      reference_zero_mor)
 
 
 def dims(c):
@@ -562,3 +564,35 @@ GOLDEN_DECOMPOSE = {
 def test_decompose_object_golden(name):
     c, x = golden_sums()[name]
     assert decompose_digest(c, x) == GOLDEN_DECOMPOSE[name]
+
+
+@pytest.mark.parametrize("field", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
+def test_hull_arithmetic_matches_the_nested_block_tuples(field):
+    """add, sub, scale, zero_mor, identity and is_zero_mor through the flat
+    layout equal their block-by-block oracles, entry types included, on
+    additive objects with repeated summands, zero-dimensional blocks (the
+    Kronecker quiver's Hom(2, 1), A3 mod rad^2 (x) A2) and no summands."""
+    rng = random.Random(17)
+    for cat in hull_categories(field):
+        hull = Hull(cat)
+        a, b = cat.objects[0], cat.objects[-1]
+        objs = [AddObject(()), AddObject((a, a)), AddObject((b, a, b)), rand_obj(cat, rng, 1, 4)]
+        for x in objs:
+            assert typed(hull.identity(x)) == typed(reference_identity(cat, x))
+            assert hull.identity(x) == reference_identity(cat, x)
+            for y in objs:
+                zero = hull.zero_mor(x, y)
+                assert zero == reference_zero_mor(cat, x, y)
+                assert typed(zero) == typed(reference_zero_mor(cat, x, y))
+                assert hull.is_zero_mor(zero)
+                for _ in range(3):
+                    f, g = rand_mor(cat, x, y, rng), rand_mor(cat, x, y, rng)
+                    c = field.random(rng)
+                    for got, want in ((hull.add(f, g), reference_entrywise(field.add, f, g)),
+                                      (hull.sub(f, g), reference_entrywise(field.sub, f, g)),
+                                      (hull.scale(c, f), reference_scale(field, c, f)),
+                                      (hull.scale(field.zero(), f),
+                                       reference_scale(field, field.zero(), f))):
+                        assert got == want and typed(got) == typed(want)
+                    assert hull.is_zero_mor(f) == reference_is_zero_mor(field, f)
+                    assert hull.is_zero_mor(hull.sub(f, f))

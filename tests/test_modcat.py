@@ -15,15 +15,15 @@ from arcat.errors import CapExceededError, PreconditionError, VerificationError
 from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, category_of,
                           opposite_category, point_category)
 from arcat.algebra import radical_basis
-from arcat.linalg import Field, Mat, hstack, solve, vstack
+from arcat.linalg import Field, Mat, equation_matrix, hstack, solve, vstack
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
                           conjugate_module, decompose_module, end_algebra,
                           direct_sum, dual_map, duality_D,
-                          extension_from_cocycle, global_dimension, hom_dim, hom_space,
-                          identity_map, image_module, is_injective_module,
+                          extension_from_cocycle, flatten_map, global_dimension, hom_dim,
+                          hom_space, identity_map, image_module, is_injective_module,
                           is_isomorphic, is_projective_module, kernel_module,
-                          minimal_presentation, proj_sum, proj_sum_map,
+                          minimal_presentation, naturality_equations, proj_sum, proj_sum_map,
                           proj_sum_matrix, projective_cover, radical_submodule,
                           representation_category, simple_module,
                           splitting_section, tau, tau_inverse, top_quotient,
@@ -35,8 +35,9 @@ from arcat.repcat import tensor_base
 from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_quiver, a3_rad2, a_m_rad_n,
                       composite_rank_verify, cyclic_rad2, module_print, one_loop_rad2,
                       rand_hom, rand_invertible, rand_module, reference_act,
-                      reference_end_action_on_kernel, reference_end_algebra,
-                      reference_simple_module, reference_sum_injections, typed_entries)
+                      reference_dualized, reference_end_action_on_kernel,
+                      reference_end_algebra, reference_simple_module, reference_sum_injections,
+                      typed_entries)
 
 
 def rep_a2(field=F101):
@@ -1522,3 +1523,97 @@ def test_block_injections_match_the_hand_built_ones():
             inj, prj = reference_sum_injections(fld, total.dims[x], [m.dims[x] for m in mods])
             assert [typed_entries(f.comps[x]) for f in injs] == [typed_entries(m) for m in inj]
             assert [typed_entries(f.comps[x]) for f in projs] == [typed_entries(m) for m in prj]
+
+
+# ---------------------------------------------------------------------------
+# one set of naturality squares, one Yoneda matrix per presentation
+
+
+@pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
+def test_unvalidated_constructions_act_by_the_identity_at_every_unit(fld):
+    """The unit law that `_squares` relies on, when it leaves out the
+    identity squares, for the seven module constructions built unvalidated:
+    each result acts by the identity at every unit (`reference_act`), on
+    A4 mod rad^3, the loop mod x^2 and A3 mod rad^2 (x) A2."""
+    rng = random.Random(41)
+    for cat in summand_categories(fld):
+        pool = summand_pool(cat)
+        m = rand_module(pool, cat, rng, max_total=6)
+        n = rand_module(pool, cat, rng, max_total=6)
+        f = rand_hom(m, n, rng)
+        built = {
+            "zero_module": [zero_module(cat)],
+            "sum_module": [direct_sum(pool[:3], cat)[0], direct_sum([m, n], cat)[0]],
+            "conjugate_module": [m, n],
+            "representables": [yoneda_projective(c, x) for c in (cat, opposite_category(cat))
+                               for x in cat.objects],
+            "_submodule_on_bases": [radical_submodule(m).module, kernel_module(f).module,
+                                    image_module(f).module],
+            "_cokernel": [top_quotient(m).module, cokernel_module(f).module]
+                         + [simple_module(cat, x) for x in cat.objects],
+            "duality_D": [duality_D(p) for p in pool + [m, n]],
+        }
+        for name, mods in built.items():
+            assert any(not b.is_zero() for b in mods) or name == "zero_module", name
+            for b in mods:
+                for x in b.cat.objects:
+                    assert (reference_act(b, x, x, b.cat.units[x])
+                            == Mat.identity(fld, b.dims[x])), (name, x)
+
+
+def bumped_maps(f):
+    """f with one entry of one component raised by one, for every entry."""
+    fld = f.src.cat.field
+    for x, comp in f.comps.items():
+        for e in range(len(comp.data)):
+            data = list(comp.data)
+            data[e] = fld.add(data[e], fld.one())
+            yield ModuleMap(f.src, f.tgt, {**f.comps, x: Mat(fld, comp.rows, comp.cols, data)},
+                            validate=False)
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_validation_checks_the_squares_that_hom_spaces_solve(fld):
+    """Every hom_space basis map passes ModuleMap._validate, and a basis map
+    (or the zero map) with one entry bumped is refused exactly when its flat
+    components leave the kernel of the naturality equations."""
+    rng = random.Random(43)
+    outcomes = Counter()
+    for cat in summand_categories(fld):
+        pool = summand_pool(cat)
+        mods = [rand_module(pool, cat, rng, max_total=6) for _ in range(4)] + pool[:2]
+        for m in mods:
+            for n in mods:
+                eqs = equation_matrix(fld, modcat._hom_shapes(m, n), naturality_equations(m, n))
+                basis = hom_space(m, n)
+                for b in basis:
+                    b._validate()
+                    assert (eqs @ flatten_map(b)).is_zero()
+                for f in bumped_maps(basis[0] if basis else zero_map(m, n)):
+                    natural = (eqs @ flatten_map(f)).is_zero()
+                    try:
+                        f._validate()
+                        accepted = True
+                    except PreconditionError as e:
+                        assert "naturality fails" in str(e)
+                        accepted = False
+                    assert accepted == natural
+                    outcomes[accepted] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_dualized_matches_the_transposed_block_route(monkeypatch):
+    """g* from the Yoneda matrices of the presentation equals g* from the
+    transposed block morphism over the opposite category, entry types
+    included, on every knitted module of E7 over F_101 and Q, of A3 mod
+    rad^2 (x) A2 and of the 4-cycle mod rad^2."""
+    probe = knit_probe(monkeypatch)
+    for name in ("E7", "E7/Q", "A3rad2xA2", "C4rad2"):
+        ar = ar_quiver(probe.JOBS[name][0]())
+        for m in ar.modules:
+            (p0, g), (q0, h) = modcat._dualized(m), reference_dualized(m)
+            assert p0.vertices == q0.vertices, name
+            assert module_print(g.src) == module_print(h.src), name
+            assert module_print(g.tgt) == module_print(h.tgt), name
+            assert ([(x, typed_entries(c)) for x, c in g.comps.items()]
+                    == [(x, typed_entries(c)) for x, c in h.comps.items()]), name

@@ -57,8 +57,9 @@ Prints one SHA-256 per set:
   cycles of order 2, of order 1 with n = 1 and of order 3 with n = 2):
   `info`, `ar-quiver`, `ass` at the simples of degrees 0 and 1, `verify` at
   the simple of degree 1, `roundtrip` and `tensor`, each plain, with `--out
-  dot` and with `--field Q`.  A degree outside the shape is refused, and the
-  refusals are hashed too.
+  dot` and with `--field Q`.  A degree outside the shape is refused, and so
+  is `--out` on any command but `ar-quiver` (42 jobs); the refusals are
+  hashed too.
 - `verify`: the outcome of `verify_almost_split` against the complete
   knitted family of A4 mod rad^2, A5 mod rad^3, the 3-cycle mod rad^2 and A3
   mod rad^2 with A2 coefficients, over F_101, at every non-projective z, on
