@@ -84,10 +84,10 @@ def _parse_complex_line(value: str, line: int) -> NComplexSpec:
     try:
         if shape is not None and len(words) == 1 + len(fields(shape)):
             return NComplexSpec(n, shape(*(int(w) for w in words[1:])))
+    except PreconditionError as e:  # a ValueError too, so caught first
+        raise ParseError(str(e), line)
     except ValueError:
         raise ParseError(f"bad complex shape {value!r}", line)
-    except PreconditionError as e:
-        raise ParseError(str(e), line)
     raise ParseError(f"bad complex shape {value!r}", line)
 
 

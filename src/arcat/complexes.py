@@ -435,6 +435,12 @@ def factor_null_homotopy(l: QRepMap, coil: CoilEpi) -> QRepMap:
     coil and in bq.paths order within a coil.  The lift maps into copy q by
     the window-1-len(q) differentials from i up to the window's top
     j + window - 1, then s there; the copies are stacked in that order.
+
+    Every degree i of the padded shape has a copy.  On a linear shape with
+    top degree hi the coils start at every degree of z, so i <= hi has the
+    trivial path from j = i, and hi < i <= hi + n - 1 has the path from
+    j = hi, of length i - hi <= n - 1, which survives.  On a cyclic shape
+    every degree is a coil block, with its trivial path.
     """
     spec_p = coil.padded.spec
     lp = pad_chain_map(l, spec_p)
@@ -451,13 +457,9 @@ def factor_null_homotopy(l: QRepMap, coil: CoilEpi) -> QRepMap:
     for i in spec_p._degrees:
         copies = [_composite_or_none(src, i, length - 1 - q.length).then(tops[j])
                   for j in coil.blocks for q in paths[(j, i)]]
-        tgt = coil.source.components[i]
-        if copies:
-            comps[i] = ModuleMap(src.components[i], tgt,
-                                 {c: vstack([f.comps[c] for f in copies])
-                                  for c in src.coeff.objects}, validate=False)
-        else:
-            comps[i] = zero_map(src.components[i], tgt)
+        comps[i] = ModuleMap(src.components[i], coil.source.components[i],
+                             {c: vstack([f.comps[c] for f in copies])
+                              for c in src.coeff.objects}, validate=False)
     lifted = QRepMap(src, coil.source, comps, validate=True)
     if lifted.then(coil.p) != lp:
         raise VerificationError("factorization residual is nonzero")

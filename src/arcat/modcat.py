@@ -39,12 +39,13 @@ multiplicities to the dimension of the middle term.
 Sums of representables are fincat.Hull's Hom(-, X), block sums of the
 memoised representables.  A map out of Hom(-, X) is its values at the
 units of the summands (Yoneda), and `_from_units` builds every such map
-from them: the covers, Hull's Hom(-, g) for block morphisms g and the basis
-of Hom(P0, x) in Ext^1.  proj_sum_matrix reads g back off the unit values.
-Maps out of a presentation's P0 restrict to P1 through one Yoneda matrix
-(`_yoneda`), [b(g_ji)]: Hom(P0, b) -> Hom(P1, b): its nullity is
-dim Hom(m, b) (hom_dim), and into the representables it is the dualized
-presentation g*, whose cokernel is Tr m (`_dualized`).
+from them: the covers and Hull's Hom(-, g) for block morphisms g.  A
+presentation keeps the unit values of its second cover, its lifts, and its
+matrix g is read off them.  Maps out of a presentation's P0 restrict to P1
+through one Yoneda matrix (`_yoneda`), [b(g_ji)]: Hom(P0, b) -> Hom(P1, b):
+its nullity is dim Hom(m, b) (hom_dim), its columns span the coboundaries
+of Ext^1(m, b) read on P1 (Ext1), and into the representables it is the
+dualized presentation g*, whose cokernel is Tr m (`_dualized`).
 
 On this representation the module category is computed exactly: hom spaces,
 and their dimensions off presentations (`_yoneda`), kernels, images, cokernels,
@@ -52,7 +53,8 @@ radicals, projective covers and minimal presentations, projectivity by
 counting top dimensions, the standard duality, the transpose and the
 projective summands, both off one dualized presentation, the translates
 built from them, Ext^1 with explicit extension classes, almost split
-sequences with independent verification by Hom-dimension defects,
+sequences with non-splitness counted by Hom dimensions (`splits`) and
+independent verification by Hom-dimension defects,
 Krull-Schmidt decomposition with idempotent certificates, summand
 multiplicities by a trace pairing, the Auslander-Reiten quiver by knitting
 in one pass over its nodes (the radicals of projectives and the middle
@@ -607,21 +609,11 @@ def proj_sum(cat: FinCategory, vertices: Sequence) -> ProjSum:
     """Hom(-, X) for X = AddObject(vertices), the sum_module of the memoised
     representables Hom(-, x_k) in order, by Yoneda's additivity: flat
     Hom(y, X) holds one block Hom(y, x_k) per summand, in order (the layout
-    that proj_sum_map and proj_sum_matrix read), and precomposition with f
+    that proj_sum_map and `_yoneda` read), and precomposition with f
     acts on each block, g_k -> g_k o f."""
     vertices = tuple(vertices)
     mods = [yoneda_projective(cat, v) for v in vertices]
     return ProjSum(cat, vertices, sum_module(mods, cat))
-
-
-def _unit_vector(psum: ProjSum, k: int) -> Mat:
-    """The unit of summand k of Hom(-, X), a column of flat Hom(x_k, X)."""
-    cat = psum.cat
-    x = psum.vertices[k]
-    vec = [cat.field.zero()] * psum.module.dims[x]
-    off = sum(cat.dim(x, v) for v in psum.vertices[:k])
-    vec[off:off + cat.dim(x, x)] = cat.units[x]
-    return Mat.column(cat.field, vec)
 
 
 def _from_units(psum: ProjSum, n: CModule, values: Sequence[Mat]) -> ModuleMap:
@@ -650,16 +642,6 @@ def proj_sum_map(src: ProjSum, tgt: ProjSum, g: AddMor) -> ModuleMap:
     return _from_units(src, tgt.module, values)
 
 
-def proj_sum_matrix(src: ProjSum, tgt: ProjSum, phi: ModuleMap) -> AddMor:
-    """The block morphism g: X -> Y with proj_sum_map(src, tgt, g) = phi, by
-    Yoneda: the blocks out of summand k are the image under phi of the unit
-    of that summand (`_unit_vector`), a column of flat Hom(X_k, Y)."""
-    vals = []
-    for k, a in enumerate(src.vertices):
-        vals.extend((phi.comps[a] @ _unit_vector(src, k)).data)
-    return Hull(src.cat).unflatten(src.obj, tgt.obj, Mat.column(src.cat.field, vals))
-
-
 @dataclass
 class Cover:
     psum: ProjSum
@@ -678,17 +660,19 @@ def _top_lifts(m: CModule) -> Dict:
     return {x: _projection_and_section(_radical_actions(m, x))[1] for x in m.cat.objects}
 
 
-def _cover_map(m: CModule) -> Tuple[ProjSum, ModuleMap]:
-    """The sum of representables of a projective cover of m and its map onto
-    m, certified surjective, without the kernel: the map whose unit values
-    (`_from_units`) are the lifts of a top basis (`_top_lifts`)."""
+def _cover_map(m: CModule) -> Tuple[ProjSum, ModuleMap, List[Mat]]:
+    """The sum of representables of a projective cover of m, its map onto
+    m, certified surjective, without the kernel, and the map's unit values
+    (`_from_units`): the lifts of a top basis (`_top_lifts`), one column of
+    m(x_k) per summand k."""
     top = _top_lifts(m)
     psum = proj_sum(m.cat, [x for x in m.cat.objects for _ in range(top[x].cols)])
-    p = _from_units(psum, m, [Mat(m.cat.field, top[x].rows, 1, top[x].col(j))
-                              for x in m.cat.objects for j in range(top[x].cols)])
+    lifts = [Mat(m.cat.field, top[x].rows, 1, top[x].col(j))
+             for x in m.cat.objects for j in range(top[x].cols)]
+    p = _from_units(psum, m, lifts)
     if not p.is_surjective():
         raise AssertionError("cover map is not surjective")
-    return psum, p
+    return psum, p, lifts
 
 
 def projective_cover(m: CModule) -> Cover:
@@ -698,7 +682,7 @@ def projective_cover(m: CModule) -> Cover:
     ker <= rad is read off the coordinates (`_top_rows`): the kernel
     inclusion must vanish on every coordinate outside the radical.
     """
-    psum, p = _cover_map(m)
+    psum, p, _ = _cover_map(m)
     ker = kernel_module(p)
     _check_kernel_in_radical(psum, ker.include.comps)
     return Cover(psum, p, ker)
@@ -732,11 +716,16 @@ def _check_kernel_in_radical(psum: ProjSum, bases: Dict):
 
 @dataclass
 class Presentation:
+    """P1 -g-> P0 -cover-> m -> 0, with K the kernel of the cover.  The unit
+    values of the second cover P1 -> K are kept as lifts, t_i in K(x1_i).
+    The differential is that cover followed by the kernel inclusion, so
+    block column i of the matrix g is incl(t_i), a column of P0(x1_i)."""
     p1: ProjSum
     p0: ProjSum
     differential: ModuleMap
     cover: ModuleMap
     kernel: Kernel
+    lifts: List[Mat]
     matrix: AddMor
 
 
@@ -750,16 +739,20 @@ def minimal_presentation(m: CModule) -> Presentation:
 
 def _minimal_presentation(m: CModule) -> Presentation:
     """The second cover is certified minimal from the kernel bases of its
-    components alone: the second syzygy itself is never built."""
+    components alone: the second syzygy itself is never built.  The matrix
+    is read off the second cover's own unit values (`Presentation`), and
+    rebuilt into the differential as a check."""
     c0 = projective_cover(m)
-    psum1, cover1 = _cover_map(c0.kernel.module)
+    incl = c0.kernel.include
+    psum1, cover1, lifts = _cover_map(c0.kernel.module)
     _check_kernel_in_radical(psum1, {y: cover1.comps[y].kernel_basis()
                                      for y in m.cat.objects})
-    d = cover1.then(c0.kernel.include)
-    matrix = proj_sum_matrix(psum1, c0.psum, d)
+    d = cover1.then(incl)
+    values = [v for x, t in zip(psum1.vertices, lifts) for v in (incl.comps[x] @ t).data]
+    matrix = Hull(m.cat).unflatten(psum1.obj, c0.psum.obj, Mat.column(m.cat.field, values))
     if proj_sum_map(psum1, c0.psum, matrix) != d:
         raise AssertionError("presentation matrix does not rebuild the differential")
-    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, matrix)
+    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, lifts, matrix)
 
 
 def _yoneda(pres: Presentation, b: CModule) -> Mat:
@@ -1093,37 +1086,44 @@ def _summand_multiplicity(y: CModule, m: CModule, top_dim: int) -> Optional[int]
 
 
 class Ext1:
-    """Ext^1(z, x) presented by cocycles K -> x modulo restrictions from P0."""
+    """Ext^1(z, x) presented by cocycles K -> x modulo restrictions from P0,
+    read on P1 of the presentation of z.
+
+    A cocycle xi is the column of its values xi(t_i) at the lifts t_i of
+    the presentation, that is xi o cover_1 in Hom(P1, x) by Yoneda.  As
+    cover_1 maps onto K, xi -> xi o cover_1 is injective, and it carries a
+    restriction psi o incl onto psi o g, a column of the Yoneda matrix
+    (`_yoneda`), whose columns are the images of the unit-value basis of
+    Hom(P0, x) in order.  So the representatives are the cocycle basis
+    elements at the pivot columns beyond that matrix, and no map out of P0
+    is built.
+    """
 
     def __init__(self, z: CModule, x: CModule):
         self.z = z
         self.x = x
         self.pres = minimal_presentation(z)
-        kernel, p0 = self.pres.kernel, self.pres.p0
-        self.cocycle_basis = hom_space(kernel.module, x)
-        fld = z.cat.field
-        # a basis of Hom(P0, x): the maps whose unit values run over the
-        # basis vectors of the sum of the x(x_k)
-        zeros = [Mat.zeros(fld, x.dims[v], 1) for v in p0.vertices]
-        lifted = [_from_units(p0, x, zeros[:k] + [Mat(fld, x.dims[v], 1, e)] + zeros[k + 1:])
-                  for k, v in enumerate(p0.vertices)
-                  for e in Mat.identity(fld, x.dims[v]).to_lists()]
-        restricted = [flatten_map(kernel.include.then(psi)) for psi in lifted]
-        flat = [flatten_map(b) for b in self.cocycle_basis]
-        # the empty first block keeps the row count when both lists are empty
-        n = sum(r * c for r, c in _hom_shapes(kernel.module, x).values())
-        combined = hstack([Mat.zeros(fld, n, 0)] + restricted + flat)
-        span, pivots = combined.column_space_basis()
+        self.cocycle_basis = hom_space(self.pres.kernel.module, x)
+        coboundaries = _yoneda(self.pres, x)
+        span, pivots = hstack([coboundaries] + [self._on_p1(b) for b in self.cocycle_basis]
+                              ).column_space_basis()
         self._span = span
-        self._class_slots = [t for t, p in enumerate(pivots) if p >= len(restricted)]
-        self.representatives = [self.cocycle_basis[pivots[t] - len(restricted)]
+        self._class_slots = [t for t, p in enumerate(pivots) if p >= coboundaries.cols]
+        self.representatives = [self.cocycle_basis[pivots[t] - coboundaries.cols]
                                 for t in self._class_slots]
         self.dim = len(self.representatives)
+
+    def _on_p1(self, xi: ModuleMap) -> Mat:
+        """xi o cover_1 as the column of the xi(t_i), in the row layout of
+        `_yoneda`."""
+        return Mat.column(self.x.cat.field,
+                          [v for u, t in zip(self.pres.p1.vertices, self.pres.lifts)
+                           for v in (xi.comps[u] @ t).data])
 
     def classes(self, xis: Sequence[ModuleMap]) -> Mat:
         """Class coordinates in the basis of representatives, one column per
         cocycle K -> x."""
-        coords = solve(self._span, hstack([flatten_map(xi) for xi in xis]))
+        coords = solve(self._span, hstack([self._on_p1(xi) for xi in xis]))
         if coords is None:
             raise PreconditionError("cocycle is not in the expected hom space")
         return Mat(self._span.field, self.dim, len(xis),
@@ -1167,17 +1167,19 @@ def extension_from_cocycle(ext: Ext1, xi: ModuleMap) -> ShortExact:
     return se
 
 
-def splitting_section(se: ShortExact) -> Optional[ModuleMap]:
-    """A section of the right map, when the sequence splits."""
-    candidates = hom_space(se.right, se.middle)
-    if not candidates:
-        return None
-    cols = hstack([flatten_map(s.then(se.project)) for s in candidates])
-    target = flatten_map(identity_map(se.right))
-    sol = solve(cols, target)
-    if sol is None:
-        return None
-    return map_from_coords(candidates, tuple(sol.col(0)))
+def splits(se: ShortExact) -> bool:
+    """Whether 0 -> X -> Y -> Z -> 0 splits, after check_short_exact, by
+    counting with hom_dim: no hom basis or section is built.
+
+    Hom(Z, -) is left exact, so the image of Hom(Z, Y) -> End(Z) has
+    dimension dim Hom(Z, Y) - dim Hom(Z, X).  The sequence splits exactly
+    when 1_Z lies in that image, and the image is a right ideal of End(Z)
+    (if p o s = f, then p o (s o e) = f o e), so it holds 1_Z exactly when
+    it is all of End(Z).
+    """
+    check_short_exact(se)
+    z = se.right
+    return hom_dim(z, se.middle) - hom_dim(z, se.left) == hom_dim(z, z)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,10 +1209,10 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     """The almost split sequence ending at an indecomposable non-projective z.
 
     The class is taken in the socle of Ext^1(z, tau z); the materialized
-    sequence is checked exact and non-split.  The local End(z) and
-    is_projective_module prove that z has no projective summand, so tau z
-    is taken as D(_transpose_raw(z)), without the projective-summand check
-    of `tau`; the result equals tau(z).
+    sequence is checked exact and non-split (`splits`).  The local End(z)
+    and is_projective_module prove that z has no projective summand, so
+    tau z is taken as D(_transpose_raw(z)), without the projective-summand
+    check of `tau`; the result equals tau(z).
 
     The socle of Ext^1(z, tau z) under End(z) is simple, and it is the
     socle under End(tau z) (ARS ch. V.2; Auslander-Reiten, Comm. Algebra
@@ -1244,7 +1246,7 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     coords = tuple(socle.col(0))
     xi = map_from_coords(ext.representatives, coords)
     se = extension_from_cocycle(ext, xi)
-    if splitting_section(se) is not None:
+    if splits(se):
         raise AssertionError("candidate almost split sequence splits")
     return AlmostSplit(se, tz, ext.dim, coords)
 
@@ -1252,12 +1254,12 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
 def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     """Checks the almost split property of a sequence against test modules.
 
-    Exactness, non-splitness and indecomposability of both end terms are
-    checked first.  Then, for each test module m, maps m -> right factor
-    through the middle unless m is isomorphic to the right term, where the
-    failure space has dimension dim End/rad; dually for maps left -> m.
-    Returns the number of test modules, raises VerificationError on any
-    failure.
+    Exactness and non-splitness (both by `splits`) and indecomposability
+    of both end terms are checked first.  Then, for each test module m,
+    maps m -> right factor through the middle unless m is isomorphic to the
+    right term, where the failure space has dimension dim End/rad; dually
+    for maps left -> m.  Returns the number of test modules, raises
+    VerificationError on any failure.
 
     The failure spaces are measured by Auslander's defects (ARS ch. IV.4).
     For the sequence 0 -> X -> Y -> Z -> 0, proved exact by
@@ -1267,8 +1269,9 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     dim Hom(m, X).  Dually Hom(-, m) is left exact, and the maps X -> m
     that do not extend through Y span dim Hom(X, m) - dim Hom(Y, m) +
     dim Hom(Z, m).  Each dimension is one rank on a memoised presentation
-    (`hom_dim`, by Yoneda), so no hom basis or composite is built.  The first defect is read off the presentation of m.  The
-    second is read off the presentation of D m: D is an exact duality
+    (`hom_dim`, by Yoneda), so no hom basis or composite is built.  The
+    first defect is read off the presentation of m.  The second is read
+    off the presentation of D m: D is an exact duality
     (ARS ch. II), so Hom(X, m) = Hom(D m, D X) for every X, and the defect
     is dim Hom(D m, D X) - dim Hom(D m, D Y) + dim Hom(D m, D Z).  D X,
     D Y and D Z only transpose matrices, so no presentation of the fresh
@@ -1281,15 +1284,14 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     correct for every m not isomorphic to the end term, and it cannot occur
     at m isomorphic to Z: the dimensions are invariant under isomorphism,
     so Hom(Z, Y) -> Hom(Z, Z) would be onto, and a lift of 1_Z would be a
-    section of Y -> Z, which splitting_section (an exact solve over a basis
-    of Hom(Z, Y)) has already refused.  Likewise a zero covariant defect at
-    m isomorphic to X would extend 1_X to a retraction of X -> Y, and a
+    section of Y -> Z, which `splits` has already refused: there the same
+    count finds that no section exists.  Likewise a zero covariant defect
+    at m isomorphic to X would extend 1_X to a retraction of X -> Y, and a
     retraction splits the sequence too.
     """
     if isinstance(se, AlmostSplit):
         se = se.sequence
-    check_short_exact(se)
-    if splitting_section(se) is not None:
+    if splits(se):
         raise VerificationError("sequence splits")
     top = {}  # dim End/rad of each end term
     for term, name in ((se.right, "right"), (se.left, "left")):

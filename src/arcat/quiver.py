@@ -227,14 +227,17 @@ def opposite(bq: BoundQuiver) -> BoundQuiver:
     """Reverse every arrow; ideal generators reverse their application order.
 
     Arrow names are kept, so opposite(opposite(bq)) is structurally equal
-    to bq.
+    to bq.  Reversal keeps the surviving path lengths, and the longest is
+    one less than the largest bound, so that bound is the cap of the walk
+    (the empty quiver has no bound and walks nothing).
     """
     q = bq.quiver
     op_arrows = [Arrow(a.name, a.target, a.source) for a in q.arrows]
     op_quiver = Quiver(list(q.vertices), op_arrows)
     op_gens = frozenset(Path(g.target, g.source, tuple(reversed(g.arrows)))
                         for g in bq.ideal.generators)
-    return BoundQuiver(op_quiver, MonomialIdeal(op_gens))
+    return BoundQuiver(op_quiver, MonomialIdeal(op_gens),
+                       cap=max(bq.bounds.values(), default=1))
 
 
 def linear_quiver(m: int, prefix: str = "a") -> Quiver:

@@ -469,7 +469,7 @@ def lemma2_cover(r: QRep) -> CoverResult:
         rv = r.vertex_modules[v]
         if rv.is_zero():
             continue
-        _, cov = _cover_map(rv)
+        _, cov, _ = _cover_map(rv)
         pieces.append((v, cov.src))
         ind = f_star_v(bq, v, cov.src)
         parts.append(ind)

@@ -4,15 +4,15 @@ import itertools
 from typing import List
 
 from arcat.errors import PreconditionError, VerificationError
-from arcat.fincat import AddMor, AddObject, FinCategory, opposite_category, point_category
+from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, opposite_category,
+                          point_category)
 from arcat.linalg import Field, Mat, hstack, kron, solve, vstack
 from arcat.algebra import TableAlgebra, end_table, find_nontrivial_idempotent, radical_basis
 from arcat.modcat import (AlmostSplit, CModule, Ext1, Image, ModuleMap, check_short_exact,
                           conjugate_module, copair, direct_sum, end_algebra, flatten_map,
                           hom_space, identity_map, image_module, is_isomorphic,
                           map_from_coords, minimal_presentation, proj_sum, proj_sum_map,
-                          projective_cover, splitting_section, sum_map, zero_map,
-                          zero_module)
+                          projective_cover, sum_map, zero_map, zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
 from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair, rep_injections
@@ -291,6 +291,20 @@ def recursive_decompose_module(m: CModule) -> List[Image]:
     return out
 
 
+def reference_splitting_section(se):
+    """A section of the right map, when the sequence splits, by an exact
+    solve over a basis of Hom(Z, Y) for a lift of 1_Z: the oracle for
+    modcat.splits, which counts Hom dimensions instead."""
+    candidates = hom_space(se.right, se.middle)
+    if not candidates:
+        return None
+    cols = hstack([flatten_map(s.then(se.project)) for s in candidates])
+    sol = solve(cols, flatten_map(identity_map(se.right)))
+    if sol is None:
+        return None
+    return map_from_coords(candidates, tuple(sol.col(0)))
+
+
 def composite_rank_verify(se, test_modules) -> int:
     """The almost split check by composite ranks: for each test module m,
     hom bases of Hom(m, right) and Hom(m, middle), the rank of the composites
@@ -301,7 +315,7 @@ def composite_rank_verify(se, test_modules) -> int:
     if isinstance(se, AlmostSplit):
         se = se.sequence
     check_short_exact(se)
-    if splitting_section(se) is not None:
+    if reference_splitting_section(se) is not None:
         raise VerificationError("sequence splits")
     top = {}
     for term, name in ((se.right, "right"), (se.left, "left")):
@@ -602,8 +616,10 @@ def reference_category_check(fld: Field, objects, hom, comp, units, radical):
 
 
 class ReferenceExt1(Ext1):
-    """Ext1 with Hom(P0, x) taken from the naturality solve, hom_space: the
-    oracle for the unit-value basis of modcat.Ext1."""
+    """Ext1 on the flat route: Hom(P0, x) taken from the naturality solve,
+    hom_space, its restrictions to K and the cocycles flattened as maps
+    K -> x (flatten_map), and classes solved there.  The oracle for
+    modcat.Ext1, which reads cocycles and coboundaries on P1."""
 
     def __init__(self, z: CModule, x: CModule):
         self.z, self.x = z, x
@@ -621,6 +637,30 @@ class ReferenceExt1(Ext1):
         self.representatives = [self.cocycle_basis[pivots[t] - len(restricted)]
                                 for t in self._class_slots]
         self.dim = len(self.representatives)
+
+    def classes(self, xis):
+        """Class coordinates solved on the flattened maps K -> x."""
+        coords = solve(self._span, hstack([flatten_map(xi) for xi in xis]))
+        if coords is None:
+            raise PreconditionError("cocycle is not in the expected hom space")
+        return Mat(self._span.field, self.dim, len(xis),
+                   [coords.at(t, j) for t in self._class_slots for j in range(len(xis))])
+
+
+def reference_proj_sum_matrix(src, tgt, phi: ModuleMap) -> AddMor:
+    """The block morphism g: X -> Y with proj_sum_map(src, tgt, g) = phi,
+    read back off phi by Yoneda: the blocks out of summand k are the image
+    under phi of the unit of that summand, a column of flat Hom(x_k, Y).
+    The oracle for the presentation matrix, which modcat reads off the
+    second cover's unit values."""
+    cat = src.cat
+    vals = []
+    for k, x in enumerate(src.vertices):
+        unit = [cat.field.zero()] * src.module.dims[x]
+        off = sum(cat.dim(x, v) for v in src.vertices[:k])
+        unit[off:off + cat.dim(x, x)] = cat.units[x]
+        vals.extend((phi.comps[x] @ Mat.column(cat.field, unit)).data)
+    return Hull(cat).unflatten(src.obj, tgt.obj, Mat.column(cat.field, vals))
 
 
 def reference_end_action_on_kernel(pres, theta: ModuleMap) -> ModuleMap:

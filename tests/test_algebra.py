@@ -7,7 +7,7 @@ import pytest
 from _support import (F101, QQ, reference_left_mult_matrix, reference_trace_form,
                       typed_entries)
 from arcat import algebra
-from arcat.algebra import (TableAlgebra, find_nontrivial_idempotent,
+from arcat.algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
                            lift_idempotent, primitive_idempotents, radical_basis)
 from arcat.errors import PreconditionError
 from arcat.fincat import category_of
@@ -300,6 +300,44 @@ def test_small_prime_field_is_refused():
         with pytest.raises(PreconditionError):
             find_nontrivial_idempotent(alg)
     radical_basis(matrix_algebra(Field.prime(5)))  # p > dim is accepted
+
+
+def m2_on_basis(field, rows):
+    """M_2(k) on the basis of the 2 x 2 matrices with the given row-major
+    entries, through end_table as End algebras are built."""
+    mats = [Mat(field, 2, 2, [field.of(v) for v in r]) for r in rows]
+
+    def flat(m):
+        return Mat.column(field, list(m.data))
+    return end_table(field, hstack([flat(b) for b in mats]), flat(Mat.identity(field, 2)),
+                     hstack([flat(a @ b) for a in mats for b in mats]))
+
+
+@pytest.mark.parametrize("rows,tries,last", [
+    # 1, E12, E21, [[1,1],[1,0]]: no basis element splits, E12 + E21 does
+    (((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)), 8, (0, 1, 1, 0)),
+    # every basis element and every pair fails; the seeded random tries split
+    (((3, 1, 1, 2), (1, 0, 0, 1), (1, 3, 3, 4), (3, 2, 1, 0)), 12, None)],
+    ids=["pair", "random"])
+def test_idempotent_search_reaches_pairs_and_random_candidates(rows, tries, last,
+                                                               monkeypatch):
+    """M_2(F_5) on two bases: the search past the basis vectors, to the
+    sums of pairs and to the seeded random candidates, and the idempotent
+    it finds is certified."""
+    f5 = Field.prime(5)
+    alg = m2_on_basis(f5, rows)
+    tried, candidates = [], algebra._candidates
+
+    def counting(a, rng):
+        for x in candidates(a, rng):
+            tried.append(x)
+            yield x
+
+    monkeypatch.setattr(algebra, "_candidates", counting)
+    assert_nontrivial_idempotent(alg, find_nontrivial_idempotent(alg))
+    assert len(tried) == tries
+    if last is not None:
+        assert tried[-1] == last
 
 
 def test_radical_is_memoised():

@@ -619,3 +619,61 @@ def test_a_second_field_line_exits_1(tmp_path, capsys):
         second = lines.splitlines()[1]
         assert code == 1 and out == ""
         assert err == f"parse error: line 3: more than one field line: {second!r}\n"
+
+
+A2_LINES = "[quiver]\nvertices = 1 2\narrow a1: 1 -> 2\n"
+INFO = "[command]\nname = info\n"
+PARSE_REFUSALS = [
+    ("[quiver]\ncomplex = interval 3 n=x\n" + INFO, (), "line 2: bad n value 'x'"),
+    ("[quiver]\ncomplex = interval x\n" + INFO, (), "line 2: bad complex shape 'interval x'"),
+    ("[quiver]\ncomplex = interval 3 4\n" + INFO, (),
+     "line 2: bad complex shape 'interval 3 4'"),
+    ("[quiver]\ncomplex = interval 0\n" + INFO, (),
+     "line 2: interval shapes need n >= 2 and m >= 1"),
+    ("name = info\n" + A2_LINES + INFO, (), "line 1: content before any section header"),
+    (A2_LINES + "[ideal]\nrel = a1\n" + INFO, (),
+     "line 5: expected 'relation = ...', got 'rel = a1'"),
+    (A2_LINES + "[command]\nname\n", (), "line 5: expected 'key = value', got 'name'"),
+    ("[quiver]\nvertices 1 2\n" + INFO, (), "line 2: expected 'key = value', got 'vertices 1 2'"),
+    (A2_LINES + INFO + "name = tensor\n", (), "line 6: more than one command name"),
+    (A2_LINES + "[command]\nname = ass\ntarget = simple 1:pt\ntarget = simple 2:pt\n", (),
+     "line 7: duplicate parameter 'target'"),
+    ("[field]\nq = 3\n" + A2_LINES + INFO, (), "line 2: bad field line 'q = 3'"),
+    ("[field]\np = x\n" + A2_LINES + INFO, (), "bad field 'x'"),
+    ("[quiver]\nvertices = 1 2\narrow a1 1 -> 2\n" + INFO, (),
+     "line 3: expected 'arrow name: src -> tgt'"),
+    ("[quiver]\ncomplex = interval 3\ncomplex = interval 4\n" + INFO, (),
+     "line 3: more than one complex line"),
+    ("[quiver]\nvertices = 1 2\nfoo = bar\n" + INFO, (), "line 3: unexpected line 'foo = bar'"),
+    ("[quiver]\ncomplex = interval 3\nvertices = 1\n" + INFO, (),
+     "complex shapes exclude explicit vertices and arrows"),
+    (INFO, (), "quiver needs vertices"),
+    ("[quiver]\nvertices = 1 2\narrow a1: 1 -> 3\n" + INFO, (),
+     "arrow a1 has endpoint outside the quiver"),
+    (A2_LINES + "[ideal]\nrelation =\n" + INFO, (), "empty relation"),
+    (A2_LINES + "[ideal]\nrelation = a1 zz\n" + INFO, (), "relation uses unknown arrow 'zz'"),
+    ("[quiver]\nvertices = 1 2 3\narrow a1: 1 -> 2\narrow a2: 2 -> 3\n[ideal]\n"
+     "relation = a2 a1\n" + INFO, (), "relation ['a2', 'a1'] does not compose"),
+    (A2_LINES + "[command]\nname = ass\n", (), "command needs a target"),
+    (A2_LINES + "[command]\nname = ass\ntarget = foo\n", (), "bad target 'foo'"),
+    (A2_LINES + "[command]\nname = ass\ntarget = simple 1:pt\n", ("--verify-family", "bogus"),
+     "bad verify family 'bogus'"),
+    (A2_LINES + "[command]\nname = verify\ntarget = simple 1:pt\nsequence = other\n", (),
+     "bad sequence kind 'other'"),
+    ("[quiver]\ncomplex = cyclic 2\n[command]\nname = approximate\n", (),
+     "approximate needs 'target = stalk <degree> <object>'"),
+    (CYCLIC2_STALK + "generators = all\n", (), "bad generators choice 'all'"),
+]
+
+
+def test_every_parse_refusal_exits_1_with_its_line(tmp_path, capsys):
+    """Each ParseError of the job reader and the commands, one job apiece:
+    exit 1, nothing on stdout and exactly the refusal on stderr, with the
+    line it names.  approximate without a complex shape is a precondition
+    failure, exit 2."""
+    for text, flags, message in PARSE_REFUSALS:
+        code, out, err = run(tmp_path, text, *flags, capsys=capsys)
+        assert (code, out, err) == (1, "", f"parse error: {message}\n"), message
+    text = A2_LINES + "[command]\nname = approximate\ntarget = stalk 0 pt\n"
+    code, out, err = run(tmp_path, text, capsys=capsys)
+    assert (code, out, err) == (2, "", "precondition failed: approximate needs a complex shape\n")

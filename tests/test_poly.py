@@ -4,6 +4,7 @@ and negative controls that a reducible polynomial is never certified
 irreducible."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,24 @@ def test_f2_square_keeps_its_multiplicity():
     f = poly.mul([1, 1, 1], [1, 1, 1], F2)
     assert f == [1, 0, 1, 0, 1]
     assert poly.factor(f, F2) == [([1, 1, 1], 2)]
+
+
+def test_f2_equal_degree_splits_by_the_trace(monkeypatch):
+    """(x^3+x+1)(x^3+x^2+1) is two cubic factors over F_2, which
+    Cantor-Zassenhaus separates by the trace a + a^2 + a^4, the branch of
+    characteristic 2."""
+    traced, add = [], poly._add
+
+    def spying(f, g, m):
+        if sys._getframe(1).f_code.co_name == "_equal_degree":
+            traced.append(m)
+        return add(f, g, m)
+
+    monkeypatch.setattr(poly, "_add", spying)
+    f = poly.mul([1, 1, 0, 1], [1, 0, 1, 1], F2)
+    assert f == [1, 1, 1, 1, 1, 1, 1]
+    assert poly.factor(f, F2) == sympy_factors(f, F2) == [([1, 1, 0, 1], 1), ([1, 0, 1, 1], 1)]
+    assert traced and set(traced) == {2}
 
 
 def test_factoring_leaves_other_randomness_alone():

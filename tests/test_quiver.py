@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from _support import (a2_quiver, a3_quiver, a3_rad2, a_m_rad_n, cyclic_rad2, one_loop_rad2,
-                      reference_all_paths, reference_bounds)
+from _support import (F101, a2_quiver, a3_quiver, a3_rad2, a_m_rad_n, cyclic_rad2,
+                      one_loop_rad2, point_quiver, reference_all_paths, reference_bounds)
 from arcat.complexes import Cyclic, Interval, NComplexSpec, Window, build_category
 from arcat.errors import CapExceededError, NotAdmissibleError, PreconditionError
+from arcat.fincat import category_of
+from arcat.modcat import representation_category
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, enumerate_paths, is_admissible,
                           linear_quiver, opposite)
@@ -135,6 +137,25 @@ def test_opposite_is_an_involution():
         back = opposite(opposite(bq))
         assert back == bq
         assert back.bounds == bq.bounds
+
+
+def test_the_opposite_keeps_the_cap_that_admitted_the_quiver():
+    """A40 has a surviving path of length 39, beyond the default cap of
+    32: admitted at cap 64, its representation category, over the
+    opposite, is built, with the hom dimensions of category_of transposed.
+    Reversal keeps every bound, and the opposite of the opposite is the
+    quiver, on every quiver of the test support as well."""
+    with pytest.raises(CapExceededError, match="surviving path of length 32 reached"):
+        BoundQuiver(linear_quiver(40))
+    long = BoundQuiver(linear_quiver(40), cap=64)
+    rep, cat = representation_category(long, F101), category_of(long, F101)
+    assert rep.objects == cat.objects
+    assert all(rep.dim(x, y) == cat.dim(y, x) for x in cat.objects for y in cat.objects)
+    for bq in (long, a2_quiver(), a3_quiver(), a3_rad2(), a_m_rad_n(5, 3), cyclic_rad2(2),
+               cyclic_rad2(4), one_loop_rad2(), point_quiver(), BoundQuiver(Quiver([], []))):
+        assert opposite(bq).bounds == bq.bounds
+        back = opposite(opposite(bq))
+        assert back == bq and back.bounds == bq.bounds
 
 
 def test_cyclic_quiver_single_vertex():
