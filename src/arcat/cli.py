@@ -184,7 +184,7 @@ def _parse_quiver_lines(lines, allow_complex: bool,
     for no, line in lines:
         if line.startswith("arrow "):
             name, colon, ends = line[len("arrow "):].partition(":")
-            if not colon or "->" not in ends:
+            if not colon or "->" not in ends or not name.strip():
                 raise ParseError(f"expected 'arrow name: src -> tgt'", no)
             src, _, tgt = ends.partition("->")
             draft.arrows.append((name.strip(), src.strip(), tgt.strip()))
@@ -395,7 +395,7 @@ def _cmd_sequence(job: JobSpec, out: List[str], args):
     base, knitted = _knit(job, args.cap)
     target = _resolve_target(base, knitted, job.params)
     family = _family(knitted, args.verify_family)
-    kind = job.params.get("sequence", ["almost-split"])[0]
+    kind = " ".join(job.params.get("sequence", ["almost-split"]))
     if kind == "almost-split":
         ass = almost_split_sequence(target)
         se = ass.sequence
@@ -428,7 +428,7 @@ def _cmd_approximate(job: JobSpec, out: List[str], args):
         raise ParseError(f"bad stalk degree {tspec[1]!r}")
     mod = yoneda_projective(coeff, _find_object(coeff, tspec[2]))
     z = stalk(spec, degree, mod)
-    gen_choice = job.params.get("generators", ["none"])[0]
+    gen_choice = " ".join(job.params.get("generators", ["none"]))
     if gen_choice == "coils":
         padded = spec.padded()
         gens = [interval_J(padded, j, yoneda_projective(coeff, x))

@@ -15,10 +15,9 @@ every unit: the validated ones are checked for it, and the seven
 constructions built unvalidated (zero_module, sum_module,
 conjugate_module, the representables, `_submodule_on_bases`, `_cokernel`
 and duality_D) prove it in their docstrings.  Validated too are the base
-change of conjugate_module, the cocycle pair of extension_from_cocycle,
-and the maps that factor_through_cokernel and dual_map return.  The
-derived objects whose construction proves them valid are built
-unvalidated, each with its proof in its docstring: the representables
+change of conjugate_module and the maps that factor_through_cokernel and
+dual_map return.  The derived objects whose construction proves them valid
+are built unvalidated, each with its proof in its docstring: the representables
 (their matrices are the ones FinCategory._validate checked), sub-modules
 and their inclusions (one exact solve against bases of full column rank),
 the projection onto an image, cokernels and their projections (the spans
@@ -40,19 +39,24 @@ Sums of representables are fincat.Hull's Hom(-, X), block sums of the
 memoised representables.  A map out of Hom(-, X) is its values at the
 units of the summands (Yoneda), and `_from_units` builds every such map
 from them: the covers and Hull's Hom(-, g) for block morphisms g.  A
-presentation keeps the unit values of its second cover, its lifts, and its
-matrix g is read off them.  Maps out of a presentation's P0 restrict to P1
-through one Yoneda matrix (`_yoneda`), [b(g_ji)]: Hom(P0, b) -> Hom(P1, b):
-its nullity is dim Hom(m, b) (hom_dim), its columns span the coboundaries
-of Ext^1(m, b) read on P1 (Ext1), and into the representables it is the
-dualized presentation g*, whose cokernel is Tr m (`_dualized`).
+presentation's matrix g is read off the unit values of its second cover.
+A block morphism g: X1 -> X0 turns maps out of Hom(-, X0) into maps out of
+Hom(-, X1) through one Yoneda matrix (`_yoneda`), [b(g_ji)]: Hom(P0, b) ->
+Hom(P1, b), and every Hom computation on a presentation is one of these:
+on its matrix, the nullity is dim Hom(m, b) (hom_dim), the columns are the
+coboundaries of Ext^1(m, b), and into the representables it is the
+dualized presentation g*, whose cokernel is Tr m (`_dualized`); on the
+syzygy P2 -> P1 of the differential, the kernel is the cocycles
+(`_syzygy`).  So Ext^1(m, b) is H^1 of Hom(P2 -> P1 -> P0, b), read on
+columns of unit values on P1, and an extension is the pushout of P1 -> P0
+along one such column (Ext1, extension_from_cocycle).
 
 On this representation the module category is computed exactly: hom spaces,
 and their dimensions off presentations (`_yoneda`), kernels, images, cokernels,
 radicals, projective covers and minimal presentations, projectivity by
 counting top dimensions, the standard duality, the transpose and the
 projective summands, both off one dualized presentation, the translates
-built from them, Ext^1 with explicit extension classes, almost split
+built from them, Ext^1 with explicit extension classes on P1, almost split
 sequences with non-splitness counted by Hom dimensions (`splits`) and
 independent verification by Hom-dimension defects,
 Krull-Schmidt decomposition with idempotent certificates, summand
@@ -688,9 +692,9 @@ def projective_cover(m: CModule) -> Cover:
     return Cover(psum, p, ker)
 
 
-def _top_rows(psum: ProjSum, y, basis: Mat) -> Mat:
-    """The rows of basis, a span in flat Hom(y, X) for psum = Hom(-, X), at
-    the coordinates outside the radical, in order: a span lies in rad
+def _top_rows(cat: FinCategory, vertices: Sequence, y, basis: Mat) -> Mat:
+    """The rows of basis, a span in flat Hom(y, X) for X = AddObject(vertices),
+    at the coordinates outside the radical, in order: a span lies in rad
     Hom(y, X) exactly when these rows vanish.
 
     rad Hom(-, X) at y is the span of the radical basis coordinates of flat
@@ -698,9 +702,8 @@ def _top_rows(psum: ProjSum, y, basis: Mat) -> Mat:
     radical is an ideal (checked by FinCategory._validate), and it holds
     each radical basis element r: y -> X_k as 1 o r.
     """
-    cat = psum.cat
     rows, pos = [], 0
-    for x in psum.vertices:
+    for x in vertices:
         rows.extend(pos + t for t in range(cat.dim(y, x)) if t not in cat.radical[(y, x)])
         pos += cat.dim(y, x)
     return Mat(cat.field, len(rows), basis.cols, [v for r in rows for v in basis.row(r)])
@@ -710,22 +713,21 @@ def _check_kernel_in_radical(psum: ProjSum, bases: Dict):
     """Raises unless the kernel bases of a cover from psum (bases[y], the
     kernel basis of its component at y) lie in the radical (`_top_rows`)."""
     for y in psum.cat.objects:
-        if not _top_rows(psum, y, bases[y]).is_zero():
+        if not _top_rows(psum.cat, psum.vertices, y, bases[y]).is_zero():
             raise AssertionError("cover kernel is not contained in the radical")
 
 
 @dataclass
 class Presentation:
-    """P1 -g-> P0 -cover-> m -> 0, with K the kernel of the cover.  The unit
-    values of the second cover P1 -> K are kept as lifts, t_i in K(x1_i).
-    The differential is that cover followed by the kernel inclusion, so
-    block column i of the matrix g is incl(t_i), a column of P0(x1_i)."""
+    """P1 -g-> P0 -cover-> m -> 0, with K the kernel of the cover.  The
+    differential is the second cover P1 -> K followed by the kernel
+    inclusion, so block column i of the matrix g is incl(t_i), a column of
+    P0(x1_i), for the unit value t_i in K(x1_i) of that cover."""
     p1: ProjSum
     p0: ProjSum
     differential: ModuleMap
     cover: ModuleMap
     kernel: Kernel
-    lifts: List[Mat]
     matrix: AddMor
 
 
@@ -752,18 +754,18 @@ def _minimal_presentation(m: CModule) -> Presentation:
     matrix = Hull(m.cat).unflatten(psum1.obj, c0.psum.obj, Mat.column(m.cat.field, values))
     if proj_sum_map(psum1, c0.psum, matrix) != d:
         raise AssertionError("presentation matrix does not rebuild the differential")
-    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, lifts, matrix)
+    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, matrix)
 
 
-def _yoneda(pres: Presentation, b: CModule) -> Mat:
-    """[b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), the map Hom(P0, b) ->
-    Hom(P1, b), phi -> phi o P_g, of the presentation P1 -g-> P0, for the
-    blocks g_ji: x1_i -> x0_j of its matrix.  By Yoneda a map phi: P_x0 ->
-    b is its value v at the unit, and phi o P_g is then b(g) v.  Hom(-, b)
-    is left exact, so the kernel is Hom(a, b) for the presented module a,
-    each phi given by phi o cover."""
-    g = pres.matrix
-    x0, x1 = pres.p0.vertices, pres.p1.vertices
+def _yoneda(g: AddMor, b: CModule) -> Mat:
+    """[b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), the map Hom(P_X0, b) ->
+    Hom(P_X1, b), phi -> phi o P_g, for a block morphism g: X1 -> X0 with
+    blocks g_ji: x1_i -> x0_j, P_X = Hom(-, X).  By Yoneda a map phi:
+    P_x0 -> b is its value v at the unit, and phi o P_g is then b(g) v,
+    so Hom(P_X, b) is the column of unit values, one block b(x) per summand.
+    For the matrix of a presentation P1 -g-> P0 -> a, Hom(-, b) is left
+    exact, so the kernel is Hom(a, b), each phi given by phi o cover."""
+    x0, x1 = g.tgt.summands, g.src.summands
     data = []
     for i, u in enumerate(x1):
         blocks = [_combination(b.cat.field, b.dims, b.action, u, x, enumerate(g.blocks[j][i]))
@@ -791,7 +793,7 @@ def hom_dim(a: CModule, b: CModule) -> int:
     width = sum(b.dims[x] for x in pres.p0.vertices)
     if not width or not any(b.dims[u] for u in pres.p1.vertices):
         return width
-    return width - _yoneda(pres, b).rank()
+    return width - _yoneda(pres.matrix, b).rank()
 
 
 def _top_count(m: CModule) -> Tuple[Dict, bool]:
@@ -853,34 +855,32 @@ def dual_map(phi: ModuleMap) -> ModuleMap:
                      validate=True)
 
 
-def _dualized(m: CModule) -> Tuple[ProjSum, ModuleMap]:
-    """(P0*, g*) for the minimal presentation Hom(-, g): P1 -> P0 of m:
-    g* = Hom(g, P_-): P0* -> P1* over the opposite category, where P0* =
-    Hom_op(-, X0) and P1* = Hom_op(-, X1).
+def _dualized(m: CModule) -> Dict:
+    """The components of g* = Hom(g, P_-): P0* -> P1*, keyed by object, for
+    the minimal presentation Hom(-, g): P1 -> P0 of m, over the opposite
+    category, where P0* = Hom_op(-, X0) and P1* = Hom_op(-, X1).
 
     At y, flat Hom_op(y, X0) is flat Hom(X0, y) = Hom(P0, P_y) (Yoneda), and
     g* sends h to h o g: its component at y is the Yoneda matrix of the
     presentation into the representable P_y (`_yoneda`), whose kernel is
     Hom(m, P_y), each map phi given by phi o cover.  g* is natural, as
-    Hom(g, -) is, and built unvalidated; its cokernel is Tr m.
+    Hom(g, -) is; its cokernel is Tr m.
     """
     pres = minimal_presentation(m)
-    op = opposite_category(m.cat)
-    p0 = proj_sum(op, pres.p0.vertices)
-    return p0, ModuleMap(p0.module, proj_sum(op, pres.p1.vertices).module,
-                         {y: _yoneda(pres, yoneda_projective(m.cat, y)) for y in m.cat.objects},
-                         validate=False)
+    return {y: _yoneda(pres.matrix, yoneda_projective(m.cat, y)) for y in m.cat.objects}
 
 
 def _transpose_raw(m: CModule) -> CModule:
-    """Tr m, the cokernel of g* (`_dualized`), without the projective-summand
-    check of `transpose`."""
-    return cokernel_module(_dualized(m)[1]).module
+    """Tr m, the cokernel of g* (`_dualized`) in P1*, without the
+    projective-summand check of `transpose`: the column spans of g* form its
+    image, a submodule, as g* is natural (`_cokernel`)."""
+    p1 = proj_sum(opposite_category(m.cat), minimal_presentation(m).p1.vertices)
+    return _cokernel(p1.module, _dualized(m)).module
 
 
 def transpose(m: CModule) -> CModule:
     """Tr m, the cokernel of the dualized differential g* of a minimal
-    presentation (`_dualized`).
+    presentation (`_transpose_raw`).
 
     Rejects inputs with a projective direct summand, read off the kernel of
     the same g* (`_projective_summand_dims`), so the presentation is
@@ -888,35 +888,35 @@ def transpose(m: CModule) -> CModule:
     proved m free of projective summands (almost_split_sequence) use
     _transpose_raw.
     """
-    p0, g = _dualized(m)
-    gap = _projective_summand_dims(p0, g)
+    op, pres, g = opposite_category(m.cat), minimal_presentation(m), _dualized(m)
+    gap = _projective_summand_dims(op, pres.p0.vertices, g)
     if gap:
         raise PreconditionError(f"projective summand with dims {gap} present")
-    return cokernel_module(g).module
+    return _cokernel(proj_sum(op, pres.p1.vertices).module, g).module
 
 
-def _projective_summand_dims(p0: ProjSum, g: ModuleMap) -> Dict:
+def _projective_summand_dims(op: FinCategory, x0: Sequence, g: Dict) -> Dict:
     """The dimension vector of the largest projective direct summand of m,
     at the objects where it is nonzero, in the order of the objects, for
-    (p0, g) = _dualized(m).
+    g = _dualized(m), op the opposite category and x0 the vertices of P0.
 
     The multiplicity a_x of P_x = Hom(-, x) as a summand of m is the rank of
     the composition pairing Hom(P_x, m) x Hom(m, P_x) -> End(P_x)/rad, which
     is k (the split-basic assumption of `projective_cover`).  The kernel of
-    g*.comps[x] is Hom(m, P_x), each phi given by h = phi o cover in
-    Hom(P0, P_x) = flat Hom(X0, x) (`_dualized`).  P_x is projective, so
-    every map P_x -> m is cover o u for some u in flat Hom(x, X0), and
-    phi o cover o u = sum_k h_k u_k is outside the radical only through
-    the summands x0_k = x, where it is the product of the coefficients of
-    h_k and u_k at the one basis element of End(x) outside the radical.  So
-    a_x is the rank of the top rows of that kernel (`_top_rows`).  A pairing
-    of a summand P_x^a with its complement lands in the radical
-    (Krull-Schmidt), so the rank is exact in every characteristic.
+    g[x] is Hom(m, P_x), each phi given by h = phi o cover in
+    Hom(P0, P_x) = flat Hom(X0, x) = flat Hom_op(x, X0) (`_dualized`).  P_x
+    is projective, so every map P_x -> m is cover o u for some u in flat
+    Hom(x, X0), and phi o cover o u = sum_k h_k u_k is outside the radical
+    only through the summands x0_k = x, where it is the product of the
+    coefficients of h_k and u_k at the one basis element of End(x) outside
+    the radical.  So a_x is the rank of the top rows of that kernel
+    (`_top_rows`, over op).  A pairing of a summand P_x^a with its
+    complement lands in the radical (Krull-Schmidt), so the rank is exact in
+    every characteristic.
     """
-    op = p0.cat
     gap = {y: 0 for y in op.objects}
     for x in op.objects:
-        a = _top_rows(p0, x, g.comps[x].kernel_basis()).rank()
+        a = _top_rows(op, x0, x, g[x].kernel_basis()).rank()
         for y in op.objects:
             gap[y] += a * op.dim(x, y)
     return {y: d for y, d in gap.items() if d}
@@ -1085,49 +1085,54 @@ def _summand_multiplicity(y: CModule, m: CModule, top_dim: int) -> Optional[int]
 # extensions
 
 
-class Ext1:
-    """Ext^1(z, x) presented by cocycles K -> x modulo restrictions from P0,
-    read on P1 of the presentation of z.
+def _syzygy(pres: Presentation) -> AddMor:
+    """A block morphism P2 -> P1 whose image is the kernel of the
+    differential: one summand y of X2 per vector of the kernel basis of the
+    differential's component at y, sent to that vector of P1(y) = flat
+    Hom(y, X1).  By Yoneda the summand's unit goes to its vector, so the
+    image holds the whole kernel at every object."""
+    cat = pres.p1.cat
+    kernels = [(y, pres.differential.comps[y].kernel_basis()) for y in cat.objects]
+    x2 = AddObject(tuple(y for y, k in kernels for _ in range(k.cols)))
+    values = [v for _, k in kernels for v in k.transpose().data]
+    return Hull(cat).unflatten(x2, pres.p1.obj, Mat.column(cat.field, values))
 
-    A cocycle xi is the column of its values xi(t_i) at the lifts t_i of
-    the presentation, that is xi o cover_1 in Hom(P1, x) by Yoneda.  As
-    cover_1 maps onto K, xi -> xi o cover_1 is injective, and it carries a
-    restriction psi o incl onto psi o g, a column of the Yoneda matrix
-    (`_yoneda`), whose columns are the images of the unit-value basis of
-    Hom(P0, x) in order.  So the representatives are the cocycle basis
-    elements at the pivot columns beyond that matrix, and no map out of P0
-    is built.
+
+class Ext1:
+    """Ext^1(z, x) as H^1 of Hom(P2 -> P1 -> P0, x) on the memoised minimal
+    presentation of z, each map out of a sum of representables read as its
+    column of unit values, one block x(u) per summand u (`_yoneda`).
+
+    The cocycles are the maps P1 -> x that vanish on the kernel of the
+    differential, the image of P2 (`_syzygy`): the kernel of the Yoneda
+    matrix of P2 -> P1.  They are the maps K -> x composed with the second
+    cover, which maps onto K.  The coboundaries, the psi o g for maps psi:
+    P0 -> x, are the columns of the Yoneda matrix of the presentation, in
+    the order of the unit-value basis of Hom(P0, x).  The representatives
+    are the cocycle basis columns at the pivots beyond the coboundaries,
+    and no hom space is solved.
     """
 
     def __init__(self, z: CModule, x: CModule):
         self.z = z
         self.x = x
         self.pres = minimal_presentation(z)
-        self.cocycle_basis = hom_space(self.pres.kernel.module, x)
-        coboundaries = _yoneda(self.pres, x)
-        span, pivots = hstack([coboundaries] + [self._on_p1(b) for b in self.cocycle_basis]
-                              ).column_space_basis()
+        coboundaries = _yoneda(self.pres.matrix, x)
+        cocycles = _yoneda(_syzygy(self.pres), x).kernel_basis()
+        span, pivots = hstack([coboundaries, cocycles]).column_space_basis()
         self._span = span
         self._class_slots = [t for t, p in enumerate(pivots) if p >= coboundaries.cols]
-        self.representatives = [self.cocycle_basis[pivots[t] - coboundaries.cols]
-                                for t in self._class_slots]
+        self.representatives = [Mat.column(x.cat.field, span.col(t)) for t in self._class_slots]
         self.dim = len(self.representatives)
 
-    def _on_p1(self, xi: ModuleMap) -> Mat:
-        """xi o cover_1 as the column of the xi(t_i), in the row layout of
-        `_yoneda`."""
-        return Mat.column(self.x.cat.field,
-                          [v for u, t in zip(self.pres.p1.vertices, self.pres.lifts)
-                           for v in (xi.comps[u] @ t).data])
-
-    def classes(self, xis: Sequence[ModuleMap]) -> Mat:
+    def classes(self, cocycles: Mat) -> Mat:
         """Class coordinates in the basis of representatives, one column per
-        cocycle K -> x."""
-        coords = solve(self._span, hstack([self._on_p1(xi) for xi in xis]))
+        column of cocycles, each the unit values of a cocycle P1 -> x."""
+        coords = solve(self._span, cocycles)
         if coords is None:
-            raise PreconditionError("cocycle is not in the expected hom space")
-        return Mat(self._span.field, self.dim, len(xis),
-                   [coords.at(t, j) for t in self._class_slots for j in range(len(xis))])
+            raise PreconditionError("column is not a cocycle")
+        return Mat(self._span.field, self.dim, cocycles.cols,
+                   [coords.at(t, j) for t in self._class_slots for j in range(cocycles.cols)])
 
 
 @dataclass
@@ -1151,25 +1156,36 @@ def check_short_exact(se: ShortExact):
             raise VerificationError(f"middle dimension mismatch at {x!r}")
 
 
-def extension_from_cocycle(ext: Ext1, xi: ModuleMap) -> ShortExact:
-    """The pushout extension 0 -> x -> e -> z -> 0 of a cocycle K -> x."""
-    kernel = ext.pres.kernel
-    xp, injs, projs = direct_sum([ext.x, ext.pres.p0.module])
-    phi = ModuleMap(kernel.module, xp,
-                    {o: vstack([xi.comps[o], -kernel.include.comps[o]])
-                     for o in ext.z.cat.objects}, validate=True)
-    ck = cokernel_module(phi)
+def extension_from_cocycle(ext: Ext1, v: Mat) -> ShortExact:
+    """The extension 0 -> x -> e -> z -> 0 of the cocycle psi: P1 -> x with
+    the unit values v (`Ext1`): the pushout of the differential g: P1 -> P0
+    along psi, e the cokernel of (psi, -g): P1 -> x + P0.
+
+    psi is built by Yoneda (`_from_units`) and g is natural, so the column
+    spans of the pair form its image, a submodule (`_cokernel`).  They are
+    the spans of (xi, -incl): K -> x + P0 for the map xi: K -> x with
+    psi = xi o cover_1, since cover_1 maps onto K, so e is the pushout of
+    the syzygy inclusion along xi.  Exactness is not checked here: `splits`
+    checks it first, and almost_split_sequence and verify_almost_split both
+    ask it; a column v that is no cocycle fails there, as x -> e is then not
+    injective.
+    """
+    pres, x = ext.pres, ext.x
+    shapes = {k: (x.dims[u], 1) for k, u in enumerate(pres.p1.vertices)}
+    psi = _from_units(pres.p1, x, list(split_blocks(x.cat.field, shapes, v.data).values()))
+    xp, injs, projs = direct_sum([x, pres.p0.module])
+    ck = _cokernel(xp, {o: vstack([psi.comps[o], -pres.differential.comps[o]])
+                        for o in x.cat.objects})
     include = injs[0].then(ck.project)
-    qmap = projs[1].then(ext.pres.cover)
-    project = factor_through_cokernel(ck, qmap)
-    se = ShortExact(ext.x, ck.module, ext.z, include, project)
-    check_short_exact(se)
-    return se
+    project = factor_through_cokernel(ck, projs[1].then(pres.cover))
+    return ShortExact(x, ck.module, ext.z, include, project)
 
 
 def splits(se: ShortExact) -> bool:
     """Whether 0 -> X -> Y -> Z -> 0 splits, after check_short_exact, by
-    counting with hom_dim: no hom basis or section is built.
+    counting with hom_dim: no hom basis or section is built.  This is the
+    one exactness check of a sequence: extension_from_cocycle leaves it
+    here.
 
     Hom(Z, -) is left exact, so the image of Hom(Z, Y) -> End(Z) has
     dimension dim Hom(Z, Y) - dim Hom(Z, X).  The sequence splits exactly
@@ -1197,12 +1213,16 @@ class AlmostSplit:
 def _socle(ext: Ext1, rads: Sequence[ModuleMap]) -> Mat:
     """The canonical basis, in class coordinates, of the classes of Ext^1
     that every s in rads, an endomorphism of ext.x, kills by
-    postcomposition: the common kernel of the class matrices of the s o xi
-    over the representatives xi.  The empty first block makes it all of
-    Ext^1 when rads is empty."""
-    return vstack([Mat.zeros(ext.x.cat.field, 0, ext.dim)]
-                  + [ext.classes([rep.then(s) for rep in ext.representatives])
-                     for s in rads]).kernel_basis()
+    postcomposition: the common kernel of the class matrices of the s o psi
+    over the representatives psi.  s o psi has the unit values s(v_i), so s
+    acts on a column by the block diagonal of its components at the
+    vertices of P1.  The empty first block makes it all of Ext^1 when rads
+    is empty."""
+    fld = ext.x.cat.field
+    reps = hstack(ext.representatives)
+    return vstack([Mat.zeros(fld, 0, ext.dim)]
+                  + [ext.classes(block_diag(fld, [s.comps[u] for u in ext.pres.p1.vertices])
+                                 @ reps) for s in rads]).kernel_basis()
 
 
 def almost_split_sequence(z: CModule) -> AlmostSplit:
@@ -1216,9 +1236,10 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
 
     The socle of Ext^1(z, tau z) under End(z) is simple, and it is the
     socle under End(tau z) (ARS ch. V.2; Auslander-Reiten, Comm. Algebra
-    3, 1975), where s acts on a cocycle xi: K -> tau z by s o xi, with no
-    lift through the cover.  So the socle is what the radical basis of
-    End(tau z) kills (`_socle`).  When rad End(z) = 0, Ext^1 is its own
+    3, 1975), where s acts on a cocycle psi: P1 -> tau z by s o psi, with
+    no lift through the cover.  So the socle is what the radical basis of
+    End(tau z) kills (`_socle`), and the class is one product of the
+    representatives with its coordinates.  When rad End(z) = 0, Ext^1 is its own
     socle (one dimensional, dual to the stable End(z) = k) and End(tau z)
     is not built.
     """
@@ -1244,8 +1265,8 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     if socle.cols == 0:
         raise AssertionError("empty socle in Ext against the translate")
     coords = tuple(socle.col(0))
-    xi = map_from_coords(ext.representatives, coords)
-    se = extension_from_cocycle(ext, xi)
+    se = extension_from_cocycle(ext, hstack(ext.representatives)
+                                @ Mat.column(z.cat.field, coords))
     if splits(se):
         raise AssertionError("candidate almost split sequence splits")
     return AlmostSplit(se, tz, ext.dim, coords)

@@ -8,11 +8,13 @@ from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, opposite_categor
                           point_category)
 from arcat.linalg import Field, Mat, hstack, kron, solve, vstack
 from arcat.algebra import TableAlgebra, end_table, find_nontrivial_idempotent, radical_basis
-from arcat.modcat import (AlmostSplit, CModule, Ext1, Image, ModuleMap, check_short_exact,
-                          conjugate_module, copair, direct_sum, end_algebra, flatten_map,
-                          hom_space, identity_map, image_module, is_isomorphic,
-                          map_from_coords, minimal_presentation, proj_sum, proj_sum_map,
-                          projective_cover, sum_map, zero_map, zero_module)
+from arcat import modcat
+from arcat.modcat import (AlmostSplit, CModule, Image, ModuleMap, ShortExact, check_short_exact,
+                          cokernel_module, conjugate_module, copair, direct_sum, end_algebra,
+                          factor_through_cokernel, flatten_map, hom_space, identity_map,
+                          image_module, is_isomorphic, map_from_coords, minimal_presentation,
+                          proj_sum, proj_sum_map, projective_cover, sum_map, zero_map,
+                          zero_module)
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,
                           cyclic_quiver, linear_quiver)
 from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair, rep_injections
@@ -615,52 +617,93 @@ def reference_category_check(fld: Field, objects, hom, comp, units, radical):
                 raise PreconditionError(f"radical not an ideal at {(x, y, z)}")
 
 
-class ReferenceExt1(Ext1):
-    """Ext1 on the flat route: Hom(P0, x) taken from the naturality solve,
-    hom_space, its restrictions to K and the cocycles flattened as maps
-    K -> x (flatten_map), and classes solved there.  The oracle for
-    modcat.Ext1, which reads cocycles and coboundaries on P1."""
+def reference_unit_values(psum, phi: ModuleMap) -> Mat:
+    """The values of phi: Hom(-, X) -> n at the units of the summands of
+    psum = Hom(-, X), stacked in order into one column: phi read by Yoneda,
+    one unit vector of flat Hom(x_k, X) at a time."""
+    cat = psum.cat
+    vals = []
+    for k, x in enumerate(psum.vertices):
+        unit = [cat.field.zero()] * psum.module.dims[x]
+        off = sum(cat.dim(x, v) for v in psum.vertices[:k])
+        unit[off:off + cat.dim(x, x)] = cat.units[x]
+        vals.extend((phi.comps[x] @ Mat.column(cat.field, unit)).data)
+    return Mat.column(cat.field, vals)
+
+
+class ReferenceExt1:
+    """Ext^1(z, x) on the syzygy K of the minimal presentation of z: the
+    cocycles are the naturality-solve basis of hom_space(K, x), the
+    coboundaries the restrictions to K of the basis of hom_space(P0, x),
+    and each map xi: K -> x is read on P1 as the column of its values
+    xi(t_i) at the unit values t_i of the second cover P1 -> K (`on_p1`).
+    representatives holds the chosen cocycles so read, representative_maps
+    the maps K -> x themselves, and classes takes columns, as in
+    modcat.Ext1.  The oracle for modcat.Ext1, which takes the cocycles as
+    the kernel of the Yoneda matrix of the syzygy P2 -> P1 and solves no
+    hom space."""
 
     def __init__(self, z: CModule, x: CModule):
         self.z, self.x = z, x
         self.pres = minimal_presentation(z)
         kernel = self.pres.kernel
+        self.lifts = modcat._cover_map(kernel.module)[2]
         self.cocycle_basis = hom_space(kernel.module, x)
-        lifted = hom_space(self.pres.p0.module, x)
-        restricted = [flatten_map(kernel.include.then(psi)) for psi in lifted]
-        flat = [flatten_map(b) for b in self.cocycle_basis]
-        n = sum(kernel.module.dims[o] * x.dims[o] for o in z.cat.objects)
-        combined = hstack([Mat.zeros(z.cat.field, n, 0)] + restricted + flat)
+        restricted = [self.on_p1(kernel.include.then(psi))
+                      for psi in hom_space(self.pres.p0.module, x)]
+        rows = sum(x.dims[u] for u in self.pres.p1.vertices)
+        combined = hstack([Mat.zeros(z.cat.field, rows, 0)] + restricted
+                          + [self.on_p1(b) for b in self.cocycle_basis])
         span, pivots = combined.column_space_basis()
         self._span = span
         self._class_slots = [t for t, p in enumerate(pivots) if p >= len(restricted)]
-        self.representatives = [self.cocycle_basis[pivots[t] - len(restricted)]
-                                for t in self._class_slots]
+        self.representative_maps = [self.cocycle_basis[pivots[t] - len(restricted)]
+                                    for t in self._class_slots]
+        self.representatives = [self.on_p1(xi) for xi in self.representative_maps]
         self.dim = len(self.representatives)
 
-    def classes(self, xis):
-        """Class coordinates solved on the flattened maps K -> x."""
-        coords = solve(self._span, hstack([flatten_map(xi) for xi in xis]))
+    def on_p1(self, xi: ModuleMap) -> Mat:
+        """xi o cover_1 as the column of the xi(t_i), one block per summand
+        of P1."""
+        return Mat.column(self.x.cat.field,
+                          [v for u, t in zip(self.pres.p1.vertices, self.lifts)
+                           for v in (xi.comps[u] @ t).data])
+
+    def classes(self, cocycles: Mat) -> Mat:
+        """Class coordinates in the basis of representatives, one column per
+        column of cocycles."""
+        coords = solve(self._span, cocycles)
         if coords is None:
             raise PreconditionError("cocycle is not in the expected hom space")
-        return Mat(self._span.field, self.dim, len(xis),
-                   [coords.at(t, j) for t in self._class_slots for j in range(len(xis))])
+        return Mat(self._span.field, self.dim, cocycles.cols,
+                   [coords.at(t, j) for t in self._class_slots for j in range(cocycles.cols)])
+
+
+def reference_extension_from_cocycle(ext: ReferenceExt1, xi: ModuleMap) -> ShortExact:
+    """The pushout of the syzygy inclusion K -> P0 along the cocycle
+    xi: K -> x: the cokernel of the validated pair (xi, -incl): K -> x + P0,
+    checked exact.  The oracle of modcat.extension_from_cocycle, which
+    pushes out P1 -> P0 along the cocycle's unit values instead."""
+    kernel = ext.pres.kernel
+    xp, injs, projs = direct_sum([ext.x, ext.pres.p0.module])
+    phi = ModuleMap(kernel.module, xp,
+                    {o: vstack([xi.comps[o], -kernel.include.comps[o]])
+                     for o in ext.z.cat.objects}, validate=True)
+    ck = cokernel_module(phi)
+    include = injs[0].then(ck.project)
+    project = factor_through_cokernel(ck, projs[1].then(ext.pres.cover))
+    se = ShortExact(ext.x, ck.module, ext.z, include, project)
+    check_short_exact(se)
+    return se
 
 
 def reference_proj_sum_matrix(src, tgt, phi: ModuleMap) -> AddMor:
     """The block morphism g: X -> Y with proj_sum_map(src, tgt, g) = phi,
-    read back off phi by Yoneda: the blocks out of summand k are the image
-    under phi of the unit of that summand, a column of flat Hom(x_k, Y).
-    The oracle for the presentation matrix, which modcat reads off the
-    second cover's unit values."""
-    cat = src.cat
-    vals = []
-    for k, x in enumerate(src.vertices):
-        unit = [cat.field.zero()] * src.module.dims[x]
-        off = sum(cat.dim(x, v) for v in src.vertices[:k])
-        unit[off:off + cat.dim(x, x)] = cat.units[x]
-        vals.extend((phi.comps[x] @ Mat.column(cat.field, unit)).data)
-    return Hull(cat).unflatten(src.obj, tgt.obj, Mat.column(cat.field, vals))
+    read back off phi by Yoneda (`reference_unit_values`): the blocks out of
+    summand k are the image under phi of the unit of that summand, a column
+    of flat Hom(x_k, Y).  The oracle for the presentation matrix, which
+    modcat reads off the second cover's unit values."""
+    return Hull(src.cat).unflatten(src.obj, tgt.obj, reference_unit_values(src, phi))
 
 
 def reference_end_action_on_kernel(pres, theta: ModuleMap) -> ModuleMap:
@@ -700,17 +743,18 @@ def reference_unit_block(fld: Field, count: int, d: int) -> Mat:
     return kron(unit, Mat.identity(fld, d))
 
 
-def reference_dualized(m: CModule):
-    """(P0*, g*) by the transposed block route: g^op, the block morphism
-    X0 -> X1 over the opposite category with the transposed blocks of the
-    presentation matrix, and g* = Hom_op(-, g^op) by proj_sum_map.  The
-    oracle of modcat._dualized, which reads g* off the Yoneda matrices."""
+def reference_dualized(m: CModule) -> ModuleMap:
+    """g*: P0* -> P1* by the transposed block route: g^op, the block
+    morphism X0 -> X1 over the opposite category with the transposed blocks
+    of the presentation matrix, and g* = Hom_op(-, g^op) by proj_sum_map.
+    The oracle of modcat._dualized, which reads g*'s components off the
+    Yoneda matrices."""
     pres = minimal_presentation(m)
     g = pres.matrix
     op = opposite_category(m.cat)
     blocks = tuple(tuple(row[i] for row in g.blocks) for i in range(len(g.src.summands)))
-    p0 = proj_sum(op, pres.p0.vertices)
-    return p0, proj_sum_map(p0, proj_sum(op, pres.p1.vertices), AddMor(g.tgt, g.src, blocks))
+    return proj_sum_map(proj_sum(op, pres.p0.vertices), proj_sum(op, pres.p1.vertices),
+                        AddMor(g.tgt, g.src, blocks))
 
 
 def reference_entrywise(op, f: AddMor, g: AddMor) -> AddMor:

@@ -660,9 +660,17 @@ PARSE_REFUSALS = [
      "bad verify family 'bogus'"),
     (A2_LINES + "[command]\nname = verify\ntarget = simple 1:pt\nsequence = other\n", (),
      "bad sequence kind 'other'"),
+    (A2_LINES + "[command]\nname = verify\ntarget = simple 1:pt\nsequence =\n", (),
+     "bad sequence kind ''"),
+    (A2_LINES + "[command]\nname = verify\ntarget = simple 1:pt\nsequence = almost-split junk\n",
+     (), "bad sequence kind 'almost-split junk'"),
     ("[quiver]\ncomplex = cyclic 2\n[command]\nname = approximate\n", (),
      "approximate needs 'target = stalk <degree> <object>'"),
     (CYCLIC2_STALK + "generators = all\n", (), "bad generators choice 'all'"),
+    (CYCLIC2_STALK + "generators =\n", (), "bad generators choice ''"),
+    (CYCLIC2_STALK + "generators = coils extra\n", (), "bad generators choice 'coils extra'"),
+    ("[quiver]\nvertices = 1 2\narrow : 1 -> 2\n" + INFO, (),
+     "line 3: expected 'arrow name: src -> tgt'"),
 ]
 
 

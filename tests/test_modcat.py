@@ -37,6 +37,7 @@ from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_quiver, a3_rad2, a_
                       rand_hom, rand_invertible, rand_mat, rand_module, reference_act,
                       reference_dualized, reference_end_action_on_kernel,
                       reference_proj_sum_matrix, reference_splitting_section,
+                      reference_extension_from_cocycle, reference_unit_values,
                       reference_end_algebra, reference_simple_module, reference_sum_injections,
                       typed_entries)
 
@@ -141,13 +142,14 @@ def test_ext_classes_are_coordinates_modulo_coboundaries():
     ext = Ext1(direct_sum([s1, s1])[0], x)
     assert ext.dim == 2
     reps = ext.representatives
-    assert ext.classes(reps) == Mat.identity(F101, 2)
-    kernel = ext.pres.kernel
-    coboundaries = [kernel.include.then(psi) for psi in hom_space(ext.pres.p0.module, x)]
+    assert ext.classes(hstack(reps)) == Mat.identity(F101, 2)
+    pres = ext.pres
+    coboundaries = [reference_unit_values(pres.p1, pres.differential.then(psi))
+                    for psi in hom_space(pres.p0.module, x)]
     nonzero = [c for c in coboundaries if not c.is_zero()]
-    assert nonzero and ext.classes(coboundaries).is_zero()
-    xi = reps[0].scale(3).add(reps[1].scale(5)).add(nonzero[0])
-    assert ext.classes([xi, reps[1]]) == Mat.from_rows(F101, [[3, 0], [5, 1]])
+    assert nonzero and ext.classes(hstack(coboundaries)).is_zero()
+    xi = reps[0].scale(3) + reps[1].scale(5) + nonzero[0]
+    assert ext.classes(hstack([xi, reps[1]])) == Mat.from_rows(F101, [[3, 0], [5, 1]])
 
 
 def test_extension_materializes_nonsplit():
@@ -1269,6 +1271,13 @@ def scrambled_sum(parts, cat, rng):
                                 for x in cat.objects})[0]
 
 
+def summand_dims(m):
+    """_projective_summand_dims of m, read off its dualized presentation."""
+    return modcat._projective_summand_dims(opposite_category(m.cat),
+                                           minimal_presentation(m).p0.vertices,
+                                           modcat._dualized(m))
+
+
 @pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
 def test_projective_summands_match_the_double_transpose(fld):
     """The projective summand read off the kernel of the dualized
@@ -1289,11 +1298,11 @@ def test_projective_summands_match_the_double_transpose(fld):
             back = modcat._transpose_raw(modcat._transpose_raw(m))
             gap = {x: m.dims[x] - back.dims[x] for x in cat.objects
                    if m.dims[x] != back.dims[x]}
-            assert modcat._projective_summand_dims(*modcat._dualized(m)) == gap
+            assert summand_dims(m) == gap
             if gap:
                 with pytest.raises(PreconditionError, match="projective summand"):
                     transpose(m)
-        assert all(modcat._projective_summand_dims(*modcat._dualized(m)) for m in mods[8:])
+        assert all(summand_dims(m) for m in mods[8:])
 
 
 def test_transpose_and_tau_build_no_hom_space(monkeypatch):
@@ -1376,17 +1385,34 @@ def test_one_cap_bounds_dimension_and_node_count():
         ar_quiver(cat, 4)
 
 
-def sequence_print(ass):
-    seq = ass.sequence
+def short_exact_print(seq):
     return (module_print(seq.left), module_print(seq.middle), module_print(seq.right),
             tuple((x, typed_entries(m)) for x, m in seq.include.comps.items()),
-            tuple((x, typed_entries(m)) for x, m in seq.project.comps.items()),
-            module_print(ass.tau_module), ass.ext_dim,
-            tuple((type(c), c) for c in ass.socle_class))
+            tuple((x, typed_entries(m)) for x, m in seq.project.comps.items()))
 
 
-def class_print(ext, maps):
-    return typed_entries(ext.classes(maps)) if maps else ()
+def sequence_print(ass):
+    return short_exact_print(ass.sequence) + (module_print(ass.tau_module), ass.ext_dim,
+                                              tuple((type(c), c) for c in ass.socle_class))
+
+
+def assert_same_ext(ext, ref, cocycles):
+    """ext and ref present the same Ext^1: equal dimensions, the matrix T
+    of ext's classes of ref's representatives is invertible, and on the
+    given cocycle columns ext.classes = T ref.classes; where the two sets of
+    representatives coincide, the classes agree entry for entry, types
+    included.  Returns whether they coincide."""
+    assert ext.dim == ref.dim
+    same = ext.representatives == ref.representatives
+    if ext.dim:
+        t = ext.classes(hstack(ref.representatives))
+        assert t.inverse() is not None
+        if cocycles:
+            got, want = ext.classes(hstack(cocycles)), ref.classes(hstack(cocycles))
+            assert got == t @ want
+            if same:
+                assert typed_entries(got) == typed_entries(want)
+    return same
 
 
 def test_ext_from_unit_values_matches_the_naturality_solves(monkeypatch):
@@ -1406,9 +1432,7 @@ def test_ext_from_unit_values_matches_the_naturality_solves(monkeypatch):
         for z in targets:
             for x in ar.modules:
                 ext, ref = Ext1(z, x), ReferenceExt1(z, x)
-                assert ext.dim == ref.dim
-                assert (class_print(ext, ext.cocycle_basis)
-                        == class_print(ref, ref.cocycle_basis))
+                assert_same_ext(ext, ref, [ref.on_p1(b) for b in ref.cocycle_basis])
         assert any(radical_maps(z) for z in targets)
 
 
@@ -1450,10 +1474,14 @@ def end_z_socle(ext):
     """The socle of Ext^1(z, x) under End(z): the common kernel of the
     classes of xi o theta over the lifts theta of the radical basis of
     End(z), restricted to the presentation kernel by the naturality-solve
-    oracle."""
+    oracle, for the cocycles xi: K -> x of the reference route, whose
+    representatives must be those of ext."""
+    ref = ReferenceExt1(ext.z, ext.x)
+    assert ref.representatives == ext.representatives
     thetas = [reference_end_action_on_kernel(ext.pres, r) for r in radical_maps(ext.z)]
     return vstack([Mat.zeros(ext.z.cat.field, 0, ext.dim)]
-                  + [ext.classes([t.then(rep) for rep in ext.representatives])
+                  + [ext.classes(hstack([ref.on_p1(t.then(xi))
+                                         for xi in ref.representative_maps]))
                      for t in thetas]).kernel_basis()
 
 
@@ -1612,11 +1640,8 @@ def test_dualized_matches_the_transposed_block_route(monkeypatch):
     for name in ("E7", "E7/Q", "A3rad2xA2", "C4rad2"):
         ar = ar_quiver(probe.JOBS[name][0]())
         for m in ar.modules:
-            (p0, g), (q0, h) = modcat._dualized(m), reference_dualized(m)
-            assert p0.vertices == q0.vertices, name
-            assert module_print(g.src) == module_print(h.src), name
-            assert module_print(g.tgt) == module_print(h.tgt), name
-            assert ([(x, typed_entries(c)) for x, c in g.comps.items()]
+            g, h = modcat._dualized(m), reference_dualized(m)
+            assert ([(x, typed_entries(c)) for x, c in g.items()]
                     == [(x, typed_entries(c)) for x, c in h.comps.items()]), name
 
 
@@ -1669,7 +1694,8 @@ def test_splits_agrees_with_the_section_solve_over_f2():
     for v in cat.objects:
         for w in cat.objects:
             ext = Ext1(simple_module(cat, v), yoneda_projective(cat, w))
-            for xi in ext.representatives + [zero_map(ext.pres.kernel.module, ext.x)]:
+            zero = Mat.zeros(f2, sum(ext.x.dims[u] for u in ext.pres.p1.vertices), 1)
+            for xi in ext.representatives + [zero]:
                 se = extension_from_cocycle(ext, xi)
                 got = splits(se)
                 assert got == (reference_splitting_section(se) is not None), (v, w)
@@ -1697,14 +1723,31 @@ def block_print(g):
     return g.src, g.tgt, tuple((type(c), c) for row in g.blocks for cell in row for c in cell)
 
 
+def random_cocycles(ref, rng):
+    """Cocycle columns of the reference route's Ext^1(z, x), read on P1
+    (`on_p1`): a random cocycle plus a restriction from P0, that
+    restriction, and the cocycle basis; none when there is no cocycle."""
+    if not ref.cocycle_basis:
+        return []
+    pres, x, fld = ref.pres, ref.x, ref.x.cat.field
+    # a map P0 -> x is its unit values, one random column per summand
+    restriction = pres.kernel.include.then(modcat._from_units(
+        pres.p0, x, [rand_mat(fld, x.dims[v], 1, rng) for v in pres.p0.vertices]))
+    cocycle = modcat.map_from_coords(ref.cocycle_basis,
+                                     [fld.random(rng) for _ in ref.cocycle_basis])
+    return [ref.on_p1(xi) for xi in [cocycle.add(restriction), restriction] + ref.cocycle_basis]
+
+
 @pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
 def test_presentations_and_ext_classes_match_the_flat_routes(fld, monkeypatch):
     """On every knitted module z of E7 and of A3 mod rad^2 (x) A2: the
     matrix read off the second cover's lifts is the one Yoneda reads back
-    off the differential, and Ext^1(z, x), read on P1, has the
-    representatives and class coordinates of the flat route K -> x, entry
-    types included, on random cocycles (a cocycle plus a restriction from
-    P0), for tau z and twelve knitted x drawn from a fixed seed."""
+    off the differential, and Ext^1(z, x), read on P1, presents the Ext^1
+    of the route through K -> x (`assert_same_ext`) on random cocycles (a
+    cocycle plus a restriction from P0), for tau z and twelve knitted x
+    drawn from a fixed seed: the same classes up to the change of
+    representatives, and entry for entry, types included, where the
+    representatives coincide."""
     probe = knit_probe(monkeypatch)
     rng = random.Random(3131)
     e7 = probe.JOBS["E7" if fld is F101 else "E7/Q"][0]()
@@ -1716,21 +1759,107 @@ def test_presentations_and_ext_classes_match_the_flat_routes(fld, monkeypatch):
             pres = minimal_presentation(z)
             assert (block_print(pres.matrix) == block_print(
                 reference_proj_sum_matrix(pres.p1, pres.p0, pres.differential)))
-            xs = rng.sample(ar.modules, 12) + [ar.modules[t] for t in tau_of.get(n, [])]
-            for x in xs:
+            for x in rng.sample(ar.modules, 12) + [ar.modules[t] for t in tau_of.get(n, [])]:
                 ext, ref = Ext1(z, x), ReferenceExt1(z, x)
-                assert ext.representatives == ref.representatives
-                if not ext.cocycle_basis:
-                    continue
-                # a map P0 -> x is its unit values, one random column per summand
-                restriction = pres.kernel.include.then(modcat._from_units(
-                    pres.p0, x, [rand_mat(fld, x.dims[v], 1, rng) for v in pres.p0.vertices]))
-                cocycle = modcat.map_from_coords(ext.cocycle_basis,
-                                                 [fld.random(rng) for _ in ext.cocycle_basis])
-                xis = [cocycle.add(restriction), restriction] + ext.cocycle_basis
-                assert typed_entries(ext.classes(xis)) == typed_entries(ref.classes(xis))
+                assert_same_ext(ext, ref, random_cocycles(ref, rng))
                 compared += ext.dim
     assert compared
+
+
+def ext_oracle_pairs(fld):
+    """The (z, x) of the Ext^1 oracle comparison over fld: every pair of
+    simples and representables of A4 mod rad^2 and of the 3-cycle mod rad^2
+    over a small field, with no knitting, and every pair of knitted modules
+    of loop mod x^2 (x) A2 and of A3 mod rad^2 (x) A2 over F_101 and Q."""
+    if fld.p is not None and fld.p < 5:
+        for bq in (a_m_rad_n(4, 2), cyclic_rad2(3)):
+            cat = representation_category(bq, fld)
+            mods = [f(cat, v) for v in cat.objects for f in (simple_module, yoneda_projective)]
+            yield from ((z, x) for z in mods for x in mods)
+        return
+    for ar in (knitted_loop(a2_quiver, fld),
+               ar_quiver(tensor_base(a3_rad2(), category_of(a2_quiver(), fld)))):
+        yield from ((z, x) for z in ar.modules for x in ar.modules)
+
+
+def compare_ext_with_reference(z, x, rng):
+    """Ext^1(z, x) against the route through K -> x (`assert_same_ext`, on
+    random cocycles), and the extension from every reference representative
+    read on P1 against the pushout of the syzygy inclusion along its map
+    K -> x, bit for bit.  Returns (dim, whether the representatives
+    coincide)."""
+    ext, ref = Ext1(z, x), ReferenceExt1(z, x)
+    same = assert_same_ext(ext, ref, random_cocycles(ref, rng))
+    for v, xi in zip(ref.representatives, ref.representative_maps):
+        assert (short_exact_print(extension_from_cocycle(ext, v))
+                == short_exact_print(reference_extension_from_cocycle(ref, xi)))
+    return ext.dim, same
+
+
+@pytest.mark.parametrize("fld", [Field.prime(2), Field.prime(3), F101, QQ],
+                         ids=["F2", "F3", "F101", "Q"])
+def test_ext_matches_the_route_through_the_syzygy(fld):
+    """H^1 of Hom(P2 -> P1 -> P0, x) against hom_space(K, x) read at the
+    lifts (ReferenceExt1), on the pairs of `ext_oracle_pairs`: equal
+    dimensions, an invertible change of representatives T with classes
+    = T ref.classes, and the same extensions from the reference
+    representatives.  Some Ext^1 is nonzero and some representatives
+    coincide."""
+    rng = random.Random(32)
+    seen = Counter()
+    for z, x in ext_oracle_pairs(fld):
+        dim, same = compare_ext_with_reference(z, x, rng)
+        seen[bool(dim), same] += 1
+    assert seen[True, True], seen
+
+
+def test_ext_oracle_sees_a_dropped_syzygy_column(monkeypatch):
+    """Negative control: with the first summand of P2 -> P1 dropped, the
+    cocycles grow beyond Hom(K, x), and the comparison with the reference
+    route fails over F_2."""
+    syzygy = modcat._syzygy
+
+    def dropped(pres):
+        g = syzygy(pres)
+        return AddMor(AddObject(g.src.summands[1:]), g.tgt, tuple(row[1:] for row in g.blocks))
+
+    monkeypatch.setattr(modcat, "_syzygy", dropped)
+    rng = random.Random(32)
+    with pytest.raises(AssertionError):
+        for z, x in ext_oracle_pairs(Field.prime(2)):
+            compare_ext_with_reference(z, x, rng)
+
+
+def test_ext_and_sequences_build_no_hom_space_on_a_syzygy(monkeypatch):
+    """Ext1, extension_from_cocycle and almost_split_sequence read every
+    cocycle off the Yoneda matrix of the syzygy P2 -> P1: with hom_space
+    patched to raise on the kernel K of any presentation used, the almost
+    split sequences of A3 mod rad^2 (x) A2 are those of the unpatched run,
+    and the extension from every representative of Ext^1(z, x), for every
+    knitted z and x, is exact and non-split."""
+    ar = ar_quiver(tensor_base(a3_rad2(), category_of(a2_quiver(), F101)))
+    targets = [z for z, proj in zip(ar.modules, ar.projective) if not proj]
+    want = [sequence_print(almost_split_sequence(z)) for z in targets]
+    kernels = [minimal_presentation(z).kernel.module for z in ar.modules]
+    build = modcat.hom_space
+
+    def guarded(m, n):
+        if any(m is k for k in kernels):
+            raise AssertionError("hom space on a syzygy")
+        return build(m, n)
+
+    monkeypatch.setattr(modcat, "hom_space", guarded)
+    with pytest.raises(AssertionError, match="hom space on a syzygy"):
+        modcat.hom_space(kernels[-1], ar.modules[0])
+    assert [sequence_print(almost_split_sequence(z)) for z in targets] == want
+    extensions = 0
+    for z in ar.modules:
+        for x in ar.modules:
+            ext = Ext1(z, x)
+            for v in ext.representatives:
+                assert not splits(extension_from_cocycle(ext, v))
+                extensions += 1
+    assert extensions
 
 
 def test_a_perturbed_lift_does_not_rebuild_the_differential(monkeypatch):
