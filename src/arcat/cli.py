@@ -43,9 +43,11 @@ class ParseError(Exception):
 
 @dataclass
 class QuiverDraft:
+    """The quiver lines of a job, unresolved; each arrow (name, source,
+    target) and each relation (its arrow names) keeps its job-file line."""
     vertices: List[str] = dc_field(default_factory=list)
-    arrows: List[Tuple[str, str, str]] = dc_field(default_factory=list)
-    relations: List[List[str]] = dc_field(default_factory=list)
+    arrows: List[Tuple[str, str, str, int]] = dc_field(default_factory=list)
+    relations: List[Tuple[List[str], int]] = dc_field(default_factory=list)
     complex_spec: Optional[NComplexSpec] = None
     point: Optional[bool] = None  # None: no point line
 
@@ -118,7 +120,7 @@ def load_spec(text: str, field_override: Optional[str] = None) -> JobSpec:
             raise ParseError(f"expected 'relation = ...', got {line!r}", no)
         if quiver.complex_spec is not None:
             raise ParseError("complex shapes carry their own relations", no)
-        quiver.relations.append(value.split())
+        quiver.relations.append((value.split(), no))
     coefficient = _parse_quiver_lines(sections["coefficient"],
                                       allow_complex=False, allow_point=True)
 
@@ -187,7 +189,7 @@ def _parse_quiver_lines(lines, allow_complex: bool,
             if not colon or "->" not in ends or not name.strip():
                 raise ParseError(f"expected 'arrow name: src -> tgt'", no)
             src, _, tgt = ends.partition("->")
-            draft.arrows.append((name.strip(), src.strip(), tgt.strip()))
+            draft.arrows.append((name.strip(), src.strip(), tgt.strip(), no))
             continue
         key, eq, value = line.partition("=")
         key, value = key.strip(), value.strip()
@@ -200,7 +202,7 @@ def _parse_quiver_lines(lines, allow_complex: bool,
                 raise ParseError("more than one complex line", no)
             draft.complex_spec = _parse_complex_line(value, no)
         elif key == "relation":
-            draft.relations.append(value.split())
+            draft.relations.append((value.split(), no))
         elif key == "point" and allow_point:
             if draft.point is not None:
                 raise ParseError("more than one point line", no)
@@ -230,22 +232,25 @@ def _resolve_bound_quiver(draft: QuiverDraft, cap: int) -> BoundQuiver:
         return build_category(draft.complex_spec)
     if not draft.vertices:
         raise ParseError("quiver needs vertices")
-    arrows = [Arrow(n, s, t) for n, s, t in draft.arrows]
+    for name, src, tgt, no in draft.arrows:
+        if src not in draft.vertices or tgt not in draft.vertices:
+            raise ParseError(f"arrow {name} has endpoint outside the quiver", no)
+    arrows = [Arrow(n, s, t) for n, s, t, _ in draft.arrows]
     by_name = {a.name: a for a in arrows}
     try:
         quiver = Quiver(draft.vertices, arrows)
     except ValueError as e:
         raise ParseError(str(e))
     gens = []
-    for rel in draft.relations:
+    for rel, no in draft.relations:
         if not rel:
-            raise ParseError("empty relation")
+            raise ParseError("empty relation", no)
         for name in rel:
             if name not in by_name:
-                raise ParseError(f"relation uses unknown arrow {name!r}")
+                raise ParseError(f"relation uses unknown arrow {name!r}", no)
         for first, second in zip(rel, rel[1:]):
             if by_name[first].target != by_name[second].source:
-                raise ParseError(f"relation {rel} does not compose")
+                raise ParseError(f"relation {rel} does not compose", no)
         gens.append(Path(by_name[rel[0]].source, by_name[rel[-1]].target,
                          tuple(rel)))
     return BoundQuiver(quiver, MonomialIdeal(frozenset(gens)), cap=cap)
@@ -331,8 +336,11 @@ def _family(knitted, choice: str) -> List[CModule]:
         return list(knitted.modules)
     if not choice.startswith("supplied:"):
         raise ParseError(f"bad verify family {choice!r}")
-    with open(choice[len("supplied:"):], "r", encoding="utf-8") as fh:
+    path = choice[len("supplied:"):]
+    with open(path, "r", encoding="utf-8") as fh:
         wanted = [line.strip() for line in fh if line.strip()]
+    if not wanted:  # a family of no modules would verify nothing
+        raise ParseError(f"verify family {path!r} has no entries")
     return [_module_by_dims(knitted, text, "family entry") for text in wanted]
 
 

@@ -46,10 +46,11 @@ Hom(P1, b), and every Hom computation on a presentation is one of these:
 on its matrix, the nullity is dim Hom(m, b) (hom_dim), the columns are the
 coboundaries of Ext^1(m, b), and into the representables it is the
 dualized presentation g*, whose cokernel is Tr m (`_dualized`); on the
-syzygy P2 -> P1 of the differential, the kernel is the cocycles
-(`_syzygy`).  So Ext^1(m, b) is H^1 of Hom(P2 -> P1 -> P0, b), read on
-columns of unit values on P1, and an extension is the pushout of P1 -> P0
-along one such column (Ext1, extension_from_cocycle).
+presentation's syzygy P2 -> P1, whose image is the kernel of the
+differential, the kernel is the cocycles.  So Ext^1(m, b) is H^1 of
+Hom(P2 -> P1 -> P0, b), read on columns of unit values on P1, and an
+extension is the pushout of P1 -> P0 along one such column (Ext1,
+extension_from_cocycle).
 
 On this representation the module category is computed exactly: hom spaces,
 and their dimensions off presentations (`_yoneda`), kernels, images, cokernels,
@@ -67,14 +68,17 @@ decomposition only as the fallback), and global dimension by iterated
 syzygies.
 
 Modules and maps are immutable after construction: nothing assigns to the
-dims or action of a CModule once it is built.  Three derived objects are
-therefore built once and memoised by object identity: the minimal
-presentation of a module and its dual are cached on the module (the dual on
-both sides, so duality_D is an exact involution), and the representable
-Hom(-, x) on its category.  Other sums of representables,
-projective covers and End algebras are not memoised: long-lived modules
-would keep them alive, for little gain.  Memos are dropped when a module or
-category is pickled.
+dims or action of a CModule once it is built.  So each fact about a module
+is computed once and memoised on it, by object identity: its minimal
+presentation, with the syzygy P2 -> P1 taken from the same kernel bases
+that certify the second cover minimal; its dual (on both sides, so
+duality_D is an exact involution); its top dimensions (`_top_count`); and
+its End reading, dim End and dim End/rad or None when End is not local
+(`_local_end`).  The representable Hom(-, x) is memoised on its category.
+Other sums of representables, projective covers and End algebras
+themselves are not memoised: long-lived modules would keep them alive, for
+little gain.  The presentation, the dual and the representables are
+dropped when a module or category is pickled.
 """
 
 from dataclasses import dataclass
@@ -98,8 +102,8 @@ class CModule:
     the constructions of this module that prove their result functorial pass
     validate=False (see the module docstring).  Immutable after
     construction: callers must never assign to dims or action, because the
-    memoised presentation, dual and top count are keyed on the object
-    itself.
+    memoised presentation, dual, top count and End reading are keyed on the
+    object itself.
     """
 
     def __init__(self, cat: FinCategory, dims: Dict, action: Dict, validate: bool = True):
@@ -109,6 +113,7 @@ class CModule:
         self._presentation: Optional["Presentation"] = None
         self._dual: Optional["CModule"] = None
         self._top: Optional[Tuple[Dict, bool]] = None
+        self._end: Optional[Tuple[int, Optional[int]]] = None
         if validate:
             self._validate()
 
@@ -722,13 +727,23 @@ class Presentation:
     """P1 -g-> P0 -cover-> m -> 0, with K the kernel of the cover.  The
     differential is the second cover P1 -> K followed by the kernel
     inclusion, so block column i of the matrix g is incl(t_i), a column of
-    P0(x1_i), for the unit value t_i in K(x1_i) of that cover."""
+    P0(x1_i), for the unit value t_i in K(x1_i) of that cover.
+
+    The syzygy is a block morphism P2 -> P1 whose image is the kernel of
+    the differential: one summand y of X2 per vector of the kernel basis of
+    the second cover's component at y, sent to that vector of P1(y) = flat
+    Hom(y, X1).  By Yoneda the summand's unit goes to its vector, so the
+    image holds the whole kernel at every object.  The kernel inclusion is
+    injective, so at every object the differential incl o cover_1 has the
+    row space of the second cover, hence the same reduced echelon form and
+    the same kernel basis: the syzygy is the one the differential gives."""
     p1: ProjSum
     p0: ProjSum
     differential: ModuleMap
     cover: ModuleMap
     kernel: Kernel
     matrix: AddMor
+    syzygy: AddMor
 
 
 def minimal_presentation(m: CModule) -> Presentation:
@@ -741,20 +756,24 @@ def minimal_presentation(m: CModule) -> Presentation:
 
 def _minimal_presentation(m: CModule) -> Presentation:
     """The second cover is certified minimal from the kernel bases of its
-    components alone: the second syzygy itself is never built.  The matrix
-    is read off the second cover's own unit values (`Presentation`), and
-    rebuilt into the differential as a check."""
+    components alone, and the same bases are the syzygy P2 -> P1
+    (`Presentation`): the second syzygy module itself is never built.  The
+    matrix is read off the second cover's own unit values, and rebuilt into
+    the differential as a check."""
     c0 = projective_cover(m)
     incl = c0.kernel.include
     psum1, cover1, lifts = _cover_map(c0.kernel.module)
-    _check_kernel_in_radical(psum1, {y: cover1.comps[y].kernel_basis()
-                                     for y in m.cat.objects})
+    kernels = {y: cover1.comps[y].kernel_basis() for y in m.cat.objects}
+    _check_kernel_in_radical(psum1, kernels)
     d = cover1.then(incl)
     values = [v for x, t in zip(psum1.vertices, lifts) for v in (incl.comps[x] @ t).data]
     matrix = Hull(m.cat).unflatten(psum1.obj, c0.psum.obj, Mat.column(m.cat.field, values))
     if proj_sum_map(psum1, c0.psum, matrix) != d:
         raise AssertionError("presentation matrix does not rebuild the differential")
-    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, matrix)
+    x2 = AddObject(tuple(y for y, k in kernels.items() for _ in range(k.cols)))
+    values = [v for k in kernels.values() for v in k.transpose().data]
+    syzygy = Hull(m.cat).unflatten(x2, psum1.obj, Mat.column(m.cat.field, values))
+    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, matrix, syzygy)
 
 
 def _yoneda(g: AddMor, b: CModule) -> Mat:
@@ -1042,20 +1061,26 @@ def decompose_module(m: CModule) -> List[Image]:
     return [image_module(map_from_coords(basis, e)) for e in idems]
 
 
-def _end_top_dim(m: CModule) -> int:
-    """dim End(m)/rad End(m): 1 when End(m) = k, which one rank on the
-    memoised presentation decides (hom_dim), else from end_algebra."""
-    if hom_dim(m, m) == 1:
-        return 1
-    alg, _ = end_algebra(m)
-    return alg.dim - radical_basis(alg).cols
+def _local_end(m: CModule) -> Tuple[int, Optional[int]]:
+    """(dim End(m), dim End(m)/rad End(m)), with None for the second entry
+    when End(m) is not local: find_nontrivial_idempotent finds an
+    idempotent, so m is decomposable.  Read once per nonzero module off
+    end_algebra and memoised on it; the memo keeps the two numbers, not the
+    algebra."""
+    if m._end is None:
+        alg, _ = end_algebra(m)
+        local = find_nontrivial_idempotent(alg) is None
+        m._end = alg.dim, (alg.dim - radical_basis(alg).cols) if local else None
+    return m._end
 
 
-def _summand_multiplicity(y: CModule, m: CModule, top_dim: int) -> Optional[int]:
+def _summand_multiplicity(y: CModule, m: CModule) -> Optional[int]:
     """The multiplicity of the indecomposable y as a direct summand of m,
     certified by a trace pairing, or None where the certificate does not
-    apply: top_dim = dim End(y)/rad (`_end_top_dim`) is not 1, or the
-    characteristic divides dim y.
+    apply: the characteristic divides dim y, or End(y)/rad is not k.  That
+    top is k when y is a brick, End(y) = k, which one count or rank on the
+    memoised presentation decides (hom_dim), else it is read off the
+    memoised End reading (`_local_end`).
 
     The multiplicity a is the rank of the composition pairing
     Hom(y, m) x Hom(m, y) -> End(y)/rad = k (Krull-Schmidt; Krause,
@@ -1066,7 +1091,9 @@ def _summand_multiplicity(y: CModule, m: CModule, top_dim: int) -> Optional[int]
     so nilpotent, is lambda dim y, so T is dim y times the pairing.
     """
     p = y.cat.field.p
-    if top_dim != 1 or (p is not None and y.total_dim() % p == 0):
+    if p is not None and y.total_dim() % p == 0:
+        return None
+    if hom_dim(y, y) != 1 and _local_end(y)[1] != 1:
         return None
     fwd = hom_space(y, m)
     bwd = hom_space(m, y) if fwd else []
@@ -1085,28 +1112,15 @@ def _summand_multiplicity(y: CModule, m: CModule, top_dim: int) -> Optional[int]
 # extensions
 
 
-def _syzygy(pres: Presentation) -> AddMor:
-    """A block morphism P2 -> P1 whose image is the kernel of the
-    differential: one summand y of X2 per vector of the kernel basis of the
-    differential's component at y, sent to that vector of P1(y) = flat
-    Hom(y, X1).  By Yoneda the summand's unit goes to its vector, so the
-    image holds the whole kernel at every object."""
-    cat = pres.p1.cat
-    kernels = [(y, pres.differential.comps[y].kernel_basis()) for y in cat.objects]
-    x2 = AddObject(tuple(y for y, k in kernels for _ in range(k.cols)))
-    values = [v for _, k in kernels for v in k.transpose().data]
-    return Hull(cat).unflatten(x2, pres.p1.obj, Mat.column(cat.field, values))
-
-
 class Ext1:
     """Ext^1(z, x) as H^1 of Hom(P2 -> P1 -> P0, x) on the memoised minimal
     presentation of z, each map out of a sum of representables read as its
     column of unit values, one block x(u) per summand u (`_yoneda`).
 
     The cocycles are the maps P1 -> x that vanish on the kernel of the
-    differential, the image of P2 (`_syzygy`): the kernel of the Yoneda
-    matrix of P2 -> P1.  They are the maps K -> x composed with the second
-    cover, which maps onto K.  The coboundaries, the psi o g for maps psi:
+    differential, the image of the presentation's syzygy P2 -> P1: the
+    kernel of its Yoneda matrix.  They are the maps K -> x composed with
+    the second cover, which maps onto K.  The coboundaries, the psi o g for maps psi:
     P0 -> x, are the columns of the Yoneda matrix of the presentation, in
     the order of the unit-value basis of Hom(P0, x).  The representatives
     are the cocycle basis columns at the pivots beyond the coboundaries,
@@ -1118,7 +1132,7 @@ class Ext1:
         self.x = x
         self.pres = minimal_presentation(z)
         coboundaries = _yoneda(self.pres.matrix, x)
-        cocycles = _yoneda(_syzygy(self.pres), x).kernel_basis()
+        cocycles = _yoneda(self.pres.syzygy, x).kernel_basis()
         span, pivots = hstack([coboundaries, cocycles]).column_space_basis()
         self._span = span
         self._class_slots = [t for t, p in enumerate(pivots) if p >= coboundaries.cols]
@@ -1229,8 +1243,9 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     """The almost split sequence ending at an indecomposable non-projective z.
 
     The class is taken in the socle of Ext^1(z, tau z); the materialized
-    sequence is checked exact and non-split (`splits`).  The local End(z)
-    and is_projective_module prove that z has no projective summand, so
+    sequence is checked exact and non-split (`splits`).  The local End(z),
+    read off the memoised End reading (`_local_end`), and
+    is_projective_module prove that z has no projective summand, so
     tau z is taken as D(_transpose_raw(z)), without the projective-summand
     check of `tau`; the result equals tau(z).
 
@@ -1239,14 +1254,14 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     3, 1975), where s acts on a cocycle psi: P1 -> tau z by s o psi, with
     no lift through the cover.  So the socle is what the radical basis of
     End(tau z) kills (`_socle`), and the class is one product of the
-    representatives with its coordinates.  When rad End(z) = 0, Ext^1 is its own
-    socle (one dimensional, dual to the stable End(z) = k) and End(tau z)
-    is not built.
+    representatives with its coordinates.  When rad End(z) = 0, that is
+    dim End(z) = dim End(z)/rad, Ext^1 is its own socle (one dimensional,
+    dual to the stable End(z) = k) and End(tau z) is not built.
     """
     if z.is_zero():
         raise PreconditionError("zero module has no almost split sequence")
-    alg, _ = end_algebra(z)
-    if find_nontrivial_idempotent(alg) is not None:
+    dim, top = _local_end(z)
+    if top is None:
         raise PreconditionError("module is decomposable")
     if is_projective_module(z):
         raise PreconditionError("projective module has no almost split sequence")
@@ -1257,7 +1272,7 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     if ext.dim == 0:
         raise AssertionError("vanishing Ext against the translate")
     rads = []
-    if radical_basis(alg).cols:
+    if dim > top:
         alg_t, basis_t = end_algebra(tz)
         rad = radical_basis(alg_t)
         rads = [map_from_coords(basis_t, tuple(rad.col(j))) for j in range(rad.cols)]
@@ -1276,11 +1291,13 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     """Checks the almost split property of a sequence against test modules.
 
     Exactness and non-splitness (both by `splits`) and indecomposability
-    of both end terms are checked first.  Then, for each test module m,
-    maps m -> right factor through the middle unless m is isomorphic to the
-    right term, where the failure space has dimension dim End/rad; dually
-    for maps left -> m.  Returns the number of test modules, raises
-    VerificationError on any failure.
+    of both end terms are checked first, the latter with dim End/rad of
+    each, both from the memoised End reading (`_local_end`): after
+    almost_split_sequence(z) only the left term's is new.  Then, for each
+    test module m, maps m -> right factor through the middle unless m is
+    isomorphic to the right term, where the failure space has dimension
+    dim End/rad; dually for maps left -> m.  Returns the number of test
+    modules, raises VerificationError on any failure.
 
     The failure spaces are measured by Auslander's defects (ARS ch. IV.4).
     For the sequence 0 -> X -> Y -> Z -> 0, proved exact by
@@ -1301,7 +1318,8 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     m, is not presented at all: hom_dim counts with its memoised top
     dimensions, which knitting's projectivity tests have already counted.
 
-    is_isomorphic runs only where a defect is nonzero.  A zero defect is
+    is_isomorphic runs only where a defect is nonzero, and not when m is
+    the end term itself.  A zero defect is
     correct for every m not isomorphic to the end term, and it cannot occur
     at m isomorphic to Z: the dimensions are invariant under isomorphism,
     so Hom(Z, Y) -> Hom(Z, Z) would be onto, and a lift of 1_Z would be a
@@ -1316,17 +1334,16 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
         raise VerificationError("sequence splits")
     top = {}  # dim End/rad of each end term
     for term, name in ((se.right, "right"), (se.left, "left")):
-        alg, _ = end_algebra(term)
-        if find_nontrivial_idempotent(alg) is not None:
+        top[name] = _local_end(term)[1]
+        if top[name] is None:
             raise VerificationError(f"{name} term is decomposable")
-        top[name] = alg.dim - radical_basis(alg).cols
     x, y, z = se.left, se.middle, se.right
     dx, dy, dz = (duality_D(t) for t in (x, y, z))
     for m in test_modules:
         if m.is_zero():
             raise VerificationError("zero module in the test family")
         coker = hom_dim(m, z) - hom_dim(m, y) + hom_dim(m, x)
-        if coker and is_isomorphic(m, z) is not None:
+        if coker and (m is z or is_isomorphic(m, z) is not None):
             if coker != top["right"]:
                 raise VerificationError(
                     f"maps from the right term itself: cokernel {coker}, "
@@ -1336,7 +1353,7 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
                 f"a map {m!r} -> right term does not factor through the middle")
         dm = duality_D(m)
         coker = hom_dim(dm, dx) - hom_dim(dm, dy) + hom_dim(dm, dz)
-        if coker and is_isomorphic(m, x) is not None:
+        if coker and (m is x or is_isomorphic(m, x) is not None):
             if coker != top["left"]:
                 raise VerificationError(
                     f"maps into the left term itself: cokernel {coker}, "
@@ -1388,7 +1405,6 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
     projective: List[bool] = []
     injective: List[bool] = []
     by_dims: Dict[Tuple, List[int]] = {}  # node indices by dimension vector
-    tops: Dict[int, int] = {}  # dim End/rad of the nodes tried as summands
 
     def dim_key(m: CModule) -> Tuple:
         return tuple(m.dims[x] for x in cat.objects)
@@ -1442,9 +1458,7 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
                 continue
             if hom_dim(y, e) == 0:
                 continue
-            if j not in tops:
-                tops[j] = _end_top_dim(y)
-            a = _summand_multiplicity(y, e, tops[j])
+            a = _summand_multiplicity(y, e)
             if not a:
                 continue
             counts[j] = a

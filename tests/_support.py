@@ -631,6 +631,19 @@ def reference_unit_values(psum, phi: ModuleMap) -> Mat:
     return Mat.column(cat.field, vals)
 
 
+def reference_syzygy(pres) -> AddMor:
+    """A block morphism P2 -> P1 whose image is the kernel of the
+    differential of pres: one summand y of X2 per vector of the kernel
+    basis of the differential's component at y, sent to that vector of
+    P1(y) = flat Hom(y, X1).  The oracle for the syzygy that
+    modcat.Presentation keeps, read off the second cover instead."""
+    cat = pres.p1.cat
+    kernels = [(y, pres.differential.comps[y].kernel_basis()) for y in cat.objects]
+    x2 = AddObject(tuple(y for y, k in kernels for _ in range(k.cols)))
+    values = [v for _, k in kernels for v in k.transpose().data]
+    return Hull(cat).unflatten(x2, pres.p1.obj, Mat.column(cat.field, values))
+
+
 class ReferenceExt1:
     """Ext^1(z, x) on the syzygy K of the minimal presentation of z: the
     cocycles are the naturality-solve basis of hom_space(K, x), the

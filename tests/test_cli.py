@@ -264,6 +264,19 @@ def test_verify_family_supplied(tmp_path, capsys):
     assert "against 2 test modules" in out
 
 
+
+def test_an_empty_supplied_family_is_refused(tmp_path, capsys):
+    """A supplied family file with no entries, empty or blank lines only,
+    would verify nothing: exit 1 with a parse error that names the file."""
+    fam = tmp_path / "family.txt"
+    text = A2_QUIVER + "\n[command]\nname = verify\ntarget = dims 1 0\n"
+    for content in ("", "\n  \n\n"):
+        fam.write_text(content, encoding="utf-8")
+        code, out, err = run(tmp_path, text, "--verify-family", f"supplied:{fam}",
+                             capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == f"parse error: verify family {str(fam)!r} has no entries\n"
+
 LOOP_RAD10 = """
 [quiver]
 vertices = 1
@@ -649,11 +662,14 @@ PARSE_REFUSALS = [
      "complex shapes exclude explicit vertices and arrows"),
     (INFO, (), "quiver needs vertices"),
     ("[quiver]\nvertices = 1 2\narrow a1: 1 -> 3\n" + INFO, (),
-     "arrow a1 has endpoint outside the quiver"),
-    (A2_LINES + "[ideal]\nrelation =\n" + INFO, (), "empty relation"),
-    (A2_LINES + "[ideal]\nrelation = a1 zz\n" + INFO, (), "relation uses unknown arrow 'zz'"),
+     "line 3: arrow a1 has endpoint outside the quiver"),
+    (A2_LINES + "[ideal]\nrelation =\n" + INFO, (), "line 5: empty relation"),
+    (A2_LINES + "[ideal]\nrelation = a1 zz\n" + INFO, (),
+     "line 5: relation uses unknown arrow 'zz'"),
     ("[quiver]\nvertices = 1 2 3\narrow a1: 1 -> 2\narrow a2: 2 -> 3\n[ideal]\n"
-     "relation = a2 a1\n" + INFO, (), "relation ['a2', 'a1'] does not compose"),
+     "relation = a2 a1\n" + INFO, (), "line 6: relation ['a2', 'a1'] does not compose"),
+    (A2_LINES + "[coefficient]\nvertices = 1 2\narrow b1: 1 -> 2\nrelation = b1 zz\n" + INFO,
+     (), "line 7: relation uses unknown arrow 'zz'"),
     (A2_LINES + "[command]\nname = ass\n", (), "command needs a target"),
     (A2_LINES + "[command]\nname = ass\ntarget = foo\n", (), "bad target 'foo'"),
     (A2_LINES + "[command]\nname = ass\ntarget = simple 1:pt\n", ("--verify-family", "bogus"),

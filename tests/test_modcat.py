@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import os
 import pickle
@@ -14,7 +15,7 @@ from arcat import modcat
 from arcat.errors import CapExceededError, PreconditionError, VerificationError
 from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, category_of,
                           opposite_category, point_category)
-from arcat.algebra import radical_basis
+from arcat.algebra import find_nontrivial_idempotent, radical_basis
 from arcat.linalg import Field, Mat, equation_matrix, hstack, solve, vstack
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
@@ -39,7 +40,7 @@ from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_quiver, a3_rad2, a_
                       reference_proj_sum_matrix, reference_splitting_section,
                       reference_extension_from_cocycle, reference_unit_values,
                       reference_end_algebra, reference_simple_module, reference_sum_injections,
-                      typed_entries)
+                      reference_syzygy, typed_entries)
 
 
 def rep_a2(field=F101):
@@ -459,9 +460,34 @@ def test_verify_builds_each_end_term_algebra_once(monkeypatch):
     cat = category_of(a3_rad2(), F101)
     se = almost_split_sequence(simple_module(cat, "2")).sequence
     monkeypatch.setattr(modcat, "end_algebra", counting)
-    # each end term is tested against itself, so dim End/rad is needed for both
+    # each end term is tested against itself, so dim End/rad is needed for
+    # both; almost_split_sequence has already read the right term's
     assert verify_almost_split(se, [se.right, se.left]) == 2
-    assert built == [se.right, se.left]
+    assert built == [se.left]
+
+
+def test_a_sequence_and_its_verification_build_one_end_algebra(monkeypatch):
+    """At every knitted node z of A3 mod rad^2 (x) A2 over Q,
+    almost_split_sequence(z) and its verification against the knitted
+    family build one End algebra, the left term's, and solve two hom
+    spaces: that algebra's, and the is_isomorphic of the knitted tau z with
+    the left term.  End(z) was read by knitting, z is tested against
+    itself without is_isomorphic, and z is a brick, so End(tau z) is not
+    built for the socle."""
+    ar = ar_quiver(tensor_base(a3_rad2(), category_of(a2_quiver(), QQ)))
+    calls = Counter()
+    end, hom = modcat.end_algebra, modcat.hom_space
+    monkeypatch.setattr(modcat, "end_algebra", lambda m: calls.update(["end"]) or end(m))
+    monkeypatch.setattr(modcat, "hom_space", lambda m, n: calls.update(["hom"]) or hom(m, n))
+    checked = 0
+    for z, proj in zip(ar.modules, ar.projective):
+        if proj:
+            continue
+        calls.clear()
+        assert verify_almost_split(almost_split_sequence(z), ar.modules) == len(ar.modules)
+        assert calls == Counter({"end": 1, "hom": 2})
+        checked += 1
+    assert checked == 14
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1166,7 @@ def test_summand_multiplicity_matches_decompose_module(fld):
         pieces = [p.module for p in decompose_module(m)]
         closed = {x: 0 for x in cat.objects}
         for y in pool:
-            got = modcat._summand_multiplicity(y, m, modcat._end_top_dim(y))
+            got = modcat._summand_multiplicity(y, m)
             assert got == sum(is_isomorphic(p, y) is not None for p in pieces)
             for x in cat.objects:
                 closed[x] += got * y.dims[x]
@@ -1165,19 +1191,84 @@ def test_summand_multiplicity_refuses_where_the_pairing_is_not_the_count(monkeyp
     that holds the three dimensional projective-injective, and still give
     the quiver that knitting by decomposition alone gives."""
     y = kronecker_rotation()
-    assert modcat._end_top_dim(y) == 2
-    assert modcat._summand_multiplicity(y, direct_sum([y, y])[0], 2) is None
+    assert modcat._local_end(y)[1] == 2
+    assert modcat._summand_multiplicity(y, direct_sum([y, y])[0]) is None
     f3 = Field.prime(3)
     cat = representation_category(BoundQuiver(linear_quiver(3)), f3)
     p = yoneda_projective(cat, "1")
-    assert p.total_dim() == 3 and modcat._end_top_dim(p) == 1
-    assert modcat._summand_multiplicity(p, direct_sum([p, p])[0], 1) is None
+    assert p.total_dim() == 3 and modcat._local_end(p)[1] == 1
+    assert modcat._summand_multiplicity(p, direct_sum([p, p])[0]) is None
     ar, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
     assert fallbacks == 1 and len(ar.modules) == 6
-    monkeypatch.setattr(modcat, "_summand_multiplicity", lambda y, m, top: None)
+    monkeypatch.setattr(modcat, "_summand_multiplicity", lambda y, m: None)
     decomposed, fallbacks = knit_counting_fallbacks(monkeypatch, cat)
     assert fallbacks == len(ar.tau_pairs) == 3
     assert knit_print(decomposed) == knit_print(ar)
+
+
+def end_reading(m):
+    """The End reading off end_algebra: (dim, dim - radical basis columns),
+    or (dim, None) when find_nontrivial_idempotent finds an idempotent."""
+    alg, _ = end_algebra(m)
+    if find_nontrivial_idempotent(alg) is not None:
+        return alg.dim, None
+    return alg.dim, alg.dim - radical_basis(alg).cols
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_local_end_is_the_end_algebra_reading(fld):
+    """On every knitted node of loop mod x^2 (x) A2 and of A3 mod rad^2 (x)
+    A2, bricks and non-bricks, and on a scrambled copy of each, the End
+    reading is the end_algebra reading, with a top; on a scrambled sum of
+    two nodes it has none."""
+    rng = random.Random(33)
+    bricks = Counter()
+    for ar in (knitted_loop(a2_quiver, fld),
+               ar_quiver(tensor_base(a3_rad2(), category_of(a2_quiver(), fld)))):
+        cat = ar.modules[0].cat
+        for y in ar.modules:
+            want = end_reading(y)
+            assert want[1] is not None
+            assert modcat._local_end(y) == modcat._local_end(scrambled_sum([y], cat, rng)) == want
+            bricks[want[0] == 1] += 1
+        pair = scrambled_sum(ar.modules[-2:], cat, rng)
+        assert modcat._local_end(pair) == end_reading(pair) == (end_reading(pair)[0], None)
+    assert bricks[True] and bricks[False], bricks
+
+
+def test_local_end_is_read_once_per_module(monkeypatch):
+    """End = Q(i) of the Kronecker rotation reads (2, 2) and the brick P_1
+    of A3 over F_3 reads (1, 1).  A repeated call builds no End algebra,
+    and a conjugate copy, a module of its own, gets its own reading."""
+    y = kronecker_rotation()
+    p = yoneda_projective(representation_category(BoundQuiver(linear_quiver(3)),
+                                                  Field.prime(3)), "1")
+    built, build = [], modcat.end_algebra
+    monkeypatch.setattr(modcat, "end_algebra", lambda m: built.append(m) or build(m))
+    for _ in range(2):
+        assert modcat._local_end(y) == (2, 2) and modcat._local_end(p) == (1, 1)
+    assert built == [y, p]
+    rng = random.Random(5)
+    copy, _ = conjugate_module(y, {x: rand_invertible(QQ, 2, rng) for x in y.cat.objects})
+    assert modcat._local_end(copy) == (2, 2) and built == [y, p, copy]
+
+
+def test_a_found_idempotent_makes_an_end_term_decomposable(monkeypatch):
+    """Negative control: with find_nontrivial_idempotent patched to return
+    an idempotent, the End reading of a fresh module has no top, so
+    almost_split_sequence refuses the module and verify_almost_split the
+    right term of a sequence ending at a fresh copy of it."""
+    cat = category_of(a3_rad2(), F101)
+    se = almost_split_sequence(simple_module(cat, "2")).sequence
+    rng = random.Random(7)
+    copy, iso = conjugate_module(se.right, {x: rand_invertible(F101, se.right.dims[x], rng)
+                                            for x in cat.objects})
+    moved = ShortExact(se.left, se.middle, copy, se.include, se.project.then(iso.inverse()))
+    monkeypatch.setattr(modcat, "find_nontrivial_idempotent", lambda alg: alg.unit)
+    with pytest.raises(PreconditionError, match="module is decomposable"):
+        almost_split_sequence(simple_module(cat, "2"))
+    with pytest.raises(VerificationError, match="right term is decomposable"):
+        verify_almost_split(moved, [])
 
 
 def tamper_first_multiplicity(monkeypatch, tamper, applies=lambda m: True):
@@ -1186,8 +1277,8 @@ def tamper_first_multiplicity(monkeypatch, tamper, applies=lambda m: True):
     returns the list that records the summand tampered with."""
     multiplicity, seen = modcat._summand_multiplicity, []
 
-    def tampered(y, m, top):
-        a = multiplicity(y, m, top)
+    def tampered(y, m):
+        a = multiplicity(y, m)
         if a and not seen and applies(m):
             seen.append(y)
             return {"drop": 0, "plus-one": a + 1, "minus-one": a - 1}[tamper]
@@ -1814,20 +1905,49 @@ def test_ext_matches_the_route_through_the_syzygy(fld):
 
 
 def test_ext_oracle_sees_a_dropped_syzygy_column(monkeypatch):
-    """Negative control: with the first summand of P2 -> P1 dropped, the
-    cocycles grow beyond Hom(K, x), and the comparison with the reference
-    route fails over F_2."""
-    syzygy = modcat._syzygy
+    """Negative control: with the first summand of the presentation's
+    syzygy P2 -> P1 dropped, the cocycles grow beyond Hom(K, x), and the
+    comparison with the reference route fails over F_2."""
+    present = modcat._minimal_presentation
 
-    def dropped(pres):
-        g = syzygy(pres)
-        return AddMor(AddObject(g.src.summands[1:]), g.tgt, tuple(row[1:] for row in g.blocks))
+    def dropped(m):
+        pres = present(m)
+        g = pres.syzygy
+        return dataclasses.replace(pres, syzygy=AddMor(AddObject(g.src.summands[1:]), g.tgt,
+                                                       tuple(row[1:] for row in g.blocks)))
 
-    monkeypatch.setattr(modcat, "_syzygy", dropped)
+    monkeypatch.setattr(modcat, "_minimal_presentation", dropped)
     rng = random.Random(32)
     with pytest.raises(AssertionError):
         for z, x in ext_oracle_pairs(Field.prime(2)):
             compare_ext_with_reference(z, x, rng)
+
+
+@pytest.mark.parametrize("fld", [Field.prime(2), Field.prime(3), F101, QQ],
+                         ids=["F2", "F3", "F101", "Q"])
+def test_presentation_syzygy_is_the_kernel_basis_of_the_differential(fld, monkeypatch):
+    """The syzygy P2 -> P1 that the presentation keeps, read off the kernel
+    bases of the second cover, is the one read off the kernel bases of the
+    differential (reference_syzygy), entry for entry, types included: on
+    every simple and representable of A4 mod rad^2 and of the 3-cycle mod
+    rad^2 over F_2 and F_3, and on every knitted module of E7, A3 mod rad^2
+    (x) A2 and loop mod x^2 (x) A2 over F_101 and Q.  Some syzygy is
+    nonzero."""
+    if fld.p is not None and fld.p < 5:
+        mods = [f(cat, v) for cat in (representation_category(a_m_rad_n(4, 2), fld),
+                                      representation_category(cyclic_rad2(3), fld))
+                for v in cat.objects for f in (simple_module, yoneda_projective)]
+    else:
+        e7 = knit_probe(monkeypatch).JOBS["E7" if fld is F101 else "E7/Q"][0]()
+        mods = [m for ar in (ar_quiver(e7), knitted_loop(a2_quiver, fld),
+                             ar_quiver(tensor_base(a3_rad2(), category_of(a2_quiver(), fld))))
+                for m in ar.modules]
+    nonzero = 0
+    for m in mods:
+        pres = minimal_presentation(m)
+        assert block_print(pres.syzygy) == block_print(reference_syzygy(pres))
+        nonzero += bool(pres.syzygy.src.summands)
+    assert nonzero
 
 
 def test_ext_and_sequences_build_no_hom_space_on_a_syzygy(monkeypatch):

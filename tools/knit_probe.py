@@ -19,13 +19,14 @@ Prints one line per job: wall time, node count, the radicals of
 projectives knitted and those of them decomposed (`rad fallback`), and the
 middle terms of almost split sequences, split into those whose summands
 ar_quiver certified by multiplicities and those it decomposed (the
-fallback).
+fallback), and the End algebras built (`ends`, the modcat.end_algebra
+calls of the knit).
 
-The count wraps modcat.radical_submodule, modcat.almost_split_sequence and
-modcat.decompose_module inside this script: a decompose_module call on the
-radical or the middle term built last is a fallback (ar_quiver decomposes
-either, if at all, right after building it).  arcat itself has no switch
-for this.
+The count wraps modcat.radical_submodule, modcat.almost_split_sequence,
+modcat.decompose_module and modcat.end_algebra inside this script: a
+decompose_module call on the radical or the middle term built last is a
+fallback (ar_quiver decomposes either, if at all, right after building
+it).  arcat itself has no switch for this.
 """
 
 import os
@@ -89,10 +90,12 @@ JOBS = {
 def knit_counting(cat, cap=64):
     """ar_quiver(cat, cap), as the CLI's `--cap` knits, or None when the cap
     is exceeded, with the numbers of radicals and middle terms knitted and
-    of those decomposed, keyed as the columns."""
-    last, counts = {}, dict.fromkeys(("radicals", "rad fallback", "middle", "fallback"), 0)
+    of those decomposed, and of the End algebras built, keyed as the
+    columns."""
+    last = {}
+    counts = dict.fromkeys(("radicals", "rad fallback", "middle", "fallback", "ends"), 0)
     rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
-    decompose = modcat.decompose_module
+    decompose, end = modcat.decompose_module, modcat.end_algebra
 
     def counting_rad(m):
         out = rad(m)
@@ -111,21 +114,25 @@ def knit_counting(cat, cap=64):
             counts[last["kind"]] += 1
         return decompose(m)
 
+    def counting_end(m):
+        counts["ends"] += 1
+        return end(m)
+
     modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
-    modcat.decompose_module = counting_decompose
+    modcat.decompose_module, modcat.end_algebra = counting_decompose, counting_end
     try:
         ar = modcat.ar_quiver(cat, cap)
     except CapExceededError:
         ar = None
     finally:
         modcat.radical_submodule, modcat.almost_split_sequence = rad, ass
-        modcat.decompose_module = decompose
+        modcat.decompose_module, modcat.end_algebra = decompose, end
     return ar, counts
 
 
 def main():
     print(f"{'job':<11} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
-          f"{'middle':>6} {'certified':>9} {'fallback':>8}")
+          f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5}")
     for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
@@ -134,7 +141,8 @@ def main():
         shown = "cap" if ar is None else str(len(ar.modules))
         print(f"{name:<11} {seconds:7.2f} {shown:>5} {counts['radicals']:8d} "
               f"{counts['rad fallback']:12d} {counts['middle']:6d} "
-              f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d}")
+              f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d} "
+              f"{counts['ends']:5d}")
     return 0
 
 
