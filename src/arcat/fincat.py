@@ -68,8 +68,6 @@ class FinCategory:
         # representables Hom(-, x) by object, memoised by modcat.yoneda_projective
         self._representables: Dict[ObjectId, object] = {}
         self._non_unit: Dict[Tuple[ObjectId, ObjectId], Tuple[int, ...]] = {}
-        self._index: Dict[Tuple[ObjectId, ObjectId], Dict[Label, int]] = {
-            key: {lab: i for i, lab in enumerate(labels)} for key, labels in hom.items()}
         self._validate()
 
     def __getstate__(self):
@@ -77,9 +75,6 @@ class FinCategory:
 
     def dim(self, x: ObjectId, y: ObjectId) -> int:
         return len(self.hom[(x, y)])
-
-    def hom_index(self, x: ObjectId, y: ObjectId, label: Label) -> int:
-        return self._index[(x, y)][label]
 
     def zero_coords(self, x: ObjectId, y: ObjectId) -> Coords:
         return tuple([self.field.zero()] * self.dim(x, y))

@@ -250,33 +250,71 @@ def test_is_isomorphic_returns_the_pair_trial_pair():
             try:
                 got = is_isomorphic(m, n)
             except CapExceededError:
-                # no basis pair inverts, and the radical test cannot decide
+                # no forward basis map is injective and neither End is local:
+                # no certificate applies, and want is None
+                assert modcat._local_end(m)[1] is None and modcat._local_end(n)[1] is None
                 got = None
             assert got == want
             found += want is not None
     assert found > len(mods)
 
 
-def test_is_isomorphic_builds_the_backward_basis_only_without_an_injective_map(monkeypatch):
+def test_is_isomorphic_builds_one_hom_space_per_call(monkeypatch):
     """A knitted module and a base change of it: the forward basis holds an
-    invertible map, so is_isomorphic builds one hom space, not two."""
+    invertible map.  Two equal-dims knitted nodes with nonzero Hom that are
+    not isomorphic: no basis map is injective, and the memoised End reading
+    of n certifies None.  Either way is_isomorphic builds one hom space,
+    Hom(m, n), and no End algebra."""
     rng = random.Random(41)
-    built = []
-    build = modcat.hom_space
-
-    def counting(m, n):
-        built.append((m, n))
-        return build(m, n)
-
-    monkeypatch.setattr(modcat, "hom_space", counting)
+    nodes = knitted_pair("C2rad2xA2").modules
+    pairs = [(m, n) for m in nodes for n in nodes
+             if m is not n and m.dims == n.dims and hom_space(m, n)]
+    assert len(pairs) >= 10
+    for _, n in pairs:
+        modcat._local_end(n)
+    homs, ends = [], []
+    hom, end = modcat.hom_space, modcat.end_algebra
+    monkeypatch.setattr(modcat, "hom_space", lambda m, n: homs.append((m, n)) or hom(m, n))
+    monkeypatch.setattr(modcat, "end_algebra", lambda m: ends.append(m) or end(m))
     for m in knitted_pair("A3rad2xA2").modules:
         conj, _ = conjugate_module(m, {x: rand_invertible(F101, m.dims[x], rng)
                                        for x in m.cat.objects})
-        built.clear()
+        homs.clear(), ends.clear()
         f, g = is_isomorphic(m, conj)
-        assert built == [(m, conj)]
+        assert homs == [(m, conj)] and not ends
         assert f.then(g) == identity_map(m)
         assert g.then(f) == identity_map(conj)
+    for m, n in pairs:
+        homs.clear(), ends.clear()
+        assert is_isomorphic(m, n) is None
+        assert homs == [(m, n)] and not ends
+
+
+def test_is_isomorphic_refuses_only_two_decomposable_modules():
+    """Negative controls of the End-reading certificate.  On A3 over F_101
+    the sums of knitted nodes 0 + 4 and 1 + 3, and 1 + 5 and 2 + 3, have
+    equal dims and maps between them both ways, none of them injective,
+    and both sides decomposable: no certificate applies, and is_isomorphic
+    refuses.  A sum of two nodes against a node of the same dims gets None,
+    in either order, off the node's End reading alone; a sum in the place
+    of n is read first, and found decomposable."""
+    nodes = ar_quiver(representation_category(a3_quiver(), F101)).modules
+
+    def sum_of(i, j):
+        return direct_sum([nodes[i], nodes[j]])[0]
+
+    for a, b in (((0, 4), (1, 3)), ((1, 5), (2, 3))):
+        m, n = sum_of(*a), sum_of(*b)
+        assert m.dims == n.dims and hom_space(m, n) and hom_space(n, m)
+        for src, tgt in ((m, n), (n, m)):
+            with pytest.raises(CapExceededError, match="both modules are decomposable"):
+                is_isomorphic(src, tgt)
+    for (i, j), k in (((1, 5), 0), ((2, 3), 0), ((2, 4), 1), ((4, 5), 3)):
+        node, first, second = nodes[k], sum_of(i, j), sum_of(i, j)
+        assert modcat._local_end(node)[1] == 1
+        assert first.dims == node.dims and hom_space(first, node) and hom_space(node, first)
+        assert is_isomorphic(first, node) is None and first._end is None
+        assert is_isomorphic(node, second) is None and second._end[1] is None
 
 
 def test_decompose_conjugated_sum():
@@ -2010,7 +2048,8 @@ def test_is_isomorphic_answers_early_on_zero_modules_and_regular_simples():
     """Two zero modules are isomorphic by zero maps, and a zero and a
     nonzero module are not.  Two regular simples of the Kronecker quiver,
     at different points of the projective line, have equal dimensions and
-    no map between them."""
+    no map between them, and so have the squares of each, which are
+    decomposable: the empty Hom certifies None with no End reading."""
     rc = rep_a2()
     zero, p1 = zero_module(rc), yoneda_projective(rc, "1")
     f, g = is_isomorphic(zero, zero_module(rc))
@@ -2024,3 +2063,5 @@ def test_is_isomorphic_answers_early_on_zero_modules_and_regular_simples():
     assert not hom_space(lam, mu)
     assert is_isomorphic(lam, mu) is None
     assert is_isomorphic(lam, lam) is not None
+    m, n = direct_sum([lam, lam])[0], direct_sum([mu, mu])[0]
+    assert is_isomorphic(m, n) is None and m._end is None and n._end is None

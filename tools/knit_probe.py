@@ -19,14 +19,15 @@ Prints one line per job: wall time, node count, the radicals of
 projectives knitted and those of them decomposed (`rad fallback`), and the
 middle terms of almost split sequences, split into those whose summands
 ar_quiver certified by multiplicities and those it decomposed (the
-fallback), and the End algebras built (`ends`, the modcat.end_algebra
-calls of the knit).
+fallback), the End algebras built (`ends`, the modcat.end_algebra calls
+of the knit) and the hom spaces built (`homs`, the modcat.hom_space calls
+of the knit, those of end_algebra among them).
 
 The count wraps modcat.radical_submodule, modcat.almost_split_sequence,
-modcat.decompose_module and modcat.end_algebra inside this script: a
-decompose_module call on the radical or the middle term built last is a
-fallback (ar_quiver decomposes either, if at all, right after building
-it).  arcat itself has no switch for this.
+modcat.decompose_module, modcat.end_algebra and modcat.hom_space inside
+this script: a decompose_module call on the radical or the middle term
+built last is a fallback (ar_quiver decomposes either, if at all, right
+after building it).  arcat itself has no switch for this.
 """
 
 import os
@@ -90,12 +91,13 @@ JOBS = {
 def knit_counting(cat, cap=64):
     """ar_quiver(cat, cap), as the CLI's `--cap` knits, or None when the cap
     is exceeded, with the numbers of radicals and middle terms knitted and
-    of those decomposed, and of the End algebras built, keyed as the
-    columns."""
+    of those decomposed, and of the End algebras and hom spaces built,
+    keyed as the columns."""
     last = {}
-    counts = dict.fromkeys(("radicals", "rad fallback", "middle", "fallback", "ends"), 0)
+    counts = dict.fromkeys(("radicals", "rad fallback", "middle", "fallback", "ends",
+                            "homs"), 0)
     rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
-    decompose, end = modcat.decompose_module, modcat.end_algebra
+    decompose, end, hom = modcat.decompose_module, modcat.end_algebra, modcat.hom_space
 
     def counting_rad(m):
         out = rad(m)
@@ -118,8 +120,13 @@ def knit_counting(cat, cap=64):
         counts["ends"] += 1
         return end(m)
 
+    def counting_hom(m, n):
+        counts["homs"] += 1
+        return hom(m, n)
+
     modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
     modcat.decompose_module, modcat.end_algebra = counting_decompose, counting_end
+    modcat.hom_space = counting_hom
     try:
         ar = modcat.ar_quiver(cat, cap)
     except CapExceededError:
@@ -127,12 +134,13 @@ def knit_counting(cat, cap=64):
     finally:
         modcat.radical_submodule, modcat.almost_split_sequence = rad, ass
         modcat.decompose_module, modcat.end_algebra = decompose, end
+        modcat.hom_space = hom
     return ar, counts
 
 
 def main():
     print(f"{'job':<11} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
-          f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5}")
+          f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5} {'homs':>5}")
     for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
@@ -142,7 +150,7 @@ def main():
         print(f"{name:<11} {seconds:7.2f} {shown:>5} {counts['radicals']:8d} "
               f"{counts['rad fallback']:12d} {counts['middle']:6d} "
               f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d} "
-              f"{counts['ends']:5d}")
+              f"{counts['ends']:5d} {counts['homs']:5d}")
     return 0
 
 
