@@ -1062,10 +1062,15 @@ def _local_end(m: CModule) -> Tuple[int, Optional[int]]:
     end_algebra and memoised on it; the memo keeps the two numbers, not the
     algebra."""
     if m._end is None:
-        alg, _ = end_algebra(m)
-        local = find_nontrivial_idempotent(alg) is None
-        m._end = alg.dim, (alg.dim - radical_basis(alg).cols) if local else None
+        _read_end(m, end_algebra(m)[0])
     return m._end
+
+
+def _read_end(m: CModule, alg: TableAlgebra):
+    """Memoises on m the End reading of `_local_end` off alg = End(m), for
+    a caller that has built End(m) already."""
+    local = find_nontrivial_idempotent(alg) is None
+    m._end = alg.dim, (alg.dim - radical_basis(alg).cols) if local else None
 
 
 def _summand_multiplicity(y: CModule, m: CModule) -> Optional[int]:
@@ -1248,7 +1253,9 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     3, 1975), where s acts on a cocycle psi: P1 -> tau z by s o psi, with
     no lift through the cover.  So the socle is what the radical basis of
     End(tau z) kills (`_socle`), and the class is one product of the
-    representatives with its coordinates.  When rad End(z) = 0, that is
+    representatives with its coordinates.  The End reading of tau z is
+    memoised off that same algebra (`_read_end`), so verify_almost_split
+    does not build End(tau z) again.  When rad End(z) = 0, that is
     dim End(z) = dim End(z)/rad, Ext^1 is its own socle (one dimensional,
     dual to the stable End(z) = k) and End(tau z) is not built.
     """
@@ -1268,6 +1275,7 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     rads = []
     if dim > top:
         alg_t, basis_t = end_algebra(tz)
+        _read_end(tz, alg_t)
         rad = radical_basis(alg_t)
         rads = [map_from_coords(basis_t, tuple(rad.col(j))) for j in range(rad.cols)]
     socle = _socle(ext, rads)
@@ -1287,7 +1295,8 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     Exactness and non-splitness (both by `splits`) and indecomposability
     of both end terms are checked first, the latter with dim End/rad of
     each, both from the memoised End reading (`_local_end`): after
-    almost_split_sequence(z) only the left term's is new.  Then, for each
+    almost_split_sequence(z) the left term's is new only when rad End(z) =
+    0, as the socle step reads it otherwise.  Then, for each
     test module m, maps m -> right factor through the middle unless m is
     isomorphic to the right term, where the failure space has dimension
     dim End/rad; dually for maps left -> m.  Returns the number of test

@@ -1,9 +1,11 @@
 """Shared builders for the test suite: small bound quivers and random data."""
 
 import itertools
+import random
 from typing import List
 
-from arcat.errors import PreconditionError, VerificationError
+from arcat import poly
+from arcat.errors import CapExceededError, PreconditionError, VerificationError
 from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, opposite_category,
                           point_category)
 from arcat.linalg import Field, Mat, hstack, kron, solve, vstack
@@ -418,6 +420,74 @@ def reference_left_mult_matrix(alg: TableAlgebra, x) -> Mat:
     """x^T _flat as one dense product: the oracle for left_mult_matrix."""
     n = alg.dim
     return Mat(alg.field, n, n, (Mat(alg.field, 1, n, x) @ alg._flat).data)
+
+
+def reference_find_nontrivial_idempotent(alg: TableAlgebra):
+    """A nontrivial idempotent of alg, or None when alg is local, the long
+    way: the table of alg / rad on the coordinates at which rref([rad | 1])
+    puts its pivots in 1, a search there (`_reference_quotient_search`), and
+    a Newton lift e <- 3e^2 - 2e^3 of the idempotent it finds back into alg.
+    The oracle for algebra.find_nontrivial_idempotent, which searches alg
+    itself: its idempotent lies in the class of this one modulo rad."""
+    f, n = alg.field, alg.dim
+    if n == 1:
+        return None
+    rad = radical_basis(alg)
+    k = rad.cols
+    _, pivots = hstack([rad, Mat.identity(f, n)]).rref()
+    comp = [j - k for j in pivots if j >= k]
+    d = len(comp)
+    lift = Mat(f, n, d, [f.one() if i == j else f.zero() for i in range(n) for j in comp])
+    # x = rad part + lift part, for every product of lifted basis elements
+    # and for the unit; the lift parts are the quotient's table
+    coords = solve(hstack([rad, lift]),
+                   hstack([alg.left[i] @ lift for i in comp] + [Mat.column(f, alg.unit)]))
+    quotient = TableAlgebra(f, Mat(f, d, coords.cols, coords.data[k * coords.cols:]))
+    ebar = _reference_quotient_search(quotient)
+    if ebar is None:
+        return None
+    e = lift @ Mat.column(f, ebar)
+    for _ in range(64):
+        le = alg.left_mult_matrix(e.data)
+        sq = le @ e
+        if sq == e:
+            return e.data
+        e = sq.scale(3) - (le @ sq).scale(2)
+    raise AssertionError("idempotent lift did not converge")
+
+
+def _reference_quotient_search(alg: TableAlgebra):
+    """A nontrivial idempotent of a semisimple alg, or None when it is a
+    field: the unit vectors, their pairwise sums and seeded random tuples,
+    each split by CRT at the first factor of its minimal polynomial in
+    poly.factor's order; None is certified by a commutative alg with a
+    candidate whose minimal polynomial is irreducible of degree dim alg."""
+    f, n = alg.field, alg.dim
+    if n == 1:
+        return None
+    commutative = alg.is_commutative()
+    rng = random.Random(20240 + n)
+    basis = [Mat.identity(f, n).col(i) for i in range(n)]
+    pairs = (tuple(map(f.add, basis[i], basis[j])) for i in range(n) for j in range(i + 1, n))
+    randoms = (tuple(f.random(rng) for _ in range(n)) for _ in itertools.count())
+    for x in itertools.islice(itertools.chain(basis, pairs, randoms), 200):
+        coeffs = alg.minimal_polynomial(x)
+        factors = poly.factor(coeffs, f) if len(coeffs) > 2 else []
+        if len(factors) > 1:
+            m1 = [f.one()]
+            for _ in range(factors[0][1]):
+                m1 = poly.mul(m1, factors[0][0], f)
+            m2 = poly.quo_rem(coeffs, m1, f)[0]
+            u = poly.gcdex(m1, m2, f)[1]
+            e = (f.zero(),) * n
+            for c in reversed(poly.quo_rem(poly.mul(u, m2, f), coeffs, f)[1]):
+                e = tuple(f.add(a, f.mul(c, b)) for a, b in zip(alg.mul(x, e), alg.unit))
+            assert alg.mul(e, e) == e and e != alg.unit and any(e)
+            return e
+        if commutative and len(coeffs) == n + 1 and len(factors) == 1 \
+                and factors[0][1] == 1:
+            return None
+    raise CapExceededError("reference idempotent search inconclusive")
 
 
 def reference_end_algebra(m: CModule) -> TableAlgebra:

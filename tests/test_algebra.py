@@ -1,20 +1,23 @@
 """End-algebra analysis on hand-built algebras with known answers."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from _support import (F101, QQ, reference_left_mult_matrix, reference_trace_form,
-                      typed_entries)
+from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, rand_invertible,
+                      reference_find_nontrivial_idempotent, reference_left_mult_matrix,
+                      reference_trace_form, typed_entries)
 from arcat import algebra
 from arcat.algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
-                           lift_idempotent, primitive_idempotents, radical_basis)
+                           primitive_idempotents, radical_basis)
 from arcat.errors import PreconditionError
 from arcat.fincat import category_of
 from arcat.linalg import Field, Mat, hstack
-from arcat.modcat import (almost_split_sequence, ar_quiver, direct_sum, end_algebra,
-                          verify_almost_split)
+from arcat.modcat import (almost_split_sequence, ar_quiver, conjugate_module, direct_sum,
+                          end_algebra, verify_almost_split)
 from arcat.quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
+from arcat.repcat import tensor_base
 
 
 def table_algebra(field, n, mult, unit):
@@ -99,19 +102,27 @@ def test_upper_triangular_radical_and_lift(field):
     assert_nontrivial_idempotent(alg, find_nontrivial_idempotent(alg))
 
 
+def assert_same_class(alg, e, ref):
+    """e is a nontrivial idempotent and e - ref lies in rad(alg)."""
+    assert_nontrivial_idempotent(alg, e)
+    f, rad = alg.field, radical_basis(alg)
+    diff = Mat.column(f, [f.sub(a, b) for a, b in zip(e, ref)])
+    assert hstack([rad, diff]).rank() == rad.cols
+
+
 @pytest.mark.parametrize("field", [F101, QQ])
-def test_lift_from_a_non_idempotent_element(field):
+def test_split_of_a_non_idempotent_class(field):
     # k[t]/(t^3 - t^2) = k[t]/(t^2) x k; t is idempotent modulo the radical
-    # spanned by t^2 - t, and its Newton lift is t^2
+    # spanned by t^2 - t, and the CRT idempotents of k[t] are t^2 and
+    # 1 - t^2; which one is found depends on the order of the factors t
+    # and t - 1, by coefficients: t - 1 first over Q, t first over F_101
     alg = truncated(field, [0, 0, -1])
-    rad = radical_basis(alg)
-    assert rad.cols == 1
+    assert radical_basis(alg).cols == 1
     t = tuple(field.of(c) for c in (0, 1, 0))
     assert alg.mul(t, t) != t
-    e = lift_idempotent(alg, t)
-    assert e == tuple(field.of(c) for c in (0, 0, 1))
-    diff = Mat.column(field, [field.sub(a, b) for a, b in zip(e, t)])
-    assert hstack([rad, diff]).rank() == 1
+    e = find_nontrivial_idempotent(alg)
+    assert_same_class(alg, e, reference_find_nontrivial_idempotent(alg))
+    assert e == tuple(field.of(c) for c in ((0, 0, 1) if field.p is None else (1, 0, -1)))
 
 
 @pytest.mark.parametrize("field", [F101, QQ])
@@ -175,7 +186,8 @@ def test_minimal_polynomial_against_direct_evaluation():
 # name: (algebra over a field, number of primitive idempotents)
 SPLIT_CASES = {"T2": (upper_triangular, 2), "M2": (matrix_algebra, 2),
                "kxkxk": (lambda f: diagonal(f, 3), 3), "dual-numbers": (dual_numbers, 1),
-               "k[t]/(t^3-t^2)": (lambda f: truncated(f, [0, 0, -1]), 2)}
+               "k[t]/(t^3-t^2)": (lambda f: truncated(f, [0, 0, -1]), 2),
+               "k[t]/(t^3+t^2)": (lambda f: truncated(f, [0, 0, 1]), 2)}
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
@@ -303,8 +315,9 @@ def test_small_prime_field_is_refused():
 
 
 def m2_on_basis(field, rows):
-    """M_2(k) on the basis of the 2 x 2 matrices with the given row-major
-    entries, through end_table as End algebras are built."""
+    """The algebra of 2 x 2 matrices spanned by those with the given
+    row-major entries (M_2(k) for four independent ones), through end_table
+    as End algebras are built."""
     mats = [Mat(field, 2, 2, [field.of(v) for v in r]) for r in rows]
 
     def flat(m):
@@ -328,8 +341,8 @@ def test_idempotent_search_reaches_pairs_and_random_candidates(rows, tries, last
     alg = m2_on_basis(f5, rows)
     tried, candidates = [], algebra._candidates
 
-    def counting(a, rng):
-        for x in candidates(a, rng):
+    def counting(fld, d, rng):
+        for x in candidates(fld, d, rng):
             tried.append(x)
             yield x
 
@@ -338,6 +351,69 @@ def test_idempotent_search_reaches_pairs_and_random_candidates(rows, tries, last
     assert len(tried) == tries
     if last is not None:
         assert tried[-1] == last
+
+
+def test_zero_algebra_is_refused():
+    zero = TableAlgebra(F101, Mat(F101, 0, 1, []))
+    for search in (find_nontrivial_idempotent, primitive_idempotents):
+        with pytest.raises(PreconditionError, match="zero algebra has no identity"):
+            search(zero)
+
+
+def knitted_and_summed_ends(fld):
+    """End algebras over fld of every knitted node of A3 mod rad^2 (x) A2
+    and of the 2-cycle mod rad^2 (x) A2, and of scrambled sums of two to
+    four nodes with the first summand repeated, three of each count per
+    category, from a fixed design seed."""
+    design = random.Random("idempotent-oracle")
+    algs = []
+    for bq in (a3_rad2(), cyclic_rad2(2)):
+        base = tensor_base(bq, category_of(a2_quiver(), fld))
+        pool = ar_quiver(base).modules
+        sums = []
+        for count in (2, 3, 4) * 3:
+            picks = design.sample(range(len(pool)), count - 1)
+            m = direct_sum([pool[i] for i in picks + picks[:1]], base)[0]
+            sums.append(conjugate_module(m, {x: rand_invertible(fld, m.dims[x], design)
+                                             for x in base.objects})[0])
+        algs += [end_algebra(m)[0] for m in pool + sums]
+    return algs
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_idempotent_search_in_a_matches_the_quotient_route(fld):
+    """Oracle: the search modulo rad with a Newton lift
+    (`reference_find_nontrivial_idempotent`).  Both routes certify the same
+    algebras local, and elsewhere the idempotent found in A lies in the
+    reference's class modulo rad.  Besides the knitted and summed End
+    algebras, the nonzero oracle_algebras; among them k[t]/(t^3 + t^2),
+    where the factor t of the minimal polynomial of t has multiplicity 2
+    in A and 1 modulo rad, and precedes t + 1 by coefficients but not by
+    multiplicity."""
+    algs = oracle_algebras(fld)
+    del algs["dim-0 corner"]  # refused by both routes
+    counts = Counter()
+    for alg in knitted_and_summed_ends(fld) + list(algs.values()):
+        e, ref = find_nontrivial_idempotent(alg), reference_find_nontrivial_idempotent(alg)
+        assert (e is None) == (ref is None)
+        if e is not None:
+            assert_same_class(alg, e, ref)
+        counts["local" if e is None else
+               "split, rad != 0" if radical_basis(alg).cols else "split, rad = 0"] += 1
+    assert len(counts) == 3, counts
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_a_one_factor_candidate_below_the_top_dimension_is_no_certificate(fld):
+    """Negative control: T_2(k) on the basis 1 + E12, E11, E12.  The first
+    candidate, 1 + E12, has minimal polynomial (x - 1)^2, one factor of
+    degree 1 < dim T_2 / rad = 2: it certifies nothing, and the next
+    candidate, E11, splits."""
+    alg = m2_on_basis(fld, ((1, 1, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)))
+    assert alg.dim - radical_basis(alg).cols == 2
+    one_plus_e12 = (fld.one(), fld.zero(), fld.zero())
+    assert alg.minimal_polynomial(one_plus_e12) == [fld.one(), fld.of(-2), fld.one()]
+    assert_nontrivial_idempotent(alg, find_nontrivial_idempotent(alg))
 
 
 def test_radical_is_memoised():

@@ -1291,6 +1291,28 @@ def test_local_end_is_read_once_per_module(monkeypatch):
     assert modcat._local_end(copy) == (2, 2) and built == [y, p, copy]
 
 
+def test_ass_and_verify_build_each_end_at_most_once(monkeypatch):
+    """On loop mod x^2 (x) A2 over F_101, almost_split_sequence(z) and
+    verify_almost_split against the knitted family build End of each
+    module at most once, at every non-projective node z: where rad End(z)
+    != 0 the socle step builds End(tau z) and memoises its reading, which
+    verify_almost_split then reads for the left term."""
+    ar = knitted_loop(a2_quiver, F101)
+    built, build = [], modcat.end_algebra
+    monkeypatch.setattr(modcat, "end_algebra", lambda m: built.append(m) or build(m))
+    runs = Counter()
+    for z in ar.modules:
+        if is_projective_module(z):
+            continue
+        dim, top = modcat._local_end(z)
+        built.clear()
+        verify_almost_split(almost_split_sequence(z), ar.modules)
+        # the list keeps every module alive, so ids are distinct objects
+        assert max(Counter(map(id, built)).values()) == 1
+        runs["rad End(z) != 0" if dim > top else "rad End(z) = 0"] += 1
+    assert len(runs) == 2, runs
+
+
 def test_a_found_idempotent_makes_an_end_term_decomposable(monkeypatch):
     """Negative control: with find_nontrivial_idempotent patched to return
     an idempotent, the End reading of a fresh module has no top, so

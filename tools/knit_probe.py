@@ -20,14 +20,17 @@ projectives knitted and those of them decomposed (`rad fallback`), and the
 middle terms of almost split sequences, split into those whose summands
 ar_quiver certified by multiplicities and those it decomposed (the
 fallback), the End algebras built (`ends`, the modcat.end_algebra calls
-of the knit) and the hom spaces built (`homs`, the modcat.hom_space calls
-of the knit, those of end_algebra among them).
+of the knit), the hom spaces built (`homs`, the modcat.hom_space calls
+of the knit, those of end_algebra among them) and the idempotent searches
+run (`searches`, the algebra.find_idempotent_semisimple calls of the knit:
+an End algebra whose top is k needs none).
 
 The count wraps modcat.radical_submodule, modcat.almost_split_sequence,
-modcat.decompose_module, modcat.end_algebra and modcat.hom_space inside
-this script: a decompose_module call on the radical or the middle term
-built last is a fallback (ar_quiver decomposes either, if at all, right
-after building it).  arcat itself has no switch for this.
+modcat.decompose_module, modcat.end_algebra, modcat.hom_space and
+algebra.find_idempotent_semisimple inside this script: a decompose_module
+call on the radical or the middle term built last is a fallback
+(ar_quiver decomposes either, if at all, right after building it).
+arcat itself has no switch for this.
 """
 
 import os
@@ -36,7 +39,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from arcat import modcat  # noqa: E402
+from arcat import algebra, modcat  # noqa: E402
 from arcat.errors import CapExceededError  # noqa: E402
 from arcat.fincat import category_of  # noqa: E402
 from arcat.linalg import Field  # noqa: E402
@@ -91,13 +94,14 @@ JOBS = {
 def knit_counting(cat, cap=64):
     """ar_quiver(cat, cap), as the CLI's `--cap` knits, or None when the cap
     is exceeded, with the numbers of radicals and middle terms knitted and
-    of those decomposed, and of the End algebras and hom spaces built,
-    keyed as the columns."""
+    of those decomposed, and of the End algebras and hom spaces built and
+    idempotent searches run, keyed as the columns."""
     last = {}
     counts = dict.fromkeys(("radicals", "rad fallback", "middle", "fallback", "ends",
-                            "homs"), 0)
+                            "homs", "searches"), 0)
     rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
     decompose, end, hom = modcat.decompose_module, modcat.end_algebra, modcat.hom_space
+    search = algebra.find_idempotent_semisimple
 
     def counting_rad(m):
         out = rad(m)
@@ -124,9 +128,13 @@ def knit_counting(cat, cap=64):
         counts["homs"] += 1
         return hom(m, n)
 
+    def counting_search(alg):
+        counts["searches"] += 1
+        return search(alg)
+
     modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
     modcat.decompose_module, modcat.end_algebra = counting_decompose, counting_end
-    modcat.hom_space = counting_hom
+    modcat.hom_space, algebra.find_idempotent_semisimple = counting_hom, counting_search
     try:
         ar = modcat.ar_quiver(cat, cap)
     except CapExceededError:
@@ -134,13 +142,14 @@ def knit_counting(cat, cap=64):
     finally:
         modcat.radical_submodule, modcat.almost_split_sequence = rad, ass
         modcat.decompose_module, modcat.end_algebra = decompose, end
-        modcat.hom_space = hom
+        modcat.hom_space, algebra.find_idempotent_semisimple = hom, search
     return ar, counts
 
 
 def main():
     print(f"{'job':<11} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
-          f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5} {'homs':>5}")
+          f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5} {'homs':>5} "
+          f"{'searches':>8}")
     for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
@@ -150,7 +159,7 @@ def main():
         print(f"{name:<11} {seconds:7.2f} {shown:>5} {counts['radicals']:8d} "
               f"{counts['rad fallback']:12d} {counts['middle']:6d} "
               f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d} "
-              f"{counts['ends']:5d} {counts['homs']:5d}")
+              f"{counts['ends']:5d} {counts['homs']:5d} {counts['searches']:8d}")
     return 0
 
 
