@@ -76,11 +76,15 @@ duality_D is an exact involution); its top dimensions (`_top_count`); and
 its End reading, dim End and dim End/rad or None when End is not local
 (`_local_end`), which also certifies non-isomorphism (is_isomorphic: when
 m and n are isomorphic and End(n) is local, some element of every basis
-of Hom(m, n) is an isomorphism).  The representable Hom(-, x) is
+of Hom(m, n) is an isomorphism); the almost split sequence ending at it;
+and, on z = tau_inverse(m) for an m with no injective summand, m itself
+as the translate of z, which that sequence takes as its left term, so
+knitting computes each translate once.  The representable Hom(-, x) is
 memoised on its category.  Other sums of representables, projective
 covers and End algebras themselves are not memoised: long-lived modules
-would keep them alive, for little gain.  The presentation, the dual and
-the representables are dropped when a module or category is pickled.
+would keep them alive, for little gain.  The presentation, the dual, the
+sequence, the recorded translate and the representables are dropped when
+a module or category is pickled.
 """
 
 from dataclasses import dataclass
@@ -104,8 +108,9 @@ class CModule:
     the constructions of this module that prove their result functorial pass
     validate=False (see the module docstring).  Immutable after
     construction: callers must never assign to dims or action, because the
-    memoised presentation, dual, top count and End reading are keyed on the
-    object itself.
+    memoised presentation, dual, top count, End reading, almost split
+    sequence (`_ass`) and translate recorded by tau_inverse (`_tau`) are
+    keyed on the object itself.
     """
 
     def __init__(self, cat: FinCategory, dims: Dict, action: Dict, validate: bool = True):
@@ -116,11 +121,14 @@ class CModule:
         self._dual: Optional["CModule"] = None
         self._top: Optional[Tuple[Dict, bool]] = None
         self._end: Optional[Tuple[int, Optional[int]]] = None
+        self._tau: Optional["CModule"] = None
+        self._ass: Optional["AlmostSplit"] = None
         if validate:
             self._validate()
 
     def __getstate__(self):
-        return {**self.__dict__, "_presentation": None, "_dual": None}
+        return {**self.__dict__, "_presentation": None, "_dual": None, "_tau": None,
+                "_ass": None}
 
     def act(self, x, y, coords) -> Mat:
         """The matrix of the action of a hom coordinate vector at (x, y)."""
@@ -901,16 +909,22 @@ def transpose(m: CModule) -> CModule:
     presentation (`_transpose_raw`).
 
     Rejects inputs with a projective direct summand, read off the kernel of
-    the same g* (`_projective_summand_dims`), so the presentation is
-    dualized once and no hom space is built.  Callers that have already
-    proved m free of projective summands (almost_split_sequence) use
-    _transpose_raw.
+    the same g* (`_checked_transpose`), so the presentation is dualized once
+    and no hom space is built.  Callers that have already proved m free of
+    projective summands (almost_split_sequence) use _transpose_raw.
     """
-    op, pres, g = opposite_category(m.cat), minimal_presentation(m), _dualized(m)
-    gap = _projective_summand_dims(op, pres.p0.vertices, g)
+    tr, gap = _checked_transpose(m)
     if gap:
         raise PreconditionError(f"projective summand with dims {gap} present")
-    return _cokernel(proj_sum(op, pres.p1.vertices).module, g).module
+    return tr
+
+
+def _checked_transpose(m: CModule) -> Tuple[CModule, Dict]:
+    """Tr m and the dimension vector of the largest projective summand of m
+    (`_projective_summand_dims`), both off one dualized presentation g*."""
+    op, pres, g = opposite_category(m.cat), minimal_presentation(m), _dualized(m)
+    gap = _projective_summand_dims(op, pres.p0.vertices, g)
+    return _cokernel(proj_sum(op, pres.p1.vertices).module, g).module, gap
 
 
 def _projective_summand_dims(op: FinCategory, x0: Sequence, g: Dict) -> Dict:
@@ -947,8 +961,28 @@ def tau(m: CModule) -> CModule:
 
 
 def tau_inverse(m: CModule) -> CModule:
-    """The inverse translate Tr D; zero exactly on injectives."""
-    return _transpose_raw(duality_D(m))
+    """The inverse translate z = Tr D m; zero exactly on injectives.
+
+    When m has no injective summand, z records m as its translate
+    (`z._tau`), which almost_split_sequence(z) takes as its left term.  The
+    proof: z is the cokernel of g*: P0* -> P1* for the matrix g of the
+    minimal presentation P1 -> P0 -> D m -> 0 (`_transpose_raw`).  The
+    entries of g are radical (`_minimal_presentation` certified both covers
+    minimal), so are those of g*, and P1* -> z is a projective cover.  The
+    kernel of g* is Hom(D m, P), and `_projective_summand_dims` ranks its
+    rows outside the radical of P0*, on the same g*.  When it finds none,
+    D m has no projective summand, the kernel lies in the radical, and
+    P0* -> im g* is a projective cover too.  Then P0* -> P1* -> z -> 0 is a
+    minimal presentation of z; minimal presentations are unique up to
+    isomorphism, and its dual is g again, so Tr z = coker g = D m through
+    D m's own cover, and tau z = D Tr z = D D m = m, up to isomorphism
+    (ARS ch. IV.1; Auslander-Bridger 1969).  An injective summand of m is a
+    projective summand of D m, and then nothing is recorded.
+    """
+    z, gap = _checked_transpose(duality_D(m))
+    if not gap:
+        z._tau = m
+    return z
 
 
 def is_injective_module(m: CModule) -> bool:
@@ -1079,7 +1113,9 @@ def _summand_multiplicity(y: CModule, m: CModule) -> Optional[int]:
     apply: the characteristic divides dim y, or End(y)/rad is not k.  That
     top is k when y is a brick, End(y) = k, which one count or rank on the
     memoised presentation decides (hom_dim), else it is read off the
-    memoised End reading (`_local_end`).
+    memoised End reading (`_local_end`).  A brick's End reading is (1, 1)
+    with no algebra built, and it is memoised at once, so hom_dim(y, y) is
+    counted at most once per module.
 
     The multiplicity a is the rank of the composition pairing
     Hom(y, m) x Hom(m, y) -> End(y)/rad = k (Krull-Schmidt; Krause,
@@ -1092,7 +1128,9 @@ def _summand_multiplicity(y: CModule, m: CModule) -> Optional[int]:
     p = y.cat.field.p
     if p is not None and y.total_dim() % p == 0:
         return None
-    if hom_dim(y, y) != 1 and _local_end(y)[1] != 1:
+    if y._end is None and hom_dim(y, y) == 1:
+        y._end = 1, 1
+    if _local_end(y)[1] != 1:
         return None
     fwd = hom_space(y, m)
     bwd = hom_space(m, y) if fwd else []
@@ -1239,14 +1277,19 @@ def _socle(ext: Ext1, rads: Sequence[ModuleMap]) -> Mat:
 
 
 def almost_split_sequence(z: CModule) -> AlmostSplit:
-    """The almost split sequence ending at an indecomposable non-projective z.
+    """The almost split sequence ending at an indecomposable non-projective z,
+    built once and memoised on z; a refusal is not memoised, so it is raised
+    again on every call.
 
     The class is taken in the socle of Ext^1(z, tau z); the materialized
-    sequence is checked exact and non-split (`splits`).  The local End(z),
-    read off the memoised End reading (`_local_end`), and
-    is_projective_module prove that z has no projective summand, so
-    tau z is taken as D(_transpose_raw(z)), without the projective-summand
-    check of `tau`; the result equals tau(z).
+    sequence is checked exact and non-split (`splits`).  The left term is
+    the translate that tau_inverse recorded on z (`z._tau`) when z was built
+    as tau_inverse(m) of an m with no injective summand: that m is tau z up
+    to isomorphism, by the minimality proof of tau_inverse, so knitting gets
+    its registered node back.  Otherwise the local End(z), read off the
+    memoised End reading (`_local_end`), and is_projective_module prove that
+    z has no projective summand, so tau z is taken as D(_transpose_raw(z)),
+    without the projective-summand check of `tau`; the result equals tau(z).
 
     The socle of Ext^1(z, tau z) under End(z) is simple, and it is the
     socle under End(tau z) (ARS ch. V.2; Auslander-Reiten, Comm. Algebra
@@ -1259,6 +1302,12 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     dim End(z) = dim End(z)/rad, Ext^1 is its own socle (one dimensional,
     dual to the stable End(z) = k) and End(tau z) is not built.
     """
+    if z._ass is None:
+        z._ass = _almost_split_sequence(z)
+    return z._ass
+
+
+def _almost_split_sequence(z: CModule) -> AlmostSplit:
     if z.is_zero():
         raise PreconditionError("zero module has no almost split sequence")
     dim, top = _local_end(z)
@@ -1266,7 +1315,7 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
         raise PreconditionError("module is decomposable")
     if is_projective_module(z):
         raise PreconditionError("projective module has no almost split sequence")
-    tz = duality_D(_transpose_raw(z))
+    tz = z._tau if z._tau is not None else duality_D(_transpose_raw(z))
     if tz.is_zero():
         raise AssertionError("translate of a non-projective vanished")
     ext = Ext1(z, tz)
@@ -1386,11 +1435,17 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
     The nodes are done in one pass, in the order they are registered.  The
     edges into node z are read off once, from the summands of one module
     E: rad z for a projective z, and otherwise the middle term of the
-    almost split sequence ending at z.  Those summands are certified among
-    the registered nodes by their multiplicities (`_summand_multiplicity`),
-    trying the nodes Y with dim Y <= dim E at every object in the order
-    `known_summands` gives.  Once
-    sum a_Y dim Y = dim E, E is the sum of the Y^a_Y, since what is left
+    almost split sequence ending at z, which stays memoised on z, so a
+    caller that asks for it again gets the same sequence.  The left term
+    of that sequence is tau z.  When z was registered as tau_inverse(X) of
+    a done node X, it is X itself (tau_inverse records it, with its
+    minimality proof), and `register` finds X by identity, with no
+    isomorphism test; otherwise it is D Tr z, registered by an
+    is_isomorphic scan over the nodes of its dimension vector.  The
+    summands of E are certified among the registered nodes by their
+    multiplicities (`_summand_multiplicity`), trying the nodes Y with
+    dim Y <= dim E at every object in the order `known_summands` gives.
+    Once sum a_Y dim Y = dim E, E is the sum of the Y^a_Y, since what is left
     over has dimension zero.  Only when the certified multiplicities do not
     close is E decomposed (decompose_module) and its pieces registered;
     that fallback is the one route that can add a predecessor.  Closure
@@ -1415,6 +1470,9 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
     def register(m: CModule) -> int:
         # nodes are pairwise non-isomorphic, and is_isomorphic needs equal dims
         bucket = by_dims.setdefault(dim_key(m), [])
+        for idx in bucket:  # a translate tau_inverse recorded is the node itself
+            if modules[idx] is m:
+                return idx
         for idx in bucket:
             if is_isomorphic(m, modules[idx]) is not None:
                 return idx

@@ -887,3 +887,19 @@ def reference_composite_or_none(z, j: int, count: int):
             return None
         cur = cur.then(z.d(w))
     return cur
+
+
+def reference_almost_split_sequence(z: CModule, family: List[CModule]):
+    """The almost split sequence ending at z by the route that takes no
+    recorded translate, and the index of its left term in family: the
+    sequence at a fresh copy of z, which tau_inverse recorded nothing on,
+    so its left term is D Tr z (`modcat._transpose_raw`); that term is then
+    found in family by an is_isomorphic scan over the modules of its
+    dimension vector, as knitting registered it before the translate was
+    handed over.  The oracle for the sequence knitting memoises on z."""
+    fresh = CModule(z.cat, z.dims, z.action)
+    ass = modcat.almost_split_sequence(fresh)
+    assert ass.tau_module == modcat.duality_D(modcat._transpose_raw(z))
+    idx = next(i for i, m in enumerate(family)
+               if m.dims == ass.tau_module.dims and is_isomorphic(ass.tau_module, m) is not None)
+    return ass, idx

@@ -40,7 +40,7 @@ from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_quiver, a3_rad2, a_
                       reference_proj_sum_matrix, reference_splitting_section,
                       reference_extension_from_cocycle, reference_unit_values,
                       reference_end_algebra, reference_simple_module, reference_sum_injections,
-                      reference_syzygy, typed_entries)
+                      reference_almost_split_sequence, reference_syzygy, typed_entries)
 
 
 def rep_a2(field=F101):
@@ -504,28 +504,36 @@ def test_verify_builds_each_end_term_algebra_once(monkeypatch):
     assert built == [se.left]
 
 
-def test_a_sequence_and_its_verification_build_one_end_algebra(monkeypatch):
+def test_a_sequence_and_its_verification_build_at_most_one_end_algebra(monkeypatch):
     """At every knitted node z of A3 mod rad^2 (x) A2 over Q,
     almost_split_sequence(z) and its verification against the knitted
-    family build one End algebra, the left term's, and solve two hom
-    spaces: that algebra's, and the is_isomorphic of the knitted tau z with
-    the left term.  End(z) was read by knitting, z is tested against
-    itself without is_isomorphic, and z is a brick, so End(tau z) is not
-    built for the socle."""
+    family build at most one End algebra.  Knitting memoised the sequence
+    on z and read End(z), and z is tested against itself without
+    is_isomorphic.  Where the left term is a knitted node, nothing is
+    built: it too is tested against itself, and knitting has read its End.
+    The left term is a knitted node at the 9 z that tau_inverse built from
+    the knitted tau z, which it recorded on them, and at the one z whose
+    D Tr z knitting registered as a new node.  At the other 4 it is D Tr z, a
+    copy of a knitted node: its End algebra is built, and two hom spaces
+    are solved, that algebra's and the is_isomorphic of the knitted tau z
+    with the left term.  z is a brick, so End(tau z) is not built for the
+    socle."""
     ar = ar_quiver(tensor_base(a3_rad2(), category_of(a2_quiver(), QQ)))
     calls = Counter()
     end, hom = modcat.end_algebra, modcat.hom_space
     monkeypatch.setattr(modcat, "end_algebra", lambda m: calls.update(["end"]) or end(m))
     monkeypatch.setattr(modcat, "hom_space", lambda m, n: calls.update(["hom"]) or hom(m, n))
-    checked = 0
+    routes = Counter()
     for z, proj in zip(ar.modules, ar.projective):
         if proj:
             continue
         calls.clear()
-        assert verify_almost_split(almost_split_sequence(z), ar.modules) == len(ar.modules)
-        assert calls == Counter({"end": 1, "hom": 2})
-        checked += 1
-    assert checked == 14
+        ass = almost_split_sequence(z)
+        assert verify_almost_split(ass, ar.modules) == len(ar.modules)
+        knitted = any(ass.tau_module is m for m in ar.modules)
+        assert calls == (Counter() if knitted else Counter({"end": 1, "hom": 2}))
+        routes[knitted, z._tau is not None] += 1
+    assert routes == Counter({(True, True): 9, (True, False): 1, (False, False): 4}), routes
 
 
 # ---------------------------------------------------------------------------
@@ -610,18 +618,23 @@ def test_verify_runs_is_isomorphic_at_most_twice(monkeypatch):
         assert len(calls) <= 2, len(calls)
 
 
-def test_verify_builds_no_presentation_of_the_left_or_middle_term():
+def test_verify_builds_no_presentation_of_the_left_or_middle_term(monkeypatch):
     """The covariant defect is read off the presentation of D m, so verify
-    presents neither X nor Y of the sequence it checks."""
+    presents neither X nor Y of the sequence it checks.  X is a knitted
+    node, presented by knitting already, so the presentations verify builds
+    are counted."""
     ar = knitted_pair("A3rad2xA2")
+    presented, present = [], modcat._minimal_presentation
+    monkeypatch.setattr(modcat, "_minimal_presentation",
+                        lambda m: presented.append(m) or present(m))
     checked = 0
     for z, proj in zip(ar.modules, ar.projective):
         if proj:
             continue
         se = almost_split_sequence(z).sequence
+        presented.clear()
         assert verify_almost_split(se, ar.modules) == len(ar.modules)
-        assert se.left._presentation is None
-        assert se.middle._presentation is None
+        assert not any(m is se.left or m is se.middle for m in presented)
         checked += 1
     assert checked == 14
 
@@ -1017,7 +1030,7 @@ def knitting_results(name, fld, check_tau=False):
             continue
         ass = almost_split_sequence(z)
         if check_tau:
-            assert ass.tau_module == tau(z)
+            assert is_isomorphic(ass.tau_module, tau(z)) is not None
         se = ass.sequence
         out.append((map_print(se.include), map_print(se.project),
                     module_print(ass.tau_module), ass.ext_dim,
@@ -1296,7 +1309,8 @@ def test_ass_and_verify_build_each_end_at_most_once(monkeypatch):
     verify_almost_split against the knitted family build End of each
     module at most once, at every non-projective node z: where rad End(z)
     != 0 the socle step builds End(tau z) and memoises its reading, which
-    verify_almost_split then reads for the left term."""
+    verify_almost_split then reads for the left term.  Knitting memoised
+    the sequence on z, so it is built again here, by the same route."""
     ar = knitted_loop(a2_quiver, F101)
     built, build = [], modcat.end_algebra
     monkeypatch.setattr(modcat, "end_algebra", lambda m: built.append(m) or build(m))
@@ -1305,10 +1319,14 @@ def test_ass_and_verify_build_each_end_at_most_once(monkeypatch):
         if is_projective_module(z):
             continue
         dim, top = modcat._local_end(z)
+        monkeypatch.setattr(z, "_ass", None)
         built.clear()
-        verify_almost_split(almost_split_sequence(z), ar.modules)
+        ass = almost_split_sequence(z)
+        verify_almost_split(ass, ar.modules)
         # the list keeps every module alive, so ids are distinct objects
-        assert max(Counter(map(id, built)).values()) == 1
+        assert all(n == 1 for n in Counter(map(id, built)).values())
+        if dim > top:
+            assert built and built[0] is ass.tau_module
         runs["rad End(z) != 0" if dim > top else "rad End(z) = 0"] += 1
     assert len(runs) == 2, runs
 
@@ -1604,7 +1622,8 @@ def taken_socle(z, monkeypatch, zero_action=False):
     """The almost split sequence at z, with the Ext^1(z, tau z) and the
     socle that almost_split_sequence took its class from (`_socle`, under
     the radical basis of End(tau z)); zero_action replaces that basis by
-    zero maps."""
+    zero maps.  The sequence knitting memoised on z is set aside while it
+    is built again, by the same route, and restored afterwards."""
     seen = []
     socle = modcat._socle
 
@@ -1616,6 +1635,7 @@ def taken_socle(z, monkeypatch, zero_action=False):
 
     with monkeypatch.context() as patch:
         patch.setattr(modcat, "_socle", recording)
+        patch.setattr(z, "_ass", None)
         ass = almost_split_sequence(z)
     (ext, taken), = seen
     return ass, ext, taken
@@ -1625,14 +1645,18 @@ def end_z_socle(ext):
     """The socle of Ext^1(z, x) under End(z): the common kernel of the
     classes of xi o theta over the lifts theta of the radical basis of
     End(z), restricted to the presentation kernel by the naturality-solve
-    oracle, for the cocycles xi: K -> x of the reference route, whose
-    representatives must be those of ext."""
+    oracle, for the maps xi: K -> x of the reference route that read on P1
+    as ext's representatives, solved on its basis of hom_space(K, x)."""
     ref = ReferenceExt1(ext.z, ext.x)
-    assert ref.representatives == ext.representatives
+    coords = solve(hstack([ref.on_p1(b) for b in ref.cocycle_basis]),
+                   hstack(ext.representatives))
+    assert coords is not None
+    xis = [modcat.map_from_coords(ref.cocycle_basis, tuple(coords.col(j)))
+           for j in range(ext.dim)]
+    assert [ref.on_p1(xi) for xi in xis] == ext.representatives
     thetas = [reference_end_action_on_kernel(ext.pres, r) for r in radical_maps(ext.z)]
     return vstack([Mat.zeros(ext.z.cat.field, 0, ext.dim)]
-                  + [ext.classes(hstack([ref.on_p1(t.then(xi))
-                                         for xi in ref.representative_maps]))
+                  + [ext.classes(hstack([ref.on_p1(t.then(xi)) for xi in xis]))
                      for t in thetas]).kernel_basis()
 
 
@@ -1672,19 +1696,184 @@ def test_socle_comparison_sees_a_zero_translate_action(monkeypatch):
 @pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
 def test_verify_refuses_the_extension_off_the_socle(fld):
     """On loop mod x^2 (x) A2 at dims (0, 2), where Ext^1(z, tau z) has
-    dimension 2 and its socle is spanned by e_0: the extension from e_0
-    verifies against the knitted family, and the non-split extension from
-    e_1 is refused, since some map into the left term itself extends."""
+    dimension 2 and its socle is spanned by the class c of the almost split
+    sequence: the extension from c verifies against the knitted family, and
+    the non-split extension from a class e_t off the line of c is refused,
+    since some map into the left term itself extends."""
     ar = knitted_loop(a2_quiver, fld)
     z = next(m for m in ar.modules if (m.dims[("v", "1")], m.dims[("v", "2")]) == (0, 2))
     ass = almost_split_sequence(z)
     ext = Ext1(z, ass.tau_module)
-    assert ext.dim == 2 and ass.socle_class == (fld.one(), fld.zero())
-    socle_ext, off_ext = (extension_from_cocycle(ext, rep) for rep in ext.representatives)
+    c = ass.socle_class
+    assert ext.dim == 2 and len(c) == 2
+    # e_t lies on the line of c only when c is supported at t alone
+    t = next(t for t in range(2) if c[1 - t] != fld.zero())
+    socle_ext = extension_from_cocycle(ext, hstack(ext.representatives)
+                                       @ Mat.column(fld, list(c)))
+    off_ext = extension_from_cocycle(ext, ext.representatives[t])
     assert verify_almost_split(socle_ext, ar.modules) == len(ar.modules)
     assert not splits(off_ext)
     with pytest.raises(VerificationError, match="maps into the left term itself"):
         verify_almost_split(off_ext, ar.modules)
+
+
+# ---------------------------------------------------------------------------
+# the translate handed over by tau_inverse, and the sequence memoised on z
+
+
+HANDOVER_CATEGORIES = {
+    **ORACLE_CATEGORIES,
+    "A5rad3": lambda fld: representation_category(a_m_rad_n(5, 3), fld),
+    "loop2xA2": lambda fld: tensor_base(one_loop_rad2(), category_of(a2_quiver(), fld)),
+}
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_handed_over_sequence_matches_the_reference_route(fld):
+    """At every knitted non-projective z of the four `verify` categories of
+    tools/output_hash.py and of loop mod x^2 (x) A2, against the route
+    through D Tr z and the is_isomorphic scan
+    (`reference_almost_split_sequence`): both left terms are the knitted
+    tau z, the sequence's by identity wherever tau_inverse recorded it, and
+    isomorphic to tau(z) by an explicit inverse pair; the middle terms have
+    the same dimension vector, Ext^1 the same dimension, and both verify
+    against the complete family."""
+    handed = 0
+    for name, make in HANDOVER_CATEGORIES.items():
+        ar = ar_quiver(make(fld))
+        tau_of = {z: t for t, z in ar.tau_pairs}
+        for n, (z, proj) in enumerate(zip(ar.modules, ar.projective)):
+            if proj:
+                continue
+            ass = almost_split_sequence(z)
+            ref, idx = reference_almost_split_sequence(z, ar.modules)
+            assert idx == tau_of[n], name
+            left = ass.tau_module
+            assert left is ass.sequence.left
+            pair = is_isomorphic(left, tau(z))
+            assert pair is not None
+            f, g = pair
+            assert f.then(g) == identity_map(left) and g.then(f) == identity_map(f.tgt)
+            if z._tau is not None:
+                assert left is z._tau is ar.modules[idx]
+                handed += 1
+            assert ass.sequence.middle.dims == ref.sequence.middle.dims
+            assert ass.ext_dim == ref.ext_dim
+            assert (verify_almost_split(ass, ar.modules) == len(ar.modules)
+                    == verify_almost_split(ref, ar.modules))
+    assert handed
+
+
+def test_tau_inverse_records_no_translate_past_an_injective_summand():
+    """Negative control: when m has an injective summand, D m has a
+    projective one, P0* -> P1* -> tau_inverse(m) -> 0 is not minimal and
+    nothing is recorded; an indecomposable injective still goes to zero.
+    Without the summand the translate is recorded."""
+    ar = knitted_pair("A3rad2xA2")
+    cat = ar.modules[0].cat
+    injectives = [m for m, inj in zip(ar.modules, ar.injective) if inj]
+    others = [m for m, inj in zip(ar.modules, ar.injective) if not inj]
+    assert injectives and others
+    for i in injectives:
+        z = tau_inverse(i)
+        assert z.is_zero() and z._tau is None
+        for x in others[:3]:
+            assert tau_inverse(x)._tau is x
+            z = tau_inverse(direct_sum([x, i], cat)[0])
+            assert not z.is_zero() and z._tau is None
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_a_wrong_recorded_translate_never_verifies(fld):
+    """Negative control: on A3 mod rad^2 (x) A2, a fresh copy of each
+    non-projective z with a knitted node other than tau z recorded as its
+    translate.  almost_split_sequence refuses it where Ext^1 against that
+    node vanishes, and verify_almost_split refuses the sequence it builds
+    everywhere else; it never verifies."""
+    ar = ar_quiver(ORACLE_CATEGORIES["A3rad2xA2"](fld))
+    tau_of = {z: t for t, z in ar.tau_pairs}
+    outcomes = Counter()
+    for n, (z, proj) in enumerate(zip(ar.modules, ar.projective)):
+        if proj:
+            continue
+        for t, wrong in enumerate(ar.modules):
+            if t == tau_of[n]:
+                continue
+            fresh = CModule(z.cat, z.dims, z.action)
+            fresh._tau = wrong
+            try:
+                ass = almost_split_sequence(fresh)
+            except AssertionError as exc:
+                outcomes[str(exc)] += 1
+                continue
+            with pytest.raises(VerificationError):
+                verify_almost_split(ass, ar.modules)
+            outcomes["refused by verify"] += 1
+    assert outcomes == Counter({"vanishing Ext against the translate": 231,
+                                "refused by verify": 35}), outcomes
+
+
+def test_the_sequence_is_memoised_on_its_end_term():
+    """almost_split_sequence(z) is built once and then returned as is; a
+    refusal is raised again on every call and memoises nothing; pickling
+    drops the sequence and the recorded translate; and tau_inverse is still
+    zero on an injective."""
+    ar = knitted_pair("A3rad2xA2")
+    z = next(m for m, proj in zip(ar.modules, ar.projective)
+             if not proj and m._tau is not None)
+    assert almost_split_sequence(z) is almost_split_sequence(z)
+    p = ar.modules[0]
+    assert is_projective_module(p)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="projective module"):
+            almost_split_sequence(p)
+    assert p._ass is None
+    back = pickle.loads(pickle.dumps(z))
+    assert back == z and back._ass is None and back._tau is None
+    assert z._ass is almost_split_sequence(z) and z._tau is z._ass.tau_module
+    injective = next(m for m, inj in zip(ar.modules, ar.injective) if inj)
+    assert tau_inverse(injective).is_zero()
+
+
+def test_knitting_registers_a_recorded_translate_by_identity(monkeypatch):
+    """Every left term on E6 over F_101 is the translate that tau_inverse
+    recorded, so knitting runs no isomorphism test (`isos` of
+    tools/knit_probe.py); on A3 (x) A2, 3 of the 6 left are copies
+    tau_inverse(X) of nodes registered before them, and 3 are left terms
+    D Tr z at such nodes."""
+    probe = knit_probe(monkeypatch)
+    for name, isos in (("E6", 0), ("A3xA2", 6)):
+        ar, counts = probe.knit_counting(probe.JOBS[name][0]())
+        assert ar is not None and counts["isos"] == isos, name
+
+
+def test_knitting_counts_each_node_s_own_hom_dim_at_most_once(monkeypatch):
+    """On E7 over F_101, the only hom_dim(y, y) calls of a knit are those of
+    `_summand_multiplicity`, at most one per node, and that of `splits`,
+    one per almost split sequence."""
+    cat = knit_probe(monkeypatch).JOBS["E7"][0]()
+    selves, in_splits = [], []
+    inside = []
+    hom, split = modcat.hom_dim, modcat.splits
+
+    def counting(a, b):
+        if a is b:
+            (in_splits if inside else selves).append(a)
+        return hom(a, b)
+
+    def splitting(se):
+        inside.append(se)
+        try:
+            return split(se)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(modcat, "hom_dim", counting)
+    monkeypatch.setattr(modcat, "splits", splitting)
+    ar = ar_quiver(cat)
+    # the lists keep every module alive, so ids are distinct objects
+    assert selves and max(Counter(map(id, selves)).values()) == 1
+    assert len(in_splits) == ar.projective.count(False)
 
 
 def test_block_injections_match_the_hand_built_ones():

@@ -21,16 +21,18 @@ middle terms of almost split sequences, split into those whose summands
 ar_quiver certified by multiplicities and those it decomposed (the
 fallback), the End algebras built (`ends`, the modcat.end_algebra calls
 of the knit), the hom spaces built (`homs`, the modcat.hom_space calls
-of the knit, those of end_algebra among them) and the idempotent searches
+of the knit, those of end_algebra among them), the idempotent searches
 run (`searches`, the algebra.find_idempotent_semisimple calls of the knit:
-an End algebra whose top is k needs none).
+an End algebra whose top is k needs none) and the isomorphism tests run
+(`isos`, the modcat.is_isomorphic calls of the knit: a translate that
+tau_inverse recorded is registered by identity, with none).
 
 The count wraps modcat.radical_submodule, modcat.almost_split_sequence,
-modcat.decompose_module, modcat.end_algebra, modcat.hom_space and
-algebra.find_idempotent_semisimple inside this script: a decompose_module
-call on the radical or the middle term built last is a fallback
-(ar_quiver decomposes either, if at all, right after building it).
-arcat itself has no switch for this.
+modcat.decompose_module, modcat.end_algebra, modcat.hom_space,
+modcat.is_isomorphic and algebra.find_idempotent_semisimple inside this
+script: a decompose_module call on the radical or the middle term built
+last is a fallback (ar_quiver decomposes either, if at all, right after
+building it).  arcat itself has no switch for this.
 """
 
 import os
@@ -95,13 +97,13 @@ def knit_counting(cat, cap=64):
     """ar_quiver(cat, cap), as the CLI's `--cap` knits, or None when the cap
     is exceeded, with the numbers of radicals and middle terms knitted and
     of those decomposed, and of the End algebras and hom spaces built and
-    idempotent searches run, keyed as the columns."""
+    idempotent searches and isomorphism tests run, keyed as the columns."""
     last = {}
     counts = dict.fromkeys(("radicals", "rad fallback", "middle", "fallback", "ends",
-                            "homs", "searches"), 0)
+                            "homs", "searches", "isos"), 0)
     rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
     decompose, end, hom = modcat.decompose_module, modcat.end_algebra, modcat.hom_space
-    search = algebra.find_idempotent_semisimple
+    search, iso = algebra.find_idempotent_semisimple, modcat.is_isomorphic
 
     def counting_rad(m):
         out = rad(m)
@@ -132,9 +134,14 @@ def knit_counting(cat, cap=64):
         counts["searches"] += 1
         return search(alg)
 
+    def counting_iso(m, n):
+        counts["isos"] += 1
+        return iso(m, n)
+
     modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
     modcat.decompose_module, modcat.end_algebra = counting_decompose, counting_end
     modcat.hom_space, algebra.find_idempotent_semisimple = counting_hom, counting_search
+    modcat.is_isomorphic = counting_iso
     try:
         ar = modcat.ar_quiver(cat, cap)
     except CapExceededError:
@@ -143,13 +150,14 @@ def knit_counting(cat, cap=64):
         modcat.radical_submodule, modcat.almost_split_sequence = rad, ass
         modcat.decompose_module, modcat.end_algebra = decompose, end
         modcat.hom_space, algebra.find_idempotent_semisimple = hom, search
+        modcat.is_isomorphic = iso
     return ar, counts
 
 
 def main():
     print(f"{'job':<11} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
           f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5} {'homs':>5} "
-          f"{'searches':>8}")
+          f"{'searches':>8} {'isos':>5}")
     for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
@@ -159,7 +167,8 @@ def main():
         print(f"{name:<11} {seconds:7.2f} {shown:>5} {counts['radicals']:8d} "
               f"{counts['rad fallback']:12d} {counts['middle']:6d} "
               f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d} "
-              f"{counts['ends']:5d} {counts['homs']:5d} {counts['searches']:8d}")
+              f"{counts['ends']:5d} {counts['homs']:5d} {counts['searches']:8d} "
+              f"{counts['isos']:5d}")
     return 0
 
 
