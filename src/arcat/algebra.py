@@ -224,9 +224,10 @@ def _candidates(field: Field, d: int, rng: random.Random):
         yield tuple(field.random(rng) for _ in range(d))
 
 
-def find_idempotent_semisimple(alg: TableAlgebra) -> Optional[Tuple]:
+def find_idempotent_semisimple(alg: TableAlgebra, rad: Mat) -> Optional[Tuple]:
     """Nontrivial idempotent of alg, or a certified None, by a search in
-    alg over the coordinates of alg / rad.
+    alg over the coordinates of alg / rad, for rad = radical_basis(alg),
+    which the caller holds already.
 
     The d = dim alg / rad coordinates are those at which rref([rad | 1])
     puts its pivots in 1: their basis elements span a complement of rad.
@@ -246,7 +247,6 @@ def find_idempotent_semisimple(alg: TableAlgebra) -> Optional[Tuple]:
     bench/run.py counts searches by it (`algebra.candidates_per_search`).
     """
     f, n = alg.field, alg.dim
-    rad = radical_basis(alg)
     _, pivots = hstack([rad, Mat.identity(f, n)]).rref()
     comp = [j - rad.cols for j in pivots if j >= rad.cols]
     d = len(comp)
@@ -278,9 +278,12 @@ def find_nontrivial_idempotent(alg: TableAlgebra) -> Optional[Tuple]:
     """
     if alg.dim == 0:
         raise PreconditionError("zero algebra has no identity")
-    if alg.dim == 1 or alg.dim - radical_basis(alg).cols == 1:
+    if alg.dim == 1:
         return None
-    return find_idempotent_semisimple(alg)
+    rad = radical_basis(alg)
+    if alg.dim - rad.cols == 1:
+        return None
+    return find_idempotent_semisimple(alg, rad)
 
 
 def _corner(alg: TableAlgebra, e: Tuple) -> Tuple[TableAlgebra, Mat]:

@@ -369,6 +369,7 @@ def _cmd_info(job: JobSpec, out: List[str], args):
 
 def _cmd_tensor(job: JobSpec, out: List[str], args):
     base = tensor_base(*_categories(job, args.cap))
+    base._validate()  # tensor_product builds unvalidated: the printed laws are checked here
     out.append(f"objects: {len(base.objects)}")
     for x in base.objects:
         out.append(f"  {_obj_text(x)}")

@@ -3,10 +3,18 @@
 A FinCategory carries, for every ordered object pair, a finite hom basis and
 sparse composition constants, plus the subset of basis elements spanning the
 radical (valid for the split basic categories built here: path categories of
-bound quivers, their opposites, and tensor products of those).  Every
-construction checks the unit laws, associativity and the radical ideal
-property on the action matrices of the representables Hom(-, w), which
-modcat wraps as its projectives without checking them again.
+bound quivers, their opposites, and tensor products of those).
+
+Validation happens at the trust boundary.  A category built from given
+tables is checked on construction (FinCategory._validate): the unit laws,
+associativity and the radical ideal property, on the action matrices of the
+representables Hom(-, w), which modcat wraps as its projectives without
+checking them again.  Tables passed to the constructor, path categories and
+point_category are such categories.  opposite_category and tensor_product
+build from categories that are valid already, and their laws follow from
+those of their factors, so both pass validate=False, each with its proof in
+its docstring.  `_validate` can still be called on any category, as the
+CLI's `tensor` job does on the category it prints.
 
 On top of that sit the additive hull (formal finite sums, block morphisms)
 and the idempotent completion (pairs of an additive object and an idempotent
@@ -50,13 +58,17 @@ class FinCategory:
     Hom(x, z); absent pairs compose to zero.  units[x] is the coordinate
     tuple of the identity in End(x), radical[(x, y)] the set of basis indices
     spanning the radical.
+
+    The tables are validated on construction (validate=True); only
+    opposite_category and tensor_product, which prove their tables valid
+    from their factors', pass validate=False (see the module docstring).
     """
 
     def __init__(self, field: Field, objects: Sequence[ObjectId],
                  hom: Dict[Tuple[ObjectId, ObjectId], Tuple[Label, ...]],
                  comp: Dict, units: Dict[ObjectId, Coords],
                  radical: Dict[Tuple[ObjectId, ObjectId], frozenset],
-                 meta: Optional[dict] = None):
+                 meta: Optional[dict] = None, validate: bool = True):
         self.field = field
         self.objects = tuple(objects)
         self.hom = hom
@@ -68,7 +80,8 @@ class FinCategory:
         # representables Hom(-, x) by object, memoised by modcat.yoneda_projective
         self._representables: Dict[ObjectId, object] = {}
         self._non_unit: Dict[Tuple[ObjectId, ObjectId], Tuple[int, ...]] = {}
-        self._validate()
+        if validate:
+            self._validate()
 
     def __getstate__(self):
         return {**self.__dict__, "_representables": {}}
@@ -306,6 +319,16 @@ def tensor_product(b: FinCategory, a: FinCategory) -> FinCategory:
     composite of basis pairs is the pair of composites with multiplied
     coefficients.  The radical is rad b (x) a + b (x) rad a, which is the
     radical of the tensor product for the split basic categories built here.
+
+    Built unvalidated: b and a are valid, and the laws hold factorwise.
+    Every object pair has its table, and the unit of (x, u) is u_x (x) u_u.
+    Composition is the tensor product of the two bilinear compositions, so
+    (h (x) h')((g (x) g')(f (x) f')) = (hgf) (x) (h'g'f') = ((h (x) h')(g (x)
+    g'))(f (x) f') and (1 (x) 1)(f (x) f') = f (x) f' = (f (x) f')(1 (x) 1).
+    A composite with a factor in rad b (x) a lies in rad b (x) a, as rad b
+    is an ideal of b, and likewise for b (x) rad a.  The unit is not
+    radical: u_x has a coordinate outside rad b, u_u one outside rad a, and
+    their product is a nonzero coordinate of u_x (x) u_u outside the radical.
     """
     if b.field != a.field:
         raise PreconditionError("tensor factors over different fields")
@@ -354,14 +377,19 @@ def tensor_product(b: FinCategory, a: FinCategory) -> FinCategory:
                         idx.add(ib * da + ia)
             radical[((x, u), (y, v))] = frozenset(idx)
     return FinCategory(fld, objects, hom, comp, units, radical,
-                       meta={"kind": "tensor", "b": b, "a": a})
+                       meta={"kind": "tensor", "b": b, "a": a}, validate=False)
 
 
 def opposite_category(c: FinCategory) -> FinCategory:
     """Same objects and labels, arrows formally reversed; an exact involution.
 
-    Built and validated once per category and cached on both sides, so that
-    opposite_category(opposite_category(c)) is c.
+    Built once per category and cached on both sides, so that
+    opposite_category(opposite_category(c)) is c.  Built unvalidated: c is
+    valid, and the tables of the opposite are those of c with the factors
+    swapped, g o_op f = f o g.  So associativity of the opposite is that of
+    c read backwards, its left unit law is the right unit law of c and vice
+    versa, the units are c's, and rad_op(x, y) = rad(y, x) is an ideal, as
+    the ideal property is two sided.
     """
     if c._opposite is not None:
         return c._opposite
@@ -377,7 +405,7 @@ def opposite_category(c: FinCategory) -> FinCategory:
                                    for (j, i), entry in base.items()}
     radical = {(x, y): c.radical[(y, x)] for x in c.objects for y in c.objects}
     op = FinCategory(c.field, c.objects, hom, comp, dict(c.units), radical,
-                     meta={"kind": "opposite", "base": c})
+                     meta={"kind": "opposite", "base": c}, validate=False)
     c._opposite, op._opposite = op, c
     return op
 

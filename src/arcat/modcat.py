@@ -79,7 +79,9 @@ m and n are isomorphic and End(n) is local, some element of every basis
 of Hom(m, n) is an isomorphism); the almost split sequence ending at it;
 and, on z = tau_inverse(m) for an m with no injective summand, m itself
 as the translate of z, which that sequence takes as its left term, so
-knitting computes each translate once.  The representable Hom(-, x) is
+knitting computes each translate once, and the dual of D m's minimal
+presentation as z's own, certified minimal (`_checked_transpose`), so
+z is presented once.  The representable Hom(-, x) is
 memoised on its category.  Other sums of representables, projective
 covers and End algebras themselves are not memoised: long-lived modules
 would keep them alive, for little gain.  The presentation, the dual, the
@@ -87,7 +89,7 @@ sequence, the recorded translate and the representables are dropped when
 a module or category is pickled.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
@@ -743,14 +745,34 @@ class Presentation:
     image holds the whole kernel at every object.  The kernel inclusion is
     injective, so at every object the differential incl o cover_1 has the
     row space of the second cover, hence the same reduced echelon form and
-    the same kernel basis: the syzygy is the one the differential gives."""
+    the same kernel basis: the syzygy is the one the differential gives.
+
+    That is the presentation `_minimal_presentation` builds.  The one that
+    tau_inverse hands to z = Tr D m is the dual of D m's, with the same
+    fields (`_checked_transpose`): the matrix is g^op, the differential g*,
+    the cover the cokernel projection P1* -> z, and the syzygy the kernel
+    bases of g*.  ar_quiver may hand it on to an isomorphic node, with the
+    cover composed with the isomorphism.  No computation reads K, so a
+    handed-over presentation builds it on first use, as the image of the
+    differential (`kernel`).  K is not compared: the differential and the
+    cover determine it."""
     p1: ProjSum
     p0: ProjSum
     differential: ModuleMap
     cover: ModuleMap
-    kernel: Kernel
     matrix: AddMor
     syzygy: AddMor
+    _kernel: Optional[Kernel] = field(default=None, compare=False, repr=False)
+
+    @property
+    def kernel(self) -> Kernel:
+        """K, the kernel of the cover: the image of the differential, whose
+        columns span it at every object (`_submodule_on_bases`)."""
+        if self._kernel is None:
+            self._kernel = _submodule_on_bases(
+                self.p0.module, {y: self.differential.comps[y].column_space_basis()[0]
+                                 for y in self.p0.cat.objects})
+        return self._kernel
 
 
 def minimal_presentation(m: CModule) -> Presentation:
@@ -777,10 +799,17 @@ def _minimal_presentation(m: CModule) -> Presentation:
     matrix = Hull(m.cat).unflatten(psum1.obj, c0.psum.obj, Mat.column(m.cat.field, values))
     if proj_sum_map(psum1, c0.psum, matrix) != d:
         raise AssertionError("presentation matrix does not rebuild the differential")
+    return Presentation(psum1, c0.psum, d, c0.cover, matrix, _syzygy(psum1, kernels),
+                        c0.kernel)
+
+
+def _syzygy(p1: ProjSum, kernels: Dict) -> AddMor:
+    """The block morphism X2 -> X1 of `Presentation.syzygy`, from kernels[y],
+    a kernel basis of the differential's component at y: one summand y of X2
+    per basis vector, sent to that vector of P1(y) = flat Hom(y, X1)."""
     x2 = AddObject(tuple(y for y, k in kernels.items() for _ in range(k.cols)))
     values = [v for k in kernels.values() for v in k.transpose().data]
-    syzygy = Hull(m.cat).unflatten(x2, psum1.obj, Mat.column(m.cat.field, values))
-    return Presentation(psum1, c0.psum, d, c0.cover, c0.kernel, matrix, syzygy)
+    return Hull(p1.cat).unflatten(x2, p1.obj, Mat.column(p1.cat.field, values))
 
 
 def _yoneda(g: AddMor, b: CModule) -> Mat:
@@ -898,8 +927,10 @@ def _dualized(m: CModule) -> Dict:
 
 def _transpose_raw(m: CModule) -> CModule:
     """Tr m, the cokernel of g* (`_dualized`) in P1*, without the
-    projective-summand check of `transpose`: the column spans of g* form its
-    image, a submodule, as g* is natural (`_cokernel`)."""
+    projective-summand check of `transpose` and with no presentation
+    handed over: the column spans of g* form its image, a submodule, as g*
+    is natural (`_cokernel`).  The plain route that tests and
+    tools/output_hash.py compare against."""
     p1 = proj_sum(opposite_category(m.cat), minimal_presentation(m).p1.vertices)
     return _cokernel(p1.module, _dualized(m)).module
 
@@ -910,8 +941,7 @@ def transpose(m: CModule) -> CModule:
 
     Rejects inputs with a projective direct summand, read off the kernel of
     the same g* (`_checked_transpose`), so the presentation is dualized once
-    and no hom space is built.  Callers that have already proved m free of
-    projective summands (almost_split_sequence) use _transpose_raw.
+    and no hom space is built.
     """
     tr, gap = _checked_transpose(m)
     if gap:
@@ -921,21 +951,59 @@ def transpose(m: CModule) -> CModule:
 
 def _checked_transpose(m: CModule) -> Tuple[CModule, Dict]:
     """Tr m and the dimension vector of the largest projective summand of m
-    (`_projective_summand_dims`), both off one dualized presentation g*."""
+    (`_projective_summand_dims`), both off one dualized presentation
+    g*: P0* -> P1* (`_dualized`).  When m has no projective summand,
+    P0* -g*-> P1* -> Tr m -> 0 is memoised on Tr m as its minimal
+    presentation, certified as follows.
+
+    Its matrix is g^op, the transposed blocks of m's (`_dual_matrix`), and
+    must rebuild g* (proj_sum_map), as in `_minimal_presentation`.  Its
+    cover is the cokernel projection.  The first cover P1* -> Tr m is
+    minimal when its kernel, the image of g*, lies in the radical of P1*:
+    `_check_kernel_in_radical` on the columns of g*.  The second,
+    P0* -> im g*, is minimal when ker g* lies in the radical of P0*, which
+    is what the empty projective-summand count says: it is the rank of the
+    rows of ker g* outside that radical.  The kernel bases of g* are then
+    the syzygy (`_syzygy`), and the presentation's kernel, built on first
+    use, is the image of g*.  Minimal presentations are unique up to
+    isomorphism, so this one serves Tr m wherever a fresh one would (ARS
+    ch. IV.1; Auslander-Bridger 1969).
+    """
     op, pres, g = opposite_category(m.cat), minimal_presentation(m), _dualized(m)
-    gap = _projective_summand_dims(op, pres.p0.vertices, g)
-    return _cokernel(proj_sum(op, pres.p1.vertices).module, g).module, gap
+    kernels = {y: g[y].kernel_basis() for y in op.objects}
+    gap = _projective_summand_dims(op, pres.p0.vertices, kernels)
+    p0 = proj_sum(op, pres.p1.vertices)
+    ck = _cokernel(p0.module, g)
+    if not gap:
+        p1 = proj_sum(op, pres.p0.vertices)
+        differential = ModuleMap(p1.module, p0.module, g, validate=False)
+        matrix = _dual_matrix(pres.matrix)
+        if proj_sum_map(p1, p0, matrix) != differential:
+            raise AssertionError("presentation matrix does not rebuild the differential")
+        _check_kernel_in_radical(p0, g)
+        ck.module._presentation = Presentation(p1, p0, differential, ck.project, matrix,
+                                               _syzygy(p1, kernels))
+    return ck.module, gap
 
 
-def _projective_summand_dims(op: FinCategory, x0: Sequence, g: Dict) -> Dict:
+def _dual_matrix(g: AddMor) -> AddMor:
+    """g^op: X0 -> X1 over the opposite category for a block morphism
+    g: X1 -> X0, block (x0_j -> x1_i) the coordinates of g's block
+    (x1_i -> x0_j): Hom_op(x0_j, x1_i) = Hom(x1_i, x0_j)."""
+    return AddMor(g.tgt, g.src, tuple(tuple(row[i] for row in g.blocks)
+                                      for i in range(len(g.src.summands))))
+
+
+def _projective_summand_dims(op: FinCategory, x0: Sequence, kernels: Dict) -> Dict:
     """The dimension vector of the largest projective direct summand of m,
     at the objects where it is nonzero, in the order of the objects, for
-    g = _dualized(m), op the opposite category and x0 the vertices of P0.
+    kernels[x] a kernel basis of the component at x of g* = _dualized(m),
+    op the opposite category and x0 the vertices of P0.
 
     The multiplicity a_x of P_x = Hom(-, x) as a summand of m is the rank of
     the composition pairing Hom(P_x, m) x Hom(m, P_x) -> End(P_x)/rad, which
     is k (the split-basic assumption of `projective_cover`).  The kernel of
-    g[x] is Hom(m, P_x), each phi given by h = phi o cover in
+    g*[x] is Hom(m, P_x), each phi given by h = phi o cover in
     Hom(P0, P_x) = flat Hom(X0, x) = flat Hom_op(x, X0) (`_dualized`).  P_x
     is projective, so every map P_x -> m is cover o u for some u in flat
     Hom(x, X0), and phi o cover o u = sum_k h_k u_k is outside the radical
@@ -948,7 +1016,7 @@ def _projective_summand_dims(op: FinCategory, x0: Sequence, g: Dict) -> Dict:
     """
     gap = {y: 0 for y in op.objects}
     for x in op.objects:
-        a = _top_rows(op, x0, x, g[x].kernel_basis()).rank()
+        a = _top_rows(op, x0, x, kernels[x]).rank()
         for y in op.objects:
             gap[y] += a * op.dim(x, y)
     return {y: d for y, d in gap.items() if d}
@@ -964,20 +1032,16 @@ def tau_inverse(m: CModule) -> CModule:
     """The inverse translate z = Tr D m; zero exactly on injectives.
 
     When m has no injective summand, z records m as its translate
-    (`z._tau`), which almost_split_sequence(z) takes as its left term.  The
-    proof: z is the cokernel of g*: P0* -> P1* for the matrix g of the
-    minimal presentation P1 -> P0 -> D m -> 0 (`_transpose_raw`).  The
-    entries of g are radical (`_minimal_presentation` certified both covers
-    minimal), so are those of g*, and P1* -> z is a projective cover.  The
-    kernel of g* is Hom(D m, P), and `_projective_summand_dims` ranks its
-    rows outside the radical of P0*, on the same g*.  When it finds none,
-    D m has no projective summand, the kernel lies in the radical, and
-    P0* -> im g* is a projective cover too.  Then P0* -> P1* -> z -> 0 is a
-    minimal presentation of z; minimal presentations are unique up to
-    isomorphism, and its dual is g again, so Tr z = coker g = D m through
-    D m's own cover, and tau z = D Tr z = D D m = m, up to isomorphism
-    (ARS ch. IV.1; Auslander-Bridger 1969).  An injective summand of m is a
-    projective summand of D m, and then nothing is recorded.
+    (`z._tau`), which almost_split_sequence(z) takes as its left term, and
+    z holds its minimal presentation P0* -g*-> P1* -> z -> 0 already, the
+    dual of that of D m, certified by `_checked_transpose`.  The proof:
+    an injective summand of m is a projective summand of D m, and the
+    projective-summand count of D m finds none.  Then P0* -> P1* -> z -> 0
+    is a minimal presentation of z, so Tr z is the cokernel of its dual,
+    which is g again: Tr z = coker g = D m through D m's own cover, and
+    tau z = D Tr z = D D m = m, up to isomorphism (ARS ch. IV.1;
+    Auslander-Bridger 1969).  With an injective summand nothing is recorded
+    or handed over.
     """
     z, gap = _checked_transpose(duality_D(m))
     if not gap:
@@ -1286,10 +1350,12 @@ def almost_split_sequence(z: CModule) -> AlmostSplit:
     the translate that tau_inverse recorded on z (`z._tau`) when z was built
     as tau_inverse(m) of an m with no injective summand: that m is tau z up
     to isomorphism, by the minimality proof of tau_inverse, so knitting gets
-    its registered node back.  Otherwise the local End(z), read off the
-    memoised End reading (`_local_end`), and is_projective_module prove that
-    z has no projective summand, so tau z is taken as D(_transpose_raw(z)),
-    without the projective-summand check of `tau`; the result equals tau(z).
+    its registered node back.  Otherwise it is tau(z) = D Tr z, and Tr z
+    keeps the dual of z's presentation as its own (`_checked_transpose`),
+    so verification, which presents D of each test module, finds D tau z =
+    Tr z presented already.  The projective-summand check of `tau` passes:
+    the local End(z), read off the memoised End reading (`_local_end`), and
+    is_projective_module prove that z has no projective summand.
 
     The socle of Ext^1(z, tau z) under End(z) is simple, and it is the
     socle under End(tau z) (ARS ch. V.2; Auslander-Reiten, Comm. Algebra
@@ -1315,7 +1381,7 @@ def _almost_split_sequence(z: CModule) -> AlmostSplit:
         raise PreconditionError("module is decomposable")
     if is_projective_module(z):
         raise PreconditionError("projective module has no almost split sequence")
-    tz = z._tau if z._tau is not None else duality_D(_transpose_raw(z))
+    tz = z._tau if z._tau is not None else tau(z)
     if tz.is_zero():
         raise AssertionError("translate of a non-projective vanished")
     ext = Ext1(z, tz)
@@ -1365,9 +1431,9 @@ def verify_almost_split(se: ShortExact, test_modules: Sequence[CModule]) -> int:
     (ARS ch. II), so Hom(X, m) = Hom(D m, D X) for every X, and the defect
     is dim Hom(D m, D X) - dim Hom(D m, D Y) + dim Hom(D m, D Z).  D X,
     D Y and D Z only transpose matrices, so no presentation of the fresh
-    X or Y is built, and knitting's tau_inverse has already presented D m
-    for every non-injective m.  A projective m, or the D m of an injective
-    m, is not presented at all: hom_dim counts with its memoised top
+    X or Y is built, and knitting has already presented D m for every
+    non-injective knitted m (ar_quiver).  A projective m, or the D m of an
+    injective m, is not presented at all: hom_dim counts with its memoised top
     dimensions, which knitting's projectivity tests have already counted.
 
     is_isomorphic runs only where a defect is nonzero, and not when m is
@@ -1439,9 +1505,26 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
     caller that asks for it again gets the same sequence.  The left term
     of that sequence is tau z.  When z was registered as tau_inverse(X) of
     a done node X, it is X itself (tau_inverse records it, with its
-    minimality proof), and `register` finds X by identity, with no
-    isomorphism test; otherwise it is D Tr z, registered by an
-    is_isomorphic scan over the nodes of its dimension vector.  The
+    minimality proof, and hands z its presentation), and `register` finds
+    X by identity, with no isomorphism test; otherwise it is D Tr z,
+    registered by an is_isomorphic scan over the nodes of its dimension
+    vector.  A node registered before its tau_inverse copy (a
+    decomposition piece, or a left term) takes the copy's work when the
+    scan matches them, with an isomorphism f from the copy: the recorded
+    translate, as tau z = tau(copy) up to isomorphism, unless the
+    sequence at z is built already, and the presentation, with its cover
+    followed by f, unless z is presented already.  Likewise a left term
+    D Tr y that the scan matches to z hands D z the presentation of Tr y
+    (`_checked_transpose`), its cover followed by D g for the inverse g of
+    f, unless D z is presented already.  So every non-injective node
+    leaves knitting with D of it presented, as tau_inverse presents D m
+    at every other one, and verify_almost_split presents no D of a node.
+
+    tau_inverse is not taken at a node j that the sequence at a node i
+    registered as tau(node i): tau_inverse(node j) is isomorphic to
+    node i, since tau^-1 tau z = z for every indecomposable non-projective
+    z (ARS ch. IV.1), so registering it would find node i and add nothing.
+    Node numbering, edges and tau pairs are those of taking it.  The
     summands of E are certified among the registered nodes by their
     multiplicities (`_summand_multiplicity`), trying the nodes Y with
     dim Y <= dim E at every object in the order `known_summands` gives.
@@ -1474,8 +1557,20 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
             if modules[idx] is m:
                 return idx
         for idx in bucket:
-            if is_isomorphic(m, modules[idx]) is not None:
-                return idx
+            pair = is_isomorphic(m, modules[idx])
+            if pair is None:
+                continue
+            z, (f, g) = modules[idx], pair
+            if m._tau is not None and z._tau is None and z._ass is None:
+                z._tau = m._tau  # tau z = tau m: hand the copy's work to z
+                if z._presentation is None:
+                    z._presentation = replace(m._presentation,
+                                              cover=m._presentation.cover.then(f))
+            dm, dz = m._dual, duality_D(z)  # a left term D Tr y: dm = Tr y, from tau(y)
+            if dm is not None and dm._presentation is not None and dz._presentation is None:
+                dz._presentation = replace(dm._presentation,
+                                           cover=dm._presentation.cover.then(dual_map(g)))
+            return idx
         if m.total_dim() > cap:
             raise CapExceededError(
                 f"indecomposable of total dimension {m.total_dim()} exceeds cap {cap}")
@@ -1528,6 +1623,7 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
 
     for x in cat.objects:
         register(yoneda_projective(cat, x))
+    inverse_known = set()  # nodes j with tau^-1 (node j) registered already
     for i, m in enumerate(modules):  # register appends the nodes still to do
         jt = None
         if projective[i]:
@@ -1536,6 +1632,7 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
             ass = almost_split_sequence(m)
             jt = register(ass.tau_module)
             tau_pairs.append((jt, i))
+            inverse_known.add(jt)
             e = ass.sequence.middle
         counts = known_summands(e, i, jt)
         if counts is None:
@@ -1545,7 +1642,7 @@ def ar_quiver(cat: FinCategory, cap: int = 64) -> ARQuiver:
                 counts[j] = counts.get(j, 0) + 1
         for j, a in counts.items():
             edges[(j, i)] = edges.get((j, i), 0) + a
-        if not injective[i]:
+        if not injective[i] and i not in inverse_known:
             register(tau_inverse(m))
     return ARQuiver(modules, projective, injective, edges, tau_pairs)
 

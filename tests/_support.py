@@ -1,7 +1,10 @@
 """Shared builders for the test suite: small bound quivers and random data."""
 
+import importlib.util
 import itertools
+import os
 import random
+import sys
 from typing import List
 
 from arcat import poly
@@ -23,6 +26,18 @@ from arcat.repcat import QRep, QRepMap, qrep_hom, rep_copair, rep_injections
 
 F101 = Field.prime(101)
 QQ = Field.rationals()
+
+
+def load_tool(monkeypatch, name: str):
+    """tools/<name>.py, loaded as a module.  The tools put src/ (and bench/)
+    in front of sys.path; monkeypatch restores it afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        f"_{name}", os.path.join(root, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def a2_quiver() -> BoundQuiver:
@@ -892,14 +907,15 @@ def reference_composite_or_none(z, j: int, count: int):
 def reference_almost_split_sequence(z: CModule, family: List[CModule]):
     """The almost split sequence ending at z by the route that takes no
     recorded translate, and the index of its left term in family: the
-    sequence at a fresh copy of z, which tau_inverse recorded nothing on,
-    so its left term is D Tr z (`modcat._transpose_raw`); that term is then
-    found in family by an is_isomorphic scan over the modules of its
-    dimension vector, as knitting registered it before the translate was
-    handed over.  The oracle for the sequence knitting memoises on z."""
+    sequence at a fresh copy of z, which tau_inverse recorded nothing on
+    and handed no presentation, so its left term is D Tr of the copy
+    (`modcat._transpose_raw`), off a fresh minimal presentation; that term
+    is then found in family by an is_isomorphic scan over the modules of
+    its dimension vector, as knitting registered it before the translate
+    was handed over.  The oracle for the sequence knitting memoises on z."""
     fresh = CModule(z.cat, z.dims, z.action)
     ass = modcat.almost_split_sequence(fresh)
-    assert ass.tau_module == modcat.duality_D(modcat._transpose_raw(z))
+    assert ass.tau_module == modcat.duality_D(modcat._transpose_raw(fresh))
     idx = next(i for i, m in enumerate(family)
                if m.dims == ass.tau_module.dims and is_isomorphic(ass.tau_module, m) is not None)
     return ass, idx

@@ -7,6 +7,7 @@ import sys
 from _support import *  # noqa: F401,F403  (path setup)
 
 from arcat import cli
+from arcat.fincat import FinCategory
 
 A2_QUIVER = """
 [field]
@@ -210,6 +211,47 @@ def test_tensor_listing(tmp_path, capsys):
     assert code == 0
     assert "objects: 2" in out
     assert "total hom dimension: 3" in out
+
+
+def spy_validate(monkeypatch):
+    """The categories FinCategory._validate runs on, in order."""
+    seen = []
+    check = FinCategory._validate
+
+    def spying(cat):
+        seen.append(cat)
+        return check(cat)
+
+    monkeypatch.setattr(FinCategory, "_validate", spying)
+    return seen
+
+
+def test_tensor_job_validates_the_category_it_prints(tmp_path, capsys, monkeypatch):
+    """tensor_product builds unvalidated, so the `tensor` job validates the
+    category it prints itself: its `verified: category laws hold` line is
+    a certificate.  The other two checks are the path categories of the
+    coefficient (the point) and of the quiver."""
+    seen = spy_validate(monkeypatch)
+    code, out, _ = run(tmp_path, A3_RAD2 + "\n[command]\nname = tensor\n", capsys=capsys)
+    assert code == 0 and "verified: category laws hold" in out
+    assert [c.meta["kind"] for c in seen] == ["path", "path", "tensor"]
+    printed = seen[-1]
+    assert f"objects: {len(printed.objects)}\n" in out
+    total = sum(printed.dim(x, y) for x in printed.objects for y in printed.objects)
+    assert f"total hom dimension: {total}\n" in out
+
+
+def test_ar_quiver_validates_only_the_path_and_point_categories(tmp_path, capsys,
+                                                                  monkeypatch):
+    """Knitting builds the tensor category and its opposite (for duality_D)
+    unvalidated: only the categories built from the job's tables are
+    checked, the point coefficient and the path category of the quiver,
+    once each."""
+    seen = spy_validate(monkeypatch)
+    code, out, _ = run(tmp_path, A3_RAD2 + "\n[command]\nname = ar-quiver\n", capsys=capsys)
+    assert code == 0 and "verified: knitting closed under tau-inverse" in out
+    assert [c.meta["kind"] for c in seen] == ["path", "path"]
+    assert [len(c.objects) for c in seen] == [1, 3]
 
 
 def test_ass_simple_verified(tmp_path, capsys):

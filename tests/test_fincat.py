@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -14,7 +15,7 @@ from arcat.modcat import CModule
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
-                      one_loop_rad2, reference_category_check, reference_entrywise,
+                      load_tool, one_loop_rad2, reference_category_check, reference_entrywise,
                       reference_identity, reference_is_zero_mor, reference_scale,
                       reference_zero_mor)
 
@@ -134,6 +135,28 @@ def check_outcome(build):
     return "accept"
 
 
+def bump_sweep(c):
+    """Every coefficient g_j o f_i -> h_k of the composition table of c,
+    present or not, bumped by one and rebuilt through the constructor: the
+    outcomes, each checked against the scalar oracle."""
+    outcomes = Counter()
+    fld = c.field
+    for (x, y, z) in [(x, y, z) for x in c.objects for y in c.objects for z in c.objects]:
+        table = c.comp.get((x, y, z), {})
+        for i in range(c.dim(x, y)):
+            for j in range(c.dim(y, z)):
+                entry = table.get((i, j), {})
+                for k in range(c.dim(x, z)):
+                    bumped = {**entry, k: fld.add(entry.get(k, fld.zero()), fld.one())}
+                    comp = {**c.comp, (x, y, z): {**table, (i, j): bumped}}
+                    args = (fld, c.objects, c.hom, comp, c.units, c.radical)
+                    got = check_outcome(lambda: FinCategory(*args))
+                    assert got == check_outcome(lambda: reference_category_check(*args)), \
+                        ((x, y, z), (i, j), k)
+                    outcomes[got] += 1
+    return outcomes
+
+
 def test_category_check_agrees_with_the_scalar_oracle_on_every_perturbation():
     """Every coefficient g_j o f_i -> h_k of the composition table, present or
     not, bumped by one: the checks on the representables accept exactly the
@@ -141,21 +164,59 @@ def test_category_check_agrees_with_the_scalar_oracle_on_every_perturbation():
     outcomes = set()
     for c in (category_of(BoundQuiver(linear_quiver(4)), F101),
               category_of(one_loop_rad2(), F101), dual_numbers_off_basis(F101)):
-        fld = c.field
-        for (x, y, z) in [(x, y, z) for x in c.objects for y in c.objects for z in c.objects]:
-            table = c.comp.get((x, y, z), {})
-            for i in range(c.dim(x, y)):
-                for j in range(c.dim(y, z)):
-                    entry = table.get((i, j), {})
-                    for k in range(c.dim(x, z)):
-                        bumped = {**entry, k: fld.add(entry.get(k, fld.zero()), fld.one())}
-                        comp = {**c.comp, (x, y, z): {**table, (i, j): bumped}}
-                        args = (fld, c.objects, c.hom, comp, c.units, c.radical)
-                        got = check_outcome(lambda: FinCategory(*args))
-                        assert got == check_outcome(lambda: reference_category_check(*args)), \
-                            ((x, y, z), (i, j), k)
-                        outcomes.add(got)
+        outcomes |= set(bump_sweep(c))
     assert outcomes == {"accept", "refuse"}
+
+
+def hash_line_categories(monkeypatch):
+    """The categories of the lines of tools/output_hash.py that knit: the
+    `validate` sweep, the `verify` categories over F_101 and Q, the loop
+    mod x^2 (x) A2 of `sequences`, and the tensor pairs of `idempotents`."""
+    tool = load_tool(monkeypatch, "output_hash")
+    cats = [c for _, c in tool.sweep_categories()]
+    for fld in (F101, QQ):
+        cats += [c for _, c in tool.verify_categories(fld)]
+        cats.append(tool.tensor_base(tool.loop_rad2(),
+                                     category_of(tool.inputs.a_m_rad_n(2), fld)))
+        cats += [tool.tensor_base(*tool.workloads.tensor_pair(name, fld))
+                 for name in tool.workloads.DECOMPOSE_PAIRS]
+    return cats
+
+
+def test_opposite_and_tensor_categories_of_the_hash_lines_are_valid(monkeypatch):
+    """opposite_category and tensor_product build unvalidated, on the
+    proofs in their docstrings.  Every such category of the hash lines, the
+    tensor categories, their opposite factors and the opposites that
+    duality_D works over, passes _validate when it is called, and so do its
+    tables rebuilt through the constructor, which validates them."""
+    derived = {}
+    for c in hash_line_categories(monkeypatch):
+        for d in (c, c.meta.get("b"), opposite_category(c)):
+            if d is not None and d.meta["kind"] in ("opposite", "tensor"):
+                derived[id(d)] = d
+    kinds = Counter(d.meta["kind"] for d in derived.values())
+    assert kinds["opposite"] > kinds["tensor"] > 0, kinds
+    for d in derived.values():
+        d._validate()
+        rebuilt = FinCategory(d.field, d.objects, d.hom, d.comp, d.units, d.radical)
+        assert rebuilt == d
+
+
+def test_a_perturbed_opposite_table_is_refused_through_the_constructor():
+    """opposite_category validates nothing, but a table taken from an
+    opposite and rebuilt through the constructor is still checked: on the
+    opposites of A4 and of the loop mod x^2, every coefficient bumped by one
+    is accepted exactly when the scalar oracle accepts it.  The outcomes
+    are those of the same sweep on the category itself, whose bumps are the
+    opposite's with the factors swapped: every bump is refused on A4, and
+    all but one on the loop, the idempotent x o x = x that the radical
+    check lets through."""
+    for c, refused in ((category_of(BoundQuiver(linear_quiver(4)), F101), 20),
+                       (category_of(one_loop_rad2(), F101), 7)):
+        op = opposite_category(c)
+        assert op.meta["kind"] == "opposite"
+        outcomes = bump_sweep(op)
+        assert outcomes == bump_sweep(c) and outcomes["refuse"] == refused, outcomes
 
 
 def test_tensor_dimensions_multiply():

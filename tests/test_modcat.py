@@ -1,10 +1,7 @@
 import ast
 import dataclasses
-import importlib.util
-import os
 import pickle
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -34,9 +31,9 @@ from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 from arcat.repcat import tensor_base
 
 from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_quiver, a3_rad2, a_m_rad_n,
-                      composite_rank_verify, cyclic_rad2, module_print, one_loop_rad2,
-                      rand_hom, rand_invertible, rand_mat, rand_module, reference_act,
-                      reference_dualized, reference_end_action_on_kernel,
+                      composite_rank_verify, cyclic_rad2, load_tool, module_print,
+                      one_loop_rad2, rand_hom, rand_invertible, rand_mat, rand_module,
+                      reference_act, reference_dualized, reference_end_action_on_kernel,
                       reference_proj_sum_matrix, reference_splitting_section,
                       reference_extension_from_cocycle, reference_unit_values,
                       reference_end_algebra, reference_simple_module, reference_sum_injections,
@@ -511,12 +508,13 @@ def test_a_sequence_and_its_verification_build_at_most_one_end_algebra(monkeypat
     on z and read End(z), and z is tested against itself without
     is_isomorphic.  Where the left term is a knitted node, nothing is
     built: it too is tested against itself, and knitting has read its End.
-    The left term is a knitted node at the 9 z that tau_inverse built from
-    the knitted tau z, which it recorded on them, and at the one z whose
-    D Tr z knitting registered as a new node.  At the other 4 it is D Tr z, a
-    copy of a knitted node: its End algebra is built, and two hom spaces
-    are solved, that algebra's and the is_isomorphic of the knitted tau z
-    with the left term.  z is a brick, so End(tau z) is not built for the
+    The left term is a knitted node everywhere.  At 13 z it is the
+    translate recorded on z: at 9 tau_inverse built z from the knitted
+    tau z, and 4 were registered before their tau_inverse copy, which
+    handed its recorded translate to z when the scan matched it.  At the
+    one z left, D Tr z was registered as a new node.  No left term is a
+    copy D Tr z of a knitted node, whose End algebra and hom spaces would
+    be built here.  z is a brick, so End(tau z) is not built for the
     socle."""
     ar = ar_quiver(tensor_base(a3_rad2(), category_of(a2_quiver(), QQ)))
     calls = Counter()
@@ -533,7 +531,7 @@ def test_a_sequence_and_its_verification_build_at_most_one_end_algebra(monkeypat
         knitted = any(ass.tau_module is m for m in ar.modules)
         assert calls == (Counter() if knitted else Counter({"end": 1, "hom": 2}))
         routes[knitted, z._tau is not None] += 1
-    assert routes == Counter({(True, True): 9, (True, False): 1, (False, False): 4}), routes
+    assert routes == Counter({(True, True): 13, (True, False): 1}), routes
 
 
 # ---------------------------------------------------------------------------
@@ -1179,13 +1177,7 @@ def knit_print(ar):
 
 def knit_probe(monkeypatch):
     """tools/knit_probe.py, loaded as a module."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
-    spec = importlib.util.spec_from_file_location(
-        "_knit_probe", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                    "tools", "knit_probe.py"))
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
-    return probe
+    return load_tool(monkeypatch, "knit_probe")
 
 
 def knit_counts(monkeypatch, cat):
@@ -1441,10 +1433,12 @@ def scrambled_sum(parts, cat, rng):
 
 
 def summand_dims(m):
-    """_projective_summand_dims of m, read off its dualized presentation."""
+    """_projective_summand_dims of m, read off the kernel bases of its
+    dualized presentation."""
+    g = modcat._dualized(m)
     return modcat._projective_summand_dims(opposite_category(m.cat),
                                            minimal_presentation(m).p0.vertices,
-                                           modcat._dualized(m))
+                                           {x: g[x].kernel_basis() for x in m.cat.objects})
 
 
 @pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
@@ -1767,8 +1761,9 @@ def test_handed_over_sequence_matches_the_reference_route(fld):
 def test_tau_inverse_records_no_translate_past_an_injective_summand():
     """Negative control: when m has an injective summand, D m has a
     projective one, P0* -> P1* -> tau_inverse(m) -> 0 is not minimal and
-    nothing is recorded; an indecomposable injective still goes to zero.
-    Without the summand the translate is recorded."""
+    nothing is recorded or handed over, neither the translate nor the
+    presentation; an indecomposable injective still goes to zero.  Without
+    the summand both are."""
     ar = knitted_pair("A3rad2xA2")
     cat = ar.modules[0].cat
     injectives = [m for m, inj in zip(ar.modules, ar.injective) if inj]
@@ -1776,11 +1771,12 @@ def test_tau_inverse_records_no_translate_past_an_injective_summand():
     assert injectives and others
     for i in injectives:
         z = tau_inverse(i)
-        assert z.is_zero() and z._tau is None
+        assert z.is_zero() and z._tau is None and z._presentation is None
         for x in others[:3]:
-            assert tau_inverse(x)._tau is x
+            z = tau_inverse(x)
+            assert z._tau is x and z._presentation is not None
             z = tau_inverse(direct_sum([x, i], cat)[0])
-            assert not z.is_zero() and z._tau is None
+            assert not z.is_zero() and z._tau is None and z._presentation is None
 
 
 @pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
@@ -1838,13 +1834,180 @@ def test_the_sequence_is_memoised_on_its_end_term():
 def test_knitting_registers_a_recorded_translate_by_identity(monkeypatch):
     """Every left term on E6 over F_101 is the translate that tau_inverse
     recorded, so knitting runs no isomorphism test (`isos` of
-    tools/knit_probe.py); on A3 (x) A2, 3 of the 6 left are copies
-    tau_inverse(X) of nodes registered before them, and 3 are left terms
-    D Tr z at such nodes."""
+    tools/knit_probe.py).  On A3 (x) A2, 3 are left: 2 copies
+    tau_inverse(X) of nodes registered before them, each of which hands
+    its recorded translate to its node, so the sequence there scans no
+    left term, and 1 left term D Tr z at a node that was handed none.  A
+    third copy is never built: the tau_inverse it comes from is skipped."""
     probe = knit_probe(monkeypatch)
-    for name, isos in (("E6", 0), ("A3xA2", 6)):
+    for name, isos in (("E6", 0), ("A3xA2", 3)):
         ar, counts = probe.knit_counting(probe.JOBS[name][0]())
         assert ar is not None and counts["isos"] == isos, name
+
+
+def handover_knits(monkeypatch):
+    """(name, AR quiver, modules tau_inverse ran on) for every row of
+    tools/knit_probe.py that closes (the Kronecker rows end at the cap) and
+    every knitting category of the lines of tools/output_hash.py, over
+    F_101 and Q."""
+    probe, tool = knit_probe(monkeypatch), load_tool(monkeypatch, "output_hash")
+    cats = [(name, make()) for name, (make, _) in probe.JOBS.items()
+            if not name.startswith("kronecker")]
+    cats += list(tool.sweep_categories())
+    for fld in (F101, QQ):
+        cats += [(f"{name}/{fld}", c) for name, c in tool.verify_categories(fld)]
+        cats.append((f"loop-rad2xA2/{fld}", tool.tensor_base(
+            tool.loop_rad2(), category_of(tool.inputs.a_m_rad_n(2), fld))))
+        cats += [(f"{name}/{fld}", tool.tensor_base(*tool.workloads.tensor_pair(name, fld)))
+                 for name in tool.workloads.DECOMPOSE_PAIRS]
+    inverse = modcat.tau_inverse
+    for name, cat in cats:
+        ran = []
+        monkeypatch.setattr(modcat, "tau_inverse", lambda m: ran.append(m) or inverse(m))
+        ar = ar_quiver(cat)
+        monkeypatch.setattr(modcat, "tau_inverse", inverse)
+        yield name, ar, ran
+
+
+def test_handed_over_presentations_and_skipped_translates_match_fresh_ones(monkeypatch):
+    """The oracles of the knitting handover, on every closing probe row and
+    every hash-line category, over F_101 and Q.
+
+    Each presentation a node was handed (by tau_inverse, or by a copy that
+    the scan matched) has the P0 and P1 vertex tuples of a fresh
+    `_minimal_presentation` of a copy of the node, and Ext^1 off it has the
+    dimension Ext^1 off the fresh one has, against every node.  And
+    tau_inverse runs on exactly the non-injective nodes j whose tau^-1 no
+    earlier sequence named: at each node j left out, the sequence at an
+    earlier node i, or node j itself, registered tau(node i) as node j, and
+    a freshly computed tau_inverse(node j) is isomorphic to node i.  D of
+    every non-injective node leaves knitting presented; at a node j left
+    out, that presentation was handed over from the left term, and it has
+    the vertex tuples of a fresh one and the same hom dimensions into D of
+    every node."""
+    handed = skipped = 0
+    for name, ar, ran in handover_knits(monkeypatch):
+        for z, proj in zip(ar.modules, ar.projective):
+            if proj or z._tau is None:
+                continue
+            handed += 1
+            fresh = CModule(z.cat, z.dims, z.action, validate=False)
+            pres, ref = minimal_presentation(z), minimal_presentation(fresh)
+            assert (pres.p0.vertices, pres.p1.vertices) == (ref.p0.vertices, ref.p1.vertices)
+            for x in ar.modules:
+                assert Ext1(z, x).dim == Ext1(fresh, x).dim, name
+        named = {j: i for j, i in ar.tau_pairs if i <= j}
+        index = {id(m): j for j, m in enumerate(ar.modules)}
+        assert sorted(index[id(m)] for m in ran) == [
+            j for j, inj in enumerate(ar.injective) if not inj and j not in named], name
+        duals = [duality_D(x) for x in ar.modules]
+        assert all(duals[j]._presentation is not None
+                   for j, inj in enumerate(ar.injective) if not inj), name
+        for j, i in named.items():
+            assert is_isomorphic(tau_inverse(ar.modules[j]), ar.modules[i]) is not None, name
+            skipped += 1
+            dz = duals[j]
+            fresh = CModule(dz.cat, dz.dims, dz.action, validate=False)
+            pres, ref = dz._presentation, minimal_presentation(fresh)
+            assert (pres.p0.vertices, pres.p1.vertices) == (ref.p0.vertices, ref.p1.vertices)
+            assert [hom_dim(dz, dx) for dx in duals] == [hom_dim(fresh, dx) for dx in duals]
+    assert handed and skipped
+
+
+def bump(cat, g: AddMor, t: int) -> AddMor:
+    """The block morphism g over cat with its flat coordinate t plus one."""
+    hull = Hull(cat)
+    flat = hull.flatten(g)
+    data = list(flat.data)
+    data[t] = cat.field.add(data[t], cat.field.one())
+    return hull.unflatten(g.src, g.tgt, Mat.column(cat.field, data))
+
+
+def test_a_perturbed_handed_over_matrix_is_refused(monkeypatch):
+    """Negative controls for the presentation tau_inverse hands over, at
+    every non-injective node m of A3 mod rad^2 (x) A2 and of loop mod x^2
+    (x) A2 over F_101, one coordinate at a time.  The handed-over matrix
+    g^op perturbed alone no longer rebuilds the differential g*.  The same
+    coordinate perturbed in D m's presentation, where g* is read too,
+    rebuilds it; outside the radical (a block between equal vertices, as
+    x: P -> P on the loop) it is refused by the radical check on P1*,
+    unless the projective-summand count finds a summand first and nothing
+    is handed over."""
+    dual_matrix = modcat._dual_matrix
+    outcomes = Counter()
+    for ar in (knitted_pair("A3rad2xA2"), knitted_loop(a2_quiver, F101)):
+        cat = ar.modules[0].cat
+        for m, inj in zip(ar.modules, ar.injective):
+            if inj:
+                continue
+            dm = duality_D(m)
+            pres = minimal_presentation(dm)
+            g = pres.matrix
+            width = Hull(dm.cat).flatten(g).rows
+            for t in range(width):
+                monkeypatch.setattr(modcat, "_dual_matrix",
+                                    lambda h: bump(cat, dual_matrix(h), t))
+                with pytest.raises(AssertionError, match="does not rebuild the differential"):
+                    tau_inverse(m)
+                outcomes["rebuild"] += 1
+            monkeypatch.setattr(modcat, "_dual_matrix", dual_matrix)
+            top, pos = [], 0
+            for x1 in g.src.summands:
+                for x0 in g.tgt.summands:
+                    top += [pos + k for k in range(dm.cat.dim(x1, x0))
+                            if k not in dm.cat.radical[(x1, x0)]]
+                    pos += dm.cat.dim(x1, x0)
+            for t in top:
+                copy = CModule(dm.cat, dm.dims, dm.action, validate=False)
+                copy._presentation = dataclasses.replace(pres, matrix=bump(dm.cat, g, t))
+                try:
+                    z, gap = modcat._checked_transpose(copy)
+                except AssertionError as exc:
+                    outcomes[str(exc)] += 1
+                    continue
+                assert gap and z._presentation is None
+                outcomes["projective summand"] += 1
+    assert outcomes["rebuild"] and outcomes["cover kernel is not contained in the radical"]
+    assert set(outcomes) <= {"rebuild", "cover kernel is not contained in the radical",
+                             "projective summand"}, outcomes
+
+
+def test_a_node_whose_sequence_is_built_adopts_nothing(monkeypatch):
+    """Negative control for the handover in `register`: a tau_inverse copy
+    that the scan matches to a node hands it its translate only while the
+    node's sequence is not built, and its presentation only while the node
+    is not presented.  On loop mod x^2 (x) A3 over F_101, at every such
+    match the node's sequence is built first, by D Tr z: the node keeps no
+    recorded translate and its own presentation, and the knitting is
+    unchanged.  Without the forced build, the same nodes adopt the copy's
+    translate, and the ones not yet presented its presentation too."""
+    make = knit_probe(monkeypatch).JOBS["loop2xA3"][0]
+    plain = ar_quiver(make())
+    iso = modcat.is_isomorphic
+    for force in (False, True):
+        seen = []
+
+        def matching(m, n):
+            pair = iso(m, n)
+            if pair is not None and m._tau is not None:
+                if force:
+                    almost_split_sequence(n)
+                seen.append((n, m, n._presentation))
+            return pair
+
+        monkeypatch.setattr(modcat, "is_isomorphic", matching)
+        ar = ar_quiver(make())
+        monkeypatch.setattr(modcat, "is_isomorphic", iso)
+        assert [m.dims for m in ar.modules] == [m.dims for m in plain.modules]
+        assert ar.edges == plain.edges and ar.tau_pairs == plain.tau_pairs
+        assert len(seen) == 9
+        for n, copy, before in seen:
+            if force:
+                assert n._tau is None and n._presentation is before is not None
+            else:
+                assert n._tau is copy._tau
+                assert n._presentation is before or (
+                    before is None and n._presentation.matrix is copy._presentation.matrix)
 
 
 def test_knitting_counts_each_node_s_own_hom_dim_at_most_once(monkeypatch):

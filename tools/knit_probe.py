@@ -23,16 +23,22 @@ fallback), the End algebras built (`ends`, the modcat.end_algebra calls
 of the knit), the hom spaces built (`homs`, the modcat.hom_space calls
 of the knit, those of end_algebra among them), the idempotent searches
 run (`searches`, the algebra.find_idempotent_semisimple calls of the knit:
-an End algebra whose top is k needs none) and the isomorphism tests run
+an End algebra whose top is k needs none), the isomorphism tests run
 (`isos`, the modcat.is_isomorphic calls of the knit: a translate that
-tau_inverse recorded is registered by identity, with none).
+tau_inverse recorded is registered by identity, with none), the minimal
+presentations built (`pres`, the modcat._minimal_presentation calls of the
+knit: builds, not memo hits, and none for a node that tau_inverse or a
+copy of it handed its presentation) and the inverse translates taken
+(`tinv`, the modcat.tau_inverse calls of the knit: none at a node whose
+tau^-1 the sequence at that node's successor named already).
 
 The count wraps modcat.radical_submodule, modcat.almost_split_sequence,
 modcat.decompose_module, modcat.end_algebra, modcat.hom_space,
-modcat.is_isomorphic and algebra.find_idempotent_semisimple inside this
-script: a decompose_module call on the radical or the middle term built
-last is a fallback (ar_quiver decomposes either, if at all, right after
-building it).  arcat itself has no switch for this.
+modcat.is_isomorphic, modcat._minimal_presentation, modcat.tau_inverse and
+algebra.find_idempotent_semisimple inside this script: a decompose_module
+call on the radical or the middle term built last is a fallback (ar_quiver
+decomposes either, if at all, right after building it).  arcat itself has
+no switch for this.
 """
 
 import os
@@ -97,13 +103,15 @@ def knit_counting(cat, cap=64):
     """ar_quiver(cat, cap), as the CLI's `--cap` knits, or None when the cap
     is exceeded, with the numbers of radicals and middle terms knitted and
     of those decomposed, and of the End algebras and hom spaces built and
-    idempotent searches and isomorphism tests run, keyed as the columns."""
+    idempotent searches, isomorphism tests, presentations and inverse
+    translates run, keyed as the columns."""
     last = {}
     counts = dict.fromkeys(("radicals", "rad fallback", "middle", "fallback", "ends",
-                            "homs", "searches", "isos"), 0)
+                            "homs", "searches", "isos", "pres", "tinv"), 0)
     rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
     decompose, end, hom = modcat.decompose_module, modcat.end_algebra, modcat.hom_space
     search, iso = algebra.find_idempotent_semisimple, modcat.is_isomorphic
+    present, tinv = modcat._minimal_presentation, modcat.tau_inverse
 
     def counting_rad(m):
         out = rad(m)
@@ -130,18 +138,27 @@ def knit_counting(cat, cap=64):
         counts["homs"] += 1
         return hom(m, n)
 
-    def counting_search(alg):
+    def counting_search(alg, *rad):
         counts["searches"] += 1
-        return search(alg)
+        return search(alg, *rad)
 
     def counting_iso(m, n):
         counts["isos"] += 1
         return iso(m, n)
 
+    def counting_present(m):
+        counts["pres"] += 1
+        return present(m)
+
+    def counting_tinv(m):
+        counts["tinv"] += 1
+        return tinv(m)
+
     modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
     modcat.decompose_module, modcat.end_algebra = counting_decompose, counting_end
     modcat.hom_space, algebra.find_idempotent_semisimple = counting_hom, counting_search
     modcat.is_isomorphic = counting_iso
+    modcat._minimal_presentation, modcat.tau_inverse = counting_present, counting_tinv
     try:
         ar = modcat.ar_quiver(cat, cap)
     except CapExceededError:
@@ -151,13 +168,14 @@ def knit_counting(cat, cap=64):
         modcat.decompose_module, modcat.end_algebra = decompose, end
         modcat.hom_space, algebra.find_idempotent_semisimple = hom, search
         modcat.is_isomorphic = iso
+        modcat._minimal_presentation, modcat.tau_inverse = present, tinv
     return ar, counts
 
 
 def main():
     print(f"{'job':<11} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
           f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5} {'homs':>5} "
-          f"{'searches':>8} {'isos':>5}")
+          f"{'searches':>8} {'isos':>5} {'pres':>5} {'tinv':>5}")
     for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
@@ -168,7 +186,7 @@ def main():
               f"{counts['rad fallback']:12d} {counts['middle']:6d} "
               f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d} "
               f"{counts['ends']:5d} {counts['homs']:5d} {counts['searches']:8d} "
-              f"{counts['isos']:5d}")
+              f"{counts['isos']:5d} {counts['pres']:5d} {counts['tinv']:5d}")
     return 0
 
 
