@@ -40,6 +40,22 @@ def load_tool(monkeypatch, name: str):
     return module
 
 
+def hash_line_categories(monkeypatch):
+    """(label, category) for the lines of tools/output_hash.py that knit:
+    the `validate` sweep, the `verify` categories over F_101 and Q, the
+    loop mod x^2 (x) A2 of `sequences`, and the tensor pairs of
+    `idempotents`."""
+    tool = load_tool(monkeypatch, "output_hash")
+    cats = list(tool.sweep_categories())
+    for fld in (F101, QQ):
+        cats += [(f"{name}/{fld}", c) for name, c in tool.verify_categories(fld)]
+        cats.append((f"loop-rad2xA2/{fld}", tool.tensor_base(
+            tool.loop_rad2(), tool.category_of(tool.inputs.a_m_rad_n(2), fld))))
+        cats += [(f"{name}/{fld}", tool.tensor_base(*tool.workloads.tensor_pair(name, fld)))
+                 for name in tool.workloads.DECOMPOSE_PAIRS]
+    return cats
+
+
 def a2_quiver() -> BoundQuiver:
     return BoundQuiver(linear_quiver(2))
 

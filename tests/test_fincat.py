@@ -15,9 +15,9 @@ from arcat.modcat import CModule
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
-                      load_tool, one_loop_rad2, reference_category_check, reference_entrywise,
-                      reference_identity, reference_is_zero_mor, reference_scale,
-                      reference_zero_mor)
+                      hash_line_categories, one_loop_rad2, reference_category_check,
+                      reference_entrywise, reference_identity, reference_is_zero_mor,
+                      reference_scale, reference_zero_mor)
 
 
 def dims(c):
@@ -168,21 +168,6 @@ def test_category_check_agrees_with_the_scalar_oracle_on_every_perturbation():
     assert outcomes == {"accept", "refuse"}
 
 
-def hash_line_categories(monkeypatch):
-    """The categories of the lines of tools/output_hash.py that knit: the
-    `validate` sweep, the `verify` categories over F_101 and Q, the loop
-    mod x^2 (x) A2 of `sequences`, and the tensor pairs of `idempotents`."""
-    tool = load_tool(monkeypatch, "output_hash")
-    cats = [c for _, c in tool.sweep_categories()]
-    for fld in (F101, QQ):
-        cats += [c for _, c in tool.verify_categories(fld)]
-        cats.append(tool.tensor_base(tool.loop_rad2(),
-                                     category_of(tool.inputs.a_m_rad_n(2), fld)))
-        cats += [tool.tensor_base(*tool.workloads.tensor_pair(name, fld))
-                 for name in tool.workloads.DECOMPOSE_PAIRS]
-    return cats
-
-
 def test_opposite_and_tensor_categories_of_the_hash_lines_are_valid(monkeypatch):
     """opposite_category and tensor_product build unvalidated, on the
     proofs in their docstrings.  Every such category of the hash lines, the
@@ -190,7 +175,7 @@ def test_opposite_and_tensor_categories_of_the_hash_lines_are_valid(monkeypatch)
     duality_D works over, passes _validate when it is called, and so do its
     tables rebuilt through the constructor, which validates them."""
     derived = {}
-    for c in hash_line_categories(monkeypatch):
+    for _, c in hash_line_categories(monkeypatch):
         for d in (c, c.meta.get("b"), opposite_category(c)):
             if d is not None and d.meta["kind"] in ("opposite", "tensor"):
                 derived[id(d)] = d

@@ -31,9 +31,10 @@ from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 from arcat.repcat import tensor_base
 
 from _support import (F101, QQ, ReferenceExt1, a2_quiver, a3_quiver, a3_rad2, a_m_rad_n,
-                      composite_rank_verify, cyclic_rad2, load_tool, module_print,
-                      one_loop_rad2, rand_hom, rand_invertible, rand_mat, rand_module,
-                      reference_act, reference_dualized, reference_end_action_on_kernel,
+                      composite_rank_verify, cyclic_rad2, hash_line_categories, load_tool,
+                      module_print, one_loop_rad2, rand_hom, rand_invertible, rand_mat,
+                      rand_module, reference_act, reference_dualized,
+                      reference_end_action_on_kernel,
                       reference_proj_sum_matrix, reference_splitting_section,
                       reference_extension_from_cocycle, reference_unit_values,
                       reference_end_algebra, reference_simple_module, reference_sum_injections,
@@ -1850,16 +1851,9 @@ def handover_knits(monkeypatch):
     tools/knit_probe.py that closes (the Kronecker rows end at the cap) and
     every knitting category of the lines of tools/output_hash.py, over
     F_101 and Q."""
-    probe, tool = knit_probe(monkeypatch), load_tool(monkeypatch, "output_hash")
-    cats = [(name, make()) for name, (make, _) in probe.JOBS.items()
+    cats = [(name, make()) for name, (make, _) in knit_probe(monkeypatch).JOBS.items()
             if not name.startswith("kronecker")]
-    cats += list(tool.sweep_categories())
-    for fld in (F101, QQ):
-        cats += [(f"{name}/{fld}", c) for name, c in tool.verify_categories(fld)]
-        cats.append((f"loop-rad2xA2/{fld}", tool.tensor_base(
-            tool.loop_rad2(), category_of(tool.inputs.a_m_rad_n(2), fld))))
-        cats += [(f"{name}/{fld}", tool.tensor_base(*tool.workloads.tensor_pair(name, fld)))
-                 for name in tool.workloads.DECOMPOSE_PAIRS]
+    cats += hash_line_categories(monkeypatch)
     inverse = modcat.tau_inverse
     for name, cat in cats:
         ran = []
