@@ -21,11 +21,13 @@ through which every null-homotopic map factors by an explicit homotopy
 formula; of the projective covers P_j -> Z_j, the coil part of a right
 approximation, which adds evaluation copies of the requested generators.
 Coils, sums, legs and copairs are built unvalidated; validation sits at
-the boundary, on the maps handed out.  An
-approximation certifies each generator G by preimages: the injections of
-its evaluation copies are validated chain maps G -> Y, and their
-composites with the validated approximation map have rank dim Hom(G, Z),
-so Hom(G, Y) -> Hom(G, Z) is surjective.
+the boundary, on the maps handed out.  An approximation's source Y is one
+flat sum of the evaluation copies' generators and the cover coils, and it
+certifies each generator G by preimages: the injections of G's
+evaluation copies are validated chain maps G -> Y, and their composites
+with the validated approximation map have rank dim Hom(G, Z), so
+Hom(G, Y) -> Hom(G, Z) is surjective.  The copies of all generators are
+validated and composed in one stacked pass.
 """
 
 from dataclasses import dataclass
@@ -37,11 +39,11 @@ from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory
 from .linalg import Mat, equation_matrix, hstack, solve, split_blocks, vstack
 from .modcat import (CModule, ModuleMap, _cover_map, cokernel_module,
-                     factor_through_cokernel, flatten_map, identity_map,
+                     factor_through_cokernel, identity_map,
                      kernel_module, naturality_equations, zero_map, zero_module)
 from .quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
-from .repcat import (QRep, QRepMap, _sharp, f_star_v, qrep_hom, rep_copair,
-                     rep_direct_sum, rep_injections)
+from .repcat import (QRep, QRepMap, _sharp, f_star_v, morphism_failures, qrep_hom,
+                     rep_copair, rep_direct_sum, rep_injections)
 
 
 @dataclass(frozen=True)
@@ -305,16 +307,16 @@ def pad_chain_map(f: QRepMap, spec: NComplexSpec) -> QRepMap:
     return QRepMap(src, tgt, comps, validate=False)
 
 
-def _coil_map(z: NComplex, maps: Sequence[ModuleMap]) -> QRepMap:
-    """The copair onto z, padded, of the legs (sharp) of maps[k]: M_k -> z_j
-    for the k-th degree j of z, out of the sum of the coils J_j(M_k); all
-    built unvalidated."""
+def _coil_legs(z: NComplex, maps: Sequence[ModuleMap]) -> Tuple[NComplex, List[NComplex],
+                                                                List[QRepMap]]:
+    """z padded, the coils J_j(M_k) and their legs (sharp) into it, of
+    maps[k]: M_k -> z_j for the k-th degree j of z; all built unvalidated."""
     spec_p = z.spec.padded()
     zp = pad_complex(z, spec_p)
     coils = [interval_J(spec_p, j, f.src) for j, f in zip(z.spec._degrees, maps)]
     legs = [_sharp(zp.bq, j, zp, f, coil)
             for j, f, coil in zip(z.spec._degrees, maps, coils)]
-    return rep_copair(_direct_sum(coils, spec_p, z.coeff), zp, legs)
+    return zp, coils, legs
 
 
 @dataclass
@@ -329,12 +331,14 @@ def coil_epi(z: NComplex) -> CoilEpi:
     """The degreewise-surjective map from the sum of coils on z's degrees.
 
     The coil at degree j maps in by the leg of the identity of z_j
-    (`_coil_map`): the composites (1, d, d^2, ...) starting at j; the
-    identity block at each degree forces surjectivity.  p is a public
-    answer, so it is validated and checked surjective.
+    (`_coil_legs`): the composites (1, d, d^2, ...) starting at j; the
+    identity block at each degree forces surjectivity.  p, the copair of
+    the legs out of the coils' sum, is a public answer, so it is validated
+    and checked surjective.
     """
     blocks = z.spec.degrees()
-    p = _coil_map(z, [identity_map(z.components[j]) for j in blocks])
+    zp, coils, legs = _coil_legs(z, [identity_map(z.components[j]) for j in blocks])
+    p = rep_copair(_direct_sum(coils, zp.spec, z.coeff), zp, legs)
     p._validate()
     for i in p.tgt.spec._degrees:
         if not p.comps[i].is_surjective():
@@ -495,25 +499,24 @@ def right_approximation(z: NComplex, gens: Sequence[NComplex]) -> Approximation:
 
     The projective cover cov_j: P_j -> z_j of each degree j gives the coil
     J_j(P_j) and its leg, the transpose of cov_j (sharp): cov_j followed by
-    d^k at degree j + k.  The coil part r, the copair of the legs
-    (`_coil_map`), is built unvalidated.  Validation is at the boundary:
-    the map Y -> z, the copair of the evaluation maps and r, is validated
-    block by block, r's block included, and checked degreewise surjective.
-    certified[s] says that Hom(G_s, Y) -> Hom(G_s, z) is surjective, shown
-    by preimages: the injections of G_s's evaluation copies are validated
-    chain maps G_s -> Y, and their composites with the map have rank
-    dim Hom(G_s, z).
+    d^k at degree j + k (`_coil_legs`).  Y is the flat sum of the copies'
+    sources, the generators, and the cover coils, and the map Y -> z is the
+    copair of the evaluation maps and the legs, built unvalidated.
+    Validation is at the boundary: the map is validated, every block
+    included, and checked degreewise surjective.  certified[s] says that
+    Hom(G_s, Y) -> Hom(G_s, z) is surjective, shown by preimages
+    (`_certify_generators`).
     """
-    r = _coil_map(z, [_cover_map(z.components[j])[1] for j in z.spec._degrees])
-    zp, coil_src = r.tgt, r.src
+    zp, coils, legs = _coil_legs(z, [_cover_map(z.components[j])[1]
+                                     for j in z.spec._degrees])
     spec_p = zp.spec
     gens_p = [pad_complex(g, spec_p) for g in gens]
     eval_bases = [qrep_hom(g, zp) for g in gens_p]
     multiplicities = [len(basis) for basis in eval_bases]
     copies = [f for basis in eval_bases for f in basis]
     pieces = [f.src for f in copies]
-    y = _direct_sum(pieces + [coil_src], spec_p, z.coeff)
-    g_map = rep_copair(y, zp, copies + [r])
+    y = _direct_sum(pieces + coils, spec_p, z.coeff)
+    g_map = rep_copair(y, zp, copies + legs)
     g_map._validate()
     if not g_map.is_surjective():
         raise VerificationError("approximation map is not degreewise surjective")
@@ -528,28 +531,47 @@ def _certify_generators(gens: Sequence[NComplex], multiplicities: Sequence[int],
                         injections: Sequence[QRepMap],
                         g_map: QRepMap) -> List[bool]:
     """certified[s] for each generator G_s: the injections of its evaluation
-    copies (the next multiplicities[s] of `injections`) pass validation as
-    chain maps G_s -> Y, the source of g_map, and their composites with the validated g_map have
-    rank multiplicities[s] = dim Hom(G_s, Z).  Those preimages then span
-    Hom(G_s, Z), so Hom(G_s, Y) -> Hom(G_s, Z) is surjective."""
-    certified = []
-    pos = 0
-    for g, mult in zip(gens, multiplicities):
-        copies = injections[pos:pos + mult]
-        pos += mult
-        try:
-            for f in copies:
-                if f.src is not g and f.src != g:
-                    raise PreconditionError("copy is not a map out of its generator")
-                if f.tgt is not g_map.src and f.tgt != g_map.src:
-                    raise PreconditionError("copy is not a map into Y")
-                f._validate()
-        except PreconditionError:
-            certified.append(False)
-            continue
-        cols = [vstack([flatten_map(c) for c in f.then(g_map).comps.values()])
-                for f in copies]
-        certified.append(not cols or hstack(cols).rank() == mult)
+    copies (the next multiplicities[s] of `injections`) are maps out of G_s
+    into Y, the source of g_map, that pass validation as chain maps, and
+    their composites with the validated g_map have rank multiplicities[s] =
+    dim Hom(G_s, Z).  Those preimages then span Hom(G_s, Z), so
+    Hom(G_s, Y) -> Hom(G_s, Z) is surjective.
+
+    All the copies are checked in one stacked pass: validation by
+    repcat.morphism_failures, which names the copies that fail, and the
+    composites by one product per degree and coefficient object, g_map's
+    component times the copies' nonempty components side by side, whose
+    column block k is copy k's composite.  Each copy's composite, read
+    column by column in the same order for every copy, is one row of its
+    generator's rank matrix."""
+    y = g_map.src
+    copies = injections[:sum(multiplicities)]
+    owner = [s for s, mult in enumerate(multiplicities) for _ in range(mult)]
+    certified = [True] * len(gens)
+    for s, f, failure in zip(owner, copies, morphism_failures(y, copies)):
+        g = gens[s]
+        if failure is not None or (f.src is not g and f.src != g):
+            certified[s] = False
+    kept = [k for k, s in enumerate(owner) if certified[s]]
+    flat: Dict[int, List] = {k: [] for k in kept}
+    for v, comp in g_map.comps.items():
+        for c, mat in comp.comps.items():
+            ks = [k for k in kept if copies[k].comps[v].comps[c].cols]
+            if not ks or not mat.rows:
+                continue
+            prod = mat @ hstack([copies[k].comps[v].comps[c] for k in ks])
+            off = 0
+            for k in ks:
+                w = copies[k].comps[v].comps[c].cols
+                for j in range(off, off + w):
+                    flat[k] += prod.data[j::prod.cols]
+                off += w
+    fld = y.coeff.field
+    for s, mult in enumerate(multiplicities):
+        if certified[s] and mult:
+            rows = [flat[k] for k in kept if owner[k] == s]
+            certified[s] = Mat(fld, mult, len(rows[0]),
+                               [x for row in rows for x in row]).rank() == mult
     return certified
 
 

@@ -16,7 +16,7 @@ a fresh Fraction for each zero would cost more than the elimination saves.
 """
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -556,7 +556,12 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
 def hstack(mats: Sequence[Mat]) -> Mat:
     """The blocks side by side; one block is returned as it is (a Mat is
     immutable).  Each row of the result is the same row of every block,
-    sliced off its data straight into one flat list."""
+    sliced off its data straight into one flat list.  For many thin blocks,
+    with a quarter as many columns as (row, block) pairs or fewer, each
+    column is sliced off its block instead and zip reads the rows across
+    them: fewer slices, for a per-entry cost that the row path does not
+    have (the threshold was timed on the hstack calls of the tensor-q and
+    complexes-rep benchmark workloads)."""
     if not mats:
         raise ValueError("hstack of nothing")
     first = mats[0]
@@ -570,6 +575,9 @@ def hstack(mats: Sequence[Mat]) -> Mat:
             raise ValueError("hstack row or field mismatch")
         blocks.append((m.data, m.cols))
         cols += m.cols
+    if 4 * cols <= rows * len(blocks):
+        columns = [data[j::c] for data, c in blocks for j in range(c)]
+        return Mat(f, rows, cols, tuple(chain.from_iterable(zip(*columns))))
     flat = []
     for i in range(rows):
         for data, c in blocks:
@@ -591,22 +599,18 @@ def vstack(mats: Sequence[Mat]) -> Mat:
 
 
 def block_diag(field: Field, mats: Sequence[Mat]) -> Mat:
-    """The block-diagonal matrix of mats, in order: each block row goes
-    straight into one flat entry list, with its zero padding either side."""
-    cols = sum([m.cols for m in mats])
-    z = field.zero()
-    flat = []
-    rows = c0 = 0
+    """The block-diagonal matrix of mats, in order: one flat list of zeros,
+    with each block row sliced into place."""
+    rows, cols = sum([m.rows for m in mats]), sum([m.cols for m in mats])
+    flat = [field.zero()] * (rows * cols)
+    start = c0 = 0
     for m in mats:
         if m.field is not field and m.field != field:
             raise ValueError("field mismatch")
         c, data = m.cols, m.data
-        left, right = [z] * c0, [z] * (cols - c0 - c)
         for i in range(m.rows):
-            flat += left
-            flat += data[i * c:i * c + c]
-            flat += right
-        rows += m.rows
+            flat[start + c0:start + c0 + c] = data[i * c:i * c + c]
+            start += cols
         c0 += c
     return Mat(field, rows, cols, flat)
 

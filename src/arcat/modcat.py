@@ -188,20 +188,28 @@ class ModuleMap:
             self._validate()
 
     def _validate(self):
-        """Check the categories, the component shapes and naturality on the
-        squares of `_squares`, the ones hom spaces solve: the identity
-        squares hold by the unit law of both modules."""
-        cat = self.src.cat
-        if not (self.tgt.cat is cat or self.tgt.cat == cat):
-            raise PreconditionError("map between modules over different categories")
-        for x in cat.objects:
-            m = self.comps.get(x)
-            if m is None or m.rows != self.tgt.dims[x] or m.cols != self.src.dims[x]:
-                raise PreconditionError(f"bad component shape at {x!r}")
+        """Check the categories, the component shapes (`_shape_failure`) and
+        naturality on the squares of `_squares`, the ones hom spaces solve:
+        the identity squares hold by the unit law of both modules."""
+        failure = self._shape_failure()
+        if failure is not None:
+            raise PreconditionError(failure)
         for key in _squares(self.src, self.tgt):
             x, y, _ = key
             if self.comps[x] @ self.src.action[key] != self.tgt.action[key] @ self.comps[y]:
                 raise PreconditionError(f"naturality fails at {key}")
+
+    def _shape_failure(self) -> Optional[str]:
+        """Why the two modules lie over different categories or a component
+        has the wrong shape, or None."""
+        cat = self.src.cat
+        if not (self.tgt.cat is cat or self.tgt.cat == cat):
+            return "map between modules over different categories"
+        for x in cat.objects:
+            m = self.comps.get(x)
+            if m is None or m.rows != self.tgt.dims[x] or m.cols != self.src.dims[x]:
+                return f"bad component shape at {x!r}"
+        return None
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
         """The composite (other o self), self applied first."""
@@ -535,7 +543,13 @@ def image_module(phi: ModuleMap) -> Image:
 
 def _projection_and_section(s: Mat) -> Tuple[Mat, Mat]:
     """pi, whose rows are the kernel basis of s^T and so span the left null
-    space of s (a projection with kernel im s), and its canonical section."""
+    space of s (a projection with kernel im s), and its canonical section.
+    When s has no columns both are the identity: the kernel basis of the
+    0 x d matrix s^T is the identity, and so is the solution against it
+    (every cover of a module over the point takes this path)."""
+    if not s.cols:
+        one = Mat.identity(s.field, s.rows)
+        return one, one
     pi = s.transpose().kernel_basis().transpose()
     sec = solve(pi, Mat.identity(s.field, pi.rows))
     if sec is None:

@@ -3,7 +3,9 @@
 A QRep assigns to each vertex a CModule over a fixed coefficient category
 and to each arrow a ModuleMap, with the monomial relations verified to
 vanish.  A QRepMap is a family of vertexwise ModuleMaps, each validated as
-a map of coefficient modules, commuting with every arrow.  These are the
+a map of coefficient modules, commuting with every arrow; maps into one
+representation are validated together (morphism_failures), each square
+once for all of them, and a single map is the case of one.  These are the
 only such classes: an n-complex (complexes.NComplex) is a QRep of its
 shape quiver and a chain map is a QRepMap.  phi and psi repackage
 representations exactly as modules over the tensor product of the
@@ -20,8 +22,9 @@ modcat.sum_map, modcat._block_injections and modcat.copair, and built
 unvalidated.
 check_adjunction certifies the adjunction by computing both hom spaces
 independently and verifying the two transposition maps are mutually inverse
-on bases; lemma2_cover assembles the canonical projective cover of a
-representation from the f_star_v of vertexwise covers.
+on bases, the transposes of each direction validated together;
+lemma2_cover assembles the canonical projective cover of a representation
+from the f_star_v of vertexwise covers.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError, VerificationError
 from .fincat import FinCategory, category_of, opposite_category, tensor_product
-from .linalg import Mat, equation_matrix, split_blocks
+from .linalg import Mat, equation_matrix, hstack, split_blocks
 from .modcat import (CModule, ModuleMap, _block_injections, _cover_map, copair, hom_space,
                      identity_map, naturality_equations, sum_map, sum_module, zero_map,
                      zero_module)
@@ -109,22 +112,8 @@ class QRepMap:
             self._validate()
 
     def _validate(self):
-        """Check the components, each a validated map of coefficient modules
-        between the vertex modules, and every arrow's square."""
-        if self.src.bq is not self.tgt.bq and self.src.bq != self.tgt.bq:
-            raise PreconditionError("map between representations of different quivers")
-        for v in self.src.bq.quiver.vertices:
-            f = self.comps.get(v)
-            if f is None:
-                raise PreconditionError(f"missing component at vertex {v!r}")
-            if f.src != self.src.vertex_modules[v] or f.tgt != self.tgt.vertex_modules[v]:
-                raise PreconditionError(f"component endpoints wrong at {v!r}")
-            f._validate()
-        for a in self.src.bq.quiver.arrows:
-            left = self.src.arrow_maps[a.name].then(self.comps[a.target])
-            right = self.comps[a.source].then(self.tgt.arrow_maps[a.name])
-            if left != right:
-                raise PreconditionError(f"square at arrow {a.name!r} does not commute")
+        """The checks of `morphism_failures`, on this map alone."""
+        validate_morphisms(self.tgt, [self])
 
     def then(self, other: "QRepMap") -> "QRepMap":
         comps = {v: self.comps[v].then(other.comps[v]) for v in self.comps}
@@ -145,6 +134,100 @@ class QRepMap:
                 and self.tgt == other.tgt and self.comps == other.comps)
 
     __hash__ = object.__hash__
+
+
+def morphism_failures(tgt: QRep, maps: Sequence[QRepMap]) -> List[Optional[str]]:
+    """Why each of maps into tgt is not a morphism of representations, or
+    None where it is: QRepMap._validate's checks, made for all the maps at
+    once, with each map's first failure.
+
+    Vertex by vertex, each map's component there must join its vertex
+    modules, over one category with the right shapes
+    (ModuleMap._shape_failure), and be natural on the squares of
+    modcat._squares; then every arrow's square must commute.  The components
+    of the maps still passing are stacked side by side, and each square is
+    one comparison (`_stacked_mismatches`): at a vertex and a square
+    (x, y, i) of the coefficients, tgt(f_i) @ hstack(X_k,y) against
+    hstack(X_k,x @ src_k(f_i)); at an arrow a: v -> w and an object c,
+    tgt(a)(c) @ hstack(X_k,v(c)) against hstack(X_k,w(c) @ src_k(a)(c)).
+    Column block k of each side is map k's square, so the sides agree
+    exactly when every map's square holds, and on a mismatch the blocks
+    that differ name the maps that fail.
+    """
+    failures: List[Optional[str]] = [None] * len(maps)
+    for k, f in enumerate(maps):
+        if f.tgt is not tgt and f.tgt != tgt:
+            failures[k] = "map into another representation"
+        elif f.src.bq is not tgt.bq and f.src.bq != tgt.bq:
+            failures[k] = "map between representations of different quivers"
+
+    def passing(v, c) -> List[int]:
+        """The maps with no failure yet and a nonempty column block at v, c."""
+        return [k for k, failure in enumerate(failures)
+                if failure is None and maps[k].src.vertex_modules[v].dims[c]]
+
+    for v in tgt.bq.quiver.vertices:
+        n = tgt.vertex_modules[v]
+        for k, f in enumerate(maps):
+            if failures[k] is not None:
+                continue
+            comp = f.comps.get(v)
+            m = f.src.vertex_modules[v]
+            if comp is None:
+                failures[k] = f"missing component at vertex {v!r}"
+            elif (comp.src is not m and comp.src != m) or (comp.tgt is not n and comp.tgt != n):
+                failures[k] = f"component endpoints wrong at {v!r}"
+            else:
+                failures[k] = comp._shape_failure()
+        cat = n.cat
+        for x, y in ((x, y) for x in cat.objects if n.dims[x] for y in cat.objects):
+            for i in cat._non_unit_indices(x, y):
+                key = (x, y, i)
+                ks = passing(v, y)
+                if not ks:
+                    break
+                comps = [maps[k].comps[v] for k in ks]
+                for j in _stacked_mismatches(n.action[key], [g.comps[y] for g in comps],
+                                             [g.comps[x] @ g.src.action[key] for g in comps]):
+                    failures[ks[j]] = f"naturality fails at {key}"
+    for a in tgt.bq.quiver.arrows:
+        bad = set()
+        for c in tgt.coeff.objects:
+            ks = passing(a.source, c)
+            if ks and tgt.vertex_modules[a.target].dims[c]:
+                bad.update(ks[j] for j in _stacked_mismatches(
+                    tgt.arrow_maps[a.name].comps[c],
+                    [maps[k].comps[a.source].comps[c] for k in ks],
+                    [maps[k].comps[a.target].comps[c] @ maps[k].src.arrow_maps[a.name].comps[c]
+                     for k in ks]))
+        for k in bad:
+            failures[k] = f"square at arrow {a.name!r} does not commute"
+    return failures
+
+
+def _stacked_mismatches(fixed: Mat, comps: Sequence[Mat], sides: Sequence[Mat]) -> List[int]:
+    """The positions k where fixed @ comps[k] differs from sides[k], from one
+    product fixed @ hstack(comps) against hstack(sides), read block by block
+    only when the two differ."""
+    left = fixed @ hstack(comps)
+    if left.data == hstack(sides).data:
+        return []
+    bad, off, width = [], 0, left.cols
+    for k, side in enumerate(sides):
+        c = side.cols
+        if any(left.data[r * width + off:r * width + off + c] != side.data[r * c:r * c + c]
+               for r in range(left.rows)):
+            bad.append(k)
+        off += c
+    return bad
+
+
+def validate_morphisms(tgt: QRep, maps: Sequence[QRepMap]):
+    """Raises PreconditionError with the first failure that
+    `morphism_failures` finds among maps, in their order."""
+    for failure in morphism_failures(tgt, maps):
+        if failure is not None:
+            raise PreconditionError(failure)
 
 
 def zero_rep(bq: BoundQuiver, coeff: FinCategory) -> QRep:
@@ -428,6 +511,8 @@ def check_adjunction(bq: BoundQuiver, v, p: CModule, r: QRep) -> AdjunctionRepor
 
     Both hom spaces are solved separately, their dimensions compared, and
     the two transposition maps checked to be mutually inverse on the bases.
+    The transposes of each direction, all maps ind -> r, are built
+    unvalidated (`_sharp`) and validated together (validate_morphisms).
     """
     ind = f_star_v(bq, v, p)
     lhs = qrep_hom(ind, r)
@@ -436,15 +521,15 @@ def check_adjunction(bq: BoundQuiver, v, p: CModule, r: QRep) -> AdjunctionRepor
         raise VerificationError(
             f"adjunction dimensions differ: {len(lhs)} vs {len(rhs)}")
     unit = adjunction_unit(bq, v, p, ind)
-    for psi_map in rhs:
-        rep_map = sharp(bq, v, r, psi_map, ind)
-        back = unit.then(rep_map.comps[v])
-        if back != psi_map:
+    transposes = [_sharp(bq, v, r, psi_map, ind) for psi_map in rhs]
+    validate_morphisms(r, transposes)
+    for psi_map, rep_map in zip(rhs, transposes):
+        if unit.then(rep_map.comps[v]) != psi_map:
             raise VerificationError("unit transposition does not round trip")
-    for rep_map in lhs:
-        psi_map = unit.then(rep_map.comps[v])
-        again = sharp(bq, v, r, psi_map, ind)
-        if again != rep_map:
+    again = [_sharp(bq, v, r, unit.then(rep_map.comps[v]), ind) for rep_map in lhs]
+    validate_morphisms(r, again)
+    for rep_map, back in zip(lhs, again):
+        if back != rep_map:
             raise VerificationError("counit transposition does not round trip")
     return AdjunctionReport(dim=len(lhs), checked_maps=len(lhs) + len(rhs))
 

@@ -5,7 +5,7 @@ import itertools
 import os
 import random
 import sys
-from typing import List
+from typing import List, Optional
 
 from arcat import poly
 from arcat.errors import CapExceededError, PreconditionError, VerificationError
@@ -614,6 +614,60 @@ def coil_route_approximation(z, gens):
     if not all(certified):
         raise VerificationError("approximation certificate failed")
     return cx.Approximation(y, g_map, zp, multiplicities, certified)
+
+
+def reference_rep_map_failure(f: QRepMap) -> Optional[str]:
+    """Why f is not a morphism of representations, or None: each component
+    validated as a ModuleMap on its own and each arrow square compared as
+    two composite ModuleMaps.  The oracle for repcat.morphism_failures,
+    which stacks the squares of many maps."""
+    try:
+        if f.src.bq is not f.tgt.bq and f.src.bq != f.tgt.bq:
+            raise PreconditionError("map between representations of different quivers")
+        for v in f.src.bq.quiver.vertices:
+            comp = f.comps.get(v)
+            if comp is None:
+                raise PreconditionError(f"missing component at vertex {v!r}")
+            if comp.src != f.src.vertex_modules[v] or comp.tgt != f.tgt.vertex_modules[v]:
+                raise PreconditionError(f"component endpoints wrong at {v!r}")
+            comp._validate()
+        for a in f.src.bq.quiver.arrows:
+            left = f.src.arrow_maps[a.name].then(f.comps[a.target])
+            right = f.comps[a.source].then(f.tgt.arrow_maps[a.name])
+            if left != right:
+                raise PreconditionError(f"square at arrow {a.name!r} does not commute")
+    except PreconditionError as e:
+        return str(e)
+    return None
+
+
+def reference_generator_certificate(gens, multiplicities, injections,
+                                    g_map: QRepMap) -> List[bool]:
+    """certified[s] copy by copy: each injection of G_s's evaluation copies
+    must be a map out of G_s into Y, the source of g_map, and pass
+    QRepMap._validate on its own, and the flattened composites with g_map
+    must have rank multiplicities[s].  The oracle for
+    complexes._certify_generators, which checks every copy in one stacked
+    pass."""
+    certified = []
+    pos = 0
+    for g, mult in zip(gens, multiplicities):
+        copies = injections[pos:pos + mult]
+        pos += mult
+        try:
+            for f in copies:
+                if f.src is not g and f.src != g:
+                    raise PreconditionError("copy is not a map out of its generator")
+                if f.tgt is not g_map.src and f.tgt != g_map.src:
+                    raise PreconditionError("copy is not a map into Y")
+                f._validate()
+        except PreconditionError:
+            certified.append(False)
+            continue
+        cols = [vstack([flatten_map(c) for c in f.then(g_map).comps.values()])
+                for f in copies]
+        certified.append(not cols or hstack(cols).rank() == mult)
+    return certified
 
 
 def path_route_sharp(bq, v, r: QRep, psi_map: ModuleMap, ind: QRep) -> QRepMap:

@@ -5,13 +5,14 @@ import os
 import random
 import sys
 from collections import Counter
+from typing import List
 
 import pytest
 
 from _support import (F101, QQ, a2_quiver, coil_injections, coil_route_approximation,
                       complex_sum_maps, module_print, point_pool, rand_complex,
                       rand_homotopy, rand_module, reference_composite_or_none,
-                      special_case_lift, typed_entries)
+                      reference_generator_certificate, special_case_lift, typed_entries)
 from arcat import cli, complexes, modcat
 from arcat.complexes import (Cyclic, Interval, NComplex, NComplexSpec, Window,
                              assemble_null_homotopic, build_category, coil_epi,
@@ -387,27 +388,29 @@ def scaled_degree(injections, k, g_map, pieces):
 def scaled_object(injections, k, g_map, pieces):
     """Copy k's injection doubled at the coefficient object '1' in every
     degree: its chain squares still commute and its composite with g_map
-    keeps its rank, but it is no longer a map of coefficient modules."""
+    keeps its rank, but where a square of the coefficients joins '1' to a
+    nonzero object it is no longer a map of coefficient modules."""
     f = injections[k]
     comps = {i: ModuleMap(c.src, c.tgt, {x: b.scale(2) if x == "1" else b
                                          for x, b in c.comps.items()}, validate=False)
              for i, c in f.comps.items()}
     bad = QRepMap(f.src, f.tgt, comps, validate=False)
-    with pytest.raises(PreconditionError, match="naturality fails"):
-        bad._validate()
     return injections[:k] + [bad] + injections[k + 1:], g_map
 
 
 def foreign_target(injections, k, g_map, pieces):
     """Copy k's injection retargeted at another sum of the same pieces, whose
-    last piece (the cover coils) has its differentials doubled: still a
-    chain map into that sum, with the same components, but not a map into
-    Y."""
+    last piece with a nonzero differential, a cover coil, has its
+    differentials doubled: still a chain map into that sum, with the same
+    components, but not a map into Y."""
     pieces = list(pieces)
-    last = pieces[-1]
-    pieces[-1] = NComplex(last.spec, last.coeff, last.components,
-                          {i: d.scale(2) for i, d in last.differentials.items()})
-    other = _direct_sum(pieces, last.spec, last.coeff)
+    last = max(j for j, x in enumerate(pieces)
+               if not all(d.is_zero() for d in x.differentials.values()))
+    assert last >= len(injections) > k
+    x = pieces[last]
+    pieces[last] = NComplex(x.spec, x.coeff, x.components,
+                            {i: d.scale(2) for i, d in x.differentials.items()})
+    other = _direct_sum(pieces, x.spec, x.coeff)
     assert other != g_map.src
     f = injections[k]
     moved = QRepMap(f.src, other, rep_injections(other, pieces[:k + 1])[k].comps)
@@ -415,10 +418,20 @@ def foreign_target(injections, k, g_map, pieces):
     return injections[:k] + [moved] + injections[k + 1:], g_map
 
 
-def spy_certificates(monkeypatch, corrupt=None):
-    """Records every call of the generator certificate; corrupt, if given,
-    rewrites the injections and g_map it is handed at the first evaluation
-    copy, knowing the summands of Y (recorded from _direct_sum)."""
+CORRUPTIONS = (zero_block, scaled_degree, foreign_target, scaled_object)
+
+
+def corrupted_copies(total: int) -> List[int]:
+    """The first, a middle and the last of total evaluation copies."""
+    return sorted({0, total // 2, total - 1}) if total else []
+
+
+def spy_certificates(monkeypatch, corrupt=None, at=0):
+    """Records every call of the generator certificate as (gens,
+    multiplicities, injections, g_map, pieces, certified), pieces being the
+    summands of Y (recorded from _direct_sum); corrupt, if given, first
+    rewrites the injections and g_map it is handed at evaluation copy
+    corrupted_copies(...)[at]: the first, a middle or the last."""
     calls = []
     original = complexes._certify_generators
     summing = complexes._direct_sum
@@ -432,13 +445,12 @@ def spy_certificates(monkeypatch, corrupt=None):
     monkeypatch.setattr(complexes, "_direct_sum", recording)
 
     def spy(gens, multiplicities, injections, g_map):
+        pieces = next(xs for total, xs in sums if total is g_map.src)
         if corrupt is not None:
-            first = next(s for s, m in enumerate(multiplicities) if m)
-            pieces = next(xs for total, xs in sums if total is g_map.src)
-            injections, g_map = corrupt(list(injections), sum(multiplicities[:first]),
-                                        g_map, pieces)
+            k = corrupted_copies(sum(multiplicities))[at]
+            injections, g_map = corrupt(list(injections), k, g_map, pieces)
         out = original(gens, multiplicities, injections, g_map)
-        calls.append((gens, multiplicities, g_map, out))
+        calls.append((gens, multiplicities, injections, g_map, pieces, out))
         return out
 
     monkeypatch.setattr(complexes, "_certify_generators", spy)
@@ -457,39 +469,78 @@ def test_generator_certificate_agrees_with_reference(monkeypatch):
                 z = rand_complex(spec, pt, pool, rng)
                 ap = right_approximation(z, gens)
                 assert ap.certified == [True] * len(gens)
-                gens_p, mults, g_map, out = calls[-1]
+                gens_p, mults, _, g_map, _, out = calls[-1]
                 assert out == ap.certified and g_map is ap.chain_map
                 assert [reference_certificate(g, ap.source, ap.chain_map, m)
                         for g, m in zip(gens_p, mults)] == [True] * len(gens)
 
 
-@pytest.mark.parametrize("corrupt", [zero_block, scaled_degree, foreign_target,
-                                     scaled_object])
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_generator_certificate_negative_control(monkeypatch, corrupt):
-    """Each corruption of the first evaluation copy fails its certificate.
+    """Each corruption of the first, a middle or the last evaluation copy
+    fails the certificate of exactly the generator that copy belongs to.
     scaled_object runs over A2 coefficients with the coils of the module of
     dimension (1, 1), where scaling at one object breaks naturality; the
     others run over the point."""
-    calls = spy_certificates(monkeypatch, corrupt)
     rng = random.Random(1616)
-    for fld in (F101, QQ):
-        pt, pool = coefficient_pools(fld)[1 if corrupt is scaled_object else 0]
-        module = max(pool, key=lambda p: p.total_dim())
-        for spec in BENCH_SPECS:
-            padded = spec.padded()
-            gens = [interval_J(padded, j, module) for j in spec.degrees()]
-            z = rand_complex(spec, pt, pool, rng)
-            while not any(hom_space(module, z.components[j]) for j in spec.degrees()):
-                z = rand_complex(spec, pt, pool, rng)
-            with pytest.raises(VerificationError):
-                right_approximation(z, gens)
-            gens_p, mults, bad_map, out = calls[-1]
-            first = next(s for s, m in enumerate(mults) if m)
-            assert out[first] is False
-            y = bad_map.src
-            for g, m, ok in zip(gens_p, mults, out):
-                if ok:
-                    assert reference_certificate(g, y, bad_map, m)
+    for at in range(3):
+        with monkeypatch.context() as patch:
+            calls = spy_certificates(patch, corrupt, at)
+            for fld in (F101, QQ):
+                pt, pool = coefficient_pools(fld)[1 if corrupt is scaled_object else 0]
+                module = max(pool, key=lambda p: p.total_dim())
+                for spec in BENCH_SPECS:
+                    padded = spec.padded()
+                    gens = [interval_J(padded, j, module) for j in spec.degrees()]
+                    z = rand_complex(spec, pt, pool, rng)
+                    while sum(len(hom_space(module, z.components[j]))
+                              for j in spec.degrees()) < 3:
+                        z = rand_complex(spec, pt, pool, rng)
+                    with pytest.raises(VerificationError):
+                        right_approximation(z, gens)
+                    gens_p, mults, injections, bad_map, _, out = calls[-1]
+                    k = corrupted_copies(sum(mults))[at]
+                    owner = [s for s, m in enumerate(mults) for _ in range(m)][k]
+                    assert out == [s != owner for s in range(len(gens))]
+                    if corrupt is scaled_object:
+                        with pytest.raises(PreconditionError, match="naturality fails"):
+                            injections[k]._validate()
+                    for g, m, ok in zip(gens_p, mults, out):
+                        if ok:
+                            assert reference_certificate(g, bad_map.src, bad_map, m)
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_stacked_certificate_matches_the_per_copy_loop(monkeypatch, fld):
+    """The stacked certificate against the per-copy loop it replaced
+    (reference_generator_certificate): the same certified list on every
+    approximation case, and under each corruption of the first, a middle
+    and the last evaluation copy.  The cases' A2 generators are coils of
+    one simple module, which scaled_object leaves natural, so the
+    benchmark shapes also run with the coils of the A2 module of dimension
+    (1, 1) as generators; every corruption then fails some generator."""
+    stacked_certificate = complexes._certify_generators
+    calls = spy_certificates(monkeypatch)
+    rng = random.Random(2828)
+    cases = list(approximation_cases(fld, rng))
+    a2, pool = coefficient_pools(fld)[1]
+    module = max(pool, key=lambda p: p.total_dim())
+    for spec in BENCH_SPECS:
+        gens = [interval_J(spec.padded(), j, module) for j in spec.degrees()]
+        cases.append((rand_complex(spec, a2, pool, rng), gens))
+    for z, gens in cases:
+        right_approximation(z, gens)
+    refused = Counter()
+    for gens, mults, injections, g_map, pieces, out in calls:
+        assert out == reference_generator_certificate(gens, mults, injections, g_map)
+        for corrupt in CORRUPTIONS:
+            for k in corrupted_copies(sum(mults)):
+                bad_injections, bad_map = corrupt(list(injections), k, g_map, pieces)
+                got = stacked_certificate(gens, mults, bad_injections, bad_map)
+                assert got == reference_generator_certificate(gens, mults, bad_injections,
+                                                              bad_map)
+                refused[corrupt.__name__] += got.count(False)
+    assert all(refused[c.__name__] for c in CORRUPTIONS), refused
 
 
 def test_right_approximation_builds_only_what_it_needs(monkeypatch):
@@ -675,8 +726,9 @@ def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
             coil_epi(z)
             right_approximation(z, gens)
             cases += 1
-    # per case the copairs p (coil_epi), r and the approximation map
-    assert len(built["rep_copair"]) == 3 * cases
+    # per case the copairs p (coil_epi) and the approximation map, whose
+    # blocks are the evaluation maps and the cover-coil legs
+    assert len(built["rep_copair"]) == 2 * cases
     for f in built["_sharp"] + built["rep_copair"] + built["rep_injections"]:
         f._validate()
     assert {f.src.spec for f in built["_sharp"]} == \
@@ -708,26 +760,36 @@ def test_right_approximation_builds_no_coil_epi_and_no_projection(monkeypatch):
 
 def test_validation_sits_at_the_boundary(monkeypatch):
     """Chain maps are validated where they are handed out: coil_epi's map
-    p, the approximation map, and each evaluation-copy injection of the
-    generator certificate, once each; legs, sums and r are not."""
-    validated = []
+    p and the approximation map by QRepMap._validate, and the
+    evaluation-copy injections of the generator certificate by one stacked
+    check, each copy once; legs and sums are not."""
+    validated, stacked = [], []
     original = QRepMap._validate
+    stacking = complexes.morphism_failures
 
     def recording(self):
         validated.append(self)
         return original(self)
 
+    def recording_stacked(tgt, maps):
+        stacked.append((tgt, list(maps)))
+        return stacking(tgt, maps)
+
     cases = list(approximation_cases(F101, random.Random(2626)))
     monkeypatch.setattr(QRepMap, "_validate", recording)
+    monkeypatch.setattr(complexes, "morphism_failures", recording_stacked)
     for z, gens in cases:
         del validated[:]
         epi = coil_epi(z)
         assert len(validated) == 1 and validated[0] is epi.p
         del validated[:]
         ap = right_approximation(z, gens)
-        assert validated[0] is ap.chain_map
-        assert len(validated) == 1 + sum(ap.multiplicities)
-        assert all(f.tgt is ap.source for f in validated[1:])
+        assert len(validated) == 1 and validated[0] is ap.chain_map
+        (tgt, copies), = stacked
+        del stacked[:]
+        assert tgt is ap.source
+        assert len(copies) == len({id(f) for f in copies}) == sum(ap.multiplicities)
+        assert all(f.tgt is ap.source for f in copies)
 
 
 def test_every_coil_is_a_complex(monkeypatch):

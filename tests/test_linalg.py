@@ -175,6 +175,31 @@ def test_block_diag_matches_the_row_list_construction(field):
         block_diag(field, [Mat.zeros(F5, 1, 1)])
 
 
+def reference_hstack(mats):
+    """hstack as each row of the result built from the rows of the blocks."""
+    rows = mats[0].rows
+    return Mat(mats[0].field, rows, sum(m.cols for m in mats),
+               [x for i in range(rows) for m in mats for x in m.row(i)])
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "Q"])
+def test_hstack_matches_the_row_construction(field):
+    """Both paths of hstack, row slices for few wide blocks and column
+    slices for many thin ones, against the row-by-row oracle, with empty
+    rows and columns."""
+    rng = random.Random(1550 + (field.p or 0))
+    cases = []
+    for rows in range(6):
+        for widths in ([0, 1, 1, 2, 0, 1, 1, 1], [3, 5], [0, 0], [1] * 12, [4, 0, 2]):
+            cases.append([rand_mat(field, rows, c, rng) for c in widths])
+    thin = sum(4 * sum(m.cols for m in mats) <= len(mats) * mats[0].rows for mats in cases)
+    assert 0 < thin < len(cases)
+    for mats in cases:
+        assert typed_entries(hstack(mats)) == typed_entries(reference_hstack(mats))
+    with pytest.raises(ValueError):
+        hstack([Mat.zeros(field, 1, 1), Mat.zeros(field, 2, 1)])
+
+
 def test_solve_identity():
     b = Mat.from_rows(F5, [[2], [3]])
     assert solve(Mat.identity(F5, 2), b) == b

@@ -2433,3 +2433,18 @@ def test_is_isomorphic_answers_early_on_zero_modules_and_regular_simples():
     assert is_isomorphic(lam, lam) is not None
     m, n = direct_sum([lam, lam])[0], direct_sum([mu, mu])[0]
     assert is_isomorphic(m, n) is None and m._end is None and n._end is None
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_projection_off_an_empty_span_is_the_identity(fld):
+    """_projection_and_section of a span with no columns returns (I, I) at
+    once; the kernel route, the kernel basis of the 0 x d transpose and the
+    solve against it, gives the same matrices, entry types included, for
+    d = 0..4."""
+    for d in range(5):
+        span = Mat.zeros(fld, d, 0)
+        pi, section = modcat._projection_and_section(span)
+        want_pi = span.transpose().kernel_basis().transpose()
+        want_section = solve(want_pi, Mat.identity(fld, want_pi.rows))
+        assert typed_entries(pi) == typed_entries(want_pi)
+        assert typed_entries(section) == typed_entries(want_section)

@@ -1,14 +1,15 @@
 """Representations, the tensor-module dictionary, and induced covers."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, module_print,
                       one_loop_rad2, path_route_sharp, point_pool, rand_module,
-                      rand_qrep, reference_sum_injections, reference_unit_block,
-                      typed_entries)
+                      rand_qrep, reference_rep_map_failure, reference_sum_injections,
+                      reference_unit_block, typed_entries)
 from arcat import modcat, repcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
@@ -473,3 +474,76 @@ def test_rep_injections_and_unit_match_the_hand_built_blocks():
                     for c in coeff.objects:
                         assert (typed_entries(unit.comps[c])
                                 == typed_entries(reference_unit_block(fld, count, m.dims[c])))
+
+
+def broken_copies(f: QRepMap, fld) -> list:
+    """f with one defect each, built unvalidated: every component doubled
+    at one vertex, doubled at the coefficient object '1' alone, given an
+    extra column at one object, or missing at one vertex."""
+    out = []
+    for v, comp in f.comps.items():
+        out.append(QRepMap(f.src, f.tgt, {**f.comps, v: comp.scale(2)}, validate=False))
+        if "1" in comp.comps:
+            doubled = {x: b.scale(2) if x == "1" else b for x, b in comp.comps.items()}
+            out.append(QRepMap(f.src, f.tgt, {**f.comps, v: ModuleMap(
+                comp.src, comp.tgt, doubled, validate=False)}, validate=False))
+        x, b = next(iter(comp.comps.items()))
+        wide = ModuleMap(comp.src, comp.tgt,
+                         {**comp.comps, x: Mat.zeros(fld, b.rows, b.cols + 1)}, validate=False)
+        out.append(QRepMap(f.src, f.tgt, {**f.comps, v: wide}, validate=False))
+        out.append(QRepMap(f.src, f.tgt, {w: c for w, c in f.comps.items() if w != v},
+                           validate=False))
+    return out
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "Q"])
+def test_stacked_validation_matches_each_map_alone(fld):
+    """morphism_failures, which stacks the squares of all the maps, names
+    the same first failure for each map as the map checked alone
+    (reference_rep_map_failure): on hom bases and sum injections into
+    random representations of A2, A3 mod rad^2 and the 2-cycle mod rad^2
+    with point and A2 coefficients, and on copies of them with one defect
+    each, mixed in one call.  A map into another representation is refused
+    by its target."""
+    rng = random.Random(3030)
+    a2 = category_of(a2_quiver(), fld)
+    seen = Counter()
+    for bq in (a2_quiver(), a3_rad2(), cyclic_rad2(2)):
+        for coeff, pool in (point_pool(fld), (a2, list(ar_quiver(a2).modules))):
+            parts = [rand_qrep(bq, coeff, pool, rng) for _ in range(2)]
+            tgt = rep_direct_sum(parts, bq, coeff)
+            maps = rep_injections(tgt, parts)
+            for _ in range(2):
+                maps += qrep_hom(rand_qrep(bq, coeff, pool, rng), tgt)
+            maps += [bad for f in list(maps) if not f.is_zero()
+                     for bad in broken_copies(f, fld)]
+            rng.shuffle(maps)
+            want = [reference_rep_map_failure(f) for f in maps]
+            assert repcat.morphism_failures(tgt, maps) == want
+            seen.update(w.split(" at ")[0] if w else "passes" for w in want)
+            foreign = QRepMap(maps[0].src, zero_rep(bq, coeff), maps[0].comps, validate=False)
+            assert repcat.morphism_failures(tgt, [foreign, maps[0]]) \
+                == ["map into another representation", want[0]]
+    assert set(seen) == {"passes", "naturality fails", "square", "bad component shape",
+                         "missing component"}, seen
+
+
+def test_adjunction_refuses_a_transpose_that_is_not_natural(monkeypatch):
+    """Negative control for the stacked check of check_adjunction's
+    transposes: a map p -> r(v) doubled at the A2 object '1' is not natural,
+    and when hom_space hands it out in place of a basis map, its transpose
+    is refused."""
+    bq = a2_quiver()
+    a2 = category_of(a2_quiver(), F101)
+    p = max(ar_quiver(a2).modules, key=lambda m: m.total_dim())
+    r = f_star_v(bq, "1", p)
+    check_adjunction(bq, "1", p, r)
+    basis = hom_space(p, r.vertex_modules["1"])
+    bad = ModuleMap(basis[0].src, basis[0].tgt,
+                    {x: b.scale(2) if x == "1" else b for x, b in basis[0].comps.items()},
+                    validate=False)
+    with pytest.raises(PreconditionError, match="naturality fails"):
+        bad._validate()
+    monkeypatch.setattr(repcat, "hom_space", lambda m, n: [bad] + basis[1:])
+    with pytest.raises(PreconditionError, match="naturality fails"):
+        check_adjunction(bq, "1", p, r)
