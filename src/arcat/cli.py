@@ -352,6 +352,7 @@ def _knit(job: JobSpec, cap: int):
 
 def _cmd_info(job: JobSpec, out: List[str], args):
     b, coeff = _categories(job, args.cap)
+    coeff._validate()  # category_of builds unvalidated: "categories valid" is checked here
     out.append(f"field: {job.fld}")
     if job.quiver.complex_spec is not None:
         out.append(f"complex shape: {_spec_text(job.quiver.complex_spec)}")

@@ -20,14 +20,22 @@ degree of Z: of the identities, a degreewise-surjective chain map onto Z
 through which every null-homotopic map factors by an explicit homotopy
 formula; of the projective covers P_j -> Z_j, the coil part of a right
 approximation, which adds evaluation copies of the requested generators.
-Coils, sums, legs and copairs are built unvalidated; validation sits at
-the boundary, on the maps handed out.  An approximation's source Y is one
-flat sum of the evaluation copies' generators and the cover coils, and it
-certifies each generator G by preimages: the injections of G's
-evaluation copies are validated chain maps G -> Y, and their composites
-with the validated approximation map have rank dim Hom(G, Z), so
-Hom(G, Y) -> Hom(G, Z) is surjective.  The copies of all generators are
-validated and composed in one stacked pass.
+
+Validation follows modcat's one rule: a complex or chain map is validated
+when it is built from data given from outside (from_rep) or when the check
+is the certificate of a public answer: the coil map, the approximation
+map and its generator certificate, the lift of a null-homotopic map, the
+map assembled from a homotopy and the steps of a stalk filtration.
+Everything else is derived from valid inputs and built unvalidated, with
+its proof in its docstring: coils, sums, legs, copairs, truncations and
+the homotopies that find_null_homotopy solves for.
+
+An approximation's source Y is one flat sum of the evaluation copies'
+generators and the cover coils, and it certifies each generator G by
+preimages: the injections of G's evaluation copies are validated chain
+maps G -> Y, and their composites with the validated approximation map
+have rank dim Hom(G, Z), so Hom(G, Y) -> Hom(G, Z) is surjective.  The
+copies of all generators are validated and composed in one stacked pass.
 """
 
 from dataclasses import dataclass
@@ -42,8 +50,8 @@ from .modcat import (CModule, ModuleMap, _cover_map, cokernel_module,
                      factor_through_cokernel, identity_map,
                      kernel_module, naturality_equations, zero_map, zero_module)
 from .quiver import Arrow, BoundQuiver, MonomialIdeal, Path, Quiver
-from .repcat import (QRep, QRepMap, _sharp, f_star_v, morphism_failures, qrep_hom,
-                     rep_copair, rep_direct_sum, rep_injections)
+from .repcat import (QRep, QRepMap, f_star_v, morphism_failures, qrep_hom,
+                     rep_copair, rep_direct_sum, rep_injections, sharp)
 
 
 @dataclass(frozen=True)
@@ -314,7 +322,7 @@ def _coil_legs(z: NComplex, maps: Sequence[ModuleMap]) -> Tuple[NComplex, List[N
     spec_p = z.spec.padded()
     zp = pad_complex(z, spec_p)
     coils = [interval_J(spec_p, j, f.src) for j, f in zip(z.spec._degrees, maps)]
-    legs = [_sharp(zp.bq, j, zp, f, coil)
+    legs = [sharp(zp.bq, j, zp, f, coil)
             for j, f, coil in zip(z.spec._degrees, maps, coils)]
     return zp, coils, legs
 
@@ -395,7 +403,8 @@ def find_null_homotopy(l: QRepMap) -> Optional[Dict[int, ModuleMap]]:
     off a linear shape are dropped.  The unknowns are the components
     X_(i,c) of s, and each degree i and coefficient object c gives the
     equation l_i(c) = sum of after(c) X_(mid,c) before(c).  The naturality
-    equations of each s_i make it a map of coefficient modules.
+    equations of each s_i make it a map of coefficient modules, so the
+    components are built unvalidated: the solve proves them natural.
     """
     spec = l.src.spec
     coeff = l.src.coeff
@@ -427,7 +436,7 @@ def find_null_homotopy(l: QRepMap) -> Optional[Dict[int, ModuleMap]]:
         return None
     blocks = split_blocks(fld, shapes, sol.col(0))
     return {i: ModuleMap(l.src.components[i], l.tgt.components[low],
-                         {c: blocks[(i, c)] for c in coeff.objects}, validate=True)
+                         {c: blocks[(i, c)] for c in coeff.objects}, validate=False)
             for i, low in lows.items()}
 
 
@@ -475,13 +484,16 @@ def factor_null_homotopy(l: QRepMap, coil: CoilEpi) -> QRepMap:
 
 
 def hard_truncate(x: NComplex, floor: int) -> NComplex:
-    """Zeroes every component below the floor; window shapes only."""
+    """Zeroes every component below the floor; window shapes only.
+
+    Built unvalidated: a kept differential joins two kept components, every
+    other one is a zero map, and a window of differentials either passes a
+    zero map or is a window of x, so it vanishes.
+    """
     if not isinstance(x.spec.shape, Window):
         raise PreconditionError("hard truncation needs a window shape")
-    out = _zero_filled(x.spec, x.coeff, {i: c for i, c in x.components.items() if i >= floor},
-                       {i: d for i, d in x.differentials.items() if i >= floor})
-    out._validate()
-    return out
+    return _zero_filled(x.spec, x.coeff, {i: c for i, c in x.components.items() if i >= floor},
+                        {i: d for i, d in x.differentials.items() if i >= floor})
 
 
 @dataclass

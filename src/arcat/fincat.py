@@ -5,16 +5,17 @@ sparse composition constants, plus the subset of basis elements spanning the
 radical (valid for the split basic categories built here: path categories of
 bound quivers, their opposites, and tensor products of those).
 
-Validation happens at the trust boundary.  A category built from given
-tables is checked on construction (FinCategory._validate): the unit laws,
-associativity and the radical ideal property, on the action matrices of the
-representables Hom(-, w), which modcat wraps as its projectives without
-checking them again.  Tables passed to the constructor, path categories and
-point_category are such categories.  opposite_category and tensor_product
-build from categories that are valid already, and their laws follow from
-those of their factors, so both pass validate=False, each with its proof in
-its docstring.  `_validate` can still be called on any category, as the
-CLI's `tensor` job does on the category it prints.
+Validation happens at the trust boundary, by one rule: a category is
+checked (FinCategory._validate) when its tables are given from outside, as
+tables passed to the constructor are, or when the check is the certificate
+of a public answer, as the CLI's `tensor` and `info` jobs make it on the
+categories they report.  The check covers the unit laws, associativity and
+the radical ideal property, on the action matrices of the representables
+Hom(-, w), which modcat wraps as its projectives without checking them
+again.  Every category derived here is built with validate=False, and its
+docstring proves its laws: category_of (and so point_category) from the
+concatenation of paths, opposite_category and tensor_product from the laws
+of their factors.
 
 On top of that sit the additive hull (formal finite sums, block morphisms)
 and the idempotent completion (pairs of an additive object and an idempotent
@@ -59,9 +60,9 @@ class FinCategory:
     tuple of the identity in End(x), radical[(x, y)] the set of basis indices
     spanning the radical.
 
-    The tables are validated on construction (validate=True); only
-    opposite_category and tensor_product, which prove their tables valid
-    from their factors', pass validate=False (see the module docstring).
+    Tables given from outside are validated on construction
+    (validate=True); the constructions of this module prove their tables
+    valid and pass validate=False (see the module docstring).
     """
 
     def __init__(self, field: Field, objects: Sequence[ObjectId],
@@ -250,7 +251,8 @@ def _functor_failure(cat: FinCategory, dims: Dict, action: Dict) -> Optional[Tup
     combination of M(k) that the composition table gives for g_j o f_i.  A
     pair whose f_i or g_j is the identity basis element is left out: M(1) =
     1 by the unit check, so both sides are M(g_j) (or M(f_i)) by the unit
-    laws of the category, which FinCategory._validate checks.  A unit that
+    laws of the category, which FinCategory._validate checks or its
+    construction proves.  A unit that
     is not a basis element skips nothing.  Sources and targets of dimension
     zero carry empty blocks and are left out of the product.
     """
@@ -284,7 +286,17 @@ def _functor_failure(cat: FinCategory, dims: Dict, action: Dict) -> Optional[Tup
 
 
 def category_of(bq: BoundQuiver, field: Field) -> FinCategory:
-    """The k-linear path category of a bound quiver; basis = surviving paths."""
+    """The k-linear path category of a bound quiver; basis = surviving paths.
+
+    Built unvalidated: the composite of two surviving paths is their
+    concatenation, or zero when the ideal kills the word.  The ideal is
+    monomial, so a word is killed exactly when it contains a generator, and
+    (fg)h and f(gh) are both the word fgh, or both zero.  The trivial path
+    of v is a basis element, the unit of v, and concatenating it changes no
+    word.  Every object pair has its table, the radical is spanned by the
+    paths of length >= 1, which form an ideal, as a word with such a factor
+    is such a path or zero, and the unit, of length 0, lies outside it.
+    """
     objects = list(bq.quiver.vertices)
     hom = {}
     for v in objects:
@@ -309,7 +321,7 @@ def category_of(bq: BoundQuiver, field: Field) -> FinCategory:
     radical = {key: frozenset(i for i, lab in enumerate(labels) if len(lab) >= 1)
                for key, labels in hom.items()}
     return FinCategory(field, objects, hom, comp, units, radical,
-                       meta={"kind": "path", "bq": bq})
+                       meta={"kind": "path", "bq": bq}, validate=False)
 
 
 def tensor_product(b: FinCategory, a: FinCategory) -> FinCategory:
@@ -411,7 +423,8 @@ def opposite_category(c: FinCategory) -> FinCategory:
 
 
 def point_category(field: Field, name: str = "pt") -> FinCategory:
-    """The one object category with End = k (coefficients "mod k")."""
+    """The one object category with End = k (coefficients "mod k"), the
+    path category of one vertex with no arrows, so built unvalidated."""
     return category_of(BoundQuiver(Quiver([name], []), MonomialIdeal()), field)
 
 

@@ -5,33 +5,32 @@ element f_i: x -> y a matrix action[(x, y, i)]: k^dims[y] -> k^dims[x];
 composites reverse, M(g o f) = M(f) M(g).  ModuleMaps are natural
 transformations with per object components.
 
-Validation happens at the trust boundary.  A module or map built from given
-data is verified on construction: the unit law and functoriality by
-fincat._functor_failure, with one matrix product per middle object, and
-naturality square by square, on the squares of `_squares`, the very ones
-the hom spaces solve (naturality_equations).  Those leave out the identity
-squares, which hold for every module, since each acts by the identity at
-every unit: the validated ones are checked for it, and the seven
-constructions built unvalidated (zero_module, sum_module,
-conjugate_module, the representables, `_submodule_on_bases`, `_cokernel`
-and duality_D) prove it in their docstrings.  Validated too are the base
-change of conjugate_module and the maps that factor_through_cokernel and
-dual_map return.  The derived objects whose construction proves them valid
-are built unvalidated, each with its proof in its docstring: the representables
-(their matrices are the ones FinCategory._validate checked), sub-modules
-and their inclusions (one exact solve against bases of full column rank),
-the projection onto an image, cokernels and their projections (the spans
-are submodules), among them the top quotients and so the simple modules,
-the tops of the representables, the maps out of sums of representables
-(Yoneda), the dualized presentation, and duals (transposed actions).
-Composites, sums and scalings of maps, identities, zero maps, direct sums
-(sum_module) with their block injections and projections, and the block
-maps between sums (sum_map, copair) are natural or functorial by linear
-algebra alone.  Every certificate the program reports is still
-checked: cover surjectivity and, where a cover must be minimal
-(projective_cover and both covers of a presentation), ker <= rad, the
-rebuilt presentation, exactness and non-splitness, the almost split
-property, the decomposition identities (in End(m), by
+Validation happens at the trust boundary, by one rule: a module or map is
+verified when it is built from data given from outside, or when the check
+is the certificate of a public answer.  The unit law and functoriality are
+checked by fincat._functor_failure, with one matrix product per middle
+object, and naturality square by square, on the squares of `_squares`, the
+very ones the hom spaces solve (naturality_equations).  Those leave out the
+identity squares, which hold for every module, since each acts by the
+identity at every unit: the validated ones are checked for it, and the
+constructions built unvalidated prove it.  Every derived module and map is
+built unvalidated, with its proof in its docstring: the representables
+(their matrices are the ones FinCategory's laws make functorial), base
+changes (conjugate_module) and their isos, sub-modules and their
+inclusions (one exact solve against bases of full column rank), the
+projection onto an image, cokernels and their projections (the spans are
+submodules), among them the top quotients and so the simple modules, the
+tops of the representables, the maps out of sums of representables
+(Yoneda), the factorization through a cokernel (by its own check against
+the map it factors), the dualized presentation, and duals of modules and
+maps (transposed actions).  Composites, sums and scalings of maps,
+identities, zero maps, direct sums (sum_module) with their block injections
+and projections, and the block maps between sums (sum_map, copair) are
+natural or functorial by linear algebra alone.  Every certificate the
+program reports is still checked: cover surjectivity and, where a cover
+must be minimal (projective_cover and both covers of a presentation),
+ker <= rad, the rebuilt presentation, exactness and non-splitness, the
+almost split property, the decomposition identities (in End(m), by
 algebra.primitive_idempotents), and the closure of knitting's summand
 multiplicities to the dimension of the middle term.
 
@@ -352,9 +351,11 @@ def copair(src: CModule, tgt: CModule, maps: Sequence[ModuleMap]) -> ModuleMap:
 def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
     """Transport of structure along invertible components; returns (n, iso n -> m).
 
-    n is built unvalidated: f: x -> y acts by g_x^-1 m(f) g_y, so a unit
-    acts by g_x^-1 g_x = 1, and n(f) n(h) = g_x^-1 m(f) m(h) g_z = n(h o f).
-    The iso is validated."""
+    Both are built unvalidated: f: x -> y acts on n by g_x^-1 m(f) g_y, so
+    a unit acts by g_x^-1 g_x = 1, n(f) n(h) = g_x^-1 m(f) m(h) g_z =
+    n(h o f), and g_x n(f) = m(f) g_y is the naturality of the iso.  The
+    shapes of the mats are checked by the products that build n's action
+    (every object has its unit's action)."""
     inv = {}
     for x in m.cat.objects:
         gi = mats[x].inverse()
@@ -363,7 +364,7 @@ def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
         inv[x] = gi
     action = {key: inv[key[0]] @ mat @ mats[key[1]] for key, mat in m.action.items()}
     n = CModule(m.cat, dict(m.dims), action, validate=False)
-    return n, ModuleMap(n, m, mats, validate=True)
+    return n, ModuleMap(n, m, mats, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +374,8 @@ def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
 def yoneda_projective(cat: FinCategory, x) -> CModule:
     """The representable Hom(-, x), memoised on the category and built
     unvalidated: its matrices are fincat._representable_action's, whose unit
-    law and functoriality FinCategory._validate checked when cat was built
-    (they are the right unit law and associativity of cat)."""
+    law and functoriality are the right unit law and associativity of cat,
+    checked by FinCategory._validate or proved by cat's construction."""
     if x not in cat.objects:
         raise PreconditionError(f"{x!r} is not an object of the category")
     if x not in cat._representables:
@@ -589,9 +590,16 @@ def cokernel_module(phi: ModuleMap) -> Cokernel:
 
 
 def factor_through_cokernel(ck: Cokernel, psi: ModuleMap) -> ModuleMap:
-    """The unique map out of the cokernel with (result o project) = psi."""
+    """The unique map out of the cokernel with (result o project) = psi.
+
+    Built unvalidated: the check (result o project) = psi, which refuses a
+    psi that does not kill the image, proves it natural.  With N the source
+    of psi, C the cokernel and T the target, for f: x -> y,
+    out_x C(f) project_y = out_x project_x N(f) = psi_x N(f) = T(f) psi_y =
+    T(f) out_y project_y, and the surjective project_y cancels on the right.
+    """
     comps = {x: psi.comps[x] @ ck.sections[x] for x in psi.src.cat.objects}
-    out = ModuleMap(ck.module, psi.tgt, comps, validate=True)
+    out = ModuleMap(ck.module, psi.tgt, comps, validate=False)
     if ck.project.then(out) != psi:
         raise PreconditionError("map does not kill the image, cannot factor")
     return out
@@ -727,7 +735,7 @@ def _top_rows(cat: FinCategory, vertices: Sequence, y, basis: Mat) -> Mat:
 
     rad Hom(-, X) at y is the span of the radical basis coordinates of flat
     Hom(y, X).  It is spanned by the g o r with r radical, radical since the
-    radical is an ideal (checked by FinCategory._validate), and it holds
+    radical is an ideal (a law of every FinCategory), and it holds
     each radical basis element r: y -> X_k as 1 o r.
     """
     rows, pos = [], 0
@@ -918,10 +926,13 @@ def duality_D(m: CModule) -> CModule:
 
 
 def dual_map(phi: ModuleMap) -> ModuleMap:
-    """Duality on maps: reverses direction, transposes components."""
+    """Duality on maps: reverses direction, transposes components.  Built
+    unvalidated: transposing phi_x m(f) = n(f) phi_y gives the naturality
+    square of D phi at f in the opposite category, D m(f) phi_x^T =
+    phi_y^T D n(f)."""
     return ModuleMap(duality_D(phi.tgt), duality_D(phi.src),
                      {x: phi.comps[x].transpose() for x in phi.comps},
-                     validate=True)
+                     validate=False)
 
 
 def _dualized(m: CModule) -> Dict:
@@ -1170,11 +1181,16 @@ def decompose_module(m: CModule) -> List[Image]:
 def _local_end(m: CModule) -> Tuple[int, Optional[int]]:
     """(dim End(m), dim End(m)/rad End(m)), with None for the second entry
     when End(m) is not local: find_nontrivial_idempotent finds an
-    idempotent, so m is decomposable.  Read once per nonzero module off
-    end_algebra and memoised on it; the memo keeps the two numbers, not the
-    algebra."""
+    idempotent, so m is decomposable.  Read once per nonzero module and
+    memoised on it; the memo keeps the two numbers, not the algebra.  A
+    brick, End(m) = k, reads (1, 1) off one count or rank on the memoised
+    presentation (hom_dim), with no algebra built; any other module reads
+    it off end_algebra."""
     if m._end is None:
-        _read_end(m, end_algebra(m)[0])
+        if hom_dim(m, m) == 1:
+            m._end = 1, 1
+        else:
+            _read_end(m, end_algebra(m)[0])
     return m._end
 
 
@@ -1188,12 +1204,8 @@ def _read_end(m: CModule, alg: TableAlgebra):
 def _summand_multiplicity(y: CModule, m: CModule) -> Optional[int]:
     """The multiplicity of the indecomposable y as a direct summand of m,
     certified by a trace pairing, or None where the certificate does not
-    apply: the characteristic divides dim y, or End(y)/rad is not k.  That
-    top is k when y is a brick, End(y) = k, which one count or rank on the
-    memoised presentation decides (hom_dim), else it is read off the
-    memoised End reading (`_local_end`).  A brick's End reading is (1, 1)
-    with no algebra built, and it is memoised at once, so hom_dim(y, y) is
-    counted at most once per module.
+    apply: the characteristic divides dim y, or End(y)/rad is not k, as
+    the memoised End reading (`_local_end`) says.
 
     The multiplicity a is the rank of the composition pairing
     Hom(y, m) x Hom(m, y) -> End(y)/rad = k (Krull-Schmidt; Krause,
@@ -1206,8 +1218,6 @@ def _summand_multiplicity(y: CModule, m: CModule) -> Optional[int]:
     p = y.cat.field.p
     if p is not None and y.total_dim() % p == 0:
         return None
-    if y._end is None and hom_dim(y, y) == 1:
-        y._end = 1, 1
     if _local_end(y)[1] != 1:
         return None
     fwd = hom_space(y, m)

@@ -12,14 +12,21 @@ representations exactly as modules over the tensor product of the
 opposite path category with the coefficient category, and are mutually
 inverse on the nose.
 
+Validation follows modcat's one rule: a representation or morphism is
+validated when it is built from data given from outside or when the check
+is the certificate of a public answer (check_adjunction's transposes,
+lemma2_cover's map).  Everything derived from valid inputs is built
+unvalidated, with its proof in its docstring: phi, psi and their maps
+(restrictions along functors), the adjunction unit and sharp, induced
+representations, direct sums, injections and copairs.
+
 The induced representation f_star_v(p) puts one copy of p at w for every
 surviving path q: v -> w, and acts by path-shift matrices: an arrow a sends
 copy q to copy q.a, or to zero when q.a is killed, one block matrix per
 coefficient object.  Direct sums of representations, their block-column
 injections, copairs out of them, and the transposition sharp across the
 evaluation adjunction are assembled the same way, blockwise with
-modcat.sum_map, modcat._block_injections and modcat.copair, and built
-unvalidated.
+modcat.sum_map, modcat._block_injections and modcat.copair.
 check_adjunction certifies the adjunction by computing both hom spaces
 independently and verifying the two transposition maps are mutually inverse
 on bases, the transposes of each direction validated together;
@@ -284,7 +291,15 @@ def tensor_base(bq: BoundQuiver, coeff: FinCategory) -> FinCategory:
 
 
 def phi(r: QRep, base: Optional[FinCategory] = None) -> CModule:
-    """Repackages a representation as a module over the tensor category."""
+    """Repackages a representation as a module over the tensor category.
+
+    Built unvalidated: p (x) f, for a surviving path p: y -> x of the quiver
+    and f: c -> d, acts by r(p) at c followed by r_y(f).  A unit, the
+    trivial path (x) a unit of the coefficients, acts by the identity.  The
+    path maps compose along concatenation, a killed concatenation acts by
+    zero since r's relations vanish, and r(p) is natural in the
+    coefficients, so the action is functorial.
+    """
     t = base if base is not None else tensor_base(r.bq, r.coeff)
     bop = t.meta["b"]
     coeff = t.meta["a"]
@@ -307,11 +322,19 @@ def phi(r: QRep, base: Optional[FinCategory] = None) -> CModule:
                 rp = composite(y, x, label)
                 action[((x, c), (y, d), idx)] = (
                     rp.comps[c] @ r.vertex_modules[y].action[(c, d, ia)])
-    return CModule(t, dims, action, validate=True)
+    return CModule(t, dims, action, validate=False)
 
 
 def psi(m: CModule) -> QRep:
-    """Reads a representation back off a module over the tensor category."""
+    """Reads a representation back off a module over the tensor category.
+
+    Built unvalidated: the vertex module at v is m restricted along the
+    functor c -> (v, c), f -> 1_v (x) f, and so a module.  The arrow a: v ->
+    w acts by m(a (x) 1_c), natural in c since (a (x) 1)(1 (x) f) =
+    a (x) f = (1 (x) f)(a (x) 1) in the tensor category.  A monomial
+    generator g is zero in the path category, so the product of its
+    arrows' actions is m(g (x) 1) = 0 and the relations vanish.
+    """
     t = m.cat
     if t.meta.get("kind") != "tensor":
         raise PreconditionError("module is not over a tensor product category")
@@ -331,7 +354,7 @@ def psi(m: CModule) -> QRep:
                 da = coeff.dim(c, d)
                 for ia in range(da):
                     action[(c, d, ia)] = m.action[((v, c), (v, d), unit_idx * da + ia)]
-        vertex_modules[v] = CModule(coeff, dims, action, validate=True)
+        vertex_modules[v] = CModule(coeff, dims, action, validate=False)
     arrow_maps = {}
     for a in bq.quiver.arrows:
         v, w = a.source, a.target
@@ -344,13 +367,16 @@ def psi(m: CModule) -> QRep:
                 coords[arrow_idx * da + ia] = u
             comps[c] = m.act((w, c), (v, c), tuple(coords))
         arrow_maps[a.name] = ModuleMap(vertex_modules[v], vertex_modules[w],
-                                       comps, validate=True)
-    return QRep(bq, coeff, vertex_modules, arrow_maps, validate=True)
+                                       comps, validate=False)
+    return QRep(bq, coeff, vertex_modules, arrow_maps, validate=False)
 
 
 def psi_map(f: ModuleMap, src: Optional[QRep] = None,
             tgt: Optional[QRep] = None) -> QRepMap:
-    """Transports a map of tensor-category modules to representations."""
+    """Transports a map of tensor-category modules to representations, src
+    and tgt being psi(f.src) and psi(f.tgt) when given.  Built unvalidated:
+    the naturality of f at 1_v (x) g and at a (x) 1_c is that of each
+    vertex component and the commuting square of each arrow."""
     if src is None:
         src = psi(f.src)
     if tgt is None:
@@ -360,16 +386,18 @@ def psi_map(f: ModuleMap, src: Optional[QRep] = None,
         comps[v] = ModuleMap(src.vertex_modules[v], tgt.vertex_modules[v],
                              {c: f.comps[(v, c)] for c in src.coeff.objects},
                              validate=False)
-    return QRepMap(src, tgt, comps, validate=True)
+    return QRepMap(src, tgt, comps, validate=False)
 
 
 def phi_map(f: QRepMap, base: Optional[FinCategory] = None) -> ModuleMap:
-    """Transports a map of representations to tensor-category modules."""
+    """Transports a map of representations to tensor-category modules.
+    Built unvalidated: f is natural in the coefficients at every vertex and
+    commutes with every arrow, so with every p (x) g (see phi)."""
     src = phi(f.src, base)
     tgt = phi(f.tgt, base)
     comps = {(v, c): f.comps[v].comps[c]
              for v in f.src.bq.quiver.vertices for c in f.src.coeff.objects}
-    return ModuleMap(src, tgt, comps, validate=True)
+    return ModuleMap(src, tgt, comps, validate=False)
 
 
 def qrep_hom(r: QRep, s: QRep) -> List[QRepMap]:
@@ -463,31 +491,35 @@ def f_star_v(bq: BoundQuiver, v, p: CModule) -> QRep:
 def adjunction_unit(bq: BoundQuiver, v, p: CModule,
                     ind: Optional[QRep] = None) -> ModuleMap:
     """The unit p -> f_star_v(p)(v): inclusion of the trivial path block,
-    which comes first in bq.paths(v, v)."""
+    which comes first in bq.paths(v, v).  Built unvalidated: f_star_v(p)(v)
+    is a sum_module of copies of p, and a block injection into it is
+    natural."""
     if ind is None:
         ind = f_star_v(bq, v, p)
     count = len(bq.paths(v, v))
     return ModuleMap(p, ind.vertex_modules[v],
                      {c: _block_injections(p.cat.field, count * p.dims[c], [p.dims[c]])[0]
-                      for c in p.cat.objects}, validate=True)
+                      for c in p.cat.objects}, validate=False)
 
 
 def sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap,
           ind: Optional[QRep] = None) -> QRepMap:
     """Transposes p -> r(v) across the adjunction to f_star_v(p) -> r: the
-    copy of p at path q: v -> w maps by psi_map followed by r along q."""
+    copy of p at path q: v -> w maps by psi_map followed by r along q.  ind
+    is f_star_v(bq, v, p), built here when not given.
+
+    The leg of the trivial path is psi_map, and the leg of a path q.a the
+    leg of q followed by r's map of a; a prefix of a surviving path
+    survives, so shortest first every leg extends one built before it.
+    Built unvalidated: for a natural psi_map every leg is natural, so is
+    their copair out of the sum ind(w), and an arrow a sends copy q to copy
+    q.a, whose leg is q's followed by r(a), or to zero when q.a is killed,
+    where r(a) after q's leg is psi_map followed by r along the killed
+    q.a, which vanishes.  Callers whose psi_map is not known natural
+    validate the result, as check_adjunction and lemma2_cover do.
+    """
     if ind is None:
         ind = f_star_v(bq, v, psi_map.src)
-    out = _sharp(bq, v, r, psi_map, ind)
-    out._validate()
-    return out
-
-
-def _sharp(bq: BoundQuiver, v, r: QRep, psi_map: ModuleMap, ind: QRep) -> QRepMap:
-    """sharp, built unvalidated.  The leg of the trivial path is psi_map,
-    and the leg of a path q.a the leg of q followed by r's map of a; a
-    prefix of a surviving path survives, so shortest first every leg
-    extends one built before it."""
     table = bq.all_paths()
     legs = {}
     for q in sorted((q for w in bq.quiver.vertices for q in table[(v, w)]),
@@ -512,7 +544,7 @@ def check_adjunction(bq: BoundQuiver, v, p: CModule, r: QRep) -> AdjunctionRepor
     Both hom spaces are solved separately, their dimensions compared, and
     the two transposition maps checked to be mutually inverse on the bases.
     The transposes of each direction, all maps ind -> r, are built
-    unvalidated (`_sharp`) and validated together (validate_morphisms).
+    unvalidated (sharp) and validated together (validate_morphisms).
     """
     ind = f_star_v(bq, v, p)
     lhs = qrep_hom(ind, r)
@@ -521,12 +553,12 @@ def check_adjunction(bq: BoundQuiver, v, p: CModule, r: QRep) -> AdjunctionRepor
         raise VerificationError(
             f"adjunction dimensions differ: {len(lhs)} vs {len(rhs)}")
     unit = adjunction_unit(bq, v, p, ind)
-    transposes = [_sharp(bq, v, r, psi_map, ind) for psi_map in rhs]
+    transposes = [sharp(bq, v, r, psi_map, ind) for psi_map in rhs]
     validate_morphisms(r, transposes)
     for psi_map, rep_map in zip(rhs, transposes):
         if unit.then(rep_map.comps[v]) != psi_map:
             raise VerificationError("unit transposition does not round trip")
-    again = [_sharp(bq, v, r, unit.then(rep_map.comps[v]), ind) for rep_map in lhs]
+    again = [sharp(bq, v, r, unit.then(rep_map.comps[v]), ind) for rep_map in lhs]
     validate_morphisms(r, again)
     for rep_map, back in zip(lhs, again):
         if back != rep_map:
@@ -558,7 +590,7 @@ def lemma2_cover(r: QRep) -> CoverResult:
         pieces.append((v, cov.src))
         ind = f_star_v(bq, v, cov.src)
         parts.append(ind)
-        maps.append(_sharp(bq, v, r, cov, ind))
+        maps.append(sharp(bq, v, r, cov, ind))
     total = rep_direct_sum(parts, bq, coeff)
     cover = rep_copair(total, r, maps)
     cover._validate()

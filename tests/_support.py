@@ -257,6 +257,17 @@ def rand_qrep(bq: BoundQuiver, coeff: FinCategory, pool: List[CModule], rng,
     return QRep(bq, coeff, mods, sampled, validate=True)
 
 
+def validate_rep(r: QRep):
+    """Every check of a representation built from given data: each vertex
+    module and arrow map validated, then QRep._validate (endpoints and
+    relations), which leaves those to their own construction."""
+    for m in r.vertex_modules.values():
+        m._validate()
+    for f in r.arrow_maps.values():
+        f._validate()
+    r._validate()
+
+
 def point_pool(field: Field):
     """The coefficient pool for plain vector spaces: the one simple module."""
     cat = point_category(field)
@@ -674,7 +685,7 @@ def path_route_sharp(bq, v, r: QRep, psi_map: ModuleMap, ind: QRep) -> QRepMap:
     """The transpose f_star_v(p) -> r of psi_map: p -> r(v) leg by leg, the
     copy of path q taking psi_map followed by r.path_map(q), each path's
     composite built from scratch; unvalidated.  The oracle for
-    repcat._sharp, which extends the leg of each path's prefix."""
+    repcat.sharp, which extends the leg of each path's prefix."""
     return QRepMap(ind, r, {w: copair(ind.vertex_modules[w], r.vertex_modules[w],
                                       [psi_map.then(r.path_map(q)) for q in bq.paths(v, w)])
                             for w in bq.quiver.vertices}, validate=False)

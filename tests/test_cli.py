@@ -227,14 +227,13 @@ def spy_validate(monkeypatch):
 
 
 def test_tensor_job_validates_the_category_it_prints(tmp_path, capsys, monkeypatch):
-    """tensor_product builds unvalidated, so the `tensor` job validates the
-    category it prints itself: its `verified: category laws hold` line is
-    a certificate.  The other two checks are the path categories of the
-    coefficient (the point) and of the quiver."""
+    """Derived categories build unvalidated, so the `tensor` job validates
+    the category it prints itself, and nothing else: its `verified:
+    category laws hold` line is a certificate."""
     seen = spy_validate(monkeypatch)
     code, out, _ = run(tmp_path, A3_RAD2 + "\n[command]\nname = tensor\n", capsys=capsys)
     assert code == 0 and "verified: category laws hold" in out
-    assert [c.meta["kind"] for c in seen] == ["path", "path", "tensor"]
+    assert [c.meta["kind"] for c in seen] == ["tensor"]
     printed = seen[-1]
     assert f"objects: {len(printed.objects)}\n" in out
     total = sum(printed.dim(x, y) for x in printed.objects for y in printed.objects)
@@ -243,15 +242,26 @@ def test_tensor_job_validates_the_category_it_prints(tmp_path, capsys, monkeypat
 
 def test_ar_quiver_validates_only_the_path_and_point_categories(tmp_path, capsys,
                                                                   monkeypatch):
-    """Knitting builds the tensor category and its opposite (for duality_D)
-    unvalidated: only the categories built from the job's tables are
-    checked, the point coefficient and the path category of the quiver,
-    once each."""
+    """Knitting builds the path categories of the coefficient (the point)
+    and of the quiver, the tensor category and its opposite (for
+    duality_D) unvalidated, each proved valid by its construction: an
+    `ar-quiver` job runs no FinCategory._validate."""
     seen = spy_validate(monkeypatch)
     code, out, _ = run(tmp_path, A3_RAD2 + "\n[command]\nname = ar-quiver\n", capsys=capsys)
     assert code == 0 and "verified: knitting closed under tau-inverse" in out
-    assert [c.meta["kind"] for c in seen] == ["path", "path"]
-    assert [len(c.objects) for c in seen] == [1, 3]
+    assert seen == []
+
+
+def test_info_job_validates_exactly_its_coefficient_category(tmp_path, capsys, monkeypatch):
+    """The `info` job validates its coefficient category, so its
+    `categories valid` line is a certificate, and builds no path category
+    of the quiver: one FinCategory._validate, on the A2 coefficient."""
+    seen = spy_validate(monkeypatch)
+    text = A3_RAD2 + ("\n[coefficient]\nvertices = 1 2\narrow b1: 1 -> 2\n"
+                      "\n[command]\nname = info\n")
+    code, out, _ = run(tmp_path, text, capsys=capsys)
+    assert code == 0 and "verified: quiver admissible, categories valid" in out
+    assert [(c.meta["kind"], c.objects) for c in seen] == [("path", ("1", "2"))]
 
 
 def test_ass_simple_verified(tmp_path, capsys):

@@ -12,7 +12,8 @@ import pytest
 from _support import (F101, QQ, a2_quiver, coil_injections, coil_route_approximation,
                       complex_sum_maps, module_print, point_pool, rand_complex,
                       rand_homotopy, rand_module, reference_composite_or_none,
-                      reference_generator_certificate, special_case_lift, typed_entries)
+                      reference_generator_certificate, special_case_lift, typed_entries,
+                      validate_rep)
 from arcat import cli, complexes, modcat
 from arcat.complexes import (Cyclic, Interval, NComplex, NComplexSpec, Window,
                              assemble_null_homotopic, build_category, coil_epi,
@@ -22,7 +23,7 @@ from arcat.complexes import (Cyclic, Interval, NComplex, NComplexSpec, Window,
                              stalk_filtration_certificate, _direct_sum)
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import FinCategory, category_of
-from arcat.linalg import Mat, solve, hstack, vstack
+from arcat.linalg import Field, Mat, solve, hstack, vstack
 from arcat.modcat import (CModule, ModuleMap, almost_split_sequence, ar_quiver,
                           flatten_map, hom_space, identity_map, verify_almost_split,
                           zero_map)
@@ -668,6 +669,34 @@ def test_factor_lift_matches_the_special_case_route(fld):
             assert nonzero, (coeff.objects, spec)
 
 
+@pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
+def test_homotopies_and_truncations_built_by_proof_pass_validation(fld):
+    """find_null_homotopy's components and hard_truncate build unvalidated,
+    on the proofs in their docstrings: over point and A2 coefficients and
+    the benchmark shapes, every component of the homotopy found for a
+    random null-homotopic map, and every hard truncation of a random
+    complex of the window shape, pass an explicit _validate (validate_rep
+    for a truncation)."""
+    rng = random.Random(4848)
+    found = truncated = 0
+    for coeff, pool in coefficient_pools(fld):
+        for spec in BENCH_SPECS:
+            for _ in range(3):
+                src = rand_complex(spec, coeff, pool, rng)
+                tgt = rand_complex(spec, coeff, pool, rng)
+                s = find_null_homotopy(assemble_null_homotopic(
+                    src, tgt, rand_homotopy(src, tgt, rng)))
+                for comp in s.values():
+                    comp._validate()
+                found += any(not comp.is_zero() for comp in s.values())
+                if isinstance(spec.shape, Window):
+                    for floor in spec.degrees():
+                        t = hard_truncate(src, floor)
+                        validate_rep(t)
+                        truncated += not t.is_zero()
+    assert found and truncated
+
+
 def null_homotopy_refusals():
     """How many of 10 null-homotopic maps per shape factor_null_homotopy
     refuses, over A2 coefficients and F_101: the benchmark shapes and the
@@ -708,10 +737,10 @@ def test_null_homotopy_without_naturality_refuses(monkeypatch):
 
 
 def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
-    """_sharp (the legs), rep_copair and rep_injections build their chain
+    """sharp (the legs), rep_copair and rep_injections build their chain
     maps unvalidated; every one built by coil_epi and right_approximation on
     the benchmark shapes and the one-vertex cycle passes the full check."""
-    built = {"_sharp": [], "rep_copair": [], "rep_injections": []}
+    built = {"sharp": [], "rep_copair": [], "rep_injections": []}
     for name, out in built.items():
         def recording(*args, original=getattr(complexes, name), out=out):
             made = original(*args)
@@ -729,9 +758,9 @@ def test_every_leg_and_copair_is_a_chain_map(monkeypatch):
     # per case the copairs p (coil_epi) and the approximation map, whose
     # blocks are the evaluation maps and the cover-coil legs
     assert len(built["rep_copair"]) == 2 * cases
-    for f in built["_sharp"] + built["rep_copair"] + built["rep_injections"]:
+    for f in built["sharp"] + built["rep_copair"] + built["rep_injections"]:
         f._validate()
-    assert {f.src.spec for f in built["_sharp"]} == \
+    assert {f.src.spec for f in built["sharp"]} == \
         {s.padded() for s in BENCH_SPECS} | {NComplexSpec(1, Cyclic(1))}
 
 

@@ -15,7 +15,8 @@ from arcat.modcat import CModule
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
-                      hash_line_categories, one_loop_rad2, reference_category_check,
+                      hash_line_categories, load_tool, one_loop_rad2,
+                      reference_category_check,
                       reference_entrywise, reference_identity, reference_is_zero_mor,
                       reference_scale, reference_zero_mor)
 
@@ -185,6 +186,33 @@ def test_opposite_and_tensor_categories_of_the_hash_lines_are_valid(monkeypatch)
         d._validate()
         rebuilt = FinCategory(d.field, d.objects, d.hom, d.comp, d.units, d.radical)
         assert rebuilt == d
+
+
+def path_categories(c):
+    """The path categories c is built from: c itself, the base of an
+    opposite and both factors of a tensor product, recursively."""
+    kind = c.meta["kind"]
+    if kind == "path":
+        return [c]
+    if kind == "opposite":
+        return path_categories(c.meta["base"])
+    return path_categories(c.meta["b"]) + path_categories(c.meta["a"])
+
+
+def test_path_categories_of_the_hash_lines_and_the_knit_probe_are_valid(monkeypatch):
+    """category_of, and so point_category, builds unvalidated, on the proof
+    in its docstring.  The path category of every quiver of the hash lines
+    and of tools/knit_probe.py, and the point over F_2, F_101 and Q, pass
+    _validate and the scalar oracle (reference_category_check)."""
+    probe = load_tool(monkeypatch, "knit_probe")
+    cats = [c for _, c in hash_line_categories(monkeypatch)]
+    cats += [make() for make, _ in probe.JOBS.values()]
+    cats += [point_category(fld) for fld in (Field.prime(2), F101, QQ)]
+    paths = {id(p): p for c in cats for p in path_categories(c)}
+    assert len(paths) > len(probe.JOBS)
+    for p in paths.values():
+        p._validate()
+        reference_category_check(p.field, p.objects, p.hom, p.comp, p.units, p.radical)
 
 
 def test_a_perturbed_opposite_table_is_refused_through_the_constructor():

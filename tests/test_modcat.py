@@ -18,7 +18,8 @@ from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
                           almost_split_sequence, ar_quiver, cokernel_module,
                           conjugate_module, decompose_module, end_algebra,
                           direct_sum, dual_map, duality_D,
-                          extension_from_cocycle, flatten_map, global_dimension, hom_dim,
+                          extension_from_cocycle, factor_through_cokernel, flatten_map,
+                          global_dimension, hom_dim,
                           hom_space, identity_map, image_module, is_injective_module,
                           is_isomorphic, is_projective_module, kernel_module,
                           minimal_presentation, naturality_equations, proj_sum, proj_sum_map,
@@ -486,6 +487,14 @@ def test_knitting_builds_each_presentation_once(monkeypatch):
 
 
 def test_verify_builds_each_end_term_algebra_once(monkeypatch):
+    """Each end term is tested against itself, so verify_almost_split needs
+    dim End/rad of both, from the memoised End reading: a brick reads it
+    off one hom_dim count, any other module off one End algebra.  On A3
+    mod rad^2 both end terms of the sequence ending at the simple 2 are
+    bricks, and no algebra is built.  On loop mod x^2 (x) A2 the sequence
+    ending at the simple (v, 2), a brick, starts at a translate with a
+    3-dimensional End, built once, by verification: almost_split_sequence
+    has read the right term's, and rad End(z) = 0 skips End(tau z)."""
     built = []
     build = modcat.end_algebra
 
@@ -493,13 +502,16 @@ def test_verify_builds_each_end_term_algebra_once(monkeypatch):
         built.append(m)
         return build(m)
 
+    monkeypatch.setattr(modcat, "end_algebra", counting)
     cat = category_of(a3_rad2(), F101)
     se = almost_split_sequence(simple_module(cat, "2")).sequence
-    monkeypatch.setattr(modcat, "end_algebra", counting)
-    # each end term is tested against itself, so dim End/rad is needed for
-    # both; almost_split_sequence has already read the right term's
     assert verify_almost_split(se, [se.right, se.left]) == 2
-    assert built == [se.left]
+    assert built == []
+    loop = tensor_base(one_loop_rad2(), category_of(a2_quiver(), F101))
+    se = almost_split_sequence(simple_module(loop, ("v", "2"))).sequence
+    assert built == []
+    assert verify_almost_split(se, [se.right, se.left]) == 2
+    assert built == [se.left] and modcat._local_end(se.left) == (3, 1)
 
 
 def test_a_sequence_and_its_verification_build_at_most_one_end_algebra(monkeypatch):
@@ -1281,9 +1293,10 @@ def test_local_end_is_the_end_algebra_reading(fld):
 
 
 def test_local_end_is_read_once_per_module(monkeypatch):
-    """End = Q(i) of the Kronecker rotation reads (2, 2) and the brick P_1
-    of A3 over F_3 reads (1, 1).  A repeated call builds no End algebra,
-    and a conjugate copy, a module of its own, gets its own reading."""
+    """End = Q(i) of the Kronecker rotation reads (2, 2) off its End
+    algebra, and the brick P_1 of A3 over F_3 reads (1, 1) with no algebra
+    built.  A repeated call builds no End algebra, and a conjugate copy, a
+    module of its own, gets its own reading."""
     y = kronecker_rotation()
     p = yoneda_projective(representation_category(BoundQuiver(linear_quiver(3)),
                                                   Field.prime(3)), "1")
@@ -1291,10 +1304,10 @@ def test_local_end_is_read_once_per_module(monkeypatch):
     monkeypatch.setattr(modcat, "end_algebra", lambda m: built.append(m) or build(m))
     for _ in range(2):
         assert modcat._local_end(y) == (2, 2) and modcat._local_end(p) == (1, 1)
-    assert built == [y, p]
+    assert built == [y]
     rng = random.Random(5)
     copy, _ = conjugate_module(y, {x: rand_invertible(QQ, 2, rng) for x in y.cat.objects})
-    assert modcat._local_end(copy) == (2, 2) and built == [y, p, copy]
+    assert modcat._local_end(copy) == (2, 2) and built == [y, copy]
 
 
 def test_ass_and_verify_build_each_end_at_most_once(monkeypatch):
@@ -1326,18 +1339,28 @@ def test_ass_and_verify_build_each_end_at_most_once(monkeypatch):
 
 def test_a_found_idempotent_makes_an_end_term_decomposable(monkeypatch):
     """Negative control: with find_nontrivial_idempotent patched to return
-    an idempotent, the End reading of a fresh module has no top, so
-    almost_split_sequence refuses the module and verify_almost_split the
-    right term of a sequence ending at a fresh copy of it."""
-    cat = category_of(a3_rad2(), F101)
-    se = almost_split_sequence(simple_module(cat, "2")).sequence
+    an idempotent, the End reading of a fresh module that is not a brick
+    has no top, so almost_split_sequence refuses the module and
+    verify_almost_split the right term of a sequence ending at a fresh
+    copy of it.  The end term is the indecomposable of dimension vector
+    (0, 2) on loop mod x^2 (x) A2, with a 2-dimensional End, so its reading
+    reaches the idempotent search."""
+    ar = knitted_loop(a2_quiver, F101)
+    (z,) = [m for m in ar.modules if list(m.dims.values()) == [0, 2]]
+    se = almost_split_sequence(z).sequence
     rng = random.Random(7)
-    copy, iso = conjugate_module(se.right, {x: rand_invertible(F101, se.right.dims[x], rng)
-                                            for x in cat.objects})
+
+    def fresh_copy():
+        return conjugate_module(z, {x: rand_invertible(F101, z.dims[x], rng)
+                                    for x in z.cat.objects})
+
+    copy, iso = fresh_copy()
+    assert modcat._local_end(copy) == (2, 1)
+    copy, iso = fresh_copy()
     moved = ShortExact(se.left, se.middle, copy, se.include, se.project.then(iso.inverse()))
     monkeypatch.setattr(modcat, "find_nontrivial_idempotent", lambda alg: alg.unit)
     with pytest.raises(PreconditionError, match="module is decomposable"):
-        almost_split_sequence(simple_module(cat, "2"))
+        almost_split_sequence(fresh_copy()[0])
     with pytest.raises(VerificationError, match="right term is decomposable"):
         verify_almost_split(moved, [])
 
@@ -2085,6 +2108,32 @@ def test_unvalidated_constructions_act_by_the_identity_at_every_unit(fld):
                 for x in b.cat.objects:
                     assert (reference_act(b, x, x, b.cat.units[x])
                             == Mat.identity(fld, b.dims[x])), (name, x)
+
+
+@pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
+def test_maps_built_by_proof_pass_validation(fld):
+    """conjugate_module's base change and iso, factor_through_cokernel and
+    dual_map build unvalidated, on the proofs in their docstrings: for
+    random modules and maps f: m -> n of A4 mod rad^3, the loop mod x^2 and
+    A3 mod rad^2 (x) A2, the base change of m and its iso, f factored
+    through the cokernel of its kernel's inclusion, and the duals of all
+    three maps pass an explicit _validate."""
+    rng = random.Random(47)
+    nonzero = 0
+    for cat in summand_categories(fld):
+        pool = summand_pool(cat)
+        for _ in range(3):
+            m = rand_module(pool, cat, rng, max_total=6, conjugate=False)
+            n = rand_module(pool, cat, rng, max_total=6)
+            f = rand_hom(m, n, rng)
+            conj, iso = conjugate_module(m, {x: rand_invertible(fld, m.dims[x], rng)
+                                             for x in cat.objects})
+            out = factor_through_cokernel(cokernel_module(kernel_module(f).include), f)
+            conj._validate()
+            for g in (iso, out, dual_map(f), dual_map(iso), dual_map(out)):
+                g._validate()
+            nonzero += not out.is_zero()
+    assert nonzero
 
 
 def bumped_maps(f):

@@ -9,7 +9,7 @@ import pytest
 from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, module_print,
                       one_loop_rad2, path_route_sharp, point_pool, rand_module,
                       rand_qrep, reference_rep_map_failure, reference_sum_injections,
-                      reference_unit_block, typed_entries)
+                      reference_unit_block, typed_entries, validate_rep)
 from arcat import modcat, repcat
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
@@ -342,8 +342,8 @@ def perturbed(g: QRepMap, w, c) -> QRepMap:
 
 def test_lemma2_cover_refuses_a_perturbed_sharp_block(monkeypatch):
     """Negative control: with one entry of one sharp block changed, in a
-    way that sharp's own validation refuses, the cover is refused too."""
-    real = repcat._sharp
+    way that QRepMap._validate refuses, the cover is refused too."""
+    real = repcat.sharp
     refused = 0
     for r in cover_cases():
         bq, coeff = r.bq, r.coeff
@@ -365,7 +365,7 @@ def test_lemma2_cover_refuses_a_perturbed_sharp_block(monkeypatch):
                         seen.append(False)
                         return g
 
-                    monkeypatch.setattr(repcat, "_sharp", broken)
+                    monkeypatch.setattr(repcat, "sharp", broken)
                     try:
                         lemma2_cover(r)
                         caught = False
@@ -434,6 +434,42 @@ def test_sharp_matches_the_path_route(field):
                                       for w in bq.quiver.vertices
                                       for q in bq.paths(v, w) if q.length)
     assert longer
+
+
+@pytest.mark.parametrize("fld", [Field.prime(2), F101, QQ], ids=["F2", "F101", "Q"])
+def test_dictionary_unit_and_sharp_built_by_proof_pass_validation(fld):
+    """phi, psi (its vertex modules, arrow maps and representation),
+    psi_map, phi_map, adjunction_unit and sharp build unvalidated, on the
+    proofs in their docstrings: for random representations of A3 mod rad^2
+    and the 2-cycle mod rad^2 with A2 coefficients, each passes an explicit
+    _validate, the maps on hom bases and, for sharp, on every basis map
+    p -> r(v) of every indecomposable coefficient module p."""
+    rng = random.Random(4949)
+    coeff = category_of(a2_quiver(), fld)
+    pool = list(ar_quiver(coeff).modules)
+    legs = 0
+    for bq in (a3_rad2(), cyclic_rad2(2)):
+        base = tensor_base(bq, coeff)
+        reps = [rand_qrep(bq, coeff, pool, rng) for _ in range(3)]
+        for r in reps:
+            m = phi(r, base)
+            m._validate()
+            validate_rep(psi(m))
+        for r, s in product(reps, repeat=2):
+            for f in qrep_hom(r, s)[:3]:
+                g = phi_map(f, base)
+                g._validate()
+                psi_map(g, r, s)._validate()
+                psi_map(g)._validate()
+        for v in bq.quiver.vertices:
+            for p in pool:
+                ind = f_star_v(bq, v, p)
+                adjunction_unit(bq, v, p, ind)._validate()
+                for r in reps:
+                    for f in hom_space(p, r.vertex_modules[v]):
+                        sharp(bq, v, r, f, ind)._validate()
+                        legs += 1
+    assert legs
 
 
 def test_unit_and_sharp_recover_cover_map():

@@ -28,14 +28,18 @@ an End algebra whose top is k needs none), the isomorphism tests run
 tau_inverse recorded is registered by identity, with none), the minimal
 presentations built (`pres`, the modcat._minimal_presentation calls of the
 knit: builds, not memo hits, and none for a node that tau_inverse or a
-copy of it handed its presentation) and the inverse translates taken
+copy of it handed its presentation), the inverse translates taken
 (`tinv`, the modcat.tau_inverse calls of the knit: none at a node whose
-tau^-1 the sequence at that node's successor named already).
+tau^-1 the sequence at that node's successor named already) and the
+validations run (`vals`, the _validate calls of FinCategory, CModule,
+ModuleMap, QRep and QRepMap during the knit: every object knitting builds
+is derived, and proved valid by its construction).
 
 The count wraps modcat.radical_submodule, modcat.almost_split_sequence,
 modcat.decompose_module, modcat.end_algebra, modcat.hom_space,
-modcat.is_isomorphic, modcat._minimal_presentation, modcat.tau_inverse and
-algebra.find_idempotent_semisimple inside this script: a decompose_module
+modcat.is_isomorphic, modcat._minimal_presentation, modcat.tau_inverse,
+algebra.find_idempotent_semisimple and the five _validate methods inside
+this script: a decompose_module
 call on the radical or the middle term built last is a fallback (ar_quiver
 decomposes either, if at all, right after building it).  arcat itself has
 no switch for this.
@@ -47,9 +51,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from arcat import algebra, modcat  # noqa: E402
+from arcat import algebra, modcat, repcat  # noqa: E402
 from arcat.errors import CapExceededError  # noqa: E402
-from arcat.fincat import category_of  # noqa: E402
+from arcat.fincat import FinCategory, category_of  # noqa: E402
 from arcat.linalg import Field  # noqa: E402
 from arcat.quiver import (Arrow, BoundQuiver, MonomialIdeal, Path, Quiver,  # noqa: E402
                           cyclic_quiver, linear_quiver)
@@ -103,11 +107,11 @@ def knit_counting(cat, cap=64):
     """ar_quiver(cat, cap), as the CLI's `--cap` knits, or None when the cap
     is exceeded, with the numbers of radicals and middle terms knitted and
     of those decomposed, and of the End algebras and hom spaces built and
-    idempotent searches, isomorphism tests, presentations and inverse
-    translates run, keyed as the columns."""
+    idempotent searches, isomorphism tests, presentations, inverse
+    translates and validations run, keyed as the columns."""
     last = {}
     counts = dict.fromkeys(("radicals", "rad fallback", "middle", "fallback", "ends",
-                            "homs", "searches", "isos", "pres", "tinv"), 0)
+                            "homs", "searches", "isos", "pres", "tinv", "vals"), 0)
     rad, ass = modcat.radical_submodule, modcat.almost_split_sequence
     decompose, end, hom = modcat.decompose_module, modcat.end_algebra, modcat.hom_space
     search, iso = algebra.find_idempotent_semisimple, modcat.is_isomorphic
@@ -154,11 +158,22 @@ def knit_counting(cat, cap=64):
         counts["tinv"] += 1
         return tinv(m)
 
+    checks = {cls: cls._validate for cls in (FinCategory, modcat.CModule, modcat.ModuleMap,
+                                              repcat.QRep, repcat.QRepMap)}
+
+    def counting_check(check):
+        def counted(self):
+            counts["vals"] += 1
+            return check(self)
+        return counted
+
     modcat.radical_submodule, modcat.almost_split_sequence = counting_rad, counting_ass
     modcat.decompose_module, modcat.end_algebra = counting_decompose, counting_end
     modcat.hom_space, algebra.find_idempotent_semisimple = counting_hom, counting_search
     modcat.is_isomorphic = counting_iso
     modcat._minimal_presentation, modcat.tau_inverse = counting_present, counting_tinv
+    for cls, check in checks.items():
+        cls._validate = counting_check(check)
     try:
         ar = modcat.ar_quiver(cat, cap)
     except CapExceededError:
@@ -169,13 +184,15 @@ def knit_counting(cat, cap=64):
         modcat.hom_space, algebra.find_idempotent_semisimple = hom, search
         modcat.is_isomorphic = iso
         modcat._minimal_presentation, modcat.tau_inverse = present, tinv
+        for cls, check in checks.items():
+            cls._validate = check
     return ar, counts
 
 
 def main():
     print(f"{'job':<11} {'wall_s':>7} {'nodes':>5} {'radicals':>8} {'rad fallback':>12} "
           f"{'middle':>6} {'certified':>9} {'fallback':>8} {'ends':>5} {'homs':>5} "
-          f"{'searches':>8} {'isos':>5} {'pres':>5} {'tinv':>5}")
+          f"{'searches':>8} {'isos':>5} {'pres':>5} {'tinv':>5} {'vals':>5}")
     for name, (make, cap) in JOBS.items():
         cat = make()
         start = time.perf_counter()
@@ -186,7 +203,8 @@ def main():
               f"{counts['rad fallback']:12d} {counts['middle']:6d} "
               f"{counts['middle'] - counts['fallback']:9d} {counts['fallback']:8d} "
               f"{counts['ends']:5d} {counts['homs']:5d} {counts['searches']:8d} "
-              f"{counts['isos']:5d} {counts['pres']:5d} {counts['tinv']:5d}")
+              f"{counts['isos']:5d} {counts['pres']:5d} {counts['tinv']:5d} "
+              f"{counts['vals']:5d}")
     return 0
 
 
