@@ -11,11 +11,13 @@ tables passed to the constructor are, or when the check is the certificate
 of a public answer, as the CLI's `tensor` and `info` jobs make it on the
 categories they report.  The check covers the unit laws, associativity and
 the radical ideal property, on the action matrices of the representables
-Hom(-, w), which modcat wraps as its projectives without checking them
-again.  Every category derived here is built with validate=False, and its
-docstring proves its laws: category_of (and so point_category) from the
-concatenation of paths, opposite_category and tensor_product from the laws
-of their factors.
+Hom(-, w) (`_representable_action`), built once per object and memoised on
+the category.  modcat wraps them as its projectives without checking them
+again, and compose and Hull.pre_matrix act through them, so precomposition
+is read off the comp tables in that one place.  Every category derived
+here is built with validate=False, and its docstring proves its laws:
+category_of (and so point_category) from the concatenation of paths,
+opposite_category and tensor_product from the laws of their factors.
 
 On top of that sit the additive hull (formal finite sums, block morphisms)
 and the idempotent completion (pairs of an additive object and an idempotent
@@ -29,12 +31,14 @@ flattens to one column: the coordinates of its (X_i -> Y_j) blocks, source
 summand major, each block in the hom basis of the category.  Sums,
 differences, scalings, zero and identity morphisms and the zero test are
 entrywise on these columns.  Composing with a fixed morphism is linear in
-this layout, so the hull builds one matrix per fixed morphism from the comp
-tables, the one composition kernel: post_matrix(g, X), the matrix of f ->
-g o f, and pre_matrix(f, Z), the matrix of g -> g o f.  Composites, the hom
-spaces e_y Hom(X, Y) e_x of the completion, End algebra tables and inverses
-are products and eliminations of these matrices.  No nested block tuple is
-read or built outside flatten and unflatten.
+this layout, so the hull builds one matrix per fixed morphism:
+post_matrix(g, X), the matrix of f -> g o f, by a sparse walk of the comp
+tables, and pre_matrix(f, Z), the matrix of g -> g o f, as the Yoneda
+matrix of f on Hom(-, Z) (`_yoneda`), block diagonal in the representables
+of Z's summands.  Composites, the hom spaces e_y Hom(X, Y) e_x of the
+completion, End algebra tables and inverses are products and eliminations
+of these matrices.  No nested block tuple is read or built outside
+flatten and unflatten.
 """
 
 from dataclasses import dataclass
@@ -42,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import TableAlgebra, end_table, primitive_idempotents
 from .errors import PreconditionError
-from .linalg import Field, Mat, hstack, solve, vstack
+from .linalg import Field, Mat, block_diag, hstack, solve, vstack
 from .quiver import BoundQuiver, MonomialIdeal, Quiver
 
 Coords = Tuple
@@ -78,6 +82,8 @@ class FinCategory:
         self.radical = radical
         self.meta = meta or {}
         self._opposite: Optional["FinCategory"] = None
+        # dims and action of Hom(-, x) by object, memoised by _representable_action
+        self._actions: Dict[ObjectId, Tuple[Dict, Dict]] = {}
         # representables Hom(-, x) by object, memoised by modcat.yoneda_projective
         self._representables: Dict[ObjectId, object] = {}
         self._non_unit: Dict[Tuple[ObjectId, ObjectId], Tuple[int, ...]] = {}
@@ -85,7 +91,7 @@ class FinCategory:
             self._validate()
 
     def __getstate__(self):
-        return {**self.__dict__, "_representables": {}}
+        return {**self.__dict__, "_actions": {}, "_representables": {}}
 
     def dim(self, x: ObjectId, y: ObjectId) -> int:
         return len(self.hom[(x, y)])
@@ -99,24 +105,12 @@ class FinCategory:
 
     def compose(self, x: ObjectId, y: ObjectId, z: ObjectId,
                 f: Coords, g: Coords) -> Coords:
-        """Coordinates of g o f for f: x -> y, g: y -> z."""
+        """Coordinates of g o f for f: x -> y, g: y -> z: the action of f on
+        the representable Hom(-, z) (`_representable_action`), applied to g."""
         fld = self.field
-        zero = fld.zero()
-        out = [zero] * self.dim(x, z)
-        table = self.comp.get((x, y, z), {})
-        for i, fi in enumerate(f):
-            if fi == zero:
-                continue
-            for j, gj in enumerate(g):
-                if gj == zero:
-                    continue
-                entry = table.get((i, j))
-                if not entry:
-                    continue
-                c = fld.mul(fi, gj)
-                for k, v in entry.items():
-                    out[k] = fld.add(out[k], fld.mul(c, v))
-        return tuple(out)
+        dims, action = _representable_action(self, z)
+        act = Mat(fld, dims[x], dims[y], _combination(fld, dims, action, x, y, enumerate(f)))
+        return (act @ Mat.column(fld, g)).data
 
     def unit_index(self, x: ObjectId) -> Optional[int]:
         """The index i with units[x] the basis vector e_i, or None when the
@@ -205,9 +199,12 @@ class FinCategory:
 
 
 def _representable_action(cat: FinCategory, w: ObjectId) -> Tuple[Dict, Dict]:
-    """The dimensions and action matrices of the representable Hom(-, w).
-    f_a: y -> z acts by g -> g o f_a: column b of its matrix is g_b o f_a,
-    the entry (a, b) of comp[(y, z, w)]."""
+    """The dimensions and action matrices of the representable Hom(-, w),
+    built once per object and memoised on cat.  f_a: y -> z acts by
+    g -> g o f_a: column b of its matrix is g_b o f_a, the entry (a, b) of
+    comp[(y, z, w)]."""
+    if w in cat._actions:
+        return cat._actions[w]
     fld = cat.field
     dims = {y: cat.dim(y, w) for y in cat.objects}
     action = {}
@@ -219,6 +216,7 @@ def _representable_action(cat: FinCategory, w: ObjectId) -> Tuple[Dict, Dict]:
                     datas[a][t * dims[z] + b] = v
             action.update(((y, z, a), Mat(fld, dims[y], dims[z], data))
                           for a, data in enumerate(datas))
+    cat._actions[w] = dims, action
     return dims, action
 
 
@@ -237,6 +235,29 @@ def _combination(fld: Field, dims: Dict, action: Dict, x, z, coeffs) -> List:
         if c:
             out = [e + c * a if a else e for e, a in zip(out, action[(x, z, k)].data)]
     return out
+
+
+def _yoneda(fld: Field, dims: Dict, action: Dict, g: "AddMor") -> Mat:
+    """[b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), for the contravariant
+    functor b with the given dims and action (as in `_combination`) and a
+    block morphism g: X1 -> X0 with blocks g_ji: x1_i -> x0_j; only the
+    action at the pairs (x1_i, x0_j) is read.  It is the map Hom(P_X0, b)
+    -> Hom(P_X1, b), phi -> phi o P_g, for P_X = Hom(-, X): by Yoneda a
+    map phi: P_x0 -> b is its value v at the unit, and phi o P_g is then
+    b(g) v, so Hom(P_X, b) is the column of unit values, one block b(x) per
+    summand.  For the matrix of a presentation P1 -g-> P0 -> a, Hom(-, b)
+    is left exact, so the kernel is Hom(a, b), each phi given by phi o
+    cover.  For b = Hom(-, Z) it is precomposition, g -> g o f
+    (`Hull.pre_matrix`)."""
+    x0, x1 = g.tgt.summands, g.src.summands
+    data = []
+    for i, u in enumerate(x1):
+        blocks = [_combination(fld, dims, action, u, x, enumerate(g.blocks[j][i]))
+                  for j, x in enumerate(x0)]
+        for r in range(dims[u]):
+            for x, block in zip(x0, blocks):
+                data.extend(block[r * dims[x]:(r + 1) * dims[x]])
+    return Mat(fld, sum(dims[u] for u in x1), sum(dims[x] for x in x0), data)
 
 
 def _functor_failure(cat: FinCategory, dims: Dict, action: Dict) -> Optional[Tuple]:
@@ -485,9 +506,10 @@ class Hull:
     of Hom(X_i, Y_j); unflatten is its inverse, and every operation below
     is flatten, linear algebra on the flat columns, unflatten.
     post_matrix(g, X) is the matrix of f -> g o f from flat Hom(X, g.src)
-    to flat Hom(X, g.tgt), pre_matrix(f, Z) the matrix of g -> g o f from
-    flat Hom(f.tgt, Z) to flat Hom(f.src, Z); every composite below is a
-    product with one of them.
+    to flat Hom(X, g.tgt), walked off the comp tables; pre_matrix(f, Z) the
+    matrix of g -> g o f from flat Hom(f.tgt, Z) to flat Hom(f.src, Z), the
+    action of f on Hom(-, Z) through the memoised representables.  Every
+    composite below is a product with one of them.
     """
 
     def __init__(self, cat: FinCategory):
@@ -582,29 +604,18 @@ class Hull:
         return Mat(fld, rows, cols, data)
 
     def pre_matrix(self, f: AddMor, z: AddObject) -> Mat:
-        """The matrix of g -> g o f, flat Hom(f.tgt, z) -> flat Hom(f.src, z)."""
+        """The matrix of g -> g o f, flat Hom(f.tgt, z) -> flat Hom(f.src, z):
+        the Yoneda matrix (`_yoneda`) of f on Hom(-, z), whose value at y is
+        flat Hom(y, z) and whose action at the pairs f reads is the block
+        diagonal of the representables Hom(-, z_k) (`_representable_action`)."""
         cat = self.cat
-        fld = cat.field
-        zero, add, mul = fld.zero(), fld.add, fld.mul
-        src_off, cols = self._layout(f.tgt, z)
-        tgt_off, rows = self._layout(f.src, z)
-        data = [zero] * (rows * cols)
-        for i, xs in enumerate(f.src.summands):
-            for j, ys in enumerate(f.tgt.summands):
-                fb = f.blocks[j][i]
-                for k, zs in enumerate(z.summands):
-                    table = cat.comp.get((xs, ys, zs))
-                    if not table:
-                        continue
-                    r0, c0 = tgt_off[i][k], src_off[j][k]
-                    for (a, b), entry in table.items():
-                        s = fb[a]
-                        if s == zero:
-                            continue
-                        for t, v in entry.items():
-                            idx = (r0 + t) * cols + c0 + b
-                            data[idx] = add(data[idx], mul(s, v))
-        return Mat(fld, rows, cols, data)
+        reps = [_representable_action(cat, w) for w in z.summands]
+        ends = set(f.src.summands) | set(f.tgt.summands)
+        dims = {y: sum(d[y] for d, _ in reps) for y in ends}
+        action = {(u, x, a): block_diag(cat.field, [act[(u, x, a)] for _, act in reps])
+                  for u in set(f.src.summands) for x in set(f.tgt.summands)
+                  for a in range(cat.dim(u, x))}
+        return _yoneda(cat.field, dims, action, f)
 
     def flatten(self, f: AddMor) -> Mat:
         return Mat.column(self.cat.field, [c for i in range(len(f.src.summands))

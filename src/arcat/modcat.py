@@ -40,11 +40,13 @@ units of the summands (Yoneda), and `_from_units` builds every such map
 from them: the covers and Hull's Hom(-, g) for block morphisms g.  A
 presentation's matrix g is read off the unit values of its second cover.
 A block morphism g: X1 -> X0 turns maps out of Hom(-, X0) into maps out of
-Hom(-, X1) through one Yoneda matrix (`_yoneda`), [b(g_ji)]: Hom(P0, b) ->
-Hom(P1, b), and every Hom computation on a presentation is one of these:
-on its matrix, the nullity is dim Hom(m, b) (hom_dim), the columns are the
-coboundaries of Ext^1(m, b), and into the representables it is the
-dualized presentation g*, whose cokernel is Tr m (`_dualized`); on the
+Hom(-, X1) through one Yoneda matrix (fincat's `_yoneda`, on the field,
+dims and action of b), [b(g_ji)]: Hom(P0, b) -> Hom(P1, b), the map that
+fincat.Hull.pre_matrix is on b = Hom(-, Z).  Every Hom computation on a
+presentation is one of these: on its matrix, the nullity is dim Hom(m, b)
+(hom_dim), the columns are the coboundaries of Ext^1(m, b), and into the
+representables it is the dualized presentation g*, whose cokernel is Tr m
+(`_dualized`); on the
 presentation's syzygy P2 -> P1, whose image is the kernel of the
 differential, the kernel is the cocycles.  So Ext^1(m, b) is H^1 of
 Hom(P2 -> P1 -> P0, b), read on columns of unit values on P1, and an
@@ -81,11 +83,12 @@ as the translate of z, which that sequence takes as its left term, so
 knitting computes each translate once, and the dual of D m's minimal
 presentation as z's own, certified minimal (`_checked_transpose`), so
 z is presented once.  The representable Hom(-, x) is
-memoised on its category.  Other sums of representables, projective
+memoised on its category, over the action matrices that fincat memoises
+there (`_representable_action`).  Other sums of representables, projective
 covers and End algebras themselves are not memoised: long-lived modules
 would keep them alive, for little gain.  The presentation, the dual, the
-sequence, the recorded translate and the representables are dropped when
-a module or category is pickled.
+sequence, the recorded translate, the representables and their matrices
+are dropped when a module or category is pickled.
 """
 
 from dataclasses import dataclass, field, replace
@@ -95,7 +98,7 @@ from .algebra import (TableAlgebra, end_table, find_nontrivial_idempotent,
                       primitive_idempotents, radical_basis)
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .fincat import (AddMor, AddObject, FinCategory, Hull, _combination,
-                     _functor_failure, _representable_action, category_of,
+                     _functor_failure, _representable_action, _yoneda, category_of,
                      opposite_category)
 from .linalg import (Mat, block_diag, equation_matrix, hstack, solve, split_blocks,
                      vstack)
@@ -373,9 +376,10 @@ def conjugate_module(m: CModule, mats: Dict) -> Tuple[CModule, ModuleMap]:
 
 def yoneda_projective(cat: FinCategory, x) -> CModule:
     """The representable Hom(-, x), memoised on the category and built
-    unvalidated: its matrices are fincat._representable_action's, whose unit
-    law and functoriality are the right unit law and associativity of cat,
-    checked by FinCategory._validate or proved by cat's construction."""
+    unvalidated: its matrices are fincat._representable_action's, memoised
+    on the category too, whose unit law and functoriality are the right
+    unit law and associativity of cat, checked by FinCategory._validate or
+    proved by cat's construction."""
     if x not in cat.objects:
         raise PreconditionError(f"{x!r} is not an object of the category")
     if x not in cat._representables:
@@ -834,25 +838,6 @@ def _syzygy(p1: ProjSum, kernels: Dict) -> AddMor:
     return Hull(p1.cat).unflatten(x2, p1.obj, Mat.column(p1.cat.field, values))
 
 
-def _yoneda(g: AddMor, b: CModule) -> Mat:
-    """[b(g_ji)]: sum_j b(x0_j) -> sum_i b(x1_i), the map Hom(P_X0, b) ->
-    Hom(P_X1, b), phi -> phi o P_g, for a block morphism g: X1 -> X0 with
-    blocks g_ji: x1_i -> x0_j, P_X = Hom(-, X).  By Yoneda a map phi:
-    P_x0 -> b is its value v at the unit, and phi o P_g is then b(g) v,
-    so Hom(P_X, b) is the column of unit values, one block b(x) per summand.
-    For the matrix of a presentation P1 -g-> P0 -> a, Hom(-, b) is left
-    exact, so the kernel is Hom(a, b), each phi given by phi o cover."""
-    x0, x1 = g.tgt.summands, g.src.summands
-    data = []
-    for i, u in enumerate(x1):
-        blocks = [_combination(b.cat.field, b.dims, b.action, u, x, enumerate(g.blocks[j][i]))
-                  for j, x in enumerate(x0)]
-        for r in range(b.dims[u]):
-            for x, block in zip(x0, blocks):
-                data.extend(block[r * b.dims[x]:(r + 1) * b.dims[x]])
-    return Mat(b.cat.field, sum(b.dims[u] for u in x1), sum(b.dims[x] for x in x0), data)
-
-
 def hom_dim(a: CModule, b: CModule) -> int:
     """dim Hom(a, b), counted for a projective a, else the nullity of the
     Yoneda matrix of the memoised minimal presentation of a (`_yoneda`),
@@ -870,7 +855,7 @@ def hom_dim(a: CModule, b: CModule) -> int:
     width = sum(b.dims[x] for x in pres.p0.vertices)
     if not width or not any(b.dims[u] for u in pres.p1.vertices):
         return width
-    return width - _yoneda(pres.matrix, b).rank()
+    return width - _yoneda(b.cat.field, b.dims, b.action, pres.matrix).rank()
 
 
 def _top_count(m: CModule) -> Tuple[Dict, bool]:
@@ -942,12 +927,13 @@ def _dualized(m: CModule) -> Dict:
 
     At y, flat Hom_op(y, X0) is flat Hom(X0, y) = Hom(P0, P_y) (Yoneda), and
     g* sends h to h o g: its component at y is the Yoneda matrix of the
-    presentation into the representable P_y (`_yoneda`), whose kernel is
-    Hom(m, P_y), each map phi given by phi o cover.  g* is natural, as
-    Hom(g, -) is; its cokernel is Tr m.
+    presentation into the representable P_y (`_yoneda` on the memoised
+    `_representable_action`), whose kernel is Hom(m, P_y), each map phi
+    given by phi o cover.  g* is natural, as Hom(g, -) is; its cokernel is
+    Tr m.
     """
-    pres = minimal_presentation(m)
-    return {y: _yoneda(pres.matrix, yoneda_projective(m.cat, y)) for y in m.cat.objects}
+    g, fld = minimal_presentation(m).matrix, m.cat.field
+    return {y: _yoneda(fld, *_representable_action(m.cat, y), g) for y in m.cat.objects}
 
 
 def _transpose_raw(m: CModule) -> CModule:
@@ -1256,8 +1242,9 @@ class Ext1:
         self.z = z
         self.x = x
         self.pres = minimal_presentation(z)
-        coboundaries = _yoneda(self.pres.matrix, x)
-        cocycles = _yoneda(self.pres.syzygy, x).kernel_basis()
+        fld = x.cat.field
+        coboundaries = _yoneda(fld, x.dims, x.action, self.pres.matrix)
+        cocycles = _yoneda(fld, x.dims, x.action, self.pres.syzygy).kernel_basis()
         span, pivots = hstack([coboundaries, cocycles]).column_space_basis()
         self._span = span
         self._class_slots = [t for t, p in enumerate(pivots) if p >= coboundaries.cols]

@@ -1,8 +1,8 @@
 """Representations of a bound quiver with coefficients in a module category.
 
 A QRep assigns to each vertex a CModule over a fixed coefficient category
-and to each arrow a ModuleMap, with the monomial relations verified to
-vanish.  A QRepMap is a family of vertexwise ModuleMaps, each validated as
+and to each arrow a ModuleMap; validating it validates each of those and
+verifies that the monomial relations vanish.  A QRepMap is a family of vertexwise ModuleMaps, each validated as
 a map of coefficient modules, commuting with every arrow; maps into one
 representation are validated together (morphism_failures), each square
 once for all of them, and a single map is the case of one.  These are the
@@ -59,9 +59,11 @@ class QRep:
             self._validate()
 
     def _validate(self):
-        """Check the vertex modules, the arrow maps' endpoints, and that every
-        relation vanishes, shortest first and then by source vertex.  A
-        relation through a zero arrow map vanishes without a product."""
+        """Check the vertex modules, the arrow maps' endpoints, each vertex
+        module's and arrow map's own laws (CModule._validate,
+        ModuleMap._validate), and that every relation vanishes, shortest
+        first and then by source vertex.  A relation through a zero arrow
+        map vanishes without a product."""
         vertices = self.bq.quiver.vertices
         for v in vertices:
             m = self.vertex_modules.get(v)
@@ -73,6 +75,10 @@ class QRep:
                 raise PreconditionError(f"missing arrow map for {a.name!r}")
             if f.src != self.vertex_modules[a.source] or f.tgt != self.vertex_modules[a.target]:
                 raise PreconditionError(f"arrow map endpoints wrong for {a.name!r}")
+        for v in vertices:
+            self.vertex_modules[v]._validate()
+        for a in self.bq.quiver.arrows:
+            self.arrow_maps[a.name]._validate()
         zero = {name: f.is_zero() for name, f in self.arrow_maps.items()}
         for gen in sorted(self.bq.ideal.generators,
                           key=lambda p: (p.length, vertices.index(p.source), p.arrows)):

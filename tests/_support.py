@@ -257,17 +257,6 @@ def rand_qrep(bq: BoundQuiver, coeff: FinCategory, pool: List[CModule], rng,
     return QRep(bq, coeff, mods, sampled, validate=True)
 
 
-def validate_rep(r: QRep):
-    """Every check of a representation built from given data: each vertex
-    module and arrow map validated, then QRep._validate (endpoints and
-    relations), which leaves those to their own construction."""
-    for m in r.vertex_modules.values():
-        m._validate()
-    for f in r.arrow_maps.values():
-        f._validate()
-    r._validate()
-
-
 def point_pool(field: Field):
     """The coefficient pool for plain vector spaces: the one simple module."""
     cat = point_category(field)
@@ -781,6 +770,57 @@ def reference_category_check(fld: Field, objects, hom, comp, units, radical):
                     and not radical_coords(x, z, compose(x, y, z, basis(x, y, i),
                                                          basis(y, z, j)))):
                 raise PreconditionError(f"radical not an ideal at {(x, y, z)}")
+
+
+def reference_compose(cat: FinCategory, x, y, z, f, g) -> tuple:
+    """Coordinates of g o f for f: x -> y, g: y -> z, by a walk of
+    comp[(x, y, z)] with the field's scalar arithmetic: the oracle of
+    FinCategory.compose, which acts through the representable Hom(-, z)."""
+    fld = cat.field
+    zero = fld.zero()
+    out = [zero] * cat.dim(x, z)
+    table = cat.comp.get((x, y, z), {})
+    for i, fi in enumerate(f):
+        if fi == zero:
+            continue
+        for j, gj in enumerate(g):
+            if gj == zero:
+                continue
+            entry = table.get((i, j))
+            if not entry:
+                continue
+            c = fld.mul(fi, gj)
+            for k, v in entry.items():
+                out[k] = fld.add(out[k], fld.mul(c, v))
+    return tuple(out)
+
+
+def reference_pre_matrix(cat: FinCategory, f: AddMor, z: AddObject) -> Mat:
+    """The matrix of g -> g o f, flat Hom(f.tgt, z) -> flat Hom(f.src, z),
+    by a walk of the comp tables block by block: the oracle of
+    Hull.pre_matrix, which is the Yoneda matrix of f on Hom(-, z)."""
+    fld = cat.field
+    zero, add, mul = fld.zero(), fld.add, fld.mul
+    hull = Hull(cat)
+    src_off, cols = hull._layout(f.tgt, z)
+    tgt_off, rows = hull._layout(f.src, z)
+    data = [zero] * (rows * cols)
+    for i, xs in enumerate(f.src.summands):
+        for j, ys in enumerate(f.tgt.summands):
+            fb = f.blocks[j][i]
+            for k, zs in enumerate(z.summands):
+                table = cat.comp.get((xs, ys, zs))
+                if not table:
+                    continue
+                r0, c0 = tgt_off[i][k], src_off[j][k]
+                for (a, b), entry in table.items():
+                    s = fb[a]
+                    if s == zero:
+                        continue
+                    for t, v in entry.items():
+                        idx = (r0 + t) * cols + c0 + b
+                        data[idx] = add(data[idx], mul(s, v))
+    return Mat(fld, rows, cols, data)
 
 
 def reference_unit_values(psum, phi: ModuleMap) -> Mat:

@@ -12,8 +12,7 @@ import pytest
 from _support import (F101, QQ, a2_quiver, coil_injections, coil_route_approximation,
                       complex_sum_maps, module_print, point_pool, rand_complex,
                       rand_homotopy, rand_module, reference_composite_or_none,
-                      reference_generator_certificate, special_case_lift, typed_entries,
-                      validate_rep)
+                      reference_generator_certificate, special_case_lift, typed_entries)
 from arcat import cli, complexes, modcat
 from arcat.complexes import (Cyclic, Interval, NComplex, NComplexSpec, Window,
                              assemble_null_homotopic, build_category, coil_epi,
@@ -675,8 +674,9 @@ def test_homotopies_and_truncations_built_by_proof_pass_validation(fld):
     on the proofs in their docstrings: over point and A2 coefficients and
     the benchmark shapes, every component of the homotopy found for a
     random null-homotopic map, and every hard truncation of a random
-    complex of the window shape, pass an explicit _validate (validate_rep
-    for a truncation)."""
+    complex of the window shape, pass an explicit _validate (for a
+    truncation, QRep's, which validates its vertex modules and arrow maps
+    too)."""
     rng = random.Random(4848)
     found = truncated = 0
     for coeff, pool in coefficient_pools(fld):
@@ -692,7 +692,7 @@ def test_homotopies_and_truncations_built_by_proof_pass_validation(fld):
                 if isinstance(spec.shape, Window):
                     for floor in spec.degrees():
                         t = hard_truncate(src, floor)
-                        validate_rep(t)
+                        t._validate()
                         truncated += not t.is_zero()
     assert found and truncated
 

@@ -1,24 +1,27 @@
 import hashlib
+import itertools
+import pickle
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from arcat.errors import PreconditionError
 from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, KarObject,
-                          category_of, decompose_object, hom_basis,
+                          _representable_action, category_of, decompose_object, hom_basis,
                           opposite_category, point_category, split_idempotent,
                           tensor_product)
 from arcat.linalg import Field, Mat, hstack
-from arcat.modcat import CModule
+from arcat.modcat import CModule, yoneda_projective
 from arcat.quiver import Arrow, BoundQuiver, Quiver, linear_quiver
 
 from _support import (F101, QQ, a2_quiver, a3_quiver, a3_rad2, cyclic_rad2,
                       hash_line_categories, load_tool, one_loop_rad2,
-                      reference_category_check,
+                      reference_category_check, reference_compose, reference_pre_matrix,
                       reference_entrywise, reference_identity, reference_is_zero_mor,
-                      reference_scale, reference_zero_mor)
+                      reference_scale, reference_zero_mor, typed_entries)
 
 
 def dims(c):
@@ -670,3 +673,142 @@ def test_hull_arithmetic_matches_the_nested_block_tuples(field):
                         assert got == want and typed(got) == typed(want)
                     assert hull.is_zero_mor(f) == reference_is_zero_mor(field, f)
                     assert hull.is_zero_mor(hull.sub(f, f))
+
+
+# ---------------------------------------------------------------------------
+# precomposition through the memoised representables, against the walks of
+# the comp tables that it replaced (_support.reference_compose and
+# reference_pre_matrix), entries and their types
+
+
+def rand_scalar(fld, rng):
+    """A random field element, a third of them zero; over Q with
+    denominators, so that both routes meet non-integral Fractions."""
+    if rng.random() < 0.3:
+        return fld.zero()
+    if fld.p is None:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+    return fld.random(rng)
+
+
+def rand_coords(cat, x, y, rng):
+    return tuple(rand_scalar(cat.field, rng) for _ in range(cat.dim(x, y)))
+
+
+def typed_coords(coords):
+    return [(type(v), v) for v in coords]
+
+
+def test_compose_matches_the_table_walk(monkeypatch):
+    """FinCategory.compose, the action of f on Hom(-, z) applied to g,
+    equals the walk of comp[(x, y, z)] on every object triple of every
+    hash-line category over F_101 and Q, zero-dimensional homs included,
+    for random, zero and basis coordinates."""
+    fields, empty = set(), 0
+    for _, cat in hash_line_categories(monkeypatch):
+        rng = random.Random(f"compose-{cat!r}")
+        fields.add(cat.field)
+        for x, y, z in itertools.product(cat.objects, repeat=3):
+            empty += not (cat.dim(x, y) and cat.dim(y, z) and cat.dim(x, z))
+            pairs = [(rand_coords(cat, x, y, rng), rand_coords(cat, y, z, rng))
+                     for _ in range(2)]
+            pairs.append((cat.zero_coords(x, y), rand_coords(cat, y, z, rng)))
+            pairs += [(cat.basis_coords(x, y, i), cat.basis_coords(y, z, j))
+                      for i in range(cat.dim(x, y)) for j in range(cat.dim(y, z))]
+            for f, g in pairs:
+                got = cat.compose(x, y, z, f, g)
+                want = reference_compose(cat, x, y, z, f, g)
+                assert type(got) is tuple and typed_coords(got) == typed_coords(want)
+    assert fields == {F101, QQ} and empty
+
+
+def test_pre_matrix_matches_the_table_walk(monkeypatch):
+    """Hull.pre_matrix, the Yoneda matrix of f on Hom(-, Z), equals the
+    block walk of the comp tables on every hash-line category over F_101
+    and Q: for block morphisms with zero blocks, Z with repeated summands,
+    zero-dimensional homs between summands, the zero morphism and objects
+    with no summands."""
+    seen = Counter()
+    for _, cat in hash_line_categories(monkeypatch):
+        rng = random.Random(f"pre-{cat!r}")
+        hull = Hull(cat)
+        for t in range(12):
+            x, y = rand_obj(cat, rng, 0 if t == 0 else 1), rand_obj(cat, rng, 1)
+            zs = rand_obj(cat, rng, 1, 2).summands
+            z = AddObject.of(zs + zs[:1] if t % 2 else zs)
+            for f in (rand_mor(cat, x, y, rng), hull.zero_mor(x, y)):
+                got, want = hull.pre_matrix(f, z), reference_pre_matrix(cat, f, z)
+                assert typed_entries(got) == typed_entries(want)
+                seen["zero block"] += any(c == cat.field.zero() for row in f.blocks
+                                          for b in row for c in b)
+                seen["repeat"] += len(set(z.summands)) < len(z.summands)
+                seen["zero dim"] += any(not cat.dim(u, w) for u in x.summands + y.summands
+                                        for w in z.summands)
+                seen["empty"] += not x.summands
+        empty = AddObject(())
+        f = rand_mor(cat, x, y, rng)
+        assert typed_entries(hull.pre_matrix(f, empty)) == typed_entries(
+            reference_pre_matrix(cat, f, empty))
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+def test_a_pickled_category_drops_the_action_memo_and_rebuilds_it():
+    """The representables' matrices are built once per object and kept on
+    the category: validation, yoneda_projective, compose and pre_matrix
+    read the same matrices.  Pickling drops the memo, and the copy rebuilds
+    identical ones."""
+    c = category_of(a3_rad2(), QQ)
+    cat = FinCategory(c.field, c.objects, c.hom, c.comp, c.units, c.radical)
+    assert set(cat._actions) == set(cat.objects)
+    dims, action = _representable_action(cat, "2")
+    assert _representable_action(cat, "2") is cat._actions["2"]
+    p2 = yoneda_projective(cat, "2")
+    assert all(p2.action[key] is mat for key, mat in action.items())
+    rng = random.Random(31)
+    hull = Hull(cat)
+    x, y = AddObject(("1", "2")), AddObject(("2", "3", "2"))
+    z = AddObject(("3", "2", "3"))
+    f = rand_mor(cat, x, y, rng)
+    g = rand_coords(cat, "1", "2", rng), rand_coords(cat, "2", "3", rng)
+    back = pickle.loads(pickle.dumps(cat))
+    assert back._actions == {} and back._representables == {}
+    assert typed_entries(Hull(back).pre_matrix(f, z)) == typed_entries(hull.pre_matrix(f, z))
+    assert (typed_coords(back.compose("1", "2", "3", *g))
+            == typed_coords(cat.compose("1", "2", "3", *g)))
+    assert set(back._actions) == {"2", "3"}
+    for w in cat.objects:
+        got_dims, got_action = _representable_action(back, w)
+        want_dims, want_action = _representable_action(cat, w)
+        assert got_dims == want_dims
+        assert {k: typed_entries(m) for k, m in got_action.items()} == \
+            {k: typed_entries(m) for k, m in want_action.items()}
+
+
+# ---------------------------------------------------------------------------
+# negative controls for refusals of the tables and the hull
+
+
+def test_validation_rejects_a_missing_hom_table_and_a_unit_of_the_wrong_length():
+    c = category_of(a2_quiver(), F101)
+    hom = {key: labels for key, labels in c.hom.items() if key != ("2", "1")}
+    with pytest.raises(PreconditionError, match=r"missing hom table for \('2', '1'\)"):
+        FinCategory(c.field, c.objects, hom, c.comp, c.units, c.radical)
+    units = {**c.units, "2": c.units["2"] + (F101.zero(),)}
+    with pytest.raises(PreconditionError, match="unit of 2 has wrong length"):
+        FinCategory(c.field, c.objects, c.hom, c.comp, units, c.radical)
+
+
+def test_hull_refuses_a_non_idempotent_a_non_endomorphism_and_a_mismatched_composite():
+    c = category_of(one_loop_rad2(), F101)
+    hull = Hull(c)
+    v, vv = AddObject(("v",)), AddObject(("v", "v"))
+    with pytest.raises(PreconditionError, match="idempotent must be an endomorphism"):
+        hull.check_idempotent(hull.zero_mor(v, vv))
+    twice = hull.scale(F101.of(2), hull.identity(v))
+    with pytest.raises(PreconditionError, match="morphism is not idempotent"):
+        hull.check_idempotent(twice)
+    with pytest.raises(PreconditionError, match="morphism is not idempotent"):
+        decompose_object(c, KarObject(v, twice))
+    hull.check_idempotent(hull.identity(vv))
+    with pytest.raises(PreconditionError, match="composition type mismatch"):
+        hull.then(hull.identity(v), hull.identity(vv))

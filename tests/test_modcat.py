@@ -15,7 +15,7 @@ from arcat.fincat import (AddMor, AddObject, FinCategory, Hull, category_of,
 from arcat.algebra import find_nontrivial_idempotent, radical_basis
 from arcat.linalg import Field, Mat, equation_matrix, hstack, solve, vstack
 from arcat.modcat import (CModule, Ext1, ModuleMap, ShortExact,
-                          almost_split_sequence, ar_quiver, cokernel_module,
+                          almost_split_sequence, ar_quiver, check_short_exact, cokernel_module,
                           conjugate_module, decompose_module, end_algebra,
                           direct_sum, dual_map, duality_D,
                           extension_from_cocycle, factor_through_cokernel, flatten_map,
@@ -2497,3 +2497,81 @@ def test_projection_off_an_empty_span_is_the_identity(fld):
         want_section = solve(want_pi, Mat.identity(fld, want_pi.rows))
         assert typed_entries(pi) == typed_entries(want_pi)
         assert typed_entries(section) == typed_entries(want_section)
+
+
+# ---------------------------------------------------------------------------
+# negative controls for refusals that no other test reaches
+
+
+def test_check_short_exact_refuses_each_broken_condition():
+    """Past an injective left map, each later condition of exactness is
+    refused on its own: a zero right map, a composite through the middle
+    that is the identity, and a middle term one copy of S_1 too large."""
+    rc = rep_a2()
+    s1 = simple_module(rc, "1")
+    ass = almost_split_sequence(s1).sequence
+    check_short_exact(ass)
+    with pytest.raises(VerificationError, match="right map is not surjective"):
+        check_short_exact(dataclasses.replace(ass, project=zero_map(ass.middle, s1)))
+    double, injs, projs = direct_sum([s1, s1])
+    with pytest.raises(VerificationError, match="composite through the middle is nonzero"):
+        check_short_exact(ShortExact(s1, double, s1, injs[0], projs[0]))
+    triple, injs, projs = direct_sum([s1, s1, s1])
+    with pytest.raises(VerificationError, match="middle dimension mismatch at '1'"):
+        check_short_exact(ShortExact(s1, triple, s1, injs[0], projs[1]))
+
+
+def test_ext_classes_refuses_a_column_that_is_not_a_cocycle():
+    """Over A3 mod rad^2, Ext^1(S_1, P_2) = 0 and the cocycles of Hom(P1,
+    P_2) = k are zero, so the unit column is no cocycle."""
+    rc = representation_category(a3_rad2(), F101)
+    ext = Ext1(simple_module(rc, "1"), yoneda_projective(rc, "2"))
+    assert ext.dim == 0 and ext._span.rows == 1 and ext._span.cols == 0
+    assert ext.classes(Mat.zeros(F101, 1, 1)).rows == 0
+    with pytest.raises(PreconditionError, match="column is not a cocycle"):
+        ext.classes(Mat.column(F101, [F101.one()]))
+
+
+def test_the_zero_module_has_no_sequence_and_is_no_test_module():
+    rc = rep_a2()
+    zero = zero_module(rc)
+    with pytest.raises(PreconditionError, match="zero module has no almost split sequence"):
+        almost_split_sequence(zero)
+    ass = almost_split_sequence(simple_module(rc, "1"))
+    with pytest.raises(VerificationError, match="zero module in the test family"):
+        verify_almost_split(ass.sequence, [yoneda_projective(rc, "1"), zero])
+
+
+def test_module_validation_refuses_bad_dimensions_and_action_shapes():
+    rc = rep_a2()
+    p1 = yoneda_projective(rc, "1")
+    for dims in ({"1": 1}, {"1": 1, "2": -1}):
+        with pytest.raises(PreconditionError, match="missing or negative dimension at '2'"):
+            CModule(rc, dims, p1.action)
+    arrow = ("2", "1", 0)
+    assert rc.dim("2", "1") == 1 and p1.dims == {"1": 1, "2": 1}
+    missing = {k: m for k, m in p1.action.items() if k != arrow}
+    wide = {**p1.action, arrow: Mat.zeros(F101, 1, 2)}
+    for action in (missing, wide):
+        with pytest.raises(PreconditionError, match=r"bad action matrix at \('2', '1', 0\)"):
+            CModule(rc, p1.dims, action)
+
+
+def test_factor_through_cokernel_refuses_a_map_that_does_not_kill_the_image():
+    """The cokernel of P_2 -> P_1 is S_1; the identity of P_1 does not kill
+    the image S_2, and the projection onto S_1 factors as the identity."""
+    rc = rep_a2()
+    p1 = yoneda_projective(rc, "1")
+    ck = cokernel_module(yoneda_map(rc, "2", "1", (F101.one(),)))
+    assert ck.module.dims == {"1": 1, "2": 0}
+    assert factor_through_cokernel(ck, ck.project) == identity_map(ck.module)
+    with pytest.raises(PreconditionError, match="map does not kill the image, cannot factor"):
+        factor_through_cokernel(ck, identity_map(p1))
+
+
+def test_conjugate_module_refuses_a_singular_base_change():
+    rc = rep_a2()
+    p1 = yoneda_projective(rc, "1")
+    mats = {"1": Mat.identity(F101, 1), "2": Mat.zeros(F101, 1, 1)}
+    with pytest.raises(PreconditionError, match="base change at '2' is not invertible"):
+        conjugate_module(p1, mats)

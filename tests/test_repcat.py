@@ -9,8 +9,9 @@ import pytest
 from _support import (F101, QQ, a2_quiver, a3_rad2, cyclic_rad2, module_print,
                       one_loop_rad2, path_route_sharp, point_pool, rand_module,
                       rand_qrep, reference_rep_map_failure, reference_sum_injections,
-                      reference_unit_block, typed_entries, validate_rep)
+                      reference_unit_block, typed_entries)
 from arcat import modcat, repcat
+from arcat.complexes import Interval, NComplexSpec, build_category, from_rep
 from arcat.errors import PreconditionError, VerificationError
 from arcat.fincat import category_of, point_category
 from arcat.linalg import Field, Mat
@@ -51,6 +52,52 @@ def test_rep_map_validation_rejects_broken_square():
             "2": ModuleMap(k1, k1, {"pt": Mat.zeros(F101, 1, 1)})}
     with pytest.raises(PreconditionError):
         QRepMap(r, r, good)
+
+
+def doubled_identity_rep(bq, vertices):
+    """A representation with A2 coefficients over F_101 whose vertex modules
+    are all P_2 and whose arrow maps are the identity of P_2 doubled at
+    object 1, which is not natural; the map is built unvalidated."""
+    coeff = category_of(a2_quiver(), F101)
+    p2 = yoneda_projective(coeff, "2")
+    bad = ModuleMap(p2, p2, {"1": Mat.identity(F101, 1).scale(F101.of(2)),
+                             "2": Mat.identity(F101, 1)}, validate=False)
+    return coeff, {v: p2 for v in vertices}, {a.name: bad for a in bq.quiver.arrows}
+
+
+def test_rep_validation_checks_each_arrow_map_and_vertex_module():
+    """QRep._validate runs each vertex module's and arrow map's own check,
+    after the endpoints and before the relations, so a representation
+    built from given data cannot carry a map that is not natural or a
+    module that is not a functor, directly or through from_rep."""
+    bq = a2_quiver()
+    coeff, mods, maps = doubled_identity_rep(bq, bq.quiver.vertices)
+    with pytest.raises(PreconditionError, match=r"naturality fails at \('1', '2', 0\)"):
+        QRep(bq, coeff, mods, maps)
+    spec = NComplexSpec(2, Interval(2))
+    shape = build_category(spec)
+    coeff, mods, maps = doubled_identity_rep(shape, shape.quiver.vertices)
+    r = QRep(shape, coeff, mods, maps, validate=False)
+    with pytest.raises(PreconditionError, match=r"naturality fails at \('1', '2', 0\)"):
+        from_rep(spec, r)
+    # a vertex module whose unit acts by 2 is refused by its own check
+    p2 = mods[1]
+    twisted = CModule(coeff, p2.dims, {**p2.action, ("1", "1", 0): p2.action[("1", "1", 0)]
+                                       .scale(F101.of(2))}, validate=False)
+    zero = zero_module(coeff)
+    with pytest.raises(PreconditionError, match="unit does not act as identity at '1'"):
+        QRep(bq, coeff, {"1": twisted, "2": zero}, {"a1": zero_map(twisted, zero)})
+    # the endpoint check still comes first
+    with pytest.raises(PreconditionError, match="arrow map endpoints wrong"):
+        QRep(bq, coeff, {"1": twisted, "2": zero}, {"a1": zero_map(zero, zero)})
+
+
+def test_qrep_hom_refuses_representations_over_different_data():
+    bq, cat, r = constant_a2_rep()
+    for other in (zero_rep(a3_rad2(), cat), zero_rep(bq, point_category(QQ))):
+        for pair in ((r, other), (other, r)):
+            with pytest.raises(PreconditionError, match="representations over different data"):
+                qrep_hom(*pair)
 
 
 def test_roundtrip_point_coefficients_exact():
@@ -454,7 +501,7 @@ def test_dictionary_unit_and_sharp_built_by_proof_pass_validation(fld):
         for r in reps:
             m = phi(r, base)
             m._validate()
-            validate_rep(psi(m))
+            psi(m)._validate()
         for r, s in product(reps, repeat=2):
             for f in qrep_hom(r, s)[:3]:
                 g = phi_map(f, base)
